@@ -600,9 +600,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ValueError becomes a one-line error and exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:
+        print(f"tsnet: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

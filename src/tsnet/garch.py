@@ -15,6 +15,7 @@ persistence at 1 - 1e-6, so every iterate is admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from scipy.optimize import minimize
@@ -72,6 +73,39 @@ def garch_filter(eps, spec: GarchSpec, sigma2_0: float | None = None,
     return sigma2
 
 
+def _affine_scan(a: np.ndarray, c: float, s0: float) -> np.ndarray:
+    """Return s_t = c + a_t s_{t-1} for t = 0..len(a)-1, from s_{-1} = s0.
+
+    Two-level scan: the series is cut into about sqrt(len(a)) blocks
+    (the tail padded with a_t = 1).  Each block's running products
+    `prod` and zero-start sums `acc` come from one loop over the block
+    position, vectorized across blocks; the block start values are then
+    carried in one short loop, and s = prod * start + acc.  Nothing is
+    divided, so coefficients that underflow to zero cannot overflow the
+    result.
+    """
+    total = a.shape[0]
+    n_blocks = isqrt(total)
+    length = -(-total // n_blocks)
+    padded = np.ones(n_blocks * length)
+    padded[:total] = a
+    # row k holds position k of every block
+    coef = padded.reshape(n_blocks, length).T.copy()
+    prod = np.empty_like(coef)
+    acc = np.empty_like(coef)
+    prod[0] = coef[0]
+    acc[0] = c
+    for k in range(1, length):
+        prod[k] = coef[k] * prod[k - 1]
+        acc[k] = coef[k] * acc[k - 1] + c
+    starts = np.empty(n_blocks)
+    prev = s0
+    for b, (p_end, c_end) in enumerate(zip(prod[-1].tolist(), acc[-1].tolist())):
+        starts[b] = prev
+        prev = p_end * prev + c_end
+    return (prod * starts + acc).T.reshape(-1)[:total]
+
+
 def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
     """Simulate y_t = mu + sigma_t eta_t with iid standard normal eta.
 
@@ -80,19 +114,18 @@ def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
     variance.
     """
     n = check_positive_int(n, "n")
+    burn = check_positive_int(burn, "burn", minimum=0)
     gen = _resolve_rng(rng)
     total = n + burn
     eta = gen.standard_normal(total)
-    sigma2 = np.empty(total)
-    eps = np.empty(total)
-    s2_prev = spec.unconditional_variance
-    e2_prev = s2_prev
-    for t in range(total):
-        s2 = spec.omega + spec.alpha * e2_prev + spec.beta * s2_prev
-        sigma2[t] = s2
-        eps[t] = np.sqrt(s2) * eta[t]
-        e2_prev = eps[t] ** 2
-        s2_prev = s2
+    # with eps_{t-1}^2 = sigma2_{t-1} eta_{t-1}^2 the variance recursion
+    # is sigma2_t = omega + a_t sigma2_{t-1}; the presample eps^2 equals
+    # the presample variance, so a_0 = alpha + beta
+    a = np.empty(total)
+    a[0] = spec.alpha + spec.beta
+    a[1:] = spec.alpha * eta[:-1] ** 2 + spec.beta
+    sigma2 = _affine_scan(a, spec.omega, spec.unconditional_variance)
+    eps = np.sqrt(sigma2) * eta
     return spec.mu + eps[burn:], sigma2[burn:]
 
 

@@ -169,7 +169,8 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
         w = kernel_weight(spec.family, j / b)
         if w == 0.0:
             continue
-        lam += w * autocovariance(x, j, demean=False)
+        # x is already validated; autocovariance would recheck it per lag
+        lam += w * (x[j:].T @ x[: n - j] / n)
     # group the one-sided parts first so omega is exactly symmetric
     omega = gamma0 + (lam + lam.T)
     return LrvEstimate(omega=omega, lam=lam, gamma0=gamma0,

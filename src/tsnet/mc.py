@@ -435,36 +435,30 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
         raise ValueError("degenerate full-sample fit; cannot scale losses")
 
-    gram = z[:k0].T @ z[:k0]
-    moment = z[:k0].T @ ys[:k0]
-    e_small = []
-    e_big = []
-    start = None
-    for t in range(k0, m):
-        zt = z[t]
-        if start is None:
-            # postpone until the nesting-model design is invertible
-            if (t < p_big
-                    or np.linalg.cond(gram) > 1e12
-                    or np.linalg.cond(gram[:p_small, :p_small]) > 1e12):
-                gram += np.outer(zt, zt)
-                moment += zt * ys[t]
-                continue
-            start = t
-            if start > k0:
-                warnings.warn(f"forecast start postponed from pair {k0} "
-                              f"to {start} (singular early design)")
-        b_big = np.linalg.solve(gram, moment)
-        b_small = np.linalg.solve(gram[:p_small, :p_small], moment[:p_small])
-        e_big.append(ys[t] - zt @ b_big)
-        e_small.append(ys[t] - zt[:p_small] @ b_small)
-        gram += np.outer(zt, zt)
-        moment += zt * ys[t]
-    if start is None:
+    # grams[t - 1] and moments[t - 1] sum over the first t pairs
+    grams = np.cumsum(z[:, :, None] * z[:, None, :], axis=0)
+    moments = np.cumsum(z * ys[:, None], axis=0)
+    for start in range(k0, m):
+        # postpone until the nesting-model design is invertible
+        gram = grams[start - 1]
+        if not (start < p_big
+                or np.linalg.cond(gram) > 1e12
+                or np.linalg.cond(gram[:p_small, :p_small]) > 1e12):
+            break
+    else:
         raise ValueError("no well-conditioned forecast origin before the end")
+    if start > k0:
+        warnings.warn(f"forecast start postponed from pair {k0} "
+                      f"to {start} (singular early design)")
 
-    e_small = np.asarray(e_small)
-    e_big = np.asarray(e_big)
+    # the forecast of pair t uses the fit on pairs 0..t-1
+    g = grams[start - 1:m - 1]
+    mom = moments[start - 1:m - 1, :, None]
+    b_big = np.linalg.solve(g, mom)[..., 0]
+    b_small = np.linalg.solve(g[:, :p_small, :p_small], mom[:, :p_small])[..., 0]
+    zf = z[start:]
+    e_big = ys[start:] - np.einsum("tp,tp->t", zf, b_big)
+    e_small = ys[start:] - np.einsum("tp,tp->t", zf[:, :p_small], b_small)
     diffs = (e_small**2 - e_big**2) / sigma2
     path = np.cumsum(diffs)
     return NestedForecastResult(stat=float(path[-1]), path=path,
@@ -725,7 +719,8 @@ def _nethac_setup(cfg):
     # on a cycle the MA(1-in-distance) mean has long-run variance
     # (sum of coefficients)^2 by translation invariance
     true_lrv = (1.0 + 2.0 * w1) ** 2
-    return {"graph": g, "dist": dist, "true_lrv": true_lrv}
+    crit = stats.norm.ppf(1.0 - cfg.level / 2.0)
+    return {"graph": g, "dist": dist, "true_lrv": true_lrv, "crit": crit}
 
 
 def _nethac_rep(cfg, ctx, r):
@@ -739,7 +734,7 @@ def _nethac_rep(cfg, ctx, r):
     ybar = float(y.mean())
     v_full = float(network_hac(g, y, kernel=KernelSpec(family, bw), dist=dist)[0, 0])
     v_low = float(network_hac(g, y, kernel=KernelSpec(family, bw_low), dist=dist)[0, 0])
-    crit = stats.norm.ppf(1.0 - cfg.level / 2.0)
+    crit = ctx["crit"]
     cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)
     cover_low = abs(ybar) <= crit * np.sqrt(max(v_low, 0.0) / n)
     return (ybar, v_full, v_low, int(cover_full), int(cover_low))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.signal import lfilter
 
 from ._checks import as_matrix, as_series
 from .lrv import KernelSpec, hac_lrv
@@ -57,12 +58,7 @@ def ivx_instrument(x, spec: IvxSpec = IvxSpec()) -> np.ndarray:
     n = x_arr.shape[0]
     rho = spec.rho(n)
     dx = np.diff(x_arr, axis=0)
-    z = np.empty_like(dx)
-    prev = np.zeros(dx.shape[1])
-    for t in range(dx.shape[0]):
-        prev = rho * prev + dx[t]
-        z[t] = prev
-    return z
+    return lfilter([1.0], [1.0, -rho], dx, axis=0)
 
 
 @dataclass(frozen=True)

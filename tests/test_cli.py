@@ -237,6 +237,19 @@ def test_mc_grid(tmp_path, capsys):
     assert cols[0] == "grid_pi0" and body.shape[0] == 2
 
 
+def test_cli_value_error_is_one_line(tmp_path, capsys):
+    graph = tmp_path / "zero-based.edges"
+    graph.write_text("0,1\n")
+    assert main(["netdep", "stats", "--graph", str(graph),
+                 "-s", "1", "-m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("tsnet: error: ")
+    assert "n=<count>" in lines[0]
+
+
 def test_cli_argument_errors():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "linear", "--n", "10"])  # missing --coeffs

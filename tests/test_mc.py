@@ -112,6 +112,26 @@ def test_run_experiment_jobs_invariance(tmp_path):
     assert [p.read_bytes() for p in f1] == [p.read_bytes() for p in f2]
 
 
+@pytest.mark.parametrize("name,reps,seed,params", [
+    # criterion 12 sizes and seeds of the experiments with vectorized kernels
+    ("ivx-null", 5, 105, {"n": 150}),
+    ("garch-recovery", 2, 110, {"n": 800}),
+    ("nested-forecast", 3, 112, {"n": 150}),
+    ("nethac-coverage", 5, 108, {"n_nodes": 30}),
+])
+def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
+                                                     seed, params):
+    files = []
+    for jobs in (1, 2):
+        d = tmp_path / f"jobs{jobs}"
+        d.mkdir()
+        cfg = ExperimentConfig(experiment=name, reps=reps, seed=seed,
+                               jobs=jobs, params=dict(params))
+        files.append([p.read_bytes() for p in run_experiment(cfg, out=d).files])
+    assert len(files[0]) == 2
+    assert files[0] == files[1]
+
+
 def test_run_experiment_stream_shift_consistency():
     # rep r of a stream-s config equals rep s+r of a stream-0 config:
     # replications are keyed by absolute stream, not loop index
