@@ -65,11 +65,14 @@ from .mc import (
 from .netdep import (
     Graph,
     NetStats,
+    Shells,
     cycle_graph,
     denseness_stats,
     graph_distance,
+    graph_shells,
     neighborhood,
     network_hac,
+    network_hac_radius,
     read_edgelist,
     shell,
     simulate_graph_ma,

@@ -600,12 +600,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ValueError becomes a one-line error and exit 2."""
+    """Run one command.
+
+    A ValueError (bad input) or an OSError (a file that cannot be read
+    or written) becomes one `tsnet: error: <msg>` line on stderr and
+    exit code 2, with no traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"tsnet: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,7 +1,7 @@
 """Monte Carlo harness: experiment registry, config files, CSV output.
 
 An experiment is a named (setup, rep, summarize) triple.  `setup` builds
-shared context once (critical-value tables, graph distances), `rep`
+shared context once (critical-value tables, graph shells), `rep`
 produces one replication's row of statistics, and `summarize` reduces
 the stacked rows to a flat dict of scalars.  Replication r always draws
 from stream `cfg.stream + r`, so results are invariant to `jobs`;
@@ -48,7 +48,7 @@ from .breaks import nbb_sup_mc, split_wald, sup_wald
 from .coint import fmols
 from .garch import GarchSpec, garch_qmle, simulate_garch
 from .lrv import KernelSpec, hac_lrv
-from .netdep import cycle_graph, graph_distance, network_hac, simulate_graph_ma
+from .netdep import cycle_graph, graph_shells, network_hac, network_hac_radius, simulate_graph_ma
 from .predreg import IvxSpec, ivx_estimate
 from .randmat import mp_support, sample_cov_spectrum
 from .series import (
@@ -714,13 +714,19 @@ _register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize)
 def _nethac_setup(cfg):
     n_nodes = int(cfg.param("n_nodes", 200))
     w1 = float(cfg.param("w1", 0.1))
+    bw = float(cfg.param("bandwidth", 3.0))
+    bw_low = float(cfg.param("low_bandwidth", 0.5))
+    family = str(cfg.param("family", "bartlett"))
     g = cycle_graph(n_nodes)
-    dist = graph_distance(g)
+    # both HAC bandwidths, and distance 1 for the graph MA weights (1, w1)
+    radius = max(network_hac_radius(KernelSpec(family, bw), n_nodes),
+                 network_hac_radius(KernelSpec(family, bw_low), n_nodes), 1)
+    shells = graph_shells(g, radius)
     # on a cycle the MA(1-in-distance) mean has long-run variance
     # (sum of coefficients)^2 by translation invariance
     true_lrv = (1.0 + 2.0 * w1) ** 2
     crit = stats.norm.ppf(1.0 - cfg.level / 2.0)
-    return {"graph": g, "dist": dist, "true_lrv": true_lrv, "crit": crit}
+    return {"graph": g, "shells": shells, "true_lrv": true_lrv, "crit": crit}
 
 
 def _nethac_rep(cfg, ctx, r):
@@ -728,12 +734,12 @@ def _nethac_rep(cfg, ctx, r):
     bw = float(cfg.param("bandwidth", 3.0))
     bw_low = float(cfg.param("low_bandwidth", 0.5))
     family = str(cfg.param("family", "bartlett"))
-    g, dist = ctx["graph"], ctx["dist"]
+    g, shells = ctx["graph"], ctx["shells"]
     n = g.n
-    y = simulate_graph_ma(g, (1.0, w1), _rep_rng(cfg, r), dist=dist)
+    y = simulate_graph_ma(g, (1.0, w1), _rep_rng(cfg, r), dist=shells)
     ybar = float(y.mean())
-    v_full = float(network_hac(g, y, kernel=KernelSpec(family, bw), dist=dist)[0, 0])
-    v_low = float(network_hac(g, y, kernel=KernelSpec(family, bw_low), dist=dist)[0, 0])
+    v_full = float(network_hac(g, y, kernel=KernelSpec(family, bw), dist=shells)[0, 0])
+    v_low = float(network_hac(g, y, kernel=KernelSpec(family, bw_low), dist=shells)[0, 0])
     crit = ctx["crit"]
     cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)
     cover_low = abs(ybar) <= crit * np.sqrt(max(v_low, 0.0) / n)

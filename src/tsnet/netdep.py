@@ -4,6 +4,16 @@ Nodes are labeled 1..n (matching the edge-list file format); matrices
 returned by these functions are indexed by label minus one.  Distances
 are unweighted shortest-path lengths, infinite across components.
 
+Every consumer reads distances only up to the radius it needs:
+floor(bandwidth) for `network_hac`, len(weights) - 1 for
+`simulate_graph_ma`, max(s, m) for `denseness_stats`, s for `shell` and
+`neighborhood`.  `graph_shells` finds the node pairs at each distance up
+to that radius by sparse products of the adjacency, so memory grows
+with the neighborhoods, not with n^2.  The `dist=` keyword takes
+precomputed `Shells` (reused across calls on one graph, as the Monte
+Carlo harness does); a dense matrix from `graph_distance` is also
+accepted and turned into shells on entry.
+
 The denseness functionals quantify how fast s-step neighborhoods grow:
 delta^shell(s; k) is the k-th moment of shell sizes, Delta(s, m; k) the
 worst-case mass of an m-neighborhood not explained by a neighbor's
@@ -28,12 +38,15 @@ __all__ = [
     "cycle_graph",
     "star_graph",
     "graph_distance",
+    "Shells",
+    "graph_shells",
     "shell",
     "neighborhood",
     "NetStats",
     "denseness_stats",
     "simulate_graph_ma",
     "network_hac",
+    "network_hac_radius",
     "read_edgelist",
     "write_edgelist",
 ]
@@ -93,7 +106,11 @@ def star_graph(leaves: int) -> Graph:
 
 
 def graph_distance(g: Graph) -> np.ndarray:
-    """(n, n) matrix of shortest-path distances; inf across components."""
+    """(n, n) matrix of shortest-path distances; inf across components.
+
+    All pairs, so O(n^2) memory; the consumers below only ever need
+    `graph_shells` out to a small radius.
+    """
     if g.num_edges == 0:
         d = np.full((g.n, g.n), np.inf)
         np.fill_diagonal(d, 0.0)
@@ -101,13 +118,94 @@ def graph_distance(g: Graph) -> np.ndarray:
     return shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
 
 
-def _dist_of(g_or_dist) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Shells:
+    """Node pairs grouped by graph distance, for distances 0..radius.
+
+    pairs[s] = (ii, jj) holds the 0-based pairs at distance exactly s in
+    row-major order with sorted columns: the arrays
+    `np.nonzero(graph_distance(g) == s)` returns.
+    """
+
+    n: int
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def radius(self) -> int:
+        return len(self.pairs) - 1
+
+    def at(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ii, jj) of the pairs at distance exactly s."""
+        if not 0 <= s <= self.radius:
+            raise ValueError(f"distance {s} outside the shells' range 0..{self.radius}")
+        return self.pairs[s]
+
+    def row(self, s: int, i0: int) -> np.ndarray:
+        """0-based nodes at distance exactly s from node i0 (sorted)."""
+        ii, jj = self.at(s)
+        lo, hi = np.searchsorted(ii, (i0, i0 + 1))
+        return jj[lo:hi]
+
+    def sizes(self, s: int) -> np.ndarray:
+        """Shell size |{j: d(i, j) = s}| for every node i."""
+        return np.bincount(self.at(s)[0], minlength=self.n)
+
+    def matrix(self, s: int) -> sparse.csr_matrix:
+        """Sparse 0/1 matrix S_s with (S_s)_ij = 1 iff d(i, j) = s."""
+        ii, jj = self.at(s)
+        indptr = np.searchsorted(ii, np.arange(self.n + 1))
+        return sparse.csr_matrix((np.ones(jj.size), jj, indptr), shape=(self.n, self.n))
+
+    def ball(self, r: int) -> sparse.csr_matrix:
+        """Sparse 0/1 matrix of the pairs within distance r."""
+        ii = np.concatenate([self.at(t)[0] for t in range(r + 1)])
+        jj = np.concatenate([self.at(t)[1] for t in range(r + 1)])
+        return sparse.csr_matrix((np.ones(ii.size), (ii, jj)), shape=(self.n, self.n))
+
+
+def graph_shells(g: Graph, radius: int) -> Shells:
+    """Pairs at each distance 0..radius, by a radius-limited BFS.
+
+    Shell s is the pattern of S_{s-1} A minus S_{s-1} and S_{s-2}: in an
+    undirected graph a neighbor of a node at distance s-1 lies at
+    distance s-2, s-1 or s.  Boolean sparse products keep the cost at
+    O(n * ball size * degree), with no n x n array.
+    """
+    radius = check_positive_int(radius, "radius", minimum=0)
+    n = g.n
+    adj = g.adjacency().astype(bool)
+    prev = sparse.csr_matrix((n, n), dtype=bool)
+    cur = sparse.identity(n, dtype=bool, format="csr")
+    pairs = [(np.arange(n), np.arange(n))]
+    for _ in range(radius):
+        prev, cur = cur, (cur @ adj) > (cur + prev)
+        cur.sort_indices()
+        ii = np.repeat(np.arange(n), np.diff(cur.indptr))
+        pairs.append((ii, cur.indices.astype(np.intp)))
+    return Shells(n=n, pairs=tuple(pairs))
+
+
+def _num_nodes(g_or_dist) -> int:
+    if isinstance(g_or_dist, (Graph, Shells)):
+        return g_or_dist.n
+    return np.shape(g_or_dist)[0]
+
+
+def _shells_of(g_or_dist, radius: int) -> Shells:
+    """Shells out to `radius` from a Graph, a Shells or a dense distance matrix."""
     if isinstance(g_or_dist, Graph):
-        return graph_distance(g_or_dist)
+        return graph_shells(g_or_dist, radius)
+    if isinstance(g_or_dist, Shells):
+        if g_or_dist.radius < radius:
+            raise ValueError(f"shells reach distance {g_or_dist.radius}, "
+                             f"but distance {radius} is needed")
+        return g_or_dist
     d = np.asarray(g_or_dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
-    return d
+    # divmod of flat indices: the pairs np.nonzero(d == s) gives, several times faster
+    return Shells(n=d.shape[0], pairs=tuple(np.divmod(np.flatnonzero(d == s), d.shape[0])
+                                            for s in range(radius + 1)))
 
 
 def shell(g_or_dist, i: int, s: int) -> np.ndarray:
@@ -115,22 +213,22 @@ def shell(g_or_dist, i: int, s: int) -> np.ndarray:
 
     shell(g, i, 0) is {i} itself.
     """
-    d = _dist_of(g_or_dist)
-    if not 1 <= i <= d.shape[0]:
-        raise ValueError(f"node {i} outside 1..{d.shape[0]}")
     if s < 0:
         raise ValueError("s must be >= 0")
-    return np.nonzero(d[i - 1] == s)[0] + 1
+    sh = _shells_of(g_or_dist, s)
+    if not 1 <= i <= sh.n:
+        raise ValueError(f"node {i} outside 1..{sh.n}")
+    return sh.row(s, i - 1) + 1
 
 
 def neighborhood(g_or_dist, i: int, s: int) -> np.ndarray:
     """Nodes within distance s of node i, including i (labels, sorted)."""
-    d = _dist_of(g_or_dist)
-    if not 1 <= i <= d.shape[0]:
-        raise ValueError(f"node {i} outside 1..{d.shape[0]}")
     if s < 0:
         raise ValueError("s must be >= 0")
-    return np.nonzero(d[i - 1] <= s)[0] + 1
+    sh = _shells_of(g_or_dist, s)
+    if not 1 <= i <= sh.n:
+        raise ValueError(f"node {i} outside 1..{sh.n}")
+    return np.sort(np.concatenate([sh.row(t, i - 1) for t in range(s + 1)])) + 1
 
 
 def _log_power_mean(sizes: np.ndarray, exponent: float) -> float:
@@ -160,7 +258,7 @@ class NetStats:
 
 
 def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
-                    dist: np.ndarray | None = None) -> NetStats:
+                    dist: Shells | np.ndarray | None = None) -> NetStats:
     """Shell-growth moments and the Hölder bound c_n(s, m; k).
 
         delta_shell   = n^{-1} sum_i |shell(i, s)|^k
@@ -178,22 +276,19 @@ def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
         raise ValueError("s and m must be >= 0")
     if k <= 0:
         raise ValueError("k must be positive")
-    d = _dist_of(dist if dist is not None else g)
-    n = d.shape[0]
-    shell_sizes = np.sum(d == s, axis=1).astype(float)
+    sh = _shells_of(dist if dist is not None else g, max(s, m))
+    shell_sizes = sh.sizes(s).astype(float)
 
-    # worst uncovered m-neighborhood mass, per node
-    overlap_sizes = np.zeros(n)
-    within_m = d <= m
-    for i0 in range(n):
-        js = np.nonzero(d[i0] == s)[0]
-        if js.size == 0:
-            continue
-        if s == 0:
-            overlap_sizes[i0] = within_m[i0].sum()
-            continue
-        uncovered = within_m[i0][None, :] & ~(d[js] <= s - 1)
-        overlap_sizes[i0] = uncovered.sum(axis=1).max()
+    # worst uncovered m-neighborhood mass, per node: for j in shell(i, s),
+    # |N(i; m) \ N(j; s-1)| = |N(i; m)| - (B_m B_{s-1})_ij with B_r the
+    # 0/1 ball matrix (symmetric, so the product counts the overlap)
+    ii, jj = sh.at(s)
+    ball_m = sh.ball(m)
+    uncovered = np.asarray(ball_m.sum(axis=1)).ravel()[ii]
+    if s > 0 and ii.size:  # scipy gives a sparse matrix for an empty index
+        uncovered = uncovered - np.asarray((ball_m @ sh.ball(s - 1))[ii, jj]).ravel()
+    overlap_sizes = np.zeros(sh.n)
+    np.maximum.at(overlap_sizes, ii, uncovered)
 
     delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
     delta_overlap = float(np.exp(_log_power_mean(overlap_sizes, k)))
@@ -211,7 +306,7 @@ def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
                     delta_overlap=delta_overlap, c_n=best)
 
 
-def simulate_graph_ma(g: Graph, weights, rng, dist: np.ndarray | None = None,
+def simulate_graph_ma(g: Graph, weights, rng, dist: Shells | np.ndarray | None = None,
                       v: int = 1) -> np.ndarray:
     """Graph moving average Y_i = sum_{d(i,j) <= m} weights[d(i,j)] eps_j.
 
@@ -224,18 +319,14 @@ def simulate_graph_ma(g: Graph, weights, rng, dist: np.ndarray | None = None,
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
     v = check_positive_int(v, "v")
-    d = _dist_of(dist if dist is not None else g)
+    sh = _shells_of(dist if dist is not None else g, w.size - 1)
     gen = _resolve_rng(rng)
-    coef = np.zeros_like(d)
-    for s_val in range(w.size):
-        coef[d == s_val] = w[s_val]
-    if v == 1:
-        return coef @ gen.standard_normal(d.shape[0])
-    return coef @ gen.standard_normal((d.shape[0], v))
+    eps = gen.standard_normal(sh.n if v == 1 else (sh.n, v))
+    return sum(w[s_val] * (sh.matrix(s_val) @ eps) for s_val in range(w.size))
 
 
 def network_hac(g: Graph, y, kernel: KernelSpec | None = None,
-                demean: bool = True, dist: np.ndarray | None = None) -> np.ndarray:
+                demean: bool = True, dist: Shells | np.ndarray | None = None) -> np.ndarray:
     """Kernel HAC estimate of the network long-run variance.
 
         V = sum_{s=0}^{floor(b)} w(s/b) Omega(s),
@@ -243,29 +334,38 @@ def network_hac(g: Graph, y, kernel: KernelSpec | None = None,
 
     symmetrized as (V + V') / 2.  The kernel must vanish beyond 1
     (truncated, bartlett, or parzen); bandwidth=None applies the default
-    rule in shell units.  Y may be (n,) or (n, v).
+    rule in shell units.  Y may be (n,) or (n, v).  Shells passed as
+    `dist` must reach `network_hac_radius(kernel, n)`.
     """
     spec = kernel if kernel is not None else KernelSpec()
     if spec.family == "quadratic-spectral":
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    d = _dist_of(dist if dist is not None else g)
-    n = d.shape[0]
+    src = dist if dist is not None else g
+    n = _num_nodes(src)
     ym = as_matrix(y, "y", min_len=2)
     if ym.shape[0] != n:
         raise ValueError(f"y has {ym.shape[0]} rows but the graph has {n} nodes")
     if demean:
         ym = ym - ym.mean(axis=0)
     b = spec.resolve_bandwidth(n)
+    top = network_hac_radius(spec, n)
+    sh = _shells_of(src, top)
     v = np.zeros((ym.shape[1], ym.shape[1]))
-    for s_val in range(int(np.floor(b + 1e-12)) + 1):
+    for s_val in range(top + 1):
         w = kernel_weight(spec.family, s_val / b)
         if w == 0.0:
             continue
-        ii, jj = np.nonzero(d == s_val)
+        ii, jj = sh.at(s_val)
         if ii.size == 0:
             continue
         v += w * (ym[ii].T @ ym[jj]) / n
     return (v + v.T) / 2.0
+
+
+def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
+    """Largest graph distance `network_hac` reads with this kernel on n nodes."""
+    spec = kernel if kernel is not None else KernelSpec()
+    return int(np.floor(spec.resolve_bandwidth(n) + 1e-12))
 
 
 def write_edgelist(g: Graph, path) -> None:

@@ -250,6 +250,18 @@ def test_cli_value_error_is_one_line(tmp_path, capsys):
     assert "n=<count>" in lines[0]
 
 
+def test_cli_os_error_is_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.edges"
+    assert main(["netdep", "stats", "--graph", str(missing),
+                 "-s", "1", "-m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("tsnet: error: ")
+    assert "missing.edges" in lines[0]
+
+
 def test_cli_argument_errors():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "linear", "--n", "10"])  # missing --coeffs

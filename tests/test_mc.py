@@ -132,6 +132,26 @@ def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("params,radius", [
+    ({}, 3),  # bandwidth 3 reaches distance 3
+    ({"bandwidth": 5.0, "family": "truncated"}, 5),
+    ({"bandwidth": 0.5, "low_bandwidth": 0.25}, 1),  # the MA weights reach 1
+])
+def test_nethac_setup_builds_shells_to_the_radius_read(params, radius):
+    cfg = ExperimentConfig(experiment="nethac-coverage", reps=2, seed=108,
+                           params={"n_nodes": 40, **params})
+    ctx = EXPERIMENTS["nethac-coverage"].setup(cfg)
+    assert isinstance(ctx["shells"], T.Shells)
+    assert ctx["shells"].radius == radius
+    res = run_experiment(cfg)
+    g = T.cycle_graph(40)
+    y = T.simulate_graph_ma(g, (1.0, 0.1), T.RngSpec(108, 1))
+    spec = T.KernelSpec(params.get("family", "bartlett"),
+                        params.get("bandwidth", 3.0))
+    v = T.network_hac(g, y, spec, dist=T.graph_distance(g))[0, 0]
+    assert res.draws[1, 1] == v
+
+
 def test_run_experiment_stream_shift_consistency():
     # rep r of a stream-s config equals rep s+r of a stream-0 config:
     # replications are keyed by absolute stream, not loop index

@@ -206,3 +206,171 @@ def test_edgelist_comments_and_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="missing"):
         T.read_edgelist(empty)
+
+
+# --- sparse shells against the dense all-pairs distance matrix -------------
+
+_GRAPHS = {
+    "cycle7": T.cycle_graph(7),
+    "cycle10": T.cycle_graph(10),
+    "path6": T.Graph(n=6, edges=((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))),
+    "star5": T.star_graph(5),
+    "two-components": T.Graph(n=8, edges=((1, 2), (2, 3), (3, 1), (4, 5),
+                                          (5, 6), (6, 7), (7, 8))),
+    "edgeless": T.Graph(n=5, edges=()),
+}
+
+
+def _dense_hac(d, y, spec):
+    """The all-pairs network HAC: pairs by scanning the dense matrix."""
+    ym = np.asarray(y, dtype=float)
+    ym = (ym[:, None] if ym.ndim == 1 else ym)
+    ym = ym - ym.mean(axis=0)
+    n = d.shape[0]
+    b = spec.resolve_bandwidth(n)
+    v = np.zeros((ym.shape[1], ym.shape[1]))
+    for s in range(int(np.floor(b + 1e-12)) + 1):
+        w = T.kernel_weight(spec.family, s / b)
+        ii, jj = np.nonzero(d == s)
+        if w == 0.0 or ii.size == 0:
+            continue
+        v += w * (ym[ii].T @ ym[jj]) / n
+    return (v + v.T) / 2.0
+
+
+def _dense_overlap(d, s, m):
+    """Per-node worst uncovered m-neighborhood mass, node by node."""
+    n = d.shape[0]
+    over = np.zeros(n)
+    within_m = d <= m
+    for i in range(n):
+        js = np.nonzero(d[i] == s)[0]
+        if js.size == 0:
+            continue
+        if s == 0:
+            over[i] = within_m[i].sum()
+            continue
+        over[i] = (within_m[i][None, :] & ~(d[js] <= s - 1)).sum(axis=1).max()
+    return over
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_graph_shells_match_dense_distance(name):
+    g = _GRAPHS[name]
+    d = T.graph_distance(g)
+    # radius runs past every diameter here (the longest is 5 on path6)
+    sh = T.graph_shells(g, 7)
+    assert sh.n == g.n and sh.radius == 7
+    for s in range(8):
+        ii, jj = np.nonzero(d == s)
+        np.testing.assert_array_equal(sh.at(s)[0], ii)
+        np.testing.assert_array_equal(sh.at(s)[1], jj)
+        np.testing.assert_array_equal(sh.sizes(s), np.sum(d == s, axis=1))
+        np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
+        np.testing.assert_array_equal(sh.ball(s).toarray(), d <= s)
+        for i in range(1, g.n + 1):
+            np.testing.assert_array_equal(T.shell(sh, i, s), T.shell(d, i, s))
+            np.testing.assert_array_equal(T.shell(g, i, s),
+                                          np.nonzero(d[i - 1] == s)[0] + 1)
+            np.testing.assert_array_equal(T.neighborhood(g, i, s),
+                                          np.nonzero(d[i - 1] <= s)[0] + 1)
+    # a shorter radius is a prefix of the longer one
+    short = T.graph_shells(g, 2)
+    for s in range(3):
+        for a, b in zip(short.at(s), sh.at(s)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_graph_shells_validation():
+    g = T.cycle_graph(6)
+    with pytest.raises(ValueError, match="radius"):
+        T.graph_shells(g, -1)
+    sh = T.graph_shells(g, 1)
+    with pytest.raises(ValueError, match="range 0..1"):
+        sh.at(2)
+    # consumers refuse shells that stop short of the radius they read
+    y = np.random.default_rng((67, 6)).standard_normal(6)
+    with pytest.raises(ValueError, match="distance 3 is needed"):
+        T.network_hac(g, y, T.KernelSpec("bartlett", 3.5), dist=sh)
+    with pytest.raises(ValueError, match="distance 2 is needed"):
+        T.simulate_graph_ma(g, (1.0, 0.5, 0.2), T.RngSpec(0), dist=sh)
+    with pytest.raises(ValueError, match="distance 2 is needed"):
+        T.denseness_stats(g, s=2, m=1, dist=sh)
+    with pytest.raises(ValueError, match="square"):
+        T.shell(np.zeros((2, 3)), 1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+@pytest.mark.parametrize("v", [1, 3])
+def test_network_hac_equals_dense_pair_sum(name, v):
+    g = _GRAPHS[name]
+    d = T.graph_distance(g)
+    y = np.random.default_rng((67, 7, v)).standard_normal((g.n, v))
+    if v == 1:
+        y = y[:, 0]
+    sh = T.graph_shells(g, 4)
+    for spec in (T.KernelSpec("bartlett", 3.0), T.KernelSpec("parzen", 2.5),
+                 T.KernelSpec("truncated", 2.0), T.KernelSpec("bartlett", 0.5),
+                 T.KernelSpec("bartlett", 4.0)):
+        ref = _dense_hac(d, y, spec)
+        for dist in (None, sh, d):
+            np.testing.assert_array_equal(T.network_hac(g, y, spec, dist=dist), ref)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+@pytest.mark.parametrize("v", [1, 4])
+def test_graph_ma_matches_dense_taper(name, v):
+    g = _GRAPHS[name]
+    d = T.graph_distance(g)
+    weights = (1.0, 0.4, -0.25, 0.1)
+    coef = np.zeros_like(d)
+    for s, w in enumerate(weights):
+        coef[d == s] = w
+    gen = T.RngSpec(68, v).generator()
+    ref = coef @ (gen.standard_normal(g.n) if v == 1 else gen.standard_normal((g.n, v)))
+    for dist in (None, T.graph_shells(g, 3), d):
+        y = T.simulate_graph_ma(g, weights, T.RngSpec(68, v), dist=dist, v=v)
+        assert y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_denseness_equals_dense_loop(name):
+    g = _GRAPHS[name]
+    d = T.graph_distance(g)
+    sh = T.graph_shells(g, 3)
+    for s in range(4):
+        for m in range(4):
+            shell_sizes = np.sum(d == s, axis=1).astype(float)
+            over = _dense_overlap(d, s, m)
+            for k in (1.0, 2.5):
+                res = T.denseness_stats(g, s=s, m=m, k=k)
+                assert res == T.denseness_stats(g, s=s, m=m, k=k, dist=sh)
+                assert res == T.denseness_stats(g, s=s, m=m, k=k, dist=d)
+                assert res.delta_shell == float(np.exp(
+                    T.netdep._log_power_mean(shell_sizes, k)))
+                assert res.delta_overlap == float(np.exp(
+                    T.netdep._log_power_mean(over, k)))
+                if not over.any():
+                    assert res.c_n == 0.0
+
+
+def test_network_dependence_on_large_cycle():
+    # 10^5 nodes: the dense distance matrix would take 80 GB, the shells
+    # out to distance 3 hold 7 * 10^5 pairs
+    n, w1 = 100_000, 0.3
+    g = T.cycle_graph(n)
+    sh = T.graph_shells(g, 3)
+    assert [sh.at(s)[0].size for s in range(4)] == [n, 2 * n, 2 * n, 2 * n]
+    y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(69, 0), dist=sh)
+    eps = T.RngSpec(69, 0).generator().standard_normal(n)
+    ma = eps + w1 * (np.roll(eps, 1) + np.roll(eps, -1))
+    np.testing.assert_allclose(y, ma, rtol=1e-12, atol=1e-12)
+    V = T.network_hac(g, y, T.KernelSpec("bartlett", 3.0), dist=sh)[0, 0]
+    yc = y - y.mean()
+    hand = np.mean(yc * yc) + sum(
+        2.0 * (1.0 - s / 3.0) * np.mean(yc * np.roll(yc, s)) for s in (1, 2))
+    assert V == pytest.approx(hand, rel=1e-10)
+    # the same estimate without precomputed shells
+    assert T.network_hac(g, y, T.KernelSpec("bartlett", 3.0))[0, 0] == V
