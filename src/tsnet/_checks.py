@@ -1,41 +1,49 @@
 """Input validation helpers shared across the package.
 
 Series are plain one-dimensional float ndarrays, multivariate series are
-(n, d) float ndarrays with observations in rows.  Everything user-facing
-funnels through these coercions so downstream code can assume clean input.
+(n, d) float ndarrays with observations in rows.  Kernels that run many
+replications at once take panels with a leading rep axis: (R, n) series
+or (R, n, d) matrices, checked rep by rep with the same messages.
+Everything user-facing funnels through these coercions so downstream
+code can assume clean input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_series", "as_matrix", "check_positive_int", "check_in"]
+__all__ = ["as_series", "as_matrix", "as_panel", "check_positive_int", "check_in"]
+
+
+def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.ndarray:
+    """Coerce a stack of reps to a finite float panel, each rep >= min_len long.
+
+    Without `matrix` every rep is a series and the panel is (R, n); with
+    it every rep is a matrix, a series becoming a single column, and the
+    panel is (R, n, d).  Messages describe one rep's shape.
+    """
+    arr = np.asarray(x, dtype=float)
+    if matrix and arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != (3 if matrix else 2):
+        kind = "at most two-dimensional" if matrix else "one-dimensional"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape[1:]}")
+    if arr.shape[1] < min_len:
+        unit = "rows" if matrix else "observations"
+        raise ValueError(f"{name} needs at least {min_len} {unit}, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
 
 
 def as_series(x, name: str = "x", min_len: int = 1) -> np.ndarray:
     """Coerce to a finite 1-d float array of length >= min_len."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < min_len:
-        raise ValueError(f"{name} needs at least {min_len} observations, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return as_panel(np.asarray(x, dtype=float)[None], name, min_len)[0]
 
 
 def as_matrix(x, name: str = "x", min_len: int = 1) -> np.ndarray:
     """Coerce to a finite (n, d) float array; 1-d input becomes a single column."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be at most two-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < min_len:
-        raise ValueError(f"{name} needs at least {min_len} rows, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return as_panel(np.asarray(x, dtype=float)[None], name, min_len, matrix=True)[0]
 
 
 def check_positive_int(value, name: str, minimum: int = 1) -> int:

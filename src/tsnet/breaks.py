@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_matrix, as_series, check_positive_int
+from ._checks import as_matrix, as_panel, as_series, check_positive_int
+from ._panel import first_rep, rowdot
 from .series import RngSpec, _resolve_rng
 from .tables import DEFAULT_PROBS, QuantileTable
 
@@ -36,11 +37,12 @@ __all__ = [
 
 
 def _predictive_pairs(y, x):
-    y_arr = as_series(y, "y", min_len=8)
-    x_arr = as_matrix(x, "x", min_len=8)
-    if x_arr.shape[0] != y_arr.shape[0]:
+    """Panels of (y_t, x_{t-1}) pairs from (R, n) y and (R, n[, d]) x panels."""
+    y_arr = as_panel(y, "y", min_len=8)
+    x_arr = as_panel(x, "x", min_len=8, matrix=True)
+    if x_arr.shape[1] != y_arr.shape[1]:
         raise ValueError("y and x must have equal length")
-    return y_arr[1:], x_arr[:-1]
+    return y_arr[:, 1:], x_arr[:, :-1]
 
 
 @dataclass(frozen=True)
@@ -57,24 +59,30 @@ class WaldBreakResult:
 
 
 def _wald_at_k(ys, xl, k: int) -> WaldBreakResult:
-    m, d = xl.shape
-    y_c = ys - ys.mean()
+    """Split Wald statistic at pair index k for every rep of the pair panels."""
+    R, m, d = xl.shape
+    y_c = ys - ys.mean(axis=1, keepdims=True)
     ind1 = np.zeros(m)
     ind1[:k] = 1.0
     X1 = xl * ind1[:, None]
     X2 = xl * (1.0 - ind1)[:, None]
-    X = np.column_stack([X1 - X1.mean(axis=0), X2 - X2.mean(axis=0)])
-    G = X.T @ X
-    theta = np.linalg.solve(G, X.T @ y_c)
-    resid = y_c - X @ theta
+    X = np.concatenate([X1 - X1.mean(axis=1, keepdims=True),
+                        X2 - X2.mean(axis=1, keepdims=True)], axis=2)
+    Xt = X.transpose(0, 2, 1)
+    G = Xt @ X
+    theta = np.linalg.solve(G, Xt @ y_c[:, :, None])
+    resid = y_c - (X @ theta)[:, :, 0]
+    theta = theta[:, :, 0]
     dof = m - 2 * d - 1
-    sigma2 = float(resid @ resid / dof)
-    diff = theta[:d] - theta[d:]
+    sigma2 = rowdot(resid, resid) / dof
+    diff = theta[:, :d] - theta[:, d:]
     G_inv = np.linalg.inv(G)
-    R_cov = G_inv[:d, :d] + G_inv[d:, d:] - G_inv[:d, d:] - G_inv[d:, :d]
-    stat = float(diff @ np.linalg.solve(sigma2 * R_cov, diff))
-    return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:d],
-                           beta2=theta[d:], sigma2=sigma2, nobs=m)
+    R_cov = (G_inv[:, :d, :d] + G_inv[:, d:, d:]
+             - G_inv[:, :d, d:] - G_inv[:, d:, :d])
+    stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
+                                        diff[:, :, None])[:, :, 0])
+    return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
+                           beta2=theta[:, d:], sigma2=sigma2, nobs=m)
 
 
 def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBreakResult:
@@ -85,8 +93,19 @@ def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBrea
     with an interior break fraction the statistic is asymptotically
     chi-square with d degrees of freedom.
     """
+    return first_rep(_split_wald_panel(np.asarray(y, dtype=float)[None],
+                                       np.asarray(x, dtype=float)[None], k, pi0))
+
+
+def _split_wald_panel(y, x, k: int | None = None,
+                      pi0: float | None = None) -> WaldBreakResult:
+    """`split_wald` of every rep of (R, n) y and (R, n[, d]) x panels.
+
+    stat, beta1, beta2 and sigma2 gain a leading rep axis; the split is
+    shared.
+    """
     ys, xl = _predictive_pairs(y, x)
-    m, d = xl.shape
+    m, d = xl.shape[1:]
     if (k is None) == (pi0 is None):
         raise ValueError("give exactly one of k and pi0")
     if pi0 is not None:
@@ -111,16 +130,20 @@ class SupWaldResult:
     nobs: int
 
 
-def _sup_wald_scalar(ys, xl, k_grid) -> np.ndarray:
-    """Closed-form W(k) path for one regressor, vectorized over k."""
-    m = ys.shape[0]
-    x = xl[:, 0]
-    y_c = ys - ys.mean()
-    cx = np.cumsum(x)[k_grid - 1]
-    cxx = np.cumsum(x * x)[k_grid - 1]
-    cxy = np.cumsum(x * y_c)[k_grid - 1]
-    tx, txx, txy = x.sum(), (x * x).sum(), (x * y_c).sum()
-    syy = float(y_c @ y_c)
+def _sup_wald_scalar(ys, x, k_grid) -> np.ndarray:
+    """Closed-form W(k) paths for one regressor, vectorized over k.
+
+    ys and x are (R, m) pair panels; the result is (R, len(k_grid)).
+    """
+    m = ys.shape[1]
+    y_c = ys - ys.mean(axis=1, keepdims=True)
+    cx = np.cumsum(x, axis=1)[:, k_grid - 1]
+    cxx = np.cumsum(x * x, axis=1)[:, k_grid - 1]
+    cxy = np.cumsum(x * y_c, axis=1)[:, k_grid - 1]
+    tx = x.sum(axis=1, keepdims=True)
+    txx = (x * x).sum(axis=1, keepdims=True)
+    txy = (x * y_c).sum(axis=1, keepdims=True)
+    syy = rowdot(y_c, y_c)[:, None]
 
     g11 = cxx - cx**2 / m
     g22 = (txx - cxx) - (tx - cx) ** 2 / m
@@ -142,22 +165,34 @@ def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     The scalar-regressor case runs in O(m) via cumulative moments; the
     multivariate case solves the split system at each grid point.
     """
+    return first_rep(_sup_wald_panel(np.asarray(y, dtype=float)[None],
+                                     np.asarray(x, dtype=float)[None], trim),
+                     shared=("k_grid",))
+
+
+def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
+    """`sup_wald` of every rep of (R, n) y and (R, n[, d]) x panels.
+
+    stat, k_star, pi_star and path gain a leading rep axis; k_grid and
+    nobs are shared.
+    """
     if not (0 < trim[0] < trim[1] < 1):
         raise ValueError("trim fractions must satisfy 0 < lo < hi < 1")
     ys, xl = _predictive_pairs(y, x)
-    m, d = xl.shape
+    R, m, d = xl.shape
     lo = max(int(np.ceil(trim[0] * m)), d + 1)
     hi = min(int(np.floor(trim[1] * m)), m - d - 1)
     if lo > hi:
         raise ValueError("trimming leaves no admissible break points")
     k_grid = np.arange(lo, hi + 1)
     if d == 1:
-        path = _sup_wald_scalar(ys, xl, k_grid)
+        path = _sup_wald_scalar(ys, xl[:, :, 0], k_grid)
     else:
-        path = np.array([_wald_at_k(ys, xl, int(k)).stat for k in k_grid])
-    best = int(np.argmax(path))
-    return SupWaldResult(stat=float(path[best]), k_star=int(k_grid[best]),
-                         pi_star=float(k_grid[best] / m), path=path,
+        path = np.stack([_wald_at_k(ys, xl, int(k)).stat for k in k_grid], axis=1)
+    best = np.argmax(path, axis=1)
+    stat = path[np.arange(R), best]
+    return SupWaldResult(stat=stat, k_star=k_grid[best],
+                         pi_star=k_grid[best] / m, path=path,
                          k_grid=k_grid, nobs=m)
 
 
@@ -221,7 +256,9 @@ def lm_nyblom(y, x) -> LmResult:
 
     with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2.
     """
-    ys, xl = _predictive_pairs(y, x)
+    ys, xl = _predictive_pairs(np.asarray(y, dtype=float)[None],
+                               np.asarray(x, dtype=float)[None])
+    ys, xl = ys[0], xl[0]
     if xl.shape[1] != 1:
         raise ValueError("lm_nyblom is defined for a single regressor")
     xlag = xl[:, 0]

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_matrix, as_series
-from .lrv import KernelSpec, LrvEstimate, hac_lrv
+from ._checks import as_matrix, as_panel, as_series
+from ._panel import first_rep
+from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
 
@@ -69,45 +70,57 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     m the number of usable observations.  Standard errors use the
     conditional long-run variance: cov = Omega_{eps.eta} (Z'Z)^{-1}.
     """
-    y_arr = as_series(y, "y", min_len=8)
-    x_arr = as_matrix(x, "x", min_len=8)
-    n = y_arr.shape[0]
-    if x_arr.shape[0] != n:
-        raise ValueError("y and x must have equal length")
-    d = x_arr.shape[1]
+    return first_rep(_fmols_panel(np.asarray(y, dtype=float)[None],
+                                  np.asarray(x, dtype=float)[None], kernel))
 
-    dx = np.diff(x_arr, axis=0)
-    eta = dx - dx.mean(axis=0)
-    ys = y_arr[1:]
-    xs = x_arr[1:]
+
+def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
+    """`fmols` of every rep of (R, n) y and (R, n) or (R, n, d) x panels.
+
+    Every per-rep field of the result gains a leading rep axis
+    (omega_cond becomes an (R,) array); nobs is shared.
+    """
+    y = as_panel(y, "y", min_len=8)
+    x = as_panel(x, "x", min_len=8, matrix=True)
+    R, n, d = x.shape
+    if y.shape[1] != n:
+        raise ValueError("y and x must have equal length")
+
+    dx = np.diff(x, axis=1)
+    eta = dx - dx.mean(axis=1, keepdims=True)
+    ys = y[:, 1:]
+    xs = x[:, 1:]
     m = n - 1
 
-    Z = np.column_stack([np.ones(m), xs])
-    ZtZ = Z.T @ Z
-    beta_ols = np.linalg.solve(ZtZ, Z.T @ ys)
-    eps_ols = ys - Z @ beta_ols
+    Z = np.concatenate([np.ones((R, m, 1)), xs], axis=2)
+    Zt = Z.transpose(0, 2, 1)
+    ZtZ = Zt @ Z
+    beta_ols = np.linalg.solve(ZtZ, Zt @ ys[:, :, None])
+    eps_ols = ys - (Z @ beta_ols)[:, :, 0]
 
-    u = np.column_stack([eps_ols, eta])
-    est = hac_lrv(u, kernel=kernel, demean=False)
+    u = np.concatenate([eps_ols[:, :, None], eta], axis=2)
+    est = _hac_lrv_panel(u, kernel=kernel, demean=False)
     omega = est.omega
     delta = est.gamma0 + est.lam  # one-sided including lag zero
 
-    omega_ee = omega[0, 0]
-    omega_ex = omega[0, 1:]
-    omega_xx = omega[1:, 1:]
+    omega_ee = omega[:, 0, 0]
+    omega_ex = omega[:, :1, 1:]
+    omega_xx = omega[:, 1:, 1:]
     solve_xx = np.linalg.solve(omega_xx, np.eye(d))
     endo = omega_ex @ solve_xx
 
-    y_plus = ys - eta @ endo
-    delta_plus = delta[0, 1:] - endo @ delta[1:, 1:]
-    correction = np.concatenate([[0.0], delta_plus])
-    beta_plus = np.linalg.solve(ZtZ, Z.T @ y_plus - m * correction)
+    y_plus = ys - (eta @ endo.transpose(0, 2, 1))[:, :, 0]
+    delta_plus = delta[:, 0, 1:] - (endo @ delta[:, 1:, 1:])[:, 0]
+    correction = np.concatenate([np.zeros((R, 1)), delta_plus], axis=1)
+    beta_plus = np.linalg.solve(
+        ZtZ, (Zt @ y_plus[:, :, None]) - m * correction[:, :, None])
 
-    omega_cond = float(omega_ee - omega_ex @ solve_xx @ omega[1:, 0])
-    cov = omega_cond * np.linalg.inv(ZtZ)
-    se = np.sqrt(np.diag(cov))
-    resid_plus = y_plus - Z @ beta_plus
-    return FmolsResult(beta_plus=beta_plus, beta_ols=beta_ols, se=se,
+    omega_cond = omega_ee - (endo @ omega[:, 1:, :1])[:, 0, 0]
+    cov = omega_cond[:, None, None] * np.linalg.inv(ZtZ)
+    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    resid_plus = y_plus - (Z @ beta_plus)[:, :, 0]
+    beta_plus = beta_plus[:, :, 0]
+    return FmolsResult(beta_plus=beta_plus, beta_ols=beta_ols[:, :, 0], se=se,
                        t_plus=beta_plus / se, cov=cov, omega_cond=omega_cond,
                        delta_plus=delta_plus, residuals_plus=resid_plus,
                        residuals_ols=eps_ols, lrv=est, nobs=m)

@@ -17,7 +17,8 @@ from math import ceil
 
 import numpy as np
 
-from ._checks import as_matrix, check_in
+from ._checks import as_matrix, as_panel, check_in
+from ._panel import first_rep
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -150,12 +151,21 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
     LrvEstimate
         omega (two-sided), lam (one-sided, lags >= 1), gamma0.
     """
-    x = as_matrix(ms, "ms", min_len=2)
-    n, d = x.shape
+    return first_rep(_hac_lrv_panel(np.asarray(ms, dtype=float)[None], kernel, demean))
+
+
+def _hac_lrv_panel(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEstimate:
+    """`hac_lrv` of every rep of an (R, n) or (R, n, d) panel.
+
+    The blocks of the result are (R, d, d); all reps share n, hence the
+    bandwidth.
+    """
+    x = as_panel(ms, "ms", min_len=2, matrix=True)
+    n = x.shape[1]
     spec = kernel if kernel is not None else KernelSpec()
     b = spec.resolve_bandwidth(n)
     if demean:
-        x = x - x.mean(axis=0)
+        x = x - x.mean(axis=1, keepdims=True)
 
     if spec.family == "quadratic-spectral":
         max_lag = min(n - 1, int(ceil(_QS_SUPPORT_MULTIPLE * b)))
@@ -163,15 +173,16 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
         # compactly supported: weight vanishes for j > b
         max_lag = min(n - 1, int(np.floor(b + 1e-12)))
 
-    gamma0 = autocovariance(x, 0, demean=False)
-    lam = np.zeros((d, d))
+    xt = x.transpose(0, 2, 1)
+    g = xt @ x / n
+    gamma0 = (g + g.transpose(0, 2, 1)) / 2.0
+    lam = np.zeros_like(gamma0)
     for j in range(1, max_lag + 1):
         w = kernel_weight(spec.family, j / b)
         if w == 0.0:
             continue
-        # x is already validated; autocovariance would recheck it per lag
-        lam += w * (x[j:].T @ x[: n - j] / n)
+        lam += w * (xt[:, :, j:] @ x[:, : n - j] / n)
     # group the one-sided parts first so omega is exactly symmetric
-    omega = gamma0 + (lam + lam.T)
+    omega = gamma0 + (lam + lam.transpose(0, 2, 1))
     return LrvEstimate(omega=omega, lam=lam, gamma0=gamma0,
                        family=spec.family, bandwidth=b)

@@ -1,12 +1,19 @@
 """Monte Carlo harness: experiment registry, config files, CSV output.
 
 An experiment is a named (setup, rep, summarize) triple.  `setup` builds
-shared context once (critical-value tables, graph shells), `rep`
-produces one replication's row of statistics, and `summarize` reduces
-the stacked rows to a flat dict of scalars.  Replication r always draws
-from stream `cfg.stream + r`, so results are invariant to `jobs`;
-auxiliary simulations (limit tables and the like) use streams at
+shared context once (critical-value tables, graph shells), `rep` gets a
+batch of rep indices and returns one row of statistics per rep, and
+`summarize` reduces the stacked rows to a flat dict of scalars.
+Replication r always draws from stream `cfg.stream + r`, so results are
+invariant to `jobs` and to how the reps are batched; auxiliary
+simulations (limit tables and the like) use streams at
 `cfg.stream + cfg.reps` and beyond.
+
+Most experiments compute a batch as one panel: each rep's draws fill a
+row of an (R, ...) array, and the library's panel kernels work on the
+leading rep axis with bit-identical per-rep results.  Experiments whose
+reps cost far more than the per-call overhead (or are bound by their
+own draws) run rep by rep through `_per_rep`.
 
 Config files are line oriented::
 
@@ -43,24 +50,27 @@ import numpy as np
 from scipy import stats
 
 from ._checks import as_matrix, as_series, check_positive_int
+from ._panel import rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
-from .breaks import nbb_sup_mc, split_wald, sup_wald
-from .coint import fmols
+from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc
+from .coint import _fmols_panel
 from .garch import GarchSpec, garch_qmle, simulate_garch
 from .lrv import KernelSpec, hac_lrv
 from .netdep import cycle_graph, graph_shells, network_hac, network_hac_radius, simulate_graph_ma
-from .predreg import IvxSpec, ivx_estimate
+from .predreg import IvxSpec, _ivx_panel
 from .randmat import mp_support, sample_cov_spectrum
 from .series import (
     LinearProcessSpec,
     LurSpec,
     RngSpec,
     SystemSpec,
-    simulate_linear_process,
+    _linear_process_panel,
+    _lur_ar_panel,
+    _predictive_system_panel,
     simulate_lur_ar,
     simulate_predictive_system,
 )
-from .unitroot import df_limit_mc, phillips_z
+from .unitroot import _phillips_z_panel, df_limit_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -79,6 +89,9 @@ __all__ = [
 
 _RESERVED_KEYS = ("experiment", "reps", "seed", "stream", "jobs", "level")
 _SCHEMA_VERSION = "v1"
+# reps per `rep` call: enough to amortize the per-call overhead, while a
+# 64-rep panel of n = 2000 series stays near 2 MB
+_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +266,11 @@ def read_csv(path):
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registered experiment: per-rep statistics plus a summary reducer."""
+    """Registered experiment: per-rep statistics plus a summary reducer.
+
+    `rep(cfg, ctx, rs)` takes a range of rep indices and returns a
+    (len(rs), len(columns)) float array, row i for rep rs[i].
+    """
 
     name: str
     columns: tuple[str, ...]
@@ -272,16 +289,29 @@ def _register(name, columns, rep, summarize, setup=None):
         rep=rep, summarize=summarize)
 
 
+def _per_rep(rep):
+    """Batch `rep` for an experiment whose `rep(cfg, ctx, r)` gives one row."""
+    return lambda cfg, ctx, rs: np.array([rep(cfg, ctx, r) for r in rs], dtype=float)
+
+
 def _rep_rng(cfg: ExperimentConfig, r: int) -> RngSpec:
     return RngSpec(cfg.seed, cfg.stream).substream(r)
+
+
+def _rep_normals(cfg: ExperimentConfig, rs, shape) -> np.ndarray:
+    """Standard normals of shape (len(rs), *shape); row i from rep rs[i]'s stream."""
+    z = np.empty((len(rs), *shape))
+    for i, r in enumerate(rs):
+        _rep_rng(cfg, r).generator().standard_normal(out=z[i])
+    return z
 
 
 def _aux_rng(cfg: ExperimentConfig, j: int = 0) -> RngSpec:
     return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps + j)
 
 
-def _run_rep(name: str, cfg: ExperimentConfig, ctx: dict, r: int):
-    return EXPERIMENTS[name].rep(cfg, ctx, r)
+def _run_batch(name: str, cfg: ExperimentConfig, ctx: dict, rs: range):
+    return EXPERIMENTS[name].rep(cfg, ctx, rs)
 
 
 @dataclass
@@ -308,14 +338,16 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; have: {known}")
     exp = EXPERIMENTS[cfg.experiment]
     ctx = exp.setup(cfg)
+    # with workers, about 8 tasks per worker, each one batch
+    size = min(_BATCH, max(1, cfg.reps // (cfg.jobs * 8))) if cfg.jobs > 1 else _BATCH
+    batches = [range(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
     if cfg.jobs > 1:
-        worker = functools.partial(_run_rep, cfg.experiment, cfg, ctx)
-        chunk = max(1, cfg.reps // (cfg.jobs * 8))
+        worker = functools.partial(_run_batch, cfg.experiment, cfg, ctx)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(worker, range(cfg.reps), chunksize=chunk))
+            blocks = list(pool.map(worker, batches))
     else:
-        rows = [exp.rep(cfg, ctx, r) for r in range(cfg.reps)]
-    draws = np.asarray(rows, dtype=float)
+        blocks = [exp.rep(cfg, ctx, rs) for rs in batches]
+    draws = np.concatenate(blocks)
     summary = exp.summarize(cfg, ctx, draws)
 
     files = ()
@@ -505,7 +537,9 @@ def _ar1_clt_summarize(cfg, ctx, draws):
     }
 
 
-_register("ar1-clt", ("rho_hat", "z"), _ar1_clt_rep, _ar1_clt_summarize)
+# left rep by rep: the rep is bound by its 5001 normal draws, and a
+# batched version ran slower
+_register("ar1-clt", ("rho_hat", "z"), _per_rep(_ar1_clt_rep), _ar1_clt_summarize)
 
 
 def _hac_lrv_rep(cfg, ctx, r):
@@ -532,7 +566,7 @@ def _hac_lrv_summarize(cfg, ctx, draws):
     }
 
 
-_register("hac-lrv", ("omega_hat", "bandwidth"), _hac_lrv_rep,
+_register("hac-lrv", ("omega_hat", "bandwidth"), _per_rep(_hac_lrv_rep),
           _hac_lrv_summarize)
 
 
@@ -545,16 +579,17 @@ def _phillips_setup(cfg):
             "cv_t": tables.t.quantile(cfg.level)}
 
 
-def _phillips_rep(cfg, ctx, r):
+def _phillips_rep(cfg, ctx, rs):
     n = int(cfg.param("n", 1000))
     theta = float(cfg.param("theta", 0.5))
     det = str(cfg.param("deterministic", "none"))
-    gen = _rep_rng(cfg, r).generator()
-    u = simulate_linear_process(LinearProcessSpec((1.0, theta)), n, rng=gen)
-    y = np.cumsum(u)
-    res = phillips_z(y, kernel=_kernel_from(cfg), deterministic=det)
+    spec = LinearProcessSpec((1.0, theta))
+    # each rep draws the presample innovation, then n more
+    u = _linear_process_panel(spec, _rep_normals(cfg, rs, (n + len(spec.coeffs) - 1,)))
+    y = np.cumsum(u, axis=1)
+    res = _phillips_z_panel(y, kernel=_kernel_from(cfg), deterministic=det)
     raw = res.nobs * (res.alpha_hat - 1.0)
-    return (res.stat_coef, res.stat_t, raw)
+    return np.column_stack([res.stat_coef, res.stat_t, raw])
 
 
 def _phillips_summarize(cfg, ctx, draws):
@@ -574,24 +609,24 @@ _register("phillips-size", ("z_alpha", "z_t", "raw_coef"), _phillips_rep,
           _phillips_summarize, setup=_phillips_setup)
 
 
-def _fmols_rep(cfg, ctx, r):
+def _fmols_rep(cfg, ctx, rs):
     n = int(cfg.param("n", 1000))
     corr = float(cfg.param("corr", 0.9))
     beta = float(cfg.param("beta", 2.0))
     intercept = float(cfg.param("intercept", 1.0))
-    gen = _rep_rng(cfg, r).generator()
     chol = np.linalg.cholesky(np.array([[1.0, corr], [corr, 1.0]]))
-    shocks = gen.standard_normal((n, 2)) @ chol.T
-    x = np.cumsum(shocks[:, 1])
-    y = intercept + beta * x + shocks[:, 0]
-    res = fmols(y, x)
-    t_plus = (res.beta_plus[1] - beta) / res.se[1]
+    shocks = _rep_normals(cfg, rs, (n, 2)) @ chol.T
+    x = np.cumsum(shocks[:, :, 1], axis=1)
+    y = intercept + beta * x + shocks[:, :, 0]
+    res = _fmols_panel(y, x)
+    t_plus = (res.beta_plus[:, 1] - beta) / res.se[:, 1]
     # textbook iid-error OLS t for contrast
-    z = np.hstack([np.ones((res.nobs, 1)), x[-res.nobs:, None]])
-    zz_inv = np.linalg.inv(z.T @ z)
-    s2 = float(res.residuals_ols @ res.residuals_ols / (res.nobs - 2))
-    t_ols = (res.beta_ols[1] - beta) / np.sqrt(s2 * zz_inv[1, 1])
-    return (float(t_plus), float(t_ols))
+    m = res.nobs
+    z = np.concatenate([np.ones((len(rs), m, 1)), x[:, -m:, None]], axis=2)
+    zz_inv = np.linalg.inv(z.transpose(0, 2, 1) @ z)
+    s2 = rowdot(res.residuals_ols, res.residuals_ols) / (m - 2)
+    t_ols = (res.beta_ols[:, 1] - beta) / np.sqrt(s2 * zz_inv[:, 1, 1])
+    return np.column_stack([t_plus, t_ols])
 
 
 def _fmols_summarize(cfg, ctx, draws):
@@ -608,7 +643,12 @@ def _fmols_summarize(cfg, ctx, draws):
 _register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize)
 
 
-def _ivx_rep(cfg, ctx, r):
+def _system_panel(cfg, rs, spec: SystemSpec, n: int):
+    """(y, x) panels of a predictive system, row i drawn from rep rs[i]."""
+    return _predictive_system_panel(spec, _rep_normals(cfg, rs, (n, spec.dim + 1)))
+
+
+def _ivx_rep(cfg, ctx, rs):
     n = int(cfg.param("n", 1000))
     c = float(cfg.param("c", 0.0))
     gamma = float(cfg.param("gamma", 1.0))
@@ -617,11 +657,11 @@ def _ivx_rep(cfg, ctx, r):
     spec = SystemSpec(beta=(beta,), lur=(LurSpec(c=c, gamma=gamma),),
                       intercept=float(cfg.param("intercept", 0.0)),
                       sigma_ue=((1.0, corr), (corr, 1.0)))
-    y, x = simulate_predictive_system(spec, n, _rep_rng(cfg, r))
+    y, x = _system_panel(cfg, rs, spec, n)
     ivx = IvxSpec(c_z=float(cfg.param("c_z", -1.0)),
                   beta_z=float(cfg.param("beta_z", 0.95)))
-    res = ivx_estimate(y, x, spec=ivx)
-    return (res.wald, res.pvalue, float(res.beta[0]))
+    res = _ivx_panel(y, x, spec=ivx)
+    return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
 
 def _ivx_summarize(cfg, ctx, draws):
@@ -648,7 +688,7 @@ def _supwald_setup(cfg):
     return {"q95_nbb": table.quantile(0.95), "table": table}
 
 
-def _supwald_rep(cfg, ctx, r):
+def _supwald_rep(cfg, ctx, rs):
     n = int(cfg.param("n", 2000))
     trim = cfg.param("trim", (0.15, 0.85))
     spec = SystemSpec(beta=(float(cfg.param("beta", 0.25)),),
@@ -657,9 +697,9 @@ def _supwald_rep(cfg, ctx, r):
                       intercept=float(cfg.param("intercept", 0.0)),
                       sigma_ue=((1.0, float(cfg.param("corr", 0.5))),
                                 (float(cfg.param("corr", 0.5)), 1.0)))
-    y, x = simulate_predictive_system(spec, n, _rep_rng(cfg, r))
-    res = sup_wald(y, x, trim=(float(trim[0]), float(trim[1])))
-    return (res.stat, res.pi_star)
+    y, x = _system_panel(cfg, rs, spec, n)
+    res = _sup_wald_panel(y, x, trim=(float(trim[0]), float(trim[1])))
+    return np.column_stack([res.stat, res.pi_star])
 
 
 def _supwald_summarize(cfg, ctx, draws):
@@ -680,18 +720,19 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _supwald_rep,
           _supwald_summarize, setup=_supwald_setup)
 
 
-def _fixed_wald_rep(cfg, ctx, r):
+def _fixed_wald_rep(cfg, ctx, rs):
     n = int(cfg.param("n", 1000))
     pi0 = float(cfg.param("pi0", 0.5))
     phi = float(cfg.param("phi_x", 0.5))
     beta = float(cfg.param("beta", 0.3))
-    gen = _rep_rng(cfg, r).generator()
-    x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
-    x = simulate_lur_ar(LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
-    u = gen.standard_normal(n - 1)
-    y = np.concatenate([[0.0], 1.0 + beta * x[:-1] + u])
-    res = split_wald(y, x, pi0=pi0)
-    return (res.stat,)
+    # each rep draws x0, then the n innovations of x, then n - 1 errors
+    z = _rep_normals(cfg, rs, (2 * n,))
+    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
+    x = _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:n + 1], x0)
+    y = np.zeros((len(rs), n))
+    y[:, 1:] = 1.0 + beta * x[:, :-1] + z[:, n + 1:]
+    res = _split_wald_panel(y, x, pi0=pi0)
+    return res.stat[:, None]
 
 
 def _fixed_wald_summarize(cfg, ctx, draws):
@@ -761,7 +802,7 @@ def _nethac_summarize(cfg, ctx, draws):
 
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
-          _nethac_rep, _nethac_summarize, setup=_nethac_setup)
+          _per_rep(_nethac_rep), _nethac_summarize, setup=_nethac_setup)
 
 
 def _urboot_setup(cfg):
@@ -795,7 +836,7 @@ def _urboot_summarize(cfg, ctx, draws):
     }
 
 
-_register("unitroot-boot", ("q05_boot", "observed"), _urboot_rep,
+_register("unitroot-boot", ("q05_boot", "observed"), _per_rep(_urboot_rep),
           _urboot_summarize, setup=_urboot_setup)
 
 
@@ -836,7 +877,7 @@ def _garch_summarize(cfg, ctx, draws):
 _register("garch-recovery",
           ("omega_hat", "alpha_hat", "beta_hat", "max_abs_err",
            "filter_mean", "converged"),
-          _garch_rep, _garch_summarize)
+          _per_rep(_garch_rep), _garch_summarize)
 
 
 def _mp_rep(cfg, ctx, r):
@@ -866,8 +907,8 @@ def _mp_summarize(cfg, ctx, draws):
     }
 
 
-_register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"), _mp_rep,
-          _mp_summarize)
+_register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
+          _per_rep(_mp_rep), _mp_summarize)
 
 
 def _nested_rep(cfg, ctx, r):
@@ -896,5 +937,5 @@ def _nested_summarize(cfg, ctx, draws):
     }
 
 
-_register("nested-forecast", ("t_n", "positive"), _nested_rep,
+_register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
           _nested_summarize)

@@ -151,10 +151,19 @@ class Shells:
         return np.bincount(self.at(s)[0], minlength=self.n)
 
     def matrix(self, s: int) -> sparse.csr_matrix:
-        """Sparse 0/1 matrix S_s with (S_s)_ij = 1 iff d(i, j) = s."""
-        ii, jj = self.at(s)
-        indptr = np.searchsorted(ii, np.arange(self.n + 1))
-        return sparse.csr_matrix((np.ones(jj.size), jj, indptr), shape=(self.n, self.n))
+        """Sparse 0/1 matrix S_s with (S_s)_ij = 1 iff d(i, j) = s.
+
+        Built on first use and cached on this object (read-only by
+        convention), so repeated graph MA draws pay for it once.  The
+        cache is created lazily: shells pickled before any use carry none.
+        """
+        cache = self.__dict__.setdefault("_matrices", {})
+        if s not in cache:
+            ii, jj = self.at(s)
+            indptr = np.searchsorted(ii, np.arange(self.n + 1))
+            cache[s] = sparse.csr_matrix((np.ones(jj.size), jj, indptr),
+                                         shape=(self.n, self.n))
+        return cache[s]
 
     def ball(self, r: int) -> sparse.csr_matrix:
         """Sparse 0/1 matrix of the pairs within distance r."""

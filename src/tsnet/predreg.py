@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.signal import lfilter
+from scipy.special import chdtrc
 
-from ._checks import as_matrix, as_series
-from .lrv import KernelSpec, hac_lrv
+from ._checks import as_panel
+from ._panel import first_rep, rowdot
+from .lrv import KernelSpec, _hac_lrv_panel
 
 __all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate", "ivx_wald"]
 
@@ -54,11 +55,14 @@ def ivx_instrument(x, spec: IvxSpec = IvxSpec()) -> np.ndarray:
     z = rho z_prev + dx run over the observed differences from a zero
     start.  rho uses the full series length n.
     """
-    x_arr = as_matrix(x, "x", min_len=2)
-    n = x_arr.shape[0]
-    rho = spec.rho(n)
-    dx = np.diff(x_arr, axis=0)
-    return lfilter([1.0], [1.0, -rho], dx, axis=0)
+    return _ivx_instrument_panel(np.asarray(x, dtype=float)[None], spec)[0]
+
+
+def _ivx_instrument_panel(x, spec: IvxSpec) -> np.ndarray:
+    """`ivx_instrument` of every rep of an (R, n) or (R, n, d) panel."""
+    x = as_panel(x, "x", min_len=2, matrix=True)
+    rho = spec.rho(x.shape[1])
+    return lfilter([1.0], [1.0, -rho], np.diff(x, axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -94,41 +98,52 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     with a kernel long-run variance of the score z_t u_t, which guards
     against serially correlated or heteroskedastic errors.
     """
-    y_arr = as_series(y, "y", min_len=8)
-    x_arr = as_matrix(x, "x", min_len=8)
-    n = y_arr.shape[0]
-    if x_arr.shape[0] != n:
-        raise ValueError("y and x must have equal length")
-    d = x_arr.shape[1]
+    return first_rep(_ivx_panel(np.asarray(y, dtype=float)[None],
+                                np.asarray(x, dtype=float)[None], spec, demean, hac))
 
-    ys = y_arr[1:]
-    xlag = x_arr[:-1]
-    m = ys.shape[0]
-    zfull = ivx_instrument(x_arr, spec)
-    zins = np.vstack([np.zeros((1, d)), zfull[:m - 1]])
+
+def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
+               hac: KernelSpec | None = None) -> IvxResult:
+    """`ivx_estimate` of every rep of (R, n) y and (R, n) or (R, n, d) x panels.
+
+    Every per-rep field of the result gains a leading rep axis; rho_nz,
+    nobs and demeaned are shared.
+    """
+    y = as_panel(y, "y", min_len=8)
+    x = as_panel(x, "x", min_len=8, matrix=True)
+    R, n, d = x.shape
+    if y.shape[1] != n:
+        raise ValueError("y and x must have equal length")
+
+    ys = y[:, 1:]
+    xlag = x[:, :-1]
+    m = ys.shape[1]
+    zfull = _ivx_instrument_panel(x, spec)
+    zins = np.concatenate([np.zeros((R, 1, d)), zfull[:, :m - 1]], axis=1)
 
     if demean:
-        ys = ys - ys.mean()
-        xlag = xlag - xlag.mean(axis=0)
+        ys = ys - ys.mean(axis=1, keepdims=True)
+        xlag = xlag - xlag.mean(axis=1, keepdims=True)
 
-    A = zins.T @ xlag
-    beta = np.linalg.solve(A, zins.T @ ys)
-    resid = ys - xlag @ beta
-    sigma2_u = float(resid @ resid / (m - d))
+    zt = zins.transpose(0, 2, 1)
+    A = zt @ xlag
+    beta = np.linalg.solve(A, zt @ ys[:, :, None])
+    resid = ys - (xlag @ beta)[:, :, 0]
+    sigma2_u = rowdot(resid, resid) / (m - d)
     A_inv = np.linalg.inv(A)
     if hac is None:
-        meat = (zins.T @ zins) * sigma2_u
+        meat = (zt @ zins) * sigma2_u[:, None, None]
     else:
         # scores are centered by the moment condition, not demeaned again
-        meat = m * hac_lrv(zins * resid[:, None], kernel=hac,
-                           demean=False).omega
-    cov = A_inv @ meat @ A_inv.T
-    cov = (cov + cov.T) / 2.0
-    se = np.sqrt(np.diag(cov))
-    wald = float(beta @ np.linalg.solve(cov, beta))
-    pvalue = float(stats.chi2.sf(wald, d))
+        meat = m * _hac_lrv_panel(zins * resid[:, :, None], kernel=hac,
+                                  demean=False).omega
+    cov = A_inv @ meat @ A_inv.transpose(0, 2, 1)
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    beta = beta[:, :, 0]
+    wald = rowdot(beta, np.linalg.solve(cov, beta[:, :, None])[:, :, 0])
     return IvxResult(beta=beta, se=se, cov=cov, sigma2_u=sigma2_u,
-                     rho_nz=spec.rho(n), wald=wald, pvalue=pvalue,
+                     rho_nz=spec.rho(n), wald=wald, pvalue=chdtrc(d, wald),
                      nobs=m, demeaned=demean)
 
 
@@ -149,5 +164,5 @@ def ivx_wald(result: IvxResult, R=None, r=None) -> tuple[float, float]:
     diff = R_mat @ result.beta - r_vec
     middle = R_mat @ result.cov @ R_mat.T
     stat = float(diff @ np.linalg.solve(middle, diff))
-    pvalue = float(stats.chi2.sf(stat, R_mat.shape[0]))
+    pvalue = float(chdtrc(R_mat.shape[0], stat))
     return stat, pvalue

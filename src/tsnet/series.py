@@ -97,11 +97,19 @@ def simulate_linear_process(spec: LinearProcessSpec, n: int, rng) -> np.ndarray:
     output is exactly stationary from the first observation.
     """
     n = check_positive_int(n, "n")
-    gen = _resolve_rng(rng)
+    eps = _resolve_rng(rng).standard_normal(n + len(spec.coeffs) - 1)
+    return _linear_process_panel(spec, eps[None])[0]
+
+
+def _linear_process_panel(spec: LinearProcessSpec, eps: np.ndarray) -> np.ndarray:
+    """`simulate_linear_process` for every rep of a panel of draws.
+
+    eps is (R, n + q): the standard normals each rep draws, presample
+    first.  Returns (R, n).
+    """
     q = len(spec.coeffs) - 1
-    eps = gen.standard_normal(n + q) * spec.sigma
-    x = lfilter(np.asarray(spec.coeffs), [1.0], eps)
-    return x[q:]
+    check_positive_int(eps.shape[1] - q, "n")
+    return lfilter(np.asarray(spec.coeffs), [1.0], eps * spec.sigma, axis=1)[:, q:]
 
 
 def long_run_variance_true(spec: LinearProcessSpec) -> float:
@@ -162,8 +170,17 @@ def simulate_lur_ar(spec: LurSpec, n: int, rng=None, innovations=None,
         v = as_series(innovations, "innovations")
         if v.shape[0] != n:
             raise ValueError(f"innovations must have length n={n}, got {v.shape[0]}")
+    return _lur_ar_panel(spec, v[None], np.array([[x0]], dtype=float))[0]
+
+
+def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """`simulate_lur_ar` for every rep of an (R, n) innovation panel.
+
+    x0 is the (R, 1) column of start values.
+    """
+    n = check_positive_int(v.shape[1], "n")
     rho = spec.rho(n)
-    x, _ = lfilter([1.0], [1.0, -rho], v, zi=np.array([rho * x0]))
+    x, _ = lfilter([1.0], [1.0, -rho], v, axis=1, zi=rho * x0)
     return x
 
 
@@ -222,30 +239,43 @@ def simulate_predictive_system(spec: SystemSpec, n: int, rng):
         should pair y[1:] with x[:-1].
     """
     n = check_positive_int(n, "n", minimum=2)
-    gen = _resolve_rng(rng)
+    z = _resolve_rng(rng).standard_normal((n, spec.dim + 1))
+    y, x = _predictive_system_panel(spec, z[None])
+    return y[0], x[0]
+
+
+def _predictive_system_panel(spec: SystemSpec, z: np.ndarray):
+    """`simulate_predictive_system` for every rep of a panel of draws.
+
+    z is (R, n, d + 1): the standard normals each rep draws.  Returns
+    y of shape (R, n) and x of shape (R, n, d).
+    """
+    R, n = z.shape[:2]
+    check_positive_int(n, "n", minimum=2)
     d = spec.dim
     if spec.sigma_ue is None:
         sig = np.eye(d + 1)
     else:
         sig = np.asarray(spec.sigma_ue)
     chol = np.linalg.cholesky(sig)
-    shocks = gen.standard_normal((n, d + 1)) @ chol.T
-    u = shocks[:, 0]
-    e = shocks[:, 1:]
+    shocks = z @ chol.T
+    u = shocks[:, :, 0]
+    e = shocks[:, :, 1:]
+    start = np.zeros((R, 1))
 
     if spec.v_ar is not None:
         v = np.empty_like(e)
         for i, a in enumerate(spec.v_ar):
-            v[:, i], _ = lfilter([1.0], [1.0, -a], e[:, i], zi=np.array([0.0]))
+            v[:, :, i], _ = lfilter([1.0], [1.0, -a], e[:, :, i], axis=1, zi=start)
     else:
         v = e
 
-    x = np.empty((n, d))
+    x = np.empty((R, n, d))
     for i, lur in enumerate(spec.lur):
         rho = lur.rho(n)
-        x[:, i], _ = lfilter([1.0], [1.0, -rho], v[:, i], zi=np.array([0.0]))
+        x[:, :, i], _ = lfilter([1.0], [1.0, -rho], v[:, :, i], axis=1, zi=start)
 
-    xlag = np.vstack([np.zeros(d), x[:-1]])
+    xlag = np.concatenate([np.zeros((R, 1, d)), x[:, :-1]], axis=1)
     y = spec.intercept + xlag @ np.asarray(spec.beta) + u
     return y, x
 

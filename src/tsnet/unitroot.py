@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_in, check_positive_int
-from .lrv import KernelSpec, hac_lrv
+from ._checks import as_panel, as_series, check_in, check_positive_int
+from ._panel import first_rep, rowdot
+from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
 from .tables import DEFAULT_PROBS, QuantileTable
 
@@ -184,44 +185,55 @@ def phillips_z(ts, kernel: KernelSpec | None = None, deterministic: str = "none"
     A nonpositive LRV estimate (possible with the truncated kernel) is
     flagged with a warning; Z_alpha is still reported and Z_t is nan.
     """
-    x = as_series(ts, "ts", min_len=10)
+    return first_rep(_phillips_z_panel(np.asarray(ts, dtype=float)[None], kernel,
+                                       deterministic, df_adjust))
+
+
+def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str = "none",
+                      df_adjust: bool = True) -> UnitRootResult:
+    """`phillips_z` of every rep of an (R, n) panel.
+
+    The per-rep fields of the result are (R,) arrays.  Any rep with
+    numerically zero residuals raises; each rep with a nonpositive LRV
+    warns once.
+    """
+    x = as_panel(ts, "ts", min_len=10)
     if deterministic not in ("none", "const"):
         raise ValueError("deterministic must be 'none' or 'const'")
-    n = x.shape[0]
-    y = x[1:]
-    ylag = x[:-1]
-    T = y.shape[0]
+    y = x[:, 1:]
+    ylag = x[:, :-1]
+    R, T = y.shape
     if deterministic == "const":
-        X = np.column_stack([np.ones(T), ylag])
+        X = np.stack([np.ones((R, T)), ylag], axis=2)
     else:
-        X = ylag[:, None]
-    coeffs = np.linalg.solve(X.T @ X, X.T @ y)
-    resid = y - X @ coeffs
-    alpha = float(coeffs[-1])
-    k = X.shape[1]
-    ssr = float(resid @ resid)
+        X = ylag[:, :, None]
+    Xt = X.transpose(0, 2, 1)
+    coeffs = np.linalg.solve(Xt @ X, Xt @ y[:, :, None])
+    resid = y - (X @ coeffs)[:, :, 0]
+    alpha = coeffs[:, -1, 0]
+    k = X.shape[2]
+    ssr = rowdot(resid, resid)
     # catches exact fits up to float fuzz (perfect lines, constants)
-    if ssr <= 1e-20 * max(1.0, float(y @ y)):
+    if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(y, y))):
         raise ValueError("residuals are numerically zero; "
                          "variance estimates degenerate")
     s2_u = ssr / (T - k) if df_adjust else ssr / T
-    est = hac_lrv(resid, kernel=kernel, demean=False)
-    s2_lr = est.scalar
+    est = _hac_lrv_panel(resid, kernel=kernel, demean=False)
+    s2_lr = est.omega[:, 0, 0]
     if deterministic == "const":
-        s_xx = float(np.sum((ylag - ylag.mean()) ** 2))
+        s_xx = np.sum((ylag - ylag.mean(axis=1, keepdims=True)) ** 2, axis=1)
     else:
-        s_xx = float(np.sum(ylag**2))
+        s_xx = np.sum(ylag**2, axis=1)
     half_diff = 0.5 * (s2_lr - s2_u)
     z_alpha = T * (alpha - 1.0) - half_diff / (s_xx / T**2)
-    if s2_lr <= 0.0:
+    bad = s2_lr <= 0.0
+    for _ in range(np.count_nonzero(bad)):
         warnings.warn("nonpositive long-run variance estimate; "
                       "Z_t undefined (nan)")
-        z_t = np.nan
-    else:
-        s_lr = np.sqrt(s2_lr)
-        z_t = (np.sqrt(s_xx) * (alpha - 1.0) / s_lr
-               - half_diff * T / (s_lr * np.sqrt(s_xx)))
-    return UnitRootResult(stat_coef=float(z_alpha), stat_t=float(z_t),
+    s_lr = np.sqrt(np.where(bad, np.nan, s2_lr))
+    z_t = (np.sqrt(s_xx) * (alpha - 1.0) / s_lr
+           - half_diff * T / (s_lr * np.sqrt(s_xx)))
+    return UnitRootResult(stat_coef=z_alpha, stat_t=z_t,
                           alpha_hat=alpha, s2_u=s2_u, nobs=T,
                           deterministic=deterministic, method="phillips",
                           s2_lr=s2_lr, bandwidth=est.bandwidth)

@@ -1,0 +1,462 @@
+"""Batched Monte Carlo reps against the scalar code they replaced.
+
+fixed-wald, fmols-size, phillips-size, ivx-null and supwald-nbb compute
+a batch of reps as one panel.  Every rep's row must be bit-identical to
+what the scalar rep body gave before batching, whatever the batch size.
+The scalar rep bodies, and the scalar estimators and simulators they
+called, are kept below as oracles.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy import special, stats
+from scipy.signal import lfilter
+
+import tsnet as T
+from tsnet import mc
+from tsnet.breaks import _split_wald_panel, _sup_wald_panel
+from tsnet.coint import _fmols_panel
+from tsnet.lrv import _hac_lrv_panel
+from tsnet.predreg import _ivx_panel
+from tsnet.unitroot import _phillips_z_panel
+
+# ---------------------------------------------------------------------------
+# scalar oracles: the estimators and simulators as they were before batching
+
+
+def _column(x):
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
+def ref_hac(x, kernel=None, demean=True):
+    x = _column(x)
+    n, d = x.shape
+    spec = kernel if kernel is not None else T.KernelSpec()
+    b = spec.resolve_bandwidth(n)
+    if demean:
+        x = x - x.mean(axis=0)
+    if spec.family == "quadratic-spectral":
+        max_lag = min(n - 1, int(np.ceil(40.0 * b)))
+    else:
+        max_lag = min(n - 1, int(np.floor(b + 1e-12)))
+    g = x.T @ x / n
+    gamma0 = (g + g.T) / 2.0
+    lam = np.zeros((d, d))
+    for j in range(1, max_lag + 1):
+        w = T.kernel_weight(spec.family, j / b)
+        if w == 0.0:
+            continue
+        lam += w * (x[j:].T @ x[: n - j] / n)
+    return gamma0 + (lam + lam.T), lam, gamma0
+
+
+def ref_fmols(y, x, kernel=None):
+    """(beta_plus, se, beta_ols, residuals_ols)."""
+    x = _column(x)
+    n, d = x.shape
+    dx = np.diff(x, axis=0)
+    eta = dx - dx.mean(axis=0)
+    ys, xs, m = y[1:], x[1:], n - 1
+    Z = np.column_stack([np.ones(m), xs])
+    ZtZ = Z.T @ Z
+    beta_ols = np.linalg.solve(ZtZ, Z.T @ ys)
+    eps_ols = ys - Z @ beta_ols
+    omega, lam, gamma0 = ref_hac(np.column_stack([eps_ols, eta]), kernel, demean=False)
+    delta = gamma0 + lam
+    omega_ex = omega[0, 1:]
+    solve_xx = np.linalg.solve(omega[1:, 1:], np.eye(d))
+    endo = omega_ex @ solve_xx
+    y_plus = ys - eta @ endo
+    delta_plus = delta[0, 1:] - endo @ delta[1:, 1:]
+    correction = np.concatenate([[0.0], delta_plus])
+    beta_plus = np.linalg.solve(ZtZ, Z.T @ y_plus - m * correction)
+    omega_cond = float(omega[0, 0] - omega_ex @ solve_xx @ omega[1:, 0])
+    se = np.sqrt(np.diag(omega_cond * np.linalg.inv(ZtZ)))
+    return beta_plus, se, beta_ols, eps_ols
+
+
+def ref_phillips(x, kernel=None, deterministic="none"):
+    """(z_alpha, z_t, alpha_hat, nobs)."""
+    y, ylag = x[1:], x[:-1]
+    n_t = y.shape[0]
+    if deterministic == "const":
+        X = np.column_stack([np.ones(n_t), ylag])
+    else:
+        X = ylag[:, None]
+    coeffs = np.linalg.solve(X.T @ X, X.T @ y)
+    resid = y - X @ coeffs
+    alpha = float(coeffs[-1])
+    s2_u = float(resid @ resid) / (n_t - X.shape[1])
+    s2_lr = float(ref_hac(resid, kernel, demean=False)[0][0, 0])
+    if deterministic == "const":
+        s_xx = float(np.sum((ylag - ylag.mean()) ** 2))
+    else:
+        s_xx = float(np.sum(ylag**2))
+    half_diff = 0.5 * (s2_lr - s2_u)
+    z_alpha = n_t * (alpha - 1.0) - half_diff / (s_xx / n_t**2)
+    s_lr = np.sqrt(s2_lr)
+    z_t = (np.sqrt(s_xx) * (alpha - 1.0) / s_lr
+           - half_diff * n_t / (s_lr * np.sqrt(s_xx)))
+    return z_alpha, float(z_t), alpha, n_t
+
+
+def ref_ivx(y, x, spec=T.IvxSpec(), hac=None):
+    """(wald, pvalue, beta, cov)."""
+    x = _column(x)
+    n, d = x.shape
+    ys, xlag, m = y[1:], x[:-1], n - 1
+    zfull = lfilter([1.0], [1.0, -spec.rho(n)], np.diff(x, axis=0), axis=0)
+    zins = np.vstack([np.zeros((1, d)), zfull[:m - 1]])
+    ys = ys - ys.mean()
+    xlag = xlag - xlag.mean(axis=0)
+    A = zins.T @ xlag
+    beta = np.linalg.solve(A, zins.T @ ys)
+    resid = ys - xlag @ beta
+    sigma2_u = float(resid @ resid / (m - d))
+    A_inv = np.linalg.inv(A)
+    if hac is None:
+        meat = (zins.T @ zins) * sigma2_u
+    else:
+        meat = m * ref_hac(zins * resid[:, None], hac, demean=False)[0]
+    cov = A_inv @ meat @ A_inv.T
+    cov = (cov + cov.T) / 2.0
+    wald = float(beta @ np.linalg.solve(cov, beta))
+    return wald, float(stats.chi2.sf(wald, d)), beta, cov
+
+
+def ref_wald_at_k(ys, xl, k):
+    m, d = xl.shape
+    y_c = ys - ys.mean()
+    ind1 = np.zeros(m)
+    ind1[:k] = 1.0
+    X1 = xl * ind1[:, None]
+    X2 = xl * (1.0 - ind1)[:, None]
+    X = np.column_stack([X1 - X1.mean(axis=0), X2 - X2.mean(axis=0)])
+    G = X.T @ X
+    theta = np.linalg.solve(G, X.T @ y_c)
+    resid = y_c - X @ theta
+    sigma2 = float(resid @ resid / (m - 2 * d - 1))
+    diff = theta[:d] - theta[d:]
+    G_inv = np.linalg.inv(G)
+    R_cov = G_inv[:d, :d] + G_inv[d:, d:] - G_inv[:d, d:] - G_inv[d:, :d]
+    return float(diff @ np.linalg.solve(sigma2 * R_cov, diff))
+
+
+def ref_split_wald(y, x, pi0):
+    xl = _column(x)[:-1]
+    return ref_wald_at_k(y[1:], xl, int(np.floor(pi0 * xl.shape[0])))
+
+
+def ref_sup_wald(y, x, trim=(0.15, 0.85)):
+    """(stat, pi_star)."""
+    ys, xl = y[1:], _column(x)[:-1]
+    m, d = xl.shape
+    lo = max(int(np.ceil(trim[0] * m)), d + 1)
+    hi = min(int(np.floor(trim[1] * m)), m - d - 1)
+    k_grid = np.arange(lo, hi + 1)
+    if d == 1:
+        x1 = xl[:, 0]
+        y_c = ys - ys.mean()
+        cx = np.cumsum(x1)[k_grid - 1]
+        cxx = np.cumsum(x1 * x1)[k_grid - 1]
+        cxy = np.cumsum(x1 * y_c)[k_grid - 1]
+        tx, txx, txy = x1.sum(), (x1 * x1).sum(), (x1 * y_c).sum()
+        syy = float(y_c @ y_c)
+        g11 = cxx - cx**2 / m
+        g22 = (txx - cxx) - (tx - cx) ** 2 / m
+        g12 = -cx * (tx - cx) / m
+        det = g11 * g22 - g12**2
+        g1, g2 = cxy, txy - cxy
+        beta1 = (g22 * g1 - g12 * g2) / det
+        beta2 = (g11 * g2 - g12 * g1) / det
+        sigma2 = (syy - (beta1 * g1 + beta2 * g2)) / (m - 3)
+        r_cov = (g11 + g22 + 2.0 * g12) / det
+        path = (beta1 - beta2) ** 2 / (sigma2 * r_cov)
+    else:
+        path = np.array([ref_wald_at_k(ys, xl, int(k)) for k in k_grid])
+    best = int(np.argmax(path))
+    return float(path[best]), float(k_grid[best] / m)
+
+
+def ref_lur_ar(spec, n, gen, x0):
+    v = gen.standard_normal(n)
+    rho = spec.rho(n)
+    return lfilter([1.0], [1.0, -rho], v, zi=np.array([rho * x0]))[0]
+
+
+def ref_linear_process(spec, n, gen):
+    q = len(spec.coeffs) - 1
+    eps = gen.standard_normal(n + q) * spec.sigma
+    return lfilter(np.asarray(spec.coeffs), [1.0], eps)[q:]
+
+
+def ref_system(spec, n, gen):
+    d = spec.dim
+    sig = np.eye(d + 1) if spec.sigma_ue is None else np.asarray(spec.sigma_ue)
+    shocks = gen.standard_normal((n, d + 1)) @ np.linalg.cholesky(sig).T
+    u, e = shocks[:, 0], shocks[:, 1:]
+    x = np.empty((n, d))
+    for i, lur in enumerate(spec.lur):
+        x[:, i], _ = lfilter([1.0], [1.0, -lur.rho(n)], e[:, i], zi=np.array([0.0]))
+    xlag = np.vstack([np.zeros(d), x[:-1]])
+    return spec.intercept + xlag @ np.asarray(spec.beta) + u, x
+
+
+# ---------------------------------------------------------------------------
+# the scalar rep bodies of the batched experiments
+
+
+def _gen(cfg, r):
+    return T.RngSpec(cfg.seed, cfg.stream).substream(r).generator()
+
+
+def _kernel(cfg):
+    return T.KernelSpec(family=str(cfg.param("family", "bartlett")),
+                        bandwidth=cfg.param("bandwidth", None))
+
+
+def rep_fixed_wald(cfg, r):
+    n = int(cfg.param("n", 1000))
+    pi0 = float(cfg.param("pi0", 0.5))
+    phi = float(cfg.param("phi_x", 0.5))
+    beta = float(cfg.param("beta", 0.3))
+    gen = _gen(cfg, r)
+    x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
+    x = ref_lur_ar(T.LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, gen, x0)
+    u = gen.standard_normal(n - 1)
+    y = np.concatenate([[0.0], 1.0 + beta * x[:-1] + u])
+    return (ref_split_wald(y, x, pi0),)
+
+
+def rep_fmols(cfg, r):
+    n = int(cfg.param("n", 1000))
+    corr = float(cfg.param("corr", 0.9))
+    beta = float(cfg.param("beta", 2.0))
+    intercept = float(cfg.param("intercept", 1.0))
+    gen = _gen(cfg, r)
+    chol = np.linalg.cholesky(np.array([[1.0, corr], [corr, 1.0]]))
+    shocks = gen.standard_normal((n, 2)) @ chol.T
+    x = np.cumsum(shocks[:, 1])
+    y = intercept + beta * x + shocks[:, 0]
+    beta_plus, se, beta_ols, resid_ols = ref_fmols(y, x)
+    nobs = n - 1
+    t_plus = (beta_plus[1] - beta) / se[1]
+    z = np.hstack([np.ones((nobs, 1)), x[-nobs:, None]])
+    zz_inv = np.linalg.inv(z.T @ z)
+    s2 = float(resid_ols @ resid_ols / (nobs - 2))
+    t_ols = (beta_ols[1] - beta) / np.sqrt(s2 * zz_inv[1, 1])
+    return (float(t_plus), float(t_ols))
+
+
+def rep_phillips(cfg, r):
+    n = int(cfg.param("n", 1000))
+    theta = float(cfg.param("theta", 0.5))
+    det = str(cfg.param("deterministic", "none"))
+    u = ref_linear_process(T.LinearProcessSpec((1.0, theta)), n, _gen(cfg, r))
+    z_alpha, z_t, alpha, nobs = ref_phillips(np.cumsum(u), _kernel(cfg), det)
+    return (z_alpha, z_t, nobs * (alpha - 1.0))
+
+
+def rep_ivx(cfg, r):
+    n = int(cfg.param("n", 1000))
+    corr = float(cfg.param("corr", 0.9))
+    spec = T.SystemSpec(beta=(float(cfg.param("beta", 0.0)),),
+                        lur=(T.LurSpec(c=float(cfg.param("c", 0.0)),
+                                       gamma=float(cfg.param("gamma", 1.0))),),
+                        intercept=float(cfg.param("intercept", 0.0)),
+                        sigma_ue=((1.0, corr), (corr, 1.0)))
+    y, x = ref_system(spec, n, _gen(cfg, r))
+    ivx = T.IvxSpec(c_z=float(cfg.param("c_z", -1.0)),
+                    beta_z=float(cfg.param("beta_z", 0.95)))
+    wald, pvalue, beta, _ = ref_ivx(y, x, spec=ivx)
+    return (wald, pvalue, float(beta[0]))
+
+
+def rep_supwald(cfg, r):
+    n = int(cfg.param("n", 2000))
+    trim = cfg.param("trim", (0.15, 0.85))
+    corr = float(cfg.param("corr", 0.5))
+    spec = T.SystemSpec(beta=(float(cfg.param("beta", 0.25)),),
+                        lur=(T.LurSpec(c=float(cfg.param("c", -5.0)),
+                                       gamma=float(cfg.param("gamma", 0.75))),),
+                        intercept=float(cfg.param("intercept", 0.0)),
+                        sigma_ue=((1.0, corr), (corr, 1.0)))
+    y, x = ref_system(spec, n, _gen(cfg, r))
+    return ref_sup_wald(y, x, trim=(float(trim[0]), float(trim[1])))
+
+
+SCALAR_REPS = {
+    "fixed-wald": rep_fixed_wald,
+    "fmols-size": rep_fmols,
+    "phillips-size": rep_phillips,
+    "ivx-null": rep_ivx,
+    "supwald-nbb": rep_supwald,
+}
+
+# criterion 12 sizes and seeds, then one non-default setting each (the
+# experiments have one regressor and fmols-size its default kernel; the
+# kernel tests below cover d = 2 and other kernels)
+CASES = [
+    ("fixed-wald", 107, {"n": 120}),
+    ("fixed-wald", 107, {"n": 120, "pi0": 0.3, "phi_x": 0.9}),
+    ("fmols-size", 104, {"n": 150}),
+    ("fmols-size", 104, {"n": 150, "corr": 0.3, "intercept": -2.0}),
+    ("phillips-size", 103, {"n": 120, "cv_reps": 500}),
+    ("phillips-size", 103, {"n": 120, "cv_reps": 500, "deterministic": "const"}),
+    ("ivx-null", 105, {"n": 150}),
+    ("ivx-null", 105, {"n": 150, "c": -20.0, "gamma": 0.6, "c_z": -5.0}),
+    ("supwald-nbb", 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100}),
+    ("supwald-nbb", 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100,
+                          "trim": (0.3, 0.6)}),
+]
+
+
+@pytest.mark.parametrize("name,seed,params", CASES)
+def test_batched_rows_equal_scalar_rep_bodies(name, seed, params):
+    # 70 reps: one full 64-rep batch and a short one
+    cfg = mc.ExperimentConfig(experiment=name, reps=70, seed=seed,
+                              params=dict(params))
+    res = mc.run_experiment(cfg)
+    want = np.array([SCALAR_REPS[name](cfg, r) for r in range(cfg.reps)],
+                    dtype=float)
+    assert res.draws.shape == want.shape
+    assert res.draws.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,seed,params", CASES[::2])
+def test_rows_do_not_depend_on_batch_size(name, seed, params):
+    cfg = mc.ExperimentConfig(experiment=name, reps=70, seed=seed,
+                              params=dict(params))
+    exp = mc.EXPERIMENTS[name]
+    ctx = exp.setup(cfg)
+    rows = []
+    for size in (1, 7, 64):
+        blocks = [exp.rep(cfg, ctx, range(lo, min(lo + size, cfg.reps)))
+                  for lo in range(0, cfg.reps, size)]
+        rows.append(np.concatenate(blocks).tobytes())
+    assert rows[0] == rows[1] == rows[2]
+
+
+# ---------------------------------------------------------------------------
+# the panel kernels and their single-rep public forms, beyond the
+# experiments' settings
+
+
+def _system_panel(R, n, d, seed):
+    spec = T.SystemSpec(beta=(0.2,) * d,
+                        lur=tuple(T.LurSpec(c=c) for c in (-5.0, -20.0, 0.0)[:d]),
+                        intercept=0.5, v_ar=(0.3,) * d)
+    pairs = [T.simulate_predictive_system(spec, n, T.RngSpec(seed, r)) for r in range(R)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wald_kernels_match_scalar_oracles(d):
+    Y, X = _system_panel(9, 160, d, seed=40 + d)
+    split = _split_wald_panel(Y, X, pi0=0.4)
+    sup = _sup_wald_panel(Y, X, trim=(0.2, 0.8))
+    for r in range(9):
+        want = ref_split_wald(Y[r], X[r], 0.4)
+        assert split.stat[r] == want
+        assert T.split_wald(Y[r], X[r], pi0=0.4).stat == want
+        stat, pi_star = ref_sup_wald(Y[r], X[r], trim=(0.2, 0.8))
+        assert (sup.stat[r], sup.pi_star[r]) == (stat, pi_star)
+        one = T.sup_wald(Y[r], X[r], trim=(0.2, 0.8))
+        assert (one.stat, one.pi_star) == (stat, pi_star)
+        assert one.k_grid.shape == one.path.shape
+
+
+@pytest.mark.parametrize("d,hac", [(1, None), (2, None),
+                                   (2, T.KernelSpec("parzen", 4.0))])
+def test_ivx_kernel_matches_scalar_oracle(d, hac):
+    Y, X = _system_panel(9, 160, d, seed=50 + d)
+    res = _ivx_panel(Y, X, hac=hac)
+    for r in range(9):
+        wald, pvalue, beta, cov = ref_ivx(Y[r], X[r], hac=hac)
+        assert (res.wald[r], res.pvalue[r]) == (wald, pvalue)
+        assert np.array_equal(res.beta[r], beta)
+        assert np.array_equal(res.cov[r], cov)
+        one = T.ivx_estimate(Y[r], X[r], hac=hac)
+        assert (one.wald, one.pvalue) == (wald, pvalue)
+        assert np.array_equal(one.beta, beta) and np.array_equal(one.cov, cov)
+
+
+@pytest.mark.parametrize("d,kernel", [(1, None), (1, T.KernelSpec("parzen")),
+                                      (2, T.KernelSpec("quadratic-spectral", 2.5))])
+def test_fmols_kernel_matches_scalar_oracle(d, kernel):
+    Y, X = _system_panel(9, 160, d, seed=60 + d)
+    X = np.cumsum(X, axis=1)  # integrated regressors
+    res = _fmols_panel(Y, X, kernel)
+    for r in range(9):
+        want = ref_fmols(Y[r], X[r], kernel)
+        got = (res.beta_plus[r], res.se[r], res.beta_ols[r], res.residuals_ols[r])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        one = T.fmols(Y[r], X[r], kernel)
+        assert np.array_equal(one.beta_plus, want[0])
+        assert np.array_equal(one.se, want[1])
+
+
+@pytest.mark.parametrize("det", ["none", "const"])
+def test_phillips_kernel_matches_scalar_oracle(det):
+    Y, _ = _system_panel(9, 160, 1, seed=70)
+    Y = np.cumsum(Y, axis=1)
+    kernel = T.KernelSpec("bartlett", 6.0)
+    res = _phillips_z_panel(Y, kernel, det)
+    for r in range(9):
+        z_alpha, z_t, alpha, _ = ref_phillips(Y[r], kernel, det)
+        assert (res.stat_coef[r], res.stat_t[r], res.alpha_hat[r]) == (z_alpha, z_t, alpha)
+        one = T.phillips_z(Y[r], kernel, det)
+        assert (one.stat_coef, one.stat_t, one.alpha_hat) == (z_alpha, z_t, alpha)
+
+
+@pytest.mark.parametrize("family", T.KERNEL_FAMILIES)
+def test_hac_kernel_matches_scalar_oracle(family):
+    X = np.random.default_rng(3).standard_normal((7, 300, 2)).cumsum(axis=1) * 0.1
+    kernel = T.KernelSpec(family, 5.5)
+    res = _hac_lrv_panel(X, kernel)
+    for r in range(7):
+        omega, lam, gamma0 = ref_hac(X[r], kernel)
+        assert np.array_equal(res.omega[r], omega)
+        assert np.array_equal(res.lam[r], lam)
+        assert np.array_equal(res.gamma0[r], gamma0)
+
+
+def test_panel_checks_apply_to_every_rep():
+    Y, X = _system_panel(4, 60, 1, seed=80)
+    Y[2, 7] = np.nan
+    with pytest.raises(ValueError, match="y contains non-finite values"):
+        _split_wald_panel(Y, X, pi0=0.5)
+    with pytest.raises(ValueError, match="regime too small"):
+        _split_wald_panel(X[:, :, 0], X, k=1)
+    with pytest.raises(ValueError, match="trim"):
+        _sup_wald_panel(X[:, :, 0], X, trim=(0.5, 0.4))
+    with pytest.raises(ValueError, match="needs at least 8"):
+        _fmols_panel(Y[:, :5], X[:, :5])
+    # one degenerate rep stops the whole panel, as it stopped the run
+    walks = np.cumsum(np.random.default_rng(5).standard_normal((3, 40)), axis=1)
+    walks[1] = 1.0
+    with pytest.raises(ValueError, match="numerically zero"):
+        _phillips_z_panel(walks)
+
+
+def test_phillips_panel_warns_once_per_nonpositive_lrv_rep():
+    noise = 0.2 * np.random.default_rng(0).standard_normal(60)
+    bad = np.tile([1.0, 0.0, -1.0], 20) + noise
+    good = np.cumsum(noise)
+    kernel = T.KernelSpec("truncated", 2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _phillips_z_panel(np.array([bad, good, bad]), kernel)
+    assert len(caught) == 2
+    assert all("nonpositive long-run variance" in str(w.message) for w in caught)
+    assert np.isnan(res.stat_t[[0, 2]]).all() and np.isfinite(res.stat_t[1])
+    assert res.stat_t[1] == T.phillips_z(good, kernel).stat_t
+
+
+def test_chdtrc_matches_chi2_sf():
+    x = np.linspace(0.0, 30.0, 3001)
+    for d in (1, 2, 3):
+        assert np.array_equal(special.chdtrc(d, x), stats.chi2.sf(x, d))

@@ -118,6 +118,10 @@ def test_run_experiment_jobs_invariance(tmp_path):
     ("garch-recovery", 2, 110, {"n": 800}),
     ("nested-forecast", 3, 112, {"n": 150}),
     ("nethac-coverage", 5, 108, {"n_nodes": 30}),
+    ("fixed-wald", 5, 107, {"n": 120}),
+    ("fmols-size", 5, 104, {"n": 150}),
+    ("phillips-size", 5, 103, {"n": 120, "cv_reps": 500}),
+    ("supwald-nbb", 5, 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100}),
 ])
 def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
                                                      seed, params):

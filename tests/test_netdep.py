@@ -1,7 +1,10 @@
 """Tests for graph utilities, denseness measures, graph MA, network HAC."""
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy import stats as st
 
 import tsnet as T
@@ -279,6 +282,28 @@ def test_graph_shells_match_dense_distance(name):
     for s in range(3):
         for a, b in zip(short.at(s), sh.at(s)):
             np.testing.assert_array_equal(a, b)
+
+
+def test_shell_matrices_are_built_once_per_shells_object():
+    g = T.cycle_graph(50)
+    sh = T.graph_shells(g, 2)
+    pickled_fresh = pickle.dumps(sh)
+    assert sh.matrix(1) is sh.matrix(1)
+    assert sh.matrix(0) is not sh.matrix(1)
+    weights = (1.0, 0.4, 0.1)
+    first = T.simulate_graph_ma(g, weights, T.RngSpec(9, 2), dist=sh)
+    again = T.simulate_graph_ma(g, weights, T.RngSpec(9, 2), dist=sh)
+    # the same sum over freshly built CSR matrices, as before the cache
+    eps = T.RngSpec(9, 2).generator().standard_normal(g.n)
+    fresh = []
+    for s in range(3):
+        ii, jj = sh.at(s)
+        indptr = np.searchsorted(ii, np.arange(g.n + 1))
+        fresh.append(sparse.csr_matrix((np.ones(jj.size), jj, indptr), shape=(g.n, g.n)))
+    want = sum(w * (m @ eps) for w, m in zip(weights, fresh))
+    assert np.array_equal(first, want) and np.array_equal(again, want)
+    # shells pickled before first use carry no cache
+    assert pickled_fresh == pickle.dumps(T.Shells(n=sh.n, pairs=sh.pairs))
 
 
 def test_graph_shells_validation():
