@@ -26,11 +26,13 @@ from .bootstrap import (
 from .breaks import (
     LmResult,
     MeResult,
+    NestedForecastResult,
     SupWaldResult,
     WaldBreakResult,
     lm_nyblom,
     me_monitor,
     nbb_sup_mc,
+    nested_forecast_test,
     split_wald,
     sup_wald,
 )
@@ -56,7 +58,6 @@ from .mc import (
     EXPERIMENTS,
     ExperimentConfig,
     McResult,
-    nested_forecast_test,
     parse_config,
     parse_config_file,
     run_experiment,

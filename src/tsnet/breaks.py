@@ -9,11 +9,14 @@ functional sup_pi ||BB(pi)||^2 / (pi (1 - pi)) instead of the standard
 sup-chi-square limit; `nbb_sup_mc` tabulates that limit.  The LM
 statistics are partial-sum score tests against random-walk coefficient
 drift, and `me_monitor` is a rolling-window real-time monitoring
-statistic calibrated on a historical sample.
+statistic calibrated on a historical sample.  `nested_forecast_test`
+compares the recursive out-of-sample forecasts of two nested predictive
+regressions.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,8 @@ __all__ = [
     "lm_nyblom",
     "MeResult",
     "me_monitor",
+    "NestedForecastResult",
+    "nested_forecast_test",
 ]
 
 
@@ -43,6 +48,14 @@ def _predictive_pairs(y, x):
     if x_arr.shape[1] != y_arr.shape[1]:
         raise ValueError("y and x must have equal length")
     return y_arr[:, 1:], x_arr[:, :-1]
+
+
+def _check_trim(trim) -> tuple[float, float]:
+    """The break-fraction range (lo, hi) as two floats, 0 < lo < hi < 1."""
+    lo_hi = np.asarray(trim, dtype=float)
+    if lo_hi.shape != (2,) or not 0 < lo_hi[0] < lo_hi[1] < 1:
+        raise ValueError(f"trim must be two fractions 0 < lo < hi < 1, got {trim!r}")
+    return float(lo_hi[0]), float(lo_hi[1])
 
 
 @dataclass(frozen=True)
@@ -176,8 +189,7 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     stat, k_star, pi_star and path gain a leading rep axis; k_grid and
     nobs are shared.
     """
-    if not (0 < trim[0] < trim[1] < 1):
-        raise ValueError("trim fractions must satisfy 0 < lo < hi < 1")
+    trim = _check_trim(trim)
     ys, xl = _predictive_pairs(y, x)
     R, m, d = xl.shape
     lo = max(int(np.ceil(trim[0] * m)), d + 1)
@@ -207,8 +219,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     """
     p = check_positive_int(p, "p")
     reps = check_positive_int(reps, "reps", minimum=100)
-    if not (0 < trim[0] < trim[1] < 1):
-        raise ValueError("trim fractions must satisfy 0 < lo < hi < 1")
+    trim = _check_trim(trim)
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))
     t = np.arange(1, grid + 1) / grid
     keep = (t >= trim[0]) & (t <= trim[1])
@@ -354,3 +365,92 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     best = int(np.argmax(path))
     return MeResult(stat=float(path[best]), path=path, k_grid=k_grid,
                     window=win, beta_hist=beta_hist)
+
+
+@dataclass(frozen=True)
+class NestedForecastResult:
+    """Accumulated out-of-sample loss difference between nested models.
+
+    stat is sum_t (e_small,t^2 - e_big,t^2) / sigma2, positive when the
+    larger model forecasts better; path is the running partial sum of
+    the normalized differences.  start is the pair index of the first
+    forecast actually produced (equal to the requested k0 unless the
+    start had to be postponed).
+    """
+
+    stat: float
+    path: np.ndarray
+    errors_small: np.ndarray
+    errors_big: np.ndarray
+    sigma2: float
+    k0: int
+    start: int
+    nobs: int
+
+
+def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
+    """Compare recursive forecasts of y from two nested predictive models.
+
+    Both models regress y_t on an intercept and lagged regressors; the
+    small model uses x_small only, the big one appends x_extra.  For
+    each t past the training cut k0 (counted in pairs), coefficients
+    are re-estimated on all earlier pairs and a one-step forecast error
+    recorded.  The loss differences are scaled by the big model's
+    full-sample residual variance.
+
+    A k0 too small to identify the nesting model (or an early singular
+    design) postpones the start to the first well-conditioned pair
+    index, with a warning.
+    """
+    y_arr = as_series(y, "y", min_len=8)
+    xs = as_matrix(x_small, "x_small")
+    xe = as_matrix(x_extra, "x_extra")
+    n = y_arr.shape[0]
+    if xs.shape[0] != n or xe.shape[0] != n:
+        raise ValueError("y, x_small, x_extra must have equal length")
+
+    ys = y_arr[1:]
+    z = np.hstack([np.ones((n - 1, 1)), xs[:-1], xe[:-1]])
+    m, p_big = z.shape
+    p_small = 1 + xs.shape[1]
+    k0 = check_positive_int(k0, "k0")
+    if k0 >= m:
+        raise ValueError(f"k0 must be < {m} pairs, got {k0}")
+
+    # full-sample residual variance of the nesting model
+    beta_full, *_ = np.linalg.lstsq(z, ys, rcond=None)
+    resid_full = ys - z @ beta_full
+    sigma2 = float(resid_full @ resid_full / (m - p_big))
+    # exact fits leave only roundoff, which is no scale for the losses
+    if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
+        raise ValueError("degenerate full-sample fit; cannot scale losses")
+
+    # grams[t - 1] and moments[t - 1] sum over the first t pairs
+    grams = np.cumsum(z[:, :, None] * z[:, None, :], axis=0)
+    moments = np.cumsum(z * ys[:, None], axis=0)
+    for start in range(k0, m):
+        # postpone until the nesting-model design is invertible
+        gram = grams[start - 1]
+        if not (start < p_big
+                or np.linalg.cond(gram) > 1e12
+                or np.linalg.cond(gram[:p_small, :p_small]) > 1e12):
+            break
+    else:
+        raise ValueError("no well-conditioned forecast origin before the end")
+    if start > k0:
+        warnings.warn(f"forecast start postponed from pair {k0} "
+                      f"to {start} (singular early design)")
+
+    # the forecast of pair t uses the fit on pairs 0..t-1
+    g = grams[start - 1:m - 1]
+    mom = moments[start - 1:m - 1, :, None]
+    b_big = np.linalg.solve(g, mom)[..., 0]
+    b_small = np.linalg.solve(g[:, :p_small, :p_small], mom[:, :p_small])[..., 0]
+    zf = z[start:]
+    e_big = ys[start:] - np.einsum("tp,tp->t", zf, b_big)
+    e_small = ys[start:] - np.einsum("tp,tp->t", zf[:, :p_small], b_small)
+    diffs = (e_small**2 - e_big**2) / sigma2
+    path = np.cumsum(diffs)
+    return NestedForecastResult(stat=float(path[-1]), path=path,
+                                errors_small=e_small, errors_big=e_big,
+                                sigma2=sigma2, k0=k0, start=start, nobs=m)

@@ -1,9 +1,11 @@
 """Monte Carlo harness: experiment registry, config files, CSV output.
 
-An experiment is a named (setup, rep, summarize) triple.  `setup` builds
-shared context once (critical-value tables, graph shells), `rep` gets a
-batch of rep indices and returns one row of statistics per rep, and
-`summarize` reduces the stacked rows to a flat dict of scalars.
+An experiment is a named (setup, rep, summarize) triple plus the
+parameters it reads, each declared once with its default.  `setup`
+builds shared context once (critical-value tables, graph shells), `rep`
+gets a batch of rep indices and returns one row of statistics per rep,
+and `summarize` reduces the stacked rows to a flat dict of scalars,
+which the harness opens with the experiment's echoed parameters.
 Replication r always draws from stream `cfg.stream + r`, so results are
 invariant to `jobs` and to how the reps are batched; auxiliary
 simulations (limit tables and the like) use streams at
@@ -26,33 +28,36 @@ Config files are line oriented::
     grid.c = 0, -5, -20
 
 Keys other than the reserved ones (experiment, reps, seed, stream,
-jobs, level) are free-form parameters looked up by exact name; each
-experiment documents which ones it reads.  `grid.<name>` lines declare
-sweep axes for `size_power_grid`, which runs the cartesian product and
-moves each cell onto its own stream range.
+jobs, level) are parameters, and each must be one the experiment
+declares: `resolve` rejects any other key, and a value not of the
+declared type, before setup runs, and fills in the defaults.
+`grid.<name>` lines declare sweep axes for `size_power_grid`, which
+runs the cartesian product and moves each cell onto its own stream
+range.
 
 CSV output starts with a `#schema=` line and a `#config=` line, then a
-header row.  Floats are written with `repr`, so identical configs give
-byte-identical files.
+header row.  The `#config=` line of a run holds the effective values of
+every declared parameter, defaults included.  Floats are written with
+`repr`, so identical configs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy import stats
 
-from ._checks import as_matrix, as_series, check_positive_int
+from ._checks import check_positive_int
 from ._panel import rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
-from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc
+from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
 from .garch import GarchSpec, garch_qmle, simulate_garch
 from .lrv import KernelSpec, hac_lrv
@@ -79,15 +84,13 @@ __all__ = [
     "EXPERIMENTS",
     "parse_config",
     "parse_config_file",
+    "resolve",
     "run_experiment",
     "size_power_grid",
     "write_csv",
     "read_csv",
-    "NestedForecastResult",
-    "nested_forecast_test",
 ]
 
-_RESERVED_KEYS = ("experiment", "reps", "seed", "stream", "jobs", "level")
 _SCHEMA_VERSION = "v1"
 # reps per `rep` call: enough to amortize the per-call overhead, while a
 # 64-rep panel of n = 2000 series stays near 2 MB
@@ -102,7 +105,8 @@ _BATCH = 64
 class ExperimentConfig:
     """Resolved settings for one experiment run.
 
-    `params` holds everything the experiment itself interprets; reserved
+    `params` holds everything the experiment itself interprets (after
+    `resolve`, every declared parameter in its declared type); reserved
     keys control the harness.  `grid` maps parameter names to value
     tuples for sweeps and is ignored by `run_experiment`.
     """
@@ -118,11 +122,6 @@ class ExperimentConfig:
 
     def param(self, key: str, default=None):
         return self.params.get(key, default)
-
-    def require(self, key: str):
-        if key not in self.params:
-            raise KeyError(f"experiment {self.experiment!r} needs parameter {key!r}")
-        return self.params[key]
 
 
 def _parse_scalar(token: str):
@@ -266,10 +265,15 @@ def read_csv(path):
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registered experiment: per-rep statistics plus a summary reducer.
+    """Registered experiment: declared parameters, per-rep statistics, summary.
 
-    `rep(cfg, ctx, rs)` takes a range of rep indices and returns a
-    (len(rs), len(columns)) float array, row i for rep rs[i].
+    `params` maps each parameter name to its default, whose type is the
+    parameter's type: int, float, str, or a tuple of floats; a None
+    default makes an optional number.  The hooks read `cfg.params[key]`
+    of a resolved config.  `rep(cfg, ctx, rs)` takes a range of rep
+    indices and returns a (len(rs), len(columns)) float array, row i for
+    rep rs[i].  The summary is the `echo` parameters (or "level"), then
+    the fields `summarize(cfg, ctx, draws)` computes.
     """
 
     name: str
@@ -277,16 +281,64 @@ class Experiment:
     setup: Callable
     rep: Callable
     summarize: Callable
+    params: dict
+    echo: tuple[str, ...]
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, columns, rep, summarize, setup=None):
+def _register(name, columns, rep, summarize, params, echo, setup=None):
     EXPERIMENTS[name] = Experiment(
         name=name, columns=tuple(columns),
         setup=setup if setup is not None else (lambda cfg: {}),
-        rep=rep, summarize=summarize)
+        rep=rep, summarize=summarize, params=params, echo=echo)
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          tuple: "one or more comma-separated numbers", type(None): "a number or none"}
+
+
+def _typed(experiment: str, key: str, default, value):
+    """`value` in the type of parameter `key`, whose default is `default`."""
+    def real(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if default is None and (value is None or real(value)):
+        return value
+    if isinstance(default, int) and isinstance(value, numbers.Integral) and real(value):
+        return int(value)
+    if isinstance(default, float) and real(value):
+        return float(value)
+    if isinstance(default, str) and isinstance(value, str):
+        return value
+    if isinstance(default, tuple):
+        values = value if isinstance(value, tuple) else (value,)
+        if all(real(v) for v in values):
+            return tuple(float(v) for v in values)
+    raise ValueError(f"experiment {experiment!r}: parameter {key!r} must be "
+                     f"{_KINDS[type(default)]}, got {value!r}")
+
+
+def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
+    """A copy of `cfg` holding every declared parameter, in its declared type.
+
+    Parameters the config leaves out take their defaults.  A key the
+    experiment does not declare, or a value of the wrong type, raises
+    ValueError.  Resolving a resolved config gives it back unchanged.
+    """
+    if cfg.experiment not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise ValueError(f"unknown experiment {cfg.experiment!r}; have: {known}")
+    declared = EXPERIMENTS[cfg.experiment].params
+    unknown = sorted(set(cfg.params) - set(declared))
+    if unknown:
+        raise ValueError(f"experiment {cfg.experiment!r} has no parameter "
+                         f"{', '.join(map(repr, unknown))}; it accepts: "
+                         f"{', '.join(sorted(declared))}")
+    params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
+              for key, default in declared.items()}
+    return replace(cfg, params=params)
 
 
 def _per_rep(rep):
@@ -331,11 +383,10 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
 
     out, when given, is the per-replication CSV path (or a directory,
     in which case <experiment>.csv inside it); the summary goes next to
-    it with a -summary suffix.
+    it with a -summary suffix.  The config is resolved first, so a bad
+    parameter fails before any work or output.
     """
-    if cfg.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {cfg.experiment!r}; have: {known}")
+    cfg = resolve(cfg)
     exp = EXPERIMENTS[cfg.experiment]
     ctx = exp.setup(cfg)
     # with workers, about 8 tasks per worker, each one batch
@@ -348,7 +399,8 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
     else:
         blocks = [exp.rep(cfg, ctx, rs) for rs in batches]
     draws = np.concatenate(blocks)
-    summary = exp.summarize(cfg, ctx, draws)
+    summary = {key: cfg.level if key == "level" else cfg.params[key] for key in exp.echo}
+    summary.update(exp.summarize(cfg, ctx, draws))
 
     files = ()
     if out is not None:
@@ -373,28 +425,21 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 
     Each cell gets a disjoint stream range (shifted by reps plus a
     reserve of 64 auxiliary streams) so cells are independent and
-    reproducible in isolation.  Returns (columns, rows, results) and
-    optionally writes one summary CSV.
+    reproducible in isolation.  Every cell is resolved before the first
+    one runs.  Returns (columns, rows, results) and optionally writes
+    one summary CSV, whose `#config=` line holds the config as given.
     """
     if not cfg.grid:
         raise ValueError("size_power_grid needs at least one grid.<name> axis")
     axes = sorted(cfg.grid)
     combos = list(itertools.product(*(cfg.grid[a] for a in axes)))
     stride = cfg.reps + 64
-    results = []
-    rows = []
-    columns: list[str] = []
-    for i, combo in enumerate(combos):
-        params = dict(cfg.params)
-        params.update(dict(zip(axes, combo)))
-        cell = ExperimentConfig(experiment=cfg.experiment, reps=cfg.reps,
-                                seed=cfg.seed, stream=cfg.stream + i * stride,
-                                jobs=cfg.jobs, level=cfg.level, params=params)
-        res = run_experiment(cell)
-        results.append(res)
-        if not columns:
-            columns = [f"grid_{a}" for a in axes] + list(res.summary)
-        rows.append(tuple(combo) + tuple(res.summary.values()))
+    cells = [resolve(replace(cfg, stream=cfg.stream + i * stride, grid={},
+                             params={**cfg.params, **dict(zip(axes, combo))}))
+             for i, combo in enumerate(combos)]
+    results = [run_experiment(cell) for cell in cells]
+    columns = [f"grid_{a}" for a in axes] + list(results[0].summary)
+    rows = [tuple(combo) + tuple(res.summary.values()) for combo, res in zip(combos, results)]
     files = ()
     if out is not None:
         out = Path(out)
@@ -406,129 +451,30 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 
 
 # ---------------------------------------------------------------------------
-# nested model comparison by recursive one-step forecasts
-
-
-@dataclass(frozen=True)
-class NestedForecastResult:
-    """Accumulated out-of-sample loss difference between nested models.
-
-    stat is sum_t (e_small,t^2 - e_big,t^2) / sigma2, positive when the
-    larger model forecasts better; path is the running partial sum of
-    the normalized differences.  start is the pair index of the first
-    forecast actually produced (equal to the requested k0 unless the
-    start had to be postponed).
-    """
-
-    stat: float
-    path: np.ndarray
-    errors_small: np.ndarray
-    errors_big: np.ndarray
-    sigma2: float
-    k0: int
-    start: int
-    nobs: int
-
-
-def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
-    """Compare recursive forecasts of y from two nested predictive models.
-
-    Both models regress y_t on an intercept and lagged regressors; the
-    small model uses x_small only, the big one appends x_extra.  For
-    each t past the training cut k0 (counted in pairs), coefficients
-    are re-estimated on all earlier pairs and a one-step forecast error
-    recorded.  The loss differences are scaled by the big model's
-    full-sample residual variance.
-
-    A k0 too small to identify the nesting model (or an early singular
-    design) postpones the start to the first well-conditioned pair
-    index, with a warning.
-    """
-    y_arr = as_series(y, "y", min_len=8)
-    xs = as_matrix(x_small, "x_small")
-    xe = as_matrix(x_extra, "x_extra")
-    n = y_arr.shape[0]
-    if xs.shape[0] != n or xe.shape[0] != n:
-        raise ValueError("y, x_small, x_extra must have equal length")
-
-    ys = y_arr[1:]
-    z = np.hstack([np.ones((n - 1, 1)), xs[:-1], xe[:-1]])
-    m, p_big = z.shape
-    p_small = 1 + xs.shape[1]
-    k0 = check_positive_int(k0, "k0")
-    if k0 >= m:
-        raise ValueError(f"k0 must be < {m} pairs, got {k0}")
-
-    # full-sample residual variance of the nesting model
-    beta_full, *_ = np.linalg.lstsq(z, ys, rcond=None)
-    resid_full = ys - z @ beta_full
-    sigma2 = float(resid_full @ resid_full / (m - p_big))
-    # exact fits leave only roundoff, which is no scale for the losses
-    if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
-        raise ValueError("degenerate full-sample fit; cannot scale losses")
-
-    # grams[t - 1] and moments[t - 1] sum over the first t pairs
-    grams = np.cumsum(z[:, :, None] * z[:, None, :], axis=0)
-    moments = np.cumsum(z * ys[:, None], axis=0)
-    for start in range(k0, m):
-        # postpone until the nesting-model design is invertible
-        gram = grams[start - 1]
-        if not (start < p_big
-                or np.linalg.cond(gram) > 1e12
-                or np.linalg.cond(gram[:p_small, :p_small]) > 1e12):
-            break
-    else:
-        raise ValueError("no well-conditioned forecast origin before the end")
-    if start > k0:
-        warnings.warn(f"forecast start postponed from pair {k0} "
-                      f"to {start} (singular early design)")
-
-    # the forecast of pair t uses the fit on pairs 0..t-1
-    g = grams[start - 1:m - 1]
-    mom = moments[start - 1:m - 1, :, None]
-    b_big = np.linalg.solve(g, mom)[..., 0]
-    b_small = np.linalg.solve(g[:, :p_small, :p_small], mom[:, :p_small])[..., 0]
-    zf = z[start:]
-    e_big = ys[start:] - np.einsum("tp,tp->t", zf, b_big)
-    e_small = ys[start:] - np.einsum("tp,tp->t", zf[:, :p_small], b_small)
-    diffs = (e_small**2 - e_big**2) / sigma2
-    path = np.cumsum(diffs)
-    return NestedForecastResult(stat=float(path[-1]), path=path,
-                                errors_small=e_small, errors_big=e_big,
-                                sigma2=sigma2, k0=k0, start=start, nobs=m)
-
-
-# ---------------------------------------------------------------------------
 # experiments
+
+# the long-run variance kernel of hac-lrv and phillips-size
+_KERNEL = {"family": "bartlett", "bandwidth": None}
 
 
 def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
-    return KernelSpec(family=str(cfg.param("family", "bartlett")),
-                      bandwidth=cfg.param("bandwidth", None))
+    return KernelSpec(family=cfg.params["family"], bandwidth=cfg.params["bandwidth"])
 
 
 def _ar1_clt_rep(cfg, ctx, r):
-    n = int(cfg.param("n", 5000))
-    rho = float(cfg.param("rho", 0.5))
+    n, rho = cfg.params["n"], cfg.params["rho"]
     gen = _rep_rng(cfg, r).generator()
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - rho**2)
-    spec = LurSpec(c=(rho - 1.0) * n, gamma=1.0)
-    x = simulate_lur_ar(spec, n, rng=gen, x0=x0)
-    num = float(x[1:] @ x[:-1])
-    den = float(x[:-1] @ x[:-1])
-    rho_hat = num / den
-    z = np.sqrt(n) * (rho_hat - rho)
-    return (rho_hat, z)
+    x = simulate_lur_ar(LurSpec(c=(rho - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
+    rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])
+    return (rho_hat, np.sqrt(n) * (rho_hat - rho))
 
 
 def _ar1_clt_summarize(cfg, ctx, draws):
-    rho = float(cfg.param("rho", 0.5))
     z = draws[:, 1]
-    var_target = 1.0 - rho**2
+    var_target = 1.0 - cfg.params["rho"] ** 2
     ks = stats.kstest(z, "norm", args=(0.0, np.sqrt(var_target)))
     return {
-        "n": int(cfg.param("n", 5000)),
-        "rho": rho,
         "mean_z": float(z.mean()),
         "var_z": float(z.var()),
         "var_target": var_target,
@@ -539,12 +485,12 @@ def _ar1_clt_summarize(cfg, ctx, draws):
 
 # left rep by rep: the rep is bound by its 5001 normal draws, and a
 # batched version ran slower
-_register("ar1-clt", ("rho_hat", "z"), _per_rep(_ar1_clt_rep), _ar1_clt_summarize)
+_register("ar1-clt", ("rho_hat", "z"), _per_rep(_ar1_clt_rep), _ar1_clt_summarize,
+          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"))
 
 
 def _hac_lrv_rep(cfg, ctx, r):
-    n = int(cfg.param("n", 100000))
-    phi = float(cfg.param("phi", 0.5))
+    n, phi = cfg.params["n"], cfg.params["phi"]
     gen = _rep_rng(cfg, r).generator()
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
     x = simulate_lur_ar(LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
@@ -553,12 +499,9 @@ def _hac_lrv_rep(cfg, ctx, r):
 
 
 def _hac_lrv_summarize(cfg, ctx, draws):
-    phi = float(cfg.param("phi", 0.5))
-    omega_true = 1.0 / (1.0 - phi) ** 2
+    omega_true = 1.0 / (1.0 - cfg.params["phi"]) ** 2
     mean_omega = float(draws[:, 0].mean())
     return {
-        "n": int(cfg.param("n", 100000)),
-        "phi": phi,
         "bandwidth": float(draws[0, 1]),
         "mean_omega": mean_omega,
         "omega_true": omega_true,
@@ -567,36 +510,31 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 
 
 _register("hac-lrv", ("omega_hat", "bandwidth"), _per_rep(_hac_lrv_rep),
-          _hac_lrv_summarize)
+          _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
+          echo=("n", "phi"))
 
 
 def _phillips_setup(cfg):
-    n = int(cfg.param("n", 1000))
-    det = str(cfg.param("deterministic", "none"))
-    cv_reps = int(cfg.param("cv_reps", 20000))
-    tables = df_limit_mc(n, deterministic=det, reps=cv_reps, rng=_aux_rng(cfg))
+    p = cfg.params
+    tables = df_limit_mc(p["n"], deterministic=p["deterministic"], reps=p["cv_reps"],
+                         rng=_aux_rng(cfg))
     return {"cv_coef": tables.coef.quantile(cfg.level),
             "cv_t": tables.t.quantile(cfg.level)}
 
 
 def _phillips_rep(cfg, ctx, rs):
-    n = int(cfg.param("n", 1000))
-    theta = float(cfg.param("theta", 0.5))
-    det = str(cfg.param("deterministic", "none"))
-    spec = LinearProcessSpec((1.0, theta))
+    p = cfg.params
+    spec = LinearProcessSpec((1.0, p["theta"]))
     # each rep draws the presample innovation, then n more
-    u = _linear_process_panel(spec, _rep_normals(cfg, rs, (n + len(spec.coeffs) - 1,)))
+    u = _linear_process_panel(spec, _rep_normals(cfg, rs, (p["n"] + len(spec.coeffs) - 1,)))
     y = np.cumsum(u, axis=1)
-    res = _phillips_z_panel(y, kernel=_kernel_from(cfg), deterministic=det)
+    res = _phillips_z_panel(y, kernel=_kernel_from(cfg), deterministic=p["deterministic"])
     raw = res.nobs * (res.alpha_hat - 1.0)
     return np.column_stack([res.stat_coef, res.stat_t, raw])
 
 
 def _phillips_summarize(cfg, ctx, draws):
     return {
-        "n": int(cfg.param("n", 1000)),
-        "theta": float(cfg.param("theta", 0.5)),
-        "level": cfg.level,
         "cv_coef": ctx["cv_coef"],
         "cv_t": ctx["cv_t"],
         "size_zalpha": float((draws[:, 0] < ctx["cv_coef"]).mean()),
@@ -606,18 +544,19 @@ def _phillips_summarize(cfg, ctx, draws):
 
 
 _register("phillips-size", ("z_alpha", "z_t", "raw_coef"), _phillips_rep,
-          _phillips_summarize, setup=_phillips_setup)
+          _phillips_summarize, setup=_phillips_setup,
+          params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
+                  **_KERNEL},
+          echo=("n", "theta", "level"))
 
 
 def _fmols_rep(cfg, ctx, rs):
-    n = int(cfg.param("n", 1000))
-    corr = float(cfg.param("corr", 0.9))
-    beta = float(cfg.param("beta", 2.0))
-    intercept = float(cfg.param("intercept", 1.0))
+    p = cfg.params
+    corr, beta = p["corr"], p["beta"]
     chol = np.linalg.cholesky(np.array([[1.0, corr], [corr, 1.0]]))
-    shocks = _rep_normals(cfg, rs, (n, 2)) @ chol.T
+    shocks = _rep_normals(cfg, rs, (p["n"], 2)) @ chol.T
     x = np.cumsum(shocks[:, :, 1], axis=1)
-    y = intercept + beta * x + shocks[:, :, 0]
+    y = p["intercept"] + beta * x + shocks[:, :, 0]
     res = _fmols_panel(y, x)
     t_plus = (res.beta_plus[:, 1] - beta) / res.se[:, 1]
     # textbook iid-error OLS t for contrast
@@ -631,74 +570,52 @@ def _fmols_rep(cfg, ctx, rs):
 
 def _fmols_summarize(cfg, ctx, draws):
     crit = stats.norm.ppf(1.0 - cfg.level / 2.0)
-    return {
-        "n": int(cfg.param("n", 1000)),
-        "corr": float(cfg.param("corr", 0.9)),
-        "level": cfg.level,
-        "size_fm": float((np.abs(draws[:, 0]) > crit).mean()),
-        "size_ols": float((np.abs(draws[:, 1]) > crit).mean()),
-    }
+    return {"size_fm": float((np.abs(draws[:, 0]) > crit).mean()),
+            "size_ols": float((np.abs(draws[:, 1]) > crit).mean())}
 
 
-_register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize)
+# no family or bandwidth: FM-OLS runs with the library's default kernel
+_register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize,
+          params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
+          echo=("n", "corr", "level"))
 
 
-def _system_panel(cfg, rs, spec: SystemSpec, n: int):
-    """(y, x) panels of a predictive system, row i drawn from rep rs[i]."""
-    return _predictive_system_panel(spec, _rep_normals(cfg, rs, (n, spec.dim + 1)))
+def _system_panel(cfg, rs):
+    """(y, x) panels of the ivx-null/supwald-nbb system, row i from rep rs[i]."""
+    p = cfg.params
+    spec = SystemSpec(beta=(p["beta"],), lur=(LurSpec(c=p["c"], gamma=p["gamma"]),),
+                      intercept=p["intercept"],
+                      sigma_ue=((1.0, p["corr"]), (p["corr"], 1.0)))
+    return _predictive_system_panel(spec, _rep_normals(cfg, rs, (p["n"], spec.dim + 1)))
 
 
 def _ivx_rep(cfg, ctx, rs):
-    n = int(cfg.param("n", 1000))
-    c = float(cfg.param("c", 0.0))
-    gamma = float(cfg.param("gamma", 1.0))
-    corr = float(cfg.param("corr", 0.9))
-    beta = float(cfg.param("beta", 0.0))
-    spec = SystemSpec(beta=(beta,), lur=(LurSpec(c=c, gamma=gamma),),
-                      intercept=float(cfg.param("intercept", 0.0)),
-                      sigma_ue=((1.0, corr), (corr, 1.0)))
-    y, x = _system_panel(cfg, rs, spec, n)
-    ivx = IvxSpec(c_z=float(cfg.param("c_z", -1.0)),
-                  beta_z=float(cfg.param("beta_z", 0.95)))
-    res = _ivx_panel(y, x, spec=ivx)
+    y, x = _system_panel(cfg, rs)
+    res = _ivx_panel(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
     return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
 
 def _ivx_summarize(cfg, ctx, draws):
-    return {
-        "n": int(cfg.param("n", 1000)),
-        "c": float(cfg.param("c", 0.0)),
-        "gamma": float(cfg.param("gamma", 1.0)),
-        "corr": float(cfg.param("corr", 0.9)),
-        "beta": float(cfg.param("beta", 0.0)),
-        "level": cfg.level,
-        "rejection_rate": float((draws[:, 1] < cfg.level).mean()),
-        "mean_beta_hat": float(draws[:, 2].mean()),
-    }
+    return {"rejection_rate": float((draws[:, 1] < cfg.level).mean()),
+            "mean_beta_hat": float(draws[:, 2].mean())}
 
 
-_register("ivx-null", ("wald", "pvalue", "beta_hat"), _ivx_rep, _ivx_summarize)
+_register("ivx-null", ("wald", "pvalue", "beta_hat"), _ivx_rep, _ivx_summarize,
+          params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
+                  "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
+          echo=("n", "c", "gamma", "corr", "beta", "level"))
 
 
 def _supwald_setup(cfg):
-    trim = cfg.param("trim", (0.15, 0.85))
-    table = nbb_sup_mc(p=1, trim=(float(trim[0]), float(trim[1])),
-                       reps=int(cfg.param("nbb_reps", 50000)),
-                       rng=_aux_rng(cfg), grid=int(cfg.param("nbb_grid", 1000)))
+    p = cfg.params
+    table = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
+                       grid=p["nbb_grid"])
     return {"q95_nbb": table.quantile(0.95), "table": table}
 
 
 def _supwald_rep(cfg, ctx, rs):
-    n = int(cfg.param("n", 2000))
-    trim = cfg.param("trim", (0.15, 0.85))
-    spec = SystemSpec(beta=(float(cfg.param("beta", 0.25)),),
-                      lur=(LurSpec(c=float(cfg.param("c", -5.0)),
-                                   gamma=float(cfg.param("gamma", 0.75))),),
-                      intercept=float(cfg.param("intercept", 0.0)),
-                      sigma_ue=((1.0, float(cfg.param("corr", 0.5))),
-                                (float(cfg.param("corr", 0.5)), 1.0)))
-    y, x = _system_panel(cfg, rs, spec, n)
-    res = _sup_wald_panel(y, x, trim=(float(trim[0]), float(trim[1])))
+    y, x = _system_panel(cfg, rs)
+    res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
     return np.column_stack([res.stat, res.pi_star])
 
 
@@ -706,9 +623,6 @@ def _supwald_summarize(cfg, ctx, draws):
     q95_emp = float(np.quantile(draws[:, 0], 0.95))
     q95_nbb = ctx["q95_nbb"]
     return {
-        "n": int(cfg.param("n", 2000)),
-        "c": float(cfg.param("c", -5.0)),
-        "gamma": float(cfg.param("gamma", 0.75)),
         "q95_empirical": q95_emp,
         "q95_limit": q95_nbb,
         "rel_diff": float(abs(q95_emp - q95_nbb) / q95_nbb),
@@ -717,21 +631,23 @@ def _supwald_summarize(cfg, ctx, draws):
 
 
 _register("supwald-nbb", ("sup_wald", "pi_star"), _supwald_rep,
-          _supwald_summarize, setup=_supwald_setup)
+          _supwald_summarize, setup=_supwald_setup,
+          params={"n": 2000, "c": -5.0, "gamma": 0.75, "corr": 0.5, "beta": 0.25,
+                  "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
+                  "nbb_grid": 1000},
+          echo=("n", "c", "gamma"))
 
 
 def _fixed_wald_rep(cfg, ctx, rs):
-    n = int(cfg.param("n", 1000))
-    pi0 = float(cfg.param("pi0", 0.5))
-    phi = float(cfg.param("phi_x", 0.5))
-    beta = float(cfg.param("beta", 0.3))
+    p = cfg.params
+    n, phi = p["n"], p["phi_x"]
     # each rep draws x0, then the n innovations of x, then n - 1 errors
     z = _rep_normals(cfg, rs, (2 * n,))
     x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
     x = _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:n + 1], x0)
     y = np.zeros((len(rs), n))
-    y[:, 1:] = 1.0 + beta * x[:, :-1] + z[:, n + 1:]
-    res = _split_wald_panel(y, x, pi0=pi0)
+    y[:, 1:] = 1.0 + p["beta"] * x[:, :-1] + z[:, n + 1:]
+    res = _split_wald_panel(y, x, pi0=p["pi0"])
     return res.stat[:, None]
 
 
@@ -740,8 +656,6 @@ def _fixed_wald_summarize(cfg, ctx, draws):
     q95 = float(np.quantile(draws[:, 0], 0.95))
     chi2_q95 = float(stats.chi2.ppf(0.95, dof))
     return {
-        "n": int(cfg.param("n", 1000)),
-        "pi0": float(cfg.param("pi0", 0.5)),
         "q95_empirical": q95,
         "q95_chi2": chi2_q95,
         "rel_err": float(abs(q95 - chi2_q95) / chi2_q95),
@@ -749,38 +663,35 @@ def _fixed_wald_summarize(cfg, ctx, draws):
     }
 
 
-_register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize)
+_register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize,
+          params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
+          echo=("n", "pi0"))
 
 
 def _nethac_setup(cfg):
-    n_nodes = int(cfg.param("n_nodes", 200))
-    w1 = float(cfg.param("w1", 0.1))
-    bw = float(cfg.param("bandwidth", 3.0))
-    bw_low = float(cfg.param("low_bandwidth", 0.5))
-    family = str(cfg.param("family", "bartlett"))
+    p = cfg.params
+    n_nodes = p["n_nodes"]
     g = cycle_graph(n_nodes)
+    kernels = (KernelSpec(p["family"], p["bandwidth"]),
+               KernelSpec(p["family"], p["low_bandwidth"]))
     # both HAC bandwidths, and distance 1 for the graph MA weights (1, w1)
-    radius = max(network_hac_radius(KernelSpec(family, bw), n_nodes),
-                 network_hac_radius(KernelSpec(family, bw_low), n_nodes), 1)
+    radius = max(*(network_hac_radius(k, n_nodes) for k in kernels), 1)
     shells = graph_shells(g, radius)
     # on a cycle the MA(1-in-distance) mean has long-run variance
     # (sum of coefficients)^2 by translation invariance
-    true_lrv = (1.0 + 2.0 * w1) ** 2
+    true_lrv = (1.0 + 2.0 * p["w1"]) ** 2
     crit = stats.norm.ppf(1.0 - cfg.level / 2.0)
-    return {"graph": g, "shells": shells, "true_lrv": true_lrv, "crit": crit}
+    return {"graph": g, "shells": shells, "kernels": kernels, "true_lrv": true_lrv,
+            "crit": crit}
 
 
 def _nethac_rep(cfg, ctx, r):
-    w1 = float(cfg.param("w1", 0.1))
-    bw = float(cfg.param("bandwidth", 3.0))
-    bw_low = float(cfg.param("low_bandwidth", 0.5))
-    family = str(cfg.param("family", "bartlett"))
     g, shells = ctx["graph"], ctx["shells"]
     n = g.n
-    y = simulate_graph_ma(g, (1.0, w1), _rep_rng(cfg, r), dist=shells)
+    y = simulate_graph_ma(g, (1.0, cfg.params["w1"]), _rep_rng(cfg, r), dist=shells)
     ybar = float(y.mean())
-    v_full = float(network_hac(g, y, kernel=KernelSpec(family, bw), dist=shells)[0, 0])
-    v_low = float(network_hac(g, y, kernel=KernelSpec(family, bw_low), dist=shells)[0, 0])
+    v_full, v_low = (float(network_hac(g, y, kernel=k, dist=shells)[0, 0])
+                     for k in ctx["kernels"])
     crit = ctx["crit"]
     cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)
     cover_low = abs(ybar) <= crit * np.sqrt(max(v_low, 0.0) / n)
@@ -789,11 +700,6 @@ def _nethac_rep(cfg, ctx, r):
 
 def _nethac_summarize(cfg, ctx, draws):
     return {
-        "n_nodes": int(cfg.param("n_nodes", 200)),
-        "w1": float(cfg.param("w1", 0.1)),
-        "bandwidth": float(cfg.param("bandwidth", 3.0)),
-        "low_bandwidth": float(cfg.param("low_bandwidth", 0.5)),
-        "level": cfg.level,
         "true_lrv": ctx["true_lrv"],
         "mean_v": float(draws[:, 1].mean()),
         "coverage": float(draws[:, 3].mean()),
@@ -802,24 +708,24 @@ def _nethac_summarize(cfg, ctx, draws):
 
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
-          _per_rep(_nethac_rep), _nethac_summarize, setup=_nethac_setup)
+          _per_rep(_nethac_rep), _nethac_summarize, setup=_nethac_setup,
+          params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
+                  "family": "bartlett"},
+          echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))
 
 
 def _urboot_setup(cfg):
-    n = int(cfg.param("n", 1000))
-    cv_reps = int(cfg.param("cv_reps", 20000))
-    tables = df_limit_mc(n, deterministic="none", reps=cv_reps, rng=_aux_rng(cfg))
+    tables = df_limit_mc(cfg.params["n"], deterministic="none", reps=cfg.params["cv_reps"],
+                         rng=_aux_rng(cfg))
     return {"q05_limit": tables.coef.quantile(0.05)}
 
 
 def _urboot_rep(cfg, ctx, r):
-    n = int(cfg.param("n", 1000))
-    B = int(cfg.param("B", 2000))
-    block = int(cfg.param("block", 10))
+    p = cfg.params
     gen = _rep_rng(cfg, r).generator()
-    y = np.cumsum(gen.standard_normal(n))
-    res = residual_unitroot_bootstrap(y, B=B, rng=gen,
-                                      block=BlockSpec(length=block))
+    y = np.cumsum(gen.standard_normal(p["n"]))
+    res = residual_unitroot_bootstrap(y, B=p["B"], rng=gen,
+                                      block=BlockSpec(length=p["block"]))
     return (float(np.quantile(res.stats, 0.05)), float(res.observed))
 
 
@@ -827,9 +733,6 @@ def _urboot_summarize(cfg, ctx, draws):
     mean_q05 = float(draws[:, 0].mean())
     q05_limit = ctx["q05_limit"]
     return {
-        "n": int(cfg.param("n", 1000)),
-        "B": int(cfg.param("B", 2000)),
-        "block": int(cfg.param("block", 10)),
         "mean_q05_boot": mean_q05,
         "q05_limit": q05_limit,
         "rel_err": float(abs(mean_q05 - q05_limit) / abs(q05_limit)),
@@ -837,16 +740,19 @@ def _urboot_summarize(cfg, ctx, draws):
 
 
 _register("unitroot-boot", ("q05_boot", "observed"), _per_rep(_urboot_rep),
-          _urboot_summarize, setup=_urboot_setup)
+          _urboot_summarize, setup=_urboot_setup,
+          params={"n": 1000, "cv_reps": 20000, "B": 2000, "block": 10},
+          echo=("n", "B", "block"))
+
+
+def _garch_spec(cfg) -> GarchSpec:
+    p = cfg.params
+    return GarchSpec(omega=p["omega"], alpha=p["alpha"], beta=p["beta"])
 
 
 def _garch_rep(cfg, ctx, r):
-    spec = GarchSpec(omega=float(cfg.param("omega", 0.1)),
-                     alpha=float(cfg.param("alpha", 0.1)),
-                     beta=float(cfg.param("beta", 0.8)))
-    n = int(cfg.param("n", 20000))
-    y, _ = simulate_garch(spec, n, _rep_rng(cfg, r),
-                          burn=int(cfg.param("burn", 500)))
+    spec = _garch_spec(cfg)
+    y, _ = simulate_garch(spec, cfg.params["n"], _rep_rng(cfg, r), burn=cfg.params["burn"])
     fit = garch_qmle(y)
     err = np.array([fit.spec.omega - spec.omega, fit.spec.alpha - spec.alpha,
                     fit.spec.beta - spec.beta])
@@ -856,16 +762,9 @@ def _garch_rep(cfg, ctx, r):
 
 
 def _garch_summarize(cfg, ctx, draws):
-    spec = GarchSpec(omega=float(cfg.param("omega", 0.1)),
-                     alpha=float(cfg.param("alpha", 0.1)),
-                     beta=float(cfg.param("beta", 0.8)))
-    var_true = spec.unconditional_variance
+    var_true = _garch_spec(cfg).unconditional_variance
     mean_filter = float(draws[:, 4].mean())
     return {
-        "n": int(cfg.param("n", 20000)),
-        "omega": spec.omega,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
         "median_max_abs_err": float(np.median(draws[:, 3])),
         "mean_filter_var": mean_filter,
         "var_true": var_true,
@@ -877,26 +776,23 @@ def _garch_summarize(cfg, ctx, draws):
 _register("garch-recovery",
           ("omega_hat", "alpha_hat", "beta_hat", "max_abs_err",
            "filter_mean", "converged"),
-          _per_rep(_garch_rep), _garch_summarize)
+          _per_rep(_garch_rep), _garch_summarize,
+          params={"n": 20000, "omega": 0.1, "alpha": 0.1, "beta": 0.8, "burn": 500},
+          echo=("n", "omega", "alpha", "beta"))
 
 
 def _mp_rep(cfg, ctx, r):
-    n = int(cfg.param("n", 4000))
-    gamma = float(cfg.param("gamma", 0.25))
-    p = int(round(gamma * n))
-    res = sample_cov_spectrum(n, p, _rep_rng(cfg, r))
+    n = cfg.params["n"]
+    res = sample_cov_spectrum(n, int(round(cfg.params["gamma"] * n)), _rep_rng(cfg, r))
     return (res.lambda_min, res.lambda_max, abs(res.trace - res.trace_gram))
 
 
 def _mp_summarize(cfg, ctx, draws):
-    n = int(cfg.param("n", 4000))
-    gamma = float(cfg.param("gamma", 0.25))
-    lo, hi = mp_support(int(round(gamma * n)) / n)
+    n = cfg.params["n"]
+    lo, hi = mp_support(int(round(cfg.params["gamma"] * n)) / n)
     med_min = float(np.median(draws[:, 0]))
     med_max = float(np.median(draws[:, 1]))
     return {
-        "n": n,
-        "gamma": gamma,
         "median_lambda_min": med_min,
         "median_lambda_max": med_max,
         "edge_lower": lo,
@@ -908,34 +804,33 @@ def _mp_summarize(cfg, ctx, draws):
 
 
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
-          _per_rep(_mp_rep), _mp_summarize)
+          _per_rep(_mp_rep), _mp_summarize, params={"n": 4000, "gamma": 0.25},
+          echo=("n", "gamma"))
 
 
 def _nested_rep(cfg, ctx, r):
-    n = int(cfg.param("n", 1000))
-    beta = cfg.param("beta", (0.1, 0.1, -0.05))
-    c = cfg.param("c", (-2.0, -5.0, -10.0))
-    v_ar = cfg.param("v_ar", (0.28, 0.32, -0.14))
-    q = int(cfg.param("n_small", 1))
-    k0 = int(cfg.param("k0", n // 4))
-    spec = SystemSpec(beta=tuple(float(b) for b in beta),
-                      lur=tuple(LurSpec(c=float(ci), gamma=1.0) for ci in c),
-                      intercept=float(cfg.param("intercept", 0.0)),
-                      v_ar=tuple(float(a) for a in v_ar))
+    p = cfg.params
+    n, q = p["n"], p["n_small"]
+    spec = SystemSpec(beta=p["beta"], lur=tuple(LurSpec(c=c, gamma=1.0) for c in p["c"]),
+                      intercept=p["intercept"], v_ar=p["v_ar"])
     y, x = simulate_predictive_system(spec, n, _rep_rng(cfg, r))
+    k0 = n // 4 if p["k0"] is None else p["k0"]
     res = nested_forecast_test(y, x[:, :q], x[:, q:], k0=k0)
     return (res.stat, int(res.stat > 0))
 
 
 def _nested_summarize(cfg, ctx, draws):
     return {
-        "n": int(cfg.param("n", 1000)),
-        "n_small": int(cfg.param("n_small", 1)),
         "mean_stat": float(draws[:, 0].mean()),
         "median_stat": float(np.median(draws[:, 0])),
         "frac_positive": float(draws[:, 1].mean()),
     }
 
 
+# k0 (the first forecast origin, in pairs) defaults to n // 4
 _register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
-          _nested_summarize)
+          _nested_summarize,
+          params={"n": 1000, "n_small": 1, "k0": None, "beta": (0.1, 0.1, -0.05),
+                  "c": (-2.0, -5.0, -10.0), "v_ar": (0.28, 0.32, -0.14),
+                  "intercept": 0.0},
+          echo=("n", "n_small"))

@@ -330,6 +330,7 @@ def test_batched_rows_equal_scalar_rep_bodies(name, seed, params):
 def test_rows_do_not_depend_on_batch_size(name, seed, params):
     cfg = mc.ExperimentConfig(experiment=name, reps=70, seed=seed,
                               params=dict(params))
+    cfg = mc.resolve(cfg)
     exp = mc.EXPERIMENTS[name]
     ctx = exp.setup(cfg)
     rows = []

@@ -141,6 +141,17 @@ def test_nbb_sup_reproducible_and_validated():
         T.nbb_sup_mc(reps=10)
 
 
+@pytest.mark.parametrize("trim", [(0.3,), 0.3, (0.2, 0.5, 0.9)])
+def test_trim_must_be_two_fractions(trim):
+    gen = np.random.default_rng((60, 6))
+    x = gen.standard_normal(200)
+    y = gen.standard_normal(200)
+    with pytest.raises(ValueError, match="two fractions"):
+        T.sup_wald(y, x, trim=trim)
+    with pytest.raises(ValueError, match="two fractions"):
+        T.nbb_sup_mc(trim=trim, reps=500)
+
+
 def test_lm_nyblom_matches_hand_formulas():
     gen = np.random.default_rng((64, 100))
     n = 120

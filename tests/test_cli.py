@@ -237,6 +237,25 @@ def test_mc_grid(tmp_path, capsys):
     assert cols[0] == "grid_pi0" and body.shape[0] == 2
 
 
+@pytest.mark.parametrize("experiment,line", [
+    ("ivx-null", "corrr = 0.99"),      # not a parameter of the experiment
+    ("ivx-null", "n = 120.7"),         # not an integer
+    ("supwald-nbb", "trim = 0.3"),     # one fraction, not two
+    ("fmols-size", "family = parzen"),  # fmols-size has no kernel to set
+])
+def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = {experiment}\nreps = 2\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_cli_value_error_is_one_line(tmp_path, capsys):
     graph = tmp_path / "zero-based.edges"
     graph.write_text("0,1\n")

@@ -1,11 +1,12 @@
-"""Tests for the Monte Carlo harness: config, CSV, runners, nested test."""
+"""Tests for the Monte Carlo harness: config, parameters, CSV, runners, nested test."""
 
 import numpy as np
 import pytest
 
 import tsnet as T
+from tsnet import mc
 from tsnet.mc import (EXPERIMENTS, ExperimentConfig, parse_config,
-                      parse_config_file, read_csv, run_experiment,
+                      parse_config_file, read_csv, resolve, run_experiment,
                       size_power_grid, write_csv)
 
 
@@ -144,7 +145,7 @@ def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
 def test_nethac_setup_builds_shells_to_the_radius_read(params, radius):
     cfg = ExperimentConfig(experiment="nethac-coverage", reps=2, seed=108,
                            params={"n_nodes": 40, **params})
-    ctx = EXPERIMENTS["nethac-coverage"].setup(cfg)
+    ctx = EXPERIMENTS["nethac-coverage"].setup(resolve(cfg))
     assert isinstance(ctx["shells"], T.Shells)
     assert ctx["shells"].radius == radius
     res = run_experiment(cfg)
@@ -222,6 +223,65 @@ def test_experiment_registry_complete():
     assert expected <= set(EXPERIMENTS)
     for exp in EXPERIMENTS.values():
         assert exp.columns, exp.name
+        assert set(exp.echo) <= set(exp.params) | {"level"}, exp.name
+
+
+def test_unknown_key_fails_before_any_output(tmp_path):
+    cfg = parse_config("experiment = ivx-null\nreps = 2\nn = 150\ncorrr = 0.99\n")
+    with pytest.raises(ValueError, match="'corrr'") as exc:
+        run_experiment(cfg, out=tmp_path)
+    assert "corr, " in str(exc.value)  # the keys the experiment accepts
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("fixed-wald", "n", 120.7),        # an int parameter takes only ints
+    ("fixed-wald", "pi0", "half"),
+    ("fixed-wald", "n", True),
+    ("hac-lrv", "bandwidth", "wide"),  # optional number
+    ("nested-forecast", "c", (-2.0, "x")),
+    ("phillips-size", "deterministic", 1),
+    ("fmols-size", "family", "parzen"),  # fmols-size has no kernel to set
+])
+def test_resolve_rejects_bad_parameters(experiment, key, value):
+    cfg = ExperimentConfig(experiment=experiment, reps=2, params={key: value})
+    with pytest.raises(ValueError, match=repr(key)):
+        resolve(cfg)
+
+
+def test_resolve_fills_defaults_in_declared_types():
+    cfg = resolve(ExperimentConfig(experiment="supwald-nbb", reps=2,
+                                   params={"c": -5, "trim": 0.3, "n": np.int64(150)}))
+    assert list(cfg.params) == list(EXPERIMENTS["supwald-nbb"].params)
+    assert cfg.params["c"] == -5.0 and isinstance(cfg.params["c"], float)
+    assert cfg.params["n"] == 150 and type(cfg.params["n"]) is int
+    assert cfg.params["trim"] == (0.3,)  # a scalar is a one-entry tuple
+    assert cfg.params["nbb_reps"] == 50000
+    assert resolve(cfg) == cfg
+    assert resolve(ExperimentConfig(experiment="hac-lrv", params={"bandwidth": 4})
+                   ).params["bandwidth"] == 4
+
+
+def test_grid_checks_every_cell_before_the_first_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(mc, "run_experiment", lambda cell, out=None: ran.append(cell))
+    for axis in ("grid.corrr = 0.5, 0.99\n", "grid.n = 120, 120.7\n"):
+        cfg = parse_config("experiment = ivx-null\nreps = 2\nn = 150\n" + axis)
+        with pytest.raises(ValueError, match="'corrr'|'n'"):
+            size_power_grid(cfg)
+    assert ran == []
+
+
+def test_config_line_records_every_declared_parameter(tmp_path):
+    cfg = ExperimentConfig(experiment="fixed-wald", reps=3, seed=7,
+                           params={"n": 120, "pi0": 0.4})
+    res = run_experiment(cfg, out=tmp_path)
+    want = ("#config=experiment=fixed-wald;reps=3;seed=7;stream=0;level=0.05;"
+            "beta=0.3;n=120;phi_x=0.5;pi0=0.4")
+    for path in res.files:
+        assert path.read_text().splitlines()[1] == want
+    assert res.config.params == {"n": 120, "pi0": 0.4, "phi_x": 0.5, "beta": 0.3}
+    assert list(res.summary)[:2] == ["n", "pi0"]
 
 
 def test_nested_forecast_fields_consistent():
