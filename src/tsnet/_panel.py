@@ -6,20 +6,56 @@ one rep per leading index.  Its linear algebra is built from stacked
 rep as the 2-d call on one rep would, so every rep's numbers are
 bit-identical to a single-rep run whatever R is.  (`einsum` or
 `(a * b).sum(axis)` would sum in another order.)
+
+`ols` is the library's one least-squares fit; 2-d callers pass
+`X[None]`, `y[None]`.  With R = 1 its coef, residuals, SSR, Gram and
+Gram inverse are bit-identical to the 2-d `solve(X.T @ X, X.T @ y)`,
+`y - X @ coef`, `resid @ resid`, `X.T @ X` and `inv(X.T @ X)`; with
+R > 1 each rep equals its own R = 1 fit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["rowdot", "first_rep"]
+__all__ = ["OlsFit", "ols", "rowdot", "first_rep"]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-rep dot product of two (R, n) panels, as `a[r] @ b[r]` computes it."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class OlsFit(NamedTuple):
+    """R stacked fits: coef (R, k), resid (R, n), ssr (R,), X'X and its inverse (R, k, k)."""
+
+    coef: np.ndarray
+    resid: np.ndarray
+    ssr: np.ndarray
+    gram: np.ndarray
+    gram_inv: np.ndarray
+
+
+def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
+    """OLS of each (n,) y[r] on its (n, k) design X[r], coef from a solve.
+
+    A singular X'X raises `np.linalg.LinAlgError` (a ValueError) that
+    names collinear or constant regressors.
+    """
+    Xt = X.transpose(0, 2, 1)
+    gram = Xt @ X
+    try:
+        coef = np.linalg.solve(gram, Xt @ y[:, :, None])[:, :, 0]
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            "singular least-squares design: the regressors are collinear "
+            "or constant") from None
+    resid = y - (X @ coef[:, :, None])[:, :, 0]
+    return OlsFit(coef, resid, rowdot(resid, resid), gram, gram_inv)
 
 
 def first_rep(res, shared=()):

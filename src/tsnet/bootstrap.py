@@ -20,6 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
+from ._panel import ols
 from .series import RngSpec, _resolve_rng
 
 __all__ = [
@@ -167,7 +168,8 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
     else:
         y = xc[p:]
         lags = np.column_stack([xc[p - j:n - j] for j in range(1, p + 1)])
-        a = np.linalg.solve(lags.T @ lags, lags.T @ y)
+        fit = ols(lags[None], y[None])
+        a, resid = fit.coef[0], fit.resid[0]
         companion = np.zeros((p, p))
         companion[0] = a
         if p > 1:
@@ -179,7 +181,6 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
                                  f"(companion radius {radius:.4f})")
             warnings.warn(f"generating from a nonstationary fitted sieve "
                           f"(companion radius {radius:.4f})")
-        resid = y - lags @ a
     resid = resid - resid.mean()
     if burn is None:
         burn = 100 + p

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_matrix, as_panel, as_series, check_positive_int
-from ._panel import first_rep, rowdot
+from ._panel import first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
 from .tables import DEFAULT_PROBS, QuantileTable
 
@@ -81,15 +81,11 @@ def _wald_at_k(ys, xl, k: int) -> WaldBreakResult:
     X2 = xl * (1.0 - ind1)[:, None]
     X = np.concatenate([X1 - X1.mean(axis=1, keepdims=True),
                         X2 - X2.mean(axis=1, keepdims=True)], axis=2)
-    Xt = X.transpose(0, 2, 1)
-    G = Xt @ X
-    theta = np.linalg.solve(G, Xt @ y_c[:, :, None])
-    resid = y_c - (X @ theta)[:, :, 0]
-    theta = theta[:, :, 0]
-    dof = m - 2 * d - 1
-    sigma2 = rowdot(resid, resid) / dof
+    fit = ols(X, y_c)
+    theta = fit.coef
+    sigma2 = fit.ssr / (m - 2 * d - 1)
     diff = theta[:, :d] - theta[:, d:]
-    G_inv = np.linalg.inv(G)
+    G_inv = fit.gram_inv
     R_cov = (G_inv[:, :d, :d] + G_inv[:, d:, d:]
              - G_inv[:, :d, d:] - G_inv[:, d:, :d])
     stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
@@ -276,8 +272,7 @@ def lm_nyblom(y, x) -> LmResult:
     m = ys.shape[0]
     dx = np.diff(as_matrix(x, "x")[:, 0])
     Z = np.column_stack([np.ones(m), xlag, dx])
-    coef = np.linalg.solve(Z.T @ Z, Z.T @ ys)
-    e = ys - Z @ coef
+    e = ols(Z[None], ys[None]).resid[0]
     sigma2 = float(np.mean(e**2))
 
     X = np.column_stack([np.ones(m), xlag])
@@ -333,12 +328,11 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     if n < n_hist + win:
         raise ValueError("no monitoring observations beyond the history")
 
-    xh = x_arr[:n_hist]
     yh = y_arr[:n_hist]
-    Q = xh.T @ xh / n_hist
-    beta_hist = np.linalg.solve(xh.T @ xh, xh.T @ yh)
-    resid = yh - xh @ beta_hist
-    sigma2 = float(resid @ resid / (n_hist - d))
+    fit = ols(x_arr[None, :n_hist], yh[None])
+    Q = fit.gram[0] / n_hist
+    beta_hist = fit.coef[0]
+    sigma2 = float(fit.ssr[0] / (n_hist - d))
     if sigma2 <= 1e-20 * max(float(np.mean(yh**2)), np.finfo(float).tiny):
         k_grid = np.arange(n_hist, n - win + 1)
         return MeResult(stat=0.0, path=np.zeros(k_grid.size), k_grid=k_grid,
@@ -354,14 +348,13 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     cum_xx = np.concatenate([np.zeros((1, d, d)), np.cumsum(outer, axis=0)])
     cum_xy = np.concatenate([np.zeros((1, d)), np.cumsum(x_arr * y_arr[:, None], axis=0)])
 
+    # one window per monitoring time k: the fit over t in (k, k + win]
     k_grid = np.arange(n_hist, n - win + 1)
-    path = np.empty(k_grid.size)
+    beta_win = np.linalg.solve(cum_xx[k_grid + win] - cum_xx[k_grid],
+                               (cum_xy[k_grid + win] - cum_xy[k_grid])[:, :, None])
+    dev = (Q_half @ (beta_win - beta_hist[:, None]))[:, :, 0]
     scale = win / (sigma * np.sqrt(n_hist))
-    for pos, k in enumerate(k_grid):
-        gram = cum_xx[k + win] - cum_xx[k]
-        mom = cum_xy[k + win] - cum_xy[k]
-        beta_win = np.linalg.solve(gram, mom)
-        path[pos] = scale * np.linalg.norm(Q_half @ (beta_win - beta_hist))
+    path = scale * np.sqrt(rowdot(dev, dev))
     best = int(np.argmax(path))
     return MeResult(stat=float(path[best]), path=path, k_grid=k_grid,
                     window=win, beta_hist=beta_hist)
@@ -417,14 +410,6 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     if k0 >= m:
         raise ValueError(f"k0 must be < {m} pairs, got {k0}")
 
-    # full-sample residual variance of the nesting model
-    beta_full, *_ = np.linalg.lstsq(z, ys, rcond=None)
-    resid_full = ys - z @ beta_full
-    sigma2 = float(resid_full @ resid_full / (m - p_big))
-    # exact fits leave only roundoff, which is no scale for the losses
-    if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
-        raise ValueError("degenerate full-sample fit; cannot scale losses")
-
     # grams[t - 1] and moments[t - 1] sum over the first t pairs
     grams = np.cumsum(z[:, :, None] * z[:, None, :], axis=0)
     moments = np.cumsum(z * ys[:, None], axis=0)
@@ -440,6 +425,13 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     if start > k0:
         warnings.warn(f"forecast start postponed from pair {k0} "
                       f"to {start} (singular early design)")
+
+    # full-sample residual variance of the nesting model, whose design
+    # is nonsingular once an early one is
+    sigma2 = float(ols(z[None], ys[None]).ssr[0] / (m - p_big))
+    # exact fits leave only roundoff, which is no scale for the losses
+    if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
+        raise ValueError("degenerate full-sample fit; cannot scale losses")
 
     # the forecast of pair t uses the fit on pairs 0..t-1
     g = grams[start - 1:m - 1]

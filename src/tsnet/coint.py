@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_matrix, as_panel, as_series
-from ._panel import first_rep
+from ._panel import first_rep, ols
 from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
@@ -34,8 +34,9 @@ class FmolsResult:
     each coefficient against zero).  residuals_plus are the fully
     modified residuals y+_t - z_t'beta_plus, delta_plus the one-sided
     correction vector, omega_cond the conditional long-run variance
-    Omega_{eps.eta}.  The first observation is reserved for the
-    regressor difference, so nobs = len(y) - 1.
+    Omega_{eps.eta}, zz_inv the (Z'Z)^{-1} of the OLS stage.  The first
+    observation is reserved for the regressor difference, so
+    nobs = len(y) - 1.
     """
 
     beta_plus: np.ndarray
@@ -43,6 +44,7 @@ class FmolsResult:
     se: np.ndarray
     t_plus: np.ndarray
     cov: np.ndarray
+    zz_inv: np.ndarray
     omega_cond: float
     delta_plus: np.ndarray
     residuals_plus: np.ndarray
@@ -93,12 +95,9 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     m = n - 1
 
     Z = np.concatenate([np.ones((R, m, 1)), xs], axis=2)
-    Zt = Z.transpose(0, 2, 1)
-    ZtZ = Zt @ Z
-    beta_ols = np.linalg.solve(ZtZ, Zt @ ys[:, :, None])
-    eps_ols = ys - (Z @ beta_ols)[:, :, 0]
+    fit = ols(Z, ys)
 
-    u = np.concatenate([eps_ols[:, :, None], eta], axis=2)
+    u = np.concatenate([fit.resid[:, :, None], eta], axis=2)
     est = _hac_lrv_panel(u, kernel=kernel, demean=False)
     omega = est.omega
     delta = est.gamma0 + est.lam  # one-sided including lag zero
@@ -112,18 +111,20 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     y_plus = ys - (eta @ endo.transpose(0, 2, 1))[:, :, 0]
     delta_plus = delta[:, 0, 1:] - (endo @ delta[:, 1:, 1:])[:, 0]
     correction = np.concatenate([np.zeros((R, 1)), delta_plus], axis=1)
+    # the fully modified normal equations, on the OLS-stage Gram
     beta_plus = np.linalg.solve(
-        ZtZ, (Zt @ y_plus[:, :, None]) - m * correction[:, :, None])
+        fit.gram, (Z.transpose(0, 2, 1) @ y_plus[:, :, None]) - m * correction[:, :, None])
 
     omega_cond = omega_ee - (endo @ omega[:, 1:, :1])[:, 0, 0]
-    cov = omega_cond[:, None, None] * np.linalg.inv(ZtZ)
+    cov = omega_cond[:, None, None] * fit.gram_inv
     se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     resid_plus = y_plus - (Z @ beta_plus)[:, :, 0]
     beta_plus = beta_plus[:, :, 0]
-    return FmolsResult(beta_plus=beta_plus, beta_ols=beta_ols[:, :, 0], se=se,
-                       t_plus=beta_plus / se, cov=cov, omega_cond=omega_cond,
-                       delta_plus=delta_plus, residuals_plus=resid_plus,
-                       residuals_ols=eps_ols, lrv=est, nobs=m)
+    return FmolsResult(beta_plus=beta_plus, beta_ols=fit.coef, se=se,
+                       t_plus=beta_plus / se, cov=cov, zz_inv=fit.gram_inv,
+                       omega_cond=omega_cond, delta_plus=delta_plus,
+                       residuals_plus=resid_plus, residuals_ols=fit.resid,
+                       lrv=est, nobs=m)
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,7 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
         x_arr = as_matrix(x, "x", min_len=4)
         if x_arr.shape[0] != n:
             raise ValueError("y and x must have equal length")
-        Z = np.column_stack([np.ones(n), x_arr])
-        beta = np.linalg.solve(Z.T @ Z, Z.T @ y_arr)
-        resid = y_arr - Z @ beta
+        resid = ols(np.column_stack([np.ones(n), x_arr])[None], y_arr[None]).resid[0]
     if short_run:
         sigma2 = float(np.mean(resid**2))
     else:

@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
+from ._panel import ols
 from .series import _resolve_rng
 
 __all__ = ["GarchSpec", "GarchFit", "garch_filter", "garch_qmle", "simulate_garch"]
@@ -179,9 +180,9 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     elif mean == "ar1":
         yy = obs[1:]
         X = np.column_stack([np.ones(obs.shape[0] - 1), obs[:-1]])
-        coef = np.linalg.solve(X.T @ X, X.T @ yy)
-        mu, ar_coeff = float(coef[0]), float(coef[1])
-        eps = yy - X @ coef
+        fit = ols(X[None], yy[None])
+        mu, ar_coeff = float(fit.coef[0, 0]), float(fit.coef[0, 1])
+        eps = fit.resid[0]
     else:
         raise ValueError("mean must be 'constant' or 'ar1'")
 

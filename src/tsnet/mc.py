@@ -29,8 +29,10 @@ Config files are line oriented::
 
 Keys other than the reserved ones (experiment, reps, seed, stream,
 jobs, level) are parameters, and each must be one the experiment
-declares: `resolve` rejects any other key, and a value not of the
-declared type, before setup runs, and fills in the defaults.
+declares.  `resolve` reads each value in its declared type (so
+`deterministic = none` is the string "none", `bandwidth = none` an
+unset number), rejects any other key, or a value not of that type,
+before setup runs, and fills in the defaults.
 `grid.<name>` lines declare sweep axes for `size_power_grid`, which
 runs the cartesian product and moves each cell onto its own stream
 range.
@@ -103,12 +105,13 @@ _BATCH = 64
 
 @dataclass
 class ExperimentConfig:
-    """Resolved settings for one experiment run.
+    """Settings for one experiment run.
 
-    `params` holds everything the experiment itself interprets (after
-    `resolve`, every declared parameter in its declared type); reserved
-    keys control the harness.  `grid` maps parameter names to value
-    tuples for sweeps and is ignored by `run_experiment`.
+    `params` holds everything the experiment itself interprets: text
+    tokens from `parse_config`, and after `resolve` every declared
+    parameter in its declared type.  Reserved keys control the harness.
+    `grid` maps parameter names to value tuples for sweeps and is
+    ignored by `run_experiment`.
     """
 
     experiment: str
@@ -120,40 +123,23 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
-    def param(self, key: str, default=None):
-        return self.params.get(key, default)
+
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          tuple: "one or more comma-separated numbers", type(None): "a number or none"}
 
 
-def _parse_scalar(token: str):
-    t = token.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low == "none":
-        return None
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
-
-
-def _parse_value(text: str):
-    if "," in text:
-        return tuple(_parse_scalar(tok) for tok in text.split(","))
-    return _parse_scalar(text)
+# the harness's own keys, with their types
+_RESERVED = {"experiment": str, "reps": int, "seed": int, "stream": int, "jobs": int,
+             "level": float}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines into an ExperimentConfig.
 
-    Blank lines and lines starting with `#` are skipped.  Values are
-    coerced to int, float, bool, or None when they look like one;
-    comma-separated values become tuples.
+    Blank lines and lines starting with `#` are skipped.  The reserved
+    keys are read at once; parameter and grid values stay text tokens
+    (a tuple of them when comma-separated) until `resolve` reads each
+    in its parameter's declared type.
     """
     cfg = ExperimentConfig(experiment="")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -166,19 +152,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
-        parsed = _parse_value(value)
-        if key == "experiment":
-            cfg.experiment = str(parsed)
-        elif key == "reps":
-            cfg.reps = check_positive_int(parsed, "reps")
-        elif key == "seed":
-            cfg.seed = int(parsed)
-        elif key == "stream":
-            cfg.stream = int(parsed)
-        elif key == "jobs":
-            cfg.jobs = check_positive_int(parsed, "jobs")
-        elif key == "level":
-            cfg.level = float(parsed)
+        parsed = tuple(v.strip() for v in value.split(",")) if "," in value else value.strip()
+        if key in _RESERVED:
+            try:
+                setattr(cfg, key, _RESERVED[key](parsed))
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be {_KINDS[_RESERVED[key]]}, "
+                                 f"got {parsed!r}") from None
         elif key.startswith("grid."):
             vals = parsed if isinstance(parsed, tuple) else (parsed,)
             cfg.grid[key[len("grid."):]] = vals
@@ -186,6 +166,8 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.params[key] = parsed
     if not cfg.experiment:
         raise ValueError("config must set 'experiment'")
+    check_positive_int(cfg.reps, "reps")
+    check_positive_int(cfg.jobs, "jobs")
     return cfg
 
 
@@ -295,15 +277,32 @@ def _register(name, columns, rep, summarize, params, echo, setup=None):
         rep=rep, summarize=summarize, params=params, echo=echo)
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          tuple: "one or more comma-separated numbers", type(None): "a number or none"}
+def _read(default, value):
+    """A config token, or a tuple of them, read for a parameter whose default
+    is `default`: verbatim for a string parameter, else as an int or float
+    if it reads as one and None if `none`.  Non-tokens come back as they are.
+    """
+    def number(v):
+        if not isinstance(v, str) or isinstance(default, str):
+            return v
+        if v.lower() == "none":
+            return None
+        for kind in (int, float):
+            try:
+                return kind(v)
+            except ValueError:
+                pass
+        return v
+
+    return tuple(map(number, value)) if isinstance(value, tuple) else number(value)
 
 
 def _typed(experiment: str, key: str, default, value):
-    """`value` in the type of parameter `key`, whose default is `default`."""
+    """`value`, a config token or not, in the type of parameter `key`."""
     def real(v):
         return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
+    value = _read(default, value)
     if default is None and (value is None or real(value)):
         return value
     if isinstance(default, int) and isinstance(value, numbers.Integral) and real(value):
@@ -438,15 +437,19 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
                              params={**cfg.params, **dict(zip(axes, combo))}))
              for i, combo in enumerate(combos)]
     results = [run_experiment(cell) for cell in cells]
+    # the file shows the config as given, its tokens read but not yet cast
+    declared = EXPERIMENTS[cfg.experiment].params
+    given = replace(cfg, params={k: _read(declared[k], v) for k, v in cfg.params.items()})
     columns = [f"grid_{a}" for a in axes] + list(results[0].summary)
-    rows = [tuple(combo) + tuple(res.summary.values()) for combo, res in zip(combos, results)]
+    rows = [tuple(_read(declared[a], v) for a, v in zip(axes, combo))
+            + tuple(res.summary.values()) for combo, res in zip(combos, results)]
     files = ()
     if out is not None:
         out = Path(out)
         if out.is_dir():
             out = out / f"{cfg.experiment}-grid.csv"
         files = (write_csv(out, f"{cfg.experiment}-grid/{_SCHEMA_VERSION}",
-                           columns, rows, comments=[_config_comment(cfg)]),)
+                           columns, rows, comments=[_config_comment(given)]),)
     return columns, rows, results, files
 
 
@@ -560,11 +563,8 @@ def _fmols_rep(cfg, ctx, rs):
     res = _fmols_panel(y, x)
     t_plus = (res.beta_plus[:, 1] - beta) / res.se[:, 1]
     # textbook iid-error OLS t for contrast
-    m = res.nobs
-    z = np.concatenate([np.ones((len(rs), m, 1)), x[:, -m:, None]], axis=2)
-    zz_inv = np.linalg.inv(z.transpose(0, 2, 1) @ z)
-    s2 = rowdot(res.residuals_ols, res.residuals_ols) / (m - 2)
-    t_ols = (res.beta_ols[:, 1] - beta) / np.sqrt(s2 * zz_inv[:, 1, 1])
+    s2 = rowdot(res.residuals_ols, res.residuals_ols) / (res.nobs - 2)
+    t_ols = (res.beta_ols[:, 1] - beta) / np.sqrt(s2 * res.zz_inv[:, 1, 1])
     return np.column_stack([t_plus, t_ols])
 
 

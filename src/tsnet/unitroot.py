@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_panel, as_series, check_in, check_positive_int
-from ._panel import first_rep, rowdot
+from ._panel import first_rep, ols, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
 from .tables import DEFAULT_PROBS, QuantileTable
@@ -39,16 +39,20 @@ def default_adf_lags(n: int) -> int:
     return int(np.floor(4.0 * (n / 100.0) ** 0.25))
 
 
-def _det_matrix(deterministic: str, t_index: np.ndarray) -> np.ndarray:
-    """Deterministic regressors evaluated at the given time indices."""
-    cols = []
-    if deterministic in ("const", "trend"):
-        cols.append(np.ones_like(t_index, dtype=float))
-    if deterministic == "trend":
-        cols.append(t_index.astype(float))
-    if not cols:
-        return np.empty((t_index.shape[0], 0))
-    return np.column_stack(cols)
+def _ar_fit(y, t_index, deterministic: str, lagged: list):
+    """OLS of y on the deterministics at time indices t_index, then `lagged`.
+
+    Returns coefficients (deterministics first), residuals, s2 = SSR / dof, s2 (X'X)^{-1}.
+    """
+    ones = [np.ones(y.shape[0])]
+    det = {"none": [], "const": ones, "trend": ones + [t_index.astype(float)]}
+    X = np.column_stack(det[deterministic] + lagged)
+    dof = y.shape[0] - X.shape[1]
+    if dof <= 0:
+        raise ValueError("no residual degrees of freedom")
+    fit = ols(X[None], y[None])
+    s2 = float(fit.ssr[0] / dof)
+    return fit.coef[0], fit.resid[0], s2, s2 * fit.gram_inv[0]
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,10 @@ def ols_ar(ts, p: int = 1, deterministic: str = "none") -> AROls:
     n = x.shape[0]
     if n - p < 2:
         raise ValueError(f"series too short for AR({p}) fit")
-    y = x[p:]
-    t_index = np.arange(p + 1, n + 1)
-    lags = np.column_stack([x[p - j:n - j] for j in range(1, p + 1)])
-    X = np.column_stack([_det_matrix(deterministic, t_index), lags])
-    XtX = X.T @ X
-    coeffs = np.linalg.solve(XtX, X.T @ y)
-    resid = y - X @ coeffs
-    nobs = y.shape[0]
-    dof = nobs - X.shape[1]
-    if dof <= 0:
-        raise ValueError("no residual degrees of freedom")
-    s2 = float(resid @ resid / dof)
-    cov = s2 * np.linalg.inv(XtX)
+    lags = [x[p - j:n - j] for j in range(1, p + 1)]
+    coeffs, resid, s2, cov = _ar_fit(x[p:], np.arange(p + 1, n + 1), deterministic, lags)
     return AROls(coeffs=coeffs, ar_coeffs=coeffs[-p:], residuals=resid,
-                 cov=cov, s2=s2, nobs=nobs, p=p, deterministic=deterministic)
+                 cov=cov, s2=s2, nobs=n - p, p=p, deterministic=deterministic)
 
 
 @dataclass(frozen=True)
@@ -132,24 +125,12 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
         raise ValueError("p must be >= 0")
     check_in(deterministic, _DETERMINISTICS, "deterministic")
     n = x.shape[0]
-    start = p + 1  # first usable t (0-based index)
-    y = x[start:]
-    t_index = np.arange(start + 1, n + 1)
-    cols = [x[start - 1:n - 1]]
+    # the regression runs over the 0-based t = p+1..n-1
     dx = np.diff(x)
-    for j in range(1, p + 1):
-        cols.append(dx[start - 1 - j:n - 1 - j])
-    X = np.column_stack([_det_matrix(deterministic, t_index)] + cols)
-    XtX = X.T @ X
-    coeffs = np.linalg.solve(XtX, X.T @ y)
-    resid = y - X @ coeffs
-    nobs = y.shape[0]
-    dof = nobs - X.shape[1]
-    if dof <= 0:
-        raise ValueError("no residual degrees of freedom")
-    s2 = float(resid @ resid / dof)
-    cov = s2 * np.linalg.inv(XtX)
-    k_det = X.shape[1] - 1 - p
+    lagged = [x[p:n - 1]] + [dx[p - j:n - 1 - j] for j in range(1, p + 1)]
+    coeffs, _, s2, cov = _ar_fit(x[p + 1:], np.arange(p + 2, n + 1), deterministic, lagged)
+    nobs = n - p - 1
+    k_det = coeffs.shape[0] - 1 - p
     alpha = float(coeffs[k_det])
     se_alpha = float(np.sqrt(cov[k_det, k_det]))
     if se_alpha == 0.0:
@@ -207,18 +188,16 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str =
         X = np.stack([np.ones((R, T)), ylag], axis=2)
     else:
         X = ylag[:, :, None]
-    Xt = X.transpose(0, 2, 1)
-    coeffs = np.linalg.solve(Xt @ X, Xt @ y[:, :, None])
-    resid = y - (X @ coeffs)[:, :, 0]
-    alpha = coeffs[:, -1, 0]
+    fit = ols(X, y)
+    alpha = fit.coef[:, -1]
     k = X.shape[2]
-    ssr = rowdot(resid, resid)
+    ssr = fit.ssr
     # catches exact fits up to float fuzz (perfect lines, constants)
     if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(y, y))):
         raise ValueError("residuals are numerically zero; "
                          "variance estimates degenerate")
     s2_u = ssr / (T - k) if df_adjust else ssr / T
-    est = _hac_lrv_panel(resid, kernel=kernel, demean=False)
+    est = _hac_lrv_panel(fit.resid, kernel=kernel, demean=False)
     s2_lr = est.omega[:, 0, 0]
     if deterministic == "const":
         s_xx = np.sum((ylag - ylag.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -289,20 +268,11 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
             s2 = np.sum(resid**2, axis=1) / (te - 2)
             se = np.sqrt(s2 / sxx)
         else:  # trend
-            tt = np.arange(2, T + 1, dtype=float)
-            X = np.empty((m, te, 3))
-            X[:, :, 0] = 1.0
-            X[:, :, 1] = tt
-            X[:, :, 2] = ylag
-            XtX = np.einsum("rti,rtj->rij", X, X)
-            Xty = np.einsum("rti,rt->ri", X, y)
-            coeffs = np.linalg.solve(XtX, Xty[:, :, None])[:, :, 0]
-            alpha = coeffs[:, 2]
-            resid = y - np.einsum("rti,ri->rt", X, coeffs)
-            s2 = np.sum(resid**2, axis=1) / (te - 3)
-            inv = np.linalg.inv(XtX)
-            se = np.sqrt(s2 * inv[:, 2, 2])
-            sxx = None
+            trend = np.broadcast_to(np.arange(2.0, T + 1), (m, te))
+            X = np.stack([np.ones((m, te)), trend, ylag], axis=2)
+            fit = ols(X, y)
+            alpha = fit.coef[:, 2]
+            se = np.sqrt(fit.ssr / (te - 3) * fit.gram_inv[:, 2, 2])
         coef_draws[done:done + m] = te * (alpha - 1.0)
         t_draws[done:done + m] = (alpha - 1.0) / se
         done += m

@@ -214,15 +214,15 @@ def _gen(cfg, r):
 
 
 def _kernel(cfg):
-    return T.KernelSpec(family=str(cfg.param("family", "bartlett")),
-                        bandwidth=cfg.param("bandwidth", None))
+    return T.KernelSpec(family=cfg.params["family"],
+                        bandwidth=cfg.params["bandwidth"])
 
 
 def rep_fixed_wald(cfg, r):
-    n = int(cfg.param("n", 1000))
-    pi0 = float(cfg.param("pi0", 0.5))
-    phi = float(cfg.param("phi_x", 0.5))
-    beta = float(cfg.param("beta", 0.3))
+    n = cfg.params["n"]
+    pi0 = cfg.params["pi0"]
+    phi = cfg.params["phi_x"]
+    beta = cfg.params["beta"]
     gen = _gen(cfg, r)
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
     x = ref_lur_ar(T.LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, gen, x0)
@@ -232,10 +232,10 @@ def rep_fixed_wald(cfg, r):
 
 
 def rep_fmols(cfg, r):
-    n = int(cfg.param("n", 1000))
-    corr = float(cfg.param("corr", 0.9))
-    beta = float(cfg.param("beta", 2.0))
-    intercept = float(cfg.param("intercept", 1.0))
+    n = cfg.params["n"]
+    corr = cfg.params["corr"]
+    beta = cfg.params["beta"]
+    intercept = cfg.params["intercept"]
     gen = _gen(cfg, r)
     chol = np.linalg.cholesky(np.array([[1.0, corr], [corr, 1.0]]))
     shocks = gen.standard_normal((n, 2)) @ chol.T
@@ -252,37 +252,37 @@ def rep_fmols(cfg, r):
 
 
 def rep_phillips(cfg, r):
-    n = int(cfg.param("n", 1000))
-    theta = float(cfg.param("theta", 0.5))
-    det = str(cfg.param("deterministic", "none"))
+    n = cfg.params["n"]
+    theta = cfg.params["theta"]
+    det = cfg.params["deterministic"]
     u = ref_linear_process(T.LinearProcessSpec((1.0, theta)), n, _gen(cfg, r))
     z_alpha, z_t, alpha, nobs = ref_phillips(np.cumsum(u), _kernel(cfg), det)
     return (z_alpha, z_t, nobs * (alpha - 1.0))
 
 
 def rep_ivx(cfg, r):
-    n = int(cfg.param("n", 1000))
-    corr = float(cfg.param("corr", 0.9))
-    spec = T.SystemSpec(beta=(float(cfg.param("beta", 0.0)),),
-                        lur=(T.LurSpec(c=float(cfg.param("c", 0.0)),
-                                       gamma=float(cfg.param("gamma", 1.0))),),
-                        intercept=float(cfg.param("intercept", 0.0)),
+    n = cfg.params["n"]
+    corr = cfg.params["corr"]
+    spec = T.SystemSpec(beta=(cfg.params["beta"],),
+                        lur=(T.LurSpec(c=cfg.params["c"],
+                                       gamma=cfg.params["gamma"]),),
+                        intercept=cfg.params["intercept"],
                         sigma_ue=((1.0, corr), (corr, 1.0)))
     y, x = ref_system(spec, n, _gen(cfg, r))
-    ivx = T.IvxSpec(c_z=float(cfg.param("c_z", -1.0)),
-                    beta_z=float(cfg.param("beta_z", 0.95)))
+    ivx = T.IvxSpec(c_z=cfg.params["c_z"],
+                    beta_z=cfg.params["beta_z"])
     wald, pvalue, beta, _ = ref_ivx(y, x, spec=ivx)
     return (wald, pvalue, float(beta[0]))
 
 
 def rep_supwald(cfg, r):
-    n = int(cfg.param("n", 2000))
-    trim = cfg.param("trim", (0.15, 0.85))
-    corr = float(cfg.param("corr", 0.5))
-    spec = T.SystemSpec(beta=(float(cfg.param("beta", 0.25)),),
-                        lur=(T.LurSpec(c=float(cfg.param("c", -5.0)),
-                                       gamma=float(cfg.param("gamma", 0.75))),),
-                        intercept=float(cfg.param("intercept", 0.0)),
+    n = cfg.params["n"]
+    trim = cfg.params["trim"]
+    corr = cfg.params["corr"]
+    spec = T.SystemSpec(beta=(cfg.params["beta"],),
+                        lur=(T.LurSpec(c=cfg.params["c"],
+                                       gamma=cfg.params["gamma"]),),
+                        intercept=cfg.params["intercept"],
                         sigma_ue=((1.0, corr), (corr, 1.0)))
     y, x = ref_system(spec, n, _gen(cfg, r))
     return ref_sup_wald(y, x, trim=(float(trim[0]), float(trim[1])))
@@ -320,7 +320,7 @@ def test_batched_rows_equal_scalar_rep_bodies(name, seed, params):
     cfg = mc.ExperimentConfig(experiment=name, reps=70, seed=seed,
                               params=dict(params))
     res = mc.run_experiment(cfg)
-    want = np.array([SCALAR_REPS[name](cfg, r) for r in range(cfg.reps)],
+    want = np.array([SCALAR_REPS[name](res.config, r) for r in range(cfg.reps)],
                     dtype=float)
     assert res.draws.shape == want.shape
     assert res.draws.tobytes() == want.tobytes()

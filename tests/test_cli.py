@@ -237,6 +237,16 @@ def test_mc_grid(tmp_path, capsys):
     assert cols[0] == "grid_pi0" and body.shape[0] == 2
 
 
+def test_mc_run_reads_none_as_a_string_parameter(tmp_path, capsys):
+    cfg = tmp_path / "pz.cfg"
+    cfg.write_text("experiment = phillips-size\nreps = 3\nseed = 4\nn = 60\n"
+                   "cv_reps = 100\ndeterministic = none\n")
+    run_cli("mc", "run", str(cfg), "--out", str(tmp_path))
+    assert "size_zalpha" in kv_from(capsys)
+    lines = (tmp_path / "phillips-size.csv").read_text().splitlines()
+    assert "deterministic=none;" in lines[1]
+
+
 @pytest.mark.parametrize("experiment,line", [
     ("ivx-null", "corrr = 0.99"),      # not a parameter of the experiment
     ("ivx-null", "n = 120.7"),         # not an integer
@@ -254,6 +264,18 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
     assert list(out.iterdir()) == []
+
+
+def test_cli_singular_design_is_one_line(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    data.write_text("value\n" + "1.0\n" * 40)
+    assert main(["test", "adf", "--data", str(data), "--det", "const"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("tsnet: error: ")
+    assert "collinear or constant" in lines[0]
 
 
 def test_cli_value_error_is_one_line(tmp_path, capsys):

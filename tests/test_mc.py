@@ -33,11 +33,31 @@ def test_parse_config_full():
     assert cfg.experiment == "fixed-wald"
     assert cfg.reps == 6 and cfg.seed == 3 and cfg.stream == 2
     assert cfg.jobs == 2 and cfg.level == 0.1
-    assert cfg.params["n"] == 120 and isinstance(cfg.params["n"], int)
-    assert cfg.params["pi0"] == 0.4 and isinstance(cfg.params["pi0"], float)
-    assert cfg.params["flags"] == (True, False, None)
+    # parameter values stay text until resolve reads them by declared type
+    assert cfg.params["n"] == "120"
+    assert cfg.params["pi0"] == "0.4"
+    assert cfg.params["flags"] == ("true", "false", "none")
     assert cfg.params["label"] == "plain-text"
-    assert cfg.grid == {"n": (100, 150)}
+    assert cfg.grid == {"n": ("100", "150")}
+
+
+def test_resolve_reads_config_tokens_in_declared_types():
+    cfg = resolve(parse_config("experiment = phillips-size\nn = 120\ntheta = 1\n"
+                               "deterministic = none\nbandwidth = 3\n"))
+    assert cfg.params["n"] == 120 and type(cfg.params["n"]) is int
+    assert cfg.params["theta"] == 1.0 and type(cfg.params["theta"]) is float
+    assert cfg.params["deterministic"] == "none"  # a string parameter: verbatim
+    assert cfg.params["bandwidth"] == 3 and type(cfg.params["bandwidth"]) is int
+    assert resolve(parse_config("experiment = hac-lrv\nbandwidth = none\n")
+                   ).params["bandwidth"] is None
+    assert resolve(parse_config("experiment = supwald-nbb\ntrim = 0.2, 0.8\n")
+                   ).params["trim"] == (0.2, 0.8)
+    with pytest.raises(ValueError, match="'n' must be an integer, got 120.7"):
+        resolve(parse_config("experiment = ivx-null\nn = 120.7\n"))
+    with pytest.raises(ValueError, match="'deterministic' must be a string"):
+        resolve(parse_config("experiment = phillips-size\ndeterministic = a, b\n"))
+    with pytest.raises(ValueError, match="seed must be an integer, got '1.5'"):
+        parse_config("experiment = ivx-null\nseed = 1.5\n")
 
 
 def test_parse_config_errors():
@@ -260,6 +280,20 @@ def test_resolve_fills_defaults_in_declared_types():
     assert resolve(cfg) == cfg
     assert resolve(ExperimentConfig(experiment="hac-lrv", params={"bandwidth": 4})
                    ).params["bandwidth"] == 4
+
+
+def test_grid_file_shows_the_config_as_given(tmp_path):
+    # numeric tokens are read as numbers, not cast to the declared type
+    cfg = parse_config("experiment = hac-lrv\nreps = 2\nn = 200\nbandwidth = none\n"
+                       "family = parzen\ngrid.phi = 0.30, 1e-1\ngrid.n = 150, 200\n")
+    columns, rows, results, files = size_power_grid(cfg, out=tmp_path)
+    lines = files[0].read_text().splitlines()
+    assert lines[1] == ("#config=experiment=hac-lrv;reps=2;seed=0;stream=0;level=0.05;"
+                        "bandwidth=None;family=parzen;n=200")
+    assert lines[2].startswith("grid_n,grid_phi,")
+    assert [line.split(",")[:2] for line in lines[3:]] == [
+        ["150", "0.3"], ["150", "0.1"], ["200", "0.3"], ["200", "0.1"]]
+    assert [res.config.params["phi"] for res in results] == [0.3, 0.1, 0.3, 0.1]
 
 
 def test_grid_checks_every_cell_before_the_first_runs(monkeypatch):
