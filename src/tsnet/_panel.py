@@ -12,6 +12,11 @@ bit-identical to a single-rep run whatever R is.  (`einsum` or
 Gram inverse are bit-identical to the 2-d `solve(X.T @ X, X.T @ y)`,
 `y - X @ coef`, `resid @ resid`, `X.T @ X` and `inv(X.T @ X)`; with
 R > 1 each rep equals its own R = 1 fit.
+
+Every Dickey-Fuller/AR fit goes through `ols`: `unitroot._ar_fit`
+builds the design for `ols_ar`, `adf_test`, `phillips_z`,
+`df_limit_mc`, `sieve_bootstrap` and `residual_unitroot_bootstrap`
+(the observed series and the stacked replicates alike).
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
         raise np.linalg.LinAlgError(
             "singular least-squares design: the regressors are collinear "
             "or constant") from None
-    resid = y - (X @ coef[:, :, None])[:, :, 0]
+    # y - X coef, written over the fitted values: one (R, n) buffer, not two
+    resid = (X @ coef[:, :, None])[:, :, 0]
+    np.subtract(y, resid, out=resid)
     return OlsFit(coef, resid, rowdot(resid, resid), gram, gram_inv)
 
 

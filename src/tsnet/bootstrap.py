@@ -20,8 +20,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
-from ._panel import ols
 from .series import RngSpec, _resolve_rng
+from .unitroot import _ar_fit
 
 __all__ = [
     "BlockSpec",
@@ -166,9 +166,8 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
         a = np.empty(0)
         resid = xc.copy()
     else:
-        y = xc[p:]
-        lags = np.column_stack([xc[p - j:n - j] for j in range(1, p + 1)])
-        fit = ols(lags[None], y[None])
+        lags = [xc[None, p - j:n - j] for j in range(2, p + 1)]
+        fit, _ = _ar_fit(xc[None], "none", start=p, extra=lags)
         a, resid = fit.coef[0], fit.resid[0]
         companion = np.zeros((p, p))
         companion[0] = a
@@ -238,22 +237,17 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
     gen = _resolve_rng(rng)
-    y = x[1:]
-    ylag = x[:-1]
-    m = y.shape[0]
-    rho_hat = float((ylag @ y) / (ylag @ ylag))
-    resid = y - rho_hat * ylag
-    resid = resid - resid.mean()
+    fit, _ = _ar_fit(x[None], "none")
+    m = x.shape[0] - 1
+    rho_hat = float(fit.coef[0, 0])
+    resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
     if float(resid @ resid) <= 1e-20 * max(1.0, float(x @ x)):
         raise ValueError("difference residuals are numerically zero; "
                          "the resampling distribution is degenerate")
-    idx = _block_index_matrix(m, spec, B, gen)
-    u_star = resid[idx]
-    x_star = np.hstack([np.zeros((B, 1)), np.cumsum(u_star, axis=1)])
-    ys = x_star[:, 1:]
-    yl = x_star[:, :-1]
-    rho_star = np.sum(yl * ys, axis=1) / np.sum(yl**2, axis=1)
+    x_star = np.zeros((B, m + 1))
+    np.cumsum(resid[_block_index_matrix(m, spec, B, gen)], axis=1, out=x_star[:, 1:])
+    rho_star = _ar_fit(x_star, "none")[0].coef[:, 0]
     stats = m * (rho_star - 1.0)
     observed = m * (rho_hat - 1.0)
     return BootstrapResult(stats=stats, observed=observed, B=B,

@@ -204,10 +204,13 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
                          k_grid=k_grid, nobs=m)
 
 
+# bridges per `nbb_sup_mc` batch: bounds peak memory, not the draws
+_NBB_BATCH = 2000
+
+
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
                reps: int = 50000, rng: RngSpec | None = None,
-               grid: int = 1000, probs=DEFAULT_PROBS,
-               batch: int = 2000) -> QuantileTable:
+               grid: int = 1000, probs=DEFAULT_PROBS) -> QuantileTable:
     """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range.
 
     BB is a p-dimensional standard Brownian bridge discretized on a
@@ -224,7 +227,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     draws = np.empty(reps)
     done = 0
     while done < reps:
-        b = min(batch, reps - done)
+        b = min(_NBB_BATCH, reps - done)
         w = np.cumsum(gen.standard_normal((b, grid, p)), axis=1) / np.sqrt(grid)
         bb = w - t[None, :, None] * w[:, -1:, :]
         norm2 = np.sum(bb[:, keep, :] ** 2, axis=2)

@@ -37,6 +37,7 @@ from .mc import (
     size_power_grid,
     write_csv,
     EXPERIMENTS,
+    _RESERVED,
     _fmt,
 )
 from .netdep import (
@@ -61,6 +62,9 @@ from .series import (
     simulate_predictive_system,
 )
 from .unitroot import adf_test, df_limit_mc, phillips_z
+
+# the harness keys `mc run` and `mc grid` take as flags over the config file
+_OVERRIDES = [key for key in _RESERVED if key != "experiment"]
 
 STAT_FUNCS = {"mean": np.mean, "variance": np.var, "median": np.median,
               "sum": np.sum}
@@ -100,7 +104,7 @@ _META_COLS = ("t", "rep", "node")
 def _load_table(path):
     _, cols, data = read_csv(path)
     if data.size == 0:
-        raise SystemExit(f"no data rows in {path}")
+        raise ValueError(f"no data rows in {path}")
     return cols, data
 
 
@@ -112,21 +116,27 @@ def _load_series(path, column=None) -> np.ndarray:
         else:
             candidates = [c for c in cols if c not in _META_COLS]
             if not candidates:
-                raise SystemExit(f"no data column found in {path}")
+                raise ValueError(f"no data column found in {path}")
             column = candidates[0]
     if column not in cols:
-        raise SystemExit(f"column {column!r} not in {path} (have {cols})")
+        raise ValueError(f"column {column!r} not in {path} (have {cols})")
     return data[:, cols.index(column)]
 
 
-def _load_yx(path):
-    """First non-meta column (or 'y') is the response, the rest regressors."""
+def _load_yx(args, x_optional=False):
+    """First non-meta column (or 'y') of --data is the response, the rest regressors.
+
+    Without regressor columns x is None, which only an `x_optional` test accepts.
+    """
+    path = args.data
     cols, data = _load_table(path)
     names = [c for c in cols if c not in _META_COLS]
     if not names:
-        raise SystemExit(f"no data columns found in {path}")
+        raise ValueError(f"no data columns found in {path}")
     ycol = "y" if "y" in names else names[0]
     xnames = [c for c in names if c != ycol]
+    if not xnames and not x_optional:
+        raise ValueError(f"{args.kind} needs regressor columns")
     y = data[:, cols.index(ycol)]
     x = data[:, [cols.index(c) for c in xnames]] if xnames else None
     return y, x
@@ -160,11 +170,11 @@ def _cmd_simulate(args):
         if len(cs) == 1:
             cs = cs * len(beta)
         if len(cs) != len(beta):
-            raise SystemExit("--c must give one value, or one per --beta entry")
+            raise ValueError("--c must give one value, or one per --beta entry")
         sigma_ue = None
         if args.corr is not None:
             if len(beta) != 1:
-                raise SystemExit("--corr is only supported for one regressor")
+                raise ValueError("--corr is only supported for one regressor")
             sigma_ue = ((1.0, args.corr), (args.corr, 1.0))
         spec = SystemSpec(beta=beta,
                           lur=tuple(LurSpec(c=c, gamma=args.gamma) for c in cs),
@@ -179,13 +189,11 @@ def _cmd_simulate(args):
         y, sigma2 = simulate_garch(spec, args.n, rng, burn=args.burn)
         rows = ((t + 1, y[t], sigma2[t]) for t in range(args.n))
         _emit_csv(args.out, "garch/v1", ("t", "y", "sigma2"), rows)
-    elif kind == "graph-ma":
+    else:  # graph-ma
         g = read_edgelist(args.graph)
         y = simulate_graph_ma(g, _floats(args.weights), rng)
         rows = ((i + 1, y[i]) for i in range(g.n))
         _emit_csv(args.out, "nodes/v1", ("node", "value"), rows)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +208,7 @@ def _cmd_estimate(args):
                    ("family", est.family), ("bandwidth", est.bandwidth),
                    ("n", len(x))])
     elif args.kind == "fmols":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("fmols needs regressor columns")
+        y, x = _load_yx(args)
         res = fmols(y, x, kernel=_kernel(args))
         pairs = [("intercept", res.beta_plus[0])]
         for i, (b, se, t) in enumerate(zip(res.beta_plus[1:], res.se[1:],
@@ -211,9 +217,7 @@ def _cmd_estimate(args):
         pairs += [("omega_cond", res.omega_cond), ("nobs", res.nobs)]
         _print_kv(pairs)
     elif args.kind == "ivx":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("ivx needs regressor columns")
+        y, x = _load_yx(args)
         res = ivx_estimate(y, x, spec=IvxSpec(c_z=args.cz, beta_z=args.bz))
         pairs = []
         for i, (b, se) in enumerate(zip(res.beta, res.se)):
@@ -254,43 +258,33 @@ def _cmd_test(args):
                       ("crit_t_05", tables.t.quantile(0.05))]
         _print_kv(pairs)
     elif kind == "shin":
-        y, x = _load_yx(args.data)
+        y, x = _load_yx(args, x_optional=True)
         res = shin_vn(y, x=x, kernel=_kernel(args), short_run=args.short_run)
         _print_kv([("v_n", res.v_n), ("sigma2", res.sigma2),
                    ("nobs", res.nobs)])
     elif kind == "fk":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("fk needs regressor columns")
+        y, x = _load_yx(args)
         res = fk_break_test(y, x, kernel=_kernel(args),
                             trim=(args.trim[0], args.trim[1]))
         _print_kv([("stat", res.stat), ("k_star", res.k_star),
                    ("dof", res.dof)])
     elif kind == "supwald":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("supwald needs regressor columns")
+        y, x = _load_yx(args)
         res = sup_wald(y, x, trim=(args.trim[0], args.trim[1]))
         _print_kv([("stat", res.stat), ("k_star", res.k_star),
                    ("pi_star", res.pi_star), ("nobs", res.nobs)])
     elif kind == "split":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("split needs regressor columns")
+        y, x = _load_yx(args)
         res = split_wald(y, x, pi0=args.pi0)
         _print_kv([("stat", res.stat), ("k", res.k), ("pi", res.pi),
                    ("nobs", res.nobs)])
     elif kind == "lm":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("lm needs a regressor column")
+        y, x = _load_yx(args)
         res = lm_nyblom(y, x)
         _print_kv([("lm", res.lm), ("lm1", res.lm1), ("lm2", res.lm2),
                    ("nobs", res.nobs)])
     elif kind == "me":
-        y, x = _load_yx(args.data)
-        if x is None:
-            raise SystemExit("me needs regressor columns")
+        y, x = _load_yx(args)
         res = me_monitor(y, x, n_hist=args.n_hist, h=args.h)
         _print_kv([("stat", res.stat), ("window", res.window),
                    ("path_max_at", int(res.k_grid[int(np.argmax(res.path))])
@@ -324,11 +318,9 @@ def _cmd_bootstrap(args):
                                        mean_block=args.mean_block)
         elif kind == "sieve":
             res = sieve_bootstrap(x, stat, B=args.B, rng=rng, p=args.order)
-        elif kind == "wild":
+        else:  # wild
             res = wild_bootstrap(x, stat, B=args.B, rng=rng,
                                  multiplier=args.multiplier)
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown scheme {kind}")
     qs = np.quantile(res.stats, [0.05, 0.5, 0.95])
     _print_kv([("scheme", res.scheme), ("observed", float(res.observed)),
                ("B", res.B), ("q05", qs[0]), ("q50", qs[1]), ("q95", qs[2]),
@@ -388,16 +380,9 @@ def _cmd_mc(args):
             print(name)
         return
     cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.stream is not None:
-        cfg.stream = args.stream
-    if args.reps is not None:
-        cfg.reps = args.reps
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.level is not None:
-        cfg.level = args.level
+    for key in _OVERRIDES:
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.kind == "run":
         res = run_experiment(cfg, out=args.out)
         _print_kv(sorted(res.summary.items()))
@@ -589,11 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = mcsub.add_parser(kind)
         p.add_argument("config", help="experiment config file")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--stream", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--level", type=float, default=None)
+        for key in _OVERRIDES:
+            p.add_argument(f"--{key}", type=_RESERVED[key], default=None)
     mcsub.add_parser("list")
 
     return parser

@@ -469,6 +469,7 @@ def _ar1_clt_rep(cfg, ctx, r):
     gen = _rep_rng(cfg, r).generator()
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - rho**2)
     x = simulate_lur_ar(LurSpec(c=(rho - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
+    # two dots, not `unitroot._ar_fit`: at R = 1 the fit's fixed cost is a third of this rep
     rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])
     return (rho_hat, np.sqrt(n) * (rho_hat - rho))
 

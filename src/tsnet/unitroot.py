@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _DETERMINISTICS = ("none", "const", "trend")
+_ZERO_RESID = "residuals are numerically zero; variance estimates degenerate"
 
 
 def default_adf_lags(n: int) -> int:
@@ -39,20 +40,33 @@ def default_adf_lags(n: int) -> int:
     return int(np.floor(4.0 * (n / 100.0) ** 0.25))
 
 
-def _ar_fit(y, t_index, deterministic: str, lagged: list):
-    """OLS of y on the deterministics at time indices t_index, then `lagged`.
+# the column of x_{t-1} in the design of `_ar_fit`
+_LEVEL_COL = {"none": 0, "const": 1, "trend": 2}
+# walks per `df_limit_mc` batch: bounds peak memory, not the draws
+_DF_BATCH = 1000
 
-    Returns coefficients (deterministics first), residuals, s2 = SSR / dof, s2 (X'X)^{-1}.
+
+def _ar_fit(x, deterministic: str, start: int = 1, extra=()):
+    """The Dickey-Fuller regression of each rep of an (R, n) panel, by `ols`.
+
+    Regresses x[r, t], t >= start, on [deterministics | x[r, t-1] | extra]:
+    no deterministics, a constant, or a constant and the 1-based time
+    index t + 1.  Each extra column is an (R, n - start) panel.  Returns
+    the fit and its residual degrees of freedom; the coefficient of
+    x_{t-1} is coef[:, _LEVEL_COL[deterministic]].
     """
-    ones = [np.ones(y.shape[0])]
-    det = {"none": [], "const": ones, "trend": ones + [t_index.astype(float)]}
-    X = np.column_stack(det[deterministic] + lagged)
-    dof = y.shape[0] - X.shape[1]
+    R, n = x.shape
+    m = n - start
+    ones = np.ones((R, m))
+    det = {"none": [], "const": [ones],
+           "trend": [ones, np.broadcast_to(np.arange(start + 1.0, n + 1), (R, m))]}
+    cols = det[deterministic] + [x[:, start - 1:-1], *extra]
+    # a lone regressor is used in place, saving a copy of the panel
+    X = cols[0][:, :, None] if len(cols) == 1 else np.stack(cols, axis=2)
+    dof = m - X.shape[2]
     if dof <= 0:
         raise ValueError("no residual degrees of freedom")
-    fit = ols(X[None], y[None])
-    s2 = float(fit.ssr[0] / dof)
-    return fit.coef[0], fit.resid[0], s2, s2 * fit.gram_inv[0]
+    return ols(X, x[:, start:]), dof
 
 
 @dataclass(frozen=True)
@@ -85,10 +99,13 @@ def ols_ar(ts, p: int = 1, deterministic: str = "none") -> AROls:
     n = x.shape[0]
     if n - p < 2:
         raise ValueError(f"series too short for AR({p}) fit")
-    lags = [x[p - j:n - j] for j in range(1, p + 1)]
-    coeffs, resid, s2, cov = _ar_fit(x[p:], np.arange(p + 1, n + 1), deterministic, lags)
-    return AROls(coeffs=coeffs, ar_coeffs=coeffs[-p:], residuals=resid,
-                 cov=cov, s2=s2, nobs=n - p, p=p, deterministic=deterministic)
+    lags = [x[None, p - j:n - j] for j in range(2, p + 1)]
+    fit, dof = _ar_fit(x[None], deterministic, start=p, extra=lags)
+    s2 = float(fit.ssr[0] / dof)
+    coeffs = fit.coef[0]
+    return AROls(coeffs=coeffs, ar_coeffs=coeffs[-p:], residuals=fit.resid[0],
+                 cov=s2 * fit.gram_inv[0], s2=s2, nobs=n - p, p=p,
+                 deterministic=deterministic)
 
 
 @dataclass(frozen=True)
@@ -127,16 +144,21 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     n = x.shape[0]
     # the regression runs over the 0-based t = p+1..n-1
     dx = np.diff(x)
-    lagged = [x[p:n - 1]] + [dx[p - j:n - 1 - j] for j in range(1, p + 1)]
-    coeffs, _, s2, cov = _ar_fit(x[p + 1:], np.arange(p + 2, n + 1), deterministic, lagged)
+    diffs = [dx[None, p - j:n - 1 - j] for j in range(1, p + 1)]
+    fit, dof = _ar_fit(x[None], deterministic, start=p + 1, extra=diffs)
+    s2 = float(fit.ssr[0] / dof)
+    coeffs = fit.coef[0]
     nobs = n - p - 1
-    k_det = coeffs.shape[0] - 1 - p
+    k_det = _LEVEL_COL[deterministic]
     alpha = float(coeffs[k_det])
-    se_alpha = float(np.sqrt(cov[k_det, k_det]))
+    se_alpha = float(np.sqrt(s2 * fit.gram_inv[0, k_det, k_det]))
     if se_alpha == 0.0:
+        if alpha == 1.0:
+            # a constant series: nothing is left to test
+            raise ValueError(_ZERO_RESID)
         # exact autoregression (e.g. a noiseless explosive path): the
         # t-ratio degenerates to a signed infinity
-        t_stat = np.inf * np.sign(alpha - 1.0) if alpha != 1.0 else np.nan
+        t_stat = np.inf * np.sign(alpha - 1.0)
     else:
         t_stat = (alpha - 1.0) / se_alpha
     phi_sum = float(np.sum(coeffs[k_det + 1:])) if p > 0 else 0.0
@@ -183,20 +205,14 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str =
         raise ValueError("deterministic must be 'none' or 'const'")
     y = x[:, 1:]
     ylag = x[:, :-1]
-    R, T = y.shape
-    if deterministic == "const":
-        X = np.stack([np.ones((R, T)), ylag], axis=2)
-    else:
-        X = ylag[:, :, None]
-    fit = ols(X, y)
+    T = y.shape[1]
+    fit, dof = _ar_fit(x, deterministic)
     alpha = fit.coef[:, -1]
-    k = X.shape[2]
     ssr = fit.ssr
     # catches exact fits up to float fuzz (perfect lines, constants)
     if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(y, y))):
-        raise ValueError("residuals are numerically zero; "
-                         "variance estimates degenerate")
-    s2_u = ssr / (T - k) if df_adjust else ssr / T
+        raise ValueError(_ZERO_RESID)
+    s2_u = ssr / dof if df_adjust else ssr / T
     est = _hac_lrv_panel(fit.resid, kernel=kernel, demean=False)
     s2_lr = est.omega[:, 0, 0]
     if deterministic == "const":
@@ -229,8 +245,7 @@ class DfLimitTables:
 
 
 def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
-                rng: RngSpec | None = None, probs=DEFAULT_PROBS,
-                batch: int = 2000) -> DfLimitTables:
+                rng: RngSpec | None = None, probs=DEFAULT_PROBS) -> DfLimitTables:
     """Simulate quantiles of T(alpha-1) and the Dickey-Fuller t-ratio.
 
     Gaussian random walks of length T are generated and the first-order
@@ -245,35 +260,15 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))
     coef_draws = np.empty(reps)
     t_draws = np.empty(reps)
+    k = _LEVEL_COL[deterministic]
     done = 0
     while done < reps:
-        m = min(batch, reps - done)
+        m = min(_DF_BATCH, reps - done)
         walks = np.cumsum(gen.standard_normal((m, T)), axis=1)
-        y = walks[:, 1:]
-        ylag = walks[:, :-1]
-        te = T - 1
-        if deterministic == "none":
-            sxy = np.sum(ylag * y, axis=1)
-            sxx = np.sum(ylag**2, axis=1)
-            alpha = sxy / sxx
-            resid = y - alpha[:, None] * ylag
-            s2 = np.sum(resid**2, axis=1) / (te - 1)
-            se = np.sqrt(s2 / sxx)
-        elif deterministic == "const":
-            ylag_c = ylag - ylag.mean(axis=1, keepdims=True)
-            y_c = y - y.mean(axis=1, keepdims=True)
-            sxx = np.sum(ylag_c**2, axis=1)
-            alpha = np.sum(ylag_c * y_c, axis=1) / sxx
-            resid = y_c - alpha[:, None] * ylag_c
-            s2 = np.sum(resid**2, axis=1) / (te - 2)
-            se = np.sqrt(s2 / sxx)
-        else:  # trend
-            trend = np.broadcast_to(np.arange(2.0, T + 1), (m, te))
-            X = np.stack([np.ones((m, te)), trend, ylag], axis=2)
-            fit = ols(X, y)
-            alpha = fit.coef[:, 2]
-            se = np.sqrt(fit.ssr / (te - 3) * fit.gram_inv[:, 2, 2])
-        coef_draws[done:done + m] = te * (alpha - 1.0)
+        fit, dof = _ar_fit(walks, deterministic)
+        alpha = fit.coef[:, k]
+        se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
+        coef_draws[done:done + m] = (T - 1) * (alpha - 1.0)
         t_draws[done:done + m] = (alpha - 1.0) / se
         done += m
     detail = f"dickey-fuller T={T} det={deterministic}"

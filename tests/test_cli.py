@@ -55,7 +55,7 @@ def test_simulate_linear_csv_and_determinism(tmp_path, capsys):
     assert out.splitlines()[1] == "t,value"
 
 
-def test_simulate_other_kinds(tmp_path):
+def test_simulate_other_kinds(tmp_path, capsys):
     run_cli("simulate", "lur", "--c", "-5", "--gamma", "0.75", "--n", "50",
             "--seed", "2", "--out", str(tmp_path / "lur.csv"))
     assert read_csv(tmp_path / "lur.csv")[2].shape == (50, 2)
@@ -70,10 +70,14 @@ def test_simulate_other_kinds(tmp_path):
     sys_path = _simulate_system(tmp_path)
     schema, cols, data = read_csv(sys_path)
     assert cols == ["t", "y", "x1"]
+    capsys.readouterr()
     # --corr pairs with exactly one regressor
-    with pytest.raises(SystemExit):
-        main(["simulate", "system", "--beta", "0.2,0.1", "--c", "-5",
-              "--corr", "0.5", "--n", "50", "--seed", "4"])
+    assert main(["simulate", "system", "--beta", "0.2,0.1", "--c", "-5",
+                 "--corr", "0.5", "--n", "50", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tsnet: error: --corr is only supported for one regressor"]
 
 
 def test_simulate_system_multivariate(tmp_path):
@@ -266,9 +270,13 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     assert list(out.iterdir()) == []
 
 
+_FLAT = "value\n" + "1.0\n" * 40
+_Y_ONLY = "t,y\n" + "".join(f"{t},{t % 7}.5\n" for t in range(60))
+
+
 def test_cli_singular_design_is_one_line(tmp_path, capsys):
     data = tmp_path / "flat.csv"
-    data.write_text("value\n" + "1.0\n" * 40)
+    data.write_text(_FLAT)
     assert main(["test", "adf", "--data", str(data), "--det", "const"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -276,6 +284,39 @@ def test_cli_singular_design_is_one_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("tsnet: error: ")
     assert "collinear or constant" in lines[0]
+
+
+@pytest.mark.parametrize("argv,body,message", [
+    (["test", "adf"], _FLAT, "residuals are numerically zero"),
+    (["test", "adf", "--column", "nope"], "t,value\n1,0.5\n2,0.25\n",
+     "column 'nope' not in"),
+    (["test", "shin"], "t\n1\n2\n", "no data columns found"),
+    *[(argv, _Y_ONLY, f"{argv[1]} needs regressor columns") for argv in (
+        ["estimate", "fmols"], ["estimate", "ivx"], ["test", "fk"], ["test", "supwald"],
+        ["test", "split"], ["test", "lm"], ["test", "me", "--n-hist", "20"])],
+])
+def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
+    data = tmp_path / "data.csv"
+    data.write_text(body)
+    assert main(argv + ["--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
+    assert message in lines[0]
+
+
+def test_mc_override_flags_match_the_reserved_keys(tmp_path, capsys):
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text("experiment = fixed-wald\nreps = 20\nseed = 12\nn = 120\n")
+    run_cli("mc", "run", str(cfg), "--seed", "3", "--stream", "2", "--reps", "4",
+            "--jobs", "2", "--level", "0.1", "--out", str(tmp_path / "a.csv"))
+    cfg.write_text("experiment = fixed-wald\nreps = 4\nseed = 3\nstream = 2\n"
+                   "jobs = 2\nlevel = 0.1\nn = 120\n")
+    run_cli("mc", "run", str(cfg), "--out", str(tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a-summary.csv").read_bytes() == \
+        (tmp_path / "b-summary.csv").read_bytes()
 
 
 def test_cli_value_error_is_one_line(tmp_path, capsys):

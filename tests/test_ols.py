@@ -16,6 +16,7 @@ from scipy.signal import lfilter
 
 import tsnet as T
 from tsnet._panel import ols
+from tsnet.bootstrap import _block_index_matrix
 from tsnet.garch import garch_filter
 
 
@@ -205,22 +206,63 @@ def test_sieve_bootstrap_equals_its_oracle(p):
     assert np.array_equal(res.stats, want)
 
 
-def test_df_limit_trend_matches_the_einsum_fit():
-    T_len, reps = 50, 300
-    tables = T.df_limit_mc(T_len, deterministic="trend", reps=reps, rng=T.RngSpec(70, 0))
+def ref_df_draws(walks, deterministic):
+    """T(alpha - 1) and the t-ratio by the closed forms and einsum fit `df_limit_mc` once used."""
+    y, ylag = walks[:, 1:], walks[:, :-1]
+    reps, te = y.shape
+    if deterministic == "none":
+        sxx = np.sum(ylag**2, axis=1)
+        alpha = np.sum(ylag * y, axis=1) / sxx
+        resid = y - alpha[:, None] * ylag
+        se = np.sqrt(np.sum(resid**2, axis=1) / (te - 1) / sxx)
+    elif deterministic == "const":
+        ylag_c = ylag - ylag.mean(axis=1, keepdims=True)
+        y_c = y - y.mean(axis=1, keepdims=True)
+        sxx = np.sum(ylag_c**2, axis=1)
+        alpha = np.sum(ylag_c * y_c, axis=1) / sxx
+        resid = y_c - alpha[:, None] * ylag_c
+        se = np.sqrt(np.sum(resid**2, axis=1) / (te - 2) / sxx)
+    else:
+        X = np.stack([np.ones((reps, te)), np.broadcast_to(np.arange(2.0, te + 2), (reps, te)),
+                      ylag], axis=2)
+        XtX = np.einsum("rti,rtj->rij", X, X)
+        coeffs = np.linalg.solve(XtX, np.einsum("rti,rt->ri", X, y)[:, :, None])[:, :, 0]
+        resid = y - np.einsum("rti,ri->rt", X, coeffs)
+        se = np.sqrt(np.sum(resid**2, axis=1) / (te - 3) * np.linalg.inv(XtX)[:, 2, 2])
+        alpha = coeffs[:, 2]
+    return te * (alpha - 1.0), (alpha - 1.0) / se
+
+
+@pytest.mark.parametrize("deterministic", ["none", "const", "trend"])
+def test_df_limit_matches_the_closed_forms(deterministic):
+    T_len, reps = 50, 2300  # three batches, the last one partial
+    tables = T.df_limit_mc(T_len, deterministic=deterministic, reps=reps, rng=T.RngSpec(70, 0))
     walks = np.cumsum(T.RngSpec(70, 0).generator().standard_normal((reps, T_len)), axis=1)
-    y, te = walks[:, 1:], T_len - 1
-    X = np.stack([np.ones((reps, te)), np.broadcast_to(np.arange(2.0, T_len + 1), (reps, te)),
-                  walks[:, :-1]], axis=2)
-    XtX = np.einsum("rti,rtj->rij", X, X)
-    coeffs = np.linalg.solve(XtX, np.einsum("rti,rt->ri", X, y)[:, :, None])[:, :, 0]
-    resid = y - np.einsum("rti,ri->rt", X, coeffs)
-    se = np.sqrt(np.sum(resid**2, axis=1) / (te - 3) * np.linalg.inv(XtX)[:, 2, 2])
-    alpha = coeffs[:, 2]
-    want_coef = T.QuantileTable.from_draws(te * (alpha - 1.0), reps, tables.coef.probs, "")
-    want_t = T.QuantileTable.from_draws((alpha - 1.0) / se, reps, tables.t.probs, "")
+    coef, t = ref_df_draws(walks, deterministic)
+    want_coef = T.QuantileTable.from_draws(coef, reps, tables.coef.probs, "")
+    want_t = T.QuantileTable.from_draws(t, reps, tables.t.probs, "")
     np.testing.assert_allclose(tables.coef.values, want_coef.values, rtol=1e-12)
     np.testing.assert_allclose(tables.t.values, want_t.values, rtol=1e-12)
+
+
+def test_unitroot_bootstrap_equals_the_ratio_form():
+    for seed in range(6):
+        gen = np.random.default_rng(71 + seed)
+        x = np.cumsum(gen.standard_normal(int(gen.integers(50, 800)))) * gen.uniform(0.1, 10.0)
+        B, block = 60, T.BlockSpec(int(gen.integers(1, 15)))
+        res = T.residual_unitroot_bootstrap(x, B, T.RngSpec(72, seed), block=block)
+        y, ylag = x[1:], x[:-1]
+        m = y.shape[0]
+        rho = float((ylag @ y) / (ylag @ ylag))
+        assert np.array_equal(res.observed, m * (rho - 1.0))
+        resid = y - rho * ylag
+        idx = _block_index_matrix(m, block, B, T.RngSpec(72, seed).generator())
+        x_star = np.hstack([np.zeros((B, 1)), np.cumsum((resid - resid.mean())[idx], axis=1)])
+        ys, yl = x_star[:, 1:], x_star[:, :-1]
+        # T(rho* - 1) loses digits to cancellation, so compare rho* itself
+        np.testing.assert_allclose(1.0 + res.stats / m,
+                                   np.sum(yl * ys, axis=1) / np.sum(yl**2, axis=1),
+                                   rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +335,8 @@ def test_singular_design_raises_one_clear_error(fit):
 
 
 # ---------------------------------------------------------------------------
-# guard: no least-squares fit is written out by hand outside `_panel`
+# guard: no least-squares fit is written out by hand outside `_panel`,
+# neither as a Gram solve nor as a lag regression's ratio of sums
 
 _SRC = Path(T.__file__).parent
 # einsum subscripts of a Gram: "rti,rtj->rij", "ti,tj->ij", ...
@@ -344,6 +387,64 @@ def _hand_rolled_fits(source: str) -> list[str]:
     return found
 
 
+# (file, function) pairs allowed a lag regression as a ratio of sums
+_RATIO_EXEMPT = {
+    # a scalar rep: at R = 1 the fixed cost of `ols` would be a third of the rep
+    ("mc.py", "_ar1_clt_rep"),
+}
+
+
+def _lag_ratios(source: str) -> list[tuple[str, str]]:
+    """(function, code) of each ratio a'b / a'a in `source`: a lag regression by sums.
+
+    Numerator and denominator are `@` products or sums of `a * b` or
+    `a**2`, read through `float(...)`, `sum` calls and names bound
+    earlier in the same function; the denominator squares one operand
+    of the numerator.
+    """
+    found = []
+
+    def strip(node, values):
+        for _ in range(10):  # bounded: two names may be bound to each other
+            if isinstance(node, ast.Name) and node.id in values:
+                node = values[node.id]
+            elif isinstance(node, ast.Call):
+                func = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                    getattr(node.func, "id", "")
+                if func not in ("float", "sum"):
+                    break
+                node = node.args[0] if node.args else node.func.value
+            else:
+                break
+        return node
+
+    def operands(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult)):
+            return ast.unparse(node.left), ast.unparse(node.right)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2):
+            return ast.unparse(node.left), ast.unparse(node.left)
+        return None
+
+    def visit(node, scope, values):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, {})
+                continue
+            visit(child, scope, values)
+            if (isinstance(child, ast.Assign) and len(child.targets) == 1
+                    and isinstance(child.targets[0], ast.Name)):
+                values[child.targets[0].id] = child.value
+            elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div):
+                num = operands(strip(child.left, values))
+                den = operands(strip(child.right, values))
+                if num and den and den[0] == den[1] and den[0] in num:
+                    found.append((scope, ast.unparse(child)))
+
+    visit(ast.parse(source), "", {})
+    return found
+
+
 def test_guard_flags_each_hand_rolled_form():
     forms = [
         "b = np.linalg.solve(X.T @ X, X.T @ y)",
@@ -362,7 +463,33 @@ def test_guard_flags_each_hand_rolled_form():
     assert _hand_rolled_fits(others) == []
 
 
+def test_guard_flags_each_lag_ratio_form():
+    # the four ratio fits `df_limit_mc` and `residual_unitroot_bootstrap` used
+    forms = [
+        "sxy = np.sum(ylag * y, axis=1)\nsxx = np.sum(ylag**2, axis=1)\nalpha = sxy / sxx",
+        "sxx = np.sum(ylag_c**2, axis=1)\nalpha = np.sum(ylag_c * y_c, axis=1) / sxx",
+        "rho_hat = float((ylag @ y) / (ylag @ ylag))",
+        "rho_star = np.sum(yl * ys, axis=1) / np.sum(yl**2, axis=1)",
+    ]
+    for src in forms:
+        assert len(_lag_ratios(src)) == 1, src
+    exempt = ("def _ar1_clt_rep(cfg, ctx, r):\n"
+              "    rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])\n")
+    assert [scope for scope, _ in _lag_ratios(exempt)] == ["_ar1_clt_rep"]
+    # a variance over a Gram, a scaled Gram and an autocorrelation are not fits
+    others = ("s2 = np.sum(resid**2, axis=1) / (te - 1)\nse = np.sqrt(s2 / sxx)\n"
+              "g = x.T @ x / n\n"
+              "r1 = np.sum(e[1:] * e[:-1]) / np.sum(e**2)\n")
+    assert _lag_ratios(others) == []
+
+
 def test_no_hand_rolled_least_squares_outside_the_kernel():
-    offenders = {path.name: _hand_rolled_fits(path.read_text())
-                 for path in sorted(_SRC.glob("*.py")) if path.name != "_panel.py"}
+    offenders = {}
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "_panel.py":
+            continue
+        source = path.read_text()
+        offenders[path.name] = _hand_rolled_fits(source) + [
+            code for scope, code in _lag_ratios(source)
+            if (path.name, scope) not in _RATIO_EXEMPT]
     assert {k: v for k, v in offenders.items() if v} == {}

@@ -41,6 +41,13 @@ def test_adf_explosive_series_signs():
     assert res.stat_t > 0.0
 
 
+@pytest.mark.parametrize("x", [np.ones(60), np.full(40, -2.5)])
+def test_adf_constant_series_raises(x):
+    # alpha = 1 exactly with zero residuals: no test statistic exists
+    with pytest.raises(ValueError, match="residuals are numerically zero"):
+        T.adf_test(x)
+
+
 def test_adf_left_tail_power_against_stationary_ar1():
     cv = T.df_limit_mc(2000, reps=4000, rng=T.RngSpec(34, 0)).coef.quantile(0.05)
     gen = T.RngSpec(35, 0).generator()
