@@ -17,9 +17,9 @@ from math import ceil
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
+from ._filter import ar
 from .series import RngSpec, _resolve_rng
 from .unitroot import _ar_fit
 
@@ -183,11 +183,10 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
     resid = resid - resid.mean()
     if burn is None:
         burn = 100 + p
-    ar_poly = np.r_[1.0, -a]
     stats = []
     for _ in range(B):
         u = resid[gen.integers(0, resid.shape[0], size=n + burn)]
-        path = lfilter([1.0], ar_poly, u)
+        path = ar(u, a)
         stats.append(stat(m + path[burn:]))
     return BootstrapResult(stats=np.asarray(stats), observed=stat(x),
                            B=B, scheme="sieve")

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
+from ._filter import ar
 from ._panel import ols
 from .series import _resolve_rng
 
@@ -69,9 +68,7 @@ def garch_filter(eps, spec: GarchSpec, sigma2_0: float | None = None,
         raise ValueError("presample values must be positive")
     e2 = e**2
     drive = spec.omega + spec.alpha * np.concatenate([[eps2_0], e2[:-1]])
-    sigma2, _ = lfilter([1.0], [1.0, -spec.beta], drive,
-                        zi=np.array([spec.beta * sigma2_0]))
-    return sigma2
+    return ar(drive, [spec.beta], spec.beta * sigma2_0)
 
 
 def _affine_scan(a: np.ndarray, c: float, s0: float) -> np.ndarray:
@@ -193,9 +190,11 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     def objective(theta):
         omega, alpha, beta = _unpack(theta)
         drive = omega + alpha * drive_lag
-        sigma2, _ = lfilter([1.0], [1.0, -beta], drive,
-                            zi=np.array([beta * s2_init]))
+        sigma2 = ar(drive, [beta], beta * s2_init)
         return float(np.sum(np.log(sigma2) + e2 / sigma2))
+
+    # imported here: scipy.optimize costs about 0.2 s, paid on the first fit only
+    from scipy.optimize import minimize
 
     theta0 = _pack(s2_init * 0.1, 0.05, 0.85)
     path = [objective(theta0)]

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import chdtrc
 
 from ._checks import as_panel
+from ._filter import ar
 from ._panel import first_rep, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
 
@@ -62,7 +62,7 @@ def _ivx_instrument_panel(x, spec: IvxSpec) -> np.ndarray:
     """`ivx_instrument` of every rep of an (R, n) or (R, n, d) panel."""
     x = as_panel(x, "x", min_len=2, matrix=True)
     rho = spec.rho(x.shape[1])
-    return lfilter([1.0], [1.0, -rho], np.diff(x, axis=1), axis=1)
+    return ar(np.diff(x, axis=1), [rho])
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._checks import as_series, check_positive_int
+from ._filter import ar, ma
 
 __all__ = [
     "RngSpec",
@@ -109,7 +109,7 @@ def _linear_process_panel(spec: LinearProcessSpec, eps: np.ndarray) -> np.ndarra
     """
     q = len(spec.coeffs) - 1
     check_positive_int(eps.shape[1] - q, "n")
-    return lfilter(np.asarray(spec.coeffs), [1.0], eps * spec.sigma, axis=1)[:, q:]
+    return ma(eps * spec.sigma, spec.coeffs)
 
 
 def long_run_variance_true(spec: LinearProcessSpec) -> float:
@@ -180,8 +180,7 @@ def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """
     n = check_positive_int(v.shape[1], "n")
     rho = spec.rho(n)
-    x, _ = lfilter([1.0], [1.0, -rho], v, axis=1, zi=rho * x0)
-    return x
+    return ar(v, [rho], rho * x0)
 
 
 @dataclass(frozen=True)
@@ -261,19 +260,17 @@ def _predictive_system_panel(spec: SystemSpec, z: np.ndarray):
     shocks = z @ chol.T
     u = shocks[:, :, 0]
     e = shocks[:, :, 1:]
-    start = np.zeros((R, 1))
 
     if spec.v_ar is not None:
         v = np.empty_like(e)
         for i, a in enumerate(spec.v_ar):
-            v[:, :, i], _ = lfilter([1.0], [1.0, -a], e[:, :, i], axis=1, zi=start)
+            v[:, :, i] = ar(e[:, :, i], [a])
     else:
         v = e
 
     x = np.empty((R, n, d))
     for i, lur in enumerate(spec.lur):
-        rho = lur.rho(n)
-        x[:, :, i], _ = lfilter([1.0], [1.0, -rho], v[:, :, i], axis=1, zi=start)
+        x[:, :, i] = ar(v[:, :, i], [lur.rho(n)])
 
     xlag = np.concatenate([np.zeros((R, 1, d)), x[:, :-1]], axis=1)
     y = spec.intercept + xlag @ np.asarray(spec.beta) + u
@@ -315,8 +312,7 @@ def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,
     else:
         raise ValueError("init must be 'zero' or 'stationary'")
     shocks = gen.standard_normal(n) * step_sd
-    path, _ = lfilter([1.0], [1.0, -phi], shocks, zi=np.array([phi * j0]))
-    return path
+    return ar(shocks, [phi], phi * j0)
 
 
 def partial_sum_process(ts, r) -> float | np.ndarray:

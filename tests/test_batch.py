@@ -4,7 +4,8 @@ fixed-wald, fmols-size, phillips-size, ivx-null and supwald-nbb compute
 a batch of reps as one panel.  Every rep's row must be bit-identical to
 what the scalar rep body gave before batching, whatever the batch size.
 The scalar rep bodies, and the scalar estimators and simulators they
-called, are kept below as oracles.
+called, are kept below as oracles.  Their AR and MA recursions call
+`tsnet._filter`, which `tests/test_filter.py` pins against lfilter.
 """
 
 import warnings
@@ -12,10 +13,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special, stats
-from scipy.signal import lfilter
 
 import tsnet as T
 from tsnet import mc
+from tsnet._filter import ar, ma
 from tsnet.breaks import _split_wald_panel, _sup_wald_panel
 from tsnet.coint import _fmols_panel
 from tsnet.lrv import _hac_lrv_panel
@@ -108,7 +109,8 @@ def ref_ivx(y, x, spec=T.IvxSpec(), hac=None):
     x = _column(x)
     n, d = x.shape
     ys, xlag, m = y[1:], x[:-1], n - 1
-    zfull = lfilter([1.0], [1.0, -spec.rho(n)], np.diff(x, axis=0), axis=0)
+    # C order, like the panel's instrument: the Grams below depend on the layout
+    zfull = np.ascontiguousarray(ar(np.diff(x, axis=0).T, [spec.rho(n)]).T)
     zins = np.vstack([np.zeros((1, d)), zfull[:m - 1]])
     ys = ys - ys.mean()
     xlag = xlag - xlag.mean(axis=0)
@@ -184,13 +186,12 @@ def ref_sup_wald(y, x, trim=(0.15, 0.85)):
 def ref_lur_ar(spec, n, gen, x0):
     v = gen.standard_normal(n)
     rho = spec.rho(n)
-    return lfilter([1.0], [1.0, -rho], v, zi=np.array([rho * x0]))[0]
+    return ar(v, [rho], rho * x0)
 
 
 def ref_linear_process(spec, n, gen):
     q = len(spec.coeffs) - 1
-    eps = gen.standard_normal(n + q) * spec.sigma
-    return lfilter(np.asarray(spec.coeffs), [1.0], eps)[q:]
+    return ma(gen.standard_normal(n + q) * spec.sigma, spec.coeffs)
 
 
 def ref_system(spec, n, gen):
@@ -200,7 +201,7 @@ def ref_system(spec, n, gen):
     u, e = shocks[:, 0], shocks[:, 1:]
     x = np.empty((n, d))
     for i, lur in enumerate(spec.lur):
-        x[:, i], _ = lfilter([1.0], [1.0, -lur.rho(n)], e[:, i], zi=np.array([0.0]))
+        x[:, i] = ar(e[:, i], [lur.rho(n)])
     xlag = np.vstack([np.zeros(d), x[:-1]])
     return spec.intercept + xlag @ np.asarray(spec.beta) + u, x
 

@@ -270,6 +270,21 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["run", "grid"])
+@pytest.mark.parametrize("flag,value", [("--reps", "0"), ("--reps", "-3"), ("--jobs", "0")])
+def test_mc_bad_count_flag_is_one_line(tmp_path, capsys, kind, flag, value):
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text("experiment = fixed-wald\nreps = 4\nn = 120\ngrid.pi0 = 0.3, 0.5\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", kind, str(cfg), "--out", str(out), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"tsnet: error: {flag[2:]} must be an integer >= 1, got {value}"]
+    assert list(out.iterdir()) == []
+
+
 _FLAT = "value\n" + "1.0\n" * 40
 _Y_ONLY = "t,y\n" + "".join(f"{t},{t % 7}.5\n" for t in range(60))
 

@@ -117,7 +117,9 @@ def test_ivx_instrument_matches_loop(d, c_z):
         x = x[:, 0]
     spec = T.IvxSpec(c_z=c_z, beta_z=0.95)
     got = T.ivx_instrument(x, spec)
-    assert np.array_equal(got, ref_ivx_instrument(x, spec))
+    want = ref_ivx_instrument(x, spec)
+    # the banded solve may fuse rho * z + dx into one rounding
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("params", [(0.1, 0.1, 0.8), (0.1, 0.5, 0.0),

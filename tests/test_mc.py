@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness: config, parameters, CSV, runners, nested test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,19 @@ def test_experiment_registry_complete():
     for exp in EXPERIMENTS.values():
         assert exp.columns, exp.name
         assert set(exp.echo) <= set(exp.params) | {"level"}, exp.name
+
+
+@pytest.mark.parametrize("counts", [{"reps": 0}, {"reps": -3}, {"jobs": 0}])
+def test_programmatic_counts_are_checked(tmp_path, counts):
+    cfg = replace(ExperimentConfig(experiment="fixed-wald", reps=4, params={"n": 120}),
+                  **counts)
+    (key, value), = counts.items()
+    message = f"{key} must be an integer >= 1, got {value}"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, out=tmp_path)
+    with pytest.raises(ValueError, match=message):
+        size_power_grid(replace(cfg, grid={"pi0": (0.3, 0.5)}), out=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_key_fails_before_any_output(tmp_path):

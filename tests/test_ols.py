@@ -15,6 +15,7 @@ import pytest
 from scipy.signal import lfilter
 
 import tsnet as T
+from tsnet._filter import ar
 from tsnet._panel import ols
 from tsnet.bootstrap import _block_index_matrix
 from tsnet.garch import garch_filter
@@ -200,8 +201,7 @@ def test_sieve_bootstrap_equals_its_oracle(p):
     resid = xc[p:] - lags @ a
     resid = resid - resid.mean()
     burn = 100 + p
-    want = [np.mean(m + lfilter([1.0], np.r_[1.0, -a],
-                                resid[gen.integers(0, resid.shape[0], size=n + burn)])[burn:])
+    want = [np.mean(m + ar(resid[gen.integers(0, resid.shape[0], size=n + burn)], a)[burn:])
             for _ in range(20)]
     assert np.array_equal(res.stats, want)
 
