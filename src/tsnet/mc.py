@@ -681,26 +681,24 @@ _register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize,
 def _nethac_setup(cfg):
     p = cfg.params
     n_nodes = p["n_nodes"]
-    g = cycle_graph(n_nodes)
     kernels = (KernelSpec(p["family"], p["bandwidth"]),
                KernelSpec(p["family"], p["low_bandwidth"]))
     # both HAC bandwidths, and distance 1 for the graph MA weights (1, w1)
     radius = max(*(network_hac_radius(k, n_nodes) for k in kernels), 1)
-    shells = graph_shells(g, radius)
+    shells = graph_shells(cycle_graph(n_nodes), radius)
     # on a cycle the MA(1-in-distance) mean has long-run variance
     # (sum of coefficients)^2 by translation invariance
     true_lrv = (1.0 + 2.0 * p["w1"]) ** 2
     crit = special.ndtri(1.0 - cfg.level / 2.0)
-    return {"graph": g, "shells": shells, "kernels": kernels, "true_lrv": true_lrv,
-            "crit": crit}
+    return {"shells": shells, "kernels": kernels, "true_lrv": true_lrv, "crit": crit}
 
 
 def _nethac_rep(cfg, ctx, r):
-    g, shells = ctx["graph"], ctx["shells"]
-    n = g.n
-    y = simulate_graph_ma(g, (1.0, cfg.params["w1"]), _rep_rng(cfg, r), dist=shells)
+    shells = ctx["shells"]
+    n = shells.n
+    y = simulate_graph_ma(shells, (1.0, cfg.params["w1"]), _rep_rng(cfg, r))
     ybar = float(y.mean())
-    v_full, v_low = (float(network_hac(g, y, kernel=k, dist=shells)[0, 0])
+    v_full, v_low = (float(network_hac(shells, y, kernel=k)[0, 0])
                      for k in ctx["kernels"])
     crit = ctx["crit"]
     cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)

@@ -4,15 +4,16 @@ Nodes are labeled 1..n (matching the edge-list file format); matrices
 returned by these functions are indexed by label minus one.  Distances
 are unweighted shortest-path lengths, infinite across components.
 
-Every consumer reads distances only up to the radius it needs:
-floor(bandwidth) for `network_hac`, len(weights) - 1 for
-`simulate_graph_ma`, max(s, m) for `denseness_stats`, s for `shell` and
-`neighborhood`.  `graph_shells` finds the node pairs at each distance up
-to that radius by sparse products of the adjacency, so memory grows
-with the neighborhoods, not with n^2.  The `dist=` keyword takes
-precomputed `Shells` (reused across calls on one graph, as the Monte
-Carlo harness does); a dense matrix from `graph_distance` is also
-accepted and turned into shells on entry.
+Every consumer takes a `Graph` or its `Shells` as its first argument and
+reads distances only up to the radius it needs: floor(bandwidth) for
+`network_hac`, len(weights) - 1 for `simulate_graph_ma`, max(s, m) for
+`denseness_stats`, s for `shell` and `neighborhood`.  `graph_shells`
+builds the 0/1 sparse matrix of the node pairs at each distance up to
+that radius by sparse products of the adjacency, so memory grows with
+the neighborhoods, not with n^2.  Shells built once by
+`graph_shells(g, radius)` can be passed in place of the graph and are
+reused across calls, as the Monte Carlo harness does.  Anything else,
+a dense distance matrix included, is a TypeError.
 
 The denseness functionals quantify how fast s-step neighborhoods grow:
 delta^shell(s; k) is the k-th moment of shell sizes, Delta(s, m; k) the
@@ -69,8 +70,8 @@ class Graph:
     def __post_init__(self):
         check_positive_int(self.n, "n")
         canon = set()
-        for i, j in self.edges:
-            i, j = int(i), int(j)
+        for edge in self.edges:
+            i, j = (check_positive_int(v, "edges endpoint") for v in edge)
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -122,58 +123,51 @@ def graph_distance(g: Graph) -> np.ndarray:
 class Shells:
     """Node pairs grouped by graph distance, for distances 0..radius.
 
-    pairs[s] = (ii, jj) holds the 0-based pairs at distance exactly s in
-    row-major order with sorted columns: the arrays
-    `np.nonzero(graph_distance(g) == s)` returns.
+    matrices[s] is the sparse 0/1 matrix S_s with (S_s)_ij = 1 iff
+    d(i, j) = s: CSR with float data 1.0 and sorted column indices.
     """
 
-    n: int
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    matrices: tuple[sparse.csr_matrix, ...]
+
+    @property
+    def n(self) -> int:
+        return self.matrices[0].shape[0]
 
     @property
     def radius(self) -> int:
-        return len(self.pairs) - 1
+        return len(self.matrices) - 1
 
-    def at(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ii, jj) of the pairs at distance exactly s."""
+    def matrix(self, s: int) -> sparse.csr_matrix:
+        """S_s, the pairs at distance exactly s (read-only by convention)."""
         if not 0 <= s <= self.radius:
             raise ValueError(f"distance {s} outside the shells' range 0..{self.radius}")
-        return self.pairs[s]
+        return self.matrices[s]
+
+    def at(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ii, jj) of the 0-based pairs at distance exactly s.
+
+        Row-major with sorted columns: the arrays
+        `np.nonzero(graph_distance(g) == s)` returns.
+        """
+        return np.arange(self.n).repeat(self.sizes(s)), self.matrix(s).indices
 
     def row(self, s: int, i0: int) -> np.ndarray:
         """0-based nodes at distance exactly s from node i0 (sorted)."""
-        ii, jj = self.at(s)
-        lo, hi = np.searchsorted(ii, (i0, i0 + 1))
-        return jj[lo:hi]
+        m = self.matrix(s)
+        return m.indices[m.indptr[i0]:m.indptr[i0 + 1]]
 
     def sizes(self, s: int) -> np.ndarray:
         """Shell size |{j: d(i, j) = s}| for every node i."""
-        return np.bincount(self.at(s)[0], minlength=self.n)
-
-    def matrix(self, s: int) -> sparse.csr_matrix:
-        """Sparse 0/1 matrix S_s with (S_s)_ij = 1 iff d(i, j) = s.
-
-        Built on first use and cached on this object (read-only by
-        convention), so repeated graph MA draws pay for it once.  The
-        cache is created lazily: shells pickled before any use carry none.
-        """
-        cache = self.__dict__.setdefault("_matrices", {})
-        if s not in cache:
-            ii, jj = self.at(s)
-            indptr = np.searchsorted(ii, np.arange(self.n + 1))
-            cache[s] = sparse.csr_matrix((np.ones(jj.size), jj, indptr),
-                                         shape=(self.n, self.n))
-        return cache[s]
+        indptr = self.matrix(s).indptr
+        return indptr[1:] - indptr[:-1]
 
     def ball(self, r: int) -> sparse.csr_matrix:
         """Sparse 0/1 matrix of the pairs within distance r."""
-        ii = np.concatenate([self.at(t)[0] for t in range(r + 1)])
-        jj = np.concatenate([self.at(t)[1] for t in range(r + 1)])
-        return sparse.csr_matrix((np.ones(ii.size), (ii, jj)), shape=(self.n, self.n))
+        return sum((self.matrix(t) for t in range(1, r + 1)), self.matrix(0))
 
 
 def graph_shells(g: Graph, radius: int) -> Shells:
-    """Pairs at each distance 0..radius, by a radius-limited BFS.
+    """Shells S_0..S_radius, by a radius-limited BFS.
 
     Shell s is the pattern of S_{s-1} A minus S_{s-1} and S_{s-2}: in an
     undirected graph a neighbor of a node at distance s-1 lies at
@@ -185,59 +179,49 @@ def graph_shells(g: Graph, radius: int) -> Shells:
     adj = g.adjacency().astype(bool)
     prev = sparse.csr_matrix((n, n), dtype=bool)
     cur = sparse.identity(n, dtype=bool, format="csr")
-    pairs = [(np.arange(n), np.arange(n))]
+    matrices = [cur.astype(float)]
     for _ in range(radius):
         prev, cur = cur, (cur @ adj) > (cur + prev)
         cur.sort_indices()
-        ii = np.repeat(np.arange(n), np.diff(cur.indptr))
-        pairs.append((ii, cur.indices.astype(np.intp)))
-    return Shells(n=n, pairs=tuple(pairs))
+        matrices.append(cur.astype(float))
+    return Shells(matrices=tuple(matrices))
 
 
-def _num_nodes(g_or_dist) -> int:
-    if isinstance(g_or_dist, (Graph, Shells)):
-        return g_or_dist.n
-    return np.shape(g_or_dist)[0]
+def _shells_of(graph, radius: int) -> Shells:
+    """Shells out to `radius` from a Graph or its Shells."""
+    if isinstance(graph, Graph):
+        return graph_shells(graph, radius)
+    if not isinstance(graph, Shells):
+        raise TypeError(f"graph must be a Graph or its Shells, got {type(graph).__name__}")
+    if graph.radius < radius:
+        raise ValueError(f"shells reach distance {graph.radius}, "
+                         f"but distance {radius} is needed")
+    return graph
 
 
-def _shells_of(g_or_dist, radius: int) -> Shells:
-    """Shells out to `radius` from a Graph, a Shells or a dense distance matrix."""
-    if isinstance(g_or_dist, Graph):
-        return graph_shells(g_or_dist, radius)
-    if isinstance(g_or_dist, Shells):
-        if g_or_dist.radius < radius:
-            raise ValueError(f"shells reach distance {g_or_dist.radius}, "
-                             f"but distance {radius} is needed")
-        return g_or_dist
-    d = np.asarray(g_or_dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    # divmod of flat indices: the pairs np.nonzero(d == s) gives, several times faster
-    return Shells(n=d.shape[0], pairs=tuple(np.divmod(np.flatnonzero(d == s), d.shape[0])
-                                            for s in range(radius + 1)))
+def _node_shells(graph, i: int, s: int) -> tuple[Shells, int, int]:
+    """Shells out to distance s, the 0-based index of node i, and s."""
+    i = check_positive_int(i, "i")
+    s = check_positive_int(s, "s", minimum=0)
+    sh = _shells_of(graph, s)
+    if i > sh.n:
+        raise ValueError(f"node {i} outside 1..{sh.n}")
+    return sh, i - 1, s
 
 
-def shell(g_or_dist, i: int, s: int) -> np.ndarray:
+def shell(graph: Graph | Shells, i: int, s: int) -> np.ndarray:
     """Nodes at distance exactly s from node i (labels, sorted).
 
     shell(g, i, 0) is {i} itself.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    sh = _shells_of(g_or_dist, s)
-    if not 1 <= i <= sh.n:
-        raise ValueError(f"node {i} outside 1..{sh.n}")
-    return sh.row(s, i - 1) + 1
+    sh, i0, s = _node_shells(graph, i, s)
+    return sh.row(s, i0) + 1
 
 
-def neighborhood(g_or_dist, i: int, s: int) -> np.ndarray:
+def neighborhood(graph: Graph | Shells, i: int, s: int) -> np.ndarray:
     """Nodes within distance s of node i, including i (labels, sorted)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    sh = _shells_of(g_or_dist, s)
-    if not 1 <= i <= sh.n:
-        raise ValueError(f"node {i} outside 1..{sh.n}")
-    return np.sort(np.concatenate([sh.row(t, i - 1) for t in range(s + 1)])) + 1
+    sh, i0, s = _node_shells(graph, i, s)
+    return np.sort(np.concatenate([sh.row(t, i0) for t in range(s + 1)])) + 1
 
 
 def _log_power_mean(sizes: np.ndarray, exponent: float) -> float:
@@ -266,8 +250,7 @@ class NetStats:
     c_n: float
 
 
-def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
-                    dist: Shells | np.ndarray | None = None) -> NetStats:
+def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> NetStats:
     """Shell-growth moments and the Hölder bound c_n(s, m; k).
 
         delta_shell   = n^{-1} sum_i |shell(i, s)|^k
@@ -281,11 +264,11 @@ def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
     {1.01, 1.05, ..., 8} plus {16, 32}; moments are evaluated in log
     space so large exponents do not overflow.
     """
-    if s < 0 or m < 0:
-        raise ValueError("s and m must be >= 0")
+    s = check_positive_int(s, "s", minimum=0)
+    m = check_positive_int(m, "m", minimum=0)
     if k <= 0:
         raise ValueError("k must be positive")
-    sh = _shells_of(dist if dist is not None else g, max(s, m))
+    sh = _shells_of(graph, max(s, m))
     shell_sizes = sh.sizes(s).astype(float)
 
     # worst uncovered m-neighborhood mass, per node: for j in shell(i, s),
@@ -315,8 +298,7 @@ def denseness_stats(g: Graph, s: int, m: int, k: float = 1.0,
                     delta_overlap=delta_overlap, c_n=best)
 
 
-def simulate_graph_ma(g: Graph, weights, rng, dist: Shells | np.ndarray | None = None,
-                      v: int = 1) -> np.ndarray:
+def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.ndarray:
     """Graph moving average Y_i = sum_{d(i,j) <= m} weights[d(i,j)] eps_j.
 
     weights = (w_0, ..., w_m) taper the iid standard normal field eps by
@@ -327,15 +309,17 @@ def simulate_graph_ma(g: Graph, weights, rng, dist: Shells | np.ndarray | None =
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     v = check_positive_int(v, "v")
-    sh = _shells_of(dist if dist is not None else g, w.size - 1)
+    sh = _shells_of(graph, w.size - 1)
     gen = _resolve_rng(rng)
     eps = gen.standard_normal(sh.n if v == 1 else (sh.n, v))
     return sum(w[s_val] * (sh.matrix(s_val) @ eps) for s_val in range(w.size))
 
 
-def network_hac(g: Graph, y, kernel: KernelSpec | None = None,
-                demean: bool = True, dist: Shells | np.ndarray | None = None) -> np.ndarray:
+def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None,
+                demean: bool = True) -> np.ndarray:
     """Kernel HAC estimate of the network long-run variance.
 
         V = sum_{s=0}^{floor(b)} w(s/b) Omega(s),
@@ -343,22 +327,21 @@ def network_hac(g: Graph, y, kernel: KernelSpec | None = None,
 
     symmetrized as (V + V') / 2.  The kernel must vanish beyond 1
     (truncated, bartlett, or parzen); bandwidth=None applies the default
-    rule in shell units.  Y may be (n,) or (n, v).  Shells passed as
-    `dist` must reach `network_hac_radius(kernel, n)`.
+    rule in shell units.  Y may be (n,) or (n, v).  Shells passed in
+    place of the graph must reach `network_hac_radius(kernel, n)`.
     """
     spec = kernel if kernel is not None else KernelSpec()
     if spec.family == "quadratic-spectral":
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    src = dist if dist is not None else g
-    n = _num_nodes(src)
     ym = as_matrix(y, "y", min_len=2)
-    if ym.shape[0] != n:
-        raise ValueError(f"y has {ym.shape[0]} rows but the graph has {n} nodes")
+    n = ym.shape[0]
+    top = network_hac_radius(spec, n)
+    sh = _shells_of(graph, top)
+    if sh.n != n:
+        raise ValueError(f"y has {n} rows but the graph has {sh.n} nodes")
     if demean:
         ym = ym - ym.mean(axis=0)
     b = spec.resolve_bandwidth(n)
-    top = network_hac_radius(spec, n)
-    sh = _shells_of(src, top)
     v = np.zeros((ym.shape[1], ym.shape[1]))
     for s_val in range(top + 1):
         w = kernel_weight(spec.family, s_val / b)
@@ -388,7 +371,8 @@ def write_edgelist(g: Graph, path) -> None:
 def read_edgelist(path) -> Graph:
     """Parse the edge-list format written by `write_edgelist`.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  A malformed
+    line raises a ValueError that starts with "<path>:<lineno>:".
     """
     n = None
     edges = []
@@ -397,15 +381,18 @@ def read_edgelist(path) -> Graph:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if n is None:
-                if not line.startswith("n="):
-                    raise ValueError(f"{path}:{lineno}: expected header 'n=<count>'")
-                n = int(line[2:])
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                if n is None:
+                    if not line.startswith("n="):
+                        raise ValueError("expected header 'n=<count>'")
+                    n = int(line[2:])
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'i j', got {line!r}")
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if n is None:
         raise ValueError(f"{path}: missing 'n=<count>' header")
     return Graph(n=n, edges=tuple(edges))

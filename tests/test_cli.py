@@ -347,6 +347,22 @@ def test_cli_value_error_is_one_line(tmp_path, capsys):
     assert "n=<count>" in lines[0]
 
 
+@pytest.mark.parametrize("body,lineno,token", [
+    ("n=abc\n1 2\n", 1, "'abc'"),
+    ("# header next\nn=3\n1 2\n1 x\n", 4, "'x'"),
+])
+def test_cli_bad_edgelist_token_names_file_and_line(tmp_path, capsys, body, lineno, token):
+    graph = tmp_path / "bad.edges"
+    graph.write_text(body)
+    assert main(["netdep", "stats", "--graph", str(graph), "-s", "1", "-m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"tsnet: error: {graph}:{lineno}: ")
+    assert token in lines[0]
+
+
 def test_cli_os_error_is_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.edges"
     assert main(["netdep", "stats", "--graph", str(missing),

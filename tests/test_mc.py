@@ -175,7 +175,7 @@ def test_nethac_setup_builds_shells_to_the_radius_read(params, radius):
     y = T.simulate_graph_ma(g, (1.0, 0.1), T.RngSpec(108, 1))
     spec = T.KernelSpec(params.get("family", "bartlett"),
                         params.get("bandwidth", 3.0))
-    v = T.network_hac(g, y, spec, dist=T.graph_distance(g))[0, 0]
+    v = T.network_hac(g, y, spec)[0, 0]
     assert res.draws[1, 1] == v
 
 

@@ -1,6 +1,7 @@
 """Tests for graph utilities, denseness measures, graph MA, network HAC."""
 
-import pickle
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ def test_graph_canonical_edges():
         T.Graph(n=3, edges=((1, 1),))
     with pytest.raises(ValueError, match="outside"):
         T.Graph(n=3, edges=((1, 4),))
+    with pytest.raises(ValueError, match="edges endpoint must be an integer"):
+        T.Graph(n=3, edges=((1.5, 2.7),))
 
 
 def test_graph_distance_paths_and_components():
@@ -52,6 +55,10 @@ def test_shells_and_neighborhoods():
         T.shell(c6, 7, 1)
     with pytest.raises(ValueError, match=">= 0"):
         T.shell(c6, 1, -1)
+    with pytest.raises(ValueError, match="i must be an integer"):
+        T.shell(c6, 1.5, 1)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        T.neighborhood(c6, 2, 0.5)
 
 
 def test_denseness_cycle_closed_form():
@@ -91,6 +98,10 @@ def test_denseness_empty_graph():
         T.denseness_stats(T.cycle_graph(4), s=1, m=1, k=0.0)
     with pytest.raises(ValueError, match=">= 0"):
         T.denseness_stats(T.cycle_graph(4), s=-1, m=1)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        T.denseness_stats(T.cycle_graph(4), s=1.5, m=1)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        T.denseness_stats(T.cycle_graph(4), s=1, m=0.5)
 
 
 def test_graph_ma_radius_zero_is_iid():
@@ -109,8 +120,7 @@ def test_graph_ma_cycle_covariances():
     # lag-1 cov = 2 w1
     n, w1 = 200, 0.5
     g = T.cycle_graph(n)
-    d = T.graph_distance(g)
-    y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(67, 0), dist=d, v=4000)
+    y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(67, 0), v=4000)
     assert y.shape == (n, 4000)
     assert np.mean(y[0] * y[1]) == pytest.approx(2.0 * w1 * 1.0, abs=0.12)
     assert np.mean(y[0] ** 2) == pytest.approx(1.0 + 2.0 * w1**2, abs=0.12)
@@ -118,16 +128,17 @@ def test_graph_ma_cycle_covariances():
     assert np.mean(y[0] * y[2]) == pytest.approx(w1**2, abs=0.12)
     with pytest.raises(ValueError, match="weights"):
         T.simulate_graph_ma(g, np.empty(0), T.RngSpec(0))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        T.simulate_graph_ma(g, (1.0, np.nan), T.RngSpec(0))
 
 
 def test_graph_ma_mean_clt():
     # scaled field mean is asymptotically N(0, (1 + 2 w1)^2) on the cycle
     n, w1, reps = 500, 0.3, 1500
-    g = T.cycle_graph(n)
-    d = T.graph_distance(g)
+    sh = T.graph_shells(T.cycle_graph(n), 1)
     z = np.empty(reps)
     for i in range(reps):
-        y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(66, i), dist=d)
+        y = T.simulate_graph_ma(sh, (1.0, w1), T.RngSpec(66, i))
         z[i] = np.sqrt(n) * y.mean() / (1.0 + 2.0 * w1)
     assert st.kstest(z, "norm").statistic < 0.032
     assert z.var() == pytest.approx(1.0, abs=0.1)
@@ -137,8 +148,8 @@ def test_network_hac_matches_hand_sum():
     n = 200
     g = T.cycle_graph(n)
     d = T.graph_distance(g)
-    y = T.simulate_graph_ma(g, (1.0, 0.25), T.RngSpec(67, 1), dist=d)
-    V = T.network_hac(g, y, T.KernelSpec("bartlett", 3.0), dist=d)
+    y = T.simulate_graph_ma(g, (1.0, 0.25), T.RngSpec(67, 1))
+    V = T.network_hac(g, y, T.KernelSpec("bartlett", 3.0))
     yc = y - y.mean()
     hand = 0.0
     for s in range(3):
@@ -175,9 +186,8 @@ def test_network_hac_rejects_unbounded_kernel_and_mismatch():
 
 def test_network_hac_multivariate_shape():
     g = T.cycle_graph(40)
-    d = T.graph_distance(g)
-    y = T.simulate_graph_ma(g, (1.0, 0.2), T.RngSpec(67, 5), dist=d, v=3)
-    V = T.network_hac(g, y, T.KernelSpec("parzen", 2.0), dist=d)
+    y = T.simulate_graph_ma(g, (1.0, 0.2), T.RngSpec(67, 5), v=3)
+    V = T.network_hac(g, y, T.KernelSpec("parzen", 2.0))
     assert V.shape == (3, 3)
     np.testing.assert_array_equal(V, V.T)
 
@@ -272,11 +282,11 @@ def test_graph_shells_match_dense_distance(name):
         np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
         np.testing.assert_array_equal(sh.ball(s).toarray(), d <= s)
         for i in range(1, g.n + 1):
-            np.testing.assert_array_equal(T.shell(sh, i, s), T.shell(d, i, s))
-            np.testing.assert_array_equal(T.shell(g, i, s),
-                                          np.nonzero(d[i - 1] == s)[0] + 1)
-            np.testing.assert_array_equal(T.neighborhood(g, i, s),
-                                          np.nonzero(d[i - 1] <= s)[0] + 1)
+            for graph in (g, sh):
+                np.testing.assert_array_equal(T.shell(graph, i, s),
+                                              np.nonzero(d[i - 1] == s)[0] + 1)
+                np.testing.assert_array_equal(T.neighborhood(graph, i, s),
+                                              np.nonzero(d[i - 1] <= s)[0] + 1)
     # a shorter radius is a prefix of the longer one
     short = T.graph_shells(g, 2)
     for s in range(3):
@@ -286,24 +296,20 @@ def test_graph_shells_match_dense_distance(name):
 
 def test_shell_matrices_are_built_once_per_shells_object():
     g = T.cycle_graph(50)
+    d = T.graph_distance(g)
     sh = T.graph_shells(g, 2)
-    pickled_fresh = pickle.dumps(sh)
-    assert sh.matrix(1) is sh.matrix(1)
-    assert sh.matrix(0) is not sh.matrix(1)
     weights = (1.0, 0.4, 0.1)
-    first = T.simulate_graph_ma(g, weights, T.RngSpec(9, 2), dist=sh)
-    again = T.simulate_graph_ma(g, weights, T.RngSpec(9, 2), dist=sh)
-    # the same sum over freshly built CSR matrices, as before the cache
+    first = T.simulate_graph_ma(sh, weights, T.RngSpec(9, 2))
+    again = T.simulate_graph_ma(sh, weights, T.RngSpec(9, 2))
+    # the same sum over CSR matrices built afresh from the dense distances
     eps = T.RngSpec(9, 2).generator().standard_normal(g.n)
     fresh = []
     for s in range(3):
-        ii, jj = sh.at(s)
+        ii, jj = np.nonzero(d == s)
         indptr = np.searchsorted(ii, np.arange(g.n + 1))
         fresh.append(sparse.csr_matrix((np.ones(jj.size), jj, indptr), shape=(g.n, g.n)))
     want = sum(w * (m @ eps) for w, m in zip(weights, fresh))
     assert np.array_equal(first, want) and np.array_equal(again, want)
-    # shells pickled before first use carry no cache
-    assert pickled_fresh == pickle.dumps(T.Shells(n=sh.n, pairs=sh.pairs))
 
 
 def test_graph_shells_validation():
@@ -316,13 +322,35 @@ def test_graph_shells_validation():
     # consumers refuse shells that stop short of the radius they read
     y = np.random.default_rng((67, 6)).standard_normal(6)
     with pytest.raises(ValueError, match="distance 3 is needed"):
-        T.network_hac(g, y, T.KernelSpec("bartlett", 3.5), dist=sh)
+        T.network_hac(sh, y, T.KernelSpec("bartlett", 3.5))
     with pytest.raises(ValueError, match="distance 2 is needed"):
-        T.simulate_graph_ma(g, (1.0, 0.5, 0.2), T.RngSpec(0), dist=sh)
+        T.simulate_graph_ma(sh, (1.0, 0.5, 0.2), T.RngSpec(0))
     with pytest.raises(ValueError, match="distance 2 is needed"):
-        T.denseness_stats(g, s=2, m=1, dist=sh)
-    with pytest.raises(ValueError, match="square"):
-        T.shell(np.zeros((2, 3)), 1, 1)
+        T.denseness_stats(sh, s=2, m=1)
+    with pytest.raises(ValueError, match="rows"):
+        T.network_hac(sh, y[:-1], T.KernelSpec("bartlett", 1.0))
+
+
+def test_consumers_reject_a_dense_distance_matrix():
+    d = T.graph_distance(T.cycle_graph(6))
+    y = np.random.default_rng((67, 8)).standard_normal(6)
+    for call in (lambda: T.shell(d, 1, 1), lambda: T.neighborhood(d, 1, 1),
+                 lambda: T.denseness_stats(d, s=1, m=1),
+                 lambda: T.simulate_graph_ma(d, (1.0, 0.5), T.RngSpec(0)),
+                 lambda: T.network_hac(d, y)):
+        with pytest.raises(TypeError, match="Graph or its Shells, got ndarray"):
+            call()
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_network_hac_from_shells_equals_from_graph(name):
+    g = _GRAPHS[name]
+    y = np.random.default_rng((67, 9)).standard_normal((g.n, 2))
+    for spec in (None, T.KernelSpec("parzen", 2.5)):
+        r = T.network_hac_radius(spec, g.n)
+        for radius in (r, r + 2):
+            assert np.array_equal(T.network_hac(T.graph_shells(g, radius), y, spec),
+                                  T.network_hac(g, y, spec))
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPHS))
@@ -338,8 +366,8 @@ def test_network_hac_equals_dense_pair_sum(name, v):
                  T.KernelSpec("truncated", 2.0), T.KernelSpec("bartlett", 0.5),
                  T.KernelSpec("bartlett", 4.0)):
         ref = _dense_hac(d, y, spec)
-        for dist in (None, sh, d):
-            np.testing.assert_array_equal(T.network_hac(g, y, spec, dist=dist), ref)
+        for graph in (g, sh):
+            np.testing.assert_array_equal(T.network_hac(graph, y, spec), ref)
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPHS))
@@ -353,8 +381,8 @@ def test_graph_ma_matches_dense_taper(name, v):
         coef[d == s] = w
     gen = T.RngSpec(68, v).generator()
     ref = coef @ (gen.standard_normal(g.n) if v == 1 else gen.standard_normal((g.n, v)))
-    for dist in (None, T.graph_shells(g, 3), d):
-        y = T.simulate_graph_ma(g, weights, T.RngSpec(68, v), dist=dist, v=v)
+    for graph in (g, T.graph_shells(g, 3)):
+        y = T.simulate_graph_ma(graph, weights, T.RngSpec(68, v), v=v)
         assert y.shape == ref.shape
         np.testing.assert_allclose(y, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
@@ -371,8 +399,7 @@ def test_denseness_equals_dense_loop(name):
             over = _dense_overlap(d, s, m)
             for k in (1.0, 2.5):
                 res = T.denseness_stats(g, s=s, m=m, k=k)
-                assert res == T.denseness_stats(g, s=s, m=m, k=k, dist=sh)
-                assert res == T.denseness_stats(g, s=s, m=m, k=k, dist=d)
+                assert res == T.denseness_stats(sh, s=s, m=m, k=k)
                 assert res.delta_shell == float(np.exp(
                     T.netdep._log_power_mean(shell_sizes, k)))
                 assert res.delta_overlap == float(np.exp(
@@ -388,14 +415,44 @@ def test_network_dependence_on_large_cycle():
     g = T.cycle_graph(n)
     sh = T.graph_shells(g, 3)
     assert [sh.at(s)[0].size for s in range(4)] == [n, 2 * n, 2 * n, 2 * n]
-    y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(69, 0), dist=sh)
+    y = T.simulate_graph_ma(sh, (1.0, w1), T.RngSpec(69, 0))
     eps = T.RngSpec(69, 0).generator().standard_normal(n)
     ma = eps + w1 * (np.roll(eps, 1) + np.roll(eps, -1))
     np.testing.assert_allclose(y, ma, rtol=1e-12, atol=1e-12)
-    V = T.network_hac(g, y, T.KernelSpec("bartlett", 3.0), dist=sh)[0, 0]
+    V = T.network_hac(sh, y, T.KernelSpec("bartlett", 3.0))[0, 0]
     yc = y - y.mean()
     hand = np.mean(yc * yc) + sum(
         2.0 * (1.0 - s / 3.0) * np.mean(yc * np.roll(yc, s)) for s in (1, 2))
     assert V == pytest.approx(hand, rel=1e-10)
     # the same estimate without precomputed shells
     assert T.network_hac(g, y, T.KernelSpec("bartlett", 3.0))[0, 0] == V
+
+
+# --- source guard: the library never builds the n x n distance matrix ------
+
+def _graph_distance_calls(source: str) -> list[int]:
+    """Line numbers of the calls to `graph_distance` in `source`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "graph_distance"
+                       or getattr(node.func, "attr", None) == "graph_distance"))
+
+
+def test_guard_flags_each_graph_distance_call():
+    for src in ("d = graph_distance(g)", "d = netdep.graph_distance(g)",
+                "def f(g):\n    return T.graph_distance(g)[0]"):
+        assert len(_graph_distance_calls(src)) == 1, src
+    # naming, importing, exporting or defining it is no call
+    assert _graph_distance_calls(
+        "from .netdep import graph_distance\n__all__ = ['graph_distance']\n"
+        "def graph_distance(g):\n    return shortest_path(g.adjacency())\n"
+        "f = graph_distance\n") == []
+
+
+def test_no_library_module_calls_graph_distance():
+    # every consumer reads radius-limited shells: an all-pairs matrix of a
+    # 10^5-node graph would take 80 GB
+    src = Path(T.__file__).parent
+    offenders = {path.name: _graph_distance_calls(path.read_text())
+                 for path in sorted(src.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
