@@ -17,6 +17,15 @@ leading rep axis with bit-identical per-rep results.  Experiments whose
 reps cost far more than the per-call overhead (or are bound by their
 own draws) run rep by rep through `_per_rep`.
 
+`run_experiment` (one cell) and `size_power_grid` (one cell per grid
+point) both go through `_run`.  It runs every cell's setup in the
+calling process, then cuts the reps of all cells into (cell, batch)
+tasks, about 8 per worker and at most `_BATCH` reps each.  With
+`jobs > 1` the tasks run in one process pool per call, of
+min(jobs, tasks, CPUs) workers; each worker receives the (cfg, ctx)
+pairs once, through the pool initializer, and each task travels as a
+cell index and a rep range.
+
 Config files are line oriented::
 
     # size of the instrumented predictive test
@@ -45,9 +54,9 @@ every declared parameter, defaults included.  Floats are written with
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -363,10 +372,6 @@ def _aux_rng(cfg: ExperimentConfig, j: int = 0) -> RngSpec:
     return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps + j)
 
 
-def _run_batch(name: str, cfg: ExperimentConfig, ctx: dict, rs: range):
-    return EXPERIMENTS[name].rep(cfg, ctx, rs)
-
-
 @dataclass
 class McResult:
     """Stacked replication draws plus the summary dict and written files."""
@@ -379,27 +384,51 @@ class McResult:
     files: tuple[Path, ...] = ()
 
 
-def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
-    """Run all replications of a registered experiment.
+# the (cfg, ctx) pairs of the running call, installed once in each pool worker
+_CELLS: tuple = ()
 
-    out, when given, is the per-replication CSV path (or a directory,
-    in which case <experiment>.csv inside it); the summary goes next to
-    it with a -summary suffix.  The config is resolved first, so a bad
-    parameter fails before any work or output.
+
+def _install(cells) -> None:
+    global _CELLS
+    _CELLS = cells
+
+
+def _rep_block(cells, task) -> np.ndarray:
+    k, rs = task
+    cfg, ctx = cells[k]
+    return EXPERIMENTS[cfg.experiment].rep(cfg, ctx, rs)
+
+
+def _pooled_block(task) -> np.ndarray:
+    return _rep_block(_CELLS, task)
+
+
+def _run(cells: list[ExperimentConfig], jobs: int) -> list[tuple[dict, np.ndarray]]:
+    """Set up and run every rep of resolved `cells`; (ctx, draws) per cell.
+
+    Setups run here, in order; the reps run as (cell, rep range) tasks,
+    with `jobs` > 1 in one process pool (see the module docstring).
     """
-    cfg = resolve(cfg)
-    exp = EXPERIMENTS[cfg.experiment]
-    ctx = exp.setup(cfg)
-    # with workers, about 8 tasks per worker, each one batch
-    size = min(_BATCH, max(1, cfg.reps // (cfg.jobs * 8))) if cfg.jobs > 1 else _BATCH
-    batches = [range(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
-    if cfg.jobs > 1:
-        worker = functools.partial(_run_batch, cfg.experiment, cfg, ctx)
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            blocks = list(pool.map(worker, batches))
+    cells = tuple((cfg, EXPERIMENTS[cfg.experiment].setup(cfg)) for cfg in cells)
+    workers = min(jobs, os.cpu_count() or 1)
+    total = sum(cfg.reps for cfg, _ in cells)
+    size = min(_BATCH, max(1, total // (workers * 8))) if jobs > 1 else _BATCH
+    tasks = [(k, range(lo, min(lo + size, cfg.reps)))
+             for k, (cfg, _) in enumerate(cells) for lo in range(0, cfg.reps, size)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_install, initargs=(cells,)) as pool:
+            blocks = list(pool.map(_pooled_block, tasks))
     else:
-        blocks = [exp.rep(cfg, ctx, rs) for rs in batches]
-    draws = np.concatenate(blocks)
+        blocks = [_rep_block(cells, task) for task in tasks]
+    # the tasks run cell by cell, so each cell's draws are one slice of the stack
+    draws = np.split(np.concatenate(blocks), np.cumsum([cfg.reps for cfg, _ in cells])[:-1])
+    return [(ctx, d) for (_, ctx), d in zip(cells, draws)]
+
+
+def _result(cfg: ExperimentConfig, ctx: dict, draws: np.ndarray, out=None) -> McResult:
+    """Summarize the draws of resolved `cfg`, writing the CSVs when `out` is given."""
+    exp = EXPERIMENTS[cfg.experiment]
     summary = {key: cfg.level if key == "level" else cfg.params[key] for key in exp.echo}
     summary.update(exp.summarize(cfg, ctx, draws))
 
@@ -421,14 +450,28 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
                     draws=draws, summary=summary, files=files)
 
 
+def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
+    """Run all replications of a registered experiment.
+
+    out, when given, is the per-replication CSV path (or a directory,
+    in which case <experiment>.csv inside it); the summary goes next to
+    it with a -summary suffix.  The config is resolved first, so a bad
+    parameter fails before any work or output.
+    """
+    cfg = resolve(cfg)
+    (ctx, draws), = _run([cfg], cfg.jobs)
+    return _result(cfg, ctx, draws, out)
+
+
 def size_power_grid(cfg: ExperimentConfig, out=None):
     """Run the experiment over the cartesian product of cfg.grid.
 
     Each cell gets a disjoint stream range (shifted by reps plus a
     reserve of 64 auxiliary streams) so cells are independent and
     reproducible in isolation.  Every cell is resolved before the first
-    one runs.  Returns (columns, rows, results) and optionally writes
-    one summary CSV, whose `#config=` line holds the config as given.
+    one is set up, and the reps of all cells share one process pool.
+    Returns (columns, rows, results, files) and optionally writes one
+    summary CSV, whose `#config=` line holds the config as given.
     """
     if not cfg.grid:
         raise ValueError("size_power_grid needs at least one grid.<name> axis")
@@ -438,7 +481,8 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
     cells = [resolve(replace(cfg, stream=cfg.stream + i * stride, grid={},
                              params={**cfg.params, **dict(zip(axes, combo))}))
              for i, combo in enumerate(combos)]
-    results = [run_experiment(cell) for cell in cells]
+    results = [_result(cell, ctx, draws)
+               for cell, (ctx, draws) in zip(cells, _run(cells, cells[0].jobs))]
     # the file shows the config as given, its tokens read but not yet cast
     declared = EXPERIMENTS[cfg.experiment].params
     given = replace(cfg, params={k: _read(declared[k], v) for k, v in cfg.params.items()})

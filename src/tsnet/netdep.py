@@ -60,24 +60,34 @@ _HOLDER_GRID = tuple(np.concatenate([[1.01], np.arange(1.05, 8.0 + 1e-9, 0.05), 
 class Graph:
     """Simple undirected graph on nodes 1..n.
 
-    Edges are stored canonically as (min, max) pairs, deduplicated and
-    sorted; self-loops are rejected.
+    Edges, given as pairs or an (E, 2) array, are stored canonically as
+    (min, max) pairs of ints, deduplicated and sorted; self-loops are
+    rejected.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        check_positive_int(self.n, "n")
-        canon = set()
-        for edge in self.edges:
-            i, j = (check_positive_int(v, "edges endpoint") for v in edge)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) outside 1..{self.n}")
-            canon.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        n = check_positive_int(self.n, "n")
+        edges = self.edges if isinstance(self.edges, np.ndarray) else tuple(self.edges)
+        ends = _edge_array(edges)
+        if ends is None:
+            ok = np.zeros(len(edges), dtype=bool)
+        else:
+            inside = (ends == np.floor(ends)) & (ends >= 1) & (ends <= n)
+            ok = inside.all(axis=1) & (ends[:, 0] != ends[:, 1])
+        # the first bad edge in input order raises its own error
+        for k in np.flatnonzero(~ok):
+            _check_edge(n, edges[k])
+        if ends is None:  # endpoints of other types, each checked above
+            ends = np.array([[int(v) for v in edge] for edge in edges])
+        lo, hi = np.sort(ends.astype(np.int64), axis=1).T
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        object.__setattr__(self, "edges", tuple(zip(lo[first].tolist(), hi[first].tolist())))
 
     @property
     def num_edges(self) -> int:
@@ -85,25 +95,45 @@ class Graph:
 
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric 0/1 adjacency in CSR form (0-based)."""
-        if not self.edges:
-            return sparse.csr_matrix((self.n, self.n))
-        rows = [i - 1 for i, _ in self.edges] + [j - 1 for _, j in self.edges]
-        cols = [j - 1 for _, j in self.edges] + [i - 1 for i, _ in self.edges]
-        data = np.ones(len(rows))
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+
+
+def _edge_array(edges) -> np.ndarray | None:
+    """`edges` as an (E, 2) array of real numbers, or None if they are not one."""
+    if len(edges) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        ends = np.asarray(edges)
+    except ValueError:  # ragged
+        return None
+    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iuf":
+        return None
+    return ends
+
+
+def _check_edge(n: int, edge) -> None:
+    """Raise the error for an edge that is not two distinct integers in 1..n."""
+    i, j = (check_positive_int(v, "edges endpoint") for v in edge)
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle C_n (n >= 3)."""
     n = check_positive_int(n, "n", minimum=3)
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n=n, edges=tuple(edges))
+    return Graph(n=n, edges=np.column_stack([np.r_[1:n, 1], np.r_[2:n + 1, n]]))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star K_{1,leaves} with hub node 1."""
     leaves = check_positive_int(leaves, "leaves")
-    return Graph(n=leaves + 1, edges=tuple((1, j) for j in range(2, leaves + 2)))
+    return Graph(n=leaves + 1, edges=np.column_stack([np.ones(leaves, dtype=int),
+                                                      np.arange(2, leaves + 2)]))
 
 
 def graph_distance(g: Graph) -> np.ndarray:

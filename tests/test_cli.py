@@ -1,8 +1,11 @@
 """End-to-end command line tests, run in process through main()."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tsnet import mc
 from tsnet.cli import main
 from tsnet.mc import read_csv
 
@@ -283,6 +286,22 @@ def test_mc_bad_count_flag_is_one_line(tmp_path, capsys, kind, flag, value):
     assert captured.err.splitlines() == [
         f"tsnet: error: {flag[2:]} must be an integer >= 1, got {value}"]
     assert list(out.iterdir()) == []
+
+
+def test_mc_worker_error_is_one_line(tmp_path, capfd, monkeypatch):
+    def failing_rep(cfg, ctx, rs):
+        raise ValueError(f"rep {rs[0]} failed")
+
+    # pool workers are forked, so they see the patched registry too
+    monkeypatch.setitem(mc.EXPERIMENTS, "fixed-wald",
+                        replace(mc.EXPERIMENTS["fixed-wald"], rep=failing_rep))
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text("experiment = fixed-wald\nreps = 4\nn = 120\ngrid.pi0 = 0.3, 0.5\n")
+    for jobs in ("1", "2"):
+        assert main(["mc", "grid", str(cfg), "--jobs", jobs]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tsnet: error: rep 0 failed\n"
 
 
 _FLAT = "value\n" + "1.0\n" * 40

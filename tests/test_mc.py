@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: config, parameters, CSV, runners, nested test."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,95 @@ def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
     assert files[0] == files[1]
 
 
+class _InProcessPool:
+    """Stands in for `ProcessPoolExecutor`: records `max_workers` and runs
+    the tasks here, after the initializer, starting no process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [
+    (100_000, 64, 16),  # 16 one-rep tasks: one worker each, not 100 000
+    (100_000, 3, 3),    # no more workers than CPUs
+    (2, 64, 2),
+])
+def test_workers_never_outnumber_the_tasks_or_cpus(monkeypatch, tmp_path, jobs, cpus,
+                                                   workers):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(mc, "_CELLS", ())  # the fake installs the cells here
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    files = []
+    for j in (1, jobs):
+        cfg = ExperimentConfig(experiment="nethac-coverage", reps=8, seed=108, jobs=j,
+                               params={"n_nodes": 30}, grid={"w1": (0.04, 0.1)})
+        files.append(size_power_grid(cfg, out=tmp_path / f"j{j}.csv")[3][0].read_bytes())
+    assert _InProcessPool.made == [workers]
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("name,reps,seed,params,grid", [
+    # reps of 11 and 17: no multiple of the batch size, so every cell ends
+    # in a short batch
+    ("ivx-null", 11, 105, {"n": 150}, {"c": (0.0, -5.0, -20.0)}),
+    ("nethac-coverage", 17, 108, {"n_nodes": 30}, {"w1": (0.04, 0.1)}),
+])
+def test_grid_runs_in_one_pool_with_jobs_invariant_bytes(monkeypatch, tmp_path, name,
+                                                         reps, seed, params, grid):
+    starts = []
+
+    class CountingPool(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    files = []
+    for jobs in (1, 2):
+        cfg = ExperimentConfig(experiment=name, reps=reps, seed=seed, jobs=jobs,
+                               params=dict(params), grid=dict(grid))
+        files.append(size_power_grid(cfg, out=tmp_path / f"j{jobs}.csv")[3][0].read_bytes())
+    assert len(starts) == 1
+    assert files[0] == files[1]
+
+
+def _pool_constructions(source: str) -> list[str]:
+    """Calls of `ProcessPoolExecutor(...)` in `source`, however it is reached."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "ProcessPoolExecutor"
+                 or getattr(node.func, "attr", None) == "ProcessPoolExecutor")]
+
+
+def test_guard_flags_each_pool_construction():
+    forms = ["ProcessPoolExecutor(max_workers=2)",
+             "with futures.ProcessPoolExecutor(jobs) as pool:\n    pass",
+             "pool = concurrent.futures.ProcessPoolExecutor()"]
+    for src in forms:
+        assert len(_pool_constructions(src)) == 1, src
+    assert _pool_constructions("from concurrent.futures import ProcessPoolExecutor\n"
+                               "ThreadPoolExecutor(2)\n") == []
+
+
+def test_one_process_pool_construction_in_the_library():
+    found = {path.name: calls for path in sorted(Path(mc.__file__).parent.glob("*.py"))
+             if (calls := _pool_constructions(path.read_text()))}
+    assert list(found) == ["mc.py"] and len(found["mc.py"]) == 1, found
+
+
 @pytest.mark.parametrize("params,radius", [
     ({}, 3),  # bandwidth 3 reaches distance 3
     ({"bandwidth": 5.0, "family": "truncated"}, 5),
@@ -313,7 +404,8 @@ def test_grid_file_shows_the_config_as_given(tmp_path):
 
 def test_grid_checks_every_cell_before_the_first_runs(monkeypatch):
     ran = []
-    monkeypatch.setattr(mc, "run_experiment", lambda cell, out=None: ran.append(cell))
+    monkeypatch.setitem(EXPERIMENTS, "ivx-null",
+                        replace(EXPERIMENTS["ivx-null"], setup=ran.append))
     for axis in ("grid.corrr = 0.5, 0.99\n", "grid.n = 120, 120.7\n"):
         cfg = parse_config("experiment = ivx-null\nreps = 2\nn = 150\n" + axis)
         with pytest.raises(ValueError, match="'corrr'|'n'"):

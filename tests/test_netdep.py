@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy import stats as st
 
 import tsnet as T
+from tsnet._checks import check_positive_int
 
 
 def test_graph_canonical_edges():
@@ -21,6 +22,53 @@ def test_graph_canonical_edges():
         T.Graph(n=3, edges=((1, 4),))
     with pytest.raises(ValueError, match="edges endpoint must be an integer"):
         T.Graph(n=3, edges=((1.5, 2.7),))
+
+
+def _canonical_edges_loop(n, edges):
+    """The edge checks and canonical form, one edge at a time: the reference."""
+    canon = set()
+    for edge in edges:
+        i, j = (check_positive_int(v, "edges endpoint") for v in edge)
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
+        canon.add((min(i, j), max(i, j)))
+    return tuple(sorted(canon))
+
+
+def _outcome(fn):
+    try:
+        return "edges", fn()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_edges_equal_the_edge_loop(seed):
+    gen = np.random.default_rng(seed)
+    n = 25
+    bad_edges = [(3, 3), (0, 4), (2, n + 1), (1.5, 2), (2, "3"), (float("nan"), 1),
+                 (-1, 2), (1, 2, 3)]
+    for _ in range(60):
+        ends = gen.integers(1, n + 1, size=(int(gen.integers(0, 50)), 2))
+        edges = [tuple(map(int, e)) for e in ends]
+        edges += [(j, i) for i, j in edges[::3]]  # reversed duplicates
+        gen.shuffle(edges)
+        for _ in range(int(gen.integers(0, 3))):
+            edges.insert(int(gen.integers(0, len(edges) + 1)),
+                         bad_edges[int(gen.integers(len(bad_edges)))])
+        inputs = [tuple(edges)]
+        if all(len(e) == 2 and all(isinstance(v, (int, float)) for v in e) for e in edges):
+            inputs += [np.array(edges, dtype=float).reshape(-1, 2)]
+            if all(isinstance(v, int) for e in edges for v in e):
+                inputs += [np.array(edges, dtype=np.int64).reshape(-1, 2)]
+        for given in inputs:
+            want = _outcome(lambda: _canonical_edges_loop(n, given))
+            got = _outcome(lambda: T.Graph(n, given).edges)
+            assert got == want, given
+            if got[0] == "edges":
+                assert all(type(v) is int for e in got[1] for v in e)
 
 
 def test_graph_distance_paths_and_components():
