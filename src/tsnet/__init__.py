@@ -44,7 +44,14 @@ from .coint import (
     fmols,
     shin_vn,
 )
-from .garch import GarchFit, GarchSpec, garch_filter, garch_qmle, simulate_garch
+from .garch import (
+    GarchConvergenceWarning,
+    GarchFit,
+    GarchSpec,
+    garch_filter,
+    garch_qmle,
+    simulate_garch,
+)
 from .lrv import (
     KERNEL_FAMILIES,
     KernelSpec,

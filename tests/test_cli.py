@@ -122,6 +122,17 @@ def test_estimate_garch(tmp_path, capsys):
     assert kv["converged"] in ("0", "1")
 
 
+def test_estimate_garch_on_a_constant_column_is_one_line(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("t,y\n" + "".join(f"{t},2.5\n" for t in range(1, 201)))
+    assert main(["estimate", "garch", "--data", str(path), "--column", "y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
+    assert "zero variance" in lines[0]
+
+
 def test_unitroot_subcommands(tmp_path, capsys):
     data = _simulate_series(tmp_path)
     run_cli("test", "adf", "--data", str(data), "--lags", "2")

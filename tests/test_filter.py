@@ -93,6 +93,45 @@ def test_ar_leaves_its_input_alone():
     assert np.array_equal(v, keep)
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (300,), (8, 300)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_ar_with_coefficients_per_observation_matches_loop(p, shape):
+    v = _draws(shape, seed=9)
+    n = shape[-1] if len(shape) == 1 else shape[1]
+    coeffs = np.random.default_rng(10).uniform(-0.6, 0.6, size=(p, n))
+    start = _start(shape)
+    got = ar(v, coeffs, start)
+    panel = np.atleast_2d(v).copy()
+    panel[:, 0] += np.ravel(start)
+    want = np.empty_like(panel)
+    for r in range(panel.shape[0]):
+        for t in range(n):
+            want[r, t] = panel[r, t] + sum(coeffs[k, t] * want[r, t - k - 1]
+                                           for k in range(p) if t > k)
+    want = want.reshape(v.shape)
+    assert got.shape == v.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    # coefficients fixed in time give the path of the constant-coefficient filter
+    fixed = np.repeat(coeffs[:, :1], n, axis=1)
+    assert np.array_equal(ar(v, fixed, start), ar(v, coeffs[:, 0], start))
+
+
+@pytest.mark.parametrize("shape", [(300,), (3, 300)])
+@pytest.mark.parametrize("with_start", [False, True])
+def test_ar_into_out_is_the_returned_path(shape, with_start):
+    v = _draws(shape, seed=11)
+    start = _start(shape) if with_start else None
+    want = ar(v, [0.9], start)
+    out = np.empty_like(v)
+    assert ar(v, [0.9], start, out=out) is out
+    assert np.array_equal(out, want)
+    # in place: v is its own out
+    assert ar(v, [0.9], start, out=v) is v
+    assert np.array_equal(v, want)
+    with pytest.raises(ValueError, match="out"):
+        ar(np.zeros((2, 10, 2)), [0.5], out=np.zeros((2, 10, 2)))
+
+
 @pytest.mark.parametrize("shape", [(500,), (16, 300)])
 def test_ma1_is_bit_identical(shape):
     eps = _draws(shape, seed=3)
