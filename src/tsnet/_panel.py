@@ -11,12 +11,20 @@ bit-identical to a single-rep run whatever R is.  (`einsum` or
 `X[None]`, `y[None]`.  With R = 1 its coef, residuals, SSR, Gram and
 Gram inverse are bit-identical to the 2-d `solve(X.T @ X, X.T @ y)`,
 `y - X @ coef`, `resid @ resid`, `X.T @ X` and `inv(X.T @ X)`; with
-R > 1 each rep equals its own R = 1 fit.
+R > 1 each rep equals its own R = 1 fit.  `ols_coef` is its first half,
+the normal equations alone: a caller that needs only coef or the Gram
+inverse (the bootstrap's replicate fits) skips the (R, n) residual
+panel and its SSR.  For a one-column design the fitted values are the
+broadcast product `X[:, :, 0] * coef`, the one product per element that
+stacked `matmul` forms for inner dimension 1, in half its time; designs
+of two or more columns keep `matmul`, whose BLAS sums a broadcast sum
+would not match in the last bit.
 
-Every Dickey-Fuller/AR fit goes through `ols`: `unitroot._ar_fit`
-builds the design for `ols_ar`, `adf_test`, `phillips_z`,
-`df_limit_mc`, `sieve_bootstrap` and `residual_unitroot_bootstrap`
-(the observed series and the stacked replicates alike).
+Every Dickey-Fuller/AR fit goes through `ols` or `ols_coef`:
+`unitroot._ar_fit` builds the design for `ols_ar`, `adf_test`,
+`phillips_z`, `df_limit_mc`, `sieve_bootstrap` and
+`residual_unitroot_bootstrap` (the observed series by `ols`, the
+stacked replicates by `ols_coef`).
 """
 
 from __future__ import annotations
@@ -26,12 +34,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["OlsFit", "ols", "rowdot", "first_rep"]
+__all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "rowdot", "first_rep"]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-rep dot product of two (R, n) panels, as `a[r] @ b[r]` computes it."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class OlsCoef(NamedTuple):
+    """R stacked normal-equation solves: coef (R, k), X'X and its inverse (R, k, k)."""
+
+    coef: np.ndarray
+    gram: np.ndarray
+    gram_inv: np.ndarray
 
 
 class OlsFit(NamedTuple):
@@ -44,11 +60,12 @@ class OlsFit(NamedTuple):
     gram_inv: np.ndarray
 
 
-def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
-    """OLS of each (n,) y[r] on its (n, k) design X[r], coef from a solve.
+def ols_coef(X: np.ndarray, y: np.ndarray) -> OlsCoef:
+    """The normal equations of each (n,) y[r] on its (n, k) design X[r].
 
-    A singular X'X raises `np.linalg.LinAlgError` (a ValueError) that
-    names collinear or constant regressors.
+    coef comes from a solve.  A singular X'X raises
+    `np.linalg.LinAlgError` (a ValueError) that names collinear or
+    constant regressors.
     """
     Xt = X.transpose(0, 2, 1)
     gram = Xt @ X
@@ -59,8 +76,23 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
         raise np.linalg.LinAlgError(
             "singular least-squares design: the regressors are collinear "
             "or constant") from None
+    return OlsCoef(coef, gram, gram_inv)
+
+
+def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
+    """OLS of each (n,) y[r] on its (n, k) design X[r]: `ols_coef`, then
+    the residuals and their sum of squares.
+
+    With one column the residuals equal the `matmul` form bit for bit up
+    to the sign of an exactly zero residual: matmul's zero-started sum
+    turns a -0.0 product into +0.0.
+    """
+    coef, gram, gram_inv = ols_coef(X, y)
     # y - X coef, written over the fitted values: one (R, n) buffer, not two
-    resid = (X @ coef[:, :, None])[:, :, 0]
+    if X.shape[2] == 1:
+        resid = X[:, :, 0] * coef
+    else:
+        resid = (X @ coef[:, :, None])[:, :, 0]
     np.subtract(y, resid, out=resid)
     return OlsFit(coef, resid, rowdot(resid, resid), gram, gram_inv)
 

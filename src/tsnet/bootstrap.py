@@ -7,6 +7,14 @@ bootstrap recolors a random walk from resampled first-difference
 residuals.  Every scheme takes a statistic callback and returns the
 replicate statistics plus the observed value, so p-values follow one
 shared convention: (1 + #{replicates at least as extreme}) / (B + 1).
+
+Both block schemes, `block_bootstrap` and the residual unit root
+bootstrap, build their replicates in one `_block_resample` call: each
+drawn block is a whole window of the series' `sliding_window_view`
+(the circular layout appends length - 1 wrapped values first), so no
+(B, n) index matrix is formed.  The unit root bootstrap cumulates the
+resampled residuals straight into its replicate walks and fits them by
+the normal equations alone (`_panel.ols_coef`), since only rho* is kept.
 """
 
 from __future__ import annotations
@@ -17,9 +25,11 @@ from math import ceil
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import as_series, check_positive_int
 from ._filter import ar
+from ._panel import ols_coef
 from .series import RngSpec, _resolve_rng
 from .unitroot import _ar_fit
 
@@ -65,24 +75,27 @@ class BootstrapResult:
     scheme: str
 
 
-def _block_index_matrix(n: int, spec: BlockSpec, B: int,
-                        gen: np.random.Generator) -> np.ndarray:
-    """(B, n) index matrix of block-bootstrap draws into a length-n array."""
-    l = spec.length
+def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    """(B, n) block-bootstrap replicates of a length-n series x.
+
+    Each replicate concatenates ceil(n/length) blocks, whole windows of
+    x gathered from its `sliding_window_view`, and is truncated to n.
+    For overlapping circular blocks x gets length - 1 wrapped values
+    appended, so a block that runs past the end is one window too.
+    """
+    n, l = x.shape[0], spec.length
     if l > n:
         raise ValueError("block length exceeds series length")
     k = ceil(n / l)
     if not spec.overlap:
-        n_blocks = n // l
-        starts = gen.integers(0, n_blocks, size=(B, k)) * l
+        starts = gen.integers(0, n // l, size=(B, k)) * l
     elif spec.circular:
         starts = gen.integers(0, n, size=(B, k))
+        x = np.concatenate([x, x[:l - 1]])
     else:
         starts = gen.integers(0, n - l + 1, size=(B, k))
-    idx = starts[:, :, None] + np.arange(l)[None, None, :]
-    if spec.overlap and spec.circular:
-        idx %= n
-    return idx.reshape(B, -1)[:, :n]
+    return sliding_window_view(x, l)[starts].reshape(B, k * l)[:, :n]
 
 
 def _stat_stack(stat: Callable, rows: np.ndarray) -> np.ndarray:
@@ -104,9 +117,8 @@ def block_bootstrap(ts, stat: Callable, B: int, rng,
     x = as_series(ts, "ts")
     B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
-    gen = _resolve_rng(rng)
-    idx = _block_index_matrix(x.shape[0], spec, B, gen)
-    return BootstrapResult(stats=_stat_stack(stat, x[idx]), observed=stat(x),
+    rows = _block_resample(x, spec, B, _resolve_rng(rng))
+    return BootstrapResult(stats=_stat_stack(stat, rows), observed=stat(x),
                            B=B, scheme="block")
 
 
@@ -244,9 +256,11 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     if float(resid @ resid) <= 1e-20 * max(1.0, float(x @ x)):
         raise ValueError("difference residuals are numerically zero; "
                          "the resampling distribution is degenerate")
+    u_star = _block_resample(resid, spec, B, gen)
+    # allocated after the gather, so the block starts are freed by then
     x_star = np.zeros((B, m + 1))
-    np.cumsum(resid[_block_index_matrix(m, spec, B, gen)], axis=1, out=x_star[:, 1:])
-    rho_star = _ar_fit(x_star, "none")[0].coef[:, 0]
+    np.cumsum(u_star, axis=1, out=x_star[:, 1:])
+    rho_star = _ar_fit(x_star, "none", fit=ols_coef)[0].coef[:, 0]
     stats = m * (rho_star - 1.0)
     observed = m * (rho_hat - 1.0)
     return BootstrapResult(stats=stats, observed=observed, B=B,

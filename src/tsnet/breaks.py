@@ -24,7 +24,7 @@ import numpy as np
 from ._checks import as_matrix, as_panel, as_series, check_positive_int
 from ._panel import first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
-from .tables import DEFAULT_PROBS, QuantileTable
+from .tables import QuantileTable
 
 __all__ = [
     "WaldBreakResult",
@@ -210,7 +210,7 @@ _NBB_BATCH = 2000
 
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
                reps: int = 50000, rng: RngSpec | None = None,
-               grid: int = 1000, probs=DEFAULT_PROBS) -> QuantileTable:
+               grid: int = 1000) -> QuantileTable:
     """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range.
 
     BB is a p-dimensional standard Brownian bridge discretized on a
@@ -234,7 +234,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
         draws[done:done + b] = np.max(norm2 / denom[None, :], axis=1)
         done += b
     detail = f"sup-normalized-bridge p={p} trim=({trim[0]}, {trim[1]}) grid={grid}"
-    return QuantileTable.from_draws(draws, reps, probs, detail)
+    return QuantileTable.from_draws(draws, reps, detail)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ is repeated from further starts and the lowest objective is kept.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -135,20 +136,26 @@ def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
 class GarchFit:
     """QMLE output.
 
-    loglik is the minimized objective sum_t (log sigma2_t + eps_t^2 /
-    sigma2_t).  objective_path records it at the start and at each
-    accepted iterate of the run that was kept (nonincreasing); n_iter
-    counts the scoring iterations of every run made.
+    objective is the minimized sum_t (log sigma2_t + eps_t^2 / sigma2_t);
+    loglik, the Gaussian log-likelihood of the innovations, is
+    -(objective + nobs log 2 pi) / 2.  objective_path records the
+    objective at the start and at each accepted iterate of the run that
+    was kept (nonincreasing); n_iter counts the scoring iterations of
+    every run made.
     """
 
     spec: GarchSpec
-    loglik: float
+    objective: float
     converged: bool
     n_iter: int
     objective_path: tuple[float, ...]
     sigma2: np.ndarray
     nobs: int
     ar_coeff: float | None = None
+
+    @property
+    def loglik(self) -> float:
+        return -0.5 * (self.objective + self.nobs * math.log(2.0 * math.pi))
 
 
 def _sigmoid(x):
@@ -333,6 +340,6 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
                       f"the objective settled", GarchConvergenceWarning, stacklevel=2)
     omega, alpha, beta = _unpack(best.theta)
     spec = GarchSpec(omega=omega, alpha=alpha, beta=beta, mu=mu)
-    return GarchFit(spec=spec, loglik=best.value, converged=best.converged,
+    return GarchFit(spec=spec, objective=best.value, converged=best.converged,
                     n_iter=n_iter, objective_path=tuple(best.path),
                     sigma2=best.sigma2, nobs=eps.shape[0], ar_coeff=ar_coeff)

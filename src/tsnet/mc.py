@@ -333,8 +333,9 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Parameters the config leaves out take their defaults.  A key the
     experiment does not declare, or a value of the wrong type, raises
-    ValueError, and so do `reps` or `jobs` below 1, however they were set.
-    Resolving a resolved config gives it back unchanged.
+    ValueError, and so do `reps` or `jobs` below 1 and a `level` outside
+    (0, 1), however they were set.  Resolving a resolved config gives it
+    back unchanged.
     """
     if cfg.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -345,6 +346,10 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"experiment {cfg.experiment!r} has no parameter "
                          f"{', '.join(map(repr, unknown))}; it accepts: "
                          f"{', '.join(sorted(declared))}")
+    level = cfg.level
+    if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ValueError(f"experiment {cfg.experiment!r}: level must lie in (0, 1), "
+                         f"got {level!r}")
     params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
               for key, default in declared.items()}
     return replace(cfg, params=params, reps=check_positive_int(cfg.reps, "reps"),
@@ -664,7 +669,8 @@ def _supwald_setup(cfg):
     p = cfg.params
     table = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
                        grid=p["nbb_grid"])
-    return {"q95_nbb": table.quantile(0.95), "table": table}
+    # the critical value alone: the table's draws need not ship to pool workers
+    return {"q95_nbb": table.quantile(0.95)}
 
 
 def _supwald_rep(cfg, ctx, rs):

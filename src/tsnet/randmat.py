@@ -64,7 +64,8 @@ def sample_cov_spectrum(n: int, p: int, rng,
                          "(pass allow_p_gt_n=True for a deficient spectrum)")
     gen = _resolve_rng(rng)
     x = gen.standard_normal((p, n))
-    s = x @ x.T / n
+    s = x @ x.T
+    s /= n
     tr = float(np.trace(s))
     eig = np.linalg.eigvalsh(s)
     return SpectrumResult(eigenvalues=eig, gamma=p / n, n=n, p=p, trace_gram=tr)

@@ -2,57 +2,54 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["QuantileTable", "DEFAULT_PROBS"]
 
-# Tail and central probabilities reported by the limit simulators.
+# Tail and central probabilities a table reports as its `values`.
 DEFAULT_PROBS = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileTable:
     """Empirical quantiles of a simulated limit distribution.
 
     Parameters
     ----------
-    probs : tuple of float
-        Probability levels, strictly increasing, in (0, 1).
-    values : tuple of float
-        Quantile at each probability level.
+    draws : ndarray
+        The simulated draws, sorted ascending and read-only.
     reps : int
         Number of Monte Carlo replications behind the table.
     detail : str
         Short description of the statistic and settings simulated.
     """
 
-    probs: tuple[float, ...]
-    values: tuple[float, ...]
+    draws: np.ndarray
     reps: int
     detail: str = ""
 
-    def __post_init__(self):
-        if len(self.probs) != len(self.values):
-            raise ValueError("probs and values must have equal length")
-        p = np.asarray(self.probs)
-        if p.size == 0 or np.any(p <= 0) or np.any(p >= 1) or np.any(np.diff(p) <= 0):
-            raise ValueError("probs must be strictly increasing within (0, 1)")
-
     def quantile(self, prob: float) -> float:
-        """Return the tabulated quantile at `prob` (must be an exact level)."""
-        for p, v in zip(self.probs, self.values):
-            if abs(p - prob) < 1e-12:
-                return v
-        raise KeyError(f"probability {prob} not tabulated; available: {self.probs}")
+        """The empirical quantile at any `prob` in (0, 1), by `np.quantile`."""
+        if not 0.0 < prob < 1.0:
+            raise ValueError(f"quantile level must lie in (0, 1), got {prob!r}")
+        return float(np.quantile(self.draws, prob))
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        """The levels `values` reports."""
+        return DEFAULT_PROBS
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The quantiles at the levels `DEFAULT_PROBS`."""
+        return tuple(self.quantile(p) for p in DEFAULT_PROBS)
 
     @classmethod
-    def from_draws(cls, draws, reps: int | None = None, probs=DEFAULT_PROBS,
+    def from_draws(cls, draws, reps: int | None = None,
                    detail: str = "") -> "QuantileTable":
-        draws = np.asarray(draws, dtype=float)
-        vals = np.quantile(draws, np.asarray(probs))
-        return cls(probs=tuple(float(p) for p in probs),
-                   values=tuple(float(v) for v in vals),
-                   reps=int(reps if reps is not None else draws.size),
+        draws = np.sort(np.asarray(draws, dtype=float).ravel())
+        draws.flags.writeable = False
+        return cls(draws=draws, reps=int(reps if reps is not None else draws.size),
                    detail=detail)

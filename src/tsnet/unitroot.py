@@ -17,7 +17,7 @@ from ._checks import as_panel, as_series, check_in, check_positive_int
 from ._panel import first_rep, ols, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
-from .tables import DEFAULT_PROBS, QuantileTable
+from .tables import QuantileTable
 
 __all__ = [
     "AROls",
@@ -46,27 +46,30 @@ _LEVEL_COL = {"none": 0, "const": 1, "trend": 2}
 _DF_BATCH = 1000
 
 
-def _ar_fit(x, deterministic: str, start: int = 1, extra=()):
+def _ar_fit(x, deterministic: str, start: int = 1, extra=(), fit=ols):
     """The Dickey-Fuller regression of each rep of an (R, n) panel, by `ols`.
 
     Regresses x[r, t], t >= start, on [deterministics | x[r, t-1] | extra]:
     no deterministics, a constant, or a constant and the 1-based time
     index t + 1.  Each extra column is an (R, n - start) panel.  Returns
     the fit and its residual degrees of freedom; the coefficient of
-    x_{t-1} is coef[:, _LEVEL_COL[deterministic]].
+    x_{t-1} is coef[:, _LEVEL_COL[deterministic]].  `fit=ols_coef` solves
+    the normal equations alone, for callers that read no residuals.
     """
     R, n = x.shape
     m = n - start
-    ones = np.ones((R, m))
-    det = {"none": [], "const": [ones],
-           "trend": [ones, np.broadcast_to(np.arange(start + 1.0, n + 1), (R, m))]}
-    cols = det[deterministic] + [x[:, start - 1:-1], *extra]
+    cols = [x[:, start - 1:-1], *extra]
+    if deterministic != "none":
+        det = [np.ones((R, m))]
+        if deterministic == "trend":
+            det.append(np.broadcast_to(np.arange(start + 1.0, n + 1), (R, m)))
+        cols = det + cols
     # a lone regressor is used in place, saving a copy of the panel
     X = cols[0][:, :, None] if len(cols) == 1 else np.stack(cols, axis=2)
     dof = m - X.shape[2]
     if dof <= 0:
         raise ValueError("no residual degrees of freedom")
-    return ols(X, x[:, start:]), dof
+    return fit(X, x[:, start:]), dof
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ class DfLimitTables:
 
 
 def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
-                rng: RngSpec | None = None, probs=DEFAULT_PROBS) -> DfLimitTables:
+                rng: RngSpec | None = None) -> DfLimitTables:
     """Simulate quantiles of T(alpha-1) and the Dickey-Fuller t-ratio.
 
     Gaussian random walks of length T are generated and the first-order
@@ -261,10 +264,12 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     coef_draws = np.empty(reps)
     t_draws = np.empty(reps)
     k = _LEVEL_COL[deterministic]
+    buf = np.empty((min(_DF_BATCH, reps), T))
     done = 0
     while done < reps:
         m = min(_DF_BATCH, reps - done)
-        walks = np.cumsum(gen.standard_normal((m, T)), axis=1)
+        walks = gen.standard_normal(out=buf[:m])
+        np.cumsum(walks, axis=1, out=walks)
         fit, dof = _ar_fit(walks, deterministic)
         alpha = fit.coef[:, k]
         se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
@@ -273,6 +278,6 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
         done += m
     detail = f"dickey-fuller T={T} det={deterministic}"
     return DfLimitTables(
-        coef=QuantileTable.from_draws(coef_draws, reps, probs, detail + " coef"),
-        t=QuantileTable.from_draws(t_draws, reps, probs, detail + " t"),
+        coef=QuantileTable.from_draws(coef_draws, reps, detail + " coef"),
+        t=QuantileTable.from_draws(t_draws, reps, detail + " t"),
         T=T, deterministic=deterministic)

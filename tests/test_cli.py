@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tsnet as T
 from tsnet import mc
 from tsnet.cli import main
 from tsnet.mc import read_csv
@@ -119,6 +120,7 @@ def test_estimate_garch(tmp_path, capsys):
     run_cli("estimate", "garch", "--data", str(path), "--column", "y")
     kv = kv_from(capsys)
     assert float(kv["omega"]) > 0.0
+    assert float(kv["loglik"]) < 0.0  # the log-likelihood, not the minimized objective
     assert kv["converged"] in ("0", "1")
 
 
@@ -282,6 +284,42 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["run", "grid"])
+@pytest.mark.parametrize("line,flags", [("level = 1.5", []), ("level = 0", []),
+                                        ("", ["--level", "1"]), ("", ["--level", "nan"]),
+                                        ("", ["--level", "-0.05"])])
+def test_mc_level_outside_the_unit_interval_is_one_line(tmp_path, capsys, monkeypatch,
+                                                       kind, line, flags):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the table was simulated")
+
+    monkeypatch.setattr(mc, "df_limit_mc", no_setup)
+    cfg = tmp_path / "pz.cfg"
+    cfg.write_text(f"experiment = phillips-size\nreps = 4\nn = 60\ncv_reps = 100\n"
+                   f"grid.theta = 0.3, 0.5\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", kind, str(cfg), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("tsnet: error: experiment 'phillips-size': level must lie in (0, 1)")
+    assert list(out.iterdir()) == []
+
+
+def test_mc_phillips_size_at_an_untabulated_level(tmp_path, capsys):
+    cfg = tmp_path / "pz.cfg"
+    cfg.write_text("experiment = phillips-size\nreps = 4\nseed = 4\nn = 60\n"
+                   "cv_reps = 200\nlevel = 0.07\n")
+    run_cli("mc", "run", str(cfg), "--out", str(tmp_path))
+    kv = kv_from(capsys)
+    tables = T.df_limit_mc(60, reps=200, rng=T.RngSpec(4, 0).substream(4))
+    assert float(kv["level"]) == 0.07
+    assert float(kv["cv_coef"]) == float(np.quantile(tables.coef.draws, 0.07))
+    assert float(kv["cv_t"]) == float(np.quantile(tables.t.draws, 0.07))
 
 
 @pytest.mark.parametrize("kind", ["run", "grid"])

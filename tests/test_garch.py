@@ -90,7 +90,17 @@ def test_qmle_objective_path_monotone():
     path = np.asarray(fit.objective_path)
     assert path.size >= 2
     assert np.all(np.diff(path) <= 0)
-    assert path[-1] == fit.loglik and fit.n_iter == path.size - 1
+    assert path[-1] == fit.objective and fit.n_iter == path.size - 1
+
+
+def test_qmle_loglik_is_the_gaussian_log_likelihood():
+    y, _ = T.simulate_garch(T.GarchSpec(0.1, 0.1, 0.8, 0.0), 2000, T.RngSpec(56, 0))
+    fit = T.garch_qmle(y)
+    eps = y - fit.spec.mu
+    want = -0.5 * np.sum(np.log(2.0 * np.pi * fit.sigma2) + eps**2 / fit.sigma2)
+    assert fit.loglik == pytest.approx(want, rel=1e-12)
+    assert fit.loglik == -0.5 * (fit.objective + fit.nobs * np.log(2.0 * np.pi))
+    assert fit.loglik < 0.0 < fit.objective
 
 
 def test_qmle_ar1_mean_two_step():
@@ -194,7 +204,7 @@ def test_qmle_reaches_the_lbfgsb_objective(truth, n, seed):
         fit = T.garch_qmle(y)
     oracle = _lbfgsb_objective(y - y.mean())
     assert fit.converged
-    assert fit.loglik <= oracle + 1e-9 * abs(oracle)
+    assert fit.objective <= oracle + 1e-9 * abs(oracle)
 
 
 def test_serial_heavy_fits_take_few_filter_passes(monkeypatch):

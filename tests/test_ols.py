@@ -8,6 +8,7 @@ for bit.  A guard test keeps new hand-rolled fits out of `src/tsnet`.
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from scipy.signal import lfilter
 
 import tsnet as T
 from tsnet._filter import ar
-from tsnet._panel import ols
-from tsnet.bootstrap import _block_index_matrix
+from tsnet._panel import ols, ols_coef
+from tsnet.unitroot import _ar_fit
 from tsnet.garch import garch_filter
 
 
@@ -57,6 +58,30 @@ def test_ols_reps_equal_their_single_rep_fits():
             one = ols(X[r:r + 1], y[r:r + 1])
             for a, b in zip(fit, one):
                 assert np.array_equal(a[r], b[0])
+
+
+@pytest.mark.parametrize("R", [1, 7, 1000])
+def test_one_column_ols_equals_the_matmul_form(R):
+    gen = np.random.default_rng(5)
+    X = gen.standard_normal((R, 300, 1)) * gen.uniform(0.1, 100.0, (R, 1, 1))
+    X[:, 0] = 0.0  # a walk's first lag, times a negative coef: a -0.0 product
+    y = gen.standard_normal((R, 300))
+    fit = ols(X, y)
+    resid = y - (X @ fit.coef[:, :, None])[:, :, 0]
+    assert np.array_equal(fit.resid, resid)
+    assert np.array_equal(fit.ssr, (resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
+
+
+def test_ols_coef_equals_the_full_fit():
+    gen = np.random.default_rng(6)
+    for R, n, k in [(1, 50, 1), (60, 999, 1), (7, 200, 3)]:
+        X = gen.standard_normal((R, n, k))
+        y = gen.standard_normal((R, n))
+        part, full = ols_coef(X, y), ols(X, y)
+        for name in ("coef", "gram", "gram_inv"):
+            assert np.array_equal(getattr(part, name), getattr(full, name))
+    with pytest.raises(np.linalg.LinAlgError, match="collinear"):
+        ols_coef(np.ones((2, 10, 2)), gen.standard_normal((2, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +264,8 @@ def test_df_limit_matches_the_closed_forms(deterministic):
     tables = T.df_limit_mc(T_len, deterministic=deterministic, reps=reps, rng=T.RngSpec(70, 0))
     walks = np.cumsum(T.RngSpec(70, 0).generator().standard_normal((reps, T_len)), axis=1)
     coef, t = ref_df_draws(walks, deterministic)
-    want_coef = T.QuantileTable.from_draws(coef, reps, tables.coef.probs, "")
-    want_t = T.QuantileTable.from_draws(t, reps, tables.t.probs, "")
+    want_coef = T.QuantileTable.from_draws(coef, reps)
+    want_t = T.QuantileTable.from_draws(t, reps)
     np.testing.assert_allclose(tables.coef.values, want_coef.values, rtol=1e-12)
     np.testing.assert_allclose(tables.t.values, want_t.values, rtol=1e-12)
 
@@ -256,13 +281,70 @@ def test_unitroot_bootstrap_equals_the_ratio_form():
         rho = float((ylag @ y) / (ylag @ ylag))
         assert np.array_equal(res.observed, m * (rho - 1.0))
         resid = y - rho * ylag
-        idx = _block_index_matrix(m, block, B, T.RngSpec(72, seed).generator())
+        idx = ref_block_index(m, block, B, T.RngSpec(72, seed).generator())
         x_star = np.hstack([np.zeros((B, 1)), np.cumsum((resid - resid.mean())[idx], axis=1)])
         ys, yl = x_star[:, 1:], x_star[:, :-1]
         # T(rho* - 1) loses digits to cancellation, so compare rho* itself
         np.testing.assert_allclose(1.0 + res.stats / m,
                                    np.sum(yl * ys, axis=1) / np.sum(yl**2, axis=1),
                                    rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the block gather of both block bootstraps against the index matrix it replaced
+
+
+def ref_block_index(n, spec, B, gen):
+    """(B, n) index matrix of block-bootstrap draws into a length-n array."""
+    l = spec.length
+    k = -(-n // l)
+    if not spec.overlap:
+        starts = gen.integers(0, n // l, size=(B, k)) * l
+    elif spec.circular:
+        starts = gen.integers(0, n, size=(B, k))
+    else:
+        starts = gen.integers(0, n - l + 1, size=(B, k))
+    idx = starts[:, :, None] + np.arange(l)[None, None, :]
+    if spec.overlap and spec.circular:
+        idx %= n
+    return idx.reshape(B, -1)[:, :n]
+
+
+_LAYOUTS = [dict(overlap=True, circular=False), dict(overlap=False),
+            dict(overlap=True, circular=True)]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("B", [1, 60])
+def test_block_gather_equals_the_index_matrix(layout, B):
+    m = 243  # a multiple of none of 7, 10 and m - 1
+    x = np.random.default_rng(73).standard_normal(m + 1).cumsum()
+    for l in (1, 7, 10, m - 1):
+        block = T.BlockSpec(l, **layout)
+        rows = T.block_bootstrap(x[1:], lambda z: z.copy(), B, T.RngSpec(74, l), block)
+        idx = ref_block_index(m, block, B, T.RngSpec(74, l).generator())
+        assert np.array_equal(rows.stats, x[1:][idx])
+
+        res = T.residual_unitroot_bootstrap(x, B, T.RngSpec(75, l), block=block)
+        resid = _ar_fit(x[None], "none")[0].resid[0]
+        idx = ref_block_index(m, block, B, T.RngSpec(75, l).generator())
+        x_star = np.zeros((B, m + 1))
+        np.cumsum((resid - resid.mean())[idx], axis=1, out=x_star[:, 1:])
+        rho_star = _ar_fit(x_star, "none")[0].coef[:, 0]
+        assert np.array_equal(res.stats, m * (rho_star - 1.0))
+
+
+def test_unitroot_bootstrap_peak_memory():
+    x = np.random.default_rng(76).standard_normal(1000).cumsum()
+    T.residual_unitroot_bootstrap(x, 20, T.RngSpec(77), block=10)  # warm up
+    tracemalloc.start()
+    try:
+        T.residual_unitroot_bootstrap(x, 2000, T.RngSpec(77), block=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (2000, 1000) replicate walks alone take 16 MB
+    assert peak <= 35e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,19 @@ def test_quantile_table_interpolates_monotonically():
     table = T.df_limit_mc(200, reps=2000, rng=T.RngSpec(39, 0)).coef
     qs = [table.quantile(p) for p in (0.01, 0.05, 0.5, 0.95)]
     assert qs == sorted(qs)
+
+
+def test_quantile_table_answers_any_level():
+    gen = np.random.default_rng(40)
+    for draws in (gen.standard_normal(20000), gen.standard_cauchy(4001),
+                  np.round(gen.standard_normal(999), 1)):
+        table = T.QuantileTable.from_draws(draws, detail="sim")
+        # the reference levels equal the array call the tables once stored
+        want = np.quantile(draws, np.asarray(T.DEFAULT_PROBS))
+        assert table.values == tuple(float(v) for v in want)
+        for p in (0.001, 0.07, 0.333, 0.999):
+            assert table.quantile(p) == float(np.quantile(draws, p))
+        assert table.reps == draws.size
+    for bad in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            table.quantile(bad)
