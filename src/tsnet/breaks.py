@@ -139,40 +139,58 @@ class SupWaldResult:
     nobs: int
 
 
-def _sup_wald_scalar(ys, x, k_grid) -> np.ndarray:
-    """Closed-form W(k) paths for one regressor, vectorized over k.
+def _break_grid(trim, m: int, p: int) -> np.ndarray:
+    """Break dates k (first-regime sizes) in the trim range, clamped to
+    [p, m - p] so that both regimes identify p coefficients."""
+    lo, hi = _check_trim(trim)
+    k_grid = np.arange(max(int(np.ceil(lo * m)), p), min(int(np.floor(hi * m)), m - p) + 1)
+    if k_grid.size == 0:
+        raise ValueError("trimming leaves no admissible break points")
+    return k_grid
 
-    ys and x are (R, m) pair panels; the result is (R, len(k_grid)).
+
+def _break_scan(Z, e, k_grid, s: int, shift=None) -> np.ndarray:
+    """Score statistics q_k = S_k' V_k^{-1} S_k of a break in the first s columns.
+
+    Z is an (R, m, p) design, e the (R, m) residuals of a fit on Z and
+    shift an optional (R, p) constant taken off every score z_t e_t.
+    With M_k the Gram of the first k rows, S_k = sum_{t<=k} (z_t e_t -
+    shift)[:s] and V_k = M_k[:s, :s] - M_k[:s, :] M_m^{-1} M_k[:, :s];
+    the result is the (R, len(k_grid)) array of q_k.  For OLS residuals
+    q_k is the SSR drop from adding the columns z_t[:s] 1{t<=k}.
+
+    Whitening by the Cholesky factor L of the Gram, w_t = L^{-1} z_t,
+    makes M_m = I; L is triangular, so w_t[:s] spans z_t[:s] and q_k is
+    unchanged.  The s x s algebra runs elementwise over the (R, k) axes.
     """
-    m = ys.shape[1]
-    y_c = ys - ys.mean(axis=1, keepdims=True)
-    cx = np.cumsum(x, axis=1)[:, k_grid - 1]
-    cxx = np.cumsum(x * x, axis=1)[:, k_grid - 1]
-    cxy = np.cumsum(x * y_c, axis=1)[:, k_grid - 1]
-    tx = x.sum(axis=1, keepdims=True)
-    txx = (x * x).sum(axis=1, keepdims=True)
-    txy = (x * y_c).sum(axis=1, keepdims=True)
-    syy = rowdot(y_c, y_c)[:, None]
-
-    g11 = cxx - cx**2 / m
-    g22 = (txx - cxx) - (tx - cx) ** 2 / m
-    g12 = -cx * (tx - cx) / m
-    det = g11 * g22 - g12**2
-    g1 = cxy
-    g2 = txy - cxy
-    beta1 = (g22 * g1 - g12 * g2) / det
-    beta2 = (g11 * g2 - g12 * g1) / det
-    ssr = syy - (beta1 * g1 + beta2 * g2)
-    sigma2 = ssr / (m - 3)
-    r_cov = (g11 + g22 + 2.0 * g12) / det
-    return (beta1 - beta2) ** 2 / (sigma2 * r_cov)
+    R, m, p = Z.shape
+    Zt = Z.transpose(0, 2, 1)
+    L_inv = np.linalg.inv(np.linalg.cholesky(Zt @ Z))
+    W = L_inv @ Zt
+    # cumulative sums of w_a e and w_a w_j (a < s), read at the break dates
+    C = np.empty((R, s, p + 1, m))
+    np.multiply(W[:, :s], e[:, None], out=C[:, :, 0])
+    np.multiply(W[:, :s, None], W[:, None], out=C[:, :, 1:])
+    C = np.cumsum(C, axis=3, out=C)[..., k_grid - 1]
+    S, N = C[:, :, 0], C[:, :, 1:]
+    if shift is not None:
+        S = S - k_grid * (L_inv @ shift[:, :, None])[:, :s]
+    V = N[:, :, :s] - sum(N[:, :, None, j] * N[:, None, :, j] for j in range(p))
+    q = np.zeros((R, k_grid.size))
+    for a in range(s):  # symmetric elimination of V, one pivot at a time
+        q += S[:, a] ** 2 / V[:, a, a]
+        f = V[:, a + 1:, a] / V[:, a, a, None]
+        S[:, a + 1:] -= f * S[:, a, None]
+        V[:, a + 1:, a + 1:] -= f[:, :, None] * V[:, None, a, a + 1:]
+    return q
 
 
 def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     """Supremum Wald statistic over break fractions in the trim range.
 
-    The scalar-regressor case runs in O(m) via cumulative moments; the
-    multivariate case solves the split system at each grid point.
+    The whole path, for any number d of regressors, is one pass of
+    cumulative moments: W_k = q_k (m - 2d - 1) / (SSR_0 - q_k), with
+    SSR_0 from the no-break fit and q_k its drop from a slope break.
     """
     return first_rep(_sup_wald_panel(np.asarray(y, dtype=float)[None],
                                      np.asarray(x, dtype=float)[None], trim),
@@ -185,21 +203,17 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     stat, k_star, pi_star and path gain a leading rep axis; k_grid and
     nobs are shared.
     """
-    trim = _check_trim(trim)
     ys, xl = _predictive_pairs(y, x)
     R, m, d = xl.shape
-    lo = max(int(np.ceil(trim[0] * m)), d + 1)
-    hi = min(int(np.floor(trim[1] * m)), m - d - 1)
-    if lo > hi:
-        raise ValueError("trimming leaves no admissible break points")
-    k_grid = np.arange(lo, hi + 1)
-    if d == 1:
-        path = _sup_wald_scalar(ys, xl[:, :, 0], k_grid)
-    else:
-        path = np.stack([_wald_at_k(ys, xl, int(k)).stat for k in k_grid], axis=1)
+    k_grid = _break_grid(trim, m, d + 1)
+    Z = np.concatenate([xl, np.ones((R, m, 1))], axis=2)
+    fit = ols(Z, ys)
+    if np.any(fit.ssr <= 1e-20 * np.maximum(1.0, rowdot(ys, ys))):  # W_k: roundoff over roundoff
+        raise ValueError("residuals of the no-break fit are numerically zero")
+    q = _break_scan(Z, fit.resid, k_grid, d)
+    path = q * (m - 2 * d - 1) / (fit.ssr[:, None] - q)
     best = np.argmax(path, axis=1)
-    stat = path[np.arange(R), best]
-    return SupWaldResult(stat=stat, k_star=k_grid[best],
+    return SupWaldResult(stat=path[np.arange(R), best], k_star=k_grid[best],
                          pi_star=k_grid[best] / m, path=path,
                          k_grid=k_grid, nobs=m)
 
@@ -401,6 +415,8 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     y_arr = as_series(y, "y", min_len=8)
     xs = as_matrix(x_small, "x_small")
     xe = as_matrix(x_extra, "x_extra")
+    if xe.shape[1] == 0:
+        raise ValueError("x_extra has no columns, so the nesting model equals the nested one")
     n = y_arr.shape[0]
     if xs.shape[0] != n or xe.shape[0] != n:
         raise ValueError("y, x_small, x_extra must have equal length")

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._checks import as_matrix, as_panel, as_series
 from ._panel import first_rep, ols
+from .breaks import _break_grid, _break_scan
 from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
@@ -195,7 +196,11 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     k in the trimmed range,
 
         F_k = S_k' [Omega_{eps.eta} V_k]^{-1} S_k,
-        V_k = M_k - M_k M_T^{-1} M_k,   M_k = sum_{t<=k} z_t z_t'.
+        V_k = M_k - M_k M_T^{-1} M_k,   M_k = sum_{t<=k} z_t z_t',
+
+    on the tested rows and columns, the whole path from one pass of
+    cumulative moments (the kernel of `sup_wald`).  Every k keeps
+    p = d + 1 <= k <= m - p, so that both regimes identify the fit.
 
     Passing k evaluates F at that single break date (counted in usable
     observations) instead of scanning the trimmed grid; the statistic
@@ -205,43 +210,21 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     nuisance), giving a chi2_d fixed-k limit; include_intercept=True
     tests the full coefficient vector (chi2_{d+1}).
     """
-    if k is None and not (0 < trim[0] < trim[1] < 1):
-        raise ValueError("trim fractions must satisfy 0 < lo < hi < 1")
     fm = fmols(y, x, kernel=kernel)
     m = fm.nobs
-    x_arr = as_matrix(x, "x")[1:]
-    Z = np.column_stack([np.ones(m), x_arr])
-    scores = Z * fm.residuals_plus[:, None]
-    scores -= np.concatenate([[0.0], fm.delta_plus])[None, :]
-    S = np.cumsum(scores, axis=0)
-
-    outer = Z[:, :, None] * Z[:, None, :]
-    M = np.cumsum(outer, axis=0)
-    M_T = M[-1]
-    M_T_inv = np.linalg.inv(M_T)
-
+    # the tested coefficients first: the slopes, then the intercept if tested
+    Z = np.column_stack([as_matrix(x, "x")[1:], np.ones(m)])
     p = Z.shape[1]
-    if k is not None:
-        k = int(k)
-        if not (p <= k <= m - p):
-            raise ValueError(f"fixed break k={k} must lie in [{p}, {m - p}] "
-                             f"so both regimes identify the coefficients")
-        k_grid = np.array([k])
+    if k is None:
+        k_grid = _break_grid(trim, m, p)
+    elif p <= int(k) <= m - p:
+        k_grid = np.array([int(k)])
     else:
-        lo = int(np.ceil(trim[0] * m))
-        hi = int(np.floor(trim[1] * m))
-        k_grid = np.arange(max(lo, 1), min(hi, m - 1) + 1)
-        if k_grid.size == 0:
-            raise ValueError("trimming leaves no admissible break points")
-
-    sel = slice(None) if include_intercept else slice(1, None)
-    path = np.empty(k_grid.size)
-    for pos, kb in enumerate(k_grid):
-        Mk = M[kb - 1]
-        Vk = (Mk - Mk @ M_T_inv @ Mk)[sel, sel]
-        Sk = S[kb - 1, sel]
-        path[pos] = Sk @ np.linalg.solve(fm.omega_cond * Vk, Sk)
-    best = int(np.argmax(path))
+        raise ValueError(f"fixed break k={k} must lie in [{p}, {m - p}] "
+                         f"so both regimes identify the coefficients")
     dof = p if include_intercept else p - 1
+    shift = np.append(fm.delta_plus, 0.0)[None]
+    path = _break_scan(Z[None], fm.residuals_plus[None], k_grid, dof, shift)[0] / fm.omega_cond
+    best = int(np.argmax(path))
     return FkResult(stat=float(path[best]), k_star=int(k_grid[best]),
                     path=path, k_grid=k_grid, dof=dof, fm=fm)

@@ -2,7 +2,9 @@
 
 fixed-wald, fmols-size, phillips-size, ivx-null and supwald-nbb compute
 a batch of reps as one panel.  Every rep's row must be bit-identical to
-what the scalar rep body gave before batching, whatever the batch size.
+what the scalar rep body gave before batching, whatever the batch size;
+only supwald-nbb's sup-Wald statistic, whose one-pass break scan sums in
+another order than the closed form kept here, is compared at roundoff.
 The scalar rep bodies, and the scalar estimators and simulators they
 called, are kept below as oracles.  Their AR and MA recursions call
 `tsnet._filter`, which `tests/test_filter.py` pins against lfilter.
@@ -324,7 +326,12 @@ def test_batched_rows_equal_scalar_rep_bodies(name, seed, params):
     want = np.array([SCALAR_REPS[name](res.config, r) for r in range(cfg.reps)],
                     dtype=float)
     assert res.draws.shape == want.shape
-    assert res.draws.tobytes() == want.tobytes()
+    got = res.draws
+    if name == "supwald-nbb":
+        # the one-pass break scan sums in another order than the closed form
+        np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-12, atol=0)
+        got, want = got[:, 1:], want[:, 1:]
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name,seed,params", CASES[::2])
@@ -355,7 +362,7 @@ def _system_panel(R, n, d, seed):
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_wald_kernels_match_scalar_oracles(d):
     Y, X = _system_panel(9, 160, d, seed=40 + d)
     split = _split_wald_panel(Y, X, pi0=0.4)
@@ -364,10 +371,13 @@ def test_wald_kernels_match_scalar_oracles(d):
         want = ref_split_wald(Y[r], X[r], 0.4)
         assert split.stat[r] == want
         assert T.split_wald(Y[r], X[r], pi0=0.4).stat == want
+        # the one-pass scan sums in another order than the oracle's paths
         stat, pi_star = ref_sup_wald(Y[r], X[r], trim=(0.2, 0.8))
-        assert (sup.stat[r], sup.pi_star[r]) == (stat, pi_star)
+        assert sup.stat[r] == pytest.approx(stat, rel=1e-8)
+        assert sup.pi_star[r] == pi_star
         one = T.sup_wald(Y[r], X[r], trim=(0.2, 0.8))
-        assert (one.stat, one.pi_star) == (stat, pi_star)
+        assert one.path.tobytes() == sup.path[r].tobytes()
+        assert (one.stat, one.pi_star) == (sup.stat[r], sup.pi_star[r])
         assert one.k_grid.shape == one.path.shape
 
 

@@ -1,5 +1,8 @@
 """Tests for slope stability statistics: split/sup Wald, LM, monitoring."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,17 +81,23 @@ def test_split_wald_argument_validation():
 
 
 def test_sup_wald_path_matches_split_wald():
-    # the O(m) cumulative-moment path must agree with the direct
-    # split-system solve at every grid point
-    gen = np.random.default_rng((60, 3))
-    n = 201
-    x = np.cumsum(gen.standard_normal(n)) * 0.3
-    y = np.r_[0.0, 0.4 * x[:-1] + gen.standard_normal(n - 1)]
-    res = T.sup_wald(y, x)
-    direct = np.array([T.split_wald(y, x, k=int(k)).stat for k in res.k_grid])
-    np.testing.assert_allclose(res.path, direct, rtol=1e-8, atol=1e-10)
-    assert res.stat == res.path.max()
-    assert res.k_star == res.k_grid[np.argmax(res.path)]
+    # the one-pass cumulative-moment path must agree with the direct
+    # split-system solve at every grid point, for any number of regressors
+    for d in (1, 2, 3):
+        gen = np.random.default_rng((60, 3, d))
+        n = 201
+        x = np.cumsum(gen.standard_normal((n, d)), axis=0) * 0.3
+        y = np.r_[0.0, x[:-1] @ np.full(d, 0.4) + gen.standard_normal(n - 1)]
+        res = T.sup_wald(y, x)
+        direct = np.array([T.split_wald(y, x, k=int(k)).stat for k in res.k_grid])
+        np.testing.assert_allclose(res.path, direct, rtol=1e-8, atol=1e-10)
+        assert res.stat == res.path.max()
+        assert res.k_star == res.k_grid[np.argmax(res.path)]
+        # the widest trim reaches the smallest regimes that identify d slopes
+        wide = T.sup_wald(y, x, trim=(0.001, 0.999))
+        assert (wide.k_grid[0], wide.k_grid[-1]) == (d + 1, n - 1 - d - 1)
+        direct = [T.split_wald(y, x, k=int(k)).stat for k in wide.k_grid[[0, -1]]]
+        np.testing.assert_allclose(wide.path[[0, -1]], direct, rtol=1e-8)
 
 
 def test_sup_wald_trim_superset_dominates():
@@ -115,6 +124,16 @@ def test_sup_wald_multivariate():
     assert res.path.shape == res.k_grid.shape
     with pytest.raises(ValueError, match="trim"):
         T.sup_wald(y, x, trim=(0.9, 0.1))
+
+
+def test_sup_wald_exact_fit_raises():
+    # no residual scale: W_k would be a ratio of rounding errors
+    gen = np.random.default_rng((60, 6))
+    x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
+    for xs, y in ((x[:, 0], np.r_[0.0, 1.0 + 0.5 * x[:-1, 0]]),
+                  (x, np.r_[0.0, 1.0 + x[:-1] @ np.array([0.5, -0.3])])):
+        with pytest.raises(ValueError, match="numerically zero"):
+            T.sup_wald(y, xs)
 
 
 def test_nbb_sup_quantiles():
@@ -257,3 +276,37 @@ def test_me_monitor_validation():
     xs = np.column_stack([np.ones(n), np.ones(n)])
     with pytest.raises(ValueError, match="(?i)singular"):
         T.me_monitor(y, xs, n_hist=50, h=0.3)
+
+
+# --- source guard: break scans are one cumulative pass, never a loop over k --
+
+def _break_grid_loops(source: str) -> list[int]:
+    """Line numbers of the `for` loops and comprehensions over a `k_grid`."""
+    return sorted(node.iter.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                  and any(getattr(n, "id", None) == "k_grid"
+                          or getattr(n, "attr", None) == "k_grid"
+                          for n in ast.walk(node.iter)))
+
+
+def test_guard_flags_each_break_grid_loop():
+    forms = ["for k in k_grid:\n    pass",
+             "for pos, kb in enumerate(k_grid):\n    path[pos] = f(kb)",
+             "path = np.stack([wald(ys, xl, int(k)).stat for k in k_grid], axis=1)",
+             "for i in range(res.k_grid.size):\n    pass",
+             "path = {k: f(k) for k in self.k_grid}"]
+    for src in forms:
+        assert len(_break_grid_loops(src)) == 1, src
+    # building, indexing or broadcasting over a grid is no loop
+    assert _break_grid_loops(
+        "k_grid = np.arange(lo, hi + 1)\nS = C[:, :, k_grid - 1]\n"
+        "for a in range(s):\n    S[a] = S[a] - k_grid * c[:, a, None]\n") == []
+
+
+def test_no_library_loop_over_a_break_grid():
+    # sup_wald and fk_break_test read every break date from one pass of
+    # cumulative moments (`breaks._break_scan`)
+    src = Path(T.__file__).parent
+    offenders = {path.name: _break_grid_loops(path.read_text())
+                 for path in sorted(src.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}

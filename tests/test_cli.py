@@ -286,6 +286,21 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("n_small", [3, 5])
+def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsys, n_small):
+    # the default system has three regressors, so nothing is left to nest
+    cfg = tmp_path / "nf.cfg"
+    cfg.write_text(f"experiment = nested-forecast\nreps = 2\nn = 100\nn_small = {n_small}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ") and "x_extra" in lines[0]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["run", "grid"])
 @pytest.mark.parametrize("line,flags", [("level = 1.5", []), ("level = 0", []),
                                         ("", ["--level", "1"]), ("", ["--level", "nan"]),

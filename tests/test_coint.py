@@ -133,3 +133,53 @@ def test_fk_rejects_bad_trim_and_k():
         T.fk_break_test(y, x, trim=(0.9, 0.1))
     with pytest.raises(ValueError):
         T.fk_break_test(y, x, k=1)
+    with pytest.raises(ValueError, match="trim"):
+        T.fk_break_test(y, x, trim=(0.2,))
+
+
+def ref_fk_path(y, x, k_grid, include_intercept=False, kernel=None):
+    """F_k by one LAPACK solve per break date: the loop the scan replaced."""
+    fm = T.fmols(y, x, kernel=kernel)
+    m = fm.nobs
+    Z = np.column_stack([np.ones(m), np.asarray(x, dtype=float).reshape(m + 1, -1)[1:]])
+    scores = Z * fm.residuals_plus[:, None]
+    scores -= np.concatenate([[0.0], fm.delta_plus])[None, :]
+    S = np.cumsum(scores, axis=0)
+    M = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)
+    M_T_inv = np.linalg.inv(M[-1])
+    sel = slice(None) if include_intercept else slice(1, None)
+    path = np.empty(len(k_grid))
+    for pos, kb in enumerate(k_grid):
+        Mk = M[kb - 1]
+        Vk = (Mk - Mk @ M_T_inv @ Mk)[sel, sel]
+        Sk = S[kb - 1, sel]
+        path[pos] = Sk @ np.linalg.solve(fm.omega_cond * Vk, Sk)
+    return path
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("include_intercept", [False, True])
+def test_fk_scan_matches_per_break_solves(d, include_intercept):
+    gen = np.random.default_rng((17, d))
+    x = np.cumsum(gen.standard_normal((400, d)), axis=0)
+    y = 1.0 + x @ np.linspace(2.0, -1.0, d) + gen.standard_normal(400)
+    x = x[:, 0] if d == 1 else x
+    res = T.fk_break_test(y, x, include_intercept=include_intercept)
+    np.testing.assert_allclose(res.path, ref_fk_path(y, x, res.k_grid, include_intercept),
+                               rtol=1e-10)
+    for k in (d + 1, 150, 399 - d - 1):
+        fixed = T.fk_break_test(y, x, k=k, include_intercept=include_intercept)
+        np.testing.assert_allclose(fixed.path, ref_fk_path(y, x, [k], include_intercept),
+                                   rtol=1e-10)
+        assert fixed.stat == fixed.path[0] and fixed.k_star == k
+
+
+def test_fk_grid_keeps_both_regimes_identified():
+    # a trim reaching k = 1 used to pick a singular V_k
+    gen = np.random.default_rng(18)
+    y, x = _coint_draw(gen, n=300)
+    for include_intercept in (False, True):
+        res = T.fk_break_test(y, x, trim=(0.001, 0.999), include_intercept=include_intercept)
+        # p = 2 coefficients, m = 299 usable observations
+        assert res.k_grid[0] == 2 and res.k_grid[-1] == 297
+        assert np.all(np.isfinite(res.path))

@@ -474,3 +474,6 @@ def test_nested_forecast_degenerate_and_invalid():
     # an identically zero extra regressor never yields a usable origin
     with pytest.raises(ValueError, match="well-conditioned"):
         T.nested_forecast_test(y2, x[:, :1], np.zeros((100, 1)), k0=30)
+    # no extra regressor: the two models coincide and every loss difference is 0
+    with pytest.raises(ValueError, match="x_extra has no columns"):
+        T.nested_forecast_test(y2, x, x[:, 2:], k0=30)
