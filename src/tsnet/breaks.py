@@ -58,6 +58,12 @@ def _check_trim(trim) -> tuple[float, float]:
     return float(lo_hi[0]), float(lo_hi[1])
 
 
+def _check_fit(ssr, ys, fit: str) -> None:
+    """Raise if SSR <= 1e-20 max(1, y'y) in any rep of the (R, m) panel ys."""
+    if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(ys, ys))):
+        raise ValueError(f"residuals of the {fit} fit are numerically zero")
+
+
 @dataclass(frozen=True)
 class WaldBreakResult:
     """Wald statistic for equal slopes across a split at pair index k."""
@@ -69,29 +75,6 @@ class WaldBreakResult:
     beta2: np.ndarray
     sigma2: float
     nobs: int
-
-
-def _wald_at_k(ys, xl, k: int) -> WaldBreakResult:
-    """Split Wald statistic at pair index k for every rep of the pair panels."""
-    R, m, d = xl.shape
-    y_c = ys - ys.mean(axis=1, keepdims=True)
-    ind1 = np.zeros(m)
-    ind1[:k] = 1.0
-    X1 = xl * ind1[:, None]
-    X2 = xl * (1.0 - ind1)[:, None]
-    X = np.concatenate([X1 - X1.mean(axis=1, keepdims=True),
-                        X2 - X2.mean(axis=1, keepdims=True)], axis=2)
-    fit = ols(X, y_c)
-    theta = fit.coef
-    sigma2 = fit.ssr / (m - 2 * d - 1)
-    diff = theta[:, :d] - theta[:, d:]
-    G_inv = fit.gram_inv
-    R_cov = (G_inv[:, :d, :d] + G_inv[:, d:, d:]
-             - G_inv[:, :d, d:] - G_inv[:, d:, :d])
-    stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
-                                        diff[:, :, None])[:, :, 0])
-    return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
-                           beta2=theta[:, d:], sigma2=sigma2, nobs=m)
 
 
 def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBreakResult:
@@ -124,7 +107,25 @@ def _split_wald_panel(y, x, k: int | None = None,
     k = int(k)
     if not d + 1 <= k <= m - d - 1:
         raise ValueError(f"break index {k} leaves a regime too small to fit")
-    return _wald_at_k(ys, xl, k)
+    y_c = ys - ys.mean(axis=1, keepdims=True)
+    ind1 = np.zeros(m)
+    ind1[:k] = 1.0
+    X1 = xl * ind1[:, None]
+    X2 = xl * (1.0 - ind1)[:, None]
+    X = np.concatenate([X1 - X1.mean(axis=1, keepdims=True),
+                        X2 - X2.mean(axis=1, keepdims=True)], axis=2)
+    fit = ols(X, y_c)
+    _check_fit(fit.ssr, ys, "split")
+    theta = fit.coef
+    sigma2 = fit.ssr / (m - 2 * d - 1)
+    diff = theta[:, :d] - theta[:, d:]
+    G_inv = fit.gram_inv
+    R_cov = (G_inv[:, :d, :d] + G_inv[:, d:, d:]
+             - G_inv[:, :d, d:] - G_inv[:, d:, :d])
+    stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
+                                        diff[:, :, None])[:, :, 0])
+    return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
+                           beta2=theta[:, d:], sigma2=sigma2, nobs=m)
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     k_grid = _break_grid(trim, m, d + 1)
     Z = np.concatenate([xl, np.ones((R, m, 1))], axis=2)
     fit = ols(Z, ys)
-    if np.any(fit.ssr <= 1e-20 * np.maximum(1.0, rowdot(ys, ys))):  # W_k: roundoff over roundoff
-        raise ValueError("residuals of the no-break fit are numerically zero")
+    _check_fit(fit.ssr, ys, "no-break")
     q = _break_scan(Z, fit.resid, k_grid, d)
     path = q * (m - 2 * d - 1) / (fit.ssr[:, None] - q)
     best = np.argmax(path, axis=1)

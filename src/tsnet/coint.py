@@ -20,7 +20,7 @@ import numpy as np
 
 from ._checks import as_matrix, as_panel, as_series
 from ._panel import first_rep, ols
-from .breaks import _break_grid, _break_scan
+from .breaks import _break_grid, _break_scan, _check_fit
 from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
@@ -211,6 +211,8 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     tests the full coefficient vector (chi2_{d+1}).
     """
     fm = fmols(y, x, kernel=kernel)
+    e = fm.residuals_ols
+    _check_fit(e @ e, np.asarray(y, dtype=float)[None, 1:], "cointegrating")
     m = fm.nobs
     # the tested coefficients first: the slopes, then the intercept if tested
     Z = np.column_stack([as_matrix(x, "x")[1:], np.ones(m)])

@@ -8,9 +8,10 @@ Every consumer takes a `Graph` or its `Shells` as its first argument and
 reads distances only up to the radius it needs: floor(bandwidth) for
 `network_hac`, len(weights) - 1 for `simulate_graph_ma`, max(s, m) for
 `denseness_stats`, s for `shell` and `neighborhood`.  `graph_shells`
-builds the 0/1 sparse matrix of the node pairs at each distance up to
-that radius by sparse products of the adjacency, so memory grows with
-the neighborhoods, not with n^2.  Shells built once by
+builds the 0/1 sparse matrix S_s of the node pairs at each distance s
+up to that radius by sparse products of the adjacency, and consumers
+read S_s only as a sparse matrix, never as per-pair index arrays, so
+memory grows with the neighborhoods, not with n^2.  Shells built once by
 `graph_shells(g, radius)` can be passed in place of the graph and are
 reused across calls, as the Monte Carlo harness does.  Anything else,
 a dense distance matrix included, is a TypeError.
@@ -173,14 +174,6 @@ class Shells:
             raise ValueError(f"distance {s} outside the shells' range 0..{self.radius}")
         return self.matrices[s]
 
-    def at(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ii, jj) of the 0-based pairs at distance exactly s.
-
-        Row-major with sorted columns: the arrays
-        `np.nonzero(graph_distance(g) == s)` returns.
-        """
-        return np.arange(self.n).repeat(self.sizes(s)), self.matrix(s).indices
-
     def row(self, s: int, i0: int) -> np.ndarray:
         """0-based nodes at distance exactly s from node i0 (sorted)."""
         m = self.matrix(s)
@@ -303,14 +296,14 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
 
     # worst uncovered m-neighborhood mass, per node: for j in shell(i, s),
     # |N(i; m) \ N(j; s-1)| = |N(i; m)| - (B_m B_{s-1})_ij with B_r the
-    # 0/1 ball matrix (symmetric, so the product counts the overlap)
-    ii, jj = sh.at(s)
+    # 0/1 ball matrix (symmetric, so the product counts the overlap), on
+    # the pattern of S_s; an empty row's max is 0
+    shell_s = sh.matrix(s)
     ball_m = sh.ball(m)
-    uncovered = np.asarray(ball_m.sum(axis=1)).ravel()[ii]
-    if s > 0 and ii.size:  # scipy gives a sparse matrix for an empty index
-        uncovered = uncovered - np.asarray((ball_m @ sh.ball(s - 1))[ii, jj]).ravel()
-    overlap_sizes = np.zeros(sh.n)
-    np.maximum.at(overlap_sizes, ii, uncovered)
+    uncovered = shell_s.multiply(np.asarray(ball_m.sum(axis=1)))
+    if s > 0:
+        uncovered = uncovered - shell_s.multiply(ball_m @ sh.ball(s - 1))
+    overlap_sizes = uncovered.max(axis=1).toarray().ravel()
 
     delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
     delta_overlap = float(np.exp(_log_power_mean(overlap_sizes, k)))
@@ -354,15 +347,15 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None,
 
         V = sum_{s=0}^{floor(b)} w(s/b) Omega(s),
         Omega(s) = n^{-1} sum_i sum_{j: d(i,j)=s} (Y_i - Ybar)(Y_j - Ybar)'
+                 = n^{-1} Y_c' S_s Y_c,
 
-    symmetrized as (V + V') / 2.  The kernel must vanish beyond 1
-    (truncated, bartlett, or parzen); bandwidth=None applies the default
-    rule in shell units.  Y may be (n,) or (n, v).  Shells passed in
-    place of the graph must reach `network_hac_radius(kernel, n)`.
+    symmetrized as (V + V') / 2, with Y_c = Y - Ybar and S_s the shell
+    matrix.  The kernel must vanish beyond 1 (truncated, bartlett, or
+    parzen); bandwidth=None applies the default rule in shell units.  Y
+    may be (n,) or (n, v).  Shells passed in place of the graph must
+    reach `network_hac_radius(kernel, n)`.
     """
     spec = kernel if kernel is not None else KernelSpec()
-    if spec.family == "quadratic-spectral":
-        raise ValueError("network HAC requires a kernel vanishing beyond 1")
     ym = as_matrix(y, "y", min_len=2)
     n = ym.shape[0]
     top = network_hac_radius(spec, n)
@@ -375,18 +368,16 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None,
     v = np.zeros((ym.shape[1], ym.shape[1]))
     for s_val in range(top + 1):
         w = kernel_weight(spec.family, s_val / b)
-        if w == 0.0:
-            continue
-        ii, jj = sh.at(s_val)
-        if ii.size == 0:
-            continue
-        v += w * (ym[ii].T @ ym[jj]) / n
+        if w != 0.0:
+            v += w * (ym.T @ (sh.matrix(s_val) @ ym)) / n
     return (v + v.T) / 2.0
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
     """Largest graph distance `network_hac` reads with this kernel on n nodes."""
     spec = kernel if kernel is not None else KernelSpec()
+    if spec.family == "quadratic-spectral":
+        raise ValueError("network HAC requires a kernel vanishing beyond 1")
     return int(np.floor(spec.resolve_bandwidth(n) + 1e-12))
 
 

@@ -136,6 +136,17 @@ def test_sup_wald_exact_fit_raises():
             T.sup_wald(y, xs)
 
 
+def test_split_wald_exact_fit_raises():
+    # the sup_wald rule: no residual scale, so no statistic
+    gen = np.random.default_rng((60, 7))
+    x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
+    for xs, y in ((x[:, 0], np.r_[0.0, 1.0 + 0.5 * x[:-1, 0]]),
+                  (x, np.r_[0.0, 1.0 + x[:-1] @ np.array([0.5, -0.3])])):
+        for kw in ({"pi0": 0.5}, {"k": 60}):
+            with pytest.raises(ValueError, match="split fit are numerically zero"):
+                T.split_wald(y, xs, **kw)
+
+
 def test_nbb_sup_quantiles():
     tab = T.nbb_sup_mc(p=1, reps=4000, grid=400, rng=T.RngSpec(62))
     q95 = tab.quantile(0.95)

@@ -404,6 +404,21 @@ def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1)])
+def test_cli_exact_fit_is_one_line(tmp_path, capsys, kind, lag):
+    x = np.cumsum(np.random.default_rng(18).standard_normal(120))
+    y = 1.0 + 0.5 * np.r_[np.zeros(lag), x[:x.size - lag]]
+    data = tmp_path / "exact.csv"
+    rows = zip(y.tolist(), x.tolist())
+    data.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    assert main(["test", kind, "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
+    assert "fit are numerically zero" in lines[0]
+
+
 def test_mc_override_flags_match_the_reserved_keys(tmp_path, capsys):
     cfg = tmp_path / "fw.cfg"
     cfg.write_text("experiment = fixed-wald\nreps = 20\nseed = 12\nn = 120\n")

@@ -137,6 +137,16 @@ def test_fk_rejects_bad_trim_and_k():
         T.fk_break_test(y, x, trim=(0.2,))
 
 
+def test_fk_exact_fit_raises():
+    # without residual scale omega_cond is roundoff, and so is every F_k
+    gen = np.random.default_rng(17)
+    x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
+    for xs, y in ((x[:, 0], 1.0 + 0.5 * x[:, 0]), (x, 1.0 + x @ np.array([0.5, -0.3]))):
+        for kw in ({}, {"k": 100}, {"include_intercept": True}):
+            with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+                T.fk_break_test(y, xs, **kw)
+
+
 def ref_fk_path(y, x, k_grid, include_intercept=False, kernel=None):
     """F_k by one LAPACK solve per break date: the loop the scan replaced."""
     fm = T.fmols(y, x, kernel=kernel)

@@ -270,6 +270,16 @@ def test_nethac_setup_builds_shells_to_the_radius_read(params, radius):
     assert res.draws[1, 1] == v
 
 
+def test_nethac_setup_rejects_unbounded_kernel_before_building_shells(monkeypatch):
+    def no_shells(*args):
+        raise AssertionError("shells built for a kernel the HAC refuses")
+    monkeypatch.setattr(mc, "graph_shells", no_shells)
+    cfg = ExperimentConfig(experiment="nethac-coverage", reps=2, seed=108,
+                           params={"n_nodes": 40, "family": "quadratic-spectral"})
+    with pytest.raises(ValueError, match="vanishing beyond 1"):
+        EXPERIMENTS["nethac-coverage"].setup(resolve(cfg))
+
+
 def test_run_experiment_stream_shift_consistency():
     # rep r of a stream-s config equals rep s+r of a stream-0 config:
     # replications are keyed by absolute stream, not loop index

@@ -1,6 +1,7 @@
 """Tests for graph utilities, denseness measures, graph MA, network HAC."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,9 @@ def test_network_hac_rejects_unbounded_kernel_and_mismatch():
         T.network_hac(g, y, T.KernelSpec("quadratic-spectral", 2.0))
     with pytest.raises(ValueError, match="rows"):
         T.network_hac(g, y[:-1])
+    # the radius holds the support check, so no shells are sized for such a kernel
+    with pytest.raises(ValueError, match="vanishing beyond 1"):
+        T.network_hac_radius(T.KernelSpec("quadratic-spectral", 3.0), 200)
 
 
 def test_network_hac_multivariate_shape():
@@ -323,9 +327,6 @@ def test_graph_shells_match_dense_distance(name):
     sh = T.graph_shells(g, 7)
     assert sh.n == g.n and sh.radius == 7
     for s in range(8):
-        ii, jj = np.nonzero(d == s)
-        np.testing.assert_array_equal(sh.at(s)[0], ii)
-        np.testing.assert_array_equal(sh.at(s)[1], jj)
         np.testing.assert_array_equal(sh.sizes(s), np.sum(d == s, axis=1))
         np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
         np.testing.assert_array_equal(sh.ball(s).toarray(), d <= s)
@@ -338,8 +339,9 @@ def test_graph_shells_match_dense_distance(name):
     # a shorter radius is a prefix of the longer one
     short = T.graph_shells(g, 2)
     for s in range(3):
-        for a, b in zip(short.at(s), sh.at(s)):
-            np.testing.assert_array_equal(a, b)
+        a, b = short.matrix(s), sh.matrix(s)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
 
 def test_shell_matrices_are_built_once_per_shells_object():
@@ -366,7 +368,7 @@ def test_graph_shells_validation():
         T.graph_shells(g, -1)
     sh = T.graph_shells(g, 1)
     with pytest.raises(ValueError, match="range 0..1"):
-        sh.at(2)
+        sh.matrix(2)
     # consumers refuse shells that stop short of the radius they read
     y = np.random.default_rng((67, 6)).standard_normal(6)
     with pytest.raises(ValueError, match="distance 3 is needed"):
@@ -414,8 +416,12 @@ def test_network_hac_equals_dense_pair_sum(name, v):
                  T.KernelSpec("truncated", 2.0), T.KernelSpec("bartlett", 0.5),
                  T.KernelSpec("bartlett", 4.0)):
         ref = _dense_hac(d, y, spec)
+        # summed as quadratic forms, not pair by pair: equal up to roundoff
+        # on the scale of Gamma(0); V itself may be roundoff (star5, truncated)
+        yc = y.reshape(g.n, -1) - y.reshape(g.n, -1).mean(axis=0)
+        atol = 1e-13 * np.abs(yc.T @ yc / g.n).max()
         for graph in (g, sh):
-            np.testing.assert_array_equal(T.network_hac(graph, y, spec), ref)
+            np.testing.assert_allclose(T.network_hac(graph, y, spec), ref, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPHS))
@@ -462,7 +468,7 @@ def test_network_dependence_on_large_cycle():
     n, w1 = 100_000, 0.3
     g = T.cycle_graph(n)
     sh = T.graph_shells(g, 3)
-    assert [sh.at(s)[0].size for s in range(4)] == [n, 2 * n, 2 * n, 2 * n]
+    assert [sh.matrix(s).nnz for s in range(4)] == [n, 2 * n, 2 * n, 2 * n]
     y = T.simulate_graph_ma(sh, (1.0, w1), T.RngSpec(69, 0))
     eps = T.RngSpec(69, 0).generator().standard_normal(n)
     ma = eps + w1 * (np.roll(eps, 1) + np.roll(eps, -1))
@@ -474,6 +480,23 @@ def test_network_dependence_on_large_cycle():
     assert V == pytest.approx(hand, rel=1e-10)
     # the same estimate without precomputed shells
     assert T.network_hac(g, y, T.KernelSpec("bartlett", 3.0))[0, 0] == V
+
+
+def test_network_hac_allocates_no_pair_arrays():
+    # radius 2 of a 2000-leaf star holds about 4 * 10^6 pairs: two int64
+    # index arrays per shell would take 64 MB, the quadratic forms take
+    # a few n-vectors
+    g = T.star_graph(2000)
+    sh = T.graph_shells(g, 2)
+    y = np.random.default_rng((67, 10)).standard_normal(g.n)
+    spec = T.KernelSpec("bartlett", 2.5)
+    tracemalloc.start()
+    try:
+        T.network_hac(sh, y, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- source guard: the library never builds the n x n distance matrix ------
