@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_series", "as_matrix", "as_panel", "check_positive_int", "check_in"]
+__all__ = ["as_series", "as_matrix", "as_panel", "as_yx", "check_positive_int", "check_in"]
 
 
 def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.ndarray:
@@ -34,6 +34,15 @@ def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.n
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def as_yx(y, x, min_len: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a regression's (R, n) y and (R, n[, d]) x panels, of equal n."""
+    y = as_panel(y, "y", min_len)
+    x = as_panel(x, "x", min_len, matrix=True)
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("y and x must have equal length")
+    return y, x
 
 
 def as_series(x, name: str = "x", min_len: int = 1) -> np.ndarray:

@@ -25,6 +25,12 @@ Every Dickey-Fuller/AR fit goes through `ols` or `ols_coef`:
 `phillips_z`, `df_limit_mc`, `sieve_bootstrap` and
 `residual_unitroot_bootstrap` (the observed series by `ols`, the
 stacked replicates by `ols_coef`).
+
+`exact_fit` is the one exact-fit rule, SSR <= 1e-20 y'y: relative to y
+alone, so rescaling y changes no decision.  Every statistic that is a ratio over a residual
+variance raises on an exact fit, through `check_fit`, with two
+conventions: `adf_test` gives a noiseless autoregression the t-ratio
++-inf (a constant series raises), and `me_monitor` gives a zero path.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "rowdot", "first_rep"]
+__all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "exact_fit", "check_fit", "rowdot", "first_rep"]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,6 +101,17 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
         resid = (X @ coef[:, :, None])[:, :, 0]
     np.subtract(y, resid, out=resid)
     return OlsFit(coef, resid, rowdot(resid, resid), gram, gram_inv)
+
+
+def exact_fit(ssr: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per rep, whether a fit of the (R, n) panel y leaving SSR ssr is exact."""
+    return ssr <= 1e-20 * rowdot(y, y)
+
+
+def check_fit(ssr: np.ndarray, y: np.ndarray, fit: str) -> None:
+    """Raise if the `fit` fit is exact (`exact_fit`) in any rep."""
+    if np.any(exact_fit(ssr, y)):
+        raise ValueError(f"residuals of the {fit} fit are numerically zero")
 
 
 def first_rep(res, shared=()):

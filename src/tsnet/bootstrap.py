@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import as_series, check_positive_int
 from ._filter import ar
-from ._panel import ols_coef
+from ._panel import check_fit, ols_coef
 from .series import RngSpec, _resolve_rng
 from .unitroot import _ar_fit
 
@@ -253,9 +253,7 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     rho_hat = float(fit.coef[0, 0])
     resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
-    if float(resid @ resid) <= 1e-20 * max(1.0, float(x @ x)):
-        raise ValueError("difference residuals are numerically zero; "
-                         "the resampling distribution is degenerate")
+    check_fit(resid @ resid, x[None, 1:], "Dickey-Fuller")
     u_star = _block_resample(resid, spec, B, gen)
     # allocated after the gather, so the block starts are freed by then
     x_star = np.zeros((B, m + 1))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_matrix, as_panel, as_series, check_positive_int
-from ._panel import first_rep, ols, rowdot
+from ._checks import as_matrix, as_series, as_yx, check_positive_int
+from ._panel import check_fit, exact_fit, first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
 from .tables import QuantileTable
 
@@ -43,11 +43,8 @@ __all__ = [
 
 def _predictive_pairs(y, x):
     """Panels of (y_t, x_{t-1}) pairs from (R, n) y and (R, n[, d]) x panels."""
-    y_arr = as_panel(y, "y", min_len=8)
-    x_arr = as_panel(x, "x", min_len=8, matrix=True)
-    if x_arr.shape[1] != y_arr.shape[1]:
-        raise ValueError("y and x must have equal length")
-    return y_arr[:, 1:], x_arr[:, :-1]
+    y, x = as_yx(y, x)
+    return y[:, 1:], x[:, :-1]
 
 
 def _check_trim(trim) -> tuple[float, float]:
@@ -56,12 +53,6 @@ def _check_trim(trim) -> tuple[float, float]:
     if lo_hi.shape != (2,) or not 0 < lo_hi[0] < lo_hi[1] < 1:
         raise ValueError(f"trim must be two fractions 0 < lo < hi < 1, got {trim!r}")
     return float(lo_hi[0]), float(lo_hi[1])
-
-
-def _check_fit(ssr, ys, fit: str) -> None:
-    """Raise if SSR <= 1e-20 max(1, y'y) in any rep of the (R, m) panel ys."""
-    if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(ys, ys))):
-        raise ValueError(f"residuals of the {fit} fit are numerically zero")
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def _split_wald_panel(y, x, k: int | None = None,
     X = np.concatenate([X1 - X1.mean(axis=1, keepdims=True),
                         X2 - X2.mean(axis=1, keepdims=True)], axis=2)
     fit = ols(X, y_c)
-    _check_fit(fit.ssr, ys, "split")
+    check_fit(fit.ssr, ys, "split")
     theta = fit.coef
     sigma2 = fit.ssr / (m - 2 * d - 1)
     diff = theta[:, :d] - theta[:, d:]
@@ -209,7 +200,7 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     k_grid = _break_grid(trim, m, d + 1)
     Z = np.concatenate([xl, np.ones((R, m, 1))], axis=2)
     fit = ols(Z, ys)
-    _check_fit(fit.ssr, ys, "no-break")
+    check_fit(fit.ssr, ys, "no-break")
     q = _break_scan(Z, fit.resid, k_grid, d)
     path = q * (m - 2 * d - 1) / (fit.ssr[:, None] - q)
     best = np.argmax(path, axis=1)
@@ -278,18 +269,17 @@ def lm_nyblom(y, x) -> LmResult:
         LM1 = (m^2 s2)^{-1} sum_j (sum_{t<=j} e_t)^2
         LM2 = (m s2 sum_t x_{t-1}^2)^{-1} sum_j (sum_{t<=j} x_{t-1} e_t)^2
 
-    with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2.
+    with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2 (an exact fit raises).
     """
-    ys, xl = _predictive_pairs(np.asarray(y, dtype=float)[None],
-                               np.asarray(x, dtype=float)[None])
-    ys, xl = ys[0], xl[0]
-    if xl.shape[1] != 1:
+    y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    if x_arr.shape[2] != 1:
         raise ValueError("lm_nyblom is defined for a single regressor")
-    xlag = xl[:, 0]
-    m = ys.shape[0]
-    dx = np.diff(as_matrix(x, "x")[:, 0])
+    ys, xlag, dx = y_arr[:, 1:], x_arr[0, :-1, 0], np.diff(x_arr[0, :, 0])
+    m = xlag.shape[0]
     Z = np.column_stack([np.ones(m), xlag, dx])
-    e = ols(Z[None], ys[None]).resid[0]
+    fit = ols(Z[None], ys)
+    check_fit(fit.ssr, ys, "predictive")
+    e = fit.resid[0]
     sigma2 = float(np.mean(e**2))
 
     X = np.column_stack([np.ones(m), xlag])
@@ -324,18 +314,14 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
         ME_k = (win / (sigma-hat sqrt(n_hist)))
                * || Q^{1/2} (b-tilde(k) - b-hat) ||
 
-    and the path runs over k = n_hist .. n - win.  With drift-free data
-    and u identically zero the path is identically zero: a historical
-    fit whose residual variance is pure roundoff (relative to the scale
-    of y) has no noise scale to standardize by, and the path is zero by
-    convention rather than a ratio of rounding errors.
+    and the path runs over k = n_hist .. n - win.  An exact historical
+    fit (`_panel.exact_fit`) has no noise scale to standardize by, so
+    the path is zero by convention rather than a ratio of rounding
+    errors.
     """
-    y_arr = as_series(y, "y", min_len=8)
-    x_arr = as_matrix(x, "x", min_len=8)
-    n = y_arr.shape[0]
-    if x_arr.shape[0] != n:
-        raise ValueError("y and x must have equal length")
-    d = x_arr.shape[1]
+    y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    y_arr, x_arr = y_arr[0], x_arr[0]
+    n, d = x_arr.shape
     n_hist = check_positive_int(n_hist, "n_hist", minimum=d + 2)
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -345,12 +331,12 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     if n < n_hist + win:
         raise ValueError("no monitoring observations beyond the history")
 
-    yh = y_arr[:n_hist]
-    fit = ols(x_arr[None, :n_hist], yh[None])
+    yh = y_arr[None, :n_hist]
+    fit = ols(x_arr[None, :n_hist], yh)
     Q = fit.gram[0] / n_hist
     beta_hist = fit.coef[0]
     sigma2 = float(fit.ssr[0] / (n_hist - d))
-    if sigma2 <= 1e-20 * max(float(np.mean(yh**2)), np.finfo(float).tiny):
+    if exact_fit(fit.ssr, yh)[0]:
         k_grid = np.arange(n_hist, n - win + 1)
         return MeResult(stat=0.0, path=np.zeros(k_grid.size), k_grid=k_grid,
                         window=win, beta_hist=beta_hist)
@@ -446,11 +432,11 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
                       f"to {start} (singular early design)")
 
     # full-sample residual variance of the nesting model, whose design
-    # is nonsingular once an early one is
-    sigma2 = float(ols(z[None], ys[None]).ssr[0] / (m - p_big))
-    # exact fits leave only roundoff, which is no scale for the losses
-    if sigma2 <= 1e-20 * max(1.0, float(ys @ ys) / m):
-        raise ValueError("degenerate full-sample fit; cannot scale losses")
+    # is nonsingular once an early one is; an exact fit leaves only
+    # roundoff, which is no scale for the losses
+    ssr = ols(z[None], ys[None]).ssr
+    check_fit(ssr, ys[None], "nesting-model")
+    sigma2 = float(ssr[0] / (m - p_big))
 
     # the forecast of pair t uses the fit on pairs 0..t-1
     g = grams[start - 1:m - 1]

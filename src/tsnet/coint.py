@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_matrix, as_panel, as_series
-from ._panel import first_rep, ols
-from .breaks import _break_grid, _break_scan, _check_fit
+from ._checks import as_series, as_yx
+from ._panel import check_fit, first_rep, ols
+from .breaks import _break_grid, _break_scan
 from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
@@ -83,11 +83,8 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     Every per-rep field of the result gains a leading rep axis
     (omega_cond becomes an (R,) array); nobs is shared.
     """
-    y = as_panel(y, "y", min_len=8)
-    x = as_panel(x, "x", min_len=8, matrix=True)
+    y, x = as_yx(y, x)
     R, n, d = x.shape
-    if y.shape[1] != n:
-        raise ValueError("y and x must have equal length")
 
     dx = np.diff(x, axis=1)
     eta = dx - dx.mean(axis=1, keepdims=True)
@@ -146,17 +143,17 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
     the full sample; with x=None, y itself is treated as a residual
     series (used for direct checks).  sigma2 is the kernel long-run
     variance of the residuals by default, or the short-run average
-    squared residual when short_run=True.
+    squared residual when short_run=True.  An exact fit on x raises.
     """
-    y_arr = as_series(y, "y", min_len=4)
-    n = y_arr.shape[0]
     if x is None:
-        resid = y_arr
+        resid = as_series(y, "y", min_len=4)
     else:
-        x_arr = as_matrix(x, "x", min_len=4)
-        if x_arr.shape[0] != n:
-            raise ValueError("y and x must have equal length")
-        resid = ols(np.column_stack([np.ones(n), x_arr])[None], y_arr[None]).resid[0]
+        y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None],
+                             np.asarray(x, dtype=float)[None], min_len=4)
+        fit = ols(np.concatenate([np.ones(y_arr.shape + (1,)), x_arr], axis=2), y_arr)
+        check_fit(fit.ssr, y_arr, "cointegrating")
+        resid = fit.resid[0]
+    n = resid.shape[0]
     if short_run:
         sigma2 = float(np.mean(resid**2))
     else:
@@ -210,12 +207,13 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     nuisance), giving a chi2_d fixed-k limit; include_intercept=True
     tests the full coefficient vector (chi2_{d+1}).
     """
-    fm = fmols(y, x, kernel=kernel)
+    y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    fm = first_rep(_fmols_panel(y, x, kernel))
     e = fm.residuals_ols
-    _check_fit(e @ e, np.asarray(y, dtype=float)[None, 1:], "cointegrating")
+    check_fit(e @ e, y[:, 1:], "cointegrating")
     m = fm.nobs
     # the tested coefficients first: the slopes, then the intercept if tested
-    Z = np.column_stack([as_matrix(x, "x")[1:], np.ones(m)])
+    Z = np.column_stack([x[0, 1:], np.ones(m)])
     p = Z.shape[1]
     if k is None:
         k_grid = _break_grid(trim, m, p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from ._checks import as_panel
+from ._checks import as_panel, as_yx
 from ._filter import ar
 from ._panel import first_rep, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
@@ -109,11 +109,8 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     Every per-rep field of the result gains a leading rep axis; rho_nz,
     nobs and demeaned are shared.
     """
-    y = as_panel(y, "y", min_len=8)
-    x = as_panel(x, "x", min_len=8, matrix=True)
+    y, x = as_yx(y, x)
     R, n, d = x.shape
-    if y.shape[1] != n:
-        raise ValueError("y and x must have equal length")
 
     ys = y[:, 1:]
     xlag = x[:, :-1]

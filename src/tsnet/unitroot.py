@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_panel, as_series, check_in, check_positive_int
-from ._panel import first_rep, ols, rowdot
+from ._panel import check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
 from .tables import QuantileTable
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _DETERMINISTICS = ("none", "const", "trend")
-_ZERO_RESID = "residuals are numerically zero; variance estimates degenerate"
 
 
 def default_adf_lags(n: int) -> int:
@@ -138,7 +137,9 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
 
     X_t = d_t'mu + alpha X_{t-1} + sum_{j=1..p} phi_j dX_{t-j} + e_t,
     fitted over t = p+2..n.  Returns the t-ratio for alpha = 1 and the
-    normalized bias T(alpha-1)/(1 - sum phi).
+    normalized bias T(alpha-1)/(1 - sum phi).  An exact fit leaves no
+    scale: a noiseless autoregression gets the t-ratio +-inf, and a
+    constant series (alpha = 1 exactly) raises.
     """
     x = as_series(ts, "ts", min_len=4)
     if p < 0:
@@ -154,16 +155,12 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     nobs = n - p - 1
     k_det = _LEVEL_COL[deterministic]
     alpha = float(coeffs[k_det])
-    se_alpha = float(np.sqrt(s2 * fit.gram_inv[0, k_det, k_det]))
-    if se_alpha == 0.0:
-        if alpha == 1.0:
-            # a constant series: nothing is left to test
-            raise ValueError(_ZERO_RESID)
-        # exact autoregression (e.g. a noiseless explosive path): the
-        # t-ratio degenerates to a signed infinity
+    if alpha == 1.0:  # an exact fit is then a noiseless unit root: nothing to test
+        check_fit(fit.ssr, x[None, p + 1:], "Dickey-Fuller")
+    if exact_fit(fit.ssr, x[None, p + 1:])[0]:
         t_stat = np.inf * np.sign(alpha - 1.0)
     else:
-        t_stat = (alpha - 1.0) / se_alpha
+        t_stat = (alpha - 1.0) / float(np.sqrt(s2 * fit.gram_inv[0, k_det, k_det]))
     phi_sum = float(np.sum(coeffs[k_det + 1:])) if p > 0 else 0.0
     coef_stat = nobs * (alpha - 1.0) / (1.0 - phi_sum)
     return UnitRootResult(stat_coef=coef_stat, stat_t=t_stat, alpha_hat=alpha,
@@ -206,15 +203,13 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str =
     x = as_panel(ts, "ts", min_len=10)
     if deterministic not in ("none", "const"):
         raise ValueError("deterministic must be 'none' or 'const'")
-    y = x[:, 1:]
     ylag = x[:, :-1]
-    T = y.shape[1]
+    T = ylag.shape[1]
     fit, dof = _ar_fit(x, deterministic)
     alpha = fit.coef[:, -1]
     ssr = fit.ssr
-    # catches exact fits up to float fuzz (perfect lines, constants)
-    if np.any(ssr <= 1e-20 * np.maximum(1.0, rowdot(y, y))):
-        raise ValueError(_ZERO_RESID)
+    # exact fits (perfect lines, constants) leave only roundoff
+    check_fit(ssr, x[:, 1:], "Dickey-Fuller")
     s2_u = ssr / dof if df_adjust else ssr / T
     est = _hac_lrv_panel(fit.resid, kernel=kernel, demean=False)
     s2_lr = est.omega[:, 0, 0]

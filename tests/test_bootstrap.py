@@ -155,11 +155,11 @@ def test_wild_rademacher_identities():
 
 def test_unitroot_bootstrap_degenerate_input():
     x = np.full(50, 3.0)
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="residuals of the Dickey-Fuller fit are numerically zero"):
         T.residual_unitroot_bootstrap(x, 10, T.RngSpec(7), block=5)
     # exact AR(1) path without noise degenerates the same way
     x2 = 3.0 * 0.9 ** np.arange(60)
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="residuals of the Dickey-Fuller fit are numerically zero"):
         T.residual_unitroot_bootstrap(x2, 10, T.RngSpec(7), block=5)
 
 

@@ -216,6 +216,14 @@ def test_lm_nyblom_scale_invariant():
     assert b.lm2 == pytest.approx(a.lm2, rel=1e-10)
 
 
+def test_lm_nyblom_exact_fit_raises():
+    # every LM statistic is a ratio over s2, here pure roundoff
+    x = np.cumsum(np.random.default_rng((64, 103)).standard_normal(200))
+    for y in (np.r_[0.0, 1.0 + 0.5 * x[:-1]], 1.0 + 0.5 * x, 2.0 - x):
+        with pytest.raises(ValueError, match="predictive fit are numerically zero"):
+            T.lm_nyblom(y, x)
+
+
 def test_lm_nyblom_single_regressor_only():
     gen = np.random.default_rng((64, 102))
     with pytest.raises(ValueError, match="single regressor"):

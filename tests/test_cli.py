@@ -385,7 +385,7 @@ def test_cli_singular_design_is_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,body,message", [
-    (["test", "adf"], _FLAT, "residuals are numerically zero"),
+    (["test", "adf"], _FLAT, "residuals of the Dickey-Fuller fit are numerically zero"),
     (["test", "adf", "--column", "nope"], "t,value\n1,0.5\n2,0.25\n",
      "column 'nope' not in"),
     (["test", "shin"], "t\n1\n2\n", "no data columns found"),
@@ -404,7 +404,8 @@ def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     assert message in lines[0]
 
 
-@pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1)])
+@pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1), ("lm", 1),
+                                      ("shin", 0)])
 def test_cli_exact_fit_is_one_line(tmp_path, capsys, kind, lag):
     x = np.cumsum(np.random.default_rng(18).standard_normal(120))
     y = 1.0 + 0.5 * np.r_[np.zeros(lag), x[:x.size - lag]]

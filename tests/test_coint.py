@@ -80,6 +80,15 @@ def test_shin_orders_cointegrated_below_spurious():
     assert wins >= 95
 
 
+def test_shin_exact_fit_raises():
+    # V_n over a roundoff sigma2; without x, y is taken as the residuals
+    x = np.cumsum(np.random.default_rng(14).standard_normal((200, 2)), axis=0)
+    for xs, y in ((x[:, 0], 1.0 + 0.5 * x[:, 0]), (x, 1.0 + x @ np.array([0.5, -0.3]))):
+        for kw in ({}, {"short_run": True}):
+            with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+                T.shin_vn(y, xs, **kw)
+
+
 def test_shin_rank_error_on_constant_regressor():
     with pytest.raises(np.linalg.LinAlgError):
         T.shin_vn(np.ones(20), np.ones(20))

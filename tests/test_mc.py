@@ -474,7 +474,8 @@ def test_nested_forecast_degenerate_and_invalid():
     gen = T.RngSpec(90, 101).generator()
     x = gen.standard_normal((100, 2))
     y = np.r_[0.0, 1.0 + 2.0 * x[:-1, 0]]  # exact fit, zero variance
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError,
+                       match="residuals of the nesting-model fit are numerically zero"):
         T.nested_forecast_test(y, x[:, :1], x[:, 1:], k0=30)
     y2 = gen.standard_normal(100)
     with pytest.raises(ValueError, match="equal length"):

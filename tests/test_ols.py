@@ -3,11 +3,15 @@
 Every OLS fit in the library goes through `ols`.  The oracles below keep
 the hand-written algebra each estimator used before (2-d `X.T @ X`,
 `solve`, `inv`, `resid @ resid`), and the estimators must match them bit
-for bit.  A guard test keeps new hand-rolled fits out of `src/tsnet`.
+for bit.  A guard test keeps new hand-rolled fits out of `src/tsnet`,
+and another keeps the exact-fit tolerance of `_panel.exact_fit` in one
+place; every statistic under that rule is invariant to the scale of y.
 """
 
 import ast
+import io
 import re
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -575,3 +579,70 @@ def test_no_hand_rolled_least_squares_outside_the_kernel():
             code for scope, code in _lag_ratios(source)
             if (path.name, scope) not in _RATIO_EXEMPT]
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+# ---------------------------------------------------------------------------
+# the exact-fit rule: one tolerance, in `_panel`, relative to y'y alone
+
+
+def _tolerance_numbers(source: str) -> list[str]:
+    """The number literals of value 1e-20 in `source`, however spelled."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [tok.string for tok in tokens
+            if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) == 1e-20]
+
+
+def _fit_tolerances(source: str) -> list[str]:
+    """Each spelling of 1e-20 in `source`: a number of that value, or the
+    text 1e-20 anywhere (a comment or docstring restating the rule)."""
+    return _tolerance_numbers(source) + re.findall(
+        r"(?<![\w.])1(?:\.0*)?e-0*20(?!\d)", source, re.I)
+
+
+def test_guard_flags_each_tolerance_spelling():
+    for src in ("tol = 1e-20", "ok = ssr <= 1.0E-20 * yy", "tol = 10e-21",
+                "# SSR below 1e-20 y'y", '"""SSR <= 1e-020 max(1, yy)"""'):
+        assert _fit_tolerances(src), src
+    assert _fit_tolerances("a, b, c = 1e-200, 1e-2, 2e-20  # 11e-20") == []
+
+
+def test_exact_fit_tolerance_lives_only_in_the_kernel():
+    offenders = {path.name: _fit_tolerances(path.read_text())
+                 for path in sorted(_SRC.glob("*.py")) if path.name != "_panel.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+    # and `_panel` holds it once, in `exact_fit`
+    assert _tolerance_numbers((_SRC / "_panel.py").read_text()) == ["1e-20"]
+
+
+_SCALE_GEN = np.random.default_rng((60, 15))
+_X = np.cumsum(_SCALE_GEN.standard_normal((200, 2)), axis=0)
+_U = _SCALE_GEN.standard_normal(200)
+_Y = np.r_[0.0, 0.5 * _X[:-1, 0] + _U[1:]]  # predictive
+_YC = 1.0 + 0.5 * _X[:, 0] + _U  # cointegrated with _X[:, 0]
+_W = np.cumsum(_U)  # a random walk
+
+# the numbers of each statistic, with y (or the series) multiplied by s
+_SCALED = {
+    "sup_wald": lambda s: T.sup_wald(_Y * s, _X).path,
+    "split_wald": lambda s: T.split_wald(_Y * s, _X, pi0=0.4).stat,
+    "fk_break_test": lambda s: T.fk_break_test(_YC * s, _X[:, 0]).path,
+    "nested_forecast_test": lambda s: T.nested_forecast_test(
+        _Y * s, _X[:, :1], _X[:, 1:], k0=60).path,
+    "me_monitor": lambda s: T.me_monitor(_Y * s, _X, n_hist=100).path,
+    "lm_nyblom": lambda s: (lambda r: [r.lm, r.lm1, r.lm2])(T.lm_nyblom(_Y * s, _X[:, 0])),
+    "shin_vn": lambda s: T.shin_vn(_YC * s, _X[:, 0]).v_n,
+    "phillips_z": lambda s: (lambda r: [r.stat_coef, r.stat_t])(
+        T.phillips_z(_W * s, deterministic="const")),
+    "adf_test": lambda s: (lambda r: [r.stat_coef, r.stat_t])(
+        T.adf_test(_W * s, p=2, deterministic="trend")),
+    "residual_unitroot_bootstrap": lambda s: T.residual_unitroot_bootstrap(
+        _W * s, 99, T.RngSpec(8), block=10).stats,
+}
+
+
+@pytest.mark.parametrize("k", [40, -40])
+@pytest.mark.parametrize("name", sorted(_SCALED))
+def test_noisy_data_answer_the_same_at_any_scale(name, k):
+    # y * 2^-40 is still noisy data: no statistic may call its fit exact
+    stat = _SCALED[name]
+    np.testing.assert_allclose(stat(2.0**k), stat(1.0), rtol=1e-12, atol=0)

@@ -44,8 +44,19 @@ def test_adf_explosive_series_signs():
 @pytest.mark.parametrize("x", [np.ones(60), np.full(40, -2.5)])
 def test_adf_constant_series_raises(x):
     # alpha = 1 exactly with zero residuals: no test statistic exists
-    with pytest.raises(ValueError, match="residuals are numerically zero"):
+    with pytest.raises(ValueError,
+                       match="residuals of the Dickey-Fuller fit are numerically zero"):
         T.adf_test(x)
+
+
+@pytest.mark.parametrize("rate,sign", [(1.05, 1.0), (0.9, -1.0)])
+@pytest.mark.parametrize("det", ["none", "const"])
+def test_adf_noiseless_autoregression_is_infinite(rate, sign, det):
+    # an exact fit of alpha != 1: the t-ratio has no finite scale
+    res = T.adf_test(rate ** np.arange(60.0), deterministic=det)
+    assert res.stat_t == sign * np.inf
+    assert res.alpha_hat == pytest.approx(rate, rel=1e-12)
+    assert np.isfinite(res.stat_coef)
 
 
 def test_adf_left_tail_power_against_stationary_ar1():
