@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_series, as_yx
-from ._panel import check_fit, first_rep, ols
+from ._panel import check_fit, first_rep, ols, rowdot
 from .breaks import _break_grid, _break_scan
 from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
 
@@ -72,6 +72,7 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
 
     m the number of usable observations.  Standard errors use the
     conditional long-run variance: cov = Omega_{eps.eta} (Z'Z)^{-1}.
+    An exact OLS-stage fit raises.
     """
     return first_rep(_fmols_panel(np.asarray(y, dtype=float)[None],
                                   np.asarray(x, dtype=float)[None], kernel))
@@ -94,6 +95,7 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
 
     Z = np.concatenate([np.ones((R, m, 1)), xs], axis=2)
     fit = ols(Z, ys)
+    check_fit(fit.ssr, ys, "cointegrating")
 
     u = np.concatenate([fit.resid[:, :, None], eta], axis=2)
     est = _hac_lrv_panel(u, kernel=kernel, demean=False)
@@ -143,16 +145,17 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
     the full sample; with x=None, y itself is treated as a residual
     series (used for direct checks).  sigma2 is the kernel long-run
     variance of the residuals by default, or the short-run average
-    squared residual when short_run=True.  An exact fit on x raises.
+    squared residual when short_run=True.  An exact fit on x, or an
+    all-zero residual series, raises.
     """
     if x is None:
-        resid = as_series(y, "y", min_len=4)
+        y_arr = resid = as_series(y, "y", min_len=4)[None]
     else:
         y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None],
                              np.asarray(x, dtype=float)[None], min_len=4)
-        fit = ols(np.concatenate([np.ones(y_arr.shape + (1,)), x_arr], axis=2), y_arr)
-        check_fit(fit.ssr, y_arr, "cointegrating")
-        resid = fit.resid[0]
+        resid = ols(np.concatenate([np.ones(y_arr.shape + (1,)), x_arr], axis=2), y_arr).resid
+    check_fit(rowdot(resid, resid), y_arr, "cointegrating")
+    resid = resid[0]
     n = resid.shape[0]
     if short_run:
         sigma2 = float(np.mean(resid**2))
@@ -209,8 +212,6 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     """
     y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
     fm = first_rep(_fmols_panel(y, x, kernel))
-    e = fm.residuals_ols
-    check_fit(e @ e, y[:, 1:], "cointegrating")
     m = fm.nobs
     # the tested coefficients first: the slopes, then the intercept if tested
     Z = np.column_stack([x[0, 1:], np.ones(m)])

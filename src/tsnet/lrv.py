@@ -57,6 +57,11 @@ class KernelSpec:
     def resolve_bandwidth(self, n: int) -> float:
         return float(self.bandwidth) if self.bandwidth is not None else default_bandwidth(n)
 
+    def reach(self, n: int) -> int:
+        """Last lag (or distance) a compactly supported kernel weights at
+        sample size n: floor(b), as the weight vanishes beyond j = b."""
+        return int(np.floor(self.resolve_bandwidth(n) + 1e-12))
+
 
 def default_bandwidth(n: int) -> float:
     """Default smoothing bandwidth ceil(1.2 * n^(1/3))."""
@@ -170,8 +175,7 @@ def _hac_lrv_panel(ms, kernel: KernelSpec | None = None, demean: bool = True) ->
     if spec.family == "quadratic-spectral":
         max_lag = min(n - 1, int(ceil(_QS_SUPPORT_MULTIPLE * b)))
     else:
-        # compactly supported: weight vanishes for j > b
-        max_lag = min(n - 1, int(np.floor(b + 1e-12)))
+        max_lag = min(n - 1, spec.reach(n))
 
     xt = x.transpose(0, 2, 1)
     g = xt @ x / n

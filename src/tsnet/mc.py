@@ -213,14 +213,17 @@ def _config_comment(cfg: ExperimentConfig) -> str:
     return "#config=" + ";".join(head + tail)
 
 
+def _csv_lines(columns, rows):
+    """The header line, then one line per row, as `write_csv` writes them."""
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row)
+
+
 def write_csv(path, schema: str, columns, rows, comments=()) -> Path:
     """Write a CSV with a #schema line, optional #-comments, and a header."""
     path = Path(path)
-    lines = [f"#schema={schema}"]
-    lines.extend(comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"#schema={schema}", *comments, *_csv_lines(columns, rows)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -341,8 +341,7 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.nda
     return sum(w[s_val] * (sh.matrix(s_val) @ eps) for s_val in range(w.size))
 
 
-def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None,
-                demean: bool = True) -> np.ndarray:
+def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> np.ndarray:
     """Kernel HAC estimate of the network long-run variance.
 
         V = sum_{s=0}^{floor(b)} w(s/b) Omega(s),
@@ -362,8 +361,7 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None,
     sh = _shells_of(graph, top)
     if sh.n != n:
         raise ValueError(f"y has {n} rows but the graph has {sh.n} nodes")
-    if demean:
-        ym = ym - ym.mean(axis=0)
+    ym = ym - ym.mean(axis=0)
     b = spec.resolve_bandwidth(n)
     v = np.zeros((ym.shape[1], ym.shape[1]))
     for s_val in range(top + 1):
@@ -378,7 +376,7 @@ def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
     spec = kernel if kernel is not None else KernelSpec()
     if spec.family == "quadratic-spectral":
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    return int(np.floor(spec.resolve_bandwidth(n) + 1e-12))
+    return spec.reach(n)
 
 
 def write_edgelist(g: Graph, path) -> None:

@@ -20,7 +20,7 @@ from scipy.special import chdtrc
 
 from ._checks import as_panel, as_yx
 from ._filter import ar
-from ._panel import first_rep, rowdot
+from ._panel import check_fit, first_rep, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
 
 __all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate", "ivx_wald"]
@@ -96,7 +96,8 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     s2_u uses divisor (#pairs - d).  The default sandwich meat is the
     homoskedastic sum z z' s2_u; pass a KernelSpec as hac to replace it
     with a kernel long-run variance of the score z_t u_t, which guards
-    against serially correlated or heteroskedastic errors.
+    against serially correlated or heteroskedastic errors.  An exact fit
+    raises.
     """
     return first_rep(_ivx_panel(np.asarray(y, dtype=float)[None],
                                 np.asarray(x, dtype=float)[None], spec, demean, hac))
@@ -126,7 +127,9 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     A = zt @ xlag
     beta = np.linalg.solve(A, zt @ ys[:, :, None])
     resid = ys - (xlag @ beta)[:, :, 0]
-    sigma2_u = rowdot(resid, resid) / (m - d)
+    ssr = rowdot(resid, resid)
+    check_fit(ssr, ys, "IVX")
+    sigma2_u = ssr / (m - d)
     A_inv = np.linalg.inv(A)
     if hac is None:
         meat = (zt @ zins) * sigma2_u[:, None, None]

@@ -452,6 +452,14 @@ def test_panel_checks_apply_to_every_rep():
     walks[1] = 1.0
     with pytest.raises(ValueError, match="numerically zero"):
         _phillips_z_panel(walks)
+    # an exact fit in one rep stops the FM-OLS and IVX panels too
+    Y, X = _system_panel(4, 60, 1, seed=81)
+    Y[2] = 1.0 + 0.5 * X[2, :, 0]
+    with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+        _fmols_panel(Y, X)
+    Y[2, 1:] = 1.0 + 0.5 * X[2, :-1, 0]
+    with pytest.raises(ValueError, match="IVX fit are numerically zero"):
+        _ivx_panel(Y, X)
 
 
 def test_phillips_panel_warns_once_per_nonpositive_lrv_rep():

@@ -7,7 +7,7 @@ import pytest
 
 import tsnet as T
 from tsnet import mc
-from tsnet.cli import main
+from tsnet.cli import COMMANDS, main
 from tsnet.mc import read_csv
 
 
@@ -405,14 +405,15 @@ def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
 
 
 @pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1), ("lm", 1),
-                                      ("shin", 0)])
+                                      ("shin", 0), ("fmols", 0), ("ivx", 1)])
 def test_cli_exact_fit_is_one_line(tmp_path, capsys, kind, lag):
     x = np.cumsum(np.random.default_rng(18).standard_normal(120))
     y = 1.0 + 0.5 * np.r_[np.zeros(lag), x[:x.size - lag]]
     data = tmp_path / "exact.csv"
     rows = zip(y.tolist(), x.tolist())
     data.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
-    assert main(["test", kind, "--data", str(data)]) == 2
+    group = "estimate" if kind in ("fmols", "ivx") else "test"
+    assert main([group, kind, "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -472,6 +473,33 @@ def test_cli_os_error_is_one_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("tsnet: error: ")
     assert "missing.edges" in lines[0]
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS))
+def test_every_command_has_help(capsys, path):
+    with pytest.raises(SystemExit) as exc:
+        main([*path.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tsnet {path} ")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    *[(argv, ["--column", "x1"]) for argv in (
+        ["estimate", "fmols"], ["estimate", "ivx"], ["test", "shin"], ["test", "fk"],
+        ["test", "supwald"], ["test", "split"], ["test", "lm"],
+        ["test", "me", "--n-hist", "150"])],
+    (["bootstrap", "unitroot", "--block-length", "10"], ["--stat", "median"]),
+])
+def test_cli_rejects_flags_the_command_ignores(tmp_path, capsys, argv, flag):
+    # these commands never read the flag, so taking it would hide a typo or a wrong column
+    data = _simulate_system(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--data", str(data), *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 def test_cli_argument_errors():

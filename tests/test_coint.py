@@ -89,6 +89,22 @@ def test_shin_exact_fit_raises():
                 T.shin_vn(y, xs, **kw)
 
 
+def test_shin_all_zero_residual_series_raises():
+    # without x, y is the residual series: all zeros would give v_n = 0/0
+    for kw in ({}, {"short_run": True}):
+        with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+            T.shin_vn(np.zeros(20), **kw)
+
+
+def test_fmols_exact_fit_raises():
+    # without residual scale omega_cond is roundoff, and so is every t-ratio
+    x = np.cumsum(np.random.default_rng(16).standard_normal((200, 2)), axis=0)
+    for xs, y in ((x[:, 0], 1.0 + 0.5 * x[:, 0]), (x, 1.0 + x @ np.array([0.5, -0.3]))):
+        for kernel in (None, T.KernelSpec("parzen", 6.0)):
+            with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+                T.fmols(y, xs, kernel=kernel)
+
+
 def test_shin_rank_error_on_constant_regressor():
     with pytest.raises(np.linalg.LinAlgError):
         T.shin_vn(np.ones(20), np.ones(20))

@@ -34,6 +34,14 @@ def test_kernel_spec_validation():
         T.KernelSpec("bartlett", -2.0)
 
 
+def test_kernel_reach_is_the_floor_of_the_bandwidth():
+    # roundoff just below an integer bandwidth still reaches that lag
+    for b, reach in ((3.0, 3), (3.0 - 4e-16, 3), (5.5, 5), (0.5, 0), (1.0, 1)):
+        assert T.KernelSpec("bartlett", b).reach(1000) == reach
+    assert T.KernelSpec().reach(1000) == 12  # the default rule's bandwidth
+    assert T.network_hac_radius(T.KernelSpec("parzen", 5.5), 1000) == 5
+
+
 def test_default_bandwidth_rule():
     assert T.default_bandwidth(1000) == 12.0
     assert T.default_bandwidth(100000) == 56.0

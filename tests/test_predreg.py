@@ -26,12 +26,18 @@ def test_ivx_spec_validation():
         T.IvxSpec(c_z=-1.0, beta_z=1.5)
 
 
-def test_ivx_exact_identification_without_noise():
+def test_ivx_exact_fit_raises():
+    # without noise sigma2_u is roundoff, and the Wald statistic a ratio of roundoff
     gen = np.random.default_rng(21)
-    x = np.cumsum(gen.standard_normal(200))
-    y = np.concatenate([[0.0], 1.0 + 0.5 * x[:-1]])
-    res = T.ivx_estimate(y, x)
-    assert res.beta[0] == pytest.approx(0.5, abs=1e-12)
+    x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
+    for xs, fitted in ((x[:, 0], 0.5 * x[:, 0]), (x, x @ np.array([0.5, -0.3]))):
+        y = np.r_[0.0, 1.0 + fitted[:-1]]
+        for kw in ({}, {"hac": T.KernelSpec()}):
+            with pytest.raises(ValueError, match="IVX fit are numerically zero"):
+                T.ivx_estimate(y, xs, **kw)
+    # a little noise is data again, and the slope is recovered
+    y = np.r_[0.0, 1.0 + 0.5 * x[:-1, 0] + 1e-6 * gen.standard_normal(199)]
+    assert T.ivx_estimate(y, x[:, 0]).beta[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_ivx_degenerate_instrument_raises():
