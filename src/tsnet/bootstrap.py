@@ -12,9 +12,10 @@ Both block schemes, `block_bootstrap` and the residual unit root
 bootstrap, build their replicates in one `_block_resample` call: each
 drawn block is a whole window of the series' `sliding_window_view`
 (the circular layout appends length - 1 wrapped values first), so no
-(B, n) index matrix is formed.  The unit root bootstrap cumulates the
-resampled residuals straight into its replicate walks and fits them by
-the normal equations alone (`_panel.ols_coef`), since only rho* is kept.
+(B, n) index matrix is formed.  The unit root bootstrap gathers the
+resampled residuals straight into its replicate walks' buffer, cumulates
+them there in place, and fits the walks by the normal equations alone
+(`_panel.ols_coef`), since only rho* is kept.
 """
 
 from __future__ import annotations
@@ -76,13 +77,16 @@ class BootstrapResult:
 
 
 def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
-                    gen: np.random.Generator) -> np.ndarray:
+                    gen: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """(B, n) block-bootstrap replicates of a length-n series x.
 
     Each replicate concatenates ceil(n/length) blocks, whole windows of
     x gathered from its `sliding_window_view`, and is truncated to n.
     For overlapping circular blocks x gets length - 1 wrapped values
-    appended, so a block that runs past the end is one window too.
+    appended, so a block that runs past the end is one window too.  The
+    replicates are written into `out`, any (B, n) view, or a new array;
+    they are gathered about 1 MB at a time, so no second (B, n) array
+    is formed.
     """
     n, l = x.shape[0], spec.length
     if l > n:
@@ -95,7 +99,13 @@ def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
         x = np.concatenate([x, x[:l - 1]])
     else:
         starts = gen.integers(0, n - l + 1, size=(B, k))
-    return sliding_window_view(x, l)[starts].reshape(B, k * l)[:, :n]
+    windows = sliding_window_view(x, l)
+    out = np.empty((B, n)) if out is None else out
+    rows = max(1, 2**17 // (k * l))
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        out[lo:hi] = windows[starts[lo:hi]].reshape(hi - lo, k * l)[:, :n]
+    return out
 
 
 def _stat_stack(stat: Callable, rows: np.ndarray) -> np.ndarray:
@@ -254,10 +264,11 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
     check_fit(resid @ resid, x[None, 1:], "Dickey-Fuller")
-    u_star = _block_resample(resid, spec, B, gen)
-    # allocated after the gather, so the block starts are freed by then
-    x_star = np.zeros((B, m + 1))
-    np.cumsum(u_star, axis=1, out=x_star[:, 1:])
+    # the resampled residuals land in the walks' buffer and are cumulated in place
+    x_star = np.empty((B, m + 1))
+    x_star[:, 0] = 0.0
+    _block_resample(resid, spec, B, gen, out=x_star[:, 1:])
+    np.cumsum(x_star[:, 1:], axis=1, out=x_star[:, 1:])
     rho_star = _ar_fit(x_star, "none", fit=ols_coef)[0].coef[:, 0]
     stats = m * (rho_star - 1.0)
     observed = m * (rho_hat - 1.0)

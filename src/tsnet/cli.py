@@ -172,6 +172,13 @@ def _flag(*names, **kwargs):
     return names, kwargs
 
 
+def _list_flag(name, text, **kwargs):
+    """A comma-list flag with help `text`.  argparse reads "-5,-1" after a
+    space as a flag, so the help names the `--flag=-5,-1` form."""
+    return _flag(name, help=f"{text}; a list that starts with a negative number "
+                            f"takes the = form, e.g. {name}=-5,-1", **kwargs)
+
+
 _OUT = (_flag("--out", default=None),)
 _RNG = (_flag("--seed", type=int, default=0), _flag("--stream", type=int, default=0))
 _DRAW = (_flag("--n", type=int, required=True),) + _OUT + _RNG
@@ -212,7 +219,7 @@ def _command(path, *flags):
 # simulate
 
 
-@_command("simulate linear", _flag("--coeffs", required=True, help="comma list, e.g. 1,0.5"),
+@_command("simulate linear", _list_flag("--coeffs", "comma list, e.g. 1,0.5", required=True),
           _flag("--sigma", type=float, default=1.0), *_DRAW)
 def _simulate_linear(args):
     rng = _rng(args)
@@ -237,13 +244,13 @@ def _simulate_ou(args):
                                          horizon=args.horizon, init=args.init))
 
 
-@_command("simulate system", _flag("--beta", required=True, help="comma list of slopes"),
-          _flag("--c", required=True, help="comma list of local-to-unity c (or one for all)"),
+@_command("simulate system", _list_flag("--beta", "comma list of slopes", required=True),
+          _list_flag("--c", "comma list of local-to-unity c (or one for all)", required=True),
           _flag("--gamma", type=float, default=1.0),
           _flag("--intercept", type=float, default=0.0),
           _flag("--corr", type=float, default=None, help="corr(u, v), single regressor only"),
-          _flag("--v-ar", default=None,
-                help="comma list of AR(1) coefficients for the regressor innovations"),
+          _list_flag("--v-ar", "comma list of AR(1) coefficients for the regressor innovations",
+                     default=None),
           *_DRAW)
 def _simulate_system(args):
     rng = _rng(args)
@@ -279,7 +286,7 @@ def _simulate_garch(args):
 
 # graph-ma draws one value per node, so it takes no --n
 @_command("simulate graph-ma", _flag("--graph", required=True, help="edge-list file"),
-          _flag("--weights", required=True, help="comma list by distance"), *_OUT, *_RNG)
+          _list_flag("--weights", "comma list by distance", required=True), *_OUT, *_RNG)
 def _simulate_graph_ma(args):
     rng = _rng(args)
     g = read_edgelist(args.graph)
@@ -520,7 +527,8 @@ def _mc_list(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per `COMMANDS` entry, with its flags and its handler as `func`."""
+    """One subparser per `COMMANDS` entry, with its flags, its handler as
+    `func` and itself as `leaf`."""
     parser = argparse.ArgumentParser(
         prog="tsnet",
         description="simulation and inference for nonstationary and "
@@ -538,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
             p = groups[head].add_parser(kind[0])
         for names, kwargs in flags:
             p.add_argument(*names, **kwargs)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, leaf=p)
     return parser
 
 
@@ -547,9 +555,12 @@ def main(argv=None) -> int:
 
     A ValueError (bad input) or an OSError (a file that cannot be read
     or written) becomes one `tsnet: error: <msg>` line on stderr and
-    exit code 2, with no traceback.
+    exit code 2, with no traceback.  So does a flag the command does not
+    take, after the command's own usage line.
     """
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.leaf.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -6,16 +6,21 @@ builds shared context once (critical-value tables, graph shells), `rep`
 gets a batch of rep indices and returns one row of statistics per rep,
 and `summarize` reduces the stacked rows to a flat dict of scalars,
 which the harness opens with the experiment's echoed parameters.
-Replication r always draws from stream `cfg.stream + r`, so results are
-invariant to `jobs` and to how the reps are batched; auxiliary
-simulations (limit tables and the like) use streams at
-`cfg.stream + cfg.reps` and beyond.
+Replication r always draws from stream `cfg.stream + r` (mod 2**64),
+so results are invariant to `jobs` and to how the reps are batched;
+auxiliary simulations (limit tables and the like) use streams at
+`cfg.stream + cfg.reps` and beyond.  `_rep_streams` yields each rep's
+generator: one Philox per batch, re-keyed to (seed, stream + r) for
+rep r, whose draws equal those of `RngSpec(seed, stream + r).generator()`.
 
-Most experiments compute a batch as one panel: each rep's draws fill a
+phillips-size, fmols-size, ivx-null, supwald-nbb, fixed-wald and
+nethac-coverage compute a batch as one panel: each rep's draws fill a
 row of an (R, ...) array, and the library's panel kernels work on the
 leading rep axis with bit-identical per-rep results.  Experiments whose
 reps cost far more than the per-call overhead (or are bound by their
-own draws) run rep by rep through `_per_rep`.
+own draws) run rep by rep through `_per_rep`, which hands each rep its
+generator: ar1-clt, hac-lrv, unitroot-boot, garch-recovery, mp-edges
+and nested-forecast.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -72,7 +77,13 @@ from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forec
 from .coint import _fmols_panel
 from .garch import GarchSpec, garch_qmle, simulate_garch
 from .lrv import KernelSpec, hac_lrv
-from .netdep import cycle_graph, graph_shells, network_hac, network_hac_radius, simulate_graph_ma
+from .netdep import (
+    _graph_ma_panel,
+    _network_hac_panel,
+    cycle_graph,
+    graph_shells,
+    network_hac_radius,
+)
 from .predreg import IvxSpec, _ivx_panel
 from .randmat import mp_support, sample_cov_spectrum
 from .series import (
@@ -83,6 +94,7 @@ from .series import (
     _linear_process_panel,
     _lur_ar_panel,
     _predictive_system_panel,
+    _rekey,
     simulate_lur_ar,
     simulate_predictive_system,
 )
@@ -359,20 +371,32 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
                    jobs=check_positive_int(cfg.jobs, "jobs"))
 
 
+def _rep_streams(cfg: ExperimentConfig, rs):
+    """One generator per rep r in rs, positioned at the start of r's stream.
+
+    Rep r's stream is keyed (seed, (stream + r) mod 2**64), and its draws
+    equal those of `RngSpec(seed, stream + r).generator()`.  One generator
+    is built per call and re-keyed for each rep (`series._rekey`), so every
+    rep gets the same object: a rep must be done with it before the next.
+    """
+    gen = RngSpec(cfg.seed, cfg.stream).generator()
+    for r in rs:
+        _rekey(gen.bit_generator, cfg.seed, (cfg.stream + r) % 2**64)
+        yield gen
+
+
 def _per_rep(rep):
-    """Batch `rep` for an experiment whose `rep(cfg, ctx, r)` gives one row."""
-    return lambda cfg, ctx, rs: np.array([rep(cfg, ctx, r) for r in rs], dtype=float)
-
-
-def _rep_rng(cfg: ExperimentConfig, r: int) -> RngSpec:
-    return RngSpec(cfg.seed, cfg.stream).substream(r)
+    """Batch `rep` for an experiment whose `rep(cfg, ctx, gen)` gives one row
+    from its rep's generator."""
+    return lambda cfg, ctx, rs: np.array([rep(cfg, ctx, gen) for gen in _rep_streams(cfg, rs)],
+                                         dtype=float)
 
 
 def _rep_normals(cfg: ExperimentConfig, rs, shape) -> np.ndarray:
     """Standard normals of shape (len(rs), *shape); row i from rep rs[i]'s stream."""
     z = np.empty((len(rs), *shape))
-    for i, r in enumerate(rs):
-        _rep_rng(cfg, r).generator().standard_normal(out=z[i])
+    for row, gen in zip(z, _rep_streams(cfg, rs)):
+        gen.standard_normal(out=row)
     return z
 
 
@@ -518,9 +542,8 @@ def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.params["family"], bandwidth=cfg.params["bandwidth"])
 
 
-def _ar1_clt_rep(cfg, ctx, r):
+def _ar1_clt_rep(cfg, ctx, gen):
     n, rho = cfg.params["n"], cfg.params["rho"]
-    gen = _rep_rng(cfg, r).generator()
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - rho**2)
     x = simulate_lur_ar(LurSpec(c=(rho - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
     # two dots, not `unitroot._ar_fit`: at R = 1 the fit's fixed cost is a third of this rep
@@ -554,9 +577,8 @@ _register("ar1-clt", ("rho_hat", "z"), _per_rep(_ar1_clt_rep), _ar1_clt_summariz
           params={"n": 5000, "rho": 0.5}, echo=("n", "rho"))
 
 
-def _hac_lrv_rep(cfg, ctx, r):
+def _hac_lrv_rep(cfg, ctx, gen):
     n, phi = cfg.params["n"], cfg.params["phi"]
-    gen = _rep_rng(cfg, r).generator()
     x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
     x = simulate_lur_ar(LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
     est = hac_lrv(x, kernel=_kernel_from(cfg))
@@ -746,17 +768,15 @@ def _nethac_setup(cfg):
     return {"shells": shells, "kernels": kernels, "true_lrv": true_lrv, "crit": crit}
 
 
-def _nethac_rep(cfg, ctx, r):
+def _nethac_rep(cfg, ctx, rs):
     shells = ctx["shells"]
     n = shells.n
-    y = simulate_graph_ma(shells, (1.0, cfg.params["w1"]), _rep_rng(cfg, r))
-    ybar = float(y.mean())
-    v_full, v_low = (float(network_hac(shells, y, kernel=k)[0, 0])
-                     for k in ctx["kernels"])
-    crit = ctx["crit"]
-    cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)
-    cover_low = abs(ybar) <= crit * np.sqrt(max(v_low, 0.0) / n)
-    return (ybar, v_full, v_low, int(cover_full), int(cover_low))
+    y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), _rep_normals(cfg, rs, (n,)))
+    ybar = y.mean(axis=1)
+    v_full, v_low = (_network_hac_panel(shells, y, k) for k in ctx["kernels"])
+    bound = ctx["crit"] * np.sqrt(np.maximum(np.stack([v_full, v_low]), 0.0) / n)
+    cover_full, cover_low = np.abs(ybar) <= bound
+    return np.column_stack([ybar, v_full, v_low, cover_full, cover_low])
 
 
 def _nethac_summarize(cfg, ctx, draws):
@@ -769,7 +789,7 @@ def _nethac_summarize(cfg, ctx, draws):
 
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
-          _per_rep(_nethac_rep), _nethac_summarize, setup=_nethac_setup,
+          _nethac_rep, _nethac_summarize, setup=_nethac_setup,
           params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
                   "family": "bartlett"},
           echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))
@@ -781,9 +801,8 @@ def _urboot_setup(cfg):
     return {"q05_limit": tables.coef.quantile(0.05)}
 
 
-def _urboot_rep(cfg, ctx, r):
+def _urboot_rep(cfg, ctx, gen):
     p = cfg.params
-    gen = _rep_rng(cfg, r).generator()
     y = np.cumsum(gen.standard_normal(p["n"]))
     res = residual_unitroot_bootstrap(y, B=p["B"], rng=gen,
                                       block=BlockSpec(length=p["block"]))
@@ -811,9 +830,9 @@ def _garch_spec(cfg) -> GarchSpec:
     return GarchSpec(omega=p["omega"], alpha=p["alpha"], beta=p["beta"])
 
 
-def _garch_rep(cfg, ctx, r):
+def _garch_rep(cfg, ctx, gen):
     spec = _garch_spec(cfg)
-    y, _ = simulate_garch(spec, cfg.params["n"], _rep_rng(cfg, r), burn=cfg.params["burn"])
+    y, _ = simulate_garch(spec, cfg.params["n"], gen, burn=cfg.params["burn"])
     fit = garch_qmle(y)
     err = np.array([fit.spec.omega - spec.omega, fit.spec.alpha - spec.alpha,
                     fit.spec.beta - spec.beta])
@@ -842,9 +861,9 @@ _register("garch-recovery",
           echo=("n", "omega", "alpha", "beta"))
 
 
-def _mp_rep(cfg, ctx, r):
+def _mp_rep(cfg, ctx, gen):
     n = cfg.params["n"]
-    res = sample_cov_spectrum(n, int(round(cfg.params["gamma"] * n)), _rep_rng(cfg, r))
+    res = sample_cov_spectrum(n, int(round(cfg.params["gamma"] * n)), gen)
     return (res.lambda_min, res.lambda_max, abs(res.trace - res.trace_gram))
 
 
@@ -869,12 +888,12 @@ _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
           echo=("n", "gamma"))
 
 
-def _nested_rep(cfg, ctx, r):
+def _nested_rep(cfg, ctx, gen):
     p = cfg.params
     n, q = p["n"], p["n_small"]
     spec = SystemSpec(beta=p["beta"], lur=tuple(LurSpec(c=c, gamma=1.0) for c in p["c"]),
                       intercept=p["intercept"], v_ar=p["v_ar"])
-    y, x = simulate_predictive_system(spec, n, _rep_rng(cfg, r))
+    y, x = simulate_predictive_system(spec, n, gen)
     k0 = n // 4 if p["k0"] is None else p["k0"]
     res = nested_forecast_test(y, x[:, :q], x[:, q:], k0=k0)
     return (res.stat, int(res.stat > 0))

@@ -32,6 +32,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
 from ._checks import as_matrix, check_positive_int
+from ._panel import rowdot
 from .lrv import KernelSpec, kernel_weight
 from .series import _resolve_rng
 
@@ -336,9 +337,22 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.nda
         raise ValueError("weights must be finite")
     v = check_positive_int(v, "v")
     sh = _shells_of(graph, w.size - 1)
-    gen = _resolve_rng(rng)
-    eps = gen.standard_normal(sh.n if v == 1 else (sh.n, v))
-    return sum(w[s_val] * (sh.matrix(s_val) @ eps) for s_val in range(w.size))
+    eps = _resolve_rng(rng).standard_normal((sh.n, v))
+    y = _graph_ma_panel(sh, w, eps.T)
+    return y[0] if v == 1 else np.ascontiguousarray(y.T)
+
+
+def _graph_ma_panel(shells: Shells, weights, eps: np.ndarray) -> np.ndarray:
+    """`simulate_graph_ma` for every rep of an (R, n) panel of iid fields.
+
+    Returns the (R, n) panel of moving averages, C-ordered.  Each shell is
+    one sparse product on the (n, R) transpose, which sums every column as
+    the product with one field would, so each row is bit-identical to a
+    single-field run.
+    """
+    eps_t = np.ascontiguousarray(eps.T)
+    y = sum(weights[s] * (shells.matrix(s) @ eps_t) for s in range(len(weights)))
+    return np.ascontiguousarray(y.T)
 
 
 def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> np.ndarray:
@@ -369,6 +383,29 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
         if w != 0.0:
             v += w * (ym.T @ (sh.matrix(s_val) @ ym)) / n
     return (v + v.T) / 2.0
+
+
+def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """`network_hac` of every rep of an (R, n) panel of scalar node values.
+
+    Returns the (R,) variances, each bit-identical to the 1 x 1
+    `network_hac` of that rep: the means run along contiguous rows, each
+    shell is one sparse product on the (n, R) transpose, and the
+    quadratic forms are `rowdot`s, as `a @ b` of one rep computes them.
+    (The symmetrization (V + V')/2 leaves a scalar unchanged.)
+    """
+    n = y.shape[1]
+    top = network_hac_radius(kernel, n)
+    sh = _shells_of(shells, top)
+    b = kernel.resolve_bandwidth(n)
+    yc = y - y.mean(axis=1)[:, None]
+    yc_t = np.ascontiguousarray(yc.T)
+    v = np.zeros(y.shape[0])
+    for s_val in range(top + 1):
+        w = kernel_weight(kernel.family, s_val / b)
+        if w != 0.0:
+            v += w * rowdot(yc, np.ascontiguousarray((sh.matrix(s_val) @ yc_t).T)) / n
+    return v
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:

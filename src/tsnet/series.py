@@ -54,12 +54,31 @@ class RngSpec:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.stream)))
 
     def substream(self, offset: int) -> "RngSpec":
         """Stream for replication `offset` relative to this spec."""
         return RngSpec(self.seed, (self.stream + offset) % (_UINT64_MAX + 1))
+
+
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key of stream (seed, stream): seed in the first word, stream in the second."""
+    return np.array([seed, stream], dtype=np.uint64)
+
+
+def _rekey(bitgen: np.random.Philox, seed: int, stream: int) -> None:
+    """Put `bitgen` in the state of a fresh `RngSpec(seed, stream).generator()`.
+
+    That state is the key of `_philox_key`, counter zero and no buffered
+    output.  Setting it costs a fifth of building a new generator, whose
+    constructor also draws a seed sequence from OS entropy that the key
+    then overrides.
+    """
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": np.zeros(4, dtype=np.uint64),
+                              "key": _philox_key(seed, stream)},
+                    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
 
 
 def _resolve_rng(rng) -> np.random.Generator:

@@ -1,7 +1,7 @@
 """Batched Monte Carlo reps against the scalar code they replaced.
 
-fixed-wald, fmols-size, phillips-size, ivx-null and supwald-nbb compute
-a batch of reps as one panel.  Every rep's row must be bit-identical to
+fixed-wald, fmols-size, phillips-size, ivx-null, supwald-nbb and
+nethac-coverage compute a batch of reps as one panel.  Every rep's row must be bit-identical to
 what the scalar rep body gave before batching, whatever the batch size;
 only supwald-nbb's sup-Wald statistic, whose one-pass break scan sums in
 another order than the closed form kept here, is compared at roundoff.
@@ -196,6 +196,11 @@ def ref_linear_process(spec, n, gen):
     return ma(gen.standard_normal(n + q) * spec.sigma, spec.coeffs)
 
 
+def ref_graph_ma(shells, weights, gen):
+    eps = gen.standard_normal(shells.n)
+    return sum(w * (shells.matrix(s) @ eps) for s, w in enumerate(weights))
+
+
 def ref_system(spec, n, gen):
     d = spec.dim
     sig = np.eye(d + 1) if spec.sigma_ue is None else np.asarray(spec.sigma_ue)
@@ -291,12 +296,27 @@ def rep_supwald(cfg, r):
     return ref_sup_wald(y, x, trim=(float(trim[0]), float(trim[1])))
 
 
+def rep_nethac(cfg, r):
+    ctx = mc.EXPERIMENTS["nethac-coverage"].setup(cfg)
+    shells = ctx["shells"]
+    n = shells.n
+    y = ref_graph_ma(shells, (1.0, cfg.params["w1"]), _gen(cfg, r))
+    ybar = float(y.mean())
+    v_full, v_low = (float(T.network_hac(shells, y, kernel=k)[0, 0])
+                     for k in ctx["kernels"])
+    crit = ctx["crit"]
+    cover_full = abs(ybar) <= crit * np.sqrt(max(v_full, 0.0) / n)
+    cover_low = abs(ybar) <= crit * np.sqrt(max(v_low, 0.0) / n)
+    return (ybar, v_full, v_low, int(cover_full), int(cover_low))
+
+
 SCALAR_REPS = {
     "fixed-wald": rep_fixed_wald,
     "fmols-size": rep_fmols,
     "phillips-size": rep_phillips,
     "ivx-null": rep_ivx,
     "supwald-nbb": rep_supwald,
+    "nethac-coverage": rep_nethac,
 }
 
 # criterion 12 sizes and seeds, then one non-default setting each (the
@@ -314,6 +334,9 @@ CASES = [
     ("supwald-nbb", 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100}),
     ("supwald-nbb", 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100,
                           "trim": (0.3, 0.6)}),
+    ("nethac-coverage", 108, {"n_nodes": 30}),
+    ("nethac-coverage", 108, {"n_nodes": 120, "w1": 0.3, "family": "parzen",
+                              "bandwidth": 4.5, "low_bandwidth": 1.5}),
 ]
 
 

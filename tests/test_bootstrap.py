@@ -1,5 +1,7 @@
 """Tests for block, stationary, sieve, wild, and unit-root bootstraps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as st
@@ -208,3 +210,17 @@ def test_pvalue_uniform_under_null():
         obs = gen.standard_normal()
         pv[i] = T.bootstrap_pvalue(obs, draws, tail="two")
     assert st.kstest(pv, "uniform").statistic < 0.02
+
+
+def test_unitroot_bootstrap_gathers_into_the_walk_buffer():
+    # the replicate walks are the one (B, n) array: the resampled residuals
+    # are gathered into them and cumulated in place
+    B, n = 2000, 1000
+    y = np.cumsum(np.random.default_rng(8).standard_normal(n))
+    tracemalloc.start()
+    try:
+        T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(3), block=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * B * n * 8

@@ -499,7 +499,18 @@ def test_cli_rejects_flags_the_command_ignores(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    # reported by the command's own parser, after its usage line
+    command = f"tsnet {argv[0]} {argv[1]}"
+    assert captured.err.startswith(f"usage: {command} ")
+    assert captured.err.splitlines()[-1] == (
+        f"{command}: error: unrecognized arguments: {' '.join(flag)}")
+
+
+def test_comma_list_starting_negative_takes_the_equals_form(tmp_path):
+    path = tmp_path / "neg.csv"
+    run_cli("simulate", "system", "--beta=0.2,0.1", "--c=-5,-1", "--v-ar=-0.3,0.2",
+            "--n", "40", "--seed", "4", "--out", str(path))
+    assert read_csv(path)[2].shape == (40, 4)
 
 
 def test_cli_argument_errors():

@@ -250,6 +250,34 @@ def test_one_process_pool_construction_in_the_library():
     assert list(found) == ["mc.py"] and len(found["mc.py"]) == 1, found
 
 
+@pytest.mark.parametrize("stream", [5, 2**64 - 1])
+def test_rep_streams_draw_as_fresh_generators(stream):
+    cfg = ExperimentConfig(experiment="ar1-clt", seed=11, stream=stream)
+    rs = range(3, 7)
+    for r, gen in zip(rs, mc._rep_streams(cfg, rs)):
+        want = T.RngSpec(11, (stream + r) % 2**64).generator()
+        # integers leave half a 64-bit word buffered (has_uint32) for the next rep
+        assert gen.integers(0, 2**31, size=3).tolist() == want.integers(0, 2**31, size=3).tolist()
+        assert gen.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+        assert gen.random(2).tobytes() == want.random(2).tobytes()
+        assert gen.bit_generator.state["has_uint32"] == want.bit_generator.state["has_uint32"]
+
+
+def _generator_calls(source: str) -> list[str]:
+    """Names of the functions in `source` that call some `.generator()`."""
+    return sorted({func.name for func in ast.walk(ast.parse(source))
+                   if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "generator"})
+
+
+def test_reps_build_no_generator_of_their_own():
+    # every rep stream comes from `_rep_streams`, which builds one generator per batch
+    assert _generator_calls("def hook(cfg, r):\n    RngSpec(0, r).generator()\n") == ["hook"]
+    assert _generator_calls(Path(mc.__file__).read_text()) == ["_rep_streams"]
+
+
 @pytest.mark.parametrize("params,radius", [
     ({}, 3),  # bandwidth 3 reaches distance 3
     ({"bandwidth": 5.0, "family": "truncated"}, 5),
