@@ -26,6 +26,12 @@ Every Dickey-Fuller/AR fit goes through `ols` or `ols_coef`:
 `residual_unitroot_bootstrap` (the observed series by `ols`, the
 stacked replicates by `ols_coef`).
 
+`collinear` is the one near-singular-design rule, cond > 1e12 of the
+Gram of the regressors scaled to unit length: it finds collinear
+regressors whose Gram LAPACK still solves, into roundoff, and rescaling a
+regressor (a trend in other units) changes no decision.  `check_design`
+raises `ols_coef`'s singular-design error on it.
+
 `exact_fit` is the one exact-fit rule, SSR <= 1e-20 y'y: relative to y
 alone, so rescaling y changes no decision.  Every statistic that is a ratio over a residual
 variance raises on an exact fit, through `check_fit`, with two
@@ -40,7 +46,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "exact_fit", "check_fit", "rowdot", "first_rep"]
+__all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "collinear", "check_design", "exact_fit",
+           "check_fit", "rowdot", "first_rep"]
+
+_SINGULAR = "singular least-squares design: the regressors are collinear or constant"
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,9 +88,7 @@ def ols_coef(X: np.ndarray, y: np.ndarray) -> OlsCoef:
         coef = np.linalg.solve(gram, Xt @ y[:, :, None])[:, :, 0]
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "singular least-squares design: the regressors are collinear "
-            "or constant") from None
+        raise np.linalg.LinAlgError(_SINGULAR) from None
     return OlsCoef(coef, gram, gram_inv)
 
 
@@ -101,6 +108,18 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
         resid = (X @ coef[:, :, None])[:, :, 0]
     np.subtract(y, resid, out=resid)
     return OlsFit(coef, resid, rowdot(resid, resid), gram, gram_inv)
+
+
+def collinear(gram: np.ndarray) -> bool:
+    """Whether the regressors behind a (k, k) Gram X'X are numerically collinear."""
+    scale = np.sqrt(np.diag(gram))
+    return bool(np.any(scale == 0.0) or np.linalg.cond(gram / np.outer(scale, scale)) > 1e12)
+
+
+def check_design(gram: np.ndarray) -> None:
+    """Raise the singular-design error of `ols_coef` if `gram` is `collinear`."""
+    if collinear(gram):
+        raise np.linalg.LinAlgError(_SINGULAR)
 
 
 def exact_fit(ssr: np.ndarray, y: np.ndarray) -> np.ndarray:

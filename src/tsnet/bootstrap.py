@@ -83,28 +83,26 @@ def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
     Each replicate concatenates ceil(n/length) blocks, whole windows of
     x gathered from its `sliding_window_view`, and is truncated to n.
     For overlapping circular blocks x gets length - 1 wrapped values
-    appended, so a block that runs past the end is one window too.  The
-    replicates are written into `out`, any (B, n) view, or a new array;
-    they are gathered about 1 MB at a time, so no second (B, n) array
-    is formed.
+    appended, so a block that runs past the end is one window too; for
+    non-overlapping blocks the windows are every length-th one.  The
+    replicates are written into `out`, any (B, n) view, or a new array.
+    They are gathered about 1 MB at a time, each chunk's block starts
+    drawn as it is gathered, so neither a second (B, n) array nor the
+    whole (B, ceil(n/length)) start array is formed.
     """
     n, l = x.shape[0], spec.length
     if l > n:
         raise ValueError("block length exceeds series length")
     k = ceil(n / l)
-    if not spec.overlap:
-        starts = gen.integers(0, n // l, size=(B, k)) * l
-    elif spec.circular:
-        starts = gen.integers(0, n, size=(B, k))
+    if spec.overlap and spec.circular:
         x = np.concatenate([x, x[:l - 1]])
-    else:
-        starts = gen.integers(0, n - l + 1, size=(B, k))
-    windows = sliding_window_view(x, l)
+    windows = sliding_window_view(x, l)[::1 if spec.overlap else l]
     out = np.empty((B, n)) if out is None else out
     rows = max(1, 2**17 // (k * l))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        out[lo:hi] = windows[starts[lo:hi]].reshape(hi - lo, k * l)[:, :n]
+        starts = gen.integers(0, len(windows), size=(hi - lo, k))
+        out[lo:hi] = windows[starts].reshape(hi - lo, k * l)[:, :n]
     return out
 
 

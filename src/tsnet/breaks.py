@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
-from ._panel import check_fit, exact_fit, first_rep, ols, rowdot
+from ._panel import check_fit, collinear, exact_fit, first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
 from .tables import QuantileTable
 
@@ -421,9 +421,7 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     for start in range(k0, m):
         # postpone until the nesting-model design is invertible
         gram = grams[start - 1]
-        if not (start < p_big
-                or np.linalg.cond(gram) > 1e12
-                or np.linalg.cond(gram[:p_small, :p_small]) > 1e12):
+        if not (start < p_big or collinear(gram) or collinear(gram[:p_small, :p_small])):
             break
     else:
         raise ValueError("no well-conditioned forecast origin before the end")

@@ -13,14 +13,16 @@ auxiliary simulations (limit tables and the like) use streams at
 generator: one Philox per batch, re-keyed to (seed, stream + r) for
 rep r, whose draws equal those of `RngSpec(seed, stream + r).generator()`.
 
-phillips-size, fmols-size, ivx-null, supwald-nbb, fixed-wald and
-nethac-coverage compute a batch as one panel: each rep's draws fill a
-row of an (R, ...) array, and the library's panel kernels work on the
-leading rep axis with bit-identical per-rep results.  Experiments whose
-reps cost far more than the per-call overhead (or are bound by their
-own draws) run rep by rep through `_per_rep`, which hands each rep its
-generator: ar1-clt, hac-lrv, unitroot-boot, garch-recovery, mp-edges
-and nested-forecast.
+Seven experiments compute a batch as one panel: ar1-clt, phillips-size,
+fmols-size, ivx-null, supwald-nbb, fixed-wald and nethac-coverage.  Each
+rep's draws fill a row of an (R, ...) array, and the library's panel
+kernels work on the leading rep axis with bit-identical per-rep results.
+The other five run rep by rep through `_per_rep`, which hands each rep
+its generator.  unitroot-boot, garch-recovery, mp-edges and
+nested-forecast have reps that cost far more than the per-call overhead.
+hac-lrv draws the same stationary AR(1) as ar1-clt and fixed-wald
+(`_stationary_ar1`), but at its default n = 100 000 a 64-rep panel would
+take 51 MB, against the 2 MB `_BATCH` is sized for.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -71,7 +73,7 @@ import numpy as np
 from scipy import special
 
 from ._checks import check_positive_int
-from ._panel import rowdot
+from ._panel import ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
@@ -95,10 +97,9 @@ from .series import (
     _lur_ar_panel,
     _predictive_system_panel,
     _rekey,
-    simulate_lur_ar,
     simulate_predictive_system,
 )
-from .unitroot import _phillips_z_panel, df_limit_mc
+from .unitroot import _ar_fit, _phillips_z_panel, df_limit_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -542,13 +543,22 @@ def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.params["family"], bandwidth=cfg.params["bandwidth"])
 
 
-def _ar1_clt_rep(cfg, ctx, gen):
+def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
+    """(R, n) paths x_t = phi x_{t-1} + v_t started in the stationary law.
+
+    Each row of the (R, n + 1) normals z is one rep's draws: first the
+    start, x_0 = z_0 / sqrt(1 - phi^2), then the n innovations.
+    """
+    n = z.shape[1] - 1
+    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
+    return _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:], x0)
+
+
+def _ar1_clt_rep(cfg, ctx, rs):
     n, rho = cfg.params["n"], cfg.params["rho"]
-    x0 = float(gen.standard_normal()) / np.sqrt(1.0 - rho**2)
-    x = simulate_lur_ar(LurSpec(c=(rho - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
-    # two dots, not `unitroot._ar_fit`: at R = 1 the fit's fixed cost is a third of this rep
-    rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])
-    return (rho_hat, np.sqrt(n) * (rho_hat - rho))
+    x = _stationary_ar1(_rep_normals(cfg, rs, (n + 1,)), rho)
+    rho_hat = _ar_fit(x, "none", fit=ols_coef)[0].coef[:, 0]
+    return np.column_stack([rho_hat, np.sqrt(n) * (rho_hat - rho)])
 
 
 def _ks_normal(z, scale):
@@ -571,16 +581,13 @@ def _ar1_clt_summarize(cfg, ctx, draws):
     }
 
 
-# left rep by rep: the rep is bound by its 5001 normal draws, and a
-# batched version ran slower
-_register("ar1-clt", ("rho_hat", "z"), _per_rep(_ar1_clt_rep), _ar1_clt_summarize,
+_register("ar1-clt", ("rho_hat", "z"), _ar1_clt_rep, _ar1_clt_summarize,
           params={"n": 5000, "rho": 0.5}, echo=("n", "rho"))
 
 
 def _hac_lrv_rep(cfg, ctx, gen):
-    n, phi = cfg.params["n"], cfg.params["phi"]
-    x0 = float(gen.standard_normal()) / np.sqrt(1.0 - phi**2)
-    x = simulate_lur_ar(LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, rng=gen, x0=x0)
+    n = cfg.params["n"]
+    x = _stationary_ar1(gen.standard_normal((1, n + 1)), cfg.params["phi"])[0]
     est = hac_lrv(x, kernel=_kernel_from(cfg))
     return (est.scalar, est.bandwidth)
 
@@ -728,8 +735,7 @@ def _fixed_wald_rep(cfg, ctx, rs):
     n, phi = p["n"], p["phi_x"]
     # each rep draws x0, then the n innovations of x, then n - 1 errors
     z = _rep_normals(cfg, rs, (2 * n,))
-    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
-    x = _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:n + 1], x0)
+    x = _stationary_ar1(z[:, :n + 1], phi)
     y = np.zeros((len(rs), n))
     y[:, 1:] = 1.0 + p["beta"] * x[:, :-1] + z[:, n + 1:]
     res = _split_wald_panel(y, x, pi0=p["pi0"])
@@ -773,7 +779,8 @@ def _nethac_rep(cfg, ctx, rs):
     n = shells.n
     y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), _rep_normals(cfg, rs, (n,)))
     ybar = y.mean(axis=1)
-    v_full, v_low = (_network_hac_panel(shells, y, k) for k in ctx["kernels"])
+    v_full, v_low = (_network_hac_panel(shells, y[:, :, None], k)[:, 0, 0]
+                     for k in ctx["kernels"])
     bound = ctx["crit"] * np.sqrt(np.maximum(np.stack([v_full, v_low]), 0.0) / n)
     cover_full, cover_low = np.abs(ybar) <= bound
     return np.column_stack([ybar, v_full, v_low, cover_full, cover_low])

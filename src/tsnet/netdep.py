@@ -32,7 +32,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
 from ._checks import as_matrix, check_positive_int
-from ._panel import rowdot
 from .lrv import KernelSpec, kernel_weight
 from .series import _resolve_rng
 
@@ -294,17 +293,9 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
         raise ValueError("k must be positive")
     sh = _shells_of(graph, max(s, m))
     shell_sizes = sh.sizes(s).astype(float)
-
-    # worst uncovered m-neighborhood mass, per node: for j in shell(i, s),
-    # |N(i; m) \ N(j; s-1)| = |N(i; m)| - (B_m B_{s-1})_ij with B_r the
-    # 0/1 ball matrix (symmetric, so the product counts the overlap), on
-    # the pattern of S_s; an empty row's max is 0
-    shell_s = sh.matrix(s)
-    ball_m = sh.ball(m)
-    uncovered = shell_s.multiply(np.asarray(ball_m.sum(axis=1)))
-    if s > 0:
-        uncovered = uncovered - shell_s.multiply(ball_m @ sh.ball(s - 1))
-    overlap_sizes = uncovered.max(axis=1).toarray().ravel()
+    # |N(i; m)|; shell(i, 0) = {i} and N(i; -1) is empty
+    ball_sizes = sum(sh.sizes(t) for t in range(m + 1)).astype(float)
+    overlap_sizes = ball_sizes if s == 0 else _worst_uncovered(sh, s, m, ball_sizes)
 
     delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
     delta_overlap = float(np.exp(_log_power_mean(overlap_sizes, k)))
@@ -320,6 +311,37 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
         best = min(best, float(val))
     return NetStats(s=s, m=m, k=k, delta_shell=delta_shell,
                     delta_overlap=delta_overlap, c_n=best)
+
+
+# S_s pairs plus B_m B_{s-1} terms that one block of `_worst_uncovered` may form
+_PAIR_BUDGET = 2**18
+
+
+def _worst_uncovered(sh: Shells, s: int, m: int, ball_sizes: np.ndarray) -> np.ndarray:
+    """max_{j in shell(i, s)} |N(i; m) \\ N(j; s-1)| for every node i, s >= 1.
+
+    For j in shell(i, s) the set has |N(i; m)| - (B_m B_{s-1})_ij nodes,
+    with B_r the 0/1 ball matrix (symmetric, so the product counts the
+    overlap), read on the pattern of S_s; an empty row's max is 0.  Rows
+    go in blocks whose S_s pairs and product terms, sum_{k in N(i; m)}
+    |N(k; s-1)| per row, stay under `_PAIR_BUDGET` (a block holds at
+    least one row), so neither B_m nor the whole product is formed.
+    """
+    ball_prev = sh.ball(s - 1)
+    prev_sizes = sum(sh.sizes(t) for t in range(s)).astype(float)
+    cost = np.cumsum(sh.sizes(s) + sum(sh.matrix(t) @ prev_sizes for t in range(m + 1)))
+    out = np.empty(sh.n)
+    lo = 0
+    while lo < sh.n:
+        spent = cost[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(cost, spent + _PAIR_BUDGET, side="right")))
+        shell_s = sh.matrix(s)[lo:hi]
+        ball_m = sum(sh.matrix(t)[lo:hi] for t in range(m + 1))
+        uncovered = (shell_s.multiply(ball_sizes[lo:hi, None])
+                     - shell_s.multiply(ball_m @ ball_prev))
+        out[lo:hi] = uncovered.max(axis=1).toarray().ravel()
+        lo = hi
+    return out
 
 
 def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.ndarray:
@@ -371,41 +393,34 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     spec = kernel if kernel is not None else KernelSpec()
     ym = as_matrix(y, "y", min_len=2)
     n = ym.shape[0]
-    top = network_hac_radius(spec, n)
-    sh = _shells_of(graph, top)
+    sh = _shells_of(graph, network_hac_radius(spec, n))
     if sh.n != n:
         raise ValueError(f"y has {n} rows but the graph has {sh.n} nodes")
-    ym = ym - ym.mean(axis=0)
-    b = spec.resolve_bandwidth(n)
-    v = np.zeros((ym.shape[1], ym.shape[1]))
-    for s_val in range(top + 1):
-        w = kernel_weight(spec.family, s_val / b)
-        if w != 0.0:
-            v += w * (ym.T @ (sh.matrix(s_val) @ ym)) / n
-    return (v + v.T) / 2.0
+    return _network_hac_panel(sh, ym[None], spec)[0]
 
 
 def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """`network_hac` of every rep of an (R, n) panel of scalar node values.
+    """`network_hac` of every rep of an (R, n, v) panel of node values.
 
-    Returns the (R,) variances, each bit-identical to the 1 x 1
-    `network_hac` of that rep: the means run along contiguous rows, each
-    shell is one sparse product on the (n, R) transpose, and the
-    quadratic forms are `rowdot`s, as `a @ b` of one rep computes them.
-    (The symmetrization (V + V')/2 leaves a scalar unchanged.)
+    Returns the (R, v, v) symmetrized estimates, each bit-identical to
+    `network_hac` of that rep alone: each shell is one sparse product on
+    the (n, R v) stack of the centered reps, which sums every column as
+    the product with one rep would, and the quadratic forms are one
+    stacked `matmul` over contiguous per-rep blocks.
     """
-    n = y.shape[1]
+    R, n, v = y.shape
     top = network_hac_radius(kernel, n)
     sh = _shells_of(shells, top)
     b = kernel.resolve_bandwidth(n)
-    yc = y - y.mean(axis=1)[:, None]
-    yc_t = np.ascontiguousarray(yc.T)
-    v = np.zeros(y.shape[0])
+    yc = y - y.mean(axis=1, keepdims=True)
+    yc_t = np.ascontiguousarray(yc.transpose(1, 0, 2)).reshape(n, R * v)
+    out = np.zeros((R, v, v))
     for s_val in range(top + 1):
         w = kernel_weight(kernel.family, s_val / b)
         if w != 0.0:
-            v += w * rowdot(yc, np.ascontiguousarray((sh.matrix(s_val) @ yc_t).T)) / n
-    return v
+            sy = (sh.matrix(s_val) @ yc_t).reshape(n, R, v).transpose(1, 0, 2)
+            out += w * (yc.transpose(0, 2, 1) @ np.ascontiguousarray(sy)) / n
+    return (out + out.transpose(0, 2, 1)) / 2.0
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:

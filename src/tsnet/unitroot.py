@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_panel, as_series, check_in, check_positive_int
-from ._panel import check_fit, exact_fit, first_rep, ols
+from ._panel import check_design, check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
 from .tables import QuantileTable
@@ -139,7 +139,9 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     fitted over t = p+2..n.  Returns the t-ratio for alpha = 1 and the
     normalized bias T(alpha-1)/(1 - sum phi).  An exact fit leaves no
     scale: a noiseless autoregression gets the t-ratio +-inf, and a
-    constant series (alpha = 1 exactly) raises.
+    constant series (alpha = 1 exactly) raises.  With p >= 1 a noiseless
+    geometric path, whose lagged differences are multiples of its lagged
+    level, raises as a singular design (`_panel.collinear`).
     """
     x = as_series(ts, "ts", min_len=4)
     if p < 0:
@@ -150,6 +152,8 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     dx = np.diff(x)
     diffs = [dx[None, p - j:n - 1 - j] for j in range(1, p + 1)]
     fit, dof = _ar_fit(x[None], deterministic, start=p + 1, extra=diffs)
+    if p > 0:
+        check_design(fit.gram[0])
     s2 = float(fit.ssr[0] / dof)
     coeffs = fit.coef[0]
     nobs = n - p - 1

@@ -1,6 +1,6 @@
 """Batched Monte Carlo reps against the scalar code they replaced.
 
-fixed-wald, fmols-size, phillips-size, ivx-null, supwald-nbb and
+ar1-clt, fixed-wald, fmols-size, phillips-size, ivx-null, supwald-nbb and
 nethac-coverage compute a batch of reps as one panel.  Every rep's row must be bit-identical to
 what the scalar rep body gave before batching, whatever the batch size;
 only supwald-nbb's sup-Wald statistic, whose one-pass break scan sums in
@@ -226,6 +226,16 @@ def _kernel(cfg):
                         bandwidth=cfg.params["bandwidth"])
 
 
+def rep_ar1_clt(cfg, r):
+    n = cfg.params["n"]
+    rho = cfg.params["rho"]
+    gen = _gen(cfg, r)
+    x0 = float(gen.standard_normal()) / np.sqrt(1.0 - rho**2)
+    x = ref_lur_ar(T.LurSpec(c=(rho - 1.0) * n, gamma=1.0), n, gen, x0)
+    rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])
+    return (rho_hat, np.sqrt(n) * (rho_hat - rho))
+
+
 def rep_fixed_wald(cfg, r):
     n = cfg.params["n"]
     pi0 = cfg.params["pi0"]
@@ -311,6 +321,7 @@ def rep_nethac(cfg, r):
 
 
 SCALAR_REPS = {
+    "ar1-clt": rep_ar1_clt,
     "fixed-wald": rep_fixed_wald,
     "fmols-size": rep_fmols,
     "phillips-size": rep_phillips,
@@ -337,6 +348,8 @@ CASES = [
     ("nethac-coverage", 108, {"n_nodes": 30}),
     ("nethac-coverage", 108, {"n_nodes": 120, "w1": 0.3, "family": "parzen",
                               "bandwidth": 4.5, "low_bandwidth": 1.5}),
+    ("ar1-clt", 101, {"n": 200}),
+    ("ar1-clt", 101, {"n": 333, "rho": -0.3}),
 ]
 
 

@@ -214,13 +214,15 @@ def test_pvalue_uniform_under_null():
 
 def test_unitroot_bootstrap_gathers_into_the_walk_buffer():
     # the replicate walks are the one (B, n) array: the resampled residuals
-    # are gathered into them and cumulated in place
+    # are gathered into them and cumulated in place, and the block starts
+    # are drawn chunk by chunk (at length 1 there are B * n of them)
     B, n = 2000, 1000
     y = np.cumsum(np.random.default_rng(8).standard_normal(n))
-    tracemalloc.start()
-    try:
-        T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(3), block=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * B * n * 8
+    for block in (10, 1):
+        tracemalloc.start()
+        try:
+            T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(3), block=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * B * n * 8, block

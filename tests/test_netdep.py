@@ -499,6 +499,53 @@ def test_network_hac_allocates_no_pair_arrays():
     assert peak < 1_000_000
 
 
+def _random_graph(n, edges, seed):
+    ends = np.random.default_rng(seed).integers(1, n + 1, size=(edges, 2))
+    return T.Graph(n=n, edges=ends[ends[:, 0] != ends[:, 1]])
+
+
+def test_network_hac_panel_equals_each_rep():
+    # the one shell loop: each rep's (v, v) block of an (R, n, v) panel is
+    # that rep's `network_hac`, bit for bit
+    g = _random_graph(120, 200, seed=72)
+    y = np.random.default_rng(73).standard_normal((5, g.n, 3))
+    for spec in (T.KernelSpec("bartlett", 3.0), T.KernelSpec("parzen", 2.5),
+                 T.KernelSpec("truncated", 1.5)):
+        sh = T.graph_shells(g, T.network_hac_radius(spec, g.n))
+        panel = T.netdep._network_hac_panel(sh, y, spec)
+        assert panel.shape == (5, 3, 3)
+        for r in range(5):
+            assert panel[r].tobytes() == T.network_hac(sh, y[r], spec).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_denseness_row_blocks_change_nothing(monkeypatch, budget):
+    # one row per block, or a few: the same overlap sizes as one block
+    g = _random_graph(80, 110, seed=74)
+    sh = T.graph_shells(g, 3)
+    want = [T.denseness_stats(sh, s, m, 2.5) for s in range(4) for m in range(4)]
+    monkeypatch.setattr(T.netdep, "_PAIR_BUDGET", budget)
+    assert [T.denseness_stats(sh, s, m, 2.5) for s in range(4) for m in range(4)] == want
+
+
+def test_denseness_overlap_memory_is_bounded():
+    # S_2 of a 1500-leaf star holds 2.25 * 10^6 pairs, and so do the ball
+    # B_2 and the product B_2 B_1; walking S_2 in row blocks forms neither
+    sh = T.graph_shells(T.star_graph(1500), 2)
+    s2 = sh.matrix(2)
+    csr_bytes = s2.data.nbytes + s2.indices.nbytes + s2.indptr.nbytes
+    tracemalloc.start()
+    try:
+        res = T.denseness_stats(sh, s=2, m=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * csr_bytes
+    # a leaf's 2-ball is the whole star, and each other leaf's 1-ball
+    # covers two of its nodes; the hub's 2-shell is empty
+    assert res.delta_overlap == pytest.approx(1500 * 1499 / 1501, rel=1e-12)
+
+
 # --- source guard: the library never builds the n x n distance matrix ------
 
 def _graph_distance_calls(source: str) -> list[int]:

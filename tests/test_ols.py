@@ -473,13 +473,6 @@ def _hand_rolled_fits(source: str) -> list[str]:
     return found
 
 
-# (file, function) pairs allowed a lag regression as a ratio of sums
-_RATIO_EXEMPT = {
-    # a scalar rep: at R = 1 the fixed cost of `ols` would be a third of the rep
-    ("mc.py", "_ar1_clt_rep"),
-}
-
-
 def _lag_ratios(source: str) -> list[tuple[str, str]]:
     """(function, code) of each ratio a'b / a'a in `source`: a lag regression by sums.
 
@@ -559,9 +552,9 @@ def test_guard_flags_each_lag_ratio_form():
     ]
     for src in forms:
         assert len(_lag_ratios(src)) == 1, src
-    exempt = ("def _ar1_clt_rep(cfg, ctx, r):\n"
+    scoped = ("def _ar1_clt_rep(cfg, ctx, r):\n"
               "    rho_hat = float(x[1:] @ x[:-1]) / float(x[:-1] @ x[:-1])\n")
-    assert [scope for scope, _ in _lag_ratios(exempt)] == ["_ar1_clt_rep"]
+    assert [scope for scope, _ in _lag_ratios(scoped)] == ["_ar1_clt_rep"]
     # a variance over a Gram, a scaled Gram and an autocorrelation are not fits
     others = ("s2 = np.sum(resid**2, axis=1) / (te - 1)\nse = np.sqrt(s2 / sxx)\n"
               "g = x.T @ x / n\n"
@@ -576,8 +569,7 @@ def test_no_hand_rolled_least_squares_outside_the_kernel():
             continue
         source = path.read_text()
         offenders[path.name] = _hand_rolled_fits(source) + [
-            code for scope, code in _lag_ratios(source)
-            if (path.name, scope) not in _RATIO_EXEMPT]
+            code for _, code in _lag_ratios(source)]
     assert {k: v for k, v in offenders.items() if v} == {}
 
 

@@ -59,6 +59,40 @@ def test_adf_noiseless_autoregression_is_infinite(rate, sign, det):
     assert np.isfinite(res.stat_coef)
 
 
+def _noiseless_ar2(a1, a2, n=60):
+    x = np.empty(n)
+    x[0], x[1] = 1.0, 0.5
+    for t in range(2, n):
+        x[t] = a1 * x[t - 1] + a2 * x[t - 2]
+    return x
+
+
+@pytest.mark.parametrize("x", [1.05 ** np.arange(60.0), 0.9 ** np.arange(60.0),
+                               3.0 * 0.9 ** np.arange(60.0)], ids=["1.05", "0.9", "3x0.9"])
+def test_adf_noiseless_geometric_path_with_lags_is_singular(x):
+    # the lagged difference is a multiple of the lagged level: the design
+    # is collinear whether or not LAPACK's solve notices
+    with pytest.raises(np.linalg.LinAlgError, match="singular least-squares design"):
+        T.adf_test(x, p=1)
+
+
+def test_adf_noiseless_ar2_with_a_lag_is_infinite():
+    # an exact fit on a well-conditioned design keeps its infinite t-ratio
+    res = T.adf_test(_noiseless_ar2(1.2, -0.5), p=1)
+    assert res.stat_t == -np.inf
+    assert res.alpha_hat == pytest.approx(0.7, rel=1e-12)
+
+
+def test_adf_collinearity_rule_ignores_regressor_scale():
+    # a walk in units 1e8 times smaller leaves cond(X'X) of the (const,
+    # level, difference) design at 1e18; the rule reads the Gram of
+    # unit-length columns, so the statistic only moves by roundoff
+    x = np.cumsum(np.random.default_rng(38).standard_normal(200))
+    base = T.adf_test(x, p=1, deterministic="const").stat_t
+    assert T.adf_test(1e8 * x, p=1, deterministic="const").stat_t == pytest.approx(base,
+                                                                                   rel=1e-10)
+
+
 def test_adf_left_tail_power_against_stationary_ar1():
     cv = T.df_limit_mc(2000, reps=4000, rng=T.RngSpec(34, 0)).coef.quantile(0.05)
     gen = T.RngSpec(35, 0).generator()
