@@ -24,7 +24,7 @@ import numpy as np
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
 from ._panel import check_fit, collinear, exact_fit, first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable
+from .tables import QuantileTable, _workspace_rows
 
 __all__ = [
     "WaldBreakResult",
@@ -148,8 +148,9 @@ def _break_scan(Z, e, k_grid, s: int, shift=None) -> np.ndarray:
     shift an optional (R, p) constant taken off every score z_t e_t.
     With M_k the Gram of the first k rows, S_k = sum_{t<=k} (z_t e_t -
     shift)[:s] and V_k = M_k[:s, :s] - M_k[:s, :] M_m^{-1} M_k[:, :s];
-    the result is the (R, len(k_grid)) array of q_k.  For OLS residuals
-    q_k is the SSR drop from adding the columns z_t[:s] 1{t<=k}.
+    the result is the (R, len(k_grid)) array of q_k, for k_grid a run of
+    consecutive break dates.  For OLS residuals q_k is the SSR drop from
+    adding the columns z_t[:s] 1{t<=k}.
 
     Whitening by the Cholesky factor L of the Gram, w_t = L^{-1} z_t,
     makes M_m = I; L is triangular, so w_t[:s] spans z_t[:s] and q_k is
@@ -159,11 +160,13 @@ def _break_scan(Z, e, k_grid, s: int, shift=None) -> np.ndarray:
     Zt = Z.transpose(0, 2, 1)
     L_inv = np.linalg.inv(np.linalg.cholesky(Zt @ Z))
     W = L_inv @ Zt
-    # cumulative sums of w_a e and w_a w_j (a < s), read at the break dates
-    C = np.empty((R, s, p + 1, m))
-    np.multiply(W[:, :s], e[:, None], out=C[:, :, 0])
-    np.multiply(W[:, :s, None], W[:, None], out=C[:, :, 1:])
-    C = np.cumsum(C, axis=3, out=C)[..., k_grid - 1]
+    # cumulative sums of w_a e and w_a w_j (a < s) up to the last break
+    # date, read at the break dates as one slice
+    first, end = int(k_grid[0]), int(k_grid[-1])
+    C = np.empty((R, s, p + 1, end))
+    np.multiply(W[:, :s, :end], e[:, None, :end], out=C[:, :, 0])
+    np.multiply(W[:, :s, None, :end], W[:, None, :, :end], out=C[:, :, 1:])
+    C = np.cumsum(C, axis=3, out=C)[..., first - 1:]
     S, N = C[:, :, 0], C[:, :, 1:]
     if shift is not None:
         S = S - k_grid * (L_inv @ shift[:, :, None])[:, :s]
@@ -202,15 +205,14 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     fit = ols(Z, ys)
     check_fit(fit.ssr, ys, "no-break")
     q = _break_scan(Z, fit.resid, k_grid, d)
-    path = q * (m - 2 * d - 1) / (fit.ssr[:, None] - q)
+    # W_k = q_k (m - 2d - 1) / (SSR_0 - q_k), written over q
+    ssr_break = fit.ssr[:, None] - q
+    path = np.multiply(q, m - 2 * d - 1, out=q)
+    path /= ssr_break
     best = np.argmax(path, axis=1)
     return SupWaldResult(stat=path[np.arange(R), best], k_star=k_grid[best],
                          pi_star=k_grid[best] / m, path=path,
                          k_grid=k_grid, nobs=m)
-
-
-# bridges per `nbb_sup_mc` batch: bounds peak memory, not the draws
-_NBB_BATCH = 2000
 
 
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
@@ -218,26 +220,42 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
                grid: int = 1000) -> QuantileTable:
     """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range.
 
-    BB is a p-dimensional standard Brownian bridge discretized on a
-    uniform grid; this is the null limit of `sup_wald`.
+    BB is a p-dimensional standard Brownian bridge discretized on the
+    uniform grid i / grid, i = 1..grid; this is the null limit of
+    `sup_wald`.  The trim range must hold at least one grid point.
+
+    The bridges are drawn in batches that fill one cache-sized workspace
+    (`tables._WORKSPACE_BYTES`), so memory does not grow with reps; the
+    draws come from one stream in rep order and do not depend on the
+    batch.  Each batch's walks are cumulated and scaled in place, and the
+    bridge is formed only on the trimmed points, one contiguous slice.
     """
     p = check_positive_int(p, "p")
     reps = check_positive_int(reps, "reps", minimum=100)
     trim = _check_trim(trim)
+    grid = check_positive_int(grid, "grid")
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))
     t = np.arange(1, grid + 1) / grid
-    keep = (t >= trim[0]) & (t <= trim[1])
+    kept = np.flatnonzero((t >= trim[0]) & (t <= trim[1]))
+    if kept.size == 0:
+        raise ValueError(f"trim {trim} holds no point of the grid i / {grid}, "
+                         f"i = 1..{grid}: widen trim or refine grid")
+    keep = slice(kept[0], kept[-1] + 1)
     t_keep = t[keep]
     denom = t_keep * (1.0 - t_keep)
+    rows = _workspace_rows(grid * p, reps)
+    walks = np.empty((rows, grid, p))
     draws = np.empty(reps)
-    done = 0
-    while done < reps:
-        b = min(_NBB_BATCH, reps - done)
-        w = np.cumsum(gen.standard_normal((b, grid, p)), axis=1) / np.sqrt(grid)
-        bb = w - t[None, :, None] * w[:, -1:, :]
-        norm2 = np.sum(bb[:, keep, :] ** 2, axis=2)
-        draws[done:done + b] = np.max(norm2 / denom[None, :], axis=1)
-        done += b
+    for lo in range(0, reps, rows):
+        w = gen.standard_normal(out=walks[:min(rows, reps - lo)])
+        np.cumsum(w, axis=1, out=w)
+        w /= np.sqrt(grid)
+        # the bridge on the kept points, squared over the same memory
+        bb = w[:, keep]
+        bb -= t_keep[None, :, None] * w[:, -1:, :]
+        norm2 = np.sum(np.square(bb, out=bb), axis=2)
+        norm2 /= denom
+        np.max(norm2, axis=1, out=draws[lo:lo + w.shape[0]])
     detail = f"sup-normalized-bridge p={p} trim=({trim[0]}, {trim[1]}) grid={grid}"
     return QuantileTable.from_draws(draws, reps, detail)
 

@@ -17,12 +17,15 @@ Seven experiments compute a batch as one panel: ar1-clt, phillips-size,
 fmols-size, ivx-null, supwald-nbb, fixed-wald and nethac-coverage.  Each
 rep's draws fill a row of an (R, ...) array, and the library's panel
 kernels work on the leading rep axis with bit-identical per-rep results.
-The other five run rep by rep through `_per_rep`, which hands each rep
-its generator.  unitroot-boot, garch-recovery, mp-edges and
-nested-forecast have reps that cost far more than the per-call overhead.
-hac-lrv draws the same stationary AR(1) as ar1-clt and fixed-wald
-(`_stationary_ar1`), but at its default n = 100 000 a 64-rep panel would
-take 51 MB, against the 2 MB `_BATCH` is sized for.
+supwald-nbb draws its batch's normals at once, then simulates and scans
+them in sub-panels of `_SUBPANEL` reps, whose working set stays under
+the size of the draws.  The other five run rep by rep through
+`_per_rep`, which hands each rep its generator.  unitroot-boot,
+garch-recovery, mp-edges and nested-forecast have reps that cost far
+more than the per-call overhead.  hac-lrv draws the same stationary
+AR(1) as ar1-clt and fixed-wald (`_stationary_ar1`), but at its default
+n = 100 000 a 64-rep panel would take 51 MB, against the 2 MB `_BATCH`
+is sized for.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -280,7 +283,9 @@ class Experiment:
     of a resolved config.  `rep(cfg, ctx, rs)` takes a range of rep
     indices and returns a (len(rs), len(columns)) float array, row i for
     rep rs[i].  The summary is the `echo` parameters (or "level"), then
-    the fields `summarize(cfg, ctx, draws)` computes.
+    the fields `summarize(cfg, ctx, draws)` computes.  `stationary` names
+    the parameters that are the root of a stationary AR(1), which the
+    draw starts in its stationary law: each must lie in (-1, 1).
     """
 
     name: str
@@ -290,16 +295,17 @@ class Experiment:
     summarize: Callable
     params: dict
     echo: tuple[str, ...]
+    stationary: tuple[str, ...] = ()
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, columns, rep, summarize, params, echo, setup=None):
+def _register(name, columns, rep, summarize, params, echo, setup=None, stationary=()):
     EXPERIMENTS[name] = Experiment(
         name=name, columns=tuple(columns),
         setup=setup if setup is not None else (lambda cfg: {}),
-        rep=rep, summarize=summarize, params=params, echo=echo)
+        rep=rep, summarize=summarize, params=params, echo=echo, stationary=stationary)
 
 
 def _read(default, value):
@@ -349,14 +355,15 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Parameters the config leaves out take their defaults.  A key the
     experiment does not declare, or a value of the wrong type, raises
-    ValueError, and so do `reps` or `jobs` below 1 and a `level` outside
-    (0, 1), however they were set.  Resolving a resolved config gives it
-    back unchanged.
+    ValueError, and so do `reps` or `jobs` below 1, a `level` outside
+    (0, 1) and a stationary root outside (-1, 1), however they were set.
+    Resolving a resolved config gives it back unchanged.
     """
     if cfg.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {cfg.experiment!r}; have: {known}")
-    declared = EXPERIMENTS[cfg.experiment].params
+    exp = EXPERIMENTS[cfg.experiment]
+    declared = exp.params
     unknown = sorted(set(cfg.params) - set(declared))
     if unknown:
         raise ValueError(f"experiment {cfg.experiment!r} has no parameter "
@@ -368,6 +375,10 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
                          f"got {level!r}")
     params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
               for key, default in declared.items()}
+    for key in exp.stationary:
+        if not abs(params[key]) < 1.0:
+            raise ValueError(f"experiment {cfg.experiment!r}: parameter {key!r} must be "
+                             f"a stationary root in (-1, 1), got {params[key]!r}")
     return replace(cfg, params=params, reps=check_positive_int(cfg.reps, "reps"),
                    jobs=check_positive_int(cfg.jobs, "jobs"))
 
@@ -582,7 +593,7 @@ def _ar1_clt_summarize(cfg, ctx, draws):
 
 
 _register("ar1-clt", ("rho_hat", "z"), _ar1_clt_rep, _ar1_clt_summarize,
-          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"))
+          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"), stationary=("rho",))
 
 
 def _hac_lrv_rep(cfg, ctx, gen):
@@ -605,7 +616,7 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 
 _register("hac-lrv", ("omega_hat", "bandwidth"), _per_rep(_hac_lrv_rep),
           _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
-          echo=("n", "phi"))
+          echo=("n", "phi"), stationary=("phi",))
 
 
 def _phillips_setup(cfg):
@@ -671,17 +682,21 @@ _register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize,
           echo=("n", "corr", "level"))
 
 
-def _system_panel(cfg, rs):
-    """(y, x) panels of the ivx-null/supwald-nbb system, row i from rep rs[i]."""
+def _system_spec(cfg) -> SystemSpec:
+    """The one-regressor predictive system of ivx-null and supwald-nbb."""
     p = cfg.params
-    spec = SystemSpec(beta=(p["beta"],), lur=(LurSpec(c=p["c"], gamma=p["gamma"]),),
+    return SystemSpec(beta=(p["beta"],), lur=(LurSpec(c=p["c"], gamma=p["gamma"]),),
                       intercept=p["intercept"],
                       sigma_ue=((1.0, p["corr"]), (p["corr"], 1.0)))
-    return _predictive_system_panel(spec, _rep_normals(cfg, rs, (p["n"], spec.dim + 1)))
+
+
+def _system_normals(cfg, rs) -> np.ndarray:
+    """The (len(rs), n, 2) normals of the system's reps rs: u, then x's shocks."""
+    return _rep_normals(cfg, rs, (cfg.params["n"], 2))
 
 
 def _ivx_rep(cfg, ctx, rs):
-    y, x = _system_panel(cfg, rs)
+    y, x = _predictive_system_panel(_system_spec(cfg), _system_normals(cfg, rs))
     res = _ivx_panel(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
     return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
@@ -705,10 +720,26 @@ def _supwald_setup(cfg):
     return {"q95_nbb": table.quantile(0.95)}
 
 
+# reps per supwald-nbb sub-panel.  A 64-rep batch draws its normals at
+# once, 128 floats per observation; an 8-rep sub-panel's simulation and
+# break scan then take about 100 more, so the batch's working set
+# stays under twice its largest block, the draws.  glibc's allocator keeps
+# that much free memory mapped (it trims the top of its heap only past
+# twice the largest mapped block freed), so every sub-panel and batch
+# reuses the same pages instead of faulting them in again.
+_SUBPANEL = 8
+
+
 def _supwald_rep(cfg, ctx, rs):
-    y, x = _system_panel(cfg, rs)
-    res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
-    return np.column_stack([res.stat, res.pi_star])
+    spec = _system_spec(cfg)
+    z = _system_normals(cfg, rs)
+    rows = np.empty((len(rs), 2))
+    for lo in range(0, len(rs), _SUBPANEL):
+        y, x = _predictive_system_panel(spec, z[lo:lo + _SUBPANEL])
+        res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
+        rows[lo:lo + _SUBPANEL, 0] = res.stat
+        rows[lo:lo + _SUBPANEL, 1] = res.pi_star
+    return rows
 
 
 def _supwald_summarize(cfg, ctx, draws):
@@ -756,7 +787,7 @@ def _fixed_wald_summarize(cfg, ctx, draws):
 
 _register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize,
           params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
-          echo=("n", "pi0"))
+          echo=("n", "pi0"), stationary=("phi_x",))
 
 
 def _nethac_setup(cfg):

@@ -292,7 +292,10 @@ def _predictive_system_panel(spec: SystemSpec, z: np.ndarray):
         x[:, :, i] = ar(v[:, :, i], [lur.rho(n)])
 
     xlag = np.concatenate([np.zeros((R, 1, d)), x[:, :-1]], axis=1)
-    y = spec.intercept + xlag @ np.asarray(spec.beta) + u
+    # intercept + xlag beta + u, summed in that order into one buffer
+    y = xlag @ np.asarray(spec.beta)
+    y += spec.intercept
+    y += u
     return y, x
 
 

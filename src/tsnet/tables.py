@@ -11,6 +11,16 @@ __all__ = ["QuantileTable", "DEFAULT_PROBS"]
 # Tail and central probabilities a table reports as its `values`.
 DEFAULT_PROBS = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
 
+# bytes a limit-table simulator's batch of draws holds at once.  About
+# a core's L2 cache; it bounds the workspace and never a result.
+_WORKSPACE_BYTES = 2**19
+
+
+def _workspace_rows(row_floats: int, limit: int) -> int:
+    """Rows of `row_floats` floats that fill the workspace: at least one,
+    at most `limit`."""
+    return min(limit, max(1, _WORKSPACE_BYTES // (8 * row_floats)))
+
 
 @dataclass(frozen=True, eq=False)
 class QuantileTable:

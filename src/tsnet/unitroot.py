@@ -17,7 +17,7 @@ from ._checks import as_panel, as_series, check_in, check_positive_int
 from ._panel import check_design, check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable
+from .tables import QuantileTable, _workspace_rows
 
 __all__ = [
     "AROls",
@@ -41,8 +41,6 @@ def default_adf_lags(n: int) -> int:
 
 # the column of x_{t-1} in the design of `_ar_fit`
 _LEVEL_COL = {"none": 0, "const": 1, "trend": 2}
-# walks per `df_limit_mc` batch: bounds peak memory, not the draws
-_DF_BATCH = 1000
 
 
 def _ar_fit(x, deterministic: str, start: int = 1, extra=(), fit=ols):
@@ -255,6 +253,11 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     empirical quantiles of the coefficient and t statistics form the
     returned tables.  Used wherever unit root critical values are
     needed.
+
+    The walks are drawn in batches that fill one cache-sized workspace
+    (`tables._WORKSPACE_BYTES`), each cumulated in place, so memory does
+    not grow with reps; the draws come from one stream in rep order and
+    do not depend on the batch.
     """
     T = check_positive_int(T, "T", minimum=10)
     reps = check_positive_int(reps, "reps", minimum=100)
@@ -263,18 +266,16 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     coef_draws = np.empty(reps)
     t_draws = np.empty(reps)
     k = _LEVEL_COL[deterministic]
-    buf = np.empty((min(_DF_BATCH, reps), T))
-    done = 0
-    while done < reps:
-        m = min(_DF_BATCH, reps - done)
-        walks = gen.standard_normal(out=buf[:m])
+    rows = _workspace_rows(T, reps)
+    buf = np.empty((rows, T))
+    for lo in range(0, reps, rows):
+        walks = gen.standard_normal(out=buf[:min(rows, reps - lo)])
         np.cumsum(walks, axis=1, out=walks)
         fit, dof = _ar_fit(walks, deterministic)
         alpha = fit.coef[:, k]
         se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
-        coef_draws[done:done + m] = (T - 1) * (alpha - 1.0)
-        t_draws[done:done + m] = (alpha - 1.0) / se
-        done += m
+        coef_draws[lo:lo + walks.shape[0]] = (T - 1) * (alpha - 1.0)
+        t_draws[lo:lo + walks.shape[0]] = (alpha - 1.0) / se
     detail = f"dickey-fuller T={T} det={deterministic}"
     return DfLimitTables(
         coef=QuantileTable.from_draws(coef_draws, reps, detail + " coef"),

@@ -8,8 +8,13 @@ another order than the closed form kept here, is compared at roundoff.
 The scalar rep bodies, and the scalar estimators and simulators they
 called, are kept below as oracles.  Their AR and MA recursions call
 `tsnet._filter`, which `tests/test_filter.py` pins against lfilter.
+
+The limit-table simulators `nbb_sup_mc` and `df_limit_mc` draw in
+workspace-sized batches; their whole-batch bodies are kept below too,
+and the draws must equal theirs bit for bit.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,13 +22,13 @@ import pytest
 from scipy import special, stats
 
 import tsnet as T
-from tsnet import mc
+from tsnet import mc, tables
 from tsnet._filter import ar, ma
 from tsnet.breaks import _split_wald_panel, _sup_wald_panel
 from tsnet.coint import _fmols_panel
 from tsnet.lrv import _hac_lrv_panel
 from tsnet.predreg import _ivx_panel
-from tsnet.unitroot import _phillips_z_panel
+from tsnet.unitroot import _LEVEL_COL, _ar_fit, _phillips_z_panel
 
 # ---------------------------------------------------------------------------
 # scalar oracles: the estimators and simulators as they were before batching
@@ -516,3 +521,93 @@ def test_chdtrc_matches_chi2_sf():
     x = np.linspace(0.0, 30.0, 3001)
     for d in (1, 2, 3):
         assert np.array_equal(special.chdtrc(d, x), stats.chi2.sf(x, d))
+
+
+# ---------------------------------------------------------------------------
+# the limit-table simulators against their whole-batch bodies
+
+
+def ref_nbb_sup_draws(p, trim, reps, rng, grid):
+    """`nbb_sup_mc`'s draws, every bridge in one batch."""
+    gen = rng.generator()
+    t = np.arange(1, grid + 1) / grid
+    keep = (t >= trim[0]) & (t <= trim[1])
+    denom = t[keep] * (1.0 - t[keep])
+    w = np.cumsum(gen.standard_normal((reps, grid, p)), axis=1) / np.sqrt(grid)
+    bb = w - t[None, :, None] * w[:, -1:, :]
+    return np.max(np.sum(bb[:, keep, :] ** 2, axis=2) / denom[None, :], axis=1)
+
+
+def ref_df_limit_draws(T_len, deterministic, reps, rng):
+    """`df_limit_mc`'s (coef, t) draws, every walk in one batch."""
+    walks = np.cumsum(rng.generator().standard_normal((reps, T_len)), axis=1)
+    fit, dof = _ar_fit(walks, deterministic)
+    k = _LEVEL_COL[deterministic]
+    alpha = fit.coef[:, k]
+    se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
+    return (T_len - 1) * (alpha - 1.0), (alpha - 1.0) / se
+
+
+def _batches(row_floats, reps):
+    """How many workspace-sized batches `reps` rows of `row_floats` floats fill."""
+    return reps / (tables._WORKSPACE_BYTES // (8 * row_floats))
+
+
+# reps cover two full workspace batches and a partial third at each grid
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("trim", [(0.15, 0.85), (0.05, 0.95), (0.3, 0.7)])
+@pytest.mark.parametrize("grid,reps", [(100, {1: 1400, 2: 700, 3: 500}),
+                                       (333, {1: 450, 2: 230, 3: 150})])
+def test_nbb_sup_draws_equal_the_whole_batch(p, trim, grid, reps):
+    reps = reps[p]
+    assert 2 < _batches(grid * p, reps) < 3
+    rng = T.RngSpec(90 + p, grid)
+    table = T.nbb_sup_mc(p=p, trim=trim, reps=reps, rng=rng, grid=grid)
+    want = ref_nbb_sup_draws(p, trim, reps, rng, grid)
+    assert np.array_equal(table.draws, np.sort(want))
+
+
+@pytest.mark.parametrize("deterministic", ["none", "const", "trend"])
+@pytest.mark.parametrize("T_len,reps", [(200, 700), (1000, 150)])
+def test_df_limit_draws_equal_the_whole_batch(deterministic, T_len, reps):
+    assert 2 < _batches(T_len, reps) < 3
+    rng = T.RngSpec(95, T_len)
+    got = T.df_limit_mc(T_len, deterministic=deterministic, reps=reps, rng=rng)
+    coef, t = ref_df_limit_draws(T_len, deterministic, reps, rng)
+    assert np.array_equal(got.coef.draws, np.sort(coef))
+    assert np.array_equal(got.t.draws, np.sort(t))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda reps: T.nbb_sup_mc(p=1, reps=reps, grid=1000, rng=T.RngSpec(96)),
+    lambda reps: T.df_limit_mc(1000, reps=reps, rng=T.RngSpec(97)),
+    lambda reps: T.df_limit_mc(1000, deterministic="trend", reps=reps, rng=T.RngSpec(97)),
+], ids=["nbb_sup_mc", "df_limit_mc", "df_limit_mc-trend"])
+def test_limit_simulator_peak_memory_does_not_grow_with_reps(simulate):
+    simulate(100)  # warm up
+    small, large = (_peak_bytes(lambda: simulate(reps)) for reps in (500, 5000))
+    # the workspace and a few copies of it for the fit; one 5000-rep batch
+    # of 1000-point walks alone takes 40 MB
+    assert large <= 5e6, large / 1e6
+    # beyond it only the draws grow: two (reps,) arrays and their sorted copies
+    assert large - small <= 32 * 4500, (small, large)
+
+
+def test_supwald_batch_peak_memory():
+    cfg = mc.resolve(mc.ExperimentConfig(experiment="supwald-nbb", reps=128, seed=106,
+                                         params={"n": 2000, "c": -20.0}))
+    rep = mc.EXPERIMENTS["supwald-nbb"].rep
+    rep(cfg, {}, range(64))  # warm up
+    peak = _peak_bytes(lambda: rep(cfg, {}, range(64, 128)))
+    # the (64, 2000, 2) normals the batch draws take 2 MB, and one 8-rep
+    # sub-panel's simulation and scan about 1.6 MB; 12.4 MB as one panel
+    assert peak <= 5e6, peak / 1e6

@@ -171,6 +171,24 @@ def test_nbb_sup_reproducible_and_validated():
         T.nbb_sup_mc(reps=10)
 
 
+@pytest.mark.parametrize("grid,trim,match", [
+    (0, (0.15, 0.85), "grid must be an integer >= 1, got 0"),
+    (-5, (0.15, 0.85), "grid must be an integer >= 1, got -5"),
+    (2.5, (0.15, 0.85), "grid must be an integer >= 1, got 2.5"),
+    (1, (0.15, 0.85), r"trim \(0.15, 0.85\) holds no point of the grid i / 1,"),
+    (100, (0.501, 0.502), r"trim \(0.501, 0.502\) holds no point of the grid i / 100,"),
+])
+def test_nbb_sup_rejects_grids_without_a_trimmed_point(grid, trim, match):
+    with pytest.raises(ValueError, match=match):
+        T.nbb_sup_mc(trim=trim, reps=100, grid=grid)
+
+
+def test_nbb_sup_single_trimmed_point_is_one_chi2_draw():
+    # trim (0.5, 0.5 + 1e-9) keeps the one point t = 1/2 of a 100-step grid
+    tab = T.nbb_sup_mc(trim=(0.5, 0.5 + 1e-9), reps=2000, grid=100, rng=T.RngSpec(64))
+    assert 0.9 < tab.quantile(0.5) / 0.4549 < 1.1  # the chi2(1) median
+
+
 @pytest.mark.parametrize("trim", [(0.3,), 0.3, (0.2, 0.5, 0.9)])
 def test_trim_must_be_two_fractions(trim):
     gen = np.random.default_rng((60, 6))

@@ -325,6 +325,43 @@ def test_mc_level_outside_the_unit_interval_is_one_line(tmp_path, capsys, monkey
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("experiment,key,value", [
+    ("ar1-clt", "rho", "1"), ("ar1-clt", "rho", "-1.5"),
+    ("hac-lrv", "phi", "1"), ("fixed-wald", "phi_x", "1"),
+])
+def test_mc_nonstationary_root_is_one_line(tmp_path, capsys, monkeypatch,
+                                           experiment, key, value):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the reps were simulated")
+
+    monkeypatch.setattr(mc, "_rep_normals", no_draws)
+    monkeypatch.setattr(mc, "_rep_streams", no_draws)
+    cfg = tmp_path / "root.cfg"
+    cfg.write_text(f"experiment = {experiment}\nreps = 2\nn = 300\n{key} = {value}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"tsnet: error: experiment {experiment!r}: parameter {key!r} must be a "
+        f"stationary root in (-1, 1), got {float(value)!r}"]
+    assert list(out.iterdir()) == []
+
+
+def test_mc_supwald_grid_without_a_trimmed_point_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text("experiment = supwald-nbb\nreps = 2\nn = 150\nnbb_reps = 200\n"
+                   "nbb_grid = 1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("tsnet: error: trim (0.15, 0.85) holds no point of the grid")
+    assert list(out.iterdir()) == []
+
+
 def test_mc_phillips_size_at_an_untabulated_level(tmp_path, capsys):
     cfg = tmp_path / "pz.cfg"
     cfg.write_text("experiment = phillips-size\nreps = 4\nseed = 4\nn = 60\n"

@@ -406,6 +406,11 @@ def test_unknown_key_fails_before_any_output(tmp_path):
     ("nested-forecast", "c", (-2.0, "x")),
     ("phillips-size", "deterministic", 1),
     ("fmols-size", "family", "parzen"),  # fmols-size has no kernel to set
+    ("ar1-clt", "rho", 1.0),           # a stationary root lies in (-1, 1)
+    ("ar1-clt", "rho", -1.5),
+    ("ar1-clt", "rho", float("nan")),
+    ("hac-lrv", "phi", 1),
+    ("fixed-wald", "phi_x", -1.0),
 ])
 def test_resolve_rejects_bad_parameters(experiment, key, value):
     cfg = ExperimentConfig(experiment=experiment, reps=2, params={key: value})
