@@ -24,7 +24,7 @@ import numpy as np
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
 from ._panel import check_fit, collinear, exact_fit, first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable, _workspace_rows
+from .tables import QuantileTable, _walk_batches
 
 __all__ = [
     "WaldBreakResult",
@@ -224,11 +224,11 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     uniform grid i / grid, i = 1..grid; this is the null limit of
     `sup_wald`.  The trim range must hold at least one grid point.
 
-    The bridges are drawn in batches that fill one cache-sized workspace
-    (`tables._WORKSPACE_BYTES`), so memory does not grow with reps; the
-    draws come from one stream in rep order and do not depend on the
-    batch.  Each batch's walks are cumulated and scaled in place, and the
-    bridge is formed only on the trimmed points, one contiguous slice.
+    The walks come from `tables._walk_batches`, the one owner of the
+    cache-sized workspace, so memory does not grow with reps; the draws
+    come from one stream in rep order and do not depend on the batch.
+    Each batch is scaled in place, and the bridge is formed only on the
+    trimmed points, one contiguous slice.
     """
     p = check_positive_int(p, "p")
     reps = check_positive_int(reps, "reps", minimum=100)
@@ -243,12 +243,8 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     keep = slice(kept[0], kept[-1] + 1)
     t_keep = t[keep]
     denom = t_keep * (1.0 - t_keep)
-    rows = _workspace_rows(grid * p, reps)
-    walks = np.empty((rows, grid, p))
     draws = np.empty(reps)
-    for lo in range(0, reps, rows):
-        w = gen.standard_normal(out=walks[:min(rows, reps - lo)])
-        np.cumsum(w, axis=1, out=w)
+    for lo, w in _walk_batches(gen, reps, (grid, p)):
         w /= np.sqrt(grid)
         # the bridge on the kept points, squared over the same memory
         bb = w[:, keep]

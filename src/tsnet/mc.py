@@ -119,6 +119,8 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = "v1"
+# the default `level`, the only one an experiment that does not read it takes
+_LEVEL = 0.05
 # reps per `rep` call: enough to amortize the per-call overhead, while a
 # 64-rep panel of n = 2000 series stays near 2 MB
 _BATCH = 64
@@ -144,7 +146,7 @@ class ExperimentConfig:
     seed: int = 0
     stream: int = 0
     jobs: int = 1
-    level: float = 0.05
+    level: float = _LEVEL
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
@@ -282,10 +284,11 @@ class Experiment:
     default makes an optional number.  The hooks read `cfg.params[key]`
     of a resolved config.  `rep(cfg, ctx, rs)` takes a range of rep
     indices and returns a (len(rs), len(columns)) float array, row i for
-    rep rs[i].  The summary is the `echo` parameters (or "level"), then
-    the fields `summarize(cfg, ctx, draws)` computes.  `stationary` names
-    the parameters that are the root of a stationary AR(1), which the
-    draw starts in its stationary law: each must lie in (-1, 1).
+    rep rs[i].  The summary is the `echo` parameters (or "level", for
+    exactly the experiments that read it), then the fields
+    `summarize(cfg, ctx, draws)` computes.  `bounded` maps each parameter
+    that must lie in (-1, 1) to what it is: a stationary root (the draw
+    starts the AR(1) in its stationary law) or a correlation.
     """
 
     name: str
@@ -295,17 +298,17 @@ class Experiment:
     summarize: Callable
     params: dict
     echo: tuple[str, ...]
-    stationary: tuple[str, ...] = ()
+    bounded: dict = field(default_factory=dict)
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, columns, rep, summarize, params, echo, setup=None, stationary=()):
+def _register(name, columns, rep, summarize, params, echo, setup=None, bounded=None):
     EXPERIMENTS[name] = Experiment(
         name=name, columns=tuple(columns),
         setup=setup if setup is not None else (lambda cfg: {}),
-        rep=rep, summarize=summarize, params=params, echo=echo, stationary=stationary)
+        rep=rep, summarize=summarize, params=params, echo=echo, bounded=bounded or {})
 
 
 def _read(default, value):
@@ -356,7 +359,9 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
     Parameters the config leaves out take their defaults.  A key the
     experiment does not declare, or a value of the wrong type, raises
     ValueError, and so do `reps` or `jobs` below 1, a `level` outside
-    (0, 1) and a stationary root outside (-1, 1), however they were set.
+    (0, 1), a `level` other than the default for an experiment that does
+    not read it, and a `bounded` parameter outside (-1, 1), however they
+    were set.
     Resolving a resolved config gives it back unchanged.
     """
     if cfg.experiment not in EXPERIMENTS:
@@ -373,12 +378,15 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
     if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValueError(f"experiment {cfg.experiment!r}: level must lie in (0, 1), "
                          f"got {level!r}")
+    if "level" not in exp.echo and level != _LEVEL:
+        raise ValueError(f"experiment {cfg.experiment!r} does not read level; "
+                         f"leave it at {_LEVEL}, got {level!r}")
     params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
               for key, default in declared.items()}
-    for key in exp.stationary:
+    for key, what in exp.bounded.items():
         if not abs(params[key]) < 1.0:
             raise ValueError(f"experiment {cfg.experiment!r}: parameter {key!r} must be "
-                             f"a stationary root in (-1, 1), got {params[key]!r}")
+                             f"{what} in (-1, 1), got {params[key]!r}")
     return replace(cfg, params=params, reps=check_positive_int(cfg.reps, "reps"),
                    jobs=check_positive_int(cfg.jobs, "jobs"))
 
@@ -412,8 +420,8 @@ def _rep_normals(cfg: ExperimentConfig, rs, shape) -> np.ndarray:
     return z
 
 
-def _aux_rng(cfg: ExperimentConfig, j: int = 0) -> RngSpec:
-    return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps + j)
+def _aux_rng(cfg: ExperimentConfig) -> RngSpec:
+    return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps)
 
 
 @dataclass
@@ -593,7 +601,7 @@ def _ar1_clt_summarize(cfg, ctx, draws):
 
 
 _register("ar1-clt", ("rho_hat", "z"), _ar1_clt_rep, _ar1_clt_summarize,
-          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"), stationary=("rho",))
+          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"), bounded={"rho": "a stationary root"})
 
 
 def _hac_lrv_rep(cfg, ctx, gen):
@@ -616,7 +624,7 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 
 _register("hac-lrv", ("omega_hat", "bandwidth"), _per_rep(_hac_lrv_rep),
           _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
-          echo=("n", "phi"), stationary=("phi",))
+          echo=("n", "phi"), bounded={"phi": "a stationary root"})
 
 
 def _phillips_setup(cfg):
@@ -679,7 +687,7 @@ def _fmols_summarize(cfg, ctx, draws):
 # no family or bandwidth: FM-OLS runs with the library's default kernel
 _register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize,
           params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
-          echo=("n", "corr", "level"))
+          echo=("n", "corr", "level"), bounded={"corr": "a correlation"})
 
 
 def _system_spec(cfg) -> SystemSpec:
@@ -709,7 +717,7 @@ def _ivx_summarize(cfg, ctx, draws):
 _register("ivx-null", ("wald", "pvalue", "beta_hat"), _ivx_rep, _ivx_summarize,
           params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
                   "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
-          echo=("n", "c", "gamma", "corr", "beta", "level"))
+          echo=("n", "c", "gamma", "corr", "beta", "level"), bounded={"corr": "a correlation"})
 
 
 def _supwald_setup(cfg):
@@ -758,7 +766,7 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _supwald_rep,
           params={"n": 2000, "c": -5.0, "gamma": 0.75, "corr": 0.5, "beta": 0.25,
                   "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
                   "nbb_grid": 1000},
-          echo=("n", "c", "gamma"))
+          echo=("n", "c", "gamma"), bounded={"corr": "a correlation"})
 
 
 def _fixed_wald_rep(cfg, ctx, rs):
@@ -787,7 +795,7 @@ def _fixed_wald_summarize(cfg, ctx, draws):
 
 _register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize,
           params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
-          echo=("n", "pi0"), stationary=("phi_x",))
+          echo=("n", "pi0"), bounded={"phi_x": "a stationary root"})
 
 
 def _nethac_setup(cfg):

@@ -1,7 +1,9 @@
-"""Simulated quantile tables for nonstandard limit distributions."""
+"""Simulated quantile tables for nonstandard limit distributions, and
+`_walk_batches`, the walk batcher that alone owns their draws' workspace."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +18,19 @@ DEFAULT_PROBS = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
 _WORKSPACE_BYTES = 2**19
 
 
-def _workspace_rows(row_floats: int, limit: int) -> int:
-    """Rows of `row_floats` floats that fill the workspace: at least one,
-    at most `limit`."""
-    return min(limit, max(1, _WORKSPACE_BYTES // (8 * row_floats)))
+def _walk_batches(gen, reps: int, shape: tuple[int, ...]):
+    """Yield (lo, walks): `reps` standard-normal random walks of `shape`,
+    drawn from `gen` in rep order into one reused buffer of
+    `_WORKSPACE_BYTES` (at least one walk) and cumulated in place along
+    time, the first axis of `shape`.  `walks` holds reps lo, lo + 1, ...
+    until the next batch overwrites it, so a caller may scale it in place.
+    """
+    rows = min(reps, max(1, _WORKSPACE_BYTES // (8 * math.prod(shape))))
+    buf = np.empty((rows, *shape))
+    for lo in range(0, reps, rows):
+        walks = gen.standard_normal(out=buf[:min(rows, reps - lo)])
+        np.cumsum(walks, axis=1, out=walks)
+        yield lo, walks
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from ._checks import as_panel, as_series, check_in, check_positive_int
 from ._panel import check_design, check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable, _workspace_rows
+from .tables import QuantileTable, _walk_batches
 
 __all__ = [
     "AROls",
@@ -254,10 +254,9 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     returned tables.  Used wherever unit root critical values are
     needed.
 
-    The walks are drawn in batches that fill one cache-sized workspace
-    (`tables._WORKSPACE_BYTES`), each cumulated in place, so memory does
-    not grow with reps; the draws come from one stream in rep order and
-    do not depend on the batch.
+    The walks come from `tables._walk_batches`, the one owner of the
+    cache-sized workspace, so memory does not grow with reps; the draws
+    come from one stream in rep order and do not depend on the batch.
     """
     T = check_positive_int(T, "T", minimum=10)
     reps = check_positive_int(reps, "reps", minimum=100)
@@ -266,11 +265,7 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     coef_draws = np.empty(reps)
     t_draws = np.empty(reps)
     k = _LEVEL_COL[deterministic]
-    rows = _workspace_rows(T, reps)
-    buf = np.empty((rows, T))
-    for lo in range(0, reps, rows):
-        walks = gen.standard_normal(out=buf[:min(rows, reps - lo)])
-        np.cumsum(walks, axis=1, out=walks)
+    for lo, walks in _walk_batches(gen, reps, (T,)):
         fit, dof = _ar_fit(walks, deterministic)
         alpha = fit.coef[:, k]
         se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])

@@ -349,6 +349,26 @@ def test_mc_nonstationary_root_is_one_line(tmp_path, capsys, monkeypatch,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("line,flags", [("level = 0.1", []), ("", ["--level", "0.1"])])
+def test_mc_level_an_experiment_does_not_read_is_one_line(tmp_path, capsys, monkeypatch,
+                                                         line, flags):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the table was simulated")
+
+    monkeypatch.setattr(mc, "nbb_sup_mc", no_setup)
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(f"experiment = supwald-nbb\nreps = 2\nn = 150\nnbb_reps = 200\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tsnet: error: experiment 'supwald-nbb' does not read level; "
+        "leave it at 0.05, got 0.1"]
+    assert list(out.iterdir()) == []
+
+
 def test_mc_supwald_grid_without_a_trimmed_point_is_one_line(tmp_path, capsys):
     cfg = tmp_path / "sw.cfg"
     cfg.write_text("experiment = supwald-nbb\nreps = 2\nn = 150\nnbb_reps = 200\n"
@@ -459,11 +479,11 @@ def test_cli_exact_fit_is_one_line(tmp_path, capsys, kind, lag):
 
 
 def test_mc_override_flags_match_the_reserved_keys(tmp_path, capsys):
-    cfg = tmp_path / "fw.cfg"
-    cfg.write_text("experiment = fixed-wald\nreps = 20\nseed = 12\nn = 120\n")
+    cfg = tmp_path / "fm.cfg"
+    cfg.write_text("experiment = fmols-size\nreps = 20\nseed = 12\nn = 120\n")
     run_cli("mc", "run", str(cfg), "--seed", "3", "--stream", "2", "--reps", "4",
             "--jobs", "2", "--level", "0.1", "--out", str(tmp_path / "a.csv"))
-    cfg.write_text("experiment = fixed-wald\nreps = 4\nseed = 3\nstream = 2\n"
+    cfg.write_text("experiment = fmols-size\nreps = 4\nseed = 3\nstream = 2\n"
                    "jobs = 2\nlevel = 0.1\nn = 120\n")
     run_cli("mc", "run", str(cfg), "--out", str(tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -12,9 +12,11 @@ gives the gradient and the scoring matrix (Berndt, Hall, Hall & Hausman
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import tsnet
@@ -115,3 +117,21 @@ def test_garch_fit_leaves_scipy_optimize_unloaded():
         "assert tsnet.garch_qmle(y).converged")
     assert "scipy.linalg.lapack" in loaded
     assert [m for m in loaded if _under(m, _HEAVY)] == []
+
+
+_MODULES = ("bootstrap", "breaks", "coint", "garch", "lrv", "mc", "netdep", "predreg",
+            "randmat", "series", "tables", "unitroot")
+
+
+def test_tsnet_exports_each_modules_all_once():
+    declared = {}
+    for name in _MODULES:
+        module = importlib.import_module(f"tsnet.{name}")
+        for key in module.__all__:
+            assert key not in declared, (key, declared.get(key), name)
+            declared[key] = name
+            assert getattr(tsnet, key) is getattr(module, key), (name, key)
+    # submodules aside (tsnet.cli among them, once imported)
+    public = {key for key, value in vars(tsnet).items()
+              if not key.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(declared)

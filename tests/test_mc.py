@@ -411,11 +411,28 @@ def test_unknown_key_fails_before_any_output(tmp_path):
     ("ar1-clt", "rho", float("nan")),
     ("hac-lrv", "phi", 1),
     ("fixed-wald", "phi_x", -1.0),
+    ("ivx-null", "corr", 1.5),         # a correlation lies in (-1, 1)
+    ("fmols-size", "corr", -1.0),
+    ("supwald-nbb", "corr", 1.0),
 ])
 def test_resolve_rejects_bad_parameters(experiment, key, value):
     cfg = ExperimentConfig(experiment=experiment, reps=2, params={key: value})
     with pytest.raises(ValueError, match=repr(key)):
         resolve(cfg)
+
+
+def test_resolve_takes_a_level_only_where_it_is_read():
+    reads = {name for name, exp in EXPERIMENTS.items() if "level" in exp.echo}
+    assert reads == {"phillips-size", "fmols-size", "ivx-null", "nethac-coverage"}
+    for name in EXPERIMENTS:
+        cfg = ExperimentConfig(experiment=name, level=0.1)
+        if name in reads:
+            assert resolve(cfg).level == 0.1
+        else:
+            with pytest.raises(ValueError, match=f"experiment {name!r} does not read level; "
+                                                 f"leave it at 0.05, got 0.1"):
+                resolve(cfg)
+            assert resolve(replace(cfg, level=0.05)).level == 0.05
 
 
 def test_resolve_fills_defaults_in_declared_types():
