@@ -126,10 +126,19 @@ _META_COLS = ("t", "rep", "node")
 
 
 def _load_table(args):
-    """The columns of --data, its rows, and the columns other than t, rep and node."""
+    """The columns of --data, its rows, and the columns other than t, rep and node.
+
+    Every value must be finite; the first that is not is named by column
+    and data row (1 for the row under the header).
+    """
     _, cols, data = read_csv(args.data)
     if data.size == 0:
         raise ValueError(f"no data rows in {args.data}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{args.data}: column {cols[col]!r} holds {float(data[row, col])!r} "
+                         f"in data row {row + 1}; values must be finite")
     return cols, data, [c for c in cols if c not in _META_COLS]
 
 

@@ -13,19 +13,18 @@ auxiliary simulations (limit tables and the like) use streams at
 generator: one Philox per batch, re-keyed to (seed, stream + r) for
 rep r, whose draws equal those of `RngSpec(seed, stream + r).generator()`.
 
-Seven experiments compute a batch as one panel: ar1-clt, phillips-size,
-fmols-size, ivx-null, supwald-nbb, fixed-wald and nethac-coverage.  Each
-rep's draws fill a row of an (R, ...) array, and the library's panel
-kernels work on the leading rep axis with bit-identical per-rep results.
-supwald-nbb draws its batch's normals at once, then simulates and scans
-them in sub-panels of `_SUBPANEL` reps, whose working set stays under
-the size of the draws.  The other five run rep by rep through
-`_per_rep`, which hands each rep its generator.  unitroot-boot,
-garch-recovery, mp-edges and nested-forecast have reps that cost far
-more than the per-call overhead.  hac-lrv draws the same stationary
-AR(1) as ar1-clt and fixed-wald (`_stationary_ar1`), but at its default
-n = 100 000 a 64-rep panel would take 51 MB, against the 2 MB `_BATCH`
-is sized for.
+Two adapters turn a rep hook into the batch protocol, and they alone
+touch the rep streams.  `_per_rep` hands each rep its generator, for
+unitroot-boot, garch-recovery, mp-edges and nested-forecast, whose reps
+cost far more than the per-call overhead.  `_panel` serves the other
+eight, whose hooks get an (R, ...) array of standard normals, row i from
+one rep's stream, and use the library's panel kernels, which work on the
+leading rep axis with bit-identical per-rep results.  It draws a batch
+in blocks of at most `_BLOCK_BYTES` into one reused buffer, and calls
+the hook on sub-panels of at most `_SUBPANEL_BYTES` of normals (at
+least one rep), so a hook's working set stays a few times its
+sub-panel: 8 reps for supwald-nbb at n = 2000, 6 for ar1-clt at
+n = 5000, 1 for hac-lrv at n = 100 000.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -65,6 +64,7 @@ every declared parameter, defaults included.  Floats are written with
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -81,7 +81,7 @@ from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
 from .garch import GarchSpec, garch_qmle, simulate_garch
-from .lrv import KernelSpec, hac_lrv
+from .lrv import KernelSpec, _hac_lrv_panel
 from .netdep import (
     _graph_ma_panel,
     _network_hac_panel,
@@ -124,6 +124,12 @@ _LEVEL = 0.05
 # reps per `rep` call: enough to amortize the per-call overhead, while a
 # 64-rep panel of n = 2000 series stays near 2 MB
 _BATCH = 64
+# bytes of normals `_panel` draws at once (a block) and hands a panel hook
+# at once (a sub-panel).  A sub-panel's simulation and kernels take a few
+# times its normals, so the working set stays near the block's size and
+# glibc's allocator reuses its pages instead of faulting in fresh ones.
+_BLOCK_BYTES = 2**21
+_SUBPANEL_BYTES = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +418,27 @@ def _per_rep(rep):
                                          dtype=float)
 
 
-def _rep_normals(cfg: ExperimentConfig, rs, shape) -> np.ndarray:
-    """Standard normals of shape (len(rs), *shape); row i from rep rs[i]'s stream."""
-    z = np.empty((len(rs), *shape))
-    for row, gen in zip(z, _rep_streams(cfg, rs)):
-        gen.standard_normal(out=row)
-    return z
+def _panel(draw, rep):
+    """Batch `rep` for an experiment whose `rep(cfg, ctx, z)` gives the rows of
+    a sub-panel z of standard normals of shape (R, *draw(cfg.params)), row
+    i from its rep's stream.  The batch is drawn block by block into one
+    reused buffer, a whole number of sub-panels each, so no row of a hook's
+    result may be a view of z.
+    """
+    def batch(cfg, ctx, rs):
+        shape = draw(cfg.params)
+        row = 8 * math.prod(shape)
+        sub = max(1, _SUBPANEL_BYTES // row)
+        buf = np.empty((min(len(rs), sub * max(1, _BLOCK_BYTES // (sub * row))), *shape))
+        streams, rows = _rep_streams(cfg, rs), []
+        for lo in range(0, len(rs), len(buf)):
+            z = buf[:len(rs) - lo]
+            for out, gen in zip(z, streams):
+                gen.standard_normal(out=out)
+            rows += [rep(cfg, ctx, z[i:i + sub]) for i in range(0, len(z), sub)]
+        return np.concatenate(rows)
+
+    return batch
 
 
 def _aux_rng(cfg: ExperimentConfig) -> RngSpec:
@@ -573,9 +594,9 @@ def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
     return _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:], x0)
 
 
-def _ar1_clt_rep(cfg, ctx, rs):
+def _ar1_clt_rep(cfg, ctx, z):
     n, rho = cfg.params["n"], cfg.params["rho"]
-    x = _stationary_ar1(_rep_normals(cfg, rs, (n + 1,)), rho)
+    x = _stationary_ar1(z, rho)
     rho_hat = _ar_fit(x, "none", fit=ols_coef)[0].coef[:, 0]
     return np.column_stack([rho_hat, np.sqrt(n) * (rho_hat - rho)])
 
@@ -600,15 +621,14 @@ def _ar1_clt_summarize(cfg, ctx, draws):
     }
 
 
-_register("ar1-clt", ("rho_hat", "z"), _ar1_clt_rep, _ar1_clt_summarize,
-          params={"n": 5000, "rho": 0.5}, echo=("n", "rho"), bounded={"rho": "a stationary root"})
+_register("ar1-clt", ("rho_hat", "z"), _panel(lambda p: (p["n"] + 1,), _ar1_clt_rep),
+          _ar1_clt_summarize, params={"n": 5000, "rho": 0.5}, echo=("n", "rho"),
+          bounded={"rho": "a stationary root"})
 
 
-def _hac_lrv_rep(cfg, ctx, gen):
-    n = cfg.params["n"]
-    x = _stationary_ar1(gen.standard_normal((1, n + 1)), cfg.params["phi"])[0]
-    est = hac_lrv(x, kernel=_kernel_from(cfg))
-    return (est.scalar, est.bandwidth)
+def _hac_lrv_rep(cfg, ctx, z):
+    est = _hac_lrv_panel(_stationary_ar1(z, cfg.params["phi"]), kernel=_kernel_from(cfg))
+    return np.column_stack([est.omega[:, 0, 0], np.full(len(z), est.bandwidth)])
 
 
 def _hac_lrv_summarize(cfg, ctx, draws):
@@ -622,7 +642,7 @@ def _hac_lrv_summarize(cfg, ctx, draws):
     }
 
 
-_register("hac-lrv", ("omega_hat", "bandwidth"), _per_rep(_hac_lrv_rep),
+_register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,), _hac_lrv_rep),
           _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
           echo=("n", "phi"), bounded={"phi": "a stationary root"})
 
@@ -635,11 +655,9 @@ def _phillips_setup(cfg):
             "cv_t": tables.t.quantile(cfg.level)}
 
 
-def _phillips_rep(cfg, ctx, rs):
+def _phillips_rep(cfg, ctx, z):
     p = cfg.params
-    spec = LinearProcessSpec((1.0, p["theta"]))
-    # each rep draws the presample innovation, then n more
-    u = _linear_process_panel(spec, _rep_normals(cfg, rs, (p["n"] + len(spec.coeffs) - 1,)))
+    u = _linear_process_panel(LinearProcessSpec((1.0, p["theta"])), z)
     y = np.cumsum(u, axis=1)
     res = _phillips_z_panel(y, kernel=_kernel_from(cfg), deterministic=p["deterministic"])
     raw = res.nobs * (res.alpha_hat - 1.0)
@@ -656,18 +674,20 @@ def _phillips_summarize(cfg, ctx, draws):
     }
 
 
-_register("phillips-size", ("z_alpha", "z_t", "raw_coef"), _phillips_rep,
+# each rep draws the presample innovation, then n more
+_register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
+          _panel(lambda p: (p["n"] + 1,), _phillips_rep),
           _phillips_summarize, setup=_phillips_setup,
           params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
                   **_KERNEL},
           echo=("n", "theta", "level"))
 
 
-def _fmols_rep(cfg, ctx, rs):
+def _fmols_rep(cfg, ctx, z):
     p = cfg.params
     corr, beta = p["corr"], p["beta"]
     chol = np.linalg.cholesky(np.array([[1.0, corr], [corr, 1.0]]))
-    shocks = _rep_normals(cfg, rs, (p["n"], 2)) @ chol.T
+    shocks = z @ chol.T
     x = np.cumsum(shocks[:, :, 1], axis=1)
     y = p["intercept"] + beta * x + shocks[:, :, 0]
     res = _fmols_panel(y, x)
@@ -685,8 +705,8 @@ def _fmols_summarize(cfg, ctx, draws):
 
 
 # no family or bandwidth: FM-OLS runs with the library's default kernel
-_register("fmols-size", ("t_fm", "t_ols"), _fmols_rep, _fmols_summarize,
-          params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
+_register("fmols-size", ("t_fm", "t_ols"), _panel(lambda p: (p["n"], 2), _fmols_rep),
+          _fmols_summarize, params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
           echo=("n", "corr", "level"), bounded={"corr": "a correlation"})
 
 
@@ -698,13 +718,8 @@ def _system_spec(cfg) -> SystemSpec:
                       sigma_ue=((1.0, p["corr"]), (p["corr"], 1.0)))
 
 
-def _system_normals(cfg, rs) -> np.ndarray:
-    """The (len(rs), n, 2) normals of the system's reps rs: u, then x's shocks."""
-    return _rep_normals(cfg, rs, (cfg.params["n"], 2))
-
-
-def _ivx_rep(cfg, ctx, rs):
-    y, x = _predictive_system_panel(_system_spec(cfg), _system_normals(cfg, rs))
+def _ivx_rep(cfg, ctx, z):
+    y, x = _predictive_system_panel(_system_spec(cfg), z)
     res = _ivx_panel(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
     return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
@@ -714,8 +729,8 @@ def _ivx_summarize(cfg, ctx, draws):
             "mean_beta_hat": float(draws[:, 2].mean())}
 
 
-_register("ivx-null", ("wald", "pvalue", "beta_hat"), _ivx_rep, _ivx_summarize,
-          params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
+_register("ivx-null", ("wald", "pvalue", "beta_hat"), _panel(lambda p: (p["n"], 2), _ivx_rep),
+          _ivx_summarize, params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
                   "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
           echo=("n", "c", "gamma", "corr", "beta", "level"), bounded={"corr": "a correlation"})
 
@@ -728,26 +743,10 @@ def _supwald_setup(cfg):
     return {"q95_nbb": table.quantile(0.95)}
 
 
-# reps per supwald-nbb sub-panel.  A 64-rep batch draws its normals at
-# once, 128 floats per observation; an 8-rep sub-panel's simulation and
-# break scan then take about 100 more, so the batch's working set
-# stays under twice its largest block, the draws.  glibc's allocator keeps
-# that much free memory mapped (it trims the top of its heap only past
-# twice the largest mapped block freed), so every sub-panel and batch
-# reuses the same pages instead of faulting them in again.
-_SUBPANEL = 8
-
-
-def _supwald_rep(cfg, ctx, rs):
-    spec = _system_spec(cfg)
-    z = _system_normals(cfg, rs)
-    rows = np.empty((len(rs), 2))
-    for lo in range(0, len(rs), _SUBPANEL):
-        y, x = _predictive_system_panel(spec, z[lo:lo + _SUBPANEL])
-        res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
-        rows[lo:lo + _SUBPANEL, 0] = res.stat
-        rows[lo:lo + _SUBPANEL, 1] = res.pi_star
-    return rows
+def _supwald_rep(cfg, ctx, z):
+    y, x = _predictive_system_panel(_system_spec(cfg), z)
+    res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
+    return np.column_stack([res.stat, res.pi_star])
 
 
 def _supwald_summarize(cfg, ctx, draws):
@@ -761,7 +760,7 @@ def _supwald_summarize(cfg, ctx, draws):
     }
 
 
-_register("supwald-nbb", ("sup_wald", "pi_star"), _supwald_rep,
+_register("supwald-nbb", ("sup_wald", "pi_star"), _panel(lambda p: (p["n"], 2), _supwald_rep),
           _supwald_summarize, setup=_supwald_setup,
           params={"n": 2000, "c": -5.0, "gamma": 0.75, "corr": 0.5, "beta": 0.25,
                   "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
@@ -769,13 +768,11 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _supwald_rep,
           echo=("n", "c", "gamma"), bounded={"corr": "a correlation"})
 
 
-def _fixed_wald_rep(cfg, ctx, rs):
+def _fixed_wald_rep(cfg, ctx, z):
     p = cfg.params
     n, phi = p["n"], p["phi_x"]
-    # each rep draws x0, then the n innovations of x, then n - 1 errors
-    z = _rep_normals(cfg, rs, (2 * n,))
     x = _stationary_ar1(z[:, :n + 1], phi)
-    y = np.zeros((len(rs), n))
+    y = np.zeros((len(z), n))
     y[:, 1:] = 1.0 + p["beta"] * x[:, :-1] + z[:, n + 1:]
     res = _split_wald_panel(y, x, pi0=p["pi0"])
     return res.stat[:, None]
@@ -793,8 +790,9 @@ def _fixed_wald_summarize(cfg, ctx, draws):
     }
 
 
-_register("fixed-wald", ("wald",), _fixed_wald_rep, _fixed_wald_summarize,
-          params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
+# each rep draws x0, then the n innovations of x, then n - 1 errors
+_register("fixed-wald", ("wald",), _panel(lambda p: (2 * p["n"],), _fixed_wald_rep),
+          _fixed_wald_summarize, params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
           echo=("n", "pi0"), bounded={"phi_x": "a stationary root"})
 
 
@@ -813,10 +811,10 @@ def _nethac_setup(cfg):
     return {"shells": shells, "kernels": kernels, "true_lrv": true_lrv, "crit": crit}
 
 
-def _nethac_rep(cfg, ctx, rs):
+def _nethac_rep(cfg, ctx, z):
     shells = ctx["shells"]
     n = shells.n
-    y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), _rep_normals(cfg, rs, (n,)))
+    y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), z)
     ybar = y.mean(axis=1)
     v_full, v_low = (_network_hac_panel(shells, y[:, :, None], k)[:, 0, 0]
                      for k in ctx["kernels"])
@@ -835,7 +833,7 @@ def _nethac_summarize(cfg, ctx, draws):
 
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
-          _nethac_rep, _nethac_summarize, setup=_nethac_setup,
+          _panel(lambda p: (p["n_nodes"],), _nethac_rep), _nethac_summarize, setup=_nethac_setup,
           params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
                   "family": "bartlett"},
           echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))

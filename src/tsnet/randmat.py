@@ -47,21 +47,17 @@ class SpectrumResult:
         return float(np.sum(self.eigenvalues))
 
 
-def sample_cov_spectrum(n: int, p: int, rng,
-                        allow_p_gt_n: bool = False) -> SpectrumResult:
+def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
     """Eigenvalues of S = XX'/n for a p x n standard normal X.
 
     Requires p <= n (tall data matrix), so S is almost surely full
-    rank; pass allow_p_gt_n=True to accept p > n, in which case p - n
-    eigenvalues are zero up to roundoff.  The returned trace equals
-    tr(S) exactly up to symmetric-eigensolver roundoff, which the tests
-    pin at relative 1e-8.
+    rank.  The returned trace equals tr(S) exactly up to
+    symmetric-eigensolver roundoff, which the tests pin at relative 1e-8.
     """
     n = check_positive_int(n, "n")
     p = check_positive_int(p, "p")
-    if p > n and not allow_p_gt_n:
-        raise ValueError(f"need p <= n, got p={p} > n={n} "
-                         "(pass allow_p_gt_n=True for a deficient spectrum)")
+    if p > n:
+        raise ValueError(f"need p <= n, got p={p} > n={n}")
     gen = _resolve_rng(rng)
     x = gen.standard_normal((p, n))
     s = x @ x.T

@@ -179,8 +179,14 @@ def simulate_lur_ar(spec: LurSpec, n: int, rng=None, innovations=None,
         None draws iid standard normal v_t; an array of length n is used
         as-is; a LinearProcessSpec is simulated first (stationary errors
         with presample).
+
+    A non-finite x0, or a path that leaves the finite floats (a root far
+    on the explosive side), raises ValueError.
     """
     n = check_positive_int(n, "n")
+    x0 = float(x0)
+    if not np.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     if innovations is None:
         v = _resolve_rng(rng).standard_normal(n)
     elif isinstance(innovations, LinearProcessSpec):
@@ -189,7 +195,12 @@ def simulate_lur_ar(spec: LurSpec, n: int, rng=None, innovations=None,
         v = as_series(innovations, "innovations")
         if v.shape[0] != n:
             raise ValueError(f"innovations must have length n={n}, got {v.shape[0]}")
-    return _lur_ar_panel(spec, v[None], np.array([[x0]], dtype=float))[0]
+    with np.errstate(over="ignore"):
+        x = _lur_ar_panel(spec, v[None], np.array([[x0]]))[0]
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the path leaves the finite floats at c={spec.c!r}, "
+                         f"gamma={spec.gamma!r}, n={n} (rho_n = {spec.rho(n)!r})")
+    return x
 
 
 def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Batched Monte Carlo reps against the scalar code they replaced.
 
-ar1-clt, fixed-wald, fmols-size, phillips-size, ivx-null, supwald-nbb and
-nethac-coverage compute a batch of reps as one panel.  Every rep's row must be bit-identical to
+ar1-clt, hac-lrv, fixed-wald, fmols-size, phillips-size, ivx-null,
+supwald-nbb and nethac-coverage compute each sub-panel of a batch of reps
+as one panel (`mc._panel`).  Every rep's row must be bit-identical to
 what the scalar rep body gave before batching, whatever the batch size;
 only supwald-nbb's sup-Wald statistic, whose one-pass break scan sums in
 another order than the closed form kept here, is compared at roundoff.
@@ -241,6 +242,13 @@ def rep_ar1_clt(cfg, r):
     return (rho_hat, np.sqrt(n) * (rho_hat - rho))
 
 
+def rep_hac_lrv(cfg, r):
+    n = cfg.params["n"]
+    x = mc._stationary_ar1(_gen(cfg, r).standard_normal((1, n + 1)), cfg.params["phi"])[0]
+    est = T.hac_lrv(x, kernel=_kernel(cfg))
+    return (est.scalar, est.bandwidth)
+
+
 def rep_fixed_wald(cfg, r):
     n = cfg.params["n"]
     pi0 = cfg.params["pi0"]
@@ -327,6 +335,7 @@ def rep_nethac(cfg, r):
 
 SCALAR_REPS = {
     "ar1-clt": rep_ar1_clt,
+    "hac-lrv": rep_hac_lrv,
     "fixed-wald": rep_fixed_wald,
     "fmols-size": rep_fmols,
     "phillips-size": rep_phillips,
@@ -355,6 +364,9 @@ CASES = [
                               "bandwidth": 4.5, "low_bandwidth": 1.5}),
     ("ar1-clt", 101, {"n": 200}),
     ("ar1-clt", 101, {"n": 333, "rho": -0.3}),
+    # n = 40 000: one-rep sub-panels, drawn in blocks of six reps
+    ("hac-lrv", 102, {"n": 2000}),
+    ("hac-lrv", 102, {"n": 40000, "phi": -0.4, "family": "parzen", "bandwidth": 7.5}),
 ]
 
 
@@ -388,6 +400,30 @@ def test_rows_do_not_depend_on_batch_size(name, seed, params):
                   for lo in range(0, cfg.reps, size)]
         rows.append(np.concatenate(blocks).tobytes())
     assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("shape,sizes", [
+    ((2000, 2), [8] * 8),            # supwald-nbb at n = 2000
+    ((5001,), [6] * 8 + [6, 6, 4]),  # ar1-clt at n = 5000: blocks of 48 reps
+    ((100001,), [1] * 5),            # hac-lrv at n = 100 000
+], ids=["supwald-nbb", "ar1-clt", "hac-lrv"])
+def test_panel_cuts_a_batch_into_subpanels_by_bytes(shape, sizes):
+    seen = []
+
+    def hook(cfg, ctx, z):
+        seen.append(z.copy())
+        return z.reshape(len(z), -1)[:, :2] * 1.0
+
+    cfg = mc.ExperimentConfig(experiment="ar1-clt", seed=5, stream=9)
+    rs = range(3, 3 + sum(sizes))
+    rows = mc._panel(lambda p: shape, hook)(cfg, {}, rs)
+    assert [len(z) for z in seen] == sizes
+    z = np.concatenate(seen)
+    for i, r in enumerate(rs):
+        want = T.RngSpec(5, 9 + r).generator().standard_normal(shape)
+        assert z[i].tobytes() == want.tobytes()
+    # each sub-panel's rows are kept, though later blocks reuse the buffer
+    assert rows.tobytes() == z.reshape(len(z), -1)[:, :2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -610,4 +646,14 @@ def test_supwald_batch_peak_memory():
     peak = _peak_bytes(lambda: rep(cfg, {}, range(64, 128)))
     # the (64, 2000, 2) normals the batch draws take 2 MB, and one 8-rep
     # sub-panel's simulation and scan about 1.6 MB; 12.4 MB as one panel
+    assert peak <= 5e6, peak / 1e6
+
+
+def test_hac_lrv_batch_peak_memory():
+    cfg = mc.resolve(mc.ExperimentConfig(experiment="hac-lrv", reps=128, seed=102))
+    rep = mc.EXPERIMENTS["hac-lrv"].rep
+    rep(cfg, {}, range(2))  # warm up
+    peak = _peak_bytes(lambda: rep(cfg, {}, range(64, 128)))
+    # two-rep blocks of n = 100 000 normals take 1.6 MB, and one rep's
+    # path and HAC about 2.4 MB; the batch's normals at once take 51 MB
     assert peak <= 5e6, peak / 1e6

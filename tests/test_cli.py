@@ -334,7 +334,6 @@ def test_mc_nonstationary_root_is_one_line(tmp_path, capsys, monkeypatch,
     def no_draws(*args, **kwargs):
         raise AssertionError("the reps were simulated")
 
-    monkeypatch.setattr(mc, "_rep_normals", no_draws)
     monkeypatch.setattr(mc, "_rep_streams", no_draws)
     cfg = tmp_path / "root.cfg"
     cfg.write_text(f"experiment = {experiment}\nreps = 2\nn = 300\n{key} = {value}\n")
@@ -449,6 +448,13 @@ def test_cli_singular_design_is_one_line(tmp_path, capsys):
     *[(argv, _Y_ONLY, f"{argv[1]} needs regressor columns") for argv in (
         ["estimate", "fmols"], ["estimate", "ivx"], ["test", "fk"], ["test", "supwald"],
         ["test", "split"], ["test", "lm"], ["test", "me", "--n-hist", "20"])],
+    # a non-finite value is named by file, column and data row
+    (["estimate", "hac"], "t,value\n1,0.5\n2,nan\n3,0.25\n",
+     "data.csv: column 'value' holds nan in data row 2; values must be finite"),
+    (["test", "adf"], "t,value\n" + "".join(f"{t},{t % 5}.5\n" for t in range(1, 40))
+     + "40,inf\n", "data.csv: column 'value' holds inf in data row 40"),
+    (["estimate", "ivx"], "y,x\n0.5,1.0\n0.25,-inf\n",
+     "data.csv: column 'x' holds -inf in data row 2"),
 ])
 def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     data = tmp_path / "data.csv"
@@ -459,6 +465,37 @@ def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tsnet: error: ")
     assert message in lines[0]
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tsnet: error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--c", "1e308"], "the path leaves the finite floats at c=1e+308, gamma=1.0, n=5 "),
+    (["--c", "1e300", "--gamma", "0.5"], "the path leaves the finite floats at c=1e+300, "
+                                         "gamma=0.5, n=5 "),
+    (["--c", "-5", "--x0", "inf"], "x0 must be finite, got inf"),
+    (["--c", "-5", "--x0", "nan"], "x0 must be finite, got nan"),
+])
+def test_simulate_lur_off_the_finite_floats_is_one_line(tmp_path, capsys, flags, message):
+    out = tmp_path / "lur.csv"
+    assert main(["simulate", "lur", "--n", "5", *flags, "--out", str(out)]) == 2
+    assert _one_error_line(capsys).startswith(f"tsnet: error: {message}")
+    assert not out.exists()
+
+
+def test_wide_spectrum_is_one_line_without_advice(tmp_path, capsys):
+    assert main(["spectrum", "--n", "10", "--p", "10000"]) == 2
+    assert _one_error_line(capsys) == "tsnet: error: need p <= n, got p=10000 > n=10"
+    cfg = tmp_path / "mp.cfg"
+    cfg.write_text("experiment = mp-edges\nreps = 2\nn = 20\ngamma = 1.5\n")
+    assert main(["mc", "run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys) == "tsnet: error: need p <= n, got p=30 > n=20"
 
 
 @pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1), ("lm", 1),

@@ -138,7 +138,7 @@ def test_run_experiment_jobs_invariance(tmp_path):
 
 
 @pytest.mark.parametrize("name,reps,seed,params", [
-    # criterion 12 sizes and seeds of the experiments with vectorized kernels
+    # criterion 12 sizes and seeds of all twelve experiments
     ("ivx-null", 5, 105, {"n": 150}),
     ("garch-recovery", 2, 110, {"n": 800}),
     ("nested-forecast", 3, 112, {"n": 150}),
@@ -147,6 +147,10 @@ def test_run_experiment_jobs_invariance(tmp_path):
     ("fmols-size", 5, 104, {"n": 150}),
     ("phillips-size", 5, 103, {"n": 120, "cv_reps": 500}),
     ("supwald-nbb", 5, 106, {"n": 150, "nbb_reps": 200, "nbb_grid": 100}),
+    ("ar1-clt", 5, 101, {"n": 200}),
+    ("hac-lrv", 3, 102, {"n": 2000}),
+    ("unitroot-boot", 3, 109, {"n": 150, "B": 50, "cv_reps": 500}),
+    ("mp-edges", 3, 111, {"n": 200}),
 ])
 def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
                                                      seed, params):
@@ -276,6 +280,63 @@ def test_reps_build_no_generator_of_their_own():
     # every rep stream comes from `_rep_streams`, which builds one generator per batch
     assert _generator_calls("def hook(cfg, r):\n    RngSpec(0, r).generator()\n") == ["hook"]
     assert _generator_calls(Path(mc.__file__).read_text()) == ["_rep_streams"]
+
+
+# the names a rep hook would draw its own normals or generators by
+_STREAM_SOURCES = {"_rep_streams", "_rep_normals", "RngSpec"}
+
+
+def _stream_users(source: str):
+    """({experiment: adapter}, experiments whose rep hook reaches a stream source).
+
+    The adapter is `_panel` or `_per_rep` when `_register` gets the hook
+    through one, else None.  A hook reaches a source when it, or a
+    module-level function it names (transitively), names one of
+    `_STREAM_SOURCES`; the adapters themselves are not searched.
+    """
+    tree = ast.parse(source)
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    adapters, found = {}, set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_register"):
+            continue
+        name, rep = node.args[0].value, node.args[2]
+        adapter = getattr(rep.func, "id", None) if isinstance(rep, ast.Call) else None
+        adapters[name] = adapter if adapter in ("_panel", "_per_rep") else None
+        todo, seen = (list(rep.args) if adapters[name] else [rep]), set()
+        while todo:
+            for sub in ast.walk(todo.pop()):
+                if isinstance(sub, ast.Name) and sub.id in _STREAM_SOURCES:
+                    found.add(name)
+                elif isinstance(sub, ast.Name) and sub.id in funcs and sub.id not in seen:
+                    seen.add(sub.id)
+                    todo.append(funcs[sub.id])
+    return adapters, sorted(found)
+
+
+def test_stream_guard_flags_a_hook_that_draws_for_itself():
+    src = ("def _normals(cfg, rs):\n    return _rep_normals(cfg, rs, (3,))\n"
+           "def _hook(cfg, ctx, rs):\n    return _normals(cfg, rs)\n"
+           "def _gen_hook(cfg, ctx, gen):\n    return RngSpec(0).generator()\n"
+           "def _fine(cfg, ctx, z):\n    return z * 2.0\n"
+           '_register("a", ("x",), _hook, None, params={}, echo=())\n'
+           '_register("b", ("x",), _per_rep(_gen_hook), None, params={}, echo=())\n'
+           '_register("c", ("x",), _panel(lambda p: (3,), _normals), None, params={}, echo=())\n'
+           '_register("d", ("x",), _panel(lambda p: (3,), _fine), None, params={}, echo=())\n')
+    adapters, found = _stream_users(src)
+    assert adapters == {"a": None, "b": "_per_rep", "c": "_panel", "d": "_panel"}
+    assert found == ["a", "b", "c"]
+
+
+def test_only_the_two_adapters_touch_rep_streams():
+    adapters, found = _stream_users(Path(mc.__file__).read_text())
+    assert found == []
+    assert set(adapters) == set(EXPERIMENTS)
+    assert sorted(k for k, a in adapters.items() if a == "_per_rep") == [
+        "garch-recovery", "mp-edges", "nested-forecast", "unitroot-boot"]
+    assert sorted(k for k, a in adapters.items() if a == "_panel") == [
+        "ar1-clt", "fixed-wald", "fmols-size", "hac-lrv", "ivx-null", "nethac-coverage",
+        "phillips-size", "supwald-nbb"]
 
 
 @pytest.mark.parametrize("params,radius", [

@@ -22,12 +22,9 @@ def test_spectrum_trace_identity_and_scale():
     assert res.eigenvalues.shape == (200,)
 
 
-def test_wide_matrix_needs_flag_and_pads_zeros():
-    with pytest.raises(ValueError, match="p <= n"):
+def test_wide_matrix_is_rejected():
+    with pytest.raises(ValueError, match=r"^need p <= n, got p=8 > n=5$"):
         T.sample_cov_spectrum(5, 8, T.RngSpec(80, 1))
-    res = T.sample_cov_spectrum(5, 8, T.RngSpec(80, 1), allow_p_gt_n=True)
-    assert np.sum(np.abs(res.eigenvalues) < 1e-10) == 3
-    assert res.gamma == pytest.approx(1.6)
 
 
 def test_mp_support_closed_form():

@@ -58,6 +58,17 @@ def test_lur_deterministic_halving_recursion():
     np.testing.assert_allclose(x, [4.0, 2.0, 1.0])
 
 
+def test_lur_rejects_paths_off_the_finite_floats():
+    with pytest.raises(ValueError, match=r"^x0 must be finite, got -inf$"):
+        T.simulate_lur_ar(T.LurSpec(c=-5.0), 5, rng=T.RngSpec(1), x0=-np.inf)
+    # rho_n = 1 + 1e200 / 4: the third step passes the largest float
+    with pytest.raises(ValueError, match=r"c=1e\+200, gamma=1.0, n=4 \(rho_n = 2.5e\+199\)"):
+        T.simulate_lur_ar(T.LurSpec(c=1e200), 4, innovations=np.ones(4))
+    # a path that stays finite comes back, however large: rho_n = 5e149
+    x = T.simulate_lur_ar(T.LurSpec(c=1e150), 2, innovations=np.ones(2))
+    assert x.tolist() == [1.0, 5e149 + 1.0]
+
+
 def test_lur_near_stationary_variance_matches_ou_limit():
     # Var(x_n / sqrt(n)) -> sigma^2 / (2|c|) = 0.1 for c = -5
     gen = T.RngSpec(7, 3).generator()
