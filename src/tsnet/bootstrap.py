@@ -8,14 +8,19 @@ residuals.  Every scheme takes a statistic callback and returns the
 replicate statistics plus the observed value, so p-values follow one
 shared convention: (1 + #{replicates at least as extreme}) / (B + 1).
 
-Both block schemes, `block_bootstrap` and the residual unit root
-bootstrap, build their replicates in one `_block_resample` call: each
-drawn block is a whole window of the series' `sliding_window_view`
-(the circular layout appends length - 1 wrapped values first), so no
-(B, n) index matrix is formed.  The unit root bootstrap gathers the
-resampled residuals straight into its replicate walks' buffer, cumulates
-them there in place, and fits the walks by the normal equations alone
-(`_panel.ols_coef`), since only rho* is kept.
+No scheme forms a (B, n) array.  The block, wild and residual unit
+root bootstraps build their replicates a chunk at a time in one reused
+buffer of about 1 MB (`_CHUNK_FLOATS`), and a chunk's statistics are
+taken before the next chunk overwrites it.  `_block_resample` owns that
+buffer for both block schemes: each drawn block is a whole window of the
+series' `sliding_window_view` (the circular layout appends length - 1
+wrapped values first), so no index matrix is formed either.  The unit
+root bootstrap's chunk is a panel of replicate walks: the resampled
+residuals are gathered after a zero column x*_0, cumulated in place and
+fitted by the normal equations alone (`_panel.ols_coef`), since only
+rho* is kept; the panel kernels give each replicate the same bits
+whatever chunk it lands in.  The sieve and stationary bootstraps build
+one length-n replicate at a time.
 """
 
 from __future__ import annotations
@@ -76,19 +81,26 @@ class BootstrapResult:
     scheme: str
 
 
+# floats in one chunk of bootstrap replicates: about 1 MB.  It bounds the
+# workspace and never a result.
+_CHUNK_FLOATS = 2**17
+
+
 def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
-                    gen: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """(B, n) block-bootstrap replicates of a length-n series x.
+                    gen: np.random.Generator, lead: int = 0):
+    """Yield (lo, reps): the B block-bootstrap replicates of a length-n
+    series x, chunk by chunk, reps[i, lead:] holding replicate lo + i.
 
     Each replicate concatenates ceil(n/length) blocks, whole windows of
     x gathered from its `sliding_window_view`, and is truncated to n.
     For overlapping circular blocks x gets length - 1 wrapped values
     appended, so a block that runs past the end is one window too; for
-    non-overlapping blocks the windows are every length-th one.  The
-    replicates are written into `out`, any (B, n) view, or a new array.
-    They are gathered about 1 MB at a time, each chunk's block starts
-    drawn as it is gathered, so neither a second (B, n) array nor the
-    whole (B, ceil(n/length)) start array is formed.
+    non-overlapping blocks the windows are every length-th one.  A chunk
+    holds `_CHUNK_FLOATS` // (ceil(n/length) * length) replicates (at
+    least one), its block starts drawn as it is gathered, and every chunk
+    is a view of one reused (rows, lead + n) buffer whose first `lead`
+    columns are zero: a caller takes a chunk's statistics, in place if
+    it likes, before asking for the next.
     """
     n, l = x.shape[0], spec.length
     if l > n:
@@ -97,13 +109,12 @@ def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
     if spec.overlap and spec.circular:
         x = np.concatenate([x, x[:l - 1]])
     windows = sliding_window_view(x, l)[::1 if spec.overlap else l]
-    out = np.empty((B, n)) if out is None else out
-    rows = max(1, 2**17 // (k * l))
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        starts = gen.integers(0, len(windows), size=(hi - lo, k))
-        out[lo:hi] = windows[starts].reshape(hi - lo, k * l)[:, :n]
-    return out
+    buf = np.zeros((min(B, max(1, _CHUNK_FLOATS // (k * l))), lead + n))
+    for lo in range(0, B, len(buf)):
+        reps = buf[:B - lo]
+        starts = gen.integers(0, len(windows), size=(len(reps), k))
+        reps[:, lead:] = windows[starts].reshape(len(reps), k * l)[:, :n]
+        yield lo, reps
 
 
 def _stat_stack(stat: Callable, rows: np.ndarray) -> np.ndarray:
@@ -125,8 +136,9 @@ def block_bootstrap(ts, stat: Callable, B: int, rng,
     x = as_series(ts, "ts")
     B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
-    rows = _block_resample(x, spec, B, _resolve_rng(rng))
-    return BootstrapResult(stats=_stat_stack(stat, rows), observed=stat(x),
+    gen = _resolve_rng(rng)
+    stats = [_stat_stack(stat, reps) for _, reps in _block_resample(x, spec, B, gen)]
+    return BootstrapResult(stats=np.concatenate(stats), observed=stat(x),
                            B=B, scheme="block")
 
 
@@ -221,15 +233,22 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     e = as_series(residuals, "residuals")
     B = check_positive_int(B, "B")
     gen = _resolve_rng(rng)
-    n = e.shape[0]
-    if multiplier == "normal":
-        eta = gen.standard_normal((B, n))
-    elif multiplier == "rademacher":
-        eta = gen.integers(0, 2, size=(B, n)) * 2.0 - 1.0
-    else:
+    if multiplier not in ("normal", "rademacher"):
         raise ValueError("multiplier must be 'normal' or 'rademacher'")
-    return BootstrapResult(stats=_stat_stack(stat, e[None, :] * eta),
-                           observed=stat(e), B=B, scheme="wild")
+    n = e.shape[0]
+    buf = np.empty((min(B, max(1, _CHUNK_FLOATS // n)), n))
+    stats = []
+    for lo in range(0, B, len(buf)):
+        eta = buf[:B - lo]
+        if multiplier == "normal":
+            gen.standard_normal(out=eta)
+        else:
+            np.multiply(gen.integers(0, 2, size=eta.shape), 2.0, out=eta)
+            eta -= 1.0
+        eta *= e
+        stats.append(_stat_stack(stat, eta))
+    return BootstrapResult(stats=np.concatenate(stats), observed=stat(e),
+                           B=B, scheme="wild")
 
 
 def wild_conditional_variance(residuals) -> float:
@@ -262,12 +281,11 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
     check_fit(resid @ resid, x[None, 1:], "Dickey-Fuller")
-    # the resampled residuals land in the walks' buffer and are cumulated in place
-    x_star = np.empty((B, m + 1))
-    x_star[:, 0] = 0.0
-    _block_resample(resid, spec, B, gen, out=x_star[:, 1:])
-    np.cumsum(x_star[:, 1:], axis=1, out=x_star[:, 1:])
-    rho_star = _ar_fit(x_star, "none", fit=ols_coef)[0].coef[:, 0]
+    rho_star = np.empty(B)
+    for lo, walks in _block_resample(resid, spec, B, gen, lead=1):
+        # after x*_0 = 0 the resampled residuals are cumulated in place
+        np.cumsum(walks[:, 1:], axis=1, out=walks[:, 1:])
+        rho_star[lo:lo + len(walks)] = _ar_fit(walks, "none", fit=ols_coef)[0].coef[:, 0]
     stats = m * (rho_star - 1.0)
     observed = m * (rho_hat - 1.0)
     return BootstrapResult(stats=stats, observed=observed, B=B,

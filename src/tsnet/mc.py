@@ -905,15 +905,22 @@ _register("garch-recovery",
           echo=("n", "omega", "alpha", "beta"))
 
 
+def _mp_setup(cfg):
+    n, gamma = cfg.params["n"], cfg.params["gamma"]
+    p = int(round(gamma * n)) if 0.0 < gamma <= 1.0 else 0
+    if p < 1:
+        raise ValueError(f"experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
+                         f"must round to at least 1, got gamma={gamma!r}, n={n!r}")
+    return {"p": p}
+
+
 def _mp_rep(cfg, ctx, gen):
-    n = cfg.params["n"]
-    res = sample_cov_spectrum(n, int(round(cfg.params["gamma"] * n)), gen)
+    res = sample_cov_spectrum(cfg.params["n"], ctx["p"], gen)
     return (res.lambda_min, res.lambda_max, abs(res.trace - res.trace_gram))
 
 
 def _mp_summarize(cfg, ctx, draws):
-    n = cfg.params["n"]
-    lo, hi = mp_support(int(round(cfg.params["gamma"] * n)) / n)
+    lo, hi = mp_support(ctx["p"] / cfg.params["n"])
     med_min = float(np.median(draws[:, 0]))
     med_max = float(np.median(draws[:, 1]))
     return {
@@ -928,7 +935,7 @@ def _mp_summarize(cfg, ctx, draws):
 
 
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
-          _per_rep(_mp_rep), _mp_summarize, params={"n": 4000, "gamma": 0.25},
+          _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, params={"n": 4000, "gamma": 0.25},
           echo=("n", "gamma"))
 
 

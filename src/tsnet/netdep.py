@@ -56,6 +56,14 @@ __all__ = [
 # Exponent grid for the Hölder infimum in c_n.
 _HOLDER_GRID = tuple(np.concatenate([[1.01], np.arange(1.05, 8.0 + 1e-9, 0.05), [16.0, 32.0]]))
 
+# node pairs the product forming one shell of `graph_shells` may hold.  Its
+# peak is about 20 bytes a pair, so some 330 MB: a 4000-leaf star fits at
+# radius 2 (16 million pairs), a 10^5-leaf star (10^10) raises at once.
+_SHELL_PAIRS = 2**24
+
+# S_s pairs plus B_m B_{s-1} terms that one block of `_worst_uncovered` may form
+_PAIR_BUDGET = 2**18
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -195,15 +203,23 @@ def graph_shells(g: Graph, radius: int) -> Shells:
     Shell s is the pattern of S_{s-1} A minus S_{s-1} and S_{s-2}: in an
     undirected graph a neighbor of a node at distance s-1 lies at
     distance s-2, s-1 or s.  Boolean sparse products keep the cost at
-    O(n * ball size * degree), with no n x n array.
+    O(n * ball size * degree), with no n x n array.  Before shell s is
+    built, the pairs of S_{s-1} A are bounded by S_{s-1} times the
+    degrees, summed; past `_SHELL_PAIRS` it raises a ValueError.
     """
     radius = check_positive_int(radius, "radius", minimum=0)
     n = g.n
     adj = g.adjacency().astype(bool)
+    degrees = np.diff(adj.indptr).astype(float)
     prev = sparse.csr_matrix((n, n), dtype=bool)
     cur = sparse.identity(n, dtype=bool, format="csr")
     matrices = [cur.astype(float)]
-    for _ in range(radius):
+    for s in range(1, radius + 1):
+        pairs = float((cur @ degrees).sum())
+        if pairs > _SHELL_PAIRS:
+            raise ValueError(f"graph_shells: radius {radius} needs shell {s}, predicted at "
+                             f"up to {pairs:.0f} node pairs, over the {_SHELL_PAIRS} a "
+                             f"shell may hold")
         prev, cur = cur, (cur @ adj) > (cur + prev)
         cur.sort_indices()
         matrices.append(cur.astype(float))
@@ -311,10 +327,6 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
         best = min(best, float(val))
     return NetStats(s=s, m=m, k=k, delta_shell=delta_shell,
                     delta_overlap=delta_overlap, c_n=best)
-
-
-# S_s pairs plus B_m B_{s-1} terms that one block of `_worst_uncovered` may form
-_PAIR_BUDGET = 2**18
 
 
 def _worst_uncovered(sh: Shells, s: int, m: int, ball_sizes: np.ndarray) -> np.ndarray:

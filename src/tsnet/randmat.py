@@ -53,6 +53,8 @@ def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
     Requires p <= n (tall data matrix), so S is almost surely full
     rank.  The returned trace equals tr(S) exactly up to
     symmetric-eigensolver roundoff, which the tests pin at relative 1e-8.
+    The working set is X and S, 8(pn + p^2) bytes: X is released once S
+    is formed, before the eigensolver copies S.
     """
     n = check_positive_int(n, "n")
     p = check_positive_int(p, "p")
@@ -61,6 +63,7 @@ def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
     gen = _resolve_rng(rng)
     x = gen.standard_normal((p, n))
     s = x @ x.T
+    del x
     s /= n
     tr = float(np.trace(s))
     eig = np.linalg.eigvalsh(s)
@@ -97,7 +100,9 @@ def mp_cdf(x, gamma: float, grid_size: int = 20001):
 
     Uses a trapezoid rule on a uniform grid over the support and linear
     interpolation; accurate to well below 1e-6 at the default grid.
+    A grid needs at least 3 points, one inside the support.
     """
+    grid_size = check_positive_int(grid_size, "grid_size", minimum=3)
     g = _check_gamma(gamma)
     lo, hi = mp_support(g)
     grid = np.linspace(lo, hi, grid_size)

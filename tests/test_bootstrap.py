@@ -1,13 +1,17 @@
 """Tests for block, stationary, sieve, wild, and unit-root bootstraps."""
 
 import tracemalloc
+from math import ceil
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as st
 from scipy.signal import lfilter
 
 import tsnet as T
+from tsnet._panel import ols_coef
+from tsnet.unitroot import _ar_fit
 
 
 def _ar1(phi, n, spec, burn=200):
@@ -213,9 +217,10 @@ def test_pvalue_uniform_under_null():
 
 
 def test_unitroot_bootstrap_gathers_into_the_walk_buffer():
-    # the replicate walks are the one (B, n) array: the resampled residuals
-    # are gathered into them and cumulated in place, and the block starts
-    # are drawn chunk by chunk (at length 1 there are B * n of them)
+    # the replicate walks are built a chunk at a time in one reused buffer:
+    # the resampled residuals are gathered into it and cumulated in place,
+    # and the block starts are drawn chunk by chunk (at length 1 there are
+    # B * n of them)
     B, n = 2000, 1000
     y = np.cumsum(np.random.default_rng(8).standard_normal(n))
     for block in (10, 1):
@@ -226,3 +231,103 @@ def test_unitroot_bootstrap_gathers_into_the_walk_buffer():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * B * n * 8, block
+
+
+# Oracles: the whole-(B, n) bodies the chunked schemes replaced.  Each
+# chunk draws the same shapes in the same order, so the replicates, and
+# every statistic of them, must come out bit for bit.
+
+def _whole_block_resample(x, spec, B, gen):
+    n, l = x.shape[0], spec.length
+    k = ceil(n / l)
+    if spec.overlap and spec.circular:
+        x = np.concatenate([x, x[:l - 1]])
+    windows = sliding_window_view(x, l)[::1 if spec.overlap else l]
+    out = np.empty((B, n))
+    rows = max(1, 2**17 // (k * l))
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        starts = gen.integers(0, len(windows), size=(hi - lo, k))
+        out[lo:hi] = windows[starts].reshape(hi - lo, k * l)[:, :n]
+    return out
+
+
+def _whole_unitroot_bootstrap(x, B, gen, spec):
+    fit, _ = _ar_fit(x[None], "none")
+    m = x.shape[0] - 1
+    resid = fit.resid[0] - fit.resid[0].mean()
+    x_star = np.empty((B, m + 1))
+    x_star[:, 0] = 0.0
+    x_star[:, 1:] = _whole_block_resample(resid, spec, B, gen)
+    np.cumsum(x_star[:, 1:], axis=1, out=x_star[:, 1:])
+    rho_star = _ar_fit(x_star, "none", fit=ols_coef)[0].coef[:, 0]
+    return m * (rho_star - 1.0), m * (float(fit.coef[0, 0]) - 1.0)
+
+
+def _whole_wild(e, B, gen, multiplier):
+    n = e.shape[0]
+    if multiplier == "normal":
+        eta = gen.standard_normal((B, n))
+    else:
+        eta = gen.integers(0, 2, size=(B, n)) * 2.0 - 1.0
+    return e[None, :] * eta
+
+
+def _chunk_sizes(width):
+    # B below one chunk, one chunk exactly, and not a multiple of a chunk
+    rows = T.bootstrap._CHUNK_FLOATS // width
+    return (rows // 3, rows, 2 * rows + 7)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10])
+def test_unitroot_bootstrap_chunks_match_the_whole_array(block):
+    n = 1000
+    x = np.cumsum(np.random.default_rng(31).standard_normal(n))
+    spec = T.BlockSpec(block)
+    for B in _chunk_sizes(ceil((n - 1) / block) * block):
+        res = T.residual_unitroot_bootstrap(x, B, T.RngSpec(5, B), spec)
+        stats, observed = _whole_unitroot_bootstrap(x, B, T.RngSpec(5, B).generator(), spec)
+        assert np.array_equal(res.stats, stats), B
+        assert res.observed == observed
+
+
+@pytest.mark.parametrize("spec", [T.BlockSpec(7), T.BlockSpec(7, circular=False),
+                                  T.BlockSpec(7, overlap=False)], ids=repr)
+def test_block_bootstrap_chunks_match_the_whole_array(spec):
+    # the identity statistic returns views of the reused buffer: each
+    # chunk's statistics are copied out before the next chunk is gathered
+    n = 1000
+    x = np.random.default_rng(32).standard_normal(n)
+    for B in _chunk_sizes(ceil(n / 7) * 7):
+        res = T.block_bootstrap(x, lambda z: z, B, T.RngSpec(6, B), spec)
+        reps = _whole_block_resample(x, spec, B, T.RngSpec(6, B).generator())
+        assert np.array_equal(res.stats, reps), B
+        assert np.array_equal(res.observed, x)
+
+
+@pytest.mark.parametrize("multiplier", ["normal", "rademacher"])
+def test_wild_bootstrap_chunks_match_the_whole_array(multiplier):
+    n = 1000
+    e = np.random.default_rng(33).standard_normal(n)
+    for B in _chunk_sizes(n):
+        res = T.wild_bootstrap(e, lambda z: z, B, T.RngSpec(7, B), multiplier)
+        reps = _whole_wild(e, B, T.RngSpec(7, B).generator(), multiplier)
+        assert np.array_equal(res.stats, reps), B
+        assert np.array_equal(res.observed, e)
+
+
+def test_unitroot_bootstrap_peak_grows_by_the_statistics_alone():
+    # one chunk buffer whatever B: from B = 200 to 2000 the peak may grow
+    # by the replicate statistics and rho*, a few floats per replicate
+    n = 1000
+    y = np.cumsum(np.random.default_rng(9).standard_normal(n))
+    for block in (10, 1):
+        peaks = []
+        for B in (200, 2000):
+            tracemalloc.start()
+            try:
+                T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(4), block=block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 8 * (2000 - 200), (block, peaks)

@@ -495,7 +495,28 @@ def test_wide_spectrum_is_one_line_without_advice(tmp_path, capsys):
     cfg = tmp_path / "mp.cfg"
     cfg.write_text("experiment = mp-edges\nreps = 2\nn = 20\ngamma = 1.5\n")
     assert main(["mc", "run", str(cfg), "--out", str(tmp_path)]) == 2
-    assert _one_error_line(capsys) == "tsnet: error: need p <= n, got p=30 > n=20"
+    assert _one_error_line(capsys) == (
+        "tsnet: error: experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
+        "must round to at least 1, got gamma=1.5, n=20")
+
+
+@pytest.mark.parametrize("n,gamma", [(1, 0.25), (100, -0.5), (100, 1.5), (100, 0.0),
+                                     (100, 0.004)])
+def test_mp_edges_bad_gamma_or_n_is_one_line(tmp_path, capsys, monkeypatch, n, gamma):
+    # named in the experiment's own parameters, not the derived p, before a draw or a file
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the reps were simulated")
+
+    monkeypatch.setattr(mc, "_rep_streams", no_draws)
+    cfg = tmp_path / "mp.cfg"
+    cfg.write_text(f"experiment = mp-edges\nreps = 2\nn = {n}\ngamma = {gamma}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == (
+        "tsnet: error: experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
+        f"must round to at least 1, got gamma={float(gamma)!r}, n={n}")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind,lag", [("split", 1), ("fk", 0), ("supwald", 1), ("lm", 1),

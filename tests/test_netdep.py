@@ -1,6 +1,7 @@
 """Tests for graph utilities, denseness measures, graph MA, network HAC."""
 
 import ast
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -544,6 +545,37 @@ def test_denseness_overlap_memory_is_bounded():
     # a leaf's 2-ball is the whole star, and each other leaf's 1-ball
     # covers two of its nodes; the hub's 2-shell is empty
     assert res.delta_overlap == pytest.approx(1500 * 1499 / 1501, rel=1e-12)
+
+
+
+def test_graph_shells_refuses_a_shell_past_the_pair_budget():
+    # S_2 of a 10^5-leaf star holds about 10^10 pairs.  S_1 times the
+    # degrees predicts them (the hub reaches each leaf's one edge, each
+    # leaf the hub's 10^5) and the guard raises before any is formed
+    leaves = 10**5
+    g = T.star_graph(leaves)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"radius 2 needs shell 2, predicted at up to "
+                                             f"{leaves + leaves**2} node pairs, over the "
+                                             f"{2**24} a shell may hold"):
+            T.graph_shells(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 100 * leaves * 8
+
+
+def test_graph_shells_budget_is_inclusive(monkeypatch):
+    # a 5-leaf star's S_2 is predicted at 5 + 5 * 5 = 30 pairs (it holds 20)
+    monkeypatch.setattr(T.netdep, "_SHELL_PAIRS", 30)
+    assert T.graph_shells(T.star_graph(5), 2).matrix(2).nnz == 20
+    monkeypatch.setattr(T.netdep, "_SHELL_PAIRS", 29)
+    with pytest.raises(ValueError, match="radius 2 needs shell 2, predicted at up to 30 "):
+        T.graph_shells(T.star_graph(5), 2)
+    assert T.graph_shells(T.star_graph(5), 1).radius == 1
 
 
 # --- source guard: the library never builds the n x n distance matrix ------

@@ -1,5 +1,8 @@
 """Tests for sample covariance spectra and the Marchenko-Pastur law."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,3 +84,35 @@ def test_esd_matches_mp_law():
     assert ks < 0.02
     assert res.lambda_min == pytest.approx(0.25, abs=0.05)
     assert res.lambda_max == pytest.approx(2.25, abs=0.05)
+
+
+@pytest.mark.parametrize("grid_size", [2, 1, 0, 2.5])
+def test_mp_cdf_rejects_a_grid_without_an_interior_point(grid_size):
+    # a loud error, not a nan or a bare 0 or 1 behind a divide warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 3"):
+            T.mp_cdf(1.0, 0.5, grid_size=grid_size)
+    assert 0.0 < T.mp_cdf(1.0, 0.5, grid_size=3) < 1.0
+
+
+def test_spectrum_working_set_is_x_and_s(monkeypatch):
+    # X (p x n) and S (p x p) are all that is held at once: X is gone by
+    # the time the eigensolver, which copies S, is called
+    n, p = 4000, 1000
+    eigvalsh = np.linalg.eigvalsh
+    held = []
+
+    def traced_eigvalsh(s):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return eigvalsh(s)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
+    tracemalloc.start()
+    try:
+        T.sample_cov_spectrum(n, p, T.RngSpec(80, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * (p * n + p * p)
+    assert held[0] <= 1.05 * 8 * p * p
