@@ -30,10 +30,17 @@ n = 5000, 1 for hac-lrv at n = 100 000.
 point) both go through `_run`.  It runs every cell's setup in the
 calling process, then cuts the reps of all cells into (cell, batch)
 tasks, about 8 per worker and at most `_BATCH` reps each.  With
-`jobs > 1` the tasks run in one process pool per call, of
-min(jobs, tasks, CPUs) workers; each worker receives the (cfg, ctx)
-pairs once, through the pool initializer, and each task travels as a
-cell index and a rep range.
+`jobs > 1` the calling process runs the tasks itself, in order, and
+times them; it starts one process pool, for the tasks left, only once
+it has spent `_POOL_START_S` (a pool's start-up cost) on them and
+splitting the tasks left over the workers would, at the mean time per
+task so far, save more than that cost (`_pool_repays`).  So a call
+whose reps take less than a pool start never forks, and its bytes are
+those of a pooled run, since a row does not depend on which process
+computes it.  The pool has min(jobs, tasks left, usable CPUs) workers,
+counting the CPUs in the process's affinity set; each worker receives
+the (cfg, ctx) pairs once, through the pool initializer, and each task
+travels as a cell index and a rep range.
 
 Config files are line oriented::
 
@@ -70,6 +77,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -130,6 +138,11 @@ _BATCH = 64
 # glibc's allocator reuses its pages instead of faulting in fresh ones.
 _BLOCK_BYTES = 2**21
 _SUBPANEL_BYTES = 2**18
+# wall time a process pool of two workers costs a call: forking them,
+# shipping the cells, waiting for the first block and shutting down.
+# Measured at 13-27 ms on a 2-core x86-64 host (one BLAS thread) with the
+# IVX and 1500-node network-HAC grids of the benchmark's grid-parallel.
+_POOL_START_S = 0.025
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +489,50 @@ def _pooled_block(task) -> np.ndarray:
     return _rep_block(_CELLS, task)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_repays(spent: float, done: int, left: int, workers: int) -> bool:
+    """Whether to hand the `left` tasks to a pool, `done` having taken `spent` s here.
+
+    Only once the caller has itself spent one `_POOL_START_S` on tasks, so
+    a short call never forks and a long one runs about that long before it
+    does; and only if, at the mean task time so far, splitting the tasks
+    left over the workers saves more time than the pool costs.
+    """
+    workers = min(workers, left)
+    return (spent >= _POOL_START_S
+            and spent * left * (workers - 1) >= _POOL_START_S * done * workers)
+
+
 def _run(cells: list[ExperimentConfig], jobs: int) -> list[tuple[dict, np.ndarray]]:
     """Set up and run every rep of resolved `cells`; (ctx, draws) per cell.
 
     Setups run here, in order; the reps run as (cell, rep range) tasks,
-    with `jobs` > 1 in one process pool (see the module docstring).
+    with `jobs` > 1 handed to one process pool once it repays its start
+    (see the module docstring).
     """
     cells = tuple((cfg, EXPERIMENTS[cfg.experiment].setup(cfg)) for cfg in cells)
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, _usable_cpus())
     total = sum(cfg.reps for cfg, _ in cells)
     size = min(_BATCH, max(1, total // (workers * 8))) if jobs > 1 else _BATCH
     tasks = [(k, range(lo, min(lo + size, cfg.reps)))
              for k, (cfg, _) in enumerate(cells) for lo in range(0, cfg.reps, size)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+    blocks = []
+    start = perf_counter()
+    for task in tasks:
+        if jobs > 1 and _pool_repays(perf_counter() - start, len(blocks),
+                                     len(tasks) - len(blocks), workers):
+            break
+        blocks.append(_rep_block(cells, task))
+    if rest := tasks[len(blocks):]:
+        with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
                                  initializer=_install, initargs=(cells,)) as pool:
-            blocks = list(pool.map(_pooled_block, tasks))
-    else:
-        blocks = [_rep_block(cells, task) for task in tasks]
+            blocks += pool.map(_pooled_block, rest)
     # the tasks run cell by cell, so each cell's draws are one slice of the stack
     draws = np.split(np.concatenate(blocks), np.cumsum([cfg.reps for cfg, _ in cells])[:-1])
     return [(ctx, d) for (_, ctx), d in zip(cells, draws)]
@@ -939,6 +978,14 @@ _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
           echo=("n", "gamma"))
 
 
+def _nested_setup(cfg):
+    n_small, top = cfg.params["n_small"], len(cfg.params["beta"]) - 1
+    if not 0 <= n_small <= top:
+        raise ValueError(f"experiment 'nested-forecast': n_small must lie in "
+                         f"[0, len(beta) - 1] = [0, {top}], got n_small={n_small!r}")
+    return {}
+
+
 def _nested_rep(cfg, ctx, gen):
     p = cfg.params
     n, q = p["n"], p["n_small"]
@@ -960,7 +1007,7 @@ def _nested_summarize(cfg, ctx, draws):
 
 # k0 (the first forecast origin, in pairs) defaults to n // 4
 _register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
-          _nested_summarize,
+          _nested_summarize, setup=_nested_setup,
           params={"n": 1000, "n_small": 1, "k0": None, "beta": (0.1, 0.1, -0.05),
                   "c": (-2.0, -5.0, -10.0), "v_ar": (0.28, 0.32, -0.14),
                   "intercept": 0.0},

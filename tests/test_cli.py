@@ -286,18 +286,23 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("n_small", [3, 5])
-def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsys, n_small):
-    # the default system has three regressors, so nothing is left to nest
+@pytest.mark.parametrize("n_small", [-1, 3, 5])
+def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsys,
+                                                                 monkeypatch, n_small):
+    # the default system has three regressors, so at 3 or 5 nothing is left to
+    # nest, and -1 would slice x[:, :-1]; each stops in setup, naming n_small
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the reps were simulated")
+
+    monkeypatch.setattr(mc, "_rep_streams", no_draws)
     cfg = tmp_path / "nf.cfg"
     cfg.write_text(f"experiment = nested-forecast\nreps = 2\nn = 100\nn_small = {n_small}\n")
     out = tmp_path / "out"
     out.mkdir()
     assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("tsnet: error: ") and "x_extra" in lines[0]
+    assert _one_error_line(capsys) == (
+        "tsnet: error: experiment 'nested-forecast': n_small must lie in "
+        f"[0, len(beta) - 1] = [0, 2], got n_small={n_small}")
     assert list(out.iterdir()) == []
 
 

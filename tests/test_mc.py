@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: config, parameters, CSV, runners, nested test."""
 
 import ast
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,7 +124,8 @@ def test_run_experiment_deterministic_files(tmp_path):
     assert files[0] == files[1]
 
 
-def test_run_experiment_jobs_invariance(tmp_path):
+def test_run_experiment_jobs_invariance(monkeypatch, tmp_path):
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.0)  # pool every task of jobs = 2
     base = "experiment = fixed-wald\nreps = 6\nseed = 3\nn = 120\n"
     r1 = run_experiment(parse_config(base + "jobs = 1\n"))
     r2 = run_experiment(parse_config(base + "jobs = 2\n"))
@@ -152,8 +154,9 @@ def test_run_experiment_jobs_invariance(tmp_path):
     ("unitroot-boot", 3, 109, {"n": 150, "B": 50, "cv_reps": 500}),
     ("mp-edges", 3, 111, {"n": 200}),
 ])
-def test_vectorized_experiments_jobs_invariant_bytes(tmp_path, name, reps,
+def test_vectorized_experiments_jobs_invariant_bytes(monkeypatch, tmp_path, name, reps,
                                                      seed, params):
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.0)  # pool every task of jobs = 2
     files = []
     for jobs in (1, 2):
         d = tmp_path / f"jobs{jobs}"
@@ -195,7 +198,11 @@ def test_workers_never_outnumber_the_tasks_or_cpus(monkeypatch, tmp_path, jobs, 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "made", [])
     monkeypatch.setattr(mc, "_CELLS", ())  # the fake installs the cells here
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.0)
+    # the CPUs the process may run on, not the machine's
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 10**6)
     files = []
     for j in (1, jobs):
         cfg = ExperimentConfig(experiment="nethac-coverage", reps=8, seed=108, jobs=j,
@@ -221,6 +228,7 @@ def test_grid_runs_in_one_pool_with_jobs_invariant_bytes(monkeypatch, tmp_path, 
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.0)
     files = []
     for jobs in (1, 2):
         cfg = ExperimentConfig(experiment=name, reps=reps, seed=seed, jobs=jobs,
@@ -228,6 +236,69 @@ def test_grid_runs_in_one_pool_with_jobs_invariant_bytes(monkeypatch, tmp_path, 
         files.append(size_power_grid(cfg, out=tmp_path / f"j{jobs}.csv")[3][0].read_bytes())
     assert len(starts) == 1
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("spent,done,left,workers,pooled", [
+    (0.02, 5, 100, 2, False),  # the lead-in is not yet spent
+    (0.03, 3, 100, 2, True),
+    (0.03, 3, 4, 2, False),    # 40 ms left saves 20 ms over two workers: < 25
+    (0.03, 3, 6, 2, True),     # 60 ms left saves 30 ms
+    (0.03, 3, 100, 1, False),  # one worker saves nothing
+    (0.03, 3, 1, 2, False),    # neither does one task
+])
+def test_pool_starts_only_when_the_tasks_left_repay_it(monkeypatch, spent, done, left,
+                                                        workers, pooled):
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.025)
+    assert mc._pool_repays(spent, done, left, workers) is pooled
+
+
+def test_pool_takes_over_after_the_lead_in_with_jobs_invariant_bytes(monkeypatch,
+                                                                      tmp_path):
+    pooled = []
+
+    class RecordingPool(mc.ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            pooled.append(list(tasks))
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_POOL_START_S", 0.025)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    files = []
+    for jobs in (1, 2):
+        # a clock that reads 10 ms later at each look: the caller has spent
+        # 30 ms, over 25, after its first 2 tasks, and the 16 left repay a pool
+        ticks = itertools.count()
+        monkeypatch.setattr(mc, "perf_counter", lambda: next(ticks) * 0.01)
+        # 33 reps in tasks of 33 // 16 = 2: each cell ends in a one-rep task
+        cfg = ExperimentConfig(experiment="ivx-null", reps=11, seed=105, jobs=jobs,
+                               params={"n": 150}, grid={"c": (0.0, -5.0, -20.0)})
+        files.append(size_power_grid(cfg, out=tmp_path / f"j{jobs}.csv")[3][0].read_bytes())
+    tasks = [(k, range(lo, min(lo + 2, 11))) for k in range(3) for lo in range(0, 11, 2)]
+    assert pooled == [tasks[2:]]
+    assert files[0] == files[1]
+
+
+def test_tiny_cli_grid_with_two_jobs_starts_no_pool(monkeypatch, tmp_path):
+    from tsnet.cli import main
+
+    def no_pool(**kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    # the two calls of the benchmark's grid-parallel workload at its tiny size
+    configs = {
+        "ivx": "experiment = ivx-null\nreps = 6\nseed = 105\nn = 150\ncorr = 0.9\n"
+               "grid.c = 0.0, -5.0, -20.0\n",
+        "nethac": "experiment = nethac-coverage\nreps = 6\nseed = 108\nn_nodes = 30\n"
+                  "grid.w1 = 0.04, 0.1\n",
+    }
+    for name, text in configs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(["mc", "grid", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "ivx-null-grid.csv", "nethac-coverage-grid.csv"]
 
 
 def _pool_constructions(source: str) -> list[str]:
