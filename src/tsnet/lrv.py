@@ -103,7 +103,8 @@ def autocovariance(ms, j: int, demean: bool = True) -> np.ndarray:
 
     Gamma_j = n^{-1} sum_{t=j+1}^{n} (X_t - Xbar)(X_{t-j} - Xbar)' for
     j >= 0; negative j returns the transpose.  Always a (d, d) array,
-    (1, 1) for univariate input.
+    (1, 1) for univariate input.  Kept as the lag-by-lag oracle of
+    `hac_lrv` in tests/test_kernels.py.
     """
     x = as_matrix(ms, "ms", min_len=1)
     n = x.shape[0]

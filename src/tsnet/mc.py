@@ -688,9 +688,11 @@ _register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,),
 
 def _phillips_setup(cfg):
     p = cfg.params
+    # a bad kernel fails before the limit table is simulated
+    kernel = _kernel_from(cfg)
     tables = df_limit_mc(p["n"], deterministic=p["deterministic"], reps=p["cv_reps"],
                          rng=_aux_rng(cfg))
-    return {"cv_coef": tables.coef.quantile(cfg.level),
+    return {"kernel": kernel, "cv_coef": tables.coef.quantile(cfg.level),
             "cv_t": tables.t.quantile(cfg.level)}
 
 
@@ -698,7 +700,7 @@ def _phillips_rep(cfg, ctx, z):
     p = cfg.params
     u = _linear_process_panel(LinearProcessSpec((1.0, p["theta"])), z)
     y = np.cumsum(u, axis=1)
-    res = _phillips_z_panel(y, kernel=_kernel_from(cfg), deterministic=p["deterministic"])
+    res = _phillips_z_panel(y, kernel=ctx["kernel"], deterministic=p["deterministic"])
     raw = res.nobs * (res.alpha_hat - 1.0)
     return np.column_stack([res.stat_coef, res.stat_t, raw])
 
@@ -879,7 +881,12 @@ _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"
 
 
 def _urboot_setup(cfg):
-    tables = df_limit_mc(cfg.params["n"], deterministic="none", reps=cfg.params["cv_reps"],
+    n, block = cfg.params["n"], cfg.params["block"]
+    # blocks resample the n - 1 residuals of the AR(1) fit
+    if not 1 <= block <= n - 1:
+        raise ValueError(f"experiment 'unitroot-boot': block must lie in [1, n - 1] = "
+                         f"[1, {n - 1}], got block={block!r}")
+    tables = df_limit_mc(n, deterministic="none", reps=cfg.params["cv_reps"],
                          rng=_aux_rng(cfg))
     return {"q05_limit": tables.coef.quantile(0.05)}
 

@@ -7,14 +7,14 @@ are unweighted shortest-path lengths, infinite across components.
 Every consumer takes a `Graph` or its `Shells` as its first argument and
 reads distances only up to the radius it needs: floor(bandwidth) for
 `network_hac`, len(weights) - 1 for `simulate_graph_ma`, max(s, m) for
-`denseness_stats`, s for `shell` and `neighborhood`.  `graph_shells`
-builds the 0/1 sparse matrix S_s of the node pairs at each distance s
-up to that radius by sparse products of the adjacency, and consumers
-read S_s only as a sparse matrix, never as per-pair index arrays, so
-memory grows with the neighborhoods, not with n^2.  Shells built once by
-`graph_shells(g, radius)` can be passed in place of the graph and are
-reused across calls, as the Monte Carlo harness does.  Anything else,
-a dense distance matrix included, is a TypeError.
+`denseness_stats`.  `graph_shells` builds the 0/1 sparse matrix S_s of
+the node pairs at each distance s up to that radius by sparse products
+of the adjacency, and consumers read S_s only as a sparse matrix, never
+as per-pair index arrays, so memory grows with the neighborhoods, not
+with n^2.  Shells built once by `graph_shells(g, radius)` can be passed
+in place of the graph and are reused across calls, as the Monte Carlo
+harness does.  Anything else, a dense distance matrix included, is a
+TypeError.
 
 The denseness functionals quantify how fast s-step neighborhoods grow:
 delta^shell(s; k) is the k-th moment of shell sizes, Delta(s, m; k) the
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
-from ._checks import as_matrix, check_positive_int
+from ._checks import as_matrix, check_finite_path, check_positive_int
 from .lrv import KernelSpec, kernel_weight
 from .series import _resolve_rng
 
@@ -42,8 +42,6 @@ __all__ = [
     "graph_distance",
     "Shells",
     "graph_shells",
-    "shell",
-    "neighborhood",
     "NetStats",
     "denseness_stats",
     "simulate_graph_ma",
@@ -149,7 +147,9 @@ def graph_distance(g: Graph) -> np.ndarray:
     """(n, n) matrix of shortest-path distances; inf across components.
 
     All pairs, so O(n^2) memory; the consumers below only ever need
-    `graph_shells` out to a small radius.
+    `graph_shells` out to a small radius.  Kept as the dense oracle that
+    tests/test_netdep.py checks `graph_shells` against, and named in the
+    benchmark tracer's table (perfbench/tracer.py).
     """
     if g.num_edges == 0:
         d = np.full((g.n, g.n), np.inf)
@@ -181,11 +181,6 @@ class Shells:
         if not 0 <= s <= self.radius:
             raise ValueError(f"distance {s} outside the shells' range 0..{self.radius}")
         return self.matrices[s]
-
-    def row(self, s: int, i0: int) -> np.ndarray:
-        """0-based nodes at distance exactly s from node i0 (sorted)."""
-        m = self.matrix(s)
-        return m.indices[m.indptr[i0]:m.indptr[i0 + 1]]
 
     def sizes(self, s: int) -> np.ndarray:
         """Shell size |{j: d(i, j) = s}| for every node i."""
@@ -236,31 +231,6 @@ def _shells_of(graph, radius: int) -> Shells:
         raise ValueError(f"shells reach distance {graph.radius}, "
                          f"but distance {radius} is needed")
     return graph
-
-
-def _node_shells(graph, i: int, s: int) -> tuple[Shells, int, int]:
-    """Shells out to distance s, the 0-based index of node i, and s."""
-    i = check_positive_int(i, "i")
-    s = check_positive_int(s, "s", minimum=0)
-    sh = _shells_of(graph, s)
-    if i > sh.n:
-        raise ValueError(f"node {i} outside 1..{sh.n}")
-    return sh, i - 1, s
-
-
-def shell(graph: Graph | Shells, i: int, s: int) -> np.ndarray:
-    """Nodes at distance exactly s from node i (labels, sorted).
-
-    shell(g, i, 0) is {i} itself.
-    """
-    sh, i0, s = _node_shells(graph, i, s)
-    return sh.row(s, i0) + 1
-
-
-def neighborhood(graph: Graph | Shells, i: int, s: int) -> np.ndarray:
-    """Nodes within distance s of node i, including i (labels, sorted)."""
-    sh, i0, s = _node_shells(graph, i, s)
-    return np.sort(np.concatenate([sh.row(t, i0) for t in range(s + 1)])) + 1
 
 
 def _log_power_mean(sizes: np.ndarray, exponent: float) -> float:
@@ -362,7 +332,8 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.nda
     weights = (w_0, ..., w_m) taper the iid standard normal field eps by
     graph distance; dependence has exact radius m.  v > 1 draws that
     many independent fields and returns an (n, v) array; the default
-    returns a 1-d vector.
+    returns a 1-d vector.  A field that leaves the finite floats raises
+    ValueError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -372,7 +343,9 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.nda
     v = check_positive_int(v, "v")
     sh = _shells_of(graph, w.size - 1)
     eps = _resolve_rng(rng).standard_normal((sh.n, v))
-    y = _graph_ma_panel(sh, w, eps.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _graph_ma_panel(sh, w, eps.T)
+    check_finite_path(y, f"weights={tuple(w.tolist())!r} on {sh.n} nodes")
     return y[0] if v == 1 else np.ascontiguousarray(y.T)
 
 

@@ -23,7 +23,7 @@ from ._filter import ar
 from ._panel import check_fit, first_rep, rowdot
 from .lrv import KernelSpec, _hac_lrv_panel
 
-__all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate", "ivx_wald"]
+__all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def ivx_instrument(x, spec: IvxSpec = IvxSpec()) -> np.ndarray:
     For x of length n the output has length n - 1: row t is
     z_{t+1} = sum_{j=2}^{t+1} rho^{t+1-j} dx_j, i.e. the recursion
     z = rho z_prev + dx run over the observed differences from a zero
-    start.  rho uses the full series length n.
+    start.  rho uses the full series length n.  The benchmark tracer's
+    table (perfbench/tracer.py) names it.
     """
     return _ivx_instrument_panel(np.asarray(x, dtype=float)[None], spec)[0]
 
@@ -146,23 +147,3 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
                      rho_nz=spec.rho(n), wald=wald, pvalue=chdtrc(d, wald),
                      nobs=m, demeaned=demean)
 
-
-def ivx_wald(result: IvxResult, R=None, r=None) -> tuple[float, float]:
-    """Wald test of R b = r on an IVX fit; returns (statistic, p-value).
-
-    Defaults test the full null b = 0.  The statistic is chi-square
-    with rank(R) degrees of freedom under the null regardless of the
-    regressor's persistence class.
-    """
-    d = result.beta.shape[0]
-    R_mat = np.eye(d) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-    if R_mat.shape[1] != d:
-        raise ValueError(f"R must have {d} columns")
-    r_vec = np.zeros(R_mat.shape[0]) if r is None else np.atleast_1d(np.asarray(r, dtype=float))
-    if r_vec.shape[0] != R_mat.shape[0]:
-        raise ValueError("r length must match the rows of R")
-    diff = R_mat @ result.beta - r_vec
-    middle = R_mat @ result.cov @ R_mat.T
-    stat = float(diff @ np.linalg.solve(middle, diff))
-    pvalue = float(chdtrc(R_mat.shape[0], stat))
-    return stat, pvalue

@@ -84,7 +84,10 @@ def mp_support(gamma: float) -> tuple[float, float]:
 
 
 def mp_density(x, gamma: float):
-    """Marchenko-Pastur density at x (unit variance), vectorized."""
+    """Marchenko-Pastur density at x (unit variance), vectorized.
+
+    The law the README's overview names; `mp_cdf` integrates it.
+    """
     g = _check_gamma(gamma)
     lo, hi = mp_support(g)
     xa = np.asarray(x, dtype=float)
@@ -95,17 +98,17 @@ def mp_density(x, gamma: float):
     return float(dens) if np.isscalar(x) else dens
 
 
-def mp_cdf(x, gamma: float, grid_size: int = 20001):
+def mp_cdf(x, gamma: float):
     """Marchenko-Pastur CDF by quadrature of the density.
 
-    Uses a trapezoid rule on a uniform grid over the support and linear
-    interpolation; accurate to well below 1e-6 at the default grid.
-    A grid needs at least 3 points, one inside the support.
+    Uses a trapezoid rule on a uniform grid of 20001 points over the
+    support and linear interpolation; accurate to well below 1e-6.
+    The README's Marchenko-Pastur distribution function, against which
+    tests/test_randmat.py measures the empirical spectral distribution.
     """
-    grid_size = check_positive_int(grid_size, "grid_size", minimum=3)
     g = _check_gamma(gamma)
     lo, hi = mp_support(g)
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, 20001)
     dens = mp_density(grid, g)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
     cdf /= cdf[-1]  # normalize away the O(grid^2) quadrature defect

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_positive_int
+from ._checks import as_series, check_finite_path, check_positive_int
 from ._filter import ar, ma
 
 __all__ = [
@@ -24,12 +24,9 @@ __all__ = [
     "LurSpec",
     "SystemSpec",
     "simulate_linear_process",
-    "long_run_variance_true",
-    "autocovariance_true",
     "simulate_lur_ar",
     "simulate_predictive_system",
     "simulate_ou_exact",
-    "partial_sum_process",
 ]
 
 _UINT64_MAX = 2**64 - 1
@@ -113,11 +110,14 @@ def simulate_linear_process(spec: LinearProcessSpec, n: int, rng) -> np.ndarray:
     """Draw n observations of the moving average defined by `spec`.
 
     The presample innovations eps_{1-q}, ..., eps_0 are drawn too, so the
-    output is exactly stationary from the first observation.
+    output is exactly stationary from the first observation.  A path that
+    leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n")
     eps = _resolve_rng(rng).standard_normal(n + len(spec.coeffs) - 1)
-    return _linear_process_panel(spec, eps[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _linear_process_panel(spec, eps[None])[0]
+    return check_finite_path(x, f"coeffs={spec.coeffs!r}, sigma={spec.sigma!r}, n={n}")
 
 
 def _linear_process_panel(spec: LinearProcessSpec, eps: np.ndarray) -> np.ndarray:
@@ -129,20 +129,6 @@ def _linear_process_panel(spec: LinearProcessSpec, eps: np.ndarray) -> np.ndarra
     q = len(spec.coeffs) - 1
     check_positive_int(eps.shape[1] - q, "n")
     return ma(eps * spec.sigma, spec.coeffs)
-
-
-def long_run_variance_true(spec: LinearProcessSpec) -> float:
-    """Population long-run variance omega^2 = sigma^2 (sum_j c_j)^2."""
-    return float(spec.sigma**2 * np.sum(spec.coeffs) ** 2)
-
-
-def autocovariance_true(spec: LinearProcessSpec, h: int) -> float:
-    """Population autocovariance gamma(h) = sigma^2 sum_j c_j c_{j+|h|}."""
-    h = abs(int(h))
-    c = np.asarray(spec.coeffs)
-    if h >= c.size:
-        return 0.0
-    return float(spec.sigma**2 * np.dot(c[: c.size - h], c[h:]))
 
 
 @dataclass(frozen=True)
@@ -195,12 +181,10 @@ def simulate_lur_ar(spec: LurSpec, n: int, rng=None, innovations=None,
         v = as_series(innovations, "innovations")
         if v.shape[0] != n:
             raise ValueError(f"innovations must have length n={n}, got {v.shape[0]}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = _lur_ar_panel(spec, v[None], np.array([[x0]]))[0]
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"the path leaves the finite floats at c={spec.c!r}, "
-                         f"gamma={spec.gamma!r}, n={n} (rho_n = {spec.rho(n)!r})")
-    return x
+    return check_finite_path(x, f"c={spec.c!r}, gamma={spec.gamma!r}, n={n} "
+                                f"(rho_n = {spec.rho(n)!r})")
 
 
 def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -222,6 +206,8 @@ class SystemSpec:
     (u_t, e_t) are jointly Gaussian with covariance `sigma_ue` (first
     row/column is the y error).  If `v_ar` is given, the regressor
     innovations are AR(1)-filtered: v_t = diag(v_ar) v_{t-1} + e_t.
+    beta and intercept must be finite, sigma_ue finite, symmetric and
+    positive definite, and v_ar inside the unit circle (nan is not).
     """
 
     beta: tuple[float, ...]
@@ -235,21 +221,32 @@ class SystemSpec:
         d = len(self.beta)
         if d == 0:
             raise ValueError("beta must be non-empty")
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
+        if not np.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept!r}")
         if len(self.lur) != d:
             raise ValueError("need one LurSpec per regressor")
         if self.sigma_ue is not None:
             sig = np.asarray(self.sigma_ue, dtype=float)
             if sig.shape != (d + 1, d + 1):
                 raise ValueError(f"sigma_ue must be ({d + 1}, {d + 1})")
+            if not np.all(np.isfinite(sig)):
+                raise ValueError(f"sigma_ue must be finite, got {sig.tolist()!r}")
             if not np.allclose(sig, sig.T):
                 raise ValueError("sigma_ue must be symmetric")
+            try:
+                np.linalg.cholesky(sig)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"sigma_ue must be positive definite, "
+                                 f"got {sig.tolist()!r}") from None
             object.__setattr__(self, "sigma_ue", tuple(tuple(row) for row in sig))
         if self.v_ar is not None:
             var = tuple(float(a) for a in self.v_ar)
             if len(var) != d:
                 raise ValueError("need one v_ar coefficient per regressor")
-            if any(abs(a) >= 1 for a in var):
-                raise ValueError("v_ar coefficients must be inside the unit circle")
+            if not all(abs(a) < 1 for a in var):
+                raise ValueError(f"v_ar coefficients must be inside the unit circle, got {var!r}")
             object.__setattr__(self, "v_ar", var)
 
     @property
@@ -266,11 +263,16 @@ def simulate_predictive_system(spec: SystemSpec, n: int, rng):
     x : ndarray, shape (n, d)
         x[t] is x_{t+1} in model time; regressions of y_t on x_{t-1}
         should pair y[1:] with x[:-1].
+
+    A path that leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n", minimum=2)
     z = _resolve_rng(rng).standard_normal((n, spec.dim + 1))
-    y, x = _predictive_system_panel(spec, z[None])
-    return y[0], x[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, x = _predictive_system_panel(spec, z[None])
+    where = (f"beta={spec.beta!r}, c={tuple(l.c for l in spec.lur)!r}, "
+             f"gamma={tuple(l.gamma for l in spec.lur)!r}, n={n}")
+    return check_finite_path((y[0], x[0]), where)
 
 
 def _predictive_system_panel(spec: SystemSpec, z: np.ndarray):
@@ -324,42 +326,27 @@ def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,
         "zero" starts from J(0) = 0 (the stochastic-integral form
         int_0^r e^{(r-s)c} dW).  "stationary" draws J(0) from the
         stationary law N(0, sigma^2 / (-2c)); requires c < 0.
+
+    A path that leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n")
     if not (np.isfinite(c) and np.isfinite(sigma) and sigma >= 0 and horizon > 0):
         raise ValueError("need finite c, sigma >= 0, horizon > 0")
+    if init not in ("zero", "stationary"):
+        raise ValueError("init must be 'zero' or 'stationary'")
+    if init == "stationary" and c >= 0:
+        raise ValueError("stationary initialization requires c < 0")
     gen = _resolve_rng(rng)
     dt = horizon / n
-    if c == 0.0:
-        step_sd = sigma * np.sqrt(dt)
-        phi = 1.0
-    else:
-        phi = np.exp(c * dt)
-        step_sd = sigma * np.sqrt((np.expm1(2 * c * dt)) / (2 * c))
-    if init == "zero":
-        j0 = 0.0
-    elif init == "stationary":
-        if c >= 0:
-            raise ValueError("stationary initialization requires c < 0")
-        j0 = gen.standard_normal() * sigma / np.sqrt(-2 * c)
-    else:
-        raise ValueError("init must be 'zero' or 'stationary'")
-    shocks = gen.standard_normal(n) * step_sd
-    return ar(shocks, [phi], phi * j0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c == 0.0:
+            step_sd = sigma * np.sqrt(dt)
+            phi = 1.0
+        else:
+            phi = np.exp(c * dt)
+            step_sd = sigma * np.sqrt((np.expm1(2 * c * dt)) / (2 * c))
+        j0 = 0.0 if init == "zero" else gen.standard_normal() * sigma / np.sqrt(-2 * c)
+        shocks = gen.standard_normal(n) * step_sd
+        path = ar(shocks, [phi], phi * j0)
+    return check_finite_path(path, f"c={c!r}, sigma={sigma!r}, horizon={horizon!r}, n={n}")
 
-
-def partial_sum_process(ts, r) -> float | np.ndarray:
-    """Scaled partial-sum functional X_n(r) = n^{-1/2} sum_{t<=floor(rn)} X_t.
-
-    `r` may be a scalar in [0, 1] or an array of such; floor(rn) = 0
-    gives 0 by the empty-sum convention.
-    """
-    x = as_series(ts, "ts")
-    n = x.shape[0]
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0) or np.any(r_arr > 1):
-        raise ValueError("r must lie in [0, 1]")
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    idx = np.floor(r_arr * n + 1e-12).astype(int)
-    out = csum[idx] / np.sqrt(n)
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out

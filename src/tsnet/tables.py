@@ -8,10 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantileTable", "DEFAULT_PROBS"]
-
-# Tail and central probabilities a table reports as its `values`.
-DEFAULT_PROBS = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
+__all__ = ["QuantileTable"]
 
 # bytes a limit-table simulator's batch of draws holds at once.  About
 # a core's L2 cache; it bounds the workspace and never a result.
@@ -56,16 +53,6 @@ class QuantileTable:
         if not 0.0 < prob < 1.0:
             raise ValueError(f"quantile level must lie in (0, 1), got {prob!r}")
         return float(np.quantile(self.draws, prob))
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        """The levels `values` reports."""
-        return DEFAULT_PROBS
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """The quantiles at the levels `DEFAULT_PROBS`."""
-        return tuple(self.quantile(p) for p in DEFAULT_PROBS)
 
     @classmethod
     def from_draws(cls, draws, reps: int | None = None,

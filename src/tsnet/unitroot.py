@@ -25,18 +25,11 @@ __all__ = [
     "DfLimitTables",
     "ols_ar",
     "adf_test",
-    "default_adf_lags",
     "phillips_z",
     "df_limit_mc",
 ]
 
 _DETERMINISTICS = ("none", "const", "trend")
-
-
-def default_adf_lags(n: int) -> int:
-    """Rule-of-thumb ADF lag order floor(4 * (n/100)^{1/4})."""
-    n = check_positive_int(n, "n")
-    return int(np.floor(4.0 * (n / 100.0) ** 0.25))
 
 
 # the column of x_{t-1} in the design of `_ar_fit`
@@ -170,8 +163,8 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
                           method="adf", lags=p)
 
 
-def phillips_z(ts, kernel: KernelSpec | None = None, deterministic: str = "none",
-               df_adjust: bool = True) -> UnitRootResult:
+def phillips_z(ts, kernel: KernelSpec | None = None,
+               deterministic: str = "none") -> UnitRootResult:
     """Semiparametric Z_alpha and Z_t unit root statistics.
 
     Fits X_t = d_t'mu + alpha X_{t-1} + u_t and corrects the first-order
@@ -183,19 +176,16 @@ def phillips_z(ts, kernel: KernelSpec | None = None, deterministic: str = "none"
                   - T (s2_lr - s2_u) / (2 s_lr S_xx^{1/2})
 
     with S_xx the (demeaned, under const) second moment of the lagged
-    level.  df_adjust=False makes s2_u use divisor T, matching the
-    divisor-T convention of s2_lr, so bandwidth < 1 gives s2_lr == s2_u
-    and Z_alpha == T(alpha-1) exactly.
+    level and s2_u the residual variance with divisor T - #regressors.
 
     A nonpositive LRV estimate (possible with the truncated kernel) is
     flagged with a warning; Z_alpha is still reported and Z_t is nan.
     """
-    return first_rep(_phillips_z_panel(np.asarray(ts, dtype=float)[None], kernel,
-                                       deterministic, df_adjust))
+    return first_rep(_phillips_z_panel(np.asarray(ts, dtype=float)[None], kernel, deterministic))
 
 
-def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str = "none",
-                      df_adjust: bool = True) -> UnitRootResult:
+def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
+                      deterministic: str = "none") -> UnitRootResult:
     """`phillips_z` of every rep of an (R, n) panel.
 
     The per-rep fields of the result are (R,) arrays.  Any rep with
@@ -212,7 +202,7 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None, deterministic: str =
     ssr = fit.ssr
     # exact fits (perfect lines, constants) leave only roundoff
     check_fit(ssr, x[:, 1:], "Dickey-Fuller")
-    s2_u = ssr / dof if df_adjust else ssr / T
+    s2_u = ssr / dof
     est = _hac_lrv_panel(fit.resid, kernel=kernel, demean=False)
     s2_lr = est.omega[:, 0, 0]
     if deterministic == "const":

@@ -130,10 +130,6 @@ def test_sieve_order_and_stability_guards():
     expl = 1.2 ** np.arange(30)
     with pytest.raises(ValueError, match="nonstationary"):
         T.sieve_bootstrap(expl, np.mean, 5, T.RngSpec(5), p=1)
-    with pytest.warns(UserWarning, match="nonstationary"):
-        res = T.sieve_bootstrap(expl, lambda z: float(z[-1]), 3, T.RngSpec(5),
-                                p=1, check_stationary=False)
-    assert res.stats.shape == (3,)
 
 
 def test_wild_conditional_moments():

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,30 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("experiment,line,message", [
+    ("phillips-size", "family = foo",
+     "family must be one of ['bartlett', 'parzen', 'quadratic-spectral', 'truncated'], "
+     "got 'foo'"),
+    ("unitroot-boot", "block = 2000", "experiment 'unitroot-boot': block must lie in "
+                                      "[1, n - 1] = [1, 999], got block=2000"),
+    ("unitroot-boot", "block = 0", "experiment 'unitroot-boot': block must lie in "
+                                   "[1, n - 1] = [1, 999], got block=0"),
+], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero"])
+def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
+                                                   experiment, line, message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the limit table was simulated")
+
+    monkeypatch.setattr(mc, "df_limit_mc", no_table)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = {experiment}\nreps = 2\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: {message}"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["run", "grid"])
 @pytest.mark.parametrize("line,flags", [("level = 1.5", []), ("level = 0", []),
                                         ("", ["--level", "1"]), ("", ["--level", "nan"]),
@@ -491,6 +516,42 @@ def test_simulate_lur_off_the_finite_floats_is_one_line(tmp_path, capsys, flags,
     out = tmp_path / "lur.csv"
     assert main(["simulate", "lur", "--n", "5", *flags, "--out", str(out)]) == 2
     assert _one_error_line(capsys).startswith(f"tsnet: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["linear", "--coeffs", "1e308,1e308", "--n", "5"],
+     "the path leaves the finite floats at coeffs=(1e+308, 1e+308), sigma=1.0, n=5"),
+    (["ou", "--c", "1e308", "--n", "5"],
+     "the path leaves the finite floats at c=1e+308, sigma=1.0, horizon=1.0, n=5"),
+    (["garch", "--omega", "1e308", "--alpha", "0.1", "--beta", "0.8", "--n", "5"],
+     "the path leaves the finite floats at omega=1e+308, alpha=0.1, beta=0.8, n=5, burn=500"),
+    (["system", "--beta", "1", "--c", "1e308", "--n", "5"],
+     "the path leaves the finite floats at beta=(1.0,), c=(1e+308,), gamma=(1.0,), n=5"),
+    (["system", "--beta", "1e308", "--c", "-1", "--n", "5"],
+     "the path leaves the finite floats at beta=(1e+308,), c=(-1.0,), gamma=(1.0,), n=5"),
+    (["graph-ma", "--weights", "1e308,1e308"],
+     "the path leaves the finite floats at weights=(1e+308, 1e+308) on 10 nodes"),
+    # SystemSpec checks its own fields
+    (["system", "--beta", "1", "--c", "-1", "--n", "5", "--intercept", "inf"],
+     "intercept must be finite, got inf"),
+    (["system", "--beta", "inf", "--c", "-1", "--n", "5"], "beta must be finite, got (inf,)"),
+    (["system", "--beta", "1", "--c", "-1", "--n", "5", "--corr", "2"],
+     "sigma_ue must be positive definite, got [[1.0, 2.0], [2.0, 1.0]]"),
+    (["system", "--beta", "1", "--c", "-1", "--n", "5", "--corr", "nan"],
+     "sigma_ue must be finite, got [[1.0, nan], [nan, 1.0]]"),
+    (["system", "--beta", "1", "--c", "-1", "--n", "5", "--v-ar", "nan"],
+     "v_ar coefficients must be inside the unit circle, got (nan,)"),
+])
+def test_simulate_off_the_finite_floats_is_one_line(tmp_path, capsys, argv, message):
+    if argv[0] == "graph-ma":
+        T.write_edgelist(T.cycle_graph(10), tmp_path / "c10.csv")
+        argv = argv + ["--graph", str(tmp_path / "c10.csv")]
+    out = tmp_path / "path.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: {message}"
     assert not out.exists()
 
 

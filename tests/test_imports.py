@@ -13,6 +13,7 @@ gives the gradient and the scoring matrix (Berndt, Hall, Hall & Hausman
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -135,3 +136,50 @@ def test_tsnet_exports_each_modules_all_once():
     public = {key for key, value in vars(tsnet).items()
               if not key.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(declared)
+
+
+# public functions that no library module, command or experiment reaches,
+# each kept for what it serves outside the library
+ORACLES = {
+    "autocovariance": "the lag-by-lag oracle of hac_lrv in tests/test_kernels.py",
+    "garch_filter": "tests/test_ols.py compares garch_qmle's filter with it bit for bit",
+    "mp_cdf": "the README's Marchenko-Pastur distribution function",
+    "wild_conditional_variance": "read by criterion 09 of tests/test_acceptance.py",
+}
+
+
+def _names_loaded(tree, skip=None) -> set:
+    """Names `tree` loads or imports, outside the body of its top-level function `skip`."""
+    skipped = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == skip for node in ast.walk(fn)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_is_reached_or_an_oracle():
+    from test_tracer_names import _library_table
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    traced = {(modname, fn) for modname, fns in _library_table().items() for fn in fns}
+    unreached = []
+    for name in _MODULES:
+        module = importlib.import_module(f"tsnet.{name}")
+        for key in module.__all__:
+            if not inspect.isfunction(getattr(module, key)):
+                continue
+            reached = ((name, key) in traced or key in ORACLES
+                       or key in _names_loaded(trees[name], skip=key)
+                       or any(key in _names_loaded(tree)
+                              for other, tree in trees.items() if other != name))
+            if not reached:
+                unreached.append(f"{name}.{key}")
+    assert unreached == []
+    # every oracle is a public function
+    assert all(inspect.isfunction(getattr(tsnet, key, None)) for key in ORACLES)

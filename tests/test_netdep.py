@@ -88,29 +88,6 @@ def test_graph_distance_paths_and_components():
     assert dc[0, 5] == 1.0  # wrap-around edge
 
 
-def test_shells_and_neighborhoods():
-    star = T.star_graph(5)
-    np.testing.assert_array_equal(T.shell(star, 1, 1), [2, 3, 4, 5, 6])
-    np.testing.assert_array_equal(T.shell(star, 2, 1), [1])
-    np.testing.assert_array_equal(T.shell(star, 2, 2), [3, 4, 5, 6])
-    np.testing.assert_array_equal(T.shell(star, 3, 0), [3])
-    np.testing.assert_array_equal(T.neighborhood(star, 2, 1), [1, 2])
-
-    c6 = T.cycle_graph(6)
-    assert T.shell(c6, 1, 2).size == 2
-    assert T.shell(c6, 1, 4).size == 0  # beyond the diameter
-    np.testing.assert_array_equal(T.neighborhood(c6, 1, 2), [1, 2, 3, 5, 6])
-
-    with pytest.raises(ValueError, match="outside"):
-        T.shell(c6, 7, 1)
-    with pytest.raises(ValueError, match=">= 0"):
-        T.shell(c6, 1, -1)
-    with pytest.raises(ValueError, match="i must be an integer"):
-        T.shell(c6, 1.5, 1)
-    with pytest.raises(ValueError, match="s must be an integer"):
-        T.neighborhood(c6, 2, 0.5)
-
-
 def test_denseness_cycle_closed_form():
     # every C8 node has a 2-node shell at s=1 and 2 uncovered neighbors,
     # so both moments are 2 and the Holder product collapses to 4
@@ -329,20 +306,19 @@ def test_graph_shells_match_dense_distance(name):
     assert sh.n == g.n and sh.radius == 7
     for s in range(8):
         np.testing.assert_array_equal(sh.sizes(s), np.sum(d == s, axis=1))
-        np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
+        m = sh.matrix(s)
+        np.testing.assert_array_equal(m.toarray(), d == s)
         np.testing.assert_array_equal(sh.ball(s).toarray(), d <= s)
-        for i in range(1, g.n + 1):
-            for graph in (g, sh):
-                np.testing.assert_array_equal(T.shell(graph, i, s),
-                                              np.nonzero(d[i - 1] == s)[0] + 1)
-                np.testing.assert_array_equal(T.neighborhood(graph, i, s),
-                                              np.nonzero(d[i - 1] <= s)[0] + 1)
-    # a shorter radius is a prefix of the longer one
-    short = T.graph_shells(g, 2)
-    for s in range(3):
-        a, b = short.matrix(s), sh.matrix(s)
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+        # each node's row lists the nodes at distance s, in order
+        for i in range(g.n):
+            np.testing.assert_array_equal(m.indices[m.indptr[i]:m.indptr[i + 1]],
+                                          np.nonzero(d[i] == s)[0])
+        # a shorter radius is a prefix of the longer one
+        short = T.graph_shells(g, s)
+        for t in range(s + 1):
+            a, b = short.matrix(t), sh.matrix(t)
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
 
 def test_shell_matrices_are_built_once_per_shells_object():
@@ -385,8 +361,7 @@ def test_graph_shells_validation():
 def test_consumers_reject_a_dense_distance_matrix():
     d = T.graph_distance(T.cycle_graph(6))
     y = np.random.default_rng((67, 8)).standard_normal(6)
-    for call in (lambda: T.shell(d, 1, 1), lambda: T.neighborhood(d, 1, 1),
-                 lambda: T.denseness_stats(d, s=1, m=1),
+    for call in (lambda: T.denseness_stats(d, s=1, m=1),
                  lambda: T.simulate_graph_ma(d, (1.0, 0.5), T.RngSpec(0)),
                  lambda: T.network_hac(d, y)):
         with pytest.raises(TypeError, match="Graph or its Shells, got ndarray"):

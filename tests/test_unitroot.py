@@ -103,21 +103,6 @@ def test_adf_left_tail_power_against_stationary_ar1():
     assert rejections / 200 >= 0.95
 
 
-def test_default_adf_lags_rule():
-    assert T.default_adf_lags(100) == 4
-    assert T.default_adf_lags(50) == 3
-    assert T.default_adf_lags(25) == 2
-
-
-def test_phillips_reduces_to_raw_statistic_without_correction():
-    # divisor-T residual variance plus sub-unit bandwidth: the serial
-    # correlation correction vanishes identically
-    x = np.cumsum(T.RngSpec(36, 0).generator().standard_normal(300))
-    res = T.phillips_z(x, kernel=T.KernelSpec("bartlett", 0.5),
-                       df_adjust=False)
-    assert res.stat_coef == res.nobs * (res.alpha_hat - 1.0)
-
-
 def test_phillips_iid_correction_is_small():
     gen = T.RngSpec(37, 0).generator()
     gaps = np.empty(200)
@@ -191,9 +176,10 @@ def test_quantile_table_answers_any_level():
     for draws in (gen.standard_normal(20000), gen.standard_cauchy(4001),
                   np.round(gen.standard_normal(999), 1)):
         table = T.QuantileTable.from_draws(draws, detail="sim")
-        # the reference levels equal the array call the tables once stored
-        want = np.quantile(draws, np.asarray(T.DEFAULT_PROBS))
-        assert table.values == tuple(float(v) for v in want)
+        # tail and central levels equal the array call the tables once stored
+        probs = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
+        want = np.quantile(draws, np.asarray(probs))
+        assert tuple(table.quantile(p) for p in probs) == tuple(float(v) for v in want)
         for p in (0.001, 0.07, 0.333, 0.999):
             assert table.quantile(p) == float(np.quantile(draws, p))
         assert table.reps == draws.size
