@@ -24,7 +24,7 @@ import numpy as np
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
 from ._panel import check_fit, collinear, exact_fit, first_rep, ols, rowdot
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable, _walk_batches
+from .tables import _MIN_REPS, QuantileTable, _walk_batches
 
 __all__ = [
     "WaldBreakResult",
@@ -231,7 +231,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     trimmed points, one contiguous slice.
     """
     p = check_positive_int(p, "p")
-    reps = check_positive_int(reps, "reps", minimum=100)
+    reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)
     trim = _check_trim(trim)
     grid = check_positive_int(grid, "grid")
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))

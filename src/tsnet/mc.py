@@ -110,7 +110,8 @@ from .series import (
     _rekey,
     simulate_predictive_system,
 )
-from .unitroot import _ar_fit, _phillips_z_panel, df_limit_mc
+from .tables import _MIN_REPS
+from .unitroot import _MIN_T, _ar_fit, _phillips_z_panel, df_limit_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -458,6 +459,20 @@ def _aux_rng(cfg: ExperimentConfig) -> RngSpec:
     return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps)
 
 
+def _at_least(cfg: ExperimentConfig, **floors) -> None:
+    """Raise a ValueError naming the experiment if a parameter lies below
+    its floor in `floors`.
+
+    A setup hook calls it before its first table or rep, so that the error
+    names the experiment's own parameter, not the argument of the library
+    function it feeds.
+    """
+    for key, floor in floors.items():
+        if cfg.params[key] < floor:
+            raise ValueError(f"experiment {cfg.experiment!r}: {key} must be at least "
+                             f"{floor}, got {key}={cfg.params[key]!r}")
+
+
 @dataclass
 class McResult:
     """Stacked replication draws plus the summary dict and written files."""
@@ -665,6 +680,12 @@ _register("ar1-clt", ("rho_hat", "z"), _panel(lambda p: (p["n"] + 1,), _ar1_clt_
           bounded={"rho": "a stationary root"})
 
 
+def _hac_lrv_setup(cfg):
+    # the estimator needs two observations
+    _at_least(cfg, n=2)
+    return {}
+
+
 def _hac_lrv_rep(cfg, ctx, z):
     est = _hac_lrv_panel(_stationary_ar1(z, cfg.params["phi"]), kernel=_kernel_from(cfg))
     return np.column_stack([est.omega[:, 0, 0], np.full(len(z), est.bandwidth)])
@@ -682,13 +703,14 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 
 
 _register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,), _hac_lrv_rep),
-          _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
+          _hac_lrv_summarize, setup=_hac_lrv_setup, params={"n": 100000, "phi": 0.5, **_KERNEL},
           echo=("n", "phi"), bounded={"phi": "a stationary root"})
 
 
 def _phillips_setup(cfg):
     p = cfg.params
-    # a bad kernel fails before the limit table is simulated
+    # bad input fails before the limit table is simulated
+    _at_least(cfg, n=_MIN_T, cv_reps=_MIN_REPS)
     kernel = _kernel_from(cfg)
     tables = df_limit_mc(p["n"], deterministic=p["deterministic"], reps=p["cv_reps"],
                          rng=_aux_rng(cfg))
@@ -778,6 +800,7 @@ _register("ivx-null", ("wald", "pvalue", "beta_hat"), _panel(lambda p: (p["n"], 
 
 def _supwald_setup(cfg):
     p = cfg.params
+    _at_least(cfg, nbb_reps=_MIN_REPS, nbb_grid=1)
     table = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
                        grid=p["nbb_grid"])
     # the critical value alone: the table's draws need not ship to pool workers
@@ -882,6 +905,7 @@ _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"
 
 def _urboot_setup(cfg):
     n, block = cfg.params["n"], cfg.params["block"]
+    _at_least(cfg, n=_MIN_T, cv_reps=_MIN_REPS)
     # blocks resample the n - 1 residuals of the AR(1) fit
     if not 1 <= block <= n - 1:
         raise ValueError(f"experiment 'unitroot-boot': block must lie in [1, n - 1] = "

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
 
 from ._checks import as_matrix, check_finite_path, check_positive_int
 from .lrv import KernelSpec, kernel_weight
@@ -149,8 +148,13 @@ def graph_distance(g: Graph) -> np.ndarray:
     All pairs, so O(n^2) memory; the consumers below only ever need
     `graph_shells` out to a small radius.  Kept as the dense oracle that
     tests/test_netdep.py checks `graph_shells` against, and named in the
-    benchmark tracer's table (perfbench/tracer.py).
+    benchmark tracer's table (perfbench/tracer.py).  Loads
+    scipy.sparse.csgraph on its first call.
     """
+    # csgraph drags in scipy.sparse.linalg: about 3 MB and 6-8 ms per
+    # process, which no command or experiment needs
+    from scipy.sparse.csgraph import shortest_path
+
     if g.num_edges == 0:
         d = np.full((g.n, g.n), np.inf)
         np.fill_diagonal(d, 0.0)

@@ -14,6 +14,9 @@ __all__ = ["QuantileTable"]
 # a core's L2 cache; it bounds the workspace and never a result.
 _WORKSPACE_BYTES = 2**19
 
+# the fewest replications a limit-table simulator accepts
+_MIN_REPS = 100
+
 
 def _walk_batches(gen, reps: int, shape: tuple[int, ...]):
     """Yield (lo, walks): `reps` standard-normal random walks of `shape`,

@@ -17,7 +17,7 @@ from ._checks import as_panel, as_series, check_in, check_positive_int
 from ._panel import check_design, check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
-from .tables import QuantileTable, _walk_batches
+from .tables import _MIN_REPS, QuantileTable, _walk_batches
 
 __all__ = [
     "AROls",
@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _DETERMINISTICS = ("none", "const", "trend")
+
+# the shortest walk `df_limit_mc` simulates
+_MIN_T = 10
 
 
 # the column of x_{t-1} in the design of `_ar_fit`
@@ -248,8 +251,8 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     cache-sized workspace, so memory does not grow with reps; the draws
     come from one stream in rep order and do not depend on the batch.
     """
-    T = check_positive_int(T, "T", minimum=10)
-    reps = check_positive_int(reps, "reps", minimum=100)
+    T = check_positive_int(T, "T", minimum=_MIN_T)
+    reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)
     check_in(deterministic, _DETERMINISTICS, "deterministic")
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))
     coef_draws = np.empty(reps)

@@ -315,13 +315,29 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
                                       "[1, n - 1] = [1, 999], got block=2000"),
     ("unitroot-boot", "block = 0", "experiment 'unitroot-boot': block must lie in "
                                    "[1, n - 1] = [1, 999], got block=0"),
-], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero"])
+    # each below used to name an internal argument: T or reps of df_limit_mc,
+    # reps or grid of nbb_sup_mc, ms of the HAC estimator
+    ("phillips-size", "n = 8", "experiment 'phillips-size': n must be at least 10, got n=8"),
+    ("phillips-size", "cv_reps = 50",
+     "experiment 'phillips-size': cv_reps must be at least 100, got cv_reps=50"),
+    ("unitroot-boot", "n = 8", "experiment 'unitroot-boot': n must be at least 10, got n=8"),
+    ("unitroot-boot", "cv_reps = 50",
+     "experiment 'unitroot-boot': cv_reps must be at least 100, got cv_reps=50"),
+    ("supwald-nbb", "nbb_reps = 50",
+     "experiment 'supwald-nbb': nbb_reps must be at least 100, got nbb_reps=50"),
+    ("supwald-nbb", "nbb_grid = 0",
+     "experiment 'supwald-nbb': nbb_grid must be at least 1, got nbb_grid=0"),
+    ("hac-lrv", "n = 1", "experiment 'hac-lrv': n must be at least 2, got n=1"),
+], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero", "phillips-n",
+        "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
+        "supwald-nbb-grid", "hac-lrv-n"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
                                                    experiment, line, message):
-    def no_table(*args, **kwargs):
-        raise AssertionError("the limit table was simulated")
+    def nothing_simulated(*args, **kwargs):
+        raise AssertionError("a limit table or a rep was simulated")
 
-    monkeypatch.setattr(mc, "df_limit_mc", no_table)
+    for name in ("df_limit_mc", "nbb_sup_mc", "_rep_streams"):
+        monkeypatch.setattr(mc, name, nothing_simulated)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"experiment = {experiment}\nreps = 2\n{line}\n")
     out = tmp_path / "out"

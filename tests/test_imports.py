@@ -1,5 +1,5 @@
-"""`import tsnet` stays light: numpy plus scipy's sparse, csgraph,
-special and linalg.lapack.
+"""`import tsnet` stays light: numpy plus scipy's sparse, special and
+linalg.lapack.
 
 scipy.signal, scipy.stats, scipy.optimize and scipy.interpolate together
 cost about a second per process, which every `tsnet` command would pay.
@@ -9,21 +9,29 @@ derivatives of the conditional variance follow its own recursion
 (Fiorentini, Calzolari & Panattoni 1996), so one banded filter pass
 gives the gradient and the scoring matrix (Berndt, Hall, Hall & Hausman
 1974), and the library never imports scipy.optimize at all.
+scipy.sparse.csgraph, which loads scipy.sparse.linalg with it, is
+imported only inside `graph_distance`, the dense distance oracle that no
+command or experiment calls: it would cost every process about 3 MB.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import tsnet
+from tsnet import mc
 
 _SRC = Path(tsnet.__file__).parent
-_HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+_HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate",
+          "scipy.sparse.csgraph", "scipy.sparse.linalg")
 # never imported by the library, not even inside a function
 _BANNED = ("scipy.signal", "scipy.optimize")
 
@@ -43,8 +51,8 @@ def _imported(node):
 
 def _heavy_imports(source: str) -> list[str]:
     """Lines of `source` that use lfilter, import scipy.signal or
-    scipy.optimize, or import scipy.stats or interpolate outside a
-    function body."""
+    scipy.optimize, or import another `_HEAVY` module outside a function
+    body."""
     tree = ast.parse(source)
     in_function = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -78,11 +86,16 @@ def test_guard_flags_each_heavy_import():
         "def fit(y):\n    import scipy.optimize",
         "from scipy import interpolate",
         "if True:\n    from scipy import stats",
+        "from scipy.sparse.csgraph import shortest_path",
+        "from scipy.sparse import csgraph",
+        "import scipy.sparse.csgraph",
+        "from scipy.sparse.linalg import eigsh",
     ]
     for src in forms:
         assert len(_heavy_imports(src)) == 1, src
-    # a lazy import of stats, and the light scipy modules, pass
+    # lazy imports of stats and csgraph, and the light scipy modules, pass
     others = ("def summarize(z):\n    from scipy import stats\n"
+              "def distance(g):\n    from scipy.sparse.csgraph import shortest_path\n"
               "from scipy.special import ndtri\nfrom scipy import sparse, special\n"
               "from scipy.linalg.lapack import dtbtrs\n")
     assert _heavy_imports(others) == []
@@ -94,21 +107,54 @@ def test_no_heavy_scipy_import_in_the_library():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy submodules loaded once `code` has run in a fresh process."""
+def _stdout(code: str) -> str:
+    """What `code` prints in a fresh process, after `import sys`."""
     env = dict(os.environ)
     src = str(_SRC.resolve().parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code += "\nprint('\\n'.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy submodules loaded once `code` has run in a fresh process."""
+    return _stdout(code + "\nprint('\\n'.join(sorted(m for m in sys.modules "
+                          "if m.startswith('scipy.'))))").split()
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     loaded = _scipy_modules_after("import tsnet.cli")
     assert "scipy.sparse" in loaded
     assert [m for m in loaded if _under(m, _HEAVY)] == []
+
+
+def test_only_the_distance_oracle_loads_csgraph():
+    # criterion 12's small size of every registered experiment
+    from test_acceptance import _TINY
+
+    assert set(_TINY) == set(mc.EXPERIMENTS)
+    out = json.loads(_stdout(
+        "import json\n"
+        "import tsnet\n"
+        "from tsnet.mc import ExperimentConfig, run_experiment\n"
+        f"for name, (reps, params) in {_TINY!r}.items():\n"
+        "    run_experiment(ExperimentConfig(experiment=name, reps=reps, params=params))\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')\n"
+        "            if m in sys.modules]\n"
+        "before = loaded()\n"
+        "cycle = tsnet.graph_distance(tsnet.cycle_graph(6))\n"
+        "split = tsnet.graph_distance(tsnet.Graph(n=3, edges=((1, 2),)))\n"
+        "print(json.dumps({'before': before, 'after': loaded(),\n"
+        "                  'cycle': cycle.tolist(), 'split': split.tolist()}))"))
+    assert out["before"] == []
+    assert out["after"] == ["scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    i = np.arange(6)
+    gap = np.abs(i[:, None] - i[None, :])
+    np.testing.assert_array_equal(out["cycle"], np.minimum(gap, 6 - gap))
+    np.testing.assert_array_equal(out["split"], [[0, 1, np.inf], [1, 0, np.inf],
+                                                 [np.inf, np.inf, 0]])
 
 
 def test_garch_fit_leaves_scipy_optimize_unloaded():
