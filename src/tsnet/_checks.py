@@ -15,6 +15,9 @@ import numpy as np
 __all__ = ["as_series", "as_matrix", "as_panel", "as_yx", "check_positive_int", "check_in",
            "check_finite_path"]
 
+# the fewest observations `as_yx` takes for a regression, unless told otherwise
+_MIN_OBS = 8
+
 
 def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.ndarray:
     """Coerce a stack of reps to a finite float panel, each rep >= min_len long.
@@ -37,7 +40,7 @@ def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.n
     return arr
 
 
-def as_yx(y, x, min_len: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def as_yx(y, x, min_len: int = _MIN_OBS) -> tuple[np.ndarray, np.ndarray]:
     """Coerce a regression's (R, n) y and (R, n[, d]) x panels, of equal n."""
     y = as_panel(y, "y", min_len)
     x = as_panel(x, "x", min_len, matrix=True)

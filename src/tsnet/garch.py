@@ -47,6 +47,8 @@ from .series import _resolve_rng
 __all__ = ["GarchSpec", "GarchFit", "GarchConvergenceWarning", "garch_filter",
            "garch_qmle", "simulate_garch"]
 
+# the shortest series `garch_qmle` fits
+_MIN_QMLE_N = 50
 _PERSISTENCE_CAP = 1.0 - 1e-6
 _BOX = 40.0
 # a run ends when a step lowers the objective by at most this share of it
@@ -312,7 +314,7 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     fit that stops at the iteration cap warns with
     `GarchConvergenceWarning` and reports converged=False.
     """
-    obs = as_series(y, "y", min_len=50)
+    obs = as_series(y, "y", min_len=_MIN_QMLE_N)
     ar_coeff = None
     if mean == "constant":
         mu = float(obs.mean())

@@ -56,8 +56,11 @@ Keys other than the reserved ones (experiment, reps, seed, stream,
 jobs, level) are parameters, and each must be one the experiment
 declares.  `resolve` reads each value in its declared type (so
 `deterministic = none` is the string "none", `bandwidth = none` an
-unset number), rejects any other key, or a value not of that type,
-before setup runs, and fills in the defaults.
+unset number), fills in the defaults, and rejects any other key, a
+value not of that type, or a value outside its parameter's declared
+domain (a stationary root in (-1, 1), n at least 8, block in
+[1, n - 1], ...), before any setup runs.  Setup hooks only build
+shared context, raising nothing of their own.
 `grid.<name>` lines declare sweep axes for `size_power_grid`, which
 runs the cartesian product and moves each cell onto its own stream
 range.
@@ -83,14 +86,15 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ._checks import check_positive_int
+from ._checks import _MIN_OBS, check_positive_int
 from ._panel import ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
-from .garch import GarchSpec, garch_qmle, simulate_garch
+from .garch import _MIN_QMLE_N, GarchSpec, garch_qmle, simulate_garch
 from .lrv import KernelSpec, _hac_lrv_panel
 from .netdep import (
+    _MIN_CYCLE,
     _graph_ma_panel,
     _network_hac_panel,
     cycle_graph,
@@ -306,9 +310,10 @@ class Experiment:
     indices and returns a (len(rs), len(columns)) float array, row i for
     rep rs[i].  The summary is the `echo` parameters (or "level", for
     exactly the experiments that read it), then the fields
-    `summarize(cfg, ctx, draws)` computes.  `bounded` maps each parameter
-    that must lie in (-1, 1) to what it is: a stationary root (the draw
-    starts the AR(1) in its stationary law) or a correlation.
+    `summarize(cfg, ctx, draws)` computes.  `domains` maps a parameter
+    to its domain, a pair (text, test): `test(value, params)` of the
+    resolved value and parameters is true exactly on the set `text`
+    names, such as "at least 8" or "in [1, n - 1]".
     """
 
     name: str
@@ -318,17 +323,27 @@ class Experiment:
     summarize: Callable
     params: dict
     echo: tuple[str, ...]
-    bounded: dict = field(default_factory=dict)
+    domains: dict = field(default_factory=dict)
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, columns, rep, summarize, params, echo, setup=None, bounded=None):
+def _register(name, columns, rep, summarize, params, echo, setup=None, domains=None):
     EXPERIMENTS[name] = Experiment(
         name=name, columns=tuple(columns),
         setup=setup if setup is not None else (lambda cfg: {}),
-        rep=rep, summarize=summarize, params=params, echo=echo, bounded=bounded or {})
+        rep=rep, summarize=summarize, params=params, echo=echo, domains=domains or {})
+
+
+def _minimum(floor):
+    """The domain of a parameter of at least `floor`."""
+    return f"at least {floor}", lambda v, p: v >= floor
+
+
+# the draw starts an AR(1) in its stationary law, so its root needs |phi| < 1
+_ROOT = ("a stationary root in (-1, 1)", lambda v, p: abs(v) < 1.0)
+_CORR = ("a correlation in (-1, 1)", lambda v, p: abs(v) < 1.0)
 
 
 def _read(default, value):
@@ -380,8 +395,8 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
     experiment does not declare, or a value of the wrong type, raises
     ValueError, and so do `reps` or `jobs` below 1, a `level` outside
     (0, 1), a `level` other than the default for an experiment that does
-    not read it, and a `bounded` parameter outside (-1, 1), however they
-    were set.
+    not read it, and a parameter outside its declared domain, however
+    they were set.
     Resolving a resolved config gives it back unchanged.
     """
     if cfg.experiment not in EXPERIMENTS:
@@ -403,10 +418,10 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
                          f"leave it at {_LEVEL}, got {level!r}")
     params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
               for key, default in declared.items()}
-    for key, what in exp.bounded.items():
-        if not abs(params[key]) < 1.0:
+    for key, (text, test) in exp.domains.items():
+        if not test(params[key], params):
             raise ValueError(f"experiment {cfg.experiment!r}: parameter {key!r} must be "
-                             f"{what} in (-1, 1), got {params[key]!r}")
+                             f"{text}, got {params[key]!r}")
     return replace(cfg, params=params, reps=check_positive_int(cfg.reps, "reps"),
                    jobs=check_positive_int(cfg.jobs, "jobs"))
 
@@ -457,20 +472,6 @@ def _panel(draw, rep):
 
 def _aux_rng(cfg: ExperimentConfig) -> RngSpec:
     return RngSpec(cfg.seed, cfg.stream).substream(cfg.reps)
-
-
-def _at_least(cfg: ExperimentConfig, **floors) -> None:
-    """Raise a ValueError naming the experiment if a parameter lies below
-    its floor in `floors`.
-
-    A setup hook calls it before its first table or rep, so that the error
-    names the experiment's own parameter, not the argument of the library
-    function it feeds.
-    """
-    for key, floor in floors.items():
-        if cfg.params[key] < floor:
-            raise ValueError(f"experiment {cfg.experiment!r}: {key} must be at least "
-                             f"{floor}, got {key}={cfg.params[key]!r}")
 
 
 @dataclass
@@ -675,15 +676,10 @@ def _ar1_clt_summarize(cfg, ctx, draws):
     }
 
 
+# the AR(1) fit of n points keeps n - 2 residual degrees of freedom
 _register("ar1-clt", ("rho_hat", "z"), _panel(lambda p: (p["n"] + 1,), _ar1_clt_rep),
           _ar1_clt_summarize, params={"n": 5000, "rho": 0.5}, echo=("n", "rho"),
-          bounded={"rho": "a stationary root"})
-
-
-def _hac_lrv_setup(cfg):
-    # the estimator needs two observations
-    _at_least(cfg, n=2)
-    return {}
+          domains={"n": _minimum(3), "rho": _ROOT})
 
 
 def _hac_lrv_rep(cfg, ctx, z):
@@ -702,15 +698,14 @@ def _hac_lrv_summarize(cfg, ctx, draws):
     }
 
 
+# the estimator needs two observations
 _register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,), _hac_lrv_rep),
-          _hac_lrv_summarize, setup=_hac_lrv_setup, params={"n": 100000, "phi": 0.5, **_KERNEL},
-          echo=("n", "phi"), bounded={"phi": "a stationary root"})
+          _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
+          echo=("n", "phi"), domains={"n": _minimum(2), "phi": _ROOT})
 
 
 def _phillips_setup(cfg):
     p = cfg.params
-    # bad input fails before the limit table is simulated
-    _at_least(cfg, n=_MIN_T, cv_reps=_MIN_REPS)
     kernel = _kernel_from(cfg)
     tables = df_limit_mc(p["n"], deterministic=p["deterministic"], reps=p["cv_reps"],
                          rng=_aux_rng(cfg))
@@ -743,7 +738,8 @@ _register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
           _phillips_summarize, setup=_phillips_setup,
           params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
                   **_KERNEL},
-          echo=("n", "theta", "level"))
+          echo=("n", "theta", "level"),
+          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS)})
 
 
 def _fmols_rep(cfg, ctx, z):
@@ -770,7 +766,7 @@ def _fmols_summarize(cfg, ctx, draws):
 # no family or bandwidth: FM-OLS runs with the library's default kernel
 _register("fmols-size", ("t_fm", "t_ols"), _panel(lambda p: (p["n"], 2), _fmols_rep),
           _fmols_summarize, params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
-          echo=("n", "corr", "level"), bounded={"corr": "a correlation"})
+          echo=("n", "corr", "level"), domains={"n": _minimum(_MIN_OBS), "corr": _CORR})
 
 
 def _system_spec(cfg) -> SystemSpec:
@@ -795,12 +791,12 @@ def _ivx_summarize(cfg, ctx, draws):
 _register("ivx-null", ("wald", "pvalue", "beta_hat"), _panel(lambda p: (p["n"], 2), _ivx_rep),
           _ivx_summarize, params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
                   "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
-          echo=("n", "c", "gamma", "corr", "beta", "level"), bounded={"corr": "a correlation"})
+          echo=("n", "c", "gamma", "corr", "beta", "level"),
+          domains={"n": _minimum(_MIN_OBS), "corr": _CORR})
 
 
 def _supwald_setup(cfg):
     p = cfg.params
-    _at_least(cfg, nbb_reps=_MIN_REPS, nbb_grid=1)
     table = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
                        grid=p["nbb_grid"])
     # the critical value alone: the table's draws need not ship to pool workers
@@ -829,7 +825,9 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _panel(lambda p: (p["n"], 2), 
           params={"n": 2000, "c": -5.0, "gamma": 0.75, "corr": 0.5, "beta": 0.25,
                   "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
                   "nbb_grid": 1000},
-          echo=("n", "c", "gamma"), bounded={"corr": "a correlation"})
+          echo=("n", "c", "gamma"),
+          domains={"n": _minimum(_MIN_OBS), "corr": _CORR, "nbb_reps": _minimum(_MIN_REPS),
+                   "nbb_grid": _minimum(1)})
 
 
 def _fixed_wald_rep(cfg, ctx, z):
@@ -857,7 +855,7 @@ def _fixed_wald_summarize(cfg, ctx, draws):
 # each rep draws x0, then the n innovations of x, then n - 1 errors
 _register("fixed-wald", ("wald",), _panel(lambda p: (2 * p["n"],), _fixed_wald_rep),
           _fixed_wald_summarize, params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
-          echo=("n", "pi0"), bounded={"phi_x": "a stationary root"})
+          echo=("n", "pi0"), domains={"n": _minimum(_MIN_OBS), "phi_x": _ROOT})
 
 
 def _nethac_setup(cfg):
@@ -900,17 +898,12 @@ _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"
           _panel(lambda p: (p["n_nodes"],), _nethac_rep), _nethac_summarize, setup=_nethac_setup,
           params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
                   "family": "bartlett"},
-          echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))
+          echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"),
+          domains={"n_nodes": _minimum(_MIN_CYCLE)})
 
 
 def _urboot_setup(cfg):
-    n, block = cfg.params["n"], cfg.params["block"]
-    _at_least(cfg, n=_MIN_T, cv_reps=_MIN_REPS)
-    # blocks resample the n - 1 residuals of the AR(1) fit
-    if not 1 <= block <= n - 1:
-        raise ValueError(f"experiment 'unitroot-boot': block must lie in [1, n - 1] = "
-                         f"[1, {n - 1}], got block={block!r}")
-    tables = df_limit_mc(n, deterministic="none", reps=cfg.params["cv_reps"],
+    tables = df_limit_mc(cfg.params["n"], deterministic="none", reps=cfg.params["cv_reps"],
                          rng=_aux_rng(cfg))
     return {"q05_limit": tables.coef.quantile(0.05)}
 
@@ -933,10 +926,13 @@ def _urboot_summarize(cfg, ctx, draws):
     }
 
 
+# blocks resample the n - 1 residuals of the AR(1) fit
 _register("unitroot-boot", ("q05_boot", "observed"), _per_rep(_urboot_rep),
           _urboot_summarize, setup=_urboot_setup,
           params={"n": 1000, "cv_reps": 20000, "B": 2000, "block": 10},
-          echo=("n", "B", "block"))
+          echo=("n", "B", "block"),
+          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS),
+                   "block": ("in [1, n - 1]", lambda v, p: 1 <= v <= p["n"] - 1)})
 
 
 def _garch_spec(cfg) -> GarchSpec:
@@ -972,16 +968,11 @@ _register("garch-recovery",
            "filter_mean", "converged"),
           _per_rep(_garch_rep), _garch_summarize,
           params={"n": 20000, "omega": 0.1, "alpha": 0.1, "beta": 0.8, "burn": 500},
-          echo=("n", "omega", "alpha", "beta"))
+          echo=("n", "omega", "alpha", "beta"), domains={"n": _minimum(_MIN_QMLE_N)})
 
 
 def _mp_setup(cfg):
-    n, gamma = cfg.params["n"], cfg.params["gamma"]
-    p = int(round(gamma * n)) if 0.0 < gamma <= 1.0 else 0
-    if p < 1:
-        raise ValueError(f"experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
-                         f"must round to at least 1, got gamma={gamma!r}, n={n!r}")
-    return {"p": p}
+    return {"p": round(cfg.params["gamma"] * cfg.params["n"])}
 
 
 def _mp_rep(cfg, ctx, gen):
@@ -1006,15 +997,9 @@ def _mp_summarize(cfg, ctx, draws):
 
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
           _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, params={"n": 4000, "gamma": 0.25},
-          echo=("n", "gamma"))
-
-
-def _nested_setup(cfg):
-    n_small, top = cfg.params["n_small"], len(cfg.params["beta"]) - 1
-    if not 0 <= n_small <= top:
-        raise ValueError(f"experiment 'nested-forecast': n_small must lie in "
-                         f"[0, len(beta) - 1] = [0, {top}], got n_small={n_small!r}")
-    return {}
+          echo=("n", "gamma"),
+          domains={"gamma": ("in (0, 1] with round(gamma * n) >= 1",
+                             lambda v, p: 0.0 < v <= 1.0 and round(v * p["n"]) >= 1)})
 
 
 def _nested_rep(cfg, ctx, gen):
@@ -1036,10 +1021,14 @@ def _nested_summarize(cfg, ctx, draws):
     }
 
 
-# k0 (the first forecast origin, in pairs) defaults to n // 4
+# k0 (the first forecast origin, in pairs) defaults to n // 4; the small
+# model keeps the first n_small regressors, and the large one adds the rest
 _register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
-          _nested_summarize, setup=_nested_setup,
+          _nested_summarize,
           params={"n": 1000, "n_small": 1, "k0": None, "beta": (0.1, 0.1, -0.05),
                   "c": (-2.0, -5.0, -10.0), "v_ar": (0.28, 0.32, -0.14),
                   "intercept": 0.0},
-          echo=("n", "n_small"))
+          echo=("n", "n_small"),
+          domains={"n": _minimum(_MIN_OBS),
+                   "n_small": ("in [0, len(beta) - 1]",
+                               lambda v, p: 0 <= v <= len(p["beta"]) - 1)})

@@ -50,6 +50,9 @@ __all__ = [
     "write_edgelist",
 ]
 
+# the fewest nodes of a cycle graph
+_MIN_CYCLE = 3
+
 # Exponent grid for the Hölder infimum in c_n.
 _HOLDER_GRID = tuple(np.concatenate([[1.01], np.arange(1.05, 8.0 + 1e-9, 0.05), [16.0, 32.0]]))
 
@@ -131,7 +134,7 @@ def _check_edge(n: int, edge) -> None:
 
 def cycle_graph(n: int) -> Graph:
     """Cycle C_n (n >= 3)."""
-    n = check_positive_int(n, "n", minimum=3)
+    n = check_positive_int(n, "n", minimum=_MIN_CYCLE)
     return Graph(n=n, edges=np.column_stack([np.r_[1:n, 1], np.r_[2:n + 1, n]]))
 
 

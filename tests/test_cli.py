@@ -291,7 +291,7 @@ def test_mc_bad_parameter_is_one_line(tmp_path, capsys, experiment, line):
 def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsys,
                                                                  monkeypatch, n_small):
     # the default system has three regressors, so at 3 or 5 nothing is left to
-    # nest, and -1 would slice x[:, :-1]; each stops in setup, naming n_small
+    # nest, and -1 would slice x[:, :-1]; each stops in resolve, naming n_small
     def no_draws(*args, **kwargs):
         raise AssertionError("the reps were simulated")
 
@@ -302,37 +302,61 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
     out.mkdir()
     assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
     assert _one_error_line(capsys) == (
-        "tsnet: error: experiment 'nested-forecast': n_small must lie in "
-        f"[0, len(beta) - 1] = [0, 2], got n_small={n_small}")
+        "tsnet: error: experiment 'nested-forecast': parameter 'n_small' must be in "
+        f"[0, len(beta) - 1], got {n_small}")
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("experiment,line,message", [
-    ("phillips-size", "family = foo",
+@pytest.mark.parametrize("kind,experiment,line,message", [
+    ("run", "phillips-size", "family = foo",
      "family must be one of ['bartlett', 'parzen', 'quadratic-spectral', 'truncated'], "
      "got 'foo'"),
-    ("unitroot-boot", "block = 2000", "experiment 'unitroot-boot': block must lie in "
-                                      "[1, n - 1] = [1, 999], got block=2000"),
-    ("unitroot-boot", "block = 0", "experiment 'unitroot-boot': block must lie in "
-                                   "[1, n - 1] = [1, 999], got block=0"),
+    ("run", "unitroot-boot", "block = 2000",
+     "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
+    ("run", "unitroot-boot", "block = 0",
+     "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 0"),
     # each below used to name an internal argument: T or reps of df_limit_mc,
-    # reps or grid of nbb_sup_mc, ms of the HAC estimator
-    ("phillips-size", "n = 8", "experiment 'phillips-size': n must be at least 10, got n=8"),
-    ("phillips-size", "cv_reps = 50",
-     "experiment 'phillips-size': cv_reps must be at least 100, got cv_reps=50"),
-    ("unitroot-boot", "n = 8", "experiment 'unitroot-boot': n must be at least 10, got n=8"),
-    ("unitroot-boot", "cv_reps = 50",
-     "experiment 'unitroot-boot': cv_reps must be at least 100, got cv_reps=50"),
-    ("supwald-nbb", "nbb_reps = 50",
-     "experiment 'supwald-nbb': nbb_reps must be at least 100, got nbb_reps=50"),
-    ("supwald-nbb", "nbb_grid = 0",
-     "experiment 'supwald-nbb': nbb_grid must be at least 1, got nbb_grid=0"),
-    ("hac-lrv", "n = 1", "experiment 'hac-lrv': n must be at least 2, got n=1"),
+    # reps or grid of nbb_sup_mc, ms of the HAC estimator, y of a regression
+    # or of the GARCH fit, n of cycle_graph, or the AR(1) fit's degrees of freedom
+    ("run", "phillips-size", "n = 8",
+     "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
+    ("run", "phillips-size", "cv_reps = 50",
+     "experiment 'phillips-size': parameter 'cv_reps' must be at least 100, got 50"),
+    ("run", "unitroot-boot", "n = 8",
+     "experiment 'unitroot-boot': parameter 'n' must be at least 10, got 8"),
+    ("run", "unitroot-boot", "cv_reps = 50",
+     "experiment 'unitroot-boot': parameter 'cv_reps' must be at least 100, got 50"),
+    ("run", "supwald-nbb", "nbb_reps = 50",
+     "experiment 'supwald-nbb': parameter 'nbb_reps' must be at least 100, got 50"),
+    ("run", "supwald-nbb", "nbb_grid = 0",
+     "experiment 'supwald-nbb': parameter 'nbb_grid' must be at least 1, got 0"),
+    ("run", "hac-lrv", "n = 1", "experiment 'hac-lrv': parameter 'n' must be at least 2, got 1"),
+    ("run", "fmols-size", "n = 7",
+     "experiment 'fmols-size': parameter 'n' must be at least 8, got 7"),
+    ("run", "ivx-null", "n = 7", "experiment 'ivx-null': parameter 'n' must be at least 8, got 7"),
+    ("run", "supwald-nbb", "n = 7",
+     "experiment 'supwald-nbb': parameter 'n' must be at least 8, got 7"),
+    ("run", "fixed-wald", "n = 7",
+     "experiment 'fixed-wald': parameter 'n' must be at least 8, got 7"),
+    ("run", "nested-forecast", "n = 7",
+     "experiment 'nested-forecast': parameter 'n' must be at least 8, got 7"),
+    ("run", "garch-recovery", "n = 49",
+     "experiment 'garch-recovery': parameter 'n' must be at least 50, got 49"),
+    ("run", "nethac-coverage", "n_nodes = 2",
+     "experiment 'nethac-coverage': parameter 'n_nodes' must be at least 3, got 2"),
+    ("run", "ar1-clt", "n = 2", "experiment 'ar1-clt': parameter 'n' must be at least 3, got 2"),
+    # a grid checks every cell before the first cell's table is simulated
+    ("grid", "phillips-size", "grid.n = 500, 8",
+     "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
+    ("grid", "unitroot-boot", "n = 1000\ngrid.block = 10, 2000",
+     "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
 ], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
-        "supwald-nbb-grid", "hac-lrv-n"])
+        "supwald-nbb-grid", "hac-lrv-n", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
+        "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "grid-phillips-n",
+        "grid-urboot-block"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
-                                                   experiment, line, message):
+                                                   kind, experiment, line, message):
     def nothing_simulated(*args, **kwargs):
         raise AssertionError("a limit table or a rep was simulated")
 
@@ -342,7 +366,7 @@ def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch
     cfg.write_text(f"experiment = {experiment}\nreps = 2\n{line}\n")
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    assert main(["mc", kind, str(cfg), "--out", str(out)]) == 2
     assert _one_error_line(capsys) == f"tsnet: error: {message}"
     assert list(out.iterdir()) == []
 
@@ -578,8 +602,8 @@ def test_wide_spectrum_is_one_line_without_advice(tmp_path, capsys):
     cfg.write_text("experiment = mp-edges\nreps = 2\nn = 20\ngamma = 1.5\n")
     assert main(["mc", "run", str(cfg), "--out", str(tmp_path)]) == 2
     assert _one_error_line(capsys) == (
-        "tsnet: error: experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
-        "must round to at least 1, got gamma=1.5, n=20")
+        "tsnet: error: experiment 'mp-edges': parameter 'gamma' must be in (0, 1] with "
+        "round(gamma * n) >= 1, got 1.5")
 
 
 @pytest.mark.parametrize("n,gamma", [(1, 0.25), (100, -0.5), (100, 1.5), (100, 0.0),
@@ -596,8 +620,8 @@ def test_mp_edges_bad_gamma_or_n_is_one_line(tmp_path, capsys, monkeypatch, n, g
     out.mkdir()
     assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
     assert _one_error_line(capsys) == (
-        "tsnet: error: experiment 'mp-edges': gamma must lie in (0, 1] and gamma * n "
-        f"must round to at least 1, got gamma={float(gamma)!r}, n={n}")
+        "tsnet: error: experiment 'mp-edges': parameter 'gamma' must be in (0, 1] with "
+        f"round(gamma * n) >= 1, got {float(gamma)!r}")
     assert list(out.iterdir()) == []
 
 

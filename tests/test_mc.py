@@ -530,6 +530,42 @@ def test_unknown_key_fails_before_any_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# values outside each declared domain, by (experiment, parameter)
+_OUTSIDE = {
+    ("ar1-clt", "n"): (2,),
+    ("ar1-clt", "rho"): (1.0, -1.5, float("nan")),  # a stationary root lies in (-1, 1)
+    ("hac-lrv", "n"): (1,),
+    ("hac-lrv", "phi"): (1,),
+    ("phillips-size", "n"): (9,),
+    ("phillips-size", "cv_reps"): (99,),
+    ("fmols-size", "n"): (7,),
+    ("fmols-size", "corr"): (-1.0,),  # a correlation lies in (-1, 1)
+    ("ivx-null", "n"): (7,),
+    ("ivx-null", "corr"): (1.5,),
+    ("supwald-nbb", "n"): (7,),
+    ("supwald-nbb", "corr"): (1.0,),
+    ("supwald-nbb", "nbb_reps"): (99,),
+    ("supwald-nbb", "nbb_grid"): (0,),
+    ("fixed-wald", "n"): (7,),
+    ("fixed-wald", "phi_x"): (-1.0,),
+    ("nethac-coverage", "n_nodes"): (2,),
+    ("unitroot-boot", "n"): (9,),
+    ("unitroot-boot", "cv_reps"): (99,),
+    ("unitroot-boot", "block"): (1000,),
+    ("garch-recovery", "n"): (49,),
+    ("mp-edges", "gamma"): (0.0001,),  # rounds gamma * n to 0 at n = 4000
+    ("nested-forecast", "n"): (7,),
+    ("nested-forecast", "n_small"): (3,),
+}
+
+
+def test_each_domain_has_an_outside_row_and_holds_its_default():
+    assert set(_OUTSIDE) == {(name, key) for name, exp in EXPERIMENTS.items()
+                             for key in exp.domains}
+    for name in EXPERIMENTS:
+        resolve(ExperimentConfig(experiment=name))
+
+
 @pytest.mark.parametrize("experiment,key,value", [
     ("fixed-wald", "n", 120.7),        # an int parameter takes only ints
     ("fixed-wald", "pi0", "half"),
@@ -538,19 +574,55 @@ def test_unknown_key_fails_before_any_output(tmp_path):
     ("nested-forecast", "c", (-2.0, "x")),
     ("phillips-size", "deterministic", 1),
     ("fmols-size", "family", "parzen"),  # fmols-size has no kernel to set
-    ("ar1-clt", "rho", 1.0),           # a stationary root lies in (-1, 1)
-    ("ar1-clt", "rho", -1.5),
-    ("ar1-clt", "rho", float("nan")),
-    ("hac-lrv", "phi", 1),
-    ("fixed-wald", "phi_x", -1.0),
-    ("ivx-null", "corr", 1.5),         # a correlation lies in (-1, 1)
-    ("fmols-size", "corr", -1.0),
-    ("supwald-nbb", "corr", 1.0),
-])
+] + [(name, key, value) for (name, key), values in _OUTSIDE.items() for value in values])
 def test_resolve_rejects_bad_parameters(experiment, key, value):
     cfg = ExperimentConfig(experiment=experiment, reps=2, params={key: value})
-    with pytest.raises(ValueError, match=repr(key)):
+    with pytest.raises(ValueError, match=repr(key)) as exc:
         resolve(cfg)
+    # `in` finds the nan row by identity
+    if value in _OUTSIDE.get((experiment, key), ()):
+        exp = EXPERIMENTS[experiment]
+        typed = mc._typed(experiment, key, exp.params[key], value)
+        assert str(exc.value) == (f"experiment {experiment!r}: parameter {key!r} must be "
+                                  f"{exp.domains[key][0]}, got {typed!r}")
+
+
+def _setup_raises(source: str) -> dict:
+    """{setup hook given to `_register` in `source`: whether it raises}.
+
+    A hook raises when it, or a module-level function it names
+    (transitively), holds a `raise` statement.
+    """
+    tree = ast.parse(source)
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    hooks = {kw.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_register"
+             for kw in node.keywords if kw.arg == "setup"}
+    found = {}
+    for hook in hooks:
+        todo, seen, found[hook] = [funcs[hook]], {hook}, False
+        while todo:
+            for sub in ast.walk(todo.pop()):
+                found[hook] |= isinstance(sub, ast.Raise)
+                if isinstance(sub, ast.Name) and sub.id in funcs and sub.id not in seen:
+                    seen.add(sub.id)
+                    todo.append(funcs[sub.id])
+    return found
+
+
+def test_guard_flags_a_setup_hook_that_raises():
+    src = ("def _setup(cfg):\n    raise ValueError(cfg)\n"
+           '_register("a", ("x",), None, None, params={}, echo=(), setup=_setup)\n')
+    assert _setup_raises(src) == {"_setup": True}
+    assert _setup_raises(src.replace("raise ValueError(cfg)", "return {}")) == {"_setup": False}
+
+
+def test_setup_hooks_leave_parameter_checks_to_resolve():
+    # a parameter's domain is declared with it and checked by `resolve`, before any setup
+    found = _setup_raises(Path(mc.__file__).read_text())
+    assert sorted(found) == ["_mp_setup", "_nethac_setup", "_phillips_setup",
+                             "_supwald_setup", "_urboot_setup"]
+    assert not any(found.values()), found
 
 
 def test_resolve_takes_a_level_only_where_it_is_read():
