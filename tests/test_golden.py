@@ -1,0 +1,107 @@
+"""The byte contract: the CSVs of every experiment keep their SHA-256.
+
+One fresh process, with one BLAS thread, runs each registered experiment
+at a small size and a two-cell `tsnet mc grid`, and hashes every per-rep,
+summary and grid CSV it writes.  The hashes must equal the ones in
+`golden_hashes.json`, which also records the numpy, scipy and BLAS builds
+they were made with: floating-point output may change with those, so a
+mismatch names both sets.  To regenerate the file after a change that is
+meant to move the numbers:
+
+    python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_hashes.json"
+SRC = HERE.parent / "src"
+
+# (experiment, seed, reps, params): the small sizes of the benchmark's
+# workloads at its seeds, copied here so the contract does not move with them
+RUNS = (
+    ("ar1-clt", 101, 5, {"n": 200}),
+    ("hac-lrv", 102, 3, {"n": 2000}),
+    ("phillips-size", 103, 5, {"n": 120, "cv_reps": 500}),
+    ("fmols-size", 104, 5, {"n": 150}),
+    ("ivx-null", 105, 5, {"n": 150, "c": -5.0}),
+    ("supwald-nbb", 106, 5, {"n": 150, "nbb_reps": 200, "nbb_grid": 100}),
+    ("fixed-wald", 107, 5, {"n": 120}),
+    ("nethac-coverage", 108, 5, {"n_nodes": 30}),
+    ("unitroot-boot", 109, 3, {"n": 150, "B": 50, "cv_reps": 500}),
+    ("garch-recovery", 110, 2, {"n": 800}),
+    ("mp-edges", 111, 3, {"n": 200}),
+    ("nested-forecast", 112, 3, {"n": 150}),
+)
+GRID = ("experiment = ivx-null\nreps = 6\nseed = 105\nn = 150\ncorr = 0.9\n"
+        "grid.c = 0.0, -5.0\n")
+
+
+def _versions() -> dict:
+    import numpy
+    import scipy
+
+    def blas(module):
+        dep = module.__config__.CONFIG["Build Dependencies"]["blas"]
+        return f"{dep['name']} {dep['version']}"
+
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": f"numpy: {blas(numpy)}; scipy: {blas(scipy)}"}
+
+
+def _hashes() -> dict:
+    """Run every experiment and the grid here; the SHA-256 of each CSV by file name."""
+    from tsnet.cli import main
+    from tsnet.mc import ExperimentConfig, run_experiment
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, seed, reps, params in RUNS:
+            run_experiment(ExperimentConfig(experiment=name, reps=reps, seed=seed,
+                                            params=params), out=out)
+        config = out / "grid.cfg"
+        config.write_text(GRID)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["mc", "grid", str(config), "--out", str(out)]) == 0
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.glob("*.csv"))}
+
+
+def _measure() -> dict:
+    """The hashes and versions of a fresh process with one BLAS thread."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_every_csv_keeps_its_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    now = _measure()
+    assert len(golden["hashes"]) == 2 * len(RUNS) + 1
+    changed = sorted(name for name in golden["hashes"].keys() | now["hashes"].keys()
+                     if golden["hashes"].get(name) != now["hashes"].get(name))
+    assert changed == [], (f"CSV bytes changed in {changed}; recorded with "
+                           f"{golden['versions']}, this run has {now['versions']}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        print(json.dumps({"hashes": _hashes(), "versions": _versions()}))
+    elif sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(_measure(), indent=1, sort_keys=True) + "\n")
+    else:
+        sys.exit(f"usage: python {Path(__file__).name} --write")
