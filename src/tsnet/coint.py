@@ -8,8 +8,9 @@ normal equations are recentered by the one-sided long-run covariance
 kernel LRV of (eps-hat_t, dx_t - mean(dx)).
 
 On top of the FM fit sit the Shin residual statistic for the null of
-cointegration and a Wald-type coefficient stability test built from the
-fully modified score process.
+cointegration and a stability test of the slopes, the supremum of a
+Wald-type statistic of the fully modified score process over every
+break date in the trimmed range.
 """
 
 from __future__ import annotations
@@ -172,8 +173,7 @@ class FkResult:
 
     path holds F_k over the trimmed break grid (k counts usable
     observations), stat the supremum.  At a fixed interior k, F_k is
-    asymptotically chi-square with dof equal to the number of tested
-    coefficients (the d slopes by default).
+    asymptotically chi-square with dof = d, the number of slopes.
     """
 
     stat: float
@@ -185,10 +185,8 @@ class FkResult:
 
 
 def fk_break_test(y, x, kernel: KernelSpec | None = None,
-                  trim: tuple[float, float] = (0.15, 0.85),
-                  k: int | None = None,
-                  include_intercept: bool = False) -> FkResult:
-    """Structural stability of the cointegrating coefficients.
+                  trim: tuple[float, float] = (0.15, 0.85)) -> FkResult:
+    """Structural stability of the cointegrating slopes.
 
     Builds the per-observation fully modified score
     s_t = z_t eps+_t - [0; delta+] (which sums to zero over the full
@@ -198,32 +196,19 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
         F_k = S_k' [Omega_{eps.eta} V_k]^{-1} S_k,
         V_k = M_k - M_k M_T^{-1} M_k,   M_k = sum_{t<=k} z_t z_t',
 
-    on the tested rows and columns, the whole path from one pass of
-    cumulative moments (the kernel of `sup_wald`).  Every k keeps
-    p = d + 1 <= k <= m - p, so that both regimes identify the fit.
-
-    Passing k evaluates F at that single break date (counted in usable
-    observations) instead of scanning the trimmed grid; the statistic
-    is then the fixed-k chi-square test rather than a supremum.
-
-    By default only the slope rows/blocks enter (the intercept is a
-    nuisance), giving a chi2_d fixed-k limit; include_intercept=True
-    tests the full coefficient vector (chi2_{d+1}).
+    on the slope rows and columns (the intercept is a nuisance), the
+    whole path from one pass of cumulative moments (the kernel of
+    `sup_wald`).  Every k keeps p = d + 1 <= k <= m - p, so that both
+    regimes identify the fit.  At a fixed interior k, F_k is
+    asymptotically chi2_d.
     """
     y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
     fm = first_rep(_fmols_panel(y, x, kernel))
     m = fm.nobs
-    # the tested coefficients first: the slopes, then the intercept if tested
+    # the tested slopes first, then the intercept
     Z = np.column_stack([x[0, 1:], np.ones(m)])
-    p = Z.shape[1]
-    if k is None:
-        k_grid = _break_grid(trim, m, p)
-    elif p <= int(k) <= m - p:
-        k_grid = np.array([int(k)])
-    else:
-        raise ValueError(f"fixed break k={k} must lie in [{p}, {m - p}] "
-                         f"so both regimes identify the coefficients")
-    dof = p if include_intercept else p - 1
+    k_grid = _break_grid(trim, m, Z.shape[1])
+    dof = x.shape[2]
     shift = np.append(fm.delta_plus, 0.0)[None]
     path = _break_scan(Z[None], fm.residuals_plus[None], k_grid, dof, shift)[0] / fm.omega_cond
     best = int(np.argmax(path))

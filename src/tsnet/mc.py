@@ -141,6 +141,10 @@ _BATCH = 64
 # at once (a sub-panel).  A sub-panel's simulation and kernels take a few
 # times its normals, so the working set stays near the block's size and
 # glibc's allocator reuses its pages instead of faulting in fresh ones.
+# One level is slower: feeding hooks one chunk straight from a buffer of
+# that chunk's size gave the benchmark's serial-light 6450-6720 reps/s
+# against 7435-7707 with these two levels, with chunks of 256 KB, 512 KB
+# or 2 MB (2-core x86-64 host, one BLAS thread); the CSVs were the same.
 _BLOCK_BYTES = 2**21
 _SUBPANEL_BYTES = 2**18
 # wall time a process pool of two workers costs a call: forking them,
@@ -899,7 +903,10 @@ _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"
           params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
                   "family": "bartlett"},
           echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"),
-          domains={"n_nodes": _minimum(_MIN_CYCLE)})
+          # at w1 = -1/2 the mean has long-run variance 0: no interval to cover
+          domains={"n_nodes": _minimum(_MIN_CYCLE),
+                   "w1": ("finite with 1 + 2 * w1 != 0",
+                          lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0)})
 
 
 def _urboot_setup(cfg):
@@ -998,7 +1005,8 @@ def _mp_summarize(cfg, ctx, draws):
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
           _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, params={"n": 4000, "gamma": 0.25},
           echo=("n", "gamma"),
-          domains={"gamma": ("in (0, 1] with round(gamma * n) >= 1",
+          domains={"n": _minimum(1),
+                   "gamma": ("in (0, 1] with round(gamma * n) >= 1",
                              lambda v, p: 0.0 < v <= 1.0 and round(v * p["n"]) >= 1)})
 
 

@@ -333,13 +333,12 @@ def _worst_uncovered(sh: Shells, s: int, m: int, ball_sizes: np.ndarray) -> np.n
     return out
 
 
-def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.ndarray:
+def simulate_graph_ma(graph: Graph | Shells, weights, rng) -> np.ndarray:
     """Graph moving average Y_i = sum_{d(i,j) <= m} weights[d(i,j)] eps_j.
 
     weights = (w_0, ..., w_m) taper the iid standard normal field eps by
-    graph distance; dependence has exact radius m.  v > 1 draws that
-    many independent fields and returns an (n, v) array; the default
-    returns a 1-d vector.  A field that leaves the finite floats raises
+    graph distance; dependence has exact radius m.  Returns the (n,)
+    vector of node values.  A field that leaves the finite floats raises
     ValueError.
     """
     w = np.asarray(weights, dtype=float)
@@ -347,13 +346,12 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng, v: int = 1) -> np.nda
         raise ValueError("weights must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    v = check_positive_int(v, "v")
     sh = _shells_of(graph, w.size - 1)
-    eps = _resolve_rng(rng).standard_normal((sh.n, v))
+    eps = _resolve_rng(rng).standard_normal(sh.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _graph_ma_panel(sh, w, eps.T)
+        y = _graph_ma_panel(sh, w, eps[None])
     check_finite_path(y, f"weights={tuple(w.tolist())!r} on {sh.n} nodes")
-    return y[0] if v == 1 else np.ascontiguousarray(y.T)
+    return y[0]
 
 
 def _graph_ma_panel(shells: Shells, weights, eps: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ integrated instrument from the regressor's own differences,
     z_t = rho_nz z_{t-1} + dx_t,   rho_nz = 1 + c_z / n^{beta_z},
 
 which is persistent enough to retain power yet mild enough that Wald
-statistics are chi-square under the null for any persistence of x.
+statistics are chi-square under the null for any persistence of x.  The
+model always carries the intercept a, and the sandwich covariance takes
+the homoskedastic meat sum z z' s2_u.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from scipy.special import chdtrc
 from ._checks import as_panel, as_yx
 from ._filter import ar
 from ._panel import check_fit, first_rep, rowdot
-from .lrv import KernelSpec, _hac_lrv_panel
 
 __all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate"]
 
@@ -82,34 +83,26 @@ class IvxResult:
     wald: float
     pvalue: float
     nobs: int
-    demeaned: bool
 
 
-def ivx_estimate(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
-                 hac: KernelSpec | None = None) -> IvxResult:
+def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     """Instrumented estimation of the predictive slope.
 
     Pairs y_t with x_{t-1} for t = 2..n and instruments x_{t-1} by the
     self-generated z_{t-1} (zero for t = 2, then the difference
-    recursion).  With demean=True (an intercept in the model), y and
-    the lagged regressor are centered but the instrument is not.
-
-    s2_u uses divisor (#pairs - d).  The default sandwich meat is the
-    homoskedastic sum z z' s2_u; pass a KernelSpec as hac to replace it
-    with a kernel long-run variance of the score z_t u_t, which guards
-    against serially correlated or heteroskedastic errors.  An exact fit
-    raises.
+    recursion).  The intercept is concentrated out: y and the lagged
+    regressor are centered, the instrument is not.  s2_u uses divisor
+    (#pairs - d).  An exact fit raises.
     """
     return first_rep(_ivx_panel(np.asarray(y, dtype=float)[None],
-                                np.asarray(x, dtype=float)[None], spec, demean, hac))
+                                np.asarray(x, dtype=float)[None], spec))
 
 
-def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
-               hac: KernelSpec | None = None) -> IvxResult:
+def _ivx_panel(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     """`ivx_estimate` of every rep of (R, n) y and (R, n) or (R, n, d) x panels.
 
-    Every per-rep field of the result gains a leading rep axis; rho_nz,
-    nobs and demeaned are shared.
+    Every per-rep field of the result gains a leading rep axis; rho_nz
+    and nobs are shared.
     """
     y, x = as_yx(y, x)
     R, n, d = x.shape
@@ -120,9 +113,8 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     zfull = _ivx_instrument_panel(x, spec)
     zins = np.concatenate([np.zeros((R, 1, d)), zfull[:, :m - 1]], axis=1)
 
-    if demean:
-        ys = ys - ys.mean(axis=1, keepdims=True)
-        xlag = xlag - xlag.mean(axis=1, keepdims=True)
+    ys = ys - ys.mean(axis=1, keepdims=True)
+    xlag = xlag - xlag.mean(axis=1, keepdims=True)
 
     zt = zins.transpose(0, 2, 1)
     A = zt @ xlag
@@ -132,18 +124,11 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec(), demean: bool = True,
     check_fit(ssr, ys, "IVX")
     sigma2_u = ssr / (m - d)
     A_inv = np.linalg.inv(A)
-    if hac is None:
-        meat = (zt @ zins) * sigma2_u[:, None, None]
-    else:
-        # scores are centered by the moment condition, not demeaned again
-        meat = m * _hac_lrv_panel(zins * resid[:, :, None], kernel=hac,
-                                  demean=False).omega
+    meat = (zt @ zins) * sigma2_u[:, None, None]
     cov = A_inv @ meat @ A_inv.transpose(0, 2, 1)
     cov = (cov + cov.transpose(0, 2, 1)) / 2.0
     se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     beta = beta[:, :, 0]
     wald = rowdot(beta, np.linalg.solve(cov, beta[:, :, None])[:, :, 0])
     return IvxResult(beta=beta, se=se, cov=cov, sigma2_u=sigma2_u,
-                     rho_nz=spec.rho(n), wald=wald, pvalue=chdtrc(d, wald),
-                     nobs=m, demeaned=demean)
-
+                     rho_nz=spec.rho(n), wald=wald, pvalue=chdtrc(d, wald), nobs=m)

@@ -4,6 +4,9 @@ Every stochastic routine in the package draws through an `RngSpec`: a
 (seed, stream) pair mapped onto a counter-based Philox generator, so that
 the pair fully determines the output and replication r of an experiment
 can use stream `base + r` without any cross-stream correlation concerns.
+Each simulator takes that rng (an `RngSpec` or a numpy Generator) as a
+required argument and draws its own Gaussian innovations; the `_*_panel`
+twins that the Monte Carlo harness calls take a panel of draws instead.
 
 Series are returned as plain 1-d float ndarrays; multivariate series as
 (n, d) arrays with time in rows.
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_finite_path, check_positive_int
+from ._checks import check_finite_path, check_positive_int
 from ._filter import ar, ma
 
 __all__ = [
@@ -153,34 +156,19 @@ class LurSpec:
         return 1.0 + self.c / float(n) ** self.gamma
 
 
-def simulate_lur_ar(spec: LurSpec, n: int, rng=None, innovations=None,
-                    x0: float = 0.0) -> np.ndarray:
+def simulate_lur_ar(spec: LurSpec, n: int, rng, x0: float = 0.0) -> np.ndarray:
     """Simulate x_t = rho_n x_{t-1} + v_t, t = 1..n, from x_0 = x0.
 
-    Parameters
-    ----------
-    spec : LurSpec
-        Persistence parametrization; rho_n is evaluated at this n.
-    innovations : None, ndarray, or LinearProcessSpec
-        None draws iid standard normal v_t; an array of length n is used
-        as-is; a LinearProcessSpec is simulated first (stationary errors
-        with presample).
-
-    A non-finite x0, or a path that leaves the finite floats (a root far
-    on the explosive side), raises ValueError.
+    The innovations v_t are iid standard normal, drawn from rng; rho_n
+    is `spec` evaluated at this n.  A non-finite x0, or a path that
+    leaves the finite floats (a root far on the explosive side), raises
+    ValueError.
     """
     n = check_positive_int(n, "n")
     x0 = float(x0)
     if not np.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    if innovations is None:
-        v = _resolve_rng(rng).standard_normal(n)
-    elif isinstance(innovations, LinearProcessSpec):
-        v = simulate_linear_process(innovations, n, rng)
-    else:
-        v = as_series(innovations, "innovations")
-        if v.shape[0] != n:
-            raise ValueError(f"innovations must have length n={n}, got {v.shape[0]}")
+    v = _resolve_rng(rng).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _lur_ar_panel(spec, v[None], np.array([[x0]]))[0]
     return check_finite_path(x, f"c={spec.c!r}, gamma={spec.gamma!r}, n={n} "

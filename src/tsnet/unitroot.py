@@ -1,9 +1,9 @@
 """Autoregressive estimation and unit root tests.
 
-Covers least-squares AR(p) fitting, the augmented Dickey-Fuller
-regression, semiparametric Z_alpha / Z_t corrections, and Monte Carlo
-tabulation of the Dickey-Fuller limit functionals.  Critical values are
-always simulated, never hard-coded.
+Covers least-squares AR(p) fitting (no deterministics), the augmented
+Dickey-Fuller regression, semiparametric Z_alpha / Z_t corrections, and
+Monte Carlo tabulation of the Dickey-Fuller limit functionals.  Critical
+values are always simulated, never hard-coded.
 """
 
 from __future__ import annotations
@@ -67,41 +67,33 @@ def _ar_fit(x, deterministic: str, start: int = 1, extra=(), fit=ols):
 
 @dataclass(frozen=True)
 class AROls:
-    """Least-squares AR(p) fit.
+    """Least-squares AR(p) fit without deterministics."""
 
-    coeffs stacks deterministic coefficients first, then the AR lag
-    coefficients (so ar_coeffs = coeffs[-p:]).
-    """
-
-    coeffs: np.ndarray
     ar_coeffs: np.ndarray
     residuals: np.ndarray
     cov: np.ndarray
     s2: float
     nobs: int
     p: int
-    deterministic: str
 
 
-def ols_ar(ts, p: int = 1, deterministic: str = "none") -> AROls:
-    """Fit X_t = d_t'mu + sum_{j=1..p} rho_j X_{t-j} + e_t by OLS.
+def ols_ar(ts, p: int = 1) -> AROls:
+    """Fit X_t = sum_{j=1..p} rho_j X_{t-j} + e_t by OLS.
 
     The first p observations are used as presample; the regression runs
-    over t = p+1..n.  s2 uses divisor (nobs - #regressors).
+    over t = p+1..n.  s2 uses divisor (nobs - p).  Callers that need an
+    intercept center the series first, as `sieve_bootstrap` does.
     """
     x = as_series(ts, "ts", min_len=2)
     p = check_positive_int(p, "p")
-    check_in(deterministic, _DETERMINISTICS, "deterministic")
     n = x.shape[0]
     if n - p < 2:
         raise ValueError(f"series too short for AR({p}) fit")
     lags = [x[None, p - j:n - j] for j in range(2, p + 1)]
-    fit, dof = _ar_fit(x[None], deterministic, start=p, extra=lags)
+    fit, dof = _ar_fit(x[None], "none", start=p, extra=lags)
     s2 = float(fit.ssr[0] / dof)
-    coeffs = fit.coef[0]
-    return AROls(coeffs=coeffs, ar_coeffs=coeffs[-p:], residuals=fit.resid[0],
-                 cov=s2 * fit.gram_inv[0], s2=s2, nobs=n - p, p=p,
-                 deterministic=deterministic)
+    return AROls(ar_coeffs=fit.coef[0], residuals=fit.resid[0],
+                 cov=s2 * fit.gram_inv[0], s2=s2, nobs=n - p, p=p)
 
 
 @dataclass(frozen=True)

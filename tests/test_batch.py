@@ -112,7 +112,7 @@ def ref_phillips(x, kernel=None, deterministic="none"):
     return z_alpha, float(z_t), alpha, n_t
 
 
-def ref_ivx(y, x, spec=T.IvxSpec(), hac=None):
+def ref_ivx(y, x, spec=T.IvxSpec()):
     """(wald, pvalue, beta, cov)."""
     x = _column(x)
     n, d = x.shape
@@ -127,10 +127,7 @@ def ref_ivx(y, x, spec=T.IvxSpec(), hac=None):
     resid = ys - xlag @ beta
     sigma2_u = float(resid @ resid / (m - d))
     A_inv = np.linalg.inv(A)
-    if hac is None:
-        meat = (zins.T @ zins) * sigma2_u
-    else:
-        meat = m * ref_hac(zins * resid[:, None], hac, demean=False)[0]
+    meat = (zins.T @ zins) * sigma2_u
     cov = A_inv @ meat @ A_inv.T
     cov = (cov + cov.T) / 2.0
     wald = float(beta @ np.linalg.solve(cov, beta))
@@ -458,17 +455,16 @@ def test_wald_kernels_match_scalar_oracles(d):
         assert one.k_grid.shape == one.path.shape
 
 
-@pytest.mark.parametrize("d,hac", [(1, None), (2, None),
-                                   (2, T.KernelSpec("parzen", 4.0))])
-def test_ivx_kernel_matches_scalar_oracle(d, hac):
+@pytest.mark.parametrize("d", [1, 2])
+def test_ivx_kernel_matches_scalar_oracle(d):
     Y, X = _system_panel(9, 160, d, seed=50 + d)
-    res = _ivx_panel(Y, X, hac=hac)
+    res = _ivx_panel(Y, X)
     for r in range(9):
-        wald, pvalue, beta, cov = ref_ivx(Y[r], X[r], hac=hac)
+        wald, pvalue, beta, cov = ref_ivx(Y[r], X[r])
         assert (res.wald[r], res.pvalue[r]) == (wald, pvalue)
         assert np.array_equal(res.beta[r], beta)
         assert np.array_equal(res.cov[r], cov)
-        one = T.ivx_estimate(Y[r], X[r], hac=hac)
+        one = T.ivx_estimate(Y[r], X[r])
         assert (one.wald, one.pvalue) == (wald, pvalue)
         assert np.array_equal(one.beta, beta) and np.array_equal(one.cov, cov)
 

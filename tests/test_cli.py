@@ -345,6 +345,12 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
     ("run", "nethac-coverage", "n_nodes = 2",
      "experiment 'nethac-coverage': parameter 'n_nodes' must be at least 3, got 2"),
     ("run", "ar1-clt", "n = 2", "experiment 'ar1-clt': parameter 'n' must be at least 3, got 2"),
+    # a zero long-run variance, and a bad n blamed on gamma, round(gamma * n)
+    ("run", "nethac-coverage", "n_nodes = 30\nw1 = -0.5",
+     "experiment 'nethac-coverage': parameter 'w1' must be finite with 1 + 2 * w1 != 0, "
+     "got -0.5"),
+    ("run", "mp-edges", "n = -4\ngamma = 0.5",
+     "experiment 'mp-edges': parameter 'n' must be at least 1, got -4"),
     # a grid checks every cell before the first cell's table is simulated
     ("grid", "phillips-size", "grid.n = 500, 8",
      "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
@@ -353,8 +359,8 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
 ], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
         "supwald-nbb-grid", "hac-lrv-n", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
-        "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "grid-phillips-n",
-        "grid-urboot-block"])
+        "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
+        "grid-phillips-n", "grid-urboot-block"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
                                                    kind, experiment, line, message):
     def nothing_simulated(*args, **kwargs):

@@ -111,12 +111,14 @@ def test_shin_rank_error_on_constant_regressor():
 
 
 def test_fk_fixed_break_matches_chi2():
+    # the scanned path at one interior break date is the fixed-k statistic
     gen = T.RngSpec(51, 0).generator()
     draws = np.empty(800)
     for i in range(800):
         x = np.cumsum(gen.standard_normal(400))
         y = 1.0 + 2.0 * x + gen.standard_normal(400)
-        draws[i] = T.fk_break_test(y, x, k=200).stat
+        res = T.fk_break_test(y, x)
+        draws[i] = res.path[res.k_grid == 200][0]
     assert np.quantile(draws, 0.95) == pytest.approx(3.841, rel=0.10)
     assert draws.mean() == pytest.approx(1.0, abs=0.15)
 
@@ -133,22 +135,13 @@ def test_fk_finds_large_break():
 
 
 def test_fk_sup_dominates_fixed_k():
+    # the statistic is the supremum of the fixed-k statistics on the path
     gen = np.random.default_rng(14)
     y, x = _coint_draw(gen)
     full = T.fk_break_test(y, x)
-    k_mid = int(full.k_grid[full.k_grid.size // 2])
-    fixed = T.fk_break_test(y, x, k=k_mid)
-    assert full.stat >= fixed.stat
-    # and the fixed stat is the matching point of the scanned path
-    pos = int(np.where(full.k_grid == k_mid)[0][0])
-    assert fixed.stat == pytest.approx(full.path[pos])
-
-
-def test_fk_dof_switches_with_intercept():
-    gen = np.random.default_rng(15)
-    y, x = _coint_draw(gen)
-    assert T.fk_break_test(y, x).dof == 1
-    assert T.fk_break_test(y, x, include_intercept=True).dof == 2
+    assert full.stat == full.path.max()
+    assert full.k_star == full.k_grid[np.argmax(full.path)]
+    assert np.all(full.path >= 0.0)
 
 
 def test_fk_rejects_bad_trim_and_k():
@@ -156,10 +149,11 @@ def test_fk_rejects_bad_trim_and_k():
     y, x = _coint_draw(gen, n=100)
     with pytest.raises(ValueError):
         T.fk_break_test(y, x, trim=(0.9, 0.1))
-    with pytest.raises(ValueError):
-        T.fk_break_test(y, x, k=1)
     with pytest.raises(ValueError, match="trim"):
         T.fk_break_test(y, x, trim=(0.2,))
+    # m = 99: the trim range [49.4, 49.5] holds no break date k
+    with pytest.raises(ValueError, match="no admissible break points"):
+        T.fk_break_test(y, x, trim=(0.499, 0.5))
 
 
 def test_fk_exact_fit_raises():
@@ -167,14 +161,13 @@ def test_fk_exact_fit_raises():
     gen = np.random.default_rng(17)
     x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
     for xs, y in ((x[:, 0], 1.0 + 0.5 * x[:, 0]), (x, 1.0 + x @ np.array([0.5, -0.3]))):
-        for kw in ({}, {"k": 100}, {"include_intercept": True}):
-            with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
-                T.fk_break_test(y, xs, **kw)
+        with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
+            T.fk_break_test(y, xs)
 
 
-def ref_fk_path(y, x, k_grid, include_intercept=False, kernel=None):
-    """F_k by one LAPACK solve per break date: the loop the scan replaced."""
-    fm = T.fmols(y, x, kernel=kernel)
+def ref_fk_path(y, x, k_grid):
+    """F_k of the slopes by one LAPACK solve per break date: the loop the scan replaced."""
+    fm = T.fmols(y, x)
     m = fm.nobs
     Z = np.column_stack([np.ones(m), np.asarray(x, dtype=float).reshape(m + 1, -1)[1:]])
     scores = Z * fm.residuals_plus[:, None]
@@ -182,39 +175,37 @@ def ref_fk_path(y, x, k_grid, include_intercept=False, kernel=None):
     S = np.cumsum(scores, axis=0)
     M = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)
     M_T_inv = np.linalg.inv(M[-1])
-    sel = slice(None) if include_intercept else slice(1, None)
     path = np.empty(len(k_grid))
     for pos, kb in enumerate(k_grid):
         Mk = M[kb - 1]
-        Vk = (Mk - Mk @ M_T_inv @ Mk)[sel, sel]
-        Sk = S[kb - 1, sel]
+        Vk = (Mk - Mk @ M_T_inv @ Mk)[1:, 1:]
+        Sk = S[kb - 1, 1:]
         path[pos] = Sk @ np.linalg.solve(fm.omega_cond * Vk, Sk)
     return path
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("include_intercept", [False, True])
-def test_fk_scan_matches_per_break_solves(d, include_intercept):
+def test_fk_scan_matches_per_break_solves(d):
     gen = np.random.default_rng((17, d))
     x = np.cumsum(gen.standard_normal((400, d)), axis=0)
     y = 1.0 + x @ np.linspace(2.0, -1.0, d) + gen.standard_normal(400)
     x = x[:, 0] if d == 1 else x
-    res = T.fk_break_test(y, x, include_intercept=include_intercept)
-    np.testing.assert_allclose(res.path, ref_fk_path(y, x, res.k_grid, include_intercept),
-                               rtol=1e-10)
-    for k in (d + 1, 150, 399 - d - 1):
-        fixed = T.fk_break_test(y, x, k=k, include_intercept=include_intercept)
-        np.testing.assert_allclose(fixed.path, ref_fk_path(y, x, [k], include_intercept),
-                                   rtol=1e-10)
-        assert fixed.stat == fixed.path[0] and fixed.k_star == k
+    res = T.fk_break_test(y, x)
+    np.testing.assert_allclose(res.path, ref_fk_path(y, x, res.k_grid), rtol=1e-10)
+    # the slopes are tested: chi2_d at a fixed interior k
+    assert res.dof == d
+    # the widest trim reaches both ends of [p, m - p], p = d + 1, m = 399
+    wide = T.fk_break_test(y, x, trim=(0.001, 0.999))
+    assert wide.k_grid[0] == d + 1 and wide.k_grid[-1] == 399 - d - 1
+    np.testing.assert_allclose(wide.path[[0, 149 - d, -1]],
+                               ref_fk_path(y, x, [d + 1, 150, 399 - d - 1]), rtol=1e-10)
 
 
 def test_fk_grid_keeps_both_regimes_identified():
     # a trim reaching k = 1 used to pick a singular V_k
     gen = np.random.default_rng(18)
     y, x = _coint_draw(gen, n=300)
-    for include_intercept in (False, True):
-        res = T.fk_break_test(y, x, trim=(0.001, 0.999), include_intercept=include_intercept)
-        # p = 2 coefficients, m = 299 usable observations
-        assert res.k_grid[0] == 2 and res.k_grid[-1] == 297
-        assert np.all(np.isfinite(res.path))
+    res = T.fk_break_test(y, x, trim=(0.001, 0.999))
+    # p = 2 coefficients, m = 299 usable observations
+    assert res.k_grid[0] == 2 and res.k_grid[-1] == 297
+    assert np.all(np.isfinite(res.path))

@@ -229,3 +229,98 @@ def test_every_public_function_is_reached_or_an_oracle():
     assert unreached == []
     # every oracle is a public function
     assert all(inspect.isfunction(getattr(tsnet, key, None)) for key in ORACLES)
+
+
+# defaulted parameters of public functions that no library call sets, each
+# kept for what it serves outside the library
+ORACLE_OPTIONS = {
+    "garch_filter": (("sigma2_0", "eps2_0"), "a test oracle; see ORACLES"),
+    "autocovariance": (("demean",), "a test oracle; see ORACLES"),
+    "split_wald": (("k",), "the per-break oracle of sup_wald's scan in tests/test_breaks.py"),
+    "shin_vn": (("x",), "`tsnet test shin` sets it through _load_yx(..., x_optional=True)"),
+}
+
+
+def _params(fn: ast.FunctionDef) -> tuple[list, list]:
+    """The positional parameters of `fn` in order, and those that have defaults."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    return positional, defaulted + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _passed(call: ast.Call, positional: list) -> set:
+    """The parameters `call` sets by keyword, or by a position before any starred argument."""
+    n = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+             len(call.args))
+    return set(positional[:n]) | {kw.arg for kw in call.keywords if kw.arg}
+
+
+def _unset_options(trees: dict, public: dict) -> set:
+    """(function, parameter) for each defaulted parameter of the functions named in
+    `public` (module -> names) that no call in `trees` (module -> tree) sets.
+
+    A call counts if it names the function, or its twin: a `_<core>_panel`
+    function of the same module that the function's body calls, with <core>
+    part of the function's name.  Calls inside the function's own body do not.
+    """
+    defs = {(mod, fn.name): fn for mod, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)}
+    calls = [((mod, getattr(top, "name", None)), node) for mod, tree in trees.items()
+             for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Call)]
+    unset = set()
+    for mod, names in public.items():
+        for key in names:
+            fn = defs[(mod, key)]
+            twins = {name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     for name in [_callee(node)]
+                     if (mod, name) in defs and name.startswith("_") and name.endswith("_panel")
+                     and name[1:-len("_panel")] in key}
+            passed = set()
+            for owner, call in calls:
+                name = _callee(call)
+                if owner != (mod, key) and (name == key or name in twins):
+                    passed |= _passed(call, _params(defs[(mod, name)])[0])
+            unset |= {(key, p) for p in _params(fn)[1] if p not in passed}
+    return unset
+
+
+def test_every_public_option_is_set_or_an_oracle():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    public = {}
+    for name in _MODULES:
+        module = importlib.import_module(f"tsnet.{name}")
+        public[name] = [key for key in module.__all__ if inspect.isfunction(getattr(module, key))]
+    oracles = {(key, p) for key, (params, _) in ORACLE_OPTIONS.items() for p in params}
+    unset = _unset_options(trees, public)
+    assert sorted(unset - oracles) == []
+    # every listed option exists and is still unset
+    assert sorted(oracles - unset) == []
+
+
+def test_option_guard_flags_an_unset_option():
+    fit = ("def fit(y, x=None, kernel=None, *, trim=0.1):\n"
+           "    return _fit_panel(y, x, kernel)\n"
+           "def _fit_panel(y, x=None, kernel=None, scale=1.0):\n"
+           "    return y\n")
+    helper = "def helper(y, x=None):\n    return fit(y, x, trim=0.2)\n"
+    cli = ast.parse("def run(args):\n    return fit(*load(args), kernel=args.kernel)\n")
+    twin = ast.parse("def rep(z):\n    return _fit_panel(z, None)\n")
+
+    def unset(lib, *others):
+        return _unset_options({"lib": ast.parse(lib), **dict(enumerate(others))},
+                              {"lib": ["fit"]})
+
+    # x by position in helper, kernel by keyword after the starred argument, trim by keyword
+    assert unset(fit + helper, cli) == set()
+    # the starred argument stands only for the required y
+    assert unset(fit, cli) == {("fit", "x"), ("fit", "trim")}
+    # a call of the twin sets its parameter of the same name
+    assert unset(fit, cli, twin) == {("fit", "trim")}
+    # a call inside the function's own body sets nothing
+    assert unset("def fit(y, x=None):\n    return fit(y, x)\n") == {("fit", "x")}

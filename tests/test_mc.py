@@ -549,10 +549,12 @@ _OUTSIDE = {
     ("fixed-wald", "n"): (7,),
     ("fixed-wald", "phi_x"): (-1.0,),
     ("nethac-coverage", "n_nodes"): (2,),
+    ("nethac-coverage", "w1"): (-0.5, float("nan")),  # -0.5 leaves a zero long-run variance
     ("unitroot-boot", "n"): (9,),
     ("unitroot-boot", "cv_reps"): (99,),
     ("unitroot-boot", "block"): (1000,),
     ("garch-recovery", "n"): (49,),
+    ("mp-edges", "n"): (0,),
     ("mp-edges", "gamma"): (0.0001,),  # rounds gamma * n to 0 at n = 4000
     ("nested-forecast", "n"): (7,),
     ("nested-forecast", "n_small"): (3,),

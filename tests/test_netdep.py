@@ -12,6 +12,7 @@ from scipy import stats as st
 
 import tsnet as T
 from tsnet._checks import check_positive_int
+from tsnet.netdep import _graph_ma_panel
 
 
 def test_graph_canonical_edges():
@@ -147,12 +148,14 @@ def test_graph_ma_cycle_covariances():
     # lag-1 cov = 2 w1
     n, w1 = 200, 0.5
     g = T.cycle_graph(n)
-    y = T.simulate_graph_ma(g, (1.0, w1), T.RngSpec(67, 0), v=4000)
-    assert y.shape == (n, 4000)
-    assert np.mean(y[0] * y[1]) == pytest.approx(2.0 * w1 * 1.0, abs=0.12)
-    assert np.mean(y[0] ** 2) == pytest.approx(1.0 + 2.0 * w1**2, abs=0.12)
+    # 4000 fields at once, one per row
+    eps = T.RngSpec(67, 0).generator().standard_normal((4000, n))
+    y = _graph_ma_panel(T.graph_shells(g, 1), (1.0, w1), eps)
+    assert y.shape == (4000, n)
+    assert np.mean(y[:, 0] * y[:, 1]) == pytest.approx(2.0 * w1 * 1.0, abs=0.12)
+    assert np.mean(y[:, 0] ** 2) == pytest.approx(1.0 + 2.0 * w1**2, abs=0.12)
     # distance-2 pairs share one generator: cov = w1^2
-    assert np.mean(y[0] * y[2]) == pytest.approx(w1**2, abs=0.12)
+    assert np.mean(y[:, 0] * y[:, 2]) == pytest.approx(w1**2, abs=0.12)
     with pytest.raises(ValueError, match="weights"):
         T.simulate_graph_ma(g, np.empty(0), T.RngSpec(0))
     with pytest.raises(ValueError, match="weights must be finite"):
@@ -216,7 +219,8 @@ def test_network_hac_rejects_unbounded_kernel_and_mismatch():
 
 def test_network_hac_multivariate_shape():
     g = T.cycle_graph(40)
-    y = T.simulate_graph_ma(g, (1.0, 0.2), T.RngSpec(67, 5), v=3)
+    y = np.column_stack([T.simulate_graph_ma(g, (1.0, 0.2), T.RngSpec(67, 5 + i))
+                         for i in range(3)])
     V = T.network_hac(g, y, T.KernelSpec("parzen", 2.0))
     assert V.shape == (3, 3)
     np.testing.assert_array_equal(V, V.T)
@@ -410,9 +414,16 @@ def test_graph_ma_matches_dense_taper(name, v):
     for s, w in enumerate(weights):
         coef[d == s] = w
     gen = T.RngSpec(68, v).generator()
-    ref = coef @ (gen.standard_normal(g.n) if v == 1 else gen.standard_normal((g.n, v)))
-    for graph in (g, T.graph_shells(g, 3)):
-        y = T.simulate_graph_ma(graph, weights, T.RngSpec(68, v), v=v)
+    if v == 1:
+        ref = coef @ gen.standard_normal(g.n)
+        ys = [T.simulate_graph_ma(graph, weights, T.RngSpec(68, v))
+              for graph in (g, T.graph_shells(g, 3))]
+    else:
+        # v fields at once, one per row of the panel
+        eps = gen.standard_normal((v, g.n))
+        ref = eps @ coef.T
+        ys = [_graph_ma_panel(T.graph_shells(g, 3), weights, eps)]
+    for y in ys:
         assert y.shape == ref.shape
         np.testing.assert_allclose(y, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tsnet as T
+from tsnet.series import _lur_ar_panel
 
 
 def test_white_noise_has_vanishing_lag1_autocovariance():
@@ -29,27 +30,29 @@ def test_sample_autocovariance_matches_population_ma1():
 
 def test_lur_unit_root_is_cumulative_sum():
     innov = np.arange(1.0, 9.0)
-    x = T.simulate_lur_ar(T.LurSpec(c=0.0, gamma=1.0), 8,
-                          innovations=innov, x0=3.0)
+    x = _lur_ar_panel(T.LurSpec(c=0.0, gamma=1.0), innov[None], np.array([[3.0]]))[0]
     np.testing.assert_allclose(x, 3.0 + np.cumsum(innov))
+    # the public simulator runs the same recursion on its standard normal draws
+    x = T.simulate_lur_ar(T.LurSpec(c=0.0, gamma=1.0), 8, T.RngSpec(4), x0=3.0)
+    np.testing.assert_allclose(x, 3.0 + np.cumsum(T.RngSpec(4).generator().standard_normal(8)))
 
 
 def test_lur_deterministic_halving_recursion():
     # rho = 1 + c/n = 0.5 at c = -1.5, n = 3; no innovations
-    x = T.simulate_lur_ar(T.LurSpec(c=-1.5, gamma=1.0), 3,
-                          innovations=np.zeros(3), x0=8.0)
+    x = _lur_ar_panel(T.LurSpec(c=-1.5, gamma=1.0), np.zeros((1, 3)), np.array([[8.0]]))[0]
     np.testing.assert_allclose(x, [4.0, 2.0, 1.0])
 
 
 def test_lur_rejects_paths_off_the_finite_floats():
     with pytest.raises(ValueError, match=r"^x0 must be finite, got -inf$"):
-        T.simulate_lur_ar(T.LurSpec(c=-5.0), 5, rng=T.RngSpec(1), x0=-np.inf)
+        T.simulate_lur_ar(T.LurSpec(c=-5.0), 5, T.RngSpec(1), x0=-np.inf)
     # rho_n = 1 + 1e200 / 4: the third step passes the largest float
     with pytest.raises(ValueError, match=r"c=1e\+200, gamma=1.0, n=4 \(rho_n = 2.5e\+199\)"):
-        T.simulate_lur_ar(T.LurSpec(c=1e200), 4, innovations=np.ones(4))
+        T.simulate_lur_ar(T.LurSpec(c=1e200), 4, T.RngSpec(1))
     # a path that stays finite comes back, however large: rho_n = 5e149
-    x = T.simulate_lur_ar(T.LurSpec(c=1e150), 2, innovations=np.ones(2))
-    assert x.tolist() == [1.0, 5e149 + 1.0]
+    x = T.simulate_lur_ar(T.LurSpec(c=1e150), 2, T.RngSpec(1))
+    v = T.RngSpec(1).generator().standard_normal(2)
+    assert x.tolist() == [v[0], 5e149 * v[0] + v[1]]
 
 
 def test_lur_near_stationary_variance_matches_ou_limit():

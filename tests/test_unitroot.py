@@ -11,7 +11,7 @@ import tsnet as T
 
 def test_ols_ar_hand_value():
     # y=(1,2,3), one lag, no deterministics: rho = (2*1+3*2)/(1+4) = 1.6
-    fit = T.ols_ar([1.0, 2.0, 3.0], p=1, deterministic="none")
+    fit = T.ols_ar([1.0, 2.0, 3.0], p=1)
     assert fit.ar_coeffs[0] == pytest.approx(1.6)
     assert fit.nobs == 2
 
