@@ -1,8 +1,10 @@
 """The byte contract: the CSVs of every experiment keep their SHA-256.
 
 One fresh process, with one BLAS thread, runs each registered experiment
-at a small size and a two-cell `tsnet mc grid`, and hashes every per-rep,
-summary and grid CSV it writes.  The hashes must equal the ones in
+at a small size, the experiments with a reused workspace at a size that
+crosses its every boundary, and a two-cell `tsnet mc grid` in the caller
+and in a forced process pool, and hashes every per-rep, summary and grid
+CSV it writes.  The hashes must equal the ones in
 `golden_hashes.json`, which also records the numpy, scipy and BLAS builds
 they were made with: floating-point output may change with those, so a
 mismatch names both sets.  To regenerate the file after a change that is
@@ -43,7 +45,19 @@ RUNS = (
     ("mp-edges", 111, 3, {"n": 200}),
     ("nested-forecast", 112, 3, {"n": 150}),
 )
-GRID = ("experiment = ivx-null\nreps = 6\nseed = 105\nn = 150\ncorr = 0.9\n"
+# sizes past every workspace boundary, each run's files in boundary/:
+# ar1-clt crosses `mc._BATCH`, a 2 MB block and its 6-rep sub-panels;
+# hac-lrv has one-rep sub-panels; phillips-size's limit table and
+# supwald-nbb's bridge table fill several batches; unitroot-boot's
+# bootstrap fills several chunks
+BOUNDARY_RUNS = (
+    ("ar1-clt", 101, 70, {"n": 5000}),
+    ("hac-lrv", 102, 8, {"n": 40000}),
+    ("phillips-size", 103, 5, {"n": 120, "cv_reps": 1200}),
+    ("supwald-nbb", 106, 5, {"n": 150, "nbb_reps": 1500, "nbb_grid": 100}),
+    ("unitroot-boot", 109, 2, {"n": 150, "B": 2000, "cv_reps": 500}),
+)
+GRID = ("experiment = ivx-null\nreps = {reps}\nseed = 105\nn = 150\ncorr = 0.9\n"
         "grid.c = 0.0, -5.0\n")
 
 
@@ -59,22 +73,34 @@ def _versions() -> dict:
             "blas": f"numpy: {blas(numpy)}; scipy: {blas(scipy)}"}
 
 
-def _hashes() -> dict:
-    """Run every experiment and the grid here; the SHA-256 of each CSV by file name."""
+def _grid(out: Path, reps: int, *flags: str) -> None:
     from tsnet.cli import main
-    from tsnet.mc import ExperimentConfig, run_experiment
+
+    out.mkdir(exist_ok=True)
+    config = out / "grid.cfg"
+    config.write_text(GRID.format(reps=reps))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mc", "grid", str(config), "--out", str(out), *flags]) == 0
+
+
+def _hashes() -> dict:
+    """Run every experiment and the grids here; the SHA-256 of each CSV by
+    its path under the output directory."""
+    from tsnet import mc
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for name, seed, reps, params in RUNS:
-            run_experiment(ExperimentConfig(experiment=name, reps=reps, seed=seed,
-                                            params=params), out=out)
-        config = out / "grid.cfg"
-        config.write_text(GRID)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["mc", "grid", str(config), "--out", str(out)]) == 0
-        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(out.glob("*.csv"))}
+        for sub, runs in (("", RUNS), ("boundary", BOUNDARY_RUNS)):
+            (out / sub).mkdir(exist_ok=True)
+            for name, seed, reps, params in runs:
+                mc.run_experiment(mc.ExperimentConfig(experiment=name, reps=reps, seed=seed,
+                                                      params=params), out=out / sub)
+        _grid(out, 6)
+        # a pool from the first task on
+        mc._POOL_START_S = 0.0
+        _grid(out / "pool", 130, "--jobs", "2")
+        return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.rglob("*.csv"))}
 
 
 def _measure() -> dict:
@@ -91,7 +117,7 @@ def _measure() -> dict:
 def test_every_csv_keeps_its_bytes():
     golden = json.loads(GOLDEN.read_text())
     now = _measure()
-    assert len(golden["hashes"]) == 2 * len(RUNS) + 1
+    assert len(golden["hashes"]) == 2 * (len(RUNS) + len(BOUNDARY_RUNS)) + 2
     changed = sorted(name for name in golden["hashes"].keys() | now["hashes"].keys()
                      if golden["hashes"].get(name) != now["hashes"].get(name))
     assert changed == [], (f"CSV bytes changed in {changed}; recorded with "
