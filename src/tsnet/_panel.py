@@ -37,19 +37,41 @@ alone, so rescaling y changes no decision.  Every statistic that is a ratio over
 variance raises on an exact fit, through `check_fit`, with two
 conventions: `adf_test` gives a noiseless autoregression the t-ratio
 +-inf (a constant series raises), and `me_monitor` gives a zero path.
+
+`chunks` is the one rule for how many rows a batched computation holds
+at once, `_PANEL_BYTES` of them (at least one row): the limit tables'
+walks, the bootstraps' replicates and the Monte Carlo sub-panels.  It
+bounds a workspace and never a result.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "collinear", "check_design", "exact_fit",
-           "check_fit", "rowdot", "first_rep"]
+           "check_fit", "rowdot", "first_rep", "chunks"]
 
 _SINGULAR = "singular least-squares design: the regressors are collinear or constant"
+
+# about a core's L2 cache
+_PANEL_BYTES = 2**18
+
+
+def chunks(total: int, shape: tuple[int, ...], budget: int = _PANEL_BYTES):
+    """Yield (lo, rows): rows lo, lo + 1, ... of `total` float rows of
+    `shape`, as views of one reused buffer of `budget` bytes (at least one
+    row, at most `total`).  The rows come uninitialized, and hold until the
+    next chunk overwrites them: a caller fills a chunk and takes what it
+    needs of it before asking for the next.
+    """
+    size = min(total, max(1, budget // (8 * math.prod(shape))))
+    buf = np.empty((size, *shape))
+    for lo in range(0, total, size):
+        yield lo, buf[:total - lo]
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

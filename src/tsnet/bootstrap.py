@@ -9,18 +9,17 @@ replicate statistics plus the observed value, so p-values follow one
 shared convention: (1 + #{replicates at least as extreme}) / (B + 1).
 
 No scheme forms a (B, n) array.  The block, wild and residual unit
-root bootstraps build their replicates a chunk at a time in one reused
-buffer of about 1 MB (`_CHUNK_FLOATS`), and a chunk's statistics are
-taken before the next chunk overwrites it.  `_block_resample` owns that
-buffer for both block schemes: each drawn block is a whole window of the
-series' `sliding_window_view` (the circular layout appends length - 1
-wrapped values first), so no index matrix is formed either.  The unit
-root bootstrap's chunk is a panel of replicate walks: the resampled
-residuals are gathered after a zero column x*_0, cumulated in place and
-fitted by the normal equations alone (`_panel.ols_coef`), since only
-rho* is kept; the panel kernels give each replicate the same bits
-whatever chunk it lands in.  The sieve and stationary bootstraps build
-one length-n replicate at a time.
+root bootstraps build their replicates in the `_panel.chunks` of B, and
+a chunk's statistics are taken before the next chunk overwrites it.
+`_block_resample` fills them for both block schemes: each drawn block is
+a whole window of the series' `sliding_window_view` (the circular layout
+appends length - 1 wrapped values first), so no index matrix is formed
+either.  The unit root bootstrap's chunk is a panel of replicate walks:
+the resampled residuals are gathered after a zero column x*_0, cumulated
+in place and fitted by the normal equations alone (`_panel.ols_coef`),
+since only rho* is kept; the panel kernels give each replicate the same
+bits whatever chunk it lands in.  The sieve and stationary bootstraps
+build one length-n replicate at a time.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._checks import as_series, check_positive_int
+from ._checks import as_series, check_in, check_positive_int
 from ._filter import ar
-from ._panel import check_fit, ols_coef
+from ._panel import check_fit, chunks, ols_coef
 from .series import RngSpec, _resolve_rng
 from .unitroot import _ar_fit, ols_ar
 
@@ -80,26 +79,18 @@ class BootstrapResult:
     scheme: str
 
 
-# floats in one chunk of bootstrap replicates: about 1 MB.  It bounds the
-# workspace and never a result.
-_CHUNK_FLOATS = 2**17
-
-
 def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
                     gen: np.random.Generator, lead: int = 0):
     """Yield (lo, reps): the B block-bootstrap replicates of a length-n
-    series x, chunk by chunk, reps[i, lead:] holding replicate lo + i.
+    series x, in the `_panel.chunks` of B rows of lead + n, reps[i, lead:]
+    holding replicate lo + i and the first `lead` columns left to the caller.
 
     Each replicate concatenates ceil(n/length) blocks, whole windows of
     x gathered from its `sliding_window_view`, and is truncated to n.
     For overlapping circular blocks x gets length - 1 wrapped values
     appended, so a block that runs past the end is one window too; for
-    non-overlapping blocks the windows are every length-th one.  A chunk
-    holds `_CHUNK_FLOATS` // (ceil(n/length) * length) replicates (at
-    least one), its block starts drawn as it is gathered, and every chunk
-    is a view of one reused (rows, lead + n) buffer whose first `lead`
-    columns are zero: a caller takes a chunk's statistics, in place if
-    it likes, before asking for the next.
+    non-overlapping blocks the windows are every length-th one.  A
+    chunk's block starts are drawn as it is gathered.
     """
     n, l = x.shape[0], spec.length
     if l > n:
@@ -108,9 +99,7 @@ def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
     if spec.overlap and spec.circular:
         x = np.concatenate([x, x[:l - 1]])
     windows = sliding_window_view(x, l)[::1 if spec.overlap else l]
-    buf = np.zeros((min(B, max(1, _CHUNK_FLOATS // (k * l))), lead + n))
-    for lo in range(0, B, len(buf)):
-        reps = buf[:B - lo]
+    for lo, reps in chunks(B, (lead + n,)):
         starts = gen.integers(0, len(windows), size=(len(reps), k))
         reps[:, lead:] = windows[starts].reshape(len(reps), k * l)[:, :n]
         yield lo, reps
@@ -223,13 +212,9 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     e = as_series(residuals, "residuals")
     B = check_positive_int(B, "B")
     gen = _resolve_rng(rng)
-    if multiplier not in ("normal", "rademacher"):
-        raise ValueError("multiplier must be 'normal' or 'rademacher'")
-    n = e.shape[0]
-    buf = np.empty((min(B, max(1, _CHUNK_FLOATS // n)), n))
+    check_in(multiplier, ("normal", "rademacher"), "multiplier")
     stats = []
-    for lo in range(0, B, len(buf)):
-        eta = buf[:B - lo]
+    for _, eta in chunks(B, e.shape):
         if multiplier == "normal":
             gen.standard_normal(out=eta)
         else:
@@ -274,6 +259,7 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     rho_star = np.empty(B)
     for lo, walks in _block_resample(resid, spec, B, gen, lead=1):
         # after x*_0 = 0 the resampled residuals are cumulated in place
+        walks[:, 0] = 0.0
         np.cumsum(walks[:, 1:], axis=1, out=walks[:, 1:])
         rho_star[lo:lo + len(walks)] = _ar_fit(walks, "none", fit=ols_coef)[0].coef[:, 0]
     stats = m * (rho_star - 1.0)
@@ -285,12 +271,11 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
 def bootstrap_pvalue(observed: float, draws, tail: str = "two") -> float:
     """Finite-sample bootstrap p-value (1 + #extreme) / (B + 1)."""
     d = np.asarray(draws, dtype=float)
+    check_in(tail, ("left", "right", "two"), "tail")
     if tail == "left":
         extreme = np.sum(d <= observed)
     elif tail == "right":
         extreme = np.sum(d >= observed)
-    elif tail == "two":
-        extreme = np.sum(np.abs(d) >= abs(observed))
     else:
-        raise ValueError("tail must be 'left', 'right', or 'two'")
+        extreme = np.sum(np.abs(d) >= abs(observed))
     return float((1 + extreme) / (d.size + 1))

@@ -224,9 +224,8 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     uniform grid i / grid, i = 1..grid; this is the null limit of
     `sup_wald`.  The trim range must hold at least one grid point.
 
-    The walks come from `tables._walk_batches`, the one owner of the
-    cache-sized workspace, so memory does not grow with reps; the draws
-    come from one stream in rep order and do not depend on the batch.
+    The walks come from one stream in rep order, a `_panel.chunks` at a
+    time (`tables._walk_batches`).
     Each batch is scaled in place, and the bridge is formed only on the
     trimmed points, one contiguous slice.
     """

@@ -343,6 +343,8 @@ def _estimate_ivx(args):
 def _estimate_garch(args):
     fit = garch_qmle(_load_series(args), mean=args.mean)
     _print_fields(fit.spec, "omega", "alpha", "beta", "mu")
+    if args.mean == "ar1":
+        _print_fields(fit, "ar_coeff")
     _print_fields(fit, "loglik", "converged", "n_iter", "nobs")
 
 

@@ -54,10 +54,6 @@ class FmolsResult:
     lrv: LrvEstimate
     nobs: int
 
-    @property
-    def slopes(self) -> np.ndarray:
-        return self.beta_plus[1:]
-
 
 def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     """Fully modified least squares for a cointegrating regression.

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_finite_path, check_positive_int
+from ._checks import as_series, check_finite_path, check_in, check_positive_int
 from ._filter import ar
 from ._panel import ols
 from .series import _resolve_rng
@@ -315,18 +315,17 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     `GarchConvergenceWarning` and reports converged=False.
     """
     obs = as_series(y, "y", min_len=_MIN_QMLE_N)
+    check_in(mean, ("constant", "ar1"), "mean")
     ar_coeff = None
     if mean == "constant":
         mu = float(obs.mean())
         eps = obs - mu
-    elif mean == "ar1":
+    else:
         yy = obs[1:]
         X = np.column_stack([np.ones(obs.shape[0] - 1), obs[:-1]])
         fit = ols(X[None], yy[None])
         mu, ar_coeff = float(fit.coef[0, 0]), float(fit.coef[0, 1])
         eps = fit.resid[0]
-    else:
-        raise ValueError("mean must be 'constant' or 'ar1'")
 
     q = _QuasiLikelihood(eps)
     # innovations at roundoff of y carry no variance to model

@@ -20,11 +20,8 @@ cost far more than the per-call overhead.  `_panel` serves the other
 eight, whose hooks get an (R, ...) array of standard normals, row i from
 one rep's stream, and use the library's panel kernels, which work on the
 leading rep axis with bit-identical per-rep results.  It draws a batch
-in blocks of at most `_BLOCK_BYTES` into one reused buffer, and calls
-the hook on sub-panels of at most `_SUBPANEL_BYTES` of normals (at
-least one rep), so a hook's working set stays a few times its
-sub-panel: 8 reps for supwald-nbb at n = 2000, 6 for ar1-clt at
-n = 5000, 1 for hac-lrv at n = 100 000.
+in `_panel.chunks` of `_BLOCK_BYTES` and hands the hook sub-panels of
+`_panel._PANEL_BYTES`.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -87,7 +84,7 @@ import numpy as np
 from scipy import special
 
 from ._checks import _MIN_OBS, check_positive_int
-from ._panel import ols_coef, rowdot
+from ._panel import _PANEL_BYTES, chunks, ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
@@ -115,7 +112,7 @@ from .series import (
     simulate_predictive_system,
 )
 from .tables import _MIN_REPS
-from .unitroot import _MIN_T, _ar_fit, _phillips_z_panel, df_limit_mc
+from .unitroot import _MIN_T, _PHILLIPS_DETERMINISTICS, _ar_fit, _phillips_z_panel, df_limit_mc
 
 __all__ = [
     "ExperimentConfig",
@@ -137,16 +134,16 @@ _LEVEL = 0.05
 # reps per `rep` call: enough to amortize the per-call overhead, while a
 # 64-rep panel of n = 2000 series stays near 2 MB
 _BATCH = 64
-# bytes of normals `_panel` draws at once (a block) and hands a panel hook
-# at once (a sub-panel).  A sub-panel's simulation and kernels take a few
-# times its normals, so the working set stays near the block's size and
-# glibc's allocator reuses its pages instead of faulting in fresh ones.
-# One level is slower: feeding hooks one chunk straight from a buffer of
-# that chunk's size gave the benchmark's serial-light 6450-6720 reps/s
-# against 7435-7707 with these two levels, with chunks of 256 KB, 512 KB
-# or 2 MB (2-core x86-64 host, one BLAS thread); the CSVs were the same.
+# bytes of normals `_panel` draws at once (a block), cut into sub-panels
+# of `_panel._PANEL_BYTES` for the hook.  A sub-panel's simulation and
+# kernels take a few times its normals, so the working set stays near the
+# block's size and glibc's allocator reuses its pages instead of faulting
+# in fresh ones.  One level is slower: feeding hooks one chunk straight
+# from a buffer of that chunk's size gave the benchmark's serial-light
+# 6450-6720 reps/s against 7435-7707 with these two levels, with chunks
+# of 256 KB, 512 KB or 2 MB (2-core x86-64 host, one BLAS thread); the
+# CSVs were the same.
 _BLOCK_BYTES = 2**21
-_SUBPANEL_BYTES = 2**18
 # wall time a process pool of two workers costs a call: forking them,
 # shipping the cells, waiting for the first block and shutting down.
 # Measured at 13-27 ms on a 2-core x86-64 host (one BLAS thread) with the
@@ -455,17 +452,13 @@ def _panel(draw, rep):
     """Batch `rep` for an experiment whose `rep(cfg, ctx, z)` gives the rows of
     a sub-panel z of standard normals of shape (R, *draw(cfg.params)), row
     i from its rep's stream.  The batch is drawn block by block into one
-    reused buffer, a whole number of sub-panels each, so no row of a hook's
-    result may be a view of z.
+    reused buffer, so no row of a hook's result may be a view of z.
     """
     def batch(cfg, ctx, rs):
         shape = draw(cfg.params)
-        row = 8 * math.prod(shape)
-        sub = max(1, _SUBPANEL_BYTES // row)
-        buf = np.empty((min(len(rs), sub * max(1, _BLOCK_BYTES // (sub * row))), *shape))
+        sub = max(1, _PANEL_BYTES // (8 * math.prod(shape)))
         streams, rows = _rep_streams(cfg, rs), []
-        for lo in range(0, len(rs), len(buf)):
-            z = buf[:len(rs) - lo]
+        for _, z in chunks(len(rs), shape, _BLOCK_BYTES):
             for out, gen in zip(z, streams):
                 gen.standard_normal(out=out)
             rows += [rep(cfg, ctx, z[i:i + sub]) for i in range(0, len(z), sub)]
@@ -743,7 +736,9 @@ _register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
           params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
                   **_KERNEL},
           echo=("n", "theta", "level"),
-          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS)})
+          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS),
+                   "deterministic": (f"one of {sorted(_PHILLIPS_DETERMINISTICS)}",
+                                     lambda v, p: v in _PHILLIPS_DETERMINISTICS)})
 
 
 def _fmols_rep(cfg, ctx, z):

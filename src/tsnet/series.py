@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_finite_path, check_positive_int
+from ._checks import check_finite_path, check_in, check_positive_int
 from ._filter import ar, ma
 
 __all__ = [
@@ -320,8 +320,7 @@ def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,
     n = check_positive_int(n, "n")
     if not (np.isfinite(c) and np.isfinite(sigma) and sigma >= 0 and horizon > 0):
         raise ValueError("need finite c, sigma >= 0, horizon > 0")
-    if init not in ("zero", "stationary"):
-        raise ValueError("init must be 'zero' or 'stationary'")
+    check_in(init, ("zero", "stationary"), "init")
     if init == "stationary" and c >= 0:
         raise ValueError("stationary initialization requires c < 0")
     gen = _resolve_rng(rng)

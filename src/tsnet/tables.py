@@ -1,18 +1,15 @@
 """Simulated quantile tables for nonstandard limit distributions, and
-`_walk_batches`, the walk batcher that alone owns their draws' workspace."""
+`_walk_batches`, the random walks their simulators draw."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantileTable"]
+from ._panel import chunks
 
-# bytes a limit-table simulator's batch of draws holds at once.  About
-# a core's L2 cache; it bounds the workspace and never a result.
-_WORKSPACE_BYTES = 2**19
+__all__ = ["QuantileTable"]
 
 # the fewest replications a limit-table simulator accepts
 _MIN_REPS = 100
@@ -20,16 +17,13 @@ _MIN_REPS = 100
 
 def _walk_batches(gen, reps: int, shape: tuple[int, ...]):
     """Yield (lo, walks): `reps` standard-normal random walks of `shape`,
-    drawn from `gen` in rep order into one reused buffer of
-    `_WORKSPACE_BYTES` (at least one walk) and cumulated in place along
-    time, the first axis of `shape`.  `walks` holds reps lo, lo + 1, ...
-    until the next batch overwrites it, so a caller may scale it in place.
+    drawn from `gen` in rep order into the `_panel.chunks` of `reps` and
+    cumulated in place along time, the first axis of `shape`.  `walks`
+    holds reps lo, lo + 1, ... until the next chunk overwrites it, so a
+    caller may scale it in place; the draws do not depend on the chunks.
     """
-    rows = min(reps, max(1, _WORKSPACE_BYTES // (8 * math.prod(shape))))
-    buf = np.empty((rows, *shape))
-    for lo in range(0, reps, rows):
-        walks = gen.standard_normal(out=buf[:min(rows, reps - lo)])
-        np.cumsum(walks, axis=1, out=walks)
+    for lo, walks in chunks(reps, shape):
+        np.cumsum(gen.standard_normal(out=walks), axis=1, out=walks)
         yield lo, walks
 
 

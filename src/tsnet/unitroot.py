@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _DETERMINISTICS = ("none", "const", "trend")
+# the ones the Phillips corrections take
+_PHILLIPS_DETERMINISTICS = ("none", "const")
 
 # the shortest walk `df_limit_mc` simulates
 _MIN_T = 10
@@ -188,8 +190,7 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
     warns once.
     """
     x = as_panel(ts, "ts", min_len=10)
-    if deterministic not in ("none", "const"):
-        raise ValueError("deterministic must be 'none' or 'const'")
+    check_in(deterministic, _PHILLIPS_DETERMINISTICS, "deterministic")
     ylag = x[:, :-1]
     T = ylag.shape[1]
     fit, dof = _ar_fit(x, deterministic)
@@ -239,9 +240,8 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     returned tables.  Used wherever unit root critical values are
     needed.
 
-    The walks come from `tables._walk_batches`, the one owner of the
-    cache-sized workspace, so memory does not grow with reps; the draws
-    come from one stream in rep order and do not depend on the batch.
+    The walks come from one stream in rep order, a `_panel.chunks` at a
+    time (`tables._walk_batches`).
     """
     T = check_positive_int(T, "T", minimum=_MIN_T)
     reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)

@@ -23,8 +23,9 @@ import pytest
 from scipy import special, stats
 
 import tsnet as T
-from tsnet import mc, tables
+from tsnet import mc
 from tsnet._filter import ar, ma
+from tsnet._panel import _PANEL_BYTES
 from tsnet.breaks import _split_wald_panel, _sup_wald_panel
 from tsnet.coint import _fmols_panel
 from tsnet.lrv import _hac_lrv_panel
@@ -401,7 +402,7 @@ def test_rows_do_not_depend_on_batch_size(name, seed, params):
 
 @pytest.mark.parametrize("shape,sizes", [
     ((2000, 2), [8] * 8),            # supwald-nbb at n = 2000
-    ((5001,), [6] * 8 + [6, 6, 4]),  # ar1-clt at n = 5000: blocks of 48 reps
+    ((5001,), [6] * 8 + [4, 6, 6]),  # ar1-clt at n = 5000: blocks of 52 reps
     ((100001,), [1] * 5),            # hac-lrv at n = 100 000
 ], ids=["supwald-nbb", "ar1-clt", "hac-lrv"])
 def test_panel_cuts_a_batch_into_subpanels_by_bytes(shape, sizes):
@@ -580,19 +581,21 @@ def ref_df_limit_draws(T_len, deterministic, reps, rng):
     return (T_len - 1) * (alpha - 1.0), (alpha - 1.0) / se
 
 
-def _batches(row_floats, reps):
-    """How many workspace-sized batches `reps` rows of `row_floats` floats fill."""
-    return reps / (tables._WORKSPACE_BYTES // (8 * row_floats))
+def _spans_batches(row_floats, reps):
+    """Whether `reps` rows of `row_floats` floats fill two or more whole
+    `_panel.chunks` and a partial last one."""
+    batches = reps / (_PANEL_BYTES // (8 * row_floats))
+    return batches > 2 and batches % 1 > 0
 
 
-# reps cover two full workspace batches and a partial third at each grid
+# reps cover two or more full batches and a partial last one at each grid
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("trim", [(0.15, 0.85), (0.05, 0.95), (0.3, 0.7)])
 @pytest.mark.parametrize("grid,reps", [(100, {1: 1400, 2: 700, 3: 500}),
                                        (333, {1: 450, 2: 230, 3: 150})])
 def test_nbb_sup_draws_equal_the_whole_batch(p, trim, grid, reps):
     reps = reps[p]
-    assert 2 < _batches(grid * p, reps) < 3
+    assert _spans_batches(grid * p, reps)
     rng = T.RngSpec(90 + p, grid)
     table = T.nbb_sup_mc(p=p, trim=trim, reps=reps, rng=rng, grid=grid)
     want = ref_nbb_sup_draws(p, trim, reps, rng, grid)
@@ -602,7 +605,7 @@ def test_nbb_sup_draws_equal_the_whole_batch(p, trim, grid, reps):
 @pytest.mark.parametrize("deterministic", ["none", "const", "trend"])
 @pytest.mark.parametrize("T_len,reps", [(200, 700), (1000, 150)])
 def test_df_limit_draws_equal_the_whole_batch(deterministic, T_len, reps):
-    assert 2 < _batches(T_len, reps) < 3
+    assert _spans_batches(T_len, reps)
     rng = T.RngSpec(95, T_len)
     got = T.df_limit_mc(T_len, deterministic=deterministic, reps=reps, rng=rng)
     coef, t = ref_df_limit_draws(T_len, deterministic, reps, rng)

@@ -10,7 +10,7 @@ from scipy import stats as st
 from scipy.signal import lfilter
 
 import tsnet as T
-from tsnet._panel import ols_coef
+from tsnet._panel import _PANEL_BYTES, ols_coef
 from tsnet.unitroot import _ar_fit
 
 
@@ -270,8 +270,9 @@ def _whole_wild(e, B, gen, multiplier):
 
 
 def _chunk_sizes(width):
-    # B below one chunk, one chunk exactly, and not a multiple of a chunk
-    rows = T.bootstrap._CHUNK_FLOATS // width
+    # B below one chunk of replicates `width` floats wide, one chunk
+    # exactly, and not a multiple of a chunk
+    rows = _PANEL_BYTES // (8 * width)
     return (rows // 3, rows, 2 * rows + 7)
 
 
@@ -280,7 +281,7 @@ def test_unitroot_bootstrap_chunks_match_the_whole_array(block):
     n = 1000
     x = np.cumsum(np.random.default_rng(31).standard_normal(n))
     spec = T.BlockSpec(block)
-    for B in _chunk_sizes(ceil((n - 1) / block) * block):
+    for B in _chunk_sizes(n):  # the n - 1 residuals after x*_0
         res = T.residual_unitroot_bootstrap(x, B, T.RngSpec(5, B), spec)
         stats, observed = _whole_unitroot_bootstrap(x, B, T.RngSpec(5, B).generator(), spec)
         assert np.array_equal(res.stats, stats), B
@@ -294,7 +295,7 @@ def test_block_bootstrap_chunks_match_the_whole_array(spec):
     # chunk's statistics are copied out before the next chunk is gathered
     n = 1000
     x = np.random.default_rng(32).standard_normal(n)
-    for B in _chunk_sizes(ceil(n / 7) * 7):
+    for B in _chunk_sizes(n):
         res = T.block_bootstrap(x, lambda z: z, B, T.RngSpec(6, B), spec)
         reps = _whole_block_resample(x, spec, B, T.RngSpec(6, B).generator())
         assert np.array_equal(res.stats, reps), B

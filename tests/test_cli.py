@@ -123,6 +123,19 @@ def test_estimate_garch(tmp_path, capsys):
     assert float(kv["omega"]) > 0.0
     assert float(kv["loglik"]) < 0.0  # the log-likelihood, not the minimized objective
     assert kv["converged"] in ("0", "1")
+    assert "ar_coeff" not in kv
+
+
+def test_estimate_garch_ar1_prints_the_ar_coefficient(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    run_cli("simulate", "garch", "--omega", "0.1", "--alpha", "0.1",
+            "--beta", "0.8", "--n", "500", "--seed", "3", "--out", str(path))
+    run_cli("estimate", "garch", "--data", str(path), "--column", "y", "--mean", "ar1")
+    fit = T.garch_qmle(read_csv(path)[2][:, 1], mean="ar1")
+    kv = kv_from(capsys)
+    assert list(kv)[3:5] == ["mu", "ar_coeff"]
+    assert float(kv["ar_coeff"]) == fit.ar_coeff
+    assert float(kv["mu"]) == fit.spec.mu
 
 
 def test_estimate_garch_on_a_constant_column_is_one_line(tmp_path, capsys):
@@ -144,6 +157,12 @@ def test_unitroot_subcommands(tmp_path, capsys):
     run_cli("test", "phillips", "--data", str(data), "--det", "const")
     kv = kv_from(capsys)
     assert "z_alpha" in kv and float(kv["bandwidth"]) >= 1.0
+    run_cli("test", "phillips", "--data", str(data), "--det", "const", "--crit",
+            "--reps", "500", "--seed", "3", "--stream", "2")
+    kv = kv_from(capsys)
+    tables = T.df_limit_mc(400, deterministic="const", reps=500, rng=T.RngSpec(3, 2))
+    assert float(kv["crit_coef_05"]) == tables.coef.quantile(0.05)
+    assert float(kv["crit_t_05"]) == tables.t.quantile(0.05)
 
 
 def test_stability_subcommands(tmp_path, capsys):
@@ -315,6 +334,10 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
     ("run", "unitroot-boot", "block = 0",
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 0"),
+    # a trend is a limit table's deterministic, but not the Phillips corrections'
+    ("run", "phillips-size", "deterministic = trend",
+     "experiment 'phillips-size': parameter 'deterministic' must be one of ['const', 'none'], "
+     "got 'trend'"),
     # each below used to name an internal argument: T or reps of df_limit_mc,
     # reps or grid of nbb_sup_mc, ms of the HAC estimator, y of a regression
     # or of the GARCH fit, n of cycle_graph, or the AR(1) fit's degrees of freedom
@@ -356,7 +379,8 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
      "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
     ("grid", "unitroot-boot", "n = 1000\ngrid.block = 10, 2000",
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
-], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero", "phillips-n",
+], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero",
+        "phillips-deterministic", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
         "supwald-nbb-grid", "hac-lrv-n", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
         "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
@@ -531,6 +555,8 @@ def test_cli_singular_design_is_one_line(tmp_path, capsys):
      + "40,inf\n", "data.csv: column 'value' holds inf in data row 40"),
     (["estimate", "ivx"], "y,x\n0.5,1.0\n0.25,-inf\n",
      "data.csv: column 'x' holds -inf in data row 2"),
+    (["test", "adf"], "t\n1\n2\n", "no data column found"),
+    (["test", "adf"], "t,value\n", "no data rows in"),
 ])
 def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     data = tmp_path / "data.csv"
@@ -557,6 +583,9 @@ def _one_error_line(capsys) -> str:
                                          "gamma=0.5, n=5 "),
     (["--c", "-5", "--x0", "inf"], "x0 must be finite, got inf"),
     (["--c", "-5", "--x0", "nan"], "x0 must be finite, got nan"),
+    # LurSpec checks its own fields
+    (["--c", "nan"], "c must be finite"),
+    (["--c", "-5", "--gamma", "1.5"], "gamma must lie in (0, 1]"),
 ])
 def test_simulate_lur_off_the_finite_floats_is_one_line(tmp_path, capsys, flags, message):
     out = tmp_path / "lur.csv"
@@ -588,6 +617,16 @@ def test_simulate_lur_off_the_finite_floats_is_one_line(tmp_path, capsys, flags,
      "sigma_ue must be finite, got [[1.0, nan], [nan, 1.0]]"),
     (["system", "--beta", "1", "--c", "-1", "--n", "5", "--v-ar", "nan"],
      "v_ar coefficients must be inside the unit circle, got (nan,)"),
+    (["system", "--beta", "1,2", "--c", "-1", "--n", "5", "--v-ar", "0.5"],
+     "need one v_ar coefficient per regressor"),
+    (["system", "--beta", "1,2", "--c=-1,-2,-3", "--n", "5"],
+     "--c must give one value, or one per --beta entry"),
+    # and so do LinearProcessSpec, RngSpec and the OU simulator
+    (["linear", "--coeffs", "1,nan", "--n", "5"], "coeffs must be finite"),
+    (["linear", "--coeffs", "1", "--sigma", "0", "--n", "5"], "sigma must be positive"),
+    (["linear", "--coeffs", "1", "--n", "5", "--seed", "-1"],
+     "seed must be an unsigned 64-bit integer, got -1"),
+    (["ou", "--c", "nan", "--n", "5"], "need finite c, sigma >= 0, horizon > 0"),
 ])
 def test_simulate_off_the_finite_floats_is_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "graph-ma":

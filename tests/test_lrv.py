@@ -116,6 +116,9 @@ def test_hac_ar1_matches_analytic_lrv():
 def test_hac_scalar_accessor():
     est = T.hac_lrv(np.random.default_rng(0).standard_normal(50))
     assert est.scalar == float(est.omega[0, 0])
+    est = T.hac_lrv(np.random.default_rng(0).standard_normal((50, 2)))
+    with pytest.raises(ValueError, match="scalar only defined for univariate estimates"):
+        est.scalar
 
 
 def test_hac_demean_flag_changes_nothing_for_centered_input():
@@ -129,3 +132,8 @@ def test_hac_demean_flag_changes_nothing_for_centered_input():
 def test_hac_rejects_too_short_series():
     with pytest.raises(ValueError):
         T.hac_lrv(np.array([1.0]))
+
+
+def test_hac_rejects_a_3d_array():
+    with pytest.raises(ValueError, match=r"ms must be at most two-dimensional, got shape"):
+        T.hac_lrv(np.zeros((20, 2, 2)))

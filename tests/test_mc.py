@@ -538,6 +538,7 @@ _OUTSIDE = {
     ("hac-lrv", "phi"): (1,),
     ("phillips-size", "n"): (9,),
     ("phillips-size", "cv_reps"): (99,),
+    ("phillips-size", "deterministic"): ("trend", "foo"),  # Z_alpha, Z_t take none or const
     ("fmols-size", "n"): (7,),
     ("fmols-size", "corr"): (-1.0,),  # a correlation lies in (-1, 1)
     ("ivx-null", "n"): (7,),

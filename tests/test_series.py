@@ -21,6 +21,24 @@ def test_linear_process_rejects_nonpositive_length():
         T.simulate_linear_process(spec, 0, T.RngSpec(0, 0))
 
 
+_LUR = (T.LurSpec(-1.0),)
+
+
+# the CLI cannot build these; tests/test_cli.py checks the fields it can set
+@pytest.mark.parametrize("make,message", [
+    (lambda: T.LinearProcessSpec(()), "coeffs must be non-empty"),
+    (lambda: T.SystemSpec(beta=(), lur=()), "beta must be non-empty"),
+    (lambda: T.SystemSpec(beta=(0.1, 0.2), lur=_LUR), "need one LurSpec per regressor"),
+    (lambda: T.SystemSpec(beta=(0.1,), lur=_LUR, sigma_ue=((1.0,),)),
+     r"sigma_ue must be \(2, 2\)"),
+    (lambda: T.SystemSpec(beta=(0.1,), lur=_LUR, sigma_ue=((1.0, 0.5), (0.4, 1.0))),
+     "sigma_ue must be symmetric"),
+], ids=["empty-coeffs", "empty-beta", "lur-count", "sigma-ue-shape", "sigma-ue-asymmetric"])
+def test_specs_reject_bad_fields(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_sample_autocovariance_matches_population_ma1():
     spec = T.LinearProcessSpec((1.0, 0.5), sigma=1.0)
     x = T.simulate_linear_process(spec, 100000, T.RngSpec(5, 2))

@@ -21,6 +21,15 @@ def test_ols_ar_needs_enough_observations():
         T.ols_ar([1.0, 2.0], p=1)
 
 
+@pytest.mark.parametrize("x,p,message", [
+    (np.zeros((5, 2)), 0, r"ts must be one-dimensional, got shape \(5, 2\)"),
+    (np.arange(30.0) % 7, -1, "p must be >= 0"),
+], ids=["2d", "negative-p"])
+def test_adf_rejects_bad_input(x, p, message):
+    with pytest.raises(ValueError, match=message):
+        T.adf_test(x, p=p)
+
+
 def test_adf_matches_two_pass_oracle_exactly():
     x = np.cumsum(T.RngSpec(21, 0).generator().standard_normal(400))
     res = T.adf_test(x, p=0, deterministic="none")
