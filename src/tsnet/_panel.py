@@ -159,17 +159,14 @@ def first_rep(res, shared=()):
     """The single rep of a panel result computed with R = 1.
 
     Every ndarray field carries the rep axis and loses it (a per-rep
-    scalar becomes a Python number); nested results are unpacked the
-    same way.  Fields named in `shared` hold one value for all reps and
-    are kept whole, as are non-array fields.
+    scalar becomes a Python number).  Fields named in `shared` hold one
+    value for all reps and are kept whole, as are non-array fields.
     """
     out = {}
     for f in dataclasses.fields(res):
         v = getattr(res, f.name)
         if f.name in shared:
             pass
-        elif dataclasses.is_dataclass(v):
-            v = first_rep(v)
         elif isinstance(v, np.ndarray):
             v = v[0].item() if v.ndim == 1 else v[0]
         out[f.name] = v

@@ -269,9 +269,18 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
 
 
 def bootstrap_pvalue(observed: float, draws, tail: str = "two") -> float:
-    """Finite-sample bootstrap p-value (1 + #extreme) / (B + 1)."""
+    """Finite-sample bootstrap p-value (1 + #extreme) / (B + 1).
+
+    A nan observed value or draw raises: it is neither extreme nor not.
+    Infinite values count as the most extreme of their sign.
+    """
     d = np.asarray(draws, dtype=float)
     check_in(tail, ("left", "right", "two"), "tail")
+    if np.any(np.isnan(observed)):
+        raise ValueError("the observed statistic is nan; a p-value needs a number")
+    if bad := np.count_nonzero(np.isnan(d)):
+        raise ValueError(f"{bad} of the {d.size} bootstrap draws are nan; "
+                         f"a p-value needs numbers")
     if tail == "left":
         extreme = np.sum(d <= observed)
     elif tail == "right":

@@ -57,14 +57,15 @@ def _check_trim(trim) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class WaldBreakResult:
-    """Wald statistic for equal slopes across a split at pair index k."""
+    """Wald statistic for equal slopes across a split at pair index k
+    (break fraction pi = k / nobs), with the slopes beta1 and beta2 of
+    the two regimes."""
 
     stat: float
     k: int
     pi: float
     beta1: np.ndarray
     beta2: np.ndarray
-    sigma2: float
     nobs: int
 
 
@@ -84,8 +85,7 @@ def _split_wald_panel(y, x, k: int | None = None,
                       pi0: float | None = None) -> WaldBreakResult:
     """`split_wald` of every rep of (R, n) y and (R, n[, d]) x panels.
 
-    stat, beta1, beta2 and sigma2 gain a leading rep axis; the split is
-    shared.
+    stat, beta1 and beta2 gain a leading rep axis; the split is shared.
     """
     ys, xl = _predictive_pairs(y, x)
     m, d = xl.shape[1:]
@@ -116,7 +116,7 @@ def _split_wald_panel(y, x, k: int | None = None,
     stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
                                         diff[:, :, None])[:, :, 0])
     return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
-                           beta2=theta[:, d:], sigma2=sigma2, nobs=m)
+                           beta2=theta[:, d:], nobs=m)
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
         norm2 = np.sum(np.square(bb, out=bb), axis=2)
         norm2 /= denom
         np.max(norm2, axis=1, out=draws[lo:lo + w.shape[0]])
-    detail = f"sup-normalized-bridge p={p} trim=({trim[0]}, {trim[1]}) grid={grid}"
-    return QuantileTable.from_draws(draws, reps, detail)
+    return QuantileTable.from_draws(draws)
 
 
 @dataclass(frozen=True)
@@ -380,21 +379,20 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
 class NestedForecastResult:
     """Accumulated out-of-sample loss difference between nested models.
 
-    stat is sum_t (e_small,t^2 - e_big,t^2) / sigma2, positive when the
+    stat is sum_t (e_small,t^2 - e_big,t^2) / sigma2, with sigma2 the
+    nesting model's full-sample residual variance, positive when the
     larger model forecasts better; path is the running partial sum of
-    the normalized differences.  start is the pair index of the first
-    forecast actually produced (equal to the requested k0 unless the
-    start had to be postponed).
+    the normalized differences, and errors_small and errors_big the
+    forecast errors of both models.  start is the pair index of the
+    first forecast actually produced (the requested k0 unless the start
+    had to be postponed).
     """
 
     stat: float
     path: np.ndarray
     errors_small: np.ndarray
     errors_big: np.ndarray
-    sigma2: float
-    k0: int
     start: int
-    nobs: int
 
 
 def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
@@ -460,5 +458,4 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     diffs = (e_small**2 - e_big**2) / sigma2
     path = np.cumsum(diffs)
     return NestedForecastResult(stat=float(path[-1]), path=path,
-                                errors_small=e_small, errors_big=e_big,
-                                sigma2=sigma2, k0=k0, start=start, nobs=m)
+                                errors_small=e_small, errors_big=e_big, start=start)

@@ -22,7 +22,7 @@ import numpy as np
 from ._checks import as_series, as_yx
 from ._panel import check_fit, first_rep, ols, rowdot
 from .breaks import _break_grid, _break_scan
-from .lrv import KernelSpec, LrvEstimate, _hac_lrv_panel, hac_lrv
+from .lrv import KernelSpec, _hac_lrv_panel, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
 
@@ -36,7 +36,8 @@ class FmolsResult:
     each coefficient against zero).  residuals_plus are the fully
     modified residuals y+_t - z_t'beta_plus, delta_plus the one-sided
     correction vector, omega_cond the conditional long-run variance
-    Omega_{eps.eta}, zz_inv the (Z'Z)^{-1} of the OLS stage.  The first
+    Omega_{eps.eta}, zz_inv the (Z'Z)^{-1} of the OLS stage; the
+    covariance of beta_plus is omega_cond * zz_inv.  The first
     observation is reserved for the regressor difference, so
     nobs = len(y) - 1.
     """
@@ -45,13 +46,11 @@ class FmolsResult:
     beta_ols: np.ndarray
     se: np.ndarray
     t_plus: np.ndarray
-    cov: np.ndarray
     zz_inv: np.ndarray
     omega_cond: float
     delta_plus: np.ndarray
     residuals_plus: np.ndarray
     residuals_ols: np.ndarray
-    lrv: LrvEstimate
     nobs: int
 
 
@@ -113,25 +112,23 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
         fit.gram, (Z.transpose(0, 2, 1) @ y_plus[:, :, None]) - m * correction[:, :, None])
 
     omega_cond = omega_ee - (endo @ omega[:, 1:, :1])[:, 0, 0]
-    cov = omega_cond[:, None, None] * fit.gram_inv
-    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    se = np.sqrt(omega_cond[:, None] * np.diagonal(fit.gram_inv, axis1=1, axis2=2))
     resid_plus = y_plus - (Z @ beta_plus)[:, :, 0]
     beta_plus = beta_plus[:, :, 0]
     return FmolsResult(beta_plus=beta_plus, beta_ols=fit.coef, se=se,
-                       t_plus=beta_plus / se, cov=cov, zz_inv=fit.gram_inv,
+                       t_plus=beta_plus / se, zz_inv=fit.gram_inv,
                        omega_cond=omega_cond, delta_plus=delta_plus,
-                       residuals_plus=resid_plus, residuals_ols=fit.resid,
-                       lrv=est, nobs=m)
+                       residuals_plus=resid_plus, residuals_ols=fit.resid, nobs=m)
 
 
 @dataclass(frozen=True)
 class ShinResult:
-    """Residual-based statistic for the null of cointegration."""
+    """Residual-based statistic V_n for the null of cointegration, with
+    sigma2 the residual variance it is scaled by."""
 
     v_n: float
     sigma2: float
     nobs: int
-    short_run: bool
 
 
 def shin_vn(y, x=None, kernel: KernelSpec | None = None,
@@ -160,7 +157,7 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
         sigma2 = hac_lrv(resid, kernel=kernel, demean=False).scalar
     s = np.cumsum(resid)
     v_n = float(np.sum(s**2) / (n**2 * sigma2))
-    return ShinResult(v_n=v_n, sigma2=sigma2, nobs=n, short_run=short_run)
+    return ShinResult(v_n=v_n, sigma2=sigma2, nobs=n)
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,6 @@ class FkResult:
     path: np.ndarray
     k_grid: np.ndarray
     dof: int
-    fm: FmolsResult
 
 
 def fk_break_test(y, x, kernel: KernelSpec | None = None,
@@ -209,4 +205,4 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     path = _break_scan(Z[None], fm.residuals_plus[None], k_grid, dof, shift)[0] / fm.omega_cond
     best = int(np.argmax(path))
     return FkResult(stat=float(path[best]), k_star=int(k_grid[best]),
-                    path=path, k_grid=k_grid, dof=dof, fm=fm)
+                    path=path, k_grid=k_grid, dof=dof)

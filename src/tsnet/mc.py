@@ -188,12 +188,13 @@ _RESERVED = {"experiment": str, "reps": int, "seed": int, "stream": int, "jobs":
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines into an ExperimentConfig.
 
-    Blank lines and lines starting with `#` are skipped.  The reserved
-    keys are read at once; parameter and grid values stay text tokens
-    (a tuple of them when comma-separated) until `resolve` reads each
-    in its parameter's declared type.
+    Blank lines and lines starting with `#` are skipped, and a key set
+    twice raises.  The reserved keys are read at once; parameter and
+    grid values stay text tokens (a tuple of them when comma-separated)
+    until `resolve` reads each in its parameter's declared type.
     """
     cfg = ExperimentConfig(experiment="")
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -204,6 +205,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         parsed = tuple(v.strip() for v in value.split(",")) if "," in value else value.strip()
         if key in _RESERVED:
             try:
@@ -345,6 +349,7 @@ def _minimum(floor):
 # the draw starts an AR(1) in its stationary law, so its root needs |phi| < 1
 _ROOT = ("a stationary root in (-1, 1)", lambda v, p: abs(v) < 1.0)
 _CORR = ("a correlation in (-1, 1)", lambda v, p: abs(v) < 1.0)
+_FINITE = ("finite", lambda v, p: np.isfinite(v))
 
 
 def _read(default, value):
@@ -473,11 +478,12 @@ def _aux_rng(cfg: ExperimentConfig) -> RngSpec:
 
 @dataclass
 class McResult:
-    """Stacked replication draws plus the summary dict and written files."""
+    """Stacked replication draws of the resolved config, plus the summary
+    dict and written files.  Column j of draws is the experiment's
+    `columns[j]` (`EXPERIMENTS[experiment].columns`)."""
 
     experiment: str
     config: ExperimentConfig
-    columns: tuple[str, ...]
     draws: np.ndarray
     summary: dict
     files: tuple[Path, ...] = ()
@@ -571,8 +577,8 @@ def _result(cfg: ExperimentConfig, ctx: dict, draws: np.ndarray, out=None) -> Mc
                          tuple(summary), [tuple(summary.values())],
                          comments=[comment])
         files = (per_rep, summ)
-    return McResult(experiment=cfg.experiment, config=cfg, columns=exp.columns,
-                    draws=draws, summary=summary, files=files)
+    return McResult(experiment=cfg.experiment, config=cfg, draws=draws, summary=summary,
+                    files=files)
 
 
 def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
@@ -736,7 +742,7 @@ _register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
           params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
                   **_KERNEL},
           echo=("n", "theta", "level"),
-          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS),
+          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS), "theta": _FINITE,
                    "deterministic": (f"one of {sorted(_PHILLIPS_DETERMINISTICS)}",
                                      lambda v, p: v in _PHILLIPS_DETERMINISTICS)})
 
@@ -826,7 +832,8 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _panel(lambda p: (p["n"], 2), 
                   "nbb_grid": 1000},
           echo=("n", "c", "gamma"),
           domains={"n": _minimum(_MIN_OBS), "corr": _CORR, "nbb_reps": _minimum(_MIN_REPS),
-                   "nbb_grid": _minimum(1)})
+                   "nbb_grid": _minimum(1), "c": _FINITE, "intercept": _FINITE,
+                   "beta": _FINITE, "gamma": ("in (0, 1]", lambda v, p: 0.0 < v <= 1.0)})
 
 
 def _fixed_wald_rep(cfg, ctx, z):
@@ -933,7 +940,7 @@ _register("unitroot-boot", ("q05_boot", "observed"), _per_rep(_urboot_rep),
           _urboot_summarize, setup=_urboot_setup,
           params={"n": 1000, "cv_reps": 20000, "B": 2000, "block": 10},
           echo=("n", "B", "block"),
-          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS),
+          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS), "B": _minimum(1),
                    "block": ("in [1, n - 1]", lambda v, p: 1 <= v <= p["n"] - 1)})
 
 

@@ -71,14 +71,14 @@ def _ivx_instrument_panel(x, spec: IvxSpec) -> np.ndarray:
 class IvxResult:
     """IVX estimate of the slope vector in y_t = a + b'x_{t-1} + u_t.
 
-    cov is the sandwich (sum z x')^{-1} (sum z z' s2_u) (sum x z')^{-1};
-    wald and pvalue test b = 0 jointly.
+    cov is the sandwich (sum z x')^{-1} (sum z z' s2_u) (sum x z')^{-1},
+    s2_u the residual variance; wald and pvalue test b = 0 jointly, and
+    rho_nz is the instrument's persistence.
     """
 
     beta: np.ndarray
     se: np.ndarray
     cov: np.ndarray
-    sigma2_u: float
     rho_nz: float
     wald: float
     pvalue: float
@@ -130,5 +130,5 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     beta = beta[:, :, 0]
     wald = rowdot(beta, np.linalg.solve(cov, beta[:, :, None])[:, :, 0])
-    return IvxResult(beta=beta, se=se, cov=cov, sigma2_u=sigma2_u,
-                     rho_nz=spec.rho(n), wald=wald, pvalue=chdtrc(d, wald), nobs=m)
+    return IvxResult(beta=beta, se=se, cov=cov, rho_nz=spec.rho(n), wald=wald,
+                     pvalue=chdtrc(d, wald), nobs=m)

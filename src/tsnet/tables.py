@@ -1,5 +1,9 @@
 """Simulated quantile tables for nonstandard limit distributions, and
-`_walk_batches`, the random walks their simulators draw."""
+`_walk_batches`, the random walks their simulators draw.
+
+A table holds only the sorted draws of its simulator: the caller knows
+what it simulated, and the number of replications is the number of
+draws."""
 
 from __future__ import annotations
 
@@ -31,19 +35,11 @@ def _walk_batches(gen, reps: int, shape: tuple[int, ...]):
 class QuantileTable:
     """Empirical quantiles of a simulated limit distribution.
 
-    Parameters
-    ----------
-    draws : ndarray
-        The simulated draws, sorted ascending and read-only.
-    reps : int
-        Number of Monte Carlo replications behind the table.
-    detail : str
-        Short description of the statistic and settings simulated.
+    draws holds the simulated draws, sorted ascending and read-only;
+    their number is the table's number of replications.
     """
 
     draws: np.ndarray
-    reps: int
-    detail: str = ""
 
     def quantile(self, prob: float) -> float:
         """The empirical quantile at any `prob` in (0, 1), by `np.quantile`."""
@@ -52,9 +48,7 @@ class QuantileTable:
         return float(np.quantile(self.draws, prob))
 
     @classmethod
-    def from_draws(cls, draws, reps: int | None = None,
-                   detail: str = "") -> "QuantileTable":
+    def from_draws(cls, draws) -> "QuantileTable":
         draws = np.sort(np.asarray(draws, dtype=float).ravel())
         draws.flags.writeable = False
-        return cls(draws=draws, reps=int(reps if reps is not None else draws.size),
-                   detail=detail)
+        return cls(draws=draws)

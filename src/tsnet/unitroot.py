@@ -69,21 +69,20 @@ def _ar_fit(x, deterministic: str, start: int = 1, extra=(), fit=ols):
 
 @dataclass(frozen=True)
 class AROls:
-    """Least-squares AR(p) fit without deterministics."""
+    """Least-squares AR(p) fit without deterministics: the coefficients,
+    the n - p residuals, their variance s2 and the coefficients' cov."""
 
     ar_coeffs: np.ndarray
     residuals: np.ndarray
     cov: np.ndarray
     s2: float
-    nobs: int
-    p: int
 
 
 def ols_ar(ts, p: int = 1) -> AROls:
     """Fit X_t = sum_{j=1..p} rho_j X_{t-j} + e_t by OLS.
 
     The first p observations are used as presample; the regression runs
-    over t = p+1..n.  s2 uses divisor (nobs - p).  Callers that need an
+    over t = p+1..n.  s2 uses divisor n - 2p.  Callers that need an
     intercept center the series first, as `sieve_bootstrap` does.
     """
     x = as_series(ts, "ts", min_len=2)
@@ -95,7 +94,7 @@ def ols_ar(ts, p: int = 1) -> AROls:
     fit, dof = _ar_fit(x[None], "none", start=p, extra=lags)
     s2 = float(fit.ssr[0] / dof)
     return AROls(ar_coeffs=fit.coef[0], residuals=fit.resid[0],
-                 cov=s2 * fit.gram_inv[0], s2=s2, nobs=n - p, p=p)
+                 cov=s2 * fit.gram_inv[0], s2=s2)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,9 @@ class UnitRootResult:
     stat_coef is the normalized-bias statistic T(alpha-1) (divided by
     1 - sum of augmentation coefficients when lags are present); stat_t
     the corresponding t-ratio.  For phillips_z they are the corrected
-    Z_alpha and Z_t, and s2_lr carries the kernel long-run variance.
+    Z_alpha and Z_t, and bandwidth is that of the kernel long-run
+    variance.  s2_u is the residual variance and nobs the number of
+    observations in the regression.
     """
 
     stat_coef: float
@@ -113,10 +114,6 @@ class UnitRootResult:
     alpha_hat: float
     s2_u: float
     nobs: int
-    deterministic: str
-    method: str
-    lags: int = 0
-    s2_lr: float | None = None
     bandwidth: float | None = None
 
 
@@ -156,8 +153,7 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     phi_sum = float(np.sum(coeffs[k_det + 1:])) if p > 0 else 0.0
     coef_stat = nobs * (alpha - 1.0) / (1.0 - phi_sum)
     return UnitRootResult(stat_coef=coef_stat, stat_t=t_stat, alpha_hat=alpha,
-                          s2_u=s2, nobs=nobs, deterministic=deterministic,
-                          method="adf", lags=p)
+                          s2_u=s2, nobs=nobs)
 
 
 def phillips_z(ts, kernel: KernelSpec | None = None,
@@ -214,20 +210,16 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
     s_lr = np.sqrt(np.where(bad, np.nan, s2_lr))
     z_t = (np.sqrt(s_xx) * (alpha - 1.0) / s_lr
            - half_diff * T / (s_lr * np.sqrt(s_xx)))
-    return UnitRootResult(stat_coef=z_alpha, stat_t=z_t,
-                          alpha_hat=alpha, s2_u=s2_u, nobs=T,
-                          deterministic=deterministic, method="phillips",
-                          s2_lr=s2_lr, bandwidth=est.bandwidth)
+    return UnitRootResult(stat_coef=z_alpha, stat_t=z_t, alpha_hat=alpha,
+                          s2_u=s2_u, nobs=T, bandwidth=est.bandwidth)
 
 
 @dataclass(frozen=True)
 class DfLimitTables:
-    """Simulated Dickey-Fuller quantiles for both statistic forms."""
+    """Simulated Dickey-Fuller quantiles: coef of T(alpha-1), t of the t-ratio."""
 
     coef: QuantileTable
     t: QuantileTable
-    T: int
-    deterministic: str
 
 
 def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
@@ -256,8 +248,5 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
         se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
         coef_draws[lo:lo + walks.shape[0]] = (T - 1) * (alpha - 1.0)
         t_draws[lo:lo + walks.shape[0]] = (alpha - 1.0) / se
-    detail = f"dickey-fuller T={T} det={deterministic}"
-    return DfLimitTables(
-        coef=QuantileTable.from_draws(coef_draws, reps, detail + " coef"),
-        t=QuantileTable.from_draws(t_draws, reps, detail + " t"),
-        T=T, deterministic=deterministic)
+    return DfLimitTables(coef=QuantileTable.from_draws(coef_draws),
+                         t=QuantileTable.from_draws(t_draws))

@@ -199,6 +199,21 @@ def test_pvalue_conventions():
         T.bootstrap_pvalue(0.0, draws, tail="upper")
 
 
+@pytest.mark.parametrize("tail", ["left", "right", "two"])
+def test_pvalue_rejects_nan_and_keeps_infinities(tail):
+    draws = np.arange(1.0, 100.0)
+    with pytest.raises(ValueError, match="the observed statistic is nan"):
+        T.bootstrap_pvalue(np.nan, draws, tail=tail)
+    with_nan = np.append(draws, [np.nan, np.nan])
+    with pytest.raises(ValueError, match="2 of the 101 bootstrap draws are nan"):
+        T.bootstrap_pvalue(50.0, with_nan, tail=tail)
+    # an infinite value is the most extreme of its sign
+    assert T.bootstrap_pvalue(np.inf, draws, tail="right") == 1.0 / 100.0
+    assert T.bootstrap_pvalue(-np.inf, draws, tail="left") == 1.0 / 100.0
+    assert T.bootstrap_pvalue(0.5, np.append(draws, np.inf), tail="right") == 1.0
+    assert T.bootstrap_pvalue(np.inf, np.append(draws, -np.inf), tail="two") == 2.0 / 101.0
+
+
 def test_pvalue_uniform_under_null():
     # idealized pipeline: replicates drawn from the true null law of the
     # statistic, so p-values must be uniform up to 1/(B+1) discreteness

@@ -211,6 +211,17 @@ def test_bootstrap_subcommands(tmp_path, capsys):
     assert float(kv["q05"]) < float(kv["q95"])
 
 
+def test_bootstrap_of_a_nan_statistic_is_one_line(tmp_path, capsys):
+    # the mean of these finite values overflows to inf - inf = nan
+    data = tmp_path / "huge.csv"
+    data.write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in
+                                          enumerate([1e308] * 4 + [-1e308] * 4, 1)))
+    assert main(["bootstrap", "block", "--data", str(data), "--block-length", "2",
+                 "-B", "9", "--stat", "mean"]) == 2
+    assert _one_error_line(capsys) == ("tsnet: error: the observed statistic is nan; "
+                                       "a p-value needs a number")
+
+
 def test_netdep_subcommands(tmp_path, capsys):
     graph = tmp_path / "cycle.edges"
     run_cli("netdep", "make", "--family", "cycle", "--n", "60",
@@ -354,6 +365,19 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
     ("run", "supwald-nbb", "nbb_grid = 0",
      "experiment 'supwald-nbb': parameter 'nbb_grid' must be at least 1, got 0"),
     ("run", "hac-lrv", "n = 1", "experiment 'hac-lrv': parameter 'n' must be at least 2, got 1"),
+    # each below used to fail after the limit table, without naming the parameter
+    ("run", "supwald-nbb", "n = 50\ngamma = 1.5",
+     "experiment 'supwald-nbb': parameter 'gamma' must be in (0, 1], got 1.5"),
+    ("run", "supwald-nbb", "c = nan",
+     "experiment 'supwald-nbb': parameter 'c' must be finite, got nan"),
+    ("run", "supwald-nbb", "intercept = inf",
+     "experiment 'supwald-nbb': parameter 'intercept' must be finite, got inf"),
+    ("run", "supwald-nbb", "beta = -inf",
+     "experiment 'supwald-nbb': parameter 'beta' must be finite, got -inf"),
+    ("run", "phillips-size", "theta = nan",
+     "experiment 'phillips-size': parameter 'theta' must be finite, got nan"),
+    ("run", "unitroot-boot", "B = 0",
+     "experiment 'unitroot-boot': parameter 'B' must be at least 1, got 0"),
     ("run", "fmols-size", "n = 7",
      "experiment 'fmols-size': parameter 'n' must be at least 8, got 7"),
     ("run", "ivx-null", "n = 7", "experiment 'ivx-null': parameter 'n' must be at least 8, got 7"),
@@ -382,7 +406,8 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
 ], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero",
         "phillips-deterministic", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
-        "supwald-nbb-grid", "hac-lrv-n", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
+        "supwald-nbb-grid", "hac-lrv-n", "supwald-gamma", "supwald-c", "supwald-intercept",
+        "supwald-beta", "phillips-theta", "urboot-B", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
         "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
         "grid-phillips-n", "grid-urboot-block"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,

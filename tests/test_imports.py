@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -324,3 +325,108 @@ def test_option_guard_flags_an_unset_option():
     assert unset(fit, cli, twin) == {("fit", "trim")}
     # a call inside the function's own body sets nothing
     assert unset("def fit(y, x=None):\n    return fit(y, x)\n") == {("fit", "x")}
+
+
+# fields of public dataclasses that no library module, command or experiment
+# reads, each kept because a test checks it against an oracle (or, for
+# McResult.config, against hand-written values)
+ORACLE_FIELDS = {
+    "AROls": (("cov", "s2"), "tests/test_ols.py::test_ols_ar_equals_its_oracle, "
+                             "against ref_ols_ar"),
+    "UnitRootResult": (("s2_u",), "tests/test_ols.py::test_adf_test_equals_its_oracle, "
+                                  "against ref_adf"),
+    "IvxResult": (("cov",), "tests/test_batch.py::test_ivx_kernel_matches_scalar_oracle, "
+                            "against ref_ivx"),
+    "WaldBreakResult": (("beta1", "beta2"),
+                        "tests/test_breaks.py::test_split_wald_recovers_regime_slopes, "
+                        "against the slopes of the simulated regimes"),
+    "SupWaldResult": (("path", "k_grid"),
+                      "tests/test_breaks.py::test_sup_wald_path_matches_split_wald, "
+                      "against split_wald at each break date"),
+    "LmResult": (("sigma2",), "tests/test_ols.py::test_lm_nyblom_equals_its_oracle, "
+                              "against ref_lm_nyblom"),
+    "MeResult": (("beta_hist",), "tests/test_ols.py::test_me_monitor_equals_the_window_loop, "
+                                 "against ref_me_monitor"),
+    "NestedForecastResult": (("path", "errors_small", "errors_big", "start"),
+                             "tests/test_kernels.py::test_nested_forecast_matches_loop, "
+                             "against ref_nested_forecast"),
+    "GarchFit": (("objective_path",), "tests/test_garch.py::test_qmle_objective_path_monotone "
+                                      "checks that each step lowers the objective"),
+    "FkResult": (("path", "k_grid"), "tests/test_coint.py::test_fk_scan_matches_per_break_solves, "
+                                     "against ref_fk_path"),
+    "McResult": (("config",),
+                 "tests/test_mc.py::test_config_line_records_every_declared_parameter checks "
+                 "the resolved parameters, defaults filled in"),
+}
+
+
+def _reads(nodes) -> set:
+    """Names the AST `nodes` read as attributes: `x.name`, or `name` given as a
+    string to `getattr` or to the CLI's `_print_fields`."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and _callee(node) in ("getattr", "_print_fields"):
+            names.update(arg.value for arg in node.args[1:]
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return names
+
+
+def _unread_fields(trees: dict, public: dict) -> set:
+    """(class, field) for each field of the classes named in `public` (module ->
+    names) whose name nothing in `trees` (module -> tree) reads (`_reads`).
+
+    Reads inside the class's own body count only inside a method or property
+    read by name outside it, such as `QuantileTable.quantile`; constructor
+    keywords are not reads.  The guard goes by name, so a field named like
+    one read elsewhere (`T`, `sigma2`) passes it whether or not it is read.
+    """
+    classes = [(node, list(ast.walk(node))) for mod, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in public.get(mod, ())]
+    every = [node for tree in trees.values() for node in ast.walk(tree)]
+    unread = set()
+    for cls, body in classes:
+        inside = set(map(id, body))
+        read = _reads(node for node in every if id(node) not in inside)
+        read |= _reads(node for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name in read
+                       for node in ast.walk(fn))
+        unread |= {(cls.name, stmt.target.id) for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read}
+    return unread
+
+
+def test_every_result_field_is_read():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    public = {}
+    for name in _MODULES:
+        module = importlib.import_module(f"tsnet.{name}")
+        public[name] = [key for key in module.__all__
+                        if inspect.isclass(obj := getattr(module, key)) and is_dataclass(obj)]
+    oracles = {(cls, f) for cls, (names, _) in ORACLE_FIELDS.items() for f in names}
+    assert sorted(_unread_fields(trees, public) - oracles) == []
+    # every listed field is a field of its class
+    assert all(f in {x.name for x in fields(getattr(tsnet, cls))} for cls, f in oracles)
+
+
+def test_field_guard_flags_an_unread_field():
+    lib = ast.parse("@dataclass\nclass Fit:\n    stat: float\n    scale: float\n"
+                    "    echo: int\n    checked: float\n"
+                    "    def __post_init__(self):\n        assert self.echo > 0\n"
+                    "    @property\n    def scaled(self):\n        return self.stat / self.scale\n")
+    cli = ast.parse("def run(args):\n    res = fit(args, echo=args.n)\n"
+                    "    _print_fields(res, 'scaled')\n")
+
+    def unread(*others):
+        return _unread_fields({"lib": lib, **dict(enumerate(others))}, {"lib": ["Fit"]})
+
+    # a property read outside the class reads the fields it uses; the
+    # constructor keyword and the check in __post_init__ read nothing
+    assert unread(cli) == {("Fit", "echo"), ("Fit", "checked")}
+    # without a reader of the property, its fields go unread too
+    assert unread() == {("Fit", "stat"), ("Fit", "scale"), ("Fit", "echo"), ("Fit", "checked")}
+    # a field listed as an oracle passes, the unread one does not
+    assert unread(cli) - {("Fit", "checked")} == {("Fit", "echo")}
+    assert unread(cli, ast.parse("x = fit(y).echo\n")) == {("Fit", "checked")}

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +75,20 @@ def test_parse_config_errors():
         parse_config("reps = 10\n")
     with pytest.raises(ValueError):
         parse_config("experiment = x\nreps = 0\n")
+    # a key set twice: a parameter, a reserved key, a grid axis, even at one value
+    for text, message in [
+            ("experiment = ivx-null\nn = 100\nc = -5\nn = 200\n",
+             "line 4: 'n' is already set on line 2"),
+            ("experiment = ivx-null\nreps = 10\n\n# again\nreps = 20\n",
+             "line 5: 'reps' is already set on line 2"),
+            ("experiment = ivx-null\nexperiment = hac-lrv\n",
+             "line 2: 'experiment' is already set on line 1"),
+            ("experiment = ivx-null\ngrid.c = 0, -5\nc = -1\ngrid.c = -20\n",
+             "line 4: 'grid.c' is already set on line 2"),
+            ("experiment = ivx-null\nn=100\n  n =  100\n",
+             "line 3: 'n' is already set on line 2")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
 
 def test_parse_config_file(tmp_path):
@@ -539,6 +554,7 @@ _OUTSIDE = {
     ("phillips-size", "n"): (9,),
     ("phillips-size", "cv_reps"): (99,),
     ("phillips-size", "deterministic"): ("trend", "foo"),  # Z_alpha, Z_t take none or const
+    ("phillips-size", "theta"): (float("nan"), float("inf")),
     ("fmols-size", "n"): (7,),
     ("fmols-size", "corr"): (-1.0,),  # a correlation lies in (-1, 1)
     ("ivx-null", "n"): (7,),
@@ -547,6 +563,10 @@ _OUTSIDE = {
     ("supwald-nbb", "corr"): (1.0,),
     ("supwald-nbb", "nbb_reps"): (99,),
     ("supwald-nbb", "nbb_grid"): (0,),
+    ("supwald-nbb", "c"): (float("nan"),),
+    ("supwald-nbb", "intercept"): (float("-inf"),),
+    ("supwald-nbb", "beta"): (float("inf"),),
+    ("supwald-nbb", "gamma"): (0.0, 1.5, float("nan")),
     ("fixed-wald", "n"): (7,),
     ("fixed-wald", "phi_x"): (-1.0,),
     ("nethac-coverage", "n_nodes"): (2,),
@@ -554,6 +574,7 @@ _OUTSIDE = {
     ("unitroot-boot", "n"): (9,),
     ("unitroot-boot", "cv_reps"): (99,),
     ("unitroot-boot", "block"): (1000,),
+    ("unitroot-boot", "B"): (0, -3),
     ("garch-recovery", "n"): (49,),
     ("mp-edges", "n"): (0,),
     ("mp-edges", "gamma"): (0.0001,),  # rounds gamma * n to 0 at n = 4000
@@ -698,10 +719,13 @@ def test_nested_forecast_fields_consistent():
                         intercept=0.0)
     y, x = T.simulate_predictive_system(spec, 400, T.RngSpec(90, 0))
     res = T.nested_forecast_test(y, x[:, :1], x[:, 1:], k0=100)
-    diffs = (res.errors_small**2 - res.errors_big**2) / res.sigma2
+    # the nesting model's full-sample residual variance scales the losses
+    z = np.column_stack([np.ones(399), x[:-1]])
+    resid = y[1:] - z @ np.linalg.lstsq(z, y[1:], rcond=None)[0]
+    diffs = (res.errors_small**2 - res.errors_big**2) / (resid @ resid / (399 - 3))
     np.testing.assert_allclose(res.path, np.cumsum(diffs), rtol=1e-12)
     assert res.stat == res.path[-1]
-    assert res.start == res.k0 == 100
+    assert res.start == 100
     assert res.errors_small.shape == res.errors_big.shape
 
 
@@ -724,7 +748,7 @@ def test_nested_forecast_postpones_short_history():
     y, x = T.simulate_predictive_system(spec, 200, T.RngSpec(90, 100))
     with pytest.warns(UserWarning, match="postponed"):
         res = T.nested_forecast_test(y, x[:, :1], x[:, 1:], k0=2)
-    assert res.start > res.k0
+    assert res.start > 2
 
 
 def test_nested_forecast_degenerate_and_invalid():

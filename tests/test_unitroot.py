@@ -13,7 +13,7 @@ def test_ols_ar_hand_value():
     # y=(1,2,3), one lag, no deterministics: rho = (2*1+3*2)/(1+4) = 1.6
     fit = T.ols_ar([1.0, 2.0, 3.0], p=1)
     assert fit.ar_coeffs[0] == pytest.approx(1.6)
-    assert fit.nobs == 2
+    assert fit.residuals.shape == (2,)
 
 
 def test_ols_ar_needs_enough_observations():
@@ -139,7 +139,6 @@ def test_phillips_nonpositive_lrv_warns_and_nans_zt():
     x = np.tile([1.0, 0.0, -1.0], 20) + 0.2 * np.random.default_rng(0).standard_normal(60)
     with pytest.warns(UserWarning, match="nonpositive long-run variance"):
         res = T.phillips_z(x, kernel=T.KernelSpec("truncated", 2.0))
-    assert res.s2_lr <= 0.0
     assert np.isnan(res.stat_t)
     assert np.isfinite(res.stat_coef)
 
@@ -184,14 +183,13 @@ def test_quantile_table_answers_any_level():
     gen = np.random.default_rng(40)
     for draws in (gen.standard_normal(20000), gen.standard_cauchy(4001),
                   np.round(gen.standard_normal(999), 1)):
-        table = T.QuantileTable.from_draws(draws, detail="sim")
+        table = T.QuantileTable.from_draws(draws)
         # tail and central levels equal the array call the tables once stored
         probs = (0.01, 0.025, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99)
         want = np.quantile(draws, np.asarray(probs))
         assert tuple(table.quantile(p) for p in probs) == tuple(float(v) for v in want)
         for p in (0.001, 0.07, 0.333, 0.999):
             assert table.quantile(p) == float(np.quantile(draws, p))
-        assert table.reps == draws.size
     for bad in (0.0, 1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="level"):
             table.quantile(bad)
