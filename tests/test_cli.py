@@ -407,8 +407,8 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
         "phillips-deterministic", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
         "supwald-nbb-grid", "hac-lrv-n", "supwald-gamma", "supwald-c", "supwald-intercept",
-        "supwald-beta", "phillips-theta", "urboot-B", "fmols-n", "ivx-n", "supwald-n", "fixed-wald-n",
-        "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
+        "supwald-beta", "phillips-theta", "urboot-B", "fmols-n", "ivx-n", "supwald-n",
+        "fixed-wald-n", "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
         "grid-phillips-n", "grid-urboot-block"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
                                                    kind, experiment, line, message):
