@@ -25,7 +25,6 @@ from .netdep import *
 from .predreg import *
 from .randmat import *
 from .series import *
-from .tables import *
 from .unitroot import *
 
 __version__ = "0.1.0"

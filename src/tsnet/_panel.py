@@ -39,9 +39,10 @@ conventions: `adf_test` gives a noiseless autoregression the t-ratio
 +-inf (a constant series raises), and `me_monitor` gives a zero path.
 
 `chunks` is the one rule for how many rows a batched computation holds
-at once, `_PANEL_BYTES` of them (at least one row): the limit tables'
-walks, the bootstraps' replicates and the Monte Carlo sub-panels.  It
-bounds a workspace and never a result.
+at once, `_PANEL_BYTES` of them (at least one row): the random walks of
+the limit-law simulators (`_walk_batches`), the bootstraps' replicates
+and the Monte Carlo sub-panels.  It bounds a workspace and never a
+result.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ _SINGULAR = "singular least-squares design: the regressors are collinear or cons
 
 # about a core's L2 cache
 _PANEL_BYTES = 2**18
+# the fewest replications a limit-law simulator (`df_limit_mc`, `nbb_sup_mc`) accepts
+_MIN_REPS = 100
 
 
 def chunks(total: int, shape: tuple[int, ...], budget: int = _PANEL_BYTES):
@@ -72,6 +75,18 @@ def chunks(total: int, shape: tuple[int, ...], budget: int = _PANEL_BYTES):
     buf = np.empty((size, *shape))
     for lo in range(0, total, size):
         yield lo, buf[:total - lo]
+
+
+def _walk_batches(gen, reps: int, shape: tuple[int, ...]):
+    """Yield (lo, walks): `reps` standard-normal random walks of `shape`,
+    drawn from `gen` in rep order into the `chunks` of `reps` and cumulated
+    in place along time, the first axis of `shape`.  `walks` holds reps
+    lo, lo + 1, ... until the next chunk overwrites it, so a caller may
+    scale it in place; the draws do not depend on the chunks.
+    """
+    for lo, walks in chunks(reps, shape):
+        np.cumsum(gen.standard_normal(out=walks), axis=1, out=walks)
+        yield lo, walks
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ bootstrap recolors a random walk from resampled first-difference
 residuals.  Every scheme takes a statistic callback and returns the
 replicate statistics plus the observed value, so p-values follow one
 shared convention: (1 + #{replicates at least as extreme}) / (B + 1).
+The observed value is taken first, and a nan raises before any
+replicate is drawn.
 
 No scheme forms a (B, n) array.  The block, wild and residual unit
 root bootstraps build their replicates in the `_panel.chunks` of B, and
@@ -109,6 +111,18 @@ def _stat_stack(stat: Callable, rows: np.ndarray) -> np.ndarray:
     return np.asarray([stat(row) for row in rows])
 
 
+def _observed(stat: Callable, x: np.ndarray):
+    """stat(x), the statistic on the data, taken before any replicate is
+    drawn: a nan (an overflow, say) raises a ValueError naming `stat`, in
+    place of numpy's warnings and B replicates of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(x)
+    if np.any(np.isnan(value)):
+        name = getattr(stat, "__name__", repr(stat))
+        raise ValueError(f"the statistic {name} is nan on the data; a bootstrap needs a number")
+    return value
+
+
 def block_bootstrap(ts, stat: Callable, B: int, rng,
                     block: BlockSpec | int) -> BootstrapResult:
     """Moving-block bootstrap of a statistic.
@@ -125,8 +139,9 @@ def block_bootstrap(ts, stat: Callable, B: int, rng,
     B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
     gen = _resolve_rng(rng)
+    observed = _observed(stat, x)
     stats = [_stat_stack(stat, reps) for _, reps in _block_resample(x, spec, B, gen)]
-    return BootstrapResult(stats=np.concatenate(stats), observed=stat(x),
+    return BootstrapResult(stats=np.concatenate(stats), observed=observed,
                            B=B, scheme="block")
 
 
@@ -146,6 +161,7 @@ def stationary_bootstrap(ts, stat: Callable, B: int, rng,
     n = x.shape[0]
     p = 1.0 / mean_block
     pos = np.arange(n)
+    observed = _observed(stat, x)
     stats = []
     for _ in range(B):
         flags = gen.random(n) < p
@@ -155,7 +171,7 @@ def stationary_bootstrap(ts, stat: Callable, B: int, rng,
         last = np.maximum.accumulate(np.where(flags, pos, -1))
         idx = (starts[seg] + (pos - last)) % n
         stats.append(stat(x[idx]))
-    return BootstrapResult(stats=np.asarray(stats), observed=stat(x),
+    return BootstrapResult(stats=np.asarray(stats), observed=observed,
                            B=B, scheme="stationary")
 
 
@@ -174,6 +190,7 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int) -> BootstrapResult:
     if p >= x.shape[0] / 2:
         raise ValueError(f"sieve order p={p} too large for n={x.shape[0]}")
     gen = _resolve_rng(rng)
+    observed = _observed(stat, x)
     n = x.shape[0]
     m = x.mean()
     xc = x - m
@@ -199,7 +216,7 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int) -> BootstrapResult:
         u = resid[gen.integers(0, resid.shape[0], size=n + burn)]
         path = ar(u, a)
         stats.append(stat(m + path[burn:]))
-    return BootstrapResult(stats=np.asarray(stats), observed=stat(x),
+    return BootstrapResult(stats=np.asarray(stats), observed=observed,
                            B=B, scheme="sieve")
 
 
@@ -213,6 +230,7 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     B = check_positive_int(B, "B")
     gen = _resolve_rng(rng)
     check_in(multiplier, ("normal", "rademacher"), "multiplier")
+    observed = _observed(stat, e)
     stats = []
     for _, eta in chunks(B, e.shape):
         if multiplier == "normal":
@@ -222,7 +240,7 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
             eta -= 1.0
         eta *= e
         stats.append(_stat_stack(stat, eta))
-    return BootstrapResult(stats=np.concatenate(stats), observed=stat(e),
+    return BootstrapResult(stats=np.concatenate(stats), observed=observed,
                            B=B, scheme="wild")
 
 

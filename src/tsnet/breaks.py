@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
-from ._panel import check_fit, collinear, exact_fit, first_rep, ols, rowdot
+from ._panel import (_MIN_REPS, _walk_batches, check_fit, collinear, exact_fit, first_rep, ols,
+                     rowdot)
 from .series import RngSpec, _resolve_rng
-from .tables import _MIN_REPS, QuantileTable, _walk_batches
 
 __all__ = [
     "WaldBreakResult",
@@ -217,15 +217,16 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
 
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
                reps: int = 50000, rng: RngSpec | None = None,
-               grid: int = 1000) -> QuantileTable:
-    """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range.
+               grid: int = 1000) -> np.ndarray:
+    """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range:
+    the `reps` draws, sorted ascending.
 
     BB is a p-dimensional standard Brownian bridge discretized on the
     uniform grid i / grid, i = 1..grid; this is the null limit of
     `sup_wald`.  The trim range must hold at least one grid point.
 
     The walks come from one stream in rep order, a `_panel.chunks` at a
-    time (`tables._walk_batches`).
+    time (`_panel._walk_batches`).
     Each batch is scaled in place, and the bridge is formed only on the
     trimmed points, one contiguous slice.
     """
@@ -251,7 +252,8 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
         norm2 = np.sum(np.square(bb, out=bb), axis=2)
         norm2 /= denom
         np.max(norm2, axis=1, out=draws[lo:lo + w.shape[0]])
-    return QuantileTable.from_draws(draws)
+    draws.sort()
+    return draws
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ import numpy as np
 from scipy import special
 
 from ._checks import _MIN_OBS, check_positive_int
-from ._panel import _PANEL_BYTES, chunks, ols_coef, rowdot
+from ._panel import _MIN_REPS, _PANEL_BYTES, chunks, ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
 from .coint import _fmols_panel
@@ -106,12 +106,11 @@ from .series import (
     RngSpec,
     SystemSpec,
     _linear_process_panel,
-    _lur_ar_panel,
     _predictive_system_panel,
     _rekey,
+    _stationary_ar1,
     simulate_predictive_system,
 )
-from .tables import _MIN_REPS
 from .unitroot import _MIN_T, _PHILLIPS_DETERMINISTICS, _ar_fit, _phillips_z_panel, df_limit_mc
 
 __all__ = [
@@ -318,7 +317,8 @@ class Experiment:
     `summarize(cfg, ctx, draws)` computes.  `domains` maps a parameter
     to its domain, a pair (text, test): `test(value, params)` of the
     resolved value and parameters is true exactly on the set `text`
-    names, such as "at least 8" or "in [1, n - 1]".
+    names, such as "at least 8" or "in [1, n - 1]".  Every numeric
+    parameter, one whose default is not a string, declares a domain.
     """
 
     name: str
@@ -349,7 +349,10 @@ def _minimum(floor):
 # the draw starts an AR(1) in its stationary law, so its root needs |phi| < 1
 _ROOT = ("a stationary root in (-1, 1)", lambda v, p: abs(v) < 1.0)
 _CORR = ("a correlation in (-1, 1)", lambda v, p: abs(v) < 1.0)
-_FINITE = ("finite", lambda v, p: np.isfinite(v))
+# a number, or each number of a tuple
+_FINITE = ("finite", lambda v, p: bool(np.all(np.isfinite(v))))
+_POSITIVE = ("finite and > 0", lambda v, p: np.isfinite(v) and v > 0.0)
+_UNIT = ("in (0, 1]", lambda v, p: 0.0 < v <= 1.0)
 
 
 def _read(default, value):
@@ -635,21 +638,11 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 
 # the long-run variance kernel of hac-lrv and phillips-size
 _KERNEL = {"family": "bartlett", "bandwidth": None}
+_BANDWIDTH = ("none or finite and > 0", lambda v, p: v is None or (np.isfinite(v) and v > 0.0))
 
 
 def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.params["family"], bandwidth=cfg.params["bandwidth"])
-
-
-def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
-    """(R, n) paths x_t = phi x_{t-1} + v_t started in the stationary law.
-
-    Each row of the (R, n + 1) normals z is one rep's draws: first the
-    start, x_0 = z_0 / sqrt(1 - phi^2), then the n innovations.
-    """
-    n = z.shape[1] - 1
-    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
-    return _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:], x0)
 
 
 def _ar1_clt_rep(cfg, ctx, z):
@@ -704,7 +697,7 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 # the estimator needs two observations
 _register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,), _hac_lrv_rep),
           _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
-          echo=("n", "phi"), domains={"n": _minimum(2), "phi": _ROOT})
+          echo=("n", "phi"), domains={"n": _minimum(2), "phi": _ROOT, "bandwidth": _BANDWIDTH})
 
 
 def _phillips_setup(cfg):
@@ -712,8 +705,8 @@ def _phillips_setup(cfg):
     kernel = _kernel_from(cfg)
     tables = df_limit_mc(p["n"], deterministic=p["deterministic"], reps=p["cv_reps"],
                          rng=_aux_rng(cfg))
-    return {"kernel": kernel, "cv_coef": tables.coef.quantile(cfg.level),
-            "cv_t": tables.t.quantile(cfg.level)}
+    return {"kernel": kernel, "cv_coef": float(np.quantile(tables.coef, cfg.level)),
+            "cv_t": float(np.quantile(tables.t, cfg.level))}
 
 
 def _phillips_rep(cfg, ctx, z):
@@ -744,7 +737,8 @@ _register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
           echo=("n", "theta", "level"),
           domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS), "theta": _FINITE,
                    "deterministic": (f"one of {sorted(_PHILLIPS_DETERMINISTICS)}",
-                                     lambda v, p: v in _PHILLIPS_DETERMINISTICS)})
+                                     lambda v, p: v in _PHILLIPS_DETERMINISTICS),
+                   "bandwidth": _BANDWIDTH})
 
 
 def _fmols_rep(cfg, ctx, z):
@@ -771,7 +765,13 @@ def _fmols_summarize(cfg, ctx, draws):
 # no family or bandwidth: FM-OLS runs with the library's default kernel
 _register("fmols-size", ("t_fm", "t_ols"), _panel(lambda p: (p["n"], 2), _fmols_rep),
           _fmols_summarize, params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
-          echo=("n", "corr", "level"), domains={"n": _minimum(_MIN_OBS), "corr": _CORR})
+          echo=("n", "corr", "level"),
+          domains={"n": _minimum(_MIN_OBS), "corr": _CORR, "beta": _FINITE,
+                   "intercept": _FINITE})
+
+
+# the domains of the parameters `_system_spec` reads
+_SYSTEM = {"c": _FINITE, "gamma": _UNIT, "corr": _CORR, "beta": _FINITE, "intercept": _FINITE}
 
 
 def _system_spec(cfg) -> SystemSpec:
@@ -797,15 +797,17 @@ _register("ivx-null", ("wald", "pvalue", "beta_hat"), _panel(lambda p: (p["n"], 
           _ivx_summarize, params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
                   "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
           echo=("n", "c", "gamma", "corr", "beta", "level"),
-          domains={"n": _minimum(_MIN_OBS), "corr": _CORR})
+          domains={"n": _minimum(_MIN_OBS), **_SYSTEM,
+                   "c_z": ("finite and < 0", lambda v, p: np.isfinite(v) and v < 0.0),
+                   "beta_z": _UNIT})
 
 
 def _supwald_setup(cfg):
     p = cfg.params
-    table = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
+    draws = nbb_sup_mc(p=1, trim=p["trim"], reps=p["nbb_reps"], rng=_aux_rng(cfg),
                        grid=p["nbb_grid"])
-    # the critical value alone: the table's draws need not ship to pool workers
-    return {"q95_nbb": table.quantile(0.95)}
+    # the critical value alone: the limit draws need not ship to pool workers
+    return {"q95_nbb": float(np.quantile(draws, 0.95))}
 
 
 def _supwald_rep(cfg, ctx, z):
@@ -831,9 +833,10 @@ _register("supwald-nbb", ("sup_wald", "pi_star"), _panel(lambda p: (p["n"], 2), 
                   "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
                   "nbb_grid": 1000},
           echo=("n", "c", "gamma"),
-          domains={"n": _minimum(_MIN_OBS), "corr": _CORR, "nbb_reps": _minimum(_MIN_REPS),
-                   "nbb_grid": _minimum(1), "c": _FINITE, "intercept": _FINITE,
-                   "beta": _FINITE, "gamma": ("in (0, 1]", lambda v, p: 0.0 < v <= 1.0)})
+          domains={"n": _minimum(_MIN_OBS), **_SYSTEM, "nbb_reps": _minimum(_MIN_REPS),
+                   "nbb_grid": _minimum(1),
+                   "trim": ("two fractions 0 < lo < hi < 1",
+                            lambda v, p: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0)})
 
 
 def _fixed_wald_rep(cfg, ctx, z):
@@ -861,7 +864,12 @@ def _fixed_wald_summarize(cfg, ctx, draws):
 # each rep draws x0, then the n innovations of x, then n - 1 errors
 _register("fixed-wald", ("wald",), _panel(lambda p: (2 * p["n"],), _fixed_wald_rep),
           _fixed_wald_summarize, params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
-          echo=("n", "pi0"), domains={"n": _minimum(_MIN_OBS), "phi_x": _ROOT})
+          echo=("n", "pi0"),
+          # the split at pair floor(pi0 (n - 1)) leaves two pairs or more to each regime
+          domains={"n": _minimum(_MIN_OBS), "phi_x": _ROOT, "beta": _FINITE,
+                   "pi0": ("in (0, 1) with 2 <= floor(pi0 * (n - 1)) <= n - 3",
+                           lambda v, p: 0.0 < v < 1.0
+                           and 2 <= math.floor(v * (p["n"] - 1)) <= p["n"] - 3)})
 
 
 def _nethac_setup(cfg):
@@ -908,13 +916,14 @@ _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"
           # at w1 = -1/2 the mean has long-run variance 0: no interval to cover
           domains={"n_nodes": _minimum(_MIN_CYCLE),
                    "w1": ("finite with 1 + 2 * w1 != 0",
-                          lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0)})
+                          lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0),
+                   "bandwidth": _POSITIVE, "low_bandwidth": _POSITIVE})
 
 
 def _urboot_setup(cfg):
     tables = df_limit_mc(cfg.params["n"], deterministic="none", reps=cfg.params["cv_reps"],
                          rng=_aux_rng(cfg))
-    return {"q05_limit": tables.coef.quantile(0.05)}
+    return {"q05_limit": float(np.quantile(tables.coef, 0.05))}
 
 
 def _urboot_rep(cfg, ctx, gen):
@@ -977,7 +986,12 @@ _register("garch-recovery",
            "filter_mean", "converged"),
           _per_rep(_garch_rep), _garch_summarize,
           params={"n": 20000, "omega": 0.1, "alpha": 0.1, "beta": 0.8, "burn": 500},
-          echo=("n", "omega", "alpha", "beta"), domains={"n": _minimum(_MIN_QMLE_N)})
+          echo=("n", "omega", "alpha", "beta"),
+          domains={"n": _minimum(_MIN_QMLE_N), "omega": _POSITIVE,
+                   "alpha": ("finite and >= 0", lambda v, p: np.isfinite(v) and v >= 0.0),
+                   "beta": ("finite and >= 0 with alpha + beta < 1",
+                            lambda v, p: np.isfinite(v) and v >= 0.0 and p["alpha"] + v < 1.0),
+                   "burn": _minimum(0)})
 
 
 def _mp_setup(cfg):
@@ -1041,4 +1055,14 @@ _register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
           echo=("n", "n_small"),
           domains={"n": _minimum(_MIN_OBS),
                    "n_small": ("in [0, len(beta) - 1]",
-                               lambda v, p: 0 <= v <= len(p["beta"]) - 1)})
+                               lambda v, p: 0 <= v <= len(p["beta"]) - 1),
+                   "k0": ("none or an integer in [1, n - 2]",
+                          lambda v, p: v is None
+                          or (float(v).is_integer() and 1 <= v <= p["n"] - 2)),
+                   "beta": _FINITE,
+                   "c": ("finite, one per beta",
+                         lambda v, p: len(v) == len(p["beta"]) and np.all(np.isfinite(v))),
+                   "v_ar": ("in (-1, 1), one per beta",
+                            lambda v, p: len(v) == len(p["beta"])
+                            and all(abs(a) < 1.0 for a in v)),
+                   "intercept": _FINITE})

@@ -185,6 +185,17 @@ def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return ar(v, [rho], rho * x0)
 
 
+def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
+    """(R, n) paths x_t = phi x_{t-1} + v_t started in the stationary law.
+
+    Each row of the (R, n + 1) normals z is one rep's draws: first the
+    start, x_0 = z_0 / sqrt(1 - phi^2), then the n innovations.
+    """
+    n = z.shape[1] - 1
+    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
+    return _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:], x0)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Predictive system y_t = intercept + beta' x_{t-1} + u_t.

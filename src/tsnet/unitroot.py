@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_panel, as_series, check_in, check_positive_int
-from ._panel import check_design, check_fit, exact_fit, first_rep, ols
+from ._panel import _MIN_REPS, _walk_batches, check_design, check_fit, exact_fit, first_rep, ols
 from .lrv import KernelSpec, _hac_lrv_panel
 from .series import RngSpec, _resolve_rng
-from .tables import _MIN_REPS, QuantileTable, _walk_batches
 
 __all__ = [
     "AROls",
@@ -216,24 +215,26 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
 
 @dataclass(frozen=True)
 class DfLimitTables:
-    """Simulated Dickey-Fuller quantiles: coef of T(alpha-1), t of the t-ratio."""
+    """Simulated Dickey-Fuller limit laws, each a sorted float array of the
+    draws: coef of T(alpha-1), t of the t-ratio.  A critical value at
+    level p is `np.quantile(coef, p)`."""
 
-    coef: QuantileTable
-    t: QuantileTable
+    coef: np.ndarray
+    t: np.ndarray
 
 
 def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
                 rng: RngSpec | None = None) -> DfLimitTables:
-    """Simulate quantiles of T(alpha-1) and the Dickey-Fuller t-ratio.
+    """Simulate the laws of T(alpha-1) and the Dickey-Fuller t-ratio.
 
     Gaussian random walks of length T are generated and the first-order
     autoregression (with the requested deterministics) fitted to each;
-    empirical quantiles of the coefficient and t statistics form the
-    returned tables.  Used wherever unit root critical values are
+    the coefficient and t statistics, each sorted ascending, are the
+    returned draws.  Used wherever unit root critical values are
     needed.
 
     The walks come from one stream in rep order, a `_panel.chunks` at a
-    time (`tables._walk_batches`).
+    time (`_panel._walk_batches`).
     """
     T = check_positive_int(T, "T", minimum=_MIN_T)
     reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)
@@ -248,5 +249,6 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
         se = np.sqrt(fit.ssr / dof * fit.gram_inv[:, k, k])
         coef_draws[lo:lo + walks.shape[0]] = (T - 1) * (alpha - 1.0)
         t_draws[lo:lo + walks.shape[0]] = (alpha - 1.0) / se
-    return DfLimitTables(coef=QuantileTable.from_draws(coef_draws),
-                         t=QuantileTable.from_draws(t_draws))
+    coef_draws.sort()
+    t_draws.sort()
+    return DfLimitTables(coef=coef_draws, t=t_draws)

@@ -30,6 +30,7 @@ from tsnet.breaks import _split_wald_panel, _sup_wald_panel
 from tsnet.coint import _fmols_panel
 from tsnet.lrv import _hac_lrv_panel
 from tsnet.predreg import _ivx_panel
+from tsnet.series import _stationary_ar1
 from tsnet.unitroot import _LEVEL_COL, _ar_fit, _phillips_z_panel
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def rep_ar1_clt(cfg, r):
 
 def rep_hac_lrv(cfg, r):
     n = cfg.params["n"]
-    x = mc._stationary_ar1(_gen(cfg, r).standard_normal((1, n + 1)), cfg.params["phi"])[0]
+    x = _stationary_ar1(_gen(cfg, r).standard_normal((1, n + 1)), cfg.params["phi"])[0]
     est = T.hac_lrv(x, kernel=_kernel(cfg))
     return (est.scalar, est.bandwidth)
 
@@ -599,7 +600,7 @@ def test_nbb_sup_draws_equal_the_whole_batch(p, trim, grid, reps):
     rng = T.RngSpec(90 + p, grid)
     table = T.nbb_sup_mc(p=p, trim=trim, reps=reps, rng=rng, grid=grid)
     want = ref_nbb_sup_draws(p, trim, reps, rng, grid)
-    assert np.array_equal(table.draws, np.sort(want))
+    assert np.array_equal(table, np.sort(want))
 
 
 @pytest.mark.parametrize("deterministic", ["none", "const", "trend"])
@@ -609,8 +610,8 @@ def test_df_limit_draws_equal_the_whole_batch(deterministic, T_len, reps):
     rng = T.RngSpec(95, T_len)
     got = T.df_limit_mc(T_len, deterministic=deterministic, reps=reps, rng=rng)
     coef, t = ref_df_limit_draws(T_len, deterministic, reps, rng)
-    assert np.array_equal(got.coef.draws, np.sort(coef))
-    assert np.array_equal(got.t.draws, np.sort(t))
+    assert np.array_equal(got.coef, np.sort(coef))
+    assert np.array_equal(got.t, np.sort(t))
 
 
 def _peak_bytes(fn):

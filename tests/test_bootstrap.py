@@ -1,6 +1,7 @@
 """Tests for block, stationary, sieve, wild, and unit-root bootstraps."""
 
 import tracemalloc
+import warnings
 from math import ceil
 
 import numpy as np
@@ -343,3 +344,25 @@ def test_unitroot_bootstrap_peak_grows_by_the_statistics_alone():
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 4 * 8 * (2000 - 200), (block, peaks)
+
+
+@pytest.mark.parametrize("run", [
+    lambda x, stat: T.block_bootstrap(x, stat, B=9, rng=T.RngSpec(1), block=2),
+    lambda x, stat: T.stationary_bootstrap(x, stat, B=9, rng=T.RngSpec(1), mean_block=2.0),
+    lambda x, stat: T.sieve_bootstrap(x, stat, B=9, rng=T.RngSpec(1), p=0),
+    lambda x, stat: T.wild_bootstrap(x, stat, B=9, rng=T.RngSpec(1)),
+], ids=["block", "stationary", "sieve", "wild"])
+def test_a_nan_statistic_on_the_data_raises_before_any_replicate(run):
+    calls = []
+
+    def total(x):
+        calls.append(len(x))
+        return np.sum(x)
+
+    x = np.array([1e308] * 4 + [-1e308] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the statistic total is nan on the data"):
+            run(x, total)
+    # the one call on the data, and none on a replicate
+    assert calls == [8]

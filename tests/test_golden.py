@@ -11,6 +11,9 @@ mismatch names both sets.  To regenerate the file after a change that is
 meant to move the numbers:
 
     python tests/test_golden.py --write
+
+which prints each key whose hash changed, as `key: old -> new`, for the
+change's notes.
 """
 
 from __future__ import annotations
@@ -128,6 +131,11 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         print(json.dumps({"hashes": _hashes(), "versions": _versions()}))
     elif sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(_measure(), indent=1, sort_keys=True) + "\n")
+        old = json.loads(GOLDEN.read_text())["hashes"]
+        now = _measure()
+        for key in sorted(old.keys() | now["hashes"].keys()):
+            if old.get(key) != now["hashes"].get(key):
+                print(f"{key}: {old.get(key)} -> {now['hashes'].get(key)}")
+        GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
     else:
         sys.exit(f"usage: python {Path(__file__).name} --write")

@@ -168,7 +168,7 @@ def test_garch_fit_leaves_scipy_optimize_unloaded():
 
 
 _MODULES = ("bootstrap", "breaks", "coint", "garch", "lrv", "mc", "netdep", "predreg",
-            "randmat", "series", "tables", "unitroot")
+            "randmat", "series", "unitroot")
 
 
 def test_tsnet_exports_each_modules_all_once():
@@ -354,9 +354,11 @@ ORACLE_FIELDS = {
                                       "checks that each step lowers the objective"),
     "FkResult": (("path", "k_grid"), "tests/test_coint.py::test_fk_scan_matches_per_break_solves, "
                                      "against ref_fk_path"),
-    "McResult": (("config",),
+    "McResult": (("config", "draws"),
                  "tests/test_mc.py::test_config_line_records_every_declared_parameter checks "
-                 "the resolved parameters, defaults filled in"),
+                 "the resolved parameters, defaults filled in; "
+                 "tests/test_batch.py::test_batched_rows_equal_scalar_rep_bodies checks the "
+                 "draws against SCALAR_REPS, the scalar rep bodies"),
 }
 
 
@@ -378,7 +380,7 @@ def _unread_fields(trees: dict, public: dict) -> set:
     names) whose name nothing in `trees` (module -> tree) reads (`_reads`).
 
     Reads inside the class's own body count only inside a method or property
-    read by name outside it, such as `QuantileTable.quantile`; constructor
+    read by name outside it, such as `GarchSpec.unconditional_variance`; constructor
     keywords are not reads.  The guard goes by name, so a field named like
     one read elsewhere (`T`, `sigma2`) passes it whether or not it is read.
     """

@@ -11,7 +11,7 @@ import pytest
 
 import tsnet as T
 from tsnet import mc
-from tsnet.mc import (EXPERIMENTS, ExperimentConfig, parse_config,
+from tsnet.mc import (EXPERIMENTS, Experiment, ExperimentConfig, parse_config,
                       parse_config_file, read_csv, resolve, run_experiment,
                       size_power_grid, write_csv)
 
@@ -551,14 +551,24 @@ _OUTSIDE = {
     ("ar1-clt", "rho"): (1.0, -1.5, float("nan")),  # a stationary root lies in (-1, 1)
     ("hac-lrv", "n"): (1,),
     ("hac-lrv", "phi"): (1,),
+    ("hac-lrv", "bandwidth"): (0.0, float("nan")),
     ("phillips-size", "n"): (9,),
     ("phillips-size", "cv_reps"): (99,),
     ("phillips-size", "deterministic"): ("trend", "foo"),  # Z_alpha, Z_t take none or const
     ("phillips-size", "theta"): (float("nan"), float("inf")),
+    ("phillips-size", "bandwidth"): (-2.0, float("inf")),
     ("fmols-size", "n"): (7,),
     ("fmols-size", "corr"): (-1.0,),  # a correlation lies in (-1, 1)
+    ("fmols-size", "beta"): (float("inf"),),
+    ("fmols-size", "intercept"): (float("nan"),),
     ("ivx-null", "n"): (7,),
     ("ivx-null", "corr"): (1.5,),
+    ("ivx-null", "c"): (float("nan"),),
+    ("ivx-null", "gamma"): (0.0, 1.5),
+    ("ivx-null", "beta"): (float("-inf"),),
+    ("ivx-null", "intercept"): (float("inf"),),
+    ("ivx-null", "c_z"): (0.0, 1.0, float("-inf")),  # the instrument's root lies below 1
+    ("ivx-null", "beta_z"): (0.0, 1.5),
     ("supwald-nbb", "n"): (7,),
     ("supwald-nbb", "corr"): (1.0,),
     ("supwald-nbb", "nbb_reps"): (99,),
@@ -567,20 +577,52 @@ _OUTSIDE = {
     ("supwald-nbb", "intercept"): (float("-inf"),),
     ("supwald-nbb", "beta"): (float("inf"),),
     ("supwald-nbb", "gamma"): (0.0, 1.5, float("nan")),
+    ("supwald-nbb", "trim"): ((0.0, 0.5), (0.5, 0.2), (0.3,), (0.1, 0.5, 0.9)),
     ("fixed-wald", "n"): (7,),
     ("fixed-wald", "phi_x"): (-1.0,),
+    ("fixed-wald", "beta"): (float("nan"),),
+    # at n = 1000 the split falls at pair 0 or 998 of 999
+    ("fixed-wald", "pi0"): (0.0, 1.0, 0.001, 0.999, float("nan")),
     ("nethac-coverage", "n_nodes"): (2,),
     ("nethac-coverage", "w1"): (-0.5, float("nan")),  # -0.5 leaves a zero long-run variance
+    ("nethac-coverage", "bandwidth"): (0.0,),
+    ("nethac-coverage", "low_bandwidth"): (-0.5, float("inf")),
     ("unitroot-boot", "n"): (9,),
     ("unitroot-boot", "cv_reps"): (99,),
     ("unitroot-boot", "block"): (1000,),
     ("unitroot-boot", "B"): (0, -3),
     ("garch-recovery", "n"): (49,),
+    ("garch-recovery", "omega"): (0.0, float("nan")),
+    ("garch-recovery", "alpha"): (-0.1,),
+    ("garch-recovery", "beta"): (0.9, -0.1),  # alpha + beta < 1 at alpha = 0.1
+    ("garch-recovery", "burn"): (-1,),
     ("mp-edges", "n"): (0,),
     ("mp-edges", "gamma"): (0.0001,),  # rounds gamma * n to 0 at n = 4000
     ("nested-forecast", "n"): (7,),
     ("nested-forecast", "n_small"): (3,),
+    ("nested-forecast", "k0"): (0, -3, 999, 2.5),  # n = 1000 leaves 999 pairs
+    ("nested-forecast", "beta"): ((0.1, float("nan"), 0.0),),
+    ("nested-forecast", "c"): ((-2.0, -5.0), (float("inf"), -5.0, -10.0)),
+    ("nested-forecast", "v_ar"): ((0.28, 0.32, 1.0), (0.5,)),
+    ("nested-forecast", "intercept"): (float("inf"),),
 }
+
+
+def _numeric_without_domain(experiments) -> list:
+    """(experiment, parameter) for each numeric parameter, one whose default is
+    not a string, that declares no domain."""
+    return sorted((name, key) for name, exp in experiments.items()
+                  for key, default in exp.params.items()
+                  if not isinstance(default, str) and key not in exp.domains)
+
+
+def test_every_numeric_parameter_declares_a_domain():
+    assert _numeric_without_domain(EXPERIMENTS) == []
+    # an int, a float, a tuple and an optional number count; a string does not
+    exp = Experiment(name="e", columns=(), setup=None, rep=None, summarize=None,
+                     params={"n": 8, "c": 0.0, "beta": (0.1,), "k0": None, "kind": "a"},
+                     echo=(), domains={"n": mc._minimum(8)})
+    assert _numeric_without_domain({"e": exp}) == [("e", "beta"), ("e", "c"), ("e", "k0")]
 
 
 def test_each_domain_has_an_outside_row_and_holds_its_default():
@@ -665,13 +707,16 @@ def test_resolve_takes_a_level_only_where_it_is_read():
 
 def test_resolve_fills_defaults_in_declared_types():
     cfg = resolve(ExperimentConfig(experiment="supwald-nbb", reps=2,
-                                   params={"c": -5, "trim": 0.3, "n": np.int64(150)}))
+                                   params={"c": -5, "n": np.int64(150)}))
     assert list(cfg.params) == list(EXPERIMENTS["supwald-nbb"].params)
     assert cfg.params["c"] == -5.0 and isinstance(cfg.params["c"], float)
     assert cfg.params["n"] == 150 and type(cfg.params["n"]) is int
-    assert cfg.params["trim"] == (0.3,)  # a scalar is a one-entry tuple
     assert cfg.params["nbb_reps"] == 50000
     assert resolve(cfg) == cfg
+    # a scalar is a one-entry tuple
+    one = resolve(ExperimentConfig(experiment="nested-forecast",
+                                   params={"beta": 0.2, "c": -5, "v_ar": 0.3, "n_small": 0}))
+    assert (one.params["beta"], one.params["c"], one.params["v_ar"]) == ((0.2,), (-5.0,), (0.3,))
     assert resolve(ExperimentConfig(experiment="hac-lrv", params={"bandwidth": 4})
                    ).params["bandwidth"] == 4
 
