@@ -131,11 +131,16 @@ class SupWaldResult:
     nobs: int
 
 
+def _break_dates(trim, m: int, p: int) -> np.ndarray:
+    """Break dates k (first-regime sizes) in the trim range (lo, hi), clamped
+    to [p, m - p] so that both regimes identify p coefficients; maybe none."""
+    lo, hi = trim
+    return np.arange(max(int(np.ceil(lo * m)), p), min(int(np.floor(hi * m)), m - p) + 1)
+
+
 def _break_grid(trim, m: int, p: int) -> np.ndarray:
-    """Break dates k (first-regime sizes) in the trim range, clamped to
-    [p, m - p] so that both regimes identify p coefficients."""
-    lo, hi = _check_trim(trim)
-    k_grid = np.arange(max(int(np.ceil(lo * m)), p), min(int(np.floor(hi * m)), m - p) + 1)
+    """`_break_dates` of a checked trim range, which must hold one or more."""
+    k_grid = _break_dates(_check_trim(trim), m, p)
     if k_grid.size == 0:
         raise ValueError("trimming leaves no admissible break points")
     return k_grid
@@ -215,6 +220,13 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
                          k_grid=k_grid, nobs=m)
 
 
+def _grid_points(trim, grid: int) -> np.ndarray:
+    """The i in 1..grid with i / grid in the trim range [lo, hi]; maybe none."""
+    i = np.arange(1, grid + 1)
+    t = i / grid
+    return i[(t >= trim[0]) & (t <= trim[1])]
+
+
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
                reps: int = 50000, rng: RngSpec | None = None,
                grid: int = 1000) -> np.ndarray:
@@ -235,13 +247,12 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     trim = _check_trim(trim)
     grid = check_positive_int(grid, "grid")
     gen = _resolve_rng(rng if rng is not None else RngSpec(0))
-    t = np.arange(1, grid + 1) / grid
-    kept = np.flatnonzero((t >= trim[0]) & (t <= trim[1]))
+    kept = _grid_points(trim, grid)
     if kept.size == 0:
         raise ValueError(f"trim {trim} holds no point of the grid i / {grid}, "
                          f"i = 1..{grid}: widen trim or refine grid")
-    keep = slice(kept[0], kept[-1] + 1)
-    t_keep = t[keep]
+    keep = slice(kept[0] - 1, kept[-1])
+    t_keep = kept / grid
     denom = t_keep * (1.0 - t_keep)
     draws = np.empty(reps)
     for lo, w in _walk_batches(gen, reps, (grid, p)):

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 KERNEL_FAMILIES = ("truncated", "bartlett", "parzen", "quadratic-spectral")
+# the families whose weights vanish beyond one bandwidth
+_COMPACT_FAMILIES = ("truncated", "bartlett", "parzen")
 
 # Beyond this many bandwidths the quadratic-spectral weights are below
 # 5e-5 in absolute value; lags past it are dropped to keep O(n b) cost.
@@ -173,10 +175,10 @@ def _hac_lrv_panel(ms, kernel: KernelSpec | None = None, demean: bool = True) ->
     if demean:
         x = x - x.mean(axis=1, keepdims=True)
 
-    if spec.family == "quadratic-spectral":
-        max_lag = min(n - 1, int(ceil(_QS_SUPPORT_MULTIPLE * b)))
-    else:
+    if spec.family in _COMPACT_FAMILIES:
         max_lag = min(n - 1, spec.reach(n))
+    else:  # quadratic-spectral
+        max_lag = min(n - 1, int(ceil(_QS_SUPPORT_MULTIPLE * b)))
 
     xt = x.transpose(0, 2, 1)
     g = xt @ x / n

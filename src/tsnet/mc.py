@@ -1,7 +1,7 @@
 """Monte Carlo harness: experiment registry, config files, CSV output.
 
 An experiment is a named (setup, rep, summarize) triple plus the
-parameters it reads, each declared once with its default.  `setup`
+parameters it reads, each declared once as a (default, domain) pair.  `setup`
 builds shared context once (critical-value tables, graph shells), `rep`
 gets a batch of rep indices and returns one row of statistics per rep,
 and `summarize` reduces the stacked rows to a flat dict of scalars,
@@ -86,10 +86,11 @@ from scipy import special
 from ._checks import _MIN_OBS, check_positive_int
 from ._panel import _MIN_REPS, _PANEL_BYTES, chunks, ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
-from .breaks import _split_wald_panel, _sup_wald_panel, nbb_sup_mc, nested_forecast_test
+from .breaks import (_break_dates, _grid_points, _split_wald_panel, _sup_wald_panel, nbb_sup_mc,
+                     nested_forecast_test)
 from .coint import _fmols_panel
 from .garch import _MIN_QMLE_N, GarchSpec, garch_qmle, simulate_garch
-from .lrv import KernelSpec, _hac_lrv_panel
+from .lrv import _COMPACT_FAMILIES, KERNEL_FAMILIES, KernelSpec, _hac_lrv_panel
 from .netdep import (
     _MIN_CYCLE,
     _graph_ma_panel,
@@ -278,12 +279,14 @@ def read_csv(path):
     """Read a CSV written by `write_csv`.
 
     Returns (schema, columns, data) where data is a float ndarray with
-    one row per record (possibly empty).
+    one row per record (possibly empty).  A column named twice, a row
+    whose fields do not match the header's, or a field that is not a
+    number raises ValueError, starting "<path>:<lineno>:".
     """
     schema = ""
     columns: list[str] = []
     body: list[list[float]] = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -291,10 +294,24 @@ def read_csv(path):
             if line.startswith("#schema="):
                 schema = line[len("#schema="):]
             continue
+        fields = line.split(",")
         if not columns:
-            columns = line.split(",")
+            columns = fields
+            if len(set(columns)) < len(columns):
+                twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise ValueError(f"{path}:{lineno}: column {twice!r} is named twice")
             continue
-        body.append([float(tok) for tok in line.split(",")])
+        if len(fields) != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields as in the "
+                             f"header, got {len(fields)}")
+        row = []
+        for name, tok in zip(columns, fields):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {name!r}: expected a number, "
+                                 f"got {tok!r}") from None
+        body.append(row)
     data = np.asarray(body, dtype=float) if body else np.empty((0, len(columns)))
     return schema, columns, data
 
@@ -307,18 +324,18 @@ def read_csv(path):
 class Experiment:
     """Registered experiment: declared parameters, per-rep statistics, summary.
 
-    `params` maps each parameter name to its default, whose type is the
-    parameter's type: int, float, str, or a tuple of floats; a None
-    default makes an optional number.  The hooks read `cfg.params[key]`
-    of a resolved config.  `rep(cfg, ctx, rs)` takes a range of rep
-    indices and returns a (len(rs), len(columns)) float array, row i for
-    rep rs[i].  The summary is the `echo` parameters (or "level", for
-    exactly the experiments that read it), then the fields
-    `summarize(cfg, ctx, draws)` computes.  `domains` maps a parameter
-    to its domain, a pair (text, test): `test(value, params)` of the
-    resolved value and parameters is true exactly on the set `text`
-    names, such as "at least 8" or "in [1, n - 1]".  Every numeric
-    parameter, one whose default is not a string, declares a domain.
+    `params` maps each parameter name to a pair (default, domain).  The
+    default's type is the parameter's type: int, float, str, or a tuple
+    of floats; a None default makes an optional number.  The domain is a
+    pair (text, test): `test(value, params)` of the resolved value and
+    parameters is true exactly on the set `text` names, such as "at
+    least 8", "in [1, n - 1]" or "one of ['const', 'none']".  A test
+    may read the parameters declared before its own.  The hooks read
+    `cfg.params[key]` of a resolved config.  `rep(cfg, ctx, rs)` takes a
+    range of rep indices and returns a (len(rs), len(columns)) float
+    array, row i for rep rs[i].  The summary is the `echo` parameters
+    (or "level", for exactly the experiments that read it), then the
+    fields `summarize(cfg, ctx, draws)` computes.
     """
 
     name: str
@@ -328,22 +345,26 @@ class Experiment:
     summarize: Callable
     params: dict
     echo: tuple[str, ...]
-    domains: dict = field(default_factory=dict)
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, columns, rep, summarize, params, echo, setup=None, domains=None):
+def _register(name, columns, rep, summarize, params, echo, setup=None):
     EXPERIMENTS[name] = Experiment(
         name=name, columns=tuple(columns),
         setup=setup if setup is not None else (lambda cfg: {}),
-        rep=rep, summarize=summarize, params=params, echo=echo, domains=domains or {})
+        rep=rep, summarize=summarize, params=params, echo=echo)
 
 
 def _minimum(floor):
     """The domain of a parameter of at least `floor`."""
     return f"at least {floor}", lambda v, p: v >= floor
+
+
+def _one_of(choices):
+    """The domain of a string parameter that takes one of `choices`."""
+    return f"one of {sorted(choices)}", lambda v, p: v in choices
 
 
 # the draw starts an AR(1) in its stationary law, so its root needs |phi| < 1
@@ -426,8 +447,8 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"experiment {cfg.experiment!r} does not read level; "
                          f"leave it at {_LEVEL}, got {level!r}")
     params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
-              for key, default in declared.items()}
-    for key, (text, test) in exp.domains.items():
+              for key, (default, _) in declared.items()}
+    for key, (_, (text, test)) in declared.items():
         if not test(params[key], params):
             raise ValueError(f"experiment {cfg.experiment!r}: parameter {key!r} must be "
                              f"{text}, got {params[key]!r}")
@@ -619,9 +640,9 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
                for cell, (ctx, draws) in zip(cells, _run(cells, cells[0].jobs))]
     # the file shows the config as given, its tokens read but not yet cast
     declared = EXPERIMENTS[cfg.experiment].params
-    given = replace(cfg, params={k: _read(declared[k], v) for k, v in cfg.params.items()})
+    given = replace(cfg, params={k: _read(declared[k][0], v) for k, v in cfg.params.items()})
     columns = [f"grid_{a}" for a in axes] + list(results[0].summary)
-    rows = [tuple(_read(declared[a], v) for a, v in zip(axes, combo))
+    rows = [tuple(_read(declared[a][0], v) for a, v in zip(axes, combo))
             + tuple(res.summary.values()) for combo, res in zip(combos, results)]
     files = ()
     if out is not None:
@@ -637,8 +658,9 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 # experiments
 
 # the long-run variance kernel of hac-lrv and phillips-size
-_KERNEL = {"family": "bartlett", "bandwidth": None}
-_BANDWIDTH = ("none or finite and > 0", lambda v, p: v is None or (np.isfinite(v) and v > 0.0))
+_KERNEL = {"family": ("bartlett", _one_of(KERNEL_FAMILIES)),
+           "bandwidth": (None, ("none or finite and > 0",
+                                lambda v, p: v is None or (np.isfinite(v) and v > 0.0)))}
 
 
 def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
@@ -674,8 +696,8 @@ def _ar1_clt_summarize(cfg, ctx, draws):
 
 # the AR(1) fit of n points keeps n - 2 residual degrees of freedom
 _register("ar1-clt", ("rho_hat", "z"), _panel(lambda p: (p["n"] + 1,), _ar1_clt_rep),
-          _ar1_clt_summarize, params={"n": 5000, "rho": 0.5}, echo=("n", "rho"),
-          domains={"n": _minimum(3), "rho": _ROOT})
+          _ar1_clt_summarize, params={"n": (5000, _minimum(3)), "rho": (0.5, _ROOT)},
+          echo=("n", "rho"))
 
 
 def _hac_lrv_rep(cfg, ctx, z):
@@ -696,8 +718,8 @@ def _hac_lrv_summarize(cfg, ctx, draws):
 
 # the estimator needs two observations
 _register("hac-lrv", ("omega_hat", "bandwidth"), _panel(lambda p: (p["n"] + 1,), _hac_lrv_rep),
-          _hac_lrv_summarize, params={"n": 100000, "phi": 0.5, **_KERNEL},
-          echo=("n", "phi"), domains={"n": _minimum(2), "phi": _ROOT, "bandwidth": _BANDWIDTH})
+          _hac_lrv_summarize,
+          params={"n": (100000, _minimum(2)), "phi": (0.5, _ROOT), **_KERNEL}, echo=("n", "phi"))
 
 
 def _phillips_setup(cfg):
@@ -732,13 +754,10 @@ def _phillips_summarize(cfg, ctx, draws):
 _register("phillips-size", ("z_alpha", "z_t", "raw_coef"),
           _panel(lambda p: (p["n"] + 1,), _phillips_rep),
           _phillips_summarize, setup=_phillips_setup,
-          params={"n": 1000, "theta": 0.5, "deterministic": "none", "cv_reps": 20000,
-                  **_KERNEL},
-          echo=("n", "theta", "level"),
-          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS), "theta": _FINITE,
-                   "deterministic": (f"one of {sorted(_PHILLIPS_DETERMINISTICS)}",
-                                     lambda v, p: v in _PHILLIPS_DETERMINISTICS),
-                   "bandwidth": _BANDWIDTH})
+          params={"n": (1000, _minimum(_MIN_T)), "theta": (0.5, _FINITE),
+                  "deterministic": ("none", _one_of(_PHILLIPS_DETERMINISTICS)),
+                  "cv_reps": (20000, _minimum(_MIN_REPS)), **_KERNEL},
+          echo=("n", "theta", "level"))
 
 
 def _fmols_rep(cfg, ctx, z):
@@ -764,14 +783,15 @@ def _fmols_summarize(cfg, ctx, draws):
 
 # no family or bandwidth: FM-OLS runs with the library's default kernel
 _register("fmols-size", ("t_fm", "t_ols"), _panel(lambda p: (p["n"], 2), _fmols_rep),
-          _fmols_summarize, params={"n": 1000, "corr": 0.9, "beta": 2.0, "intercept": 1.0},
-          echo=("n", "corr", "level"),
-          domains={"n": _minimum(_MIN_OBS), "corr": _CORR, "beta": _FINITE,
-                   "intercept": _FINITE})
+          _fmols_summarize, params={"n": (1000, _minimum(_MIN_OBS)), "corr": (0.9, _CORR),
+                                    "beta": (2.0, _FINITE), "intercept": (1.0, _FINITE)},
+          echo=("n", "corr", "level"))
 
 
-# the domains of the parameters `_system_spec` reads
-_SYSTEM = {"c": _FINITE, "gamma": _UNIT, "corr": _CORR, "beta": _FINITE, "intercept": _FINITE}
+def _system(c, gamma, corr, beta):
+    """The parameters `_system_spec` reads, with these defaults and intercept 0."""
+    return {"c": (c, _FINITE), "gamma": (gamma, _UNIT), "corr": (corr, _CORR),
+            "beta": (beta, _FINITE), "intercept": (0.0, _FINITE)}
 
 
 def _system_spec(cfg) -> SystemSpec:
@@ -794,12 +814,11 @@ def _ivx_summarize(cfg, ctx, draws):
 
 
 _register("ivx-null", ("wald", "pvalue", "beta_hat"), _panel(lambda p: (p["n"], 2), _ivx_rep),
-          _ivx_summarize, params={"n": 1000, "c": 0.0, "gamma": 1.0, "corr": 0.9, "beta": 0.0,
-                  "intercept": 0.0, "c_z": -1.0, "beta_z": 0.95},
-          echo=("n", "c", "gamma", "corr", "beta", "level"),
-          domains={"n": _minimum(_MIN_OBS), **_SYSTEM,
-                   "c_z": ("finite and < 0", lambda v, p: np.isfinite(v) and v < 0.0),
-                   "beta_z": _UNIT})
+          _ivx_summarize,
+          params={"n": (1000, _minimum(_MIN_OBS)), **_system(0.0, 1.0, 0.9, 0.0),
+                  "c_z": (-1.0, ("finite and < 0", lambda v, p: np.isfinite(v) and v < 0.0)),
+                  "beta_z": (0.95, _UNIT)},
+          echo=("n", "c", "gamma", "corr", "beta", "level"))
 
 
 def _supwald_setup(cfg):
@@ -829,14 +848,17 @@ def _supwald_summarize(cfg, ctx, draws):
 
 _register("supwald-nbb", ("sup_wald", "pi_star"), _panel(lambda p: (p["n"], 2), _supwald_rep),
           _supwald_summarize, setup=_supwald_setup,
-          params={"n": 2000, "c": -5.0, "gamma": 0.75, "corr": 0.5, "beta": 0.25,
-                  "intercept": 0.0, "trim": (0.15, 0.85), "nbb_reps": 50000,
-                  "nbb_grid": 1000},
-          echo=("n", "c", "gamma"),
-          domains={"n": _minimum(_MIN_OBS), **_SYSTEM, "nbb_reps": _minimum(_MIN_REPS),
-                   "nbb_grid": _minimum(1),
-                   "trim": ("two fractions 0 < lo < hi < 1",
-                            lambda v, p: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0)})
+          params={"n": (2000, _minimum(_MIN_OBS)), **_system(-5.0, 0.75, 0.5, 0.25),
+                  "nbb_reps": (50000, _minimum(_MIN_REPS)), "nbb_grid": (1000, _minimum(1)),
+                  # a break date of sup_wald on the n - 1 (y_t, x_{t-1}) pairs, two
+                  # coefficients a regime, and a point of nbb_sup_mc's grid
+                  "trim": ((0.15, 0.85),
+                           ("two fractions 0 < lo < hi < 1 holding a break date of n - 1 pairs "
+                            "and a point i / nbb_grid",
+                            lambda v, p: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0
+                            and _break_dates(v, p["n"] - 1, 2).size > 0
+                            and _grid_points(v, p["nbb_grid"]).size > 0))},
+          echo=("n", "c", "gamma"))
 
 
 def _fixed_wald_rep(cfg, ctx, z):
@@ -863,13 +885,13 @@ def _fixed_wald_summarize(cfg, ctx, draws):
 
 # each rep draws x0, then the n innovations of x, then n - 1 errors
 _register("fixed-wald", ("wald",), _panel(lambda p: (2 * p["n"],), _fixed_wald_rep),
-          _fixed_wald_summarize, params={"n": 1000, "pi0": 0.5, "phi_x": 0.5, "beta": 0.3},
-          echo=("n", "pi0"),
+          _fixed_wald_summarize, echo=("n", "pi0"),
           # the split at pair floor(pi0 (n - 1)) leaves two pairs or more to each regime
-          domains={"n": _minimum(_MIN_OBS), "phi_x": _ROOT, "beta": _FINITE,
-                   "pi0": ("in (0, 1) with 2 <= floor(pi0 * (n - 1)) <= n - 3",
-                           lambda v, p: 0.0 < v < 1.0
-                           and 2 <= math.floor(v * (p["n"] - 1)) <= p["n"] - 3)})
+          params={"n": (1000, _minimum(_MIN_OBS)),
+                  "pi0": (0.5, ("in (0, 1) with 2 <= floor(pi0 * (n - 1)) <= n - 3",
+                                lambda v, p: 0.0 < v < 1.0
+                                and 2 <= math.floor(v * (p["n"] - 1)) <= p["n"] - 3)),
+                  "phi_x": (0.5, _ROOT), "beta": (0.3, _FINITE)})
 
 
 def _nethac_setup(cfg):
@@ -910,14 +932,13 @@ def _nethac_summarize(cfg, ctx, draws):
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
           _panel(lambda p: (p["n_nodes"],), _nethac_rep), _nethac_summarize, setup=_nethac_setup,
-          params={"n_nodes": 200, "w1": 0.1, "bandwidth": 3.0, "low_bandwidth": 0.5,
-                  "family": "bartlett"},
-          echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"),
           # at w1 = -1/2 the mean has long-run variance 0: no interval to cover
-          domains={"n_nodes": _minimum(_MIN_CYCLE),
-                   "w1": ("finite with 1 + 2 * w1 != 0",
-                          lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0),
-                   "bandwidth": _POSITIVE, "low_bandwidth": _POSITIVE})
+          params={"n_nodes": (200, _minimum(_MIN_CYCLE)),
+                  "w1": (0.1, ("finite with 1 + 2 * w1 != 0",
+                               lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0)),
+                  "bandwidth": (3.0, _POSITIVE), "low_bandwidth": (0.5, _POSITIVE),
+                  "family": ("bartlett", _one_of(_COMPACT_FAMILIES))},
+          echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))
 
 
 def _urboot_setup(cfg):
@@ -946,11 +967,10 @@ def _urboot_summarize(cfg, ctx, draws):
 
 # blocks resample the n - 1 residuals of the AR(1) fit
 _register("unitroot-boot", ("q05_boot", "observed"), _per_rep(_urboot_rep),
-          _urboot_summarize, setup=_urboot_setup,
-          params={"n": 1000, "cv_reps": 20000, "B": 2000, "block": 10},
-          echo=("n", "B", "block"),
-          domains={"n": _minimum(_MIN_T), "cv_reps": _minimum(_MIN_REPS), "B": _minimum(1),
-                   "block": ("in [1, n - 1]", lambda v, p: 1 <= v <= p["n"] - 1)})
+          _urboot_summarize, setup=_urboot_setup, echo=("n", "B", "block"),
+          params={"n": (1000, _minimum(_MIN_T)), "cv_reps": (20000, _minimum(_MIN_REPS)),
+                  "B": (2000, _minimum(1)),
+                  "block": (10, ("in [1, n - 1]", lambda v, p: 1 <= v <= p["n"] - 1))})
 
 
 def _garch_spec(cfg) -> GarchSpec:
@@ -984,14 +1004,13 @@ def _garch_summarize(cfg, ctx, draws):
 _register("garch-recovery",
           ("omega_hat", "alpha_hat", "beta_hat", "max_abs_err",
            "filter_mean", "converged"),
-          _per_rep(_garch_rep), _garch_summarize,
-          params={"n": 20000, "omega": 0.1, "alpha": 0.1, "beta": 0.8, "burn": 500},
-          echo=("n", "omega", "alpha", "beta"),
-          domains={"n": _minimum(_MIN_QMLE_N), "omega": _POSITIVE,
-                   "alpha": ("finite and >= 0", lambda v, p: np.isfinite(v) and v >= 0.0),
-                   "beta": ("finite and >= 0 with alpha + beta < 1",
-                            lambda v, p: np.isfinite(v) and v >= 0.0 and p["alpha"] + v < 1.0),
-                   "burn": _minimum(0)})
+          _per_rep(_garch_rep), _garch_summarize, echo=("n", "omega", "alpha", "beta"),
+          params={"n": (20000, _minimum(_MIN_QMLE_N)), "omega": (0.1, _POSITIVE),
+                  "alpha": (0.1, ("finite and >= 0", lambda v, p: np.isfinite(v) and v >= 0.0)),
+                  "beta": (0.8, ("finite and >= 0 with alpha + beta < 1",
+                                 lambda v, p: np.isfinite(v) and v >= 0.0
+                                 and p["alpha"] + v < 1.0)),
+                  "burn": (500, _minimum(0))})
 
 
 def _mp_setup(cfg):
@@ -1019,11 +1038,10 @@ def _mp_summarize(cfg, ctx, draws):
 
 
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
-          _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, params={"n": 4000, "gamma": 0.25},
-          echo=("n", "gamma"),
-          domains={"n": _minimum(1),
-                   "gamma": ("in (0, 1] with round(gamma * n) >= 1",
-                             lambda v, p: 0.0 < v <= 1.0 and round(v * p["n"]) >= 1)})
+          _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, echo=("n", "gamma"),
+          params={"n": (4000, _minimum(1)),
+                  "gamma": (0.25, ("in (0, 1] with round(gamma * n) >= 1",
+                                   lambda v, p: 0.0 < v <= 1.0 and round(v * p["n"]) >= 1))})
 
 
 def _nested_rep(cfg, ctx, gen):
@@ -1048,21 +1066,18 @@ def _nested_summarize(cfg, ctx, draws):
 # k0 (the first forecast origin, in pairs) defaults to n // 4; the small
 # model keeps the first n_small regressors, and the large one adds the rest
 _register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
-          _nested_summarize,
-          params={"n": 1000, "n_small": 1, "k0": None, "beta": (0.1, 0.1, -0.05),
-                  "c": (-2.0, -5.0, -10.0), "v_ar": (0.28, 0.32, -0.14),
-                  "intercept": 0.0},
-          echo=("n", "n_small"),
-          domains={"n": _minimum(_MIN_OBS),
-                   "n_small": ("in [0, len(beta) - 1]",
-                               lambda v, p: 0 <= v <= len(p["beta"]) - 1),
-                   "k0": ("none or an integer in [1, n - 2]",
-                          lambda v, p: v is None
-                          or (float(v).is_integer() and 1 <= v <= p["n"] - 2)),
-                   "beta": _FINITE,
-                   "c": ("finite, one per beta",
-                         lambda v, p: len(v) == len(p["beta"]) and np.all(np.isfinite(v))),
-                   "v_ar": ("in (-1, 1), one per beta",
+          _nested_summarize, echo=("n", "n_small"),
+          params={"n": (1000, _minimum(_MIN_OBS)), "beta": ((0.1, 0.1, -0.05), _FINITE),
+                  "n_small": (1, ("in [0, len(beta) - 1]",
+                                  lambda v, p: 0 <= v <= len(p["beta"]) - 1)),
+                  "k0": (None, ("none or an integer in [1, n - 2]",
+                                lambda v, p: v is None
+                                or (float(v).is_integer() and 1 <= v <= p["n"] - 2))),
+                  "c": ((-2.0, -5.0, -10.0),
+                        ("finite, one per beta",
+                         lambda v, p: len(v) == len(p["beta"]) and np.all(np.isfinite(v)))),
+                  "v_ar": ((0.28, 0.32, -0.14),
+                           ("in (-1, 1), one per beta",
                             lambda v, p: len(v) == len(p["beta"])
-                            and all(abs(a) < 1.0 for a in v)),
-                   "intercept": _FINITE})
+                            and all(abs(a) < 1.0 for a in v))),
+                  "intercept": (0.0, _FINITE)})

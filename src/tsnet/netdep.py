@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from ._checks import as_matrix, check_finite_path, check_positive_int
-from .lrv import KernelSpec, kernel_weight
+from .lrv import _COMPACT_FAMILIES, KernelSpec, kernel_weight
 from .series import _resolve_rng
 
 __all__ = [
@@ -416,7 +416,7 @@ def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
     """Largest graph distance `network_hac` reads with this kernel on n nodes."""
     spec = kernel if kernel is not None else KernelSpec()
-    if spec.family == "quadratic-spectral":
+    if spec.family not in _COMPACT_FAMILIES:
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
     return spec.reach(n)
 
@@ -433,7 +433,9 @@ def read_edgelist(path) -> Graph:
     """Parse the edge-list format written by `write_edgelist`.
 
     Blank lines and lines starting with '#' are ignored.  A malformed
-    line raises a ValueError that starts with "<path>:<lineno>:".
+    line, or an edge that is not two distinct nodes in 1..n, raises a
+    ValueError that starts with "<path>:<lineno>:".  An edge given more
+    than once, in either orientation, is kept once, as `Graph` keeps it.
     """
     n = None
     edges = []
@@ -446,12 +448,13 @@ def read_edgelist(path) -> Graph:
                 if n is None:
                     if not line.startswith("n="):
                         raise ValueError("expected header 'n=<count>'")
-                    n = int(line[2:])
+                    n = check_positive_int(int(line[2:]), "n")
                     continue
                 parts = line.split()
                 if len(parts) != 2:
                     raise ValueError(f"expected 'i j', got {line!r}")
                 edges.append((int(parts[0]), int(parts[1])))
+                _check_edge(n, edges[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if n is None:

@@ -347,10 +347,14 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
     assert list(out.iterdir()) == []
 
 
+_TRIM = ("two fractions 0 < lo < hi < 1 holding a break date of n - 1 pairs and a point "
+         "i / nbb_grid")
+
+
 @pytest.mark.parametrize("kind,experiment,line,message", [
     ("run", "phillips-size", "family = foo",
-     "family must be one of ['bartlett', 'parzen', 'quadratic-spectral', 'truncated'], "
-     "got 'foo'"),
+     "experiment 'phillips-size': parameter 'family' must be one of ['bartlett', 'parzen', "
+     "'quadratic-spectral', 'truncated'], got 'foo'"),
     ("run", "unitroot-boot", "block = 2000",
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
     ("run", "unitroot-boot", "block = 0",
@@ -421,13 +425,26 @@ def test_mc_nested_forecast_without_extra_regressors_is_one_line(tmp_path, capsy
      "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
     ("grid", "unitroot-boot", "n = 1000\ngrid.block = 10, 2000",
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
+    # each below used to fail in the library, in setup or the first rep, naming no parameter
+    ("run", "supwald-nbb", "n = 8\nnbb_reps = 100\nnbb_grid = 100\ntrim = 0.49, 0.5",
+     f"experiment 'supwald-nbb': parameter 'trim' must be {_TRIM}, got (0.49, 0.5)"),
+    ("run", "supwald-nbb", "n = 200\nnbb_reps = 100\nnbb_grid = 1",
+     f"experiment 'supwald-nbb': parameter 'trim' must be {_TRIM}, got (0.15, 0.85)"),
+    ("run", "nethac-coverage", "family = quadratic-spectral",
+     "experiment 'nethac-coverage': parameter 'family' must be one of ['bartlett', 'parzen', "
+     "'truncated'], got 'quadratic-spectral'"),
+    ("run", "hac-lrv", "family = foo",
+     "experiment 'hac-lrv': parameter 'family' must be one of ['bartlett', 'parzen', "
+     "'quadratic-spectral', 'truncated'], got 'foo'"),
 ], ids=["phillips-family", "urboot-block-past-n", "urboot-block-zero",
         "phillips-deterministic", "phillips-n",
         "phillips-cv-reps", "urboot-n", "urboot-cv-reps", "supwald-nbb-reps",
         "supwald-nbb-grid", "hac-lrv-n", "supwald-gamma", "supwald-c", "supwald-intercept",
         "supwald-beta", "phillips-theta", "urboot-B", "fmols-n", "ivx-n", "supwald-n",
         "fixed-wald-n", "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
-        "ivx-gamma", "garch-burn", "nested-k0", "grid-phillips-n", "grid-urboot-block"])
+        "ivx-gamma", "garch-burn", "nested-k0", "grid-phillips-n", "grid-urboot-block",
+        "supwald-trim-no-break-date", "supwald-trim-no-grid-point", "nethac-family",
+        "hac-lrv-family"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
                                                    kind, experiment, line, message):
     def nothing_simulated(*args, **kwargs):
@@ -511,19 +528,6 @@ def test_mc_level_an_experiment_does_not_read_is_one_line(tmp_path, capsys, monk
     assert list(out.iterdir()) == []
 
 
-def test_mc_supwald_grid_without_a_trimmed_point_is_one_line(tmp_path, capsys):
-    cfg = tmp_path / "sw.cfg"
-    cfg.write_text("experiment = supwald-nbb\nreps = 2\nn = 150\nnbb_reps = 200\n"
-                   "nbb_grid = 1\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("tsnet: error: trim (0.15, 0.85) holds no point of the grid")
-    assert list(out.iterdir()) == []
-
-
 def test_mc_phillips_size_at_an_untabulated_level(tmp_path, capsys):
     cfg = tmp_path / "pz.cfg"
     cfg.write_text("experiment = phillips-size\nreps = 4\nseed = 4\nn = 60\n"
@@ -600,6 +604,13 @@ def test_cli_singular_design_is_one_line(tmp_path, capsys):
      "data.csv: column 'x' holds -inf in data row 2"),
     (["test", "adf"], "t\n1\n2\n", "no data column found"),
     (["test", "adf"], "t,value\n", "no data rows in"),
+    # a malformed file is named by file and line, and a bad field by column
+    *[(["test", "adf", "--column", "y"], body, message) for body, message in (
+        ("t,y\n1,0.5\n2\n3,0.25\n", "data.csv:3: expected 2 fields as in the header, got 1"),
+        ("t,y\n1,0.5\n2,abc\n", "data.csv:3: column 'y': expected a number, got 'abc'"),
+        ("#schema=x\nt,y\n" + "".join(f"{t},{t % 7}.5,9\n" for t in range(50)),
+         "data.csv:3: expected 2 fields as in the header, got 3"),
+        ("t,y,y\n1,0.5,0.75\n", "data.csv:1: column 'y' is named twice"))],
 ])
 def test_cli_bad_data_is_one_line(tmp_path, capsys, argv, body, message):
     data = tmp_path / "data.csv"
@@ -759,6 +770,8 @@ def test_cli_value_error_is_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("body,lineno,token", [
     ("n=abc\n1 2\n", 1, "'abc'"),
     ("# header next\nn=3\n1 2\n1 x\n", 4, "'x'"),
+    ("n=4\n1 2\n3 5\n", 3, "edge (3, 5) outside 1..4"),
+    ("n=4\n1 2\n\n1 1\n", 4, "self-loop at node 1"),
 ])
 def test_cli_bad_edgelist_token_names_file_and_line(tmp_path, capsys, body, lineno, token):
     graph = tmp_path / "bad.edges"

@@ -11,7 +11,7 @@ import pytest
 
 import tsnet as T
 from tsnet import mc
-from tsnet.mc import (EXPERIMENTS, Experiment, ExperimentConfig, parse_config,
+from tsnet.mc import (EXPERIMENTS, ExperimentConfig, parse_config,
                       parse_config_file, read_csv, resolve, run_experiment,
                       size_power_grid, write_csv)
 
@@ -445,16 +445,6 @@ def test_nethac_setup_builds_shells_to_the_radius_read(params, radius):
     assert res.draws[1, 1] == v
 
 
-def test_nethac_setup_rejects_unbounded_kernel_before_building_shells(monkeypatch):
-    def no_shells(*args):
-        raise AssertionError("shells built for a kernel the HAC refuses")
-    monkeypatch.setattr(mc, "graph_shells", no_shells)
-    cfg = ExperimentConfig(experiment="nethac-coverage", reps=2, seed=108,
-                           params={"n_nodes": 40, "family": "quadratic-spectral"})
-    with pytest.raises(ValueError, match="vanishing beyond 1"):
-        EXPERIMENTS["nethac-coverage"].setup(resolve(cfg))
-
-
 def test_run_experiment_stream_shift_consistency():
     # rep r of a stream-s config equals rep s+r of a stream-0 config:
     # replications are keyed by absolute stream, not loop index
@@ -605,29 +595,16 @@ _OUTSIDE = {
     ("nested-forecast", "c"): ((-2.0, -5.0), (float("inf"), -5.0, -10.0)),
     ("nested-forecast", "v_ar"): ((0.28, 0.32, 1.0), (0.5,)),
     ("nested-forecast", "intercept"): (float("inf"),),
+    ("hac-lrv", "family"): ("foo",),
+    ("phillips-size", "family"): ("Bartlett",),
+    # network HAC reads a kernel only as far as its weights reach: one bandwidth
+    ("nethac-coverage", "family"): ("quadratic-spectral", "foo"),
 }
-
-
-def _numeric_without_domain(experiments) -> list:
-    """(experiment, parameter) for each numeric parameter, one whose default is
-    not a string, that declares no domain."""
-    return sorted((name, key) for name, exp in experiments.items()
-                  for key, default in exp.params.items()
-                  if not isinstance(default, str) and key not in exp.domains)
-
-
-def test_every_numeric_parameter_declares_a_domain():
-    assert _numeric_without_domain(EXPERIMENTS) == []
-    # an int, a float, a tuple and an optional number count; a string does not
-    exp = Experiment(name="e", columns=(), setup=None, rep=None, summarize=None,
-                     params={"n": 8, "c": 0.0, "beta": (0.1,), "k0": None, "kind": "a"},
-                     echo=(), domains={"n": mc._minimum(8)})
-    assert _numeric_without_domain({"e": exp}) == [("e", "beta"), ("e", "c"), ("e", "k0")]
 
 
 def test_each_domain_has_an_outside_row_and_holds_its_default():
     assert set(_OUTSIDE) == {(name, key) for name, exp in EXPERIMENTS.items()
-                             for key in exp.domains}
+                             for key in exp.params}
     for name in EXPERIMENTS:
         resolve(ExperimentConfig(experiment=name))
 
@@ -647,10 +624,10 @@ def test_resolve_rejects_bad_parameters(experiment, key, value):
         resolve(cfg)
     # `in` finds the nan row by identity
     if value in _OUTSIDE.get((experiment, key), ()):
-        exp = EXPERIMENTS[experiment]
-        typed = mc._typed(experiment, key, exp.params[key], value)
+        default, (text, _) = EXPERIMENTS[experiment].params[key]
+        typed = mc._typed(experiment, key, default, value)
         assert str(exc.value) == (f"experiment {experiment!r}: parameter {key!r} must be "
-                                  f"{exp.domains[key][0]}, got {typed!r}")
+                                  f"{text}, got {typed!r}")
 
 
 def _setup_raises(source: str) -> dict:

@@ -237,7 +237,8 @@ def test_edgelist_round_trip(tmp_path):
 
 def test_edgelist_comments_and_errors(tmp_path):
     path = tmp_path / "ok.edges"
-    path.write_text("# comment\n\nn=4\n1 2\n\n# another\n3 4\n")
+    # an edge given twice, in either orientation, is kept once
+    path.write_text("# comment\n\nn=4\n1 2\n\n# another\n3 4\n2 1\n1 2\n")
     g = T.read_edgelist(path)
     assert g.n == 4 and g.edges == ((1, 2), (3, 4))
 
