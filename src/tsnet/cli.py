@@ -42,7 +42,7 @@ from .mc import (
     size_power_grid,
     write_csv,
     EXPERIMENTS,
-    _RESERVED,
+    _HARNESS,
     _csv_lines,
     _fmt,
 )
@@ -68,9 +68,6 @@ from .series import (
     simulate_predictive_system,
 )
 from .unitroot import adf_test, df_limit_mc, phillips_z
-
-# the harness keys `mc run` and `mc grid` take as flags over the config file
-_OVERRIDES = [key for key in _RESERVED if key != "experiment"]
 
 STAT_FUNCS = {"mean": np.mean, "variance": np.var, "median": np.median,
               "sum": np.sum}
@@ -205,7 +202,8 @@ _REPORT = (_flag("--tail", default="two", choices=("two", "left", "right")),) + 
 _STAT_RESAMPLE = (_RESAMPLE + (_flag("--stat", default="mean", choices=sorted(STAT_FUNCS)),)
                   + _REPORT)
 _MC = ((_flag("config", help="experiment config file"),) + _OUT
-       + tuple(_flag(f"--{key}", type=_RESERVED[key], default=None) for key in _OVERRIDES))
+       # the harness keys, as tokens over the config file's, read and checked by `resolve`
+       + tuple(_flag(f"--{key}", default=None) for key in _HARNESS))
 
 _HELP = {"simulate": "draw series and write CSV", "estimate": "fit estimators on CSV data",
          "test": "hypothesis tests on CSV data", "bootstrap": "resampling on CSV data",
@@ -512,7 +510,7 @@ def _spectrum(args):
 def _mc_config(args):
     """The config file with the harness keys given as flags written over it."""
     cfg = parse_config_file(args.config)
-    for key in _OVERRIDES:
+    for key in _HARNESS:
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
     return cfg

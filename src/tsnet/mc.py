@@ -49,18 +49,17 @@ Config files are line oriented::
     c = -5
     grid.c = 0, -5, -20
 
-Keys other than the reserved ones (experiment, reps, seed, stream,
-jobs, level) are parameters, and each must be one the experiment
-declares.  `resolve` reads each value in its declared type (so
-`deterministic = none` is the string "none", `bandwidth = none` an
-unset number), fills in the defaults, and rejects any other key, a
-value not of that type, or a value outside its parameter's declared
-domain (a stationary root in (-1, 1), n at least 8, block in
-[1, n - 1], ...), before any setup runs.  Setup hooks only build
-shared context, raising nothing of their own.
+Keys other than `experiment` and the harness's (reps, seed, stream,
+jobs, level) are parameters the experiment must declare.  Values stay
+text tokens until `resolve` reads harness keys and parameters alike,
+each in its default's type (so `deterministic = none` is the string
+"none", `bandwidth = none` an unset number) and domain (reps at least
+1, seed in [0, 2**64 - 1], a stationary root in (-1, 1), n at least 8,
+...), fills in the defaults, and rejects any other key, before any
+setup runs.  Setup hooks only build shared context, raising nothing.
 `grid.<name>` lines declare sweep axes for `size_power_grid`, which
 runs the cartesian product and moves each cell onto its own stream
-range.
+range, mod 2**64.
 
 CSV output starts with a `#schema=` line and a `#config=` line, then a
 header row.  The `#config=` line of a run holds the effective values of
@@ -83,7 +82,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ._checks import _MIN_OBS, check_positive_int
+from ._checks import _MIN_OBS
 from ._panel import _MIN_REPS, _PANEL_BYTES, chunks, ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
 from .breaks import (_break_dates, _grid_points, _split_wald_panel, _sup_wald_panel, nbb_sup_mc,
@@ -159,11 +158,11 @@ _POOL_START_S = 0.025
 class ExperimentConfig:
     """Settings for one experiment run.
 
-    `params` holds everything the experiment itself interprets: text
-    tokens from `parse_config`, and after `resolve` every declared
-    parameter in its declared type.  Reserved keys control the harness.
-    `grid` maps parameter names to value tuples for sweeps and is
-    ignored by `run_experiment`.
+    `params` holds what the experiment itself interprets, and reps, seed,
+    stream, jobs and level control the harness: text tokens from
+    `parse_config`, each in its declared type after `resolve`.  `grid`
+    maps parameter names to value tuples for sweeps and is ignored by
+    `run_experiment`.
     """
 
     experiment: str
@@ -180,18 +179,13 @@ _KINDS = {int: "an integer", float: "a number", str: "a string",
           tuple: "one or more comma-separated numbers", type(None): "a number or none"}
 
 
-# the harness's own keys, with their types
-_RESERVED = {"experiment": str, "reps": int, "seed": int, "stream": int, "jobs": int,
-             "level": float}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines into an ExperimentConfig.
 
     Blank lines and lines starting with `#` are skipped, and a key set
-    twice raises.  The reserved keys are read at once; parameter and
-    grid values stay text tokens (a tuple of them when comma-separated)
-    until `resolve` reads each in its parameter's declared type.
+    twice raises.  Every value stays a text token (a tuple of them when
+    comma-separated) until `resolve` reads the harness keys and the
+    parameters, each in its declared type.
     """
     cfg = ExperimentConfig(experiment="")
     seen = {}
@@ -209,12 +203,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
         seen[key] = lineno
         parsed = tuple(v.strip() for v in value.split(",")) if "," in value else value.strip()
-        if key in _RESERVED:
-            try:
-                setattr(cfg, key, _RESERVED[key](parsed))
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be {_KINDS[_RESERVED[key]]}, "
-                                 f"got {parsed!r}") from None
+        if key == "experiment" or key in _HARNESS:
+            setattr(cfg, key, parsed)
         elif key.startswith("grid."):
             vals = parsed if isinstance(parsed, tuple) else (parsed,)
             cfg.grid[key[len("grid."):]] = vals
@@ -222,8 +212,6 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.params[key] = parsed
     if not cfg.experiment:
         raise ValueError("config must set 'experiment'")
-    check_positive_int(cfg.reps, "reps")
-    check_positive_int(cfg.jobs, "jobs")
     return cfg
 
 
@@ -374,6 +362,11 @@ _CORR = ("a correlation in (-1, 1)", lambda v, p: abs(v) < 1.0)
 _FINITE = ("finite", lambda v, p: bool(np.all(np.isfinite(v))))
 _POSITIVE = ("finite and > 0", lambda v, p: np.isfinite(v) and v > 0.0)
 _UNIT = ("in (0, 1]", lambda v, p: 0.0 < v <= 1.0)
+_UINT64 = ("in [0, 2**64 - 1]", lambda v, p: 0 <= v < 2**64)
+# the harness's own keys, declared as parameters are, with ExperimentConfig's defaults
+_HARNESS = {key: (getattr(ExperimentConfig, key), domain) for key, domain in (
+    ("reps", _minimum(1)), ("seed", _UINT64), ("stream", _UINT64), ("jobs", _minimum(1)),
+    ("level", ("in (0, 1)", lambda v, p: 0.0 < v < 1.0)))}
 
 
 def _read(default, value):
@@ -396,8 +389,8 @@ def _read(default, value):
     return tuple(map(number, value)) if isinstance(value, tuple) else number(value)
 
 
-def _typed(experiment: str, key: str, default, value):
-    """`value`, a config token or not, in the type of parameter `key`."""
+def _typed(default, value, name: str):
+    """`value`, a config token or not, in the type of `default`, key `name`."""
     def real(v):
         return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
@@ -414,19 +407,30 @@ def _typed(experiment: str, key: str, default, value):
         values = value if isinstance(value, tuple) else (value,)
         if all(real(v) for v in values):
             return tuple(float(v) for v in values)
-    raise ValueError(f"experiment {experiment!r}: parameter {key!r} must be "
-                     f"{_KINDS[type(default)]}, got {value!r}")
+    raise ValueError(f"{name} must be {_KINDS[type(default)]}, got {value!r}")
+
+
+def _checked(table: dict, given: dict, name) -> dict:
+    """Each key of `table`, a dict of (default, domain) pairs, read from
+    `given` or else its default, in the default's type, and checked against
+    its domain, in declaration order; `name(key)` names the key in an error."""
+    out = {}
+    for key, (default, (text, test)) in table.items():
+        value = out[key] = _typed(default, given.get(key, default), name(key))
+        if not test(value, out):
+            raise ValueError(f"{name(key)} must be {text}, got {value!r}")
+    return out
 
 
 def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
-    """A copy of `cfg` holding every declared parameter, in its declared type.
+    """A copy of `cfg` holding the harness keys and every declared
+    parameter, each in its declared type.
 
     Parameters the config leaves out take their defaults.  A key the
-    experiment does not declare, or a value of the wrong type, raises
-    ValueError, and so do `reps` or `jobs` below 1, a `level` outside
-    (0, 1), a `level` other than the default for an experiment that does
-    not read it, and a parameter outside its declared domain, however
-    they were set.
+    experiment does not declare, a value of the wrong type or outside its
+    declared domain, harness key or parameter, and a `level` other than
+    the default for an experiment that does not read it raise ValueError,
+    however they were set.
     Resolving a resolved config gives it back unchanged.
     """
     if cfg.experiment not in EXPERIMENTS:
@@ -439,21 +443,13 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"experiment {cfg.experiment!r} has no parameter "
                          f"{', '.join(map(repr, unknown))}; it accepts: "
                          f"{', '.join(sorted(declared))}")
-    level = cfg.level
-    if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise ValueError(f"experiment {cfg.experiment!r}: level must lie in (0, 1), "
-                         f"got {level!r}")
-    if "level" not in exp.echo and level != _LEVEL:
+    where = f"experiment {cfg.experiment!r}: "
+    harness = _checked(_HARNESS, vars(cfg), lambda key: where + key)
+    if "level" not in exp.echo and harness["level"] != _LEVEL:
         raise ValueError(f"experiment {cfg.experiment!r} does not read level; "
-                         f"leave it at {_LEVEL}, got {level!r}")
-    params = {key: _typed(cfg.experiment, key, default, cfg.params.get(key, default))
-              for key, (default, _) in declared.items()}
-    for key, (_, (text, test)) in declared.items():
-        if not test(params[key], params):
-            raise ValueError(f"experiment {cfg.experiment!r}: parameter {key!r} must be "
-                             f"{text}, got {params[key]!r}")
-    return replace(cfg, params=params, reps=check_positive_int(cfg.reps, "reps"),
-                   jobs=check_positive_int(cfg.jobs, "jobs"))
+                         f"leave it at {_LEVEL}, got {harness['level']!r}")
+    params = _checked(declared, cfg.params, lambda key: f"{where}parameter {key!r}")
+    return replace(cfg, params=params, **harness)
 
 
 def _rep_streams(cfg: ExperimentConfig, rs):
@@ -621,26 +617,27 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
 def size_power_grid(cfg: ExperimentConfig, out=None):
     """Run the experiment over the cartesian product of cfg.grid.
 
-    Each cell gets a disjoint stream range (shifted by reps plus a
-    reserve of 64 auxiliary streams) so cells are independent and
-    reproducible in isolation.  Every cell is resolved before the first
-    one is set up, and the reps of all cells share one process pool.
-    Returns (columns, rows, results, files) and optionally writes one
-    summary CSV, whose `#config=` line holds the config as given.
+    Cell i starts at stream `stream + i * (reps + 64)` (mod 2**64), past
+    cell i - 1's reps and a reserve of 64 auxiliary streams, so cells are
+    independent and reproducible in isolation.  Every cell is resolved
+    before the first one is set up, and the reps of all cells share one
+    process pool.  Returns (columns, rows, results, files) and optionally
+    writes one summary CSV, whose `#config=` line holds the resolved
+    harness keys and the parameters as given.
     """
     if not cfg.grid:
         raise ValueError("size_power_grid needs at least one grid.<name> axis")
     axes = sorted(cfg.grid)
     combos = list(itertools.product(*(cfg.grid[a] for a in axes)))
-    stride = cfg.reps + 64
-    cells = [resolve(replace(cfg, stream=cfg.stream + i * stride, grid={},
-                             params={**cfg.params, **dict(zip(axes, combo))}))
-             for i, combo in enumerate(combos)]
+    cells = [resolve(replace(cfg, grid={}, params={**cfg.params, **dict(zip(axes, combo))}))
+             for combo in combos]
+    cells = [replace(cell, stream=(cell.stream + i * (cell.reps + 64)) % 2**64)
+             for i, cell in enumerate(cells)]
     results = [_result(cell, ctx, draws)
                for cell, (ctx, draws) in zip(cells, _run(cells, cells[0].jobs))]
-    # the file shows the config as given, its tokens read but not yet cast
+    # the file shows cell 0's harness keys and the parameters as given, read but not cast
     declared = EXPERIMENTS[cfg.experiment].params
-    given = replace(cfg, params={k: _read(declared[k][0], v) for k, v in cfg.params.items()})
+    given = replace(cells[0], params={k: _read(declared[k][0], v) for k, v in cfg.params.items()})
     columns = [f"grid_{a}" for a in axes] + list(results[0].summary)
     rows = [tuple(_read(declared[a][0], v) for a, v in zip(axes, combo))
             + tuple(res.summary.values()) for combo, res in zip(combos, results)]

@@ -7,14 +7,16 @@ are unweighted shortest-path lengths, infinite across components.
 Every consumer takes a `Graph` or its `Shells` as its first argument and
 reads distances only up to the radius it needs: floor(bandwidth) for
 `network_hac`, len(weights) - 1 for `simulate_graph_ma`, max(s, m) for
-`denseness_stats`.  `graph_shells` builds the 0/1 sparse matrix S_s of
-the node pairs at each distance s up to that radius by sparse products
-of the adjacency, and consumers read S_s only as a sparse matrix, never
-as per-pair index arrays, so memory grows with the neighborhoods, not
-with n^2.  Shells built once by `graph_shells(g, radius)` can be passed
-in place of the graph and are reused across calls, as the Monte Carlo
-harness does.  Anything else, a dense distance matrix included, is a
-TypeError.
+`denseness_stats`.  No two of n nodes lie farther apart than n - 1, so
+`network_hac` reads no distance past n - 1 and `denseness_stats` none
+past n, however far a bandwidth or reach goes.  `graph_shells` builds
+the 0/1 sparse matrix S_s of the node pairs at each distance s up to
+that radius by sparse products of the adjacency, and consumers read S_s
+only as a sparse matrix, never as per-pair index arrays, so memory grows
+with the neighborhoods, not with n^2.  Shells built once by
+`graph_shells(g, radius)` can be passed in place of the graph and are
+reused across calls, as the Monte Carlo harness does.  Anything else, a
+dense distance matrix included, is a TypeError.
 
 The denseness functionals quantify how fast s-step neighborhoods grow:
 delta^shell(s; k) is the k-th moment of shell sizes, Delta(s, m; k) the
@@ -278,30 +280,38 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
     with N(j; -1) empty when s = 0 and empty shells contributing 0 to
     the max.  The infimum runs over a fixed grid of exponents
     {1.01, 1.05, ..., 8} plus {16, 32}; moments are evaluated in log
-    space so large exponents do not overflow.
+    space so large exponents do not overflow.  k must be finite and
+    > 0, and a moment past the largest float raises ValueError.
     """
     s = check_positive_int(s, "s", minimum=0)
     m = check_positive_int(m, "m", minimum=0)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    sh = _shells_of(graph, max(s, m))
-    shell_sizes = sh.sizes(s).astype(float)
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"k must be finite and > 0, got {k!r}")
+    # shells past distance n are empty, as shell n is; a non-graph has no n and
+    # fails in `_shells_of`
+    top = getattr(graph, "n", 0)
+    sh = _shells_of(graph, min(max(s, m), top))
+    s_top, m_top = min(s, top), min(m, top)
+    shell_sizes = sh.sizes(s_top).astype(float)
     # |N(i; m)|; shell(i, 0) = {i} and N(i; -1) is empty
-    ball_sizes = sum(sh.sizes(t) for t in range(m + 1)).astype(float)
-    overlap_sizes = ball_sizes if s == 0 else _worst_uncovered(sh, s, m, ball_sizes)
+    ball_sizes = sum(sh.sizes(t) for t in range(m_top + 1)).astype(float)
+    overlap_sizes = (ball_sizes if s == 0
+                     else _worst_uncovered(sh, s_top, m_top, ball_sizes))
 
-    delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
-    delta_overlap = float(np.exp(_log_power_mean(overlap_sizes, k)))
-
-    best = np.inf
-    for a in _HOLDER_GRID:
-        log_delta = _log_power_mean(overlap_sizes, k * a)
-        log_shell = _log_power_mean(shell_sizes, a / (a - 1.0))
-        if log_delta == -np.inf:
-            best = 0.0
-            break
-        val = np.exp(log_delta / a + (1.0 - 1.0 / a) * log_shell)
-        best = min(best, float(val))
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
+        delta_overlap = float(np.exp(_log_power_mean(overlap_sizes, k)))
+        best = np.inf
+        for a in _HOLDER_GRID:
+            log_delta = _log_power_mean(overlap_sizes, k * a)
+            log_shell = _log_power_mean(shell_sizes, a / (a - 1.0))
+            if log_delta == -np.inf:
+                best = 0.0
+                break
+            val = np.exp(log_delta / a + (1.0 - 1.0 / a) * log_shell)
+            best = min(best, float(val))
+    if not np.all(np.isfinite([delta_shell, delta_overlap, best])):
+        raise ValueError(f"the moments of order k = {k!r} overflow the floats")
     return NetStats(s=s, m=m, k=k, delta_shell=delta_shell,
                     delta_overlap=delta_overlap, c_n=best)
 
@@ -414,11 +424,12 @@ def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
-    """Largest graph distance `network_hac` reads with this kernel on n nodes."""
+    """Largest graph distance `network_hac` reads with this kernel on n nodes:
+    its reach, up to n - 1, past which no two nodes lie."""
     spec = kernel if kernel is not None else KernelSpec()
     if spec.family not in _COMPACT_FAMILIES:
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    return spec.reach(n)
+    return min(spec.reach(n), n - 1)
 
 
 def write_edgelist(g: Graph, path) -> None:

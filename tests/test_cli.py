@@ -481,7 +481,8 @@ def test_mc_level_outside_the_unit_interval_is_one_line(tmp_path, capsys, monkey
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("tsnet: error: experiment 'phillips-size': level must lie in (0, 1)")
+    assert lines[0].startswith("tsnet: error: experiment 'phillips-size': level must be in (0, 1), "
+                               "got ")
     assert list(out.iterdir()) == []
 
 
@@ -551,7 +552,44 @@ def test_mc_bad_count_flag_is_one_line(tmp_path, capsys, kind, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"tsnet: error: {flag[2:]} must be an integer >= 1, got {value}"]
+        f"tsnet: error: experiment 'fixed-wald': {flag[2:]} must be at least 1, got {value}"]
+    assert list(out.iterdir()) == []
+
+
+_WORD = "in [0, 2**64 - 1]"
+
+
+@pytest.mark.parametrize("kind", ["run", "grid"])
+@pytest.mark.parametrize("as_flag", [False, True], ids=["line", "flag"])
+@pytest.mark.parametrize("key,value,message", [
+    ("reps", "0", "reps must be at least 1, got 0"),
+    ("reps", "abc", "reps must be an integer, got 'abc'"),
+    ("jobs", "0", "jobs must be at least 1, got 0"),
+    ("jobs", "1.5", "jobs must be an integer, got 1.5"),
+    ("seed", "-1", f"seed must be {_WORD}, got -1"),
+    ("seed", str(2**64), f"seed must be {_WORD}, got {2**64}"),
+    ("stream", str(2**64), f"stream must be {_WORD}, got {2**64}"),
+    ("level", "0", "level must be in (0, 1), got 0.0"),
+    ("level", "1", "level must be in (0, 1), got 1.0"),
+    ("level", "nan", "level must be in (0, 1), got nan"),
+])
+def test_mc_harness_value_outside_its_domain_is_one_line(tmp_path, capsys, monkeypatch, kind,
+                                                         as_flag, key, value, message):
+    # harness keys are read and checked by `resolve` as parameters are, from a
+    # config line or a flag alike, before any setup or rep
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("shells were built or a rep was simulated")
+
+    for name in ("graph_shells", "_rep_streams"):
+        monkeypatch.setattr(mc, name, nothing_built)
+    cfg = tmp_path / "nh.cfg"
+    cfg.write_text(f"experiment = nethac-coverage\nn_nodes = 30\ngrid.w1 = 0.1, 0.2\n"
+                   f"{'' if as_flag else f'{key} = {value}'}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = [f"--{key}", value] if as_flag else []
+    assert main(["mc", kind, str(cfg), "--out", str(out), *flags]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: experiment 'nethac-coverage': {message}"
     assert list(out.iterdir()) == []
 
 
@@ -752,6 +790,38 @@ def test_mc_override_flags_match_the_reserved_keys(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a-summary.csv").read_bytes() == \
         (tmp_path / "b-summary.csv").read_bytes()
+
+
+def test_netdep_reach_past_the_graph_is_the_largest_distance(tmp_path, capsys):
+    # no two of 20 nodes lie farther apart than 19: a longer reach reads nothing more
+    graph = tmp_path / "c20.edges"
+    run_cli("netdep", "make", "--family", "cycle", "--n", "20", "--out", str(graph))
+    capsys.readouterr()
+    outs = []
+    for m in ("1000000000", "19"):
+        run_cli("netdep", "stats", "--graph", str(graph), "-s", "1", "-m", m)
+        outs.append(capsys.readouterr().out.splitlines())
+    assert "m = 1000000000" in outs[0]
+    assert outs[0] == [line if line != "m = 19" else "m = 1000000000" for line in outs[1]]
+
+
+@pytest.mark.parametrize("k,message", [
+    ("nan", "k must be finite and > 0, got nan"),
+    ("inf", "k must be finite and > 0, got inf"),
+    ("1e308", "the moments of order k = 1e+308 overflow the floats"),
+])
+def test_netdep_bad_moment_order_is_one_line(tmp_path, capsys, k, message):
+    graph = tmp_path / "c20.edges"
+    run_cli("netdep", "make", "--family", "cycle", "--n", "20", "--out", str(graph))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["netdep", "stats", "--graph", str(graph), "-s", "1", "-m", "1",
+                     "-k", k]) == 2
+        assert _one_error_line(capsys) == f"tsnet: error: {message}"
+        run_cli("netdep", "stats", "--graph", str(graph), "-s", "1", "-m", "1", "-k", "50")
+    kv = kv_from(capsys)
+    assert all(np.isfinite(float(kv[key])) for key in ("delta_shell", "delta_overlap", "c_n"))
 
 
 def test_cli_value_error_is_one_line(tmp_path, capsys):

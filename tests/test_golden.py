@@ -7,8 +7,10 @@ and in a forced process pool, and hashes every per-rep, summary and grid
 CSV it writes.  The hashes must equal the ones in
 `golden_hashes.json`, which also records the numpy, scipy and BLAS builds
 they were made with: floating-point output may change with those, so a
-mismatch names both sets.  To regenerate the file after a change that is
-meant to move the numbers:
+mismatch names both sets.  A second process repeats every run under each
+workspace geometry of `GEOMETRIES`, which bounds workspaces and never a
+result, so its hashes must be the same.  To regenerate the file after a
+change that is meant to move the numbers:
 
     python tests/test_golden.py --write
 
@@ -60,6 +62,10 @@ BOUNDARY_RUNS = (
     ("supwald-nbb", 106, 5, {"n": 150, "nbb_reps": 1500, "nbb_grid": 100}),
     ("unitroot-boot", 109, 2, {"n": 150, "B": 2000, "cv_reps": 500}),
 )
+# (_PANEL_BYTES, _BLOCK_BYTES, _BATCH) of `mc`, the first also the default
+# budget of `_panel.chunks`: one row at a time, and an odd geometry whose
+# blocks, sub-panels and batches cut no run evenly
+GEOMETRIES = ((8, 8, 1), (3000, 10000, 7))
 GRID = ("experiment = ivx-null\nreps = {reps}\nseed = 105\nn = 150\ncorr = 0.9\n"
         "grid.c = 0.0, -5.0\n")
 
@@ -106,13 +112,26 @@ def _hashes() -> dict:
                 for path in sorted(out.rglob("*.csv"))}
 
 
-def _measure() -> dict:
-    """The hashes and versions of a fresh process with one BLAS thread."""
+def _geometry_hashes() -> dict:
+    """`_hashes` under each of `GEOMETRIES`, by the geometry as "panel,block,batch"."""
+    from tsnet import _panel, mc
+
+    out = {}
+    for panel, block, batch in GEOMETRIES:
+        mc._PANEL_BYTES, mc._BLOCK_BYTES, mc._BATCH = panel, block, batch
+        # the default budget is bound when `chunks` is defined
+        _panel.chunks.__defaults__ = (panel,)
+        out[f"{panel},{block},{batch}"] = _hashes()
+    return out
+
+
+def _measure(child: str = "--child") -> dict:
+    """The output of a fresh `child` process with one BLAS thread."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
+    proc = subprocess.run([sys.executable, __file__, child], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout)
 
@@ -127,9 +146,19 @@ def test_every_csv_keeps_its_bytes():
                            f"{golden['versions']}, this run has {now['versions']}")
 
 
+def test_workspace_geometry_moves_no_byte():
+    golden = json.loads(GOLDEN.read_text())["hashes"]
+    for geometry, hashes in _measure("--child-geometries").items():
+        changed = sorted(name for name in golden.keys() | hashes.keys()
+                         if golden.get(name) != hashes.get(name))
+        assert changed == [], f"CSV bytes changed in {changed} at geometry {geometry}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         print(json.dumps({"hashes": _hashes(), "versions": _versions()}))
+    elif sys.argv[1:] == ["--child-geometries"]:
+        print(json.dumps(_geometry_hashes()))
     elif sys.argv[1:] == ["--write"]:
         old = json.loads(GOLDEN.read_text())["hashes"]
         now = _measure()

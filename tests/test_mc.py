@@ -37,9 +37,9 @@ grid.n = 100,150
 def test_parse_config_full():
     cfg = parse_config(CFG_TEXT)
     assert cfg.experiment == "fixed-wald"
-    assert cfg.reps == 6 and cfg.seed == 3 and cfg.stream == 2
-    assert cfg.jobs == 2 and cfg.level == 0.1
-    # parameter values stay text until resolve reads them by declared type
+    # every value, harness key or parameter, stays text until resolve reads it
+    assert cfg.reps == "6" and cfg.seed == "3" and cfg.stream == "2"
+    assert cfg.jobs == "2" and cfg.level == "0.1"
     assert cfg.params["n"] == "120"
     assert cfg.params["pi0"] == "0.4"
     assert cfg.params["flags"] == ("true", "false", "none")
@@ -62,8 +62,17 @@ def test_resolve_reads_config_tokens_in_declared_types():
         resolve(parse_config("experiment = ivx-null\nn = 120.7\n"))
     with pytest.raises(ValueError, match="'deterministic' must be a string"):
         resolve(parse_config("experiment = phillips-size\ndeterministic = a, b\n"))
-    with pytest.raises(ValueError, match="seed must be an integer, got '1.5'"):
-        parse_config("experiment = ivx-null\nseed = 1.5\n")
+    cfg = resolve(parse_config("experiment = ivx-null\nreps = 7\nseed = 3\nstream = 4\n"
+                               "jobs = 2\nlevel = 0.1\n"))
+    assert (cfg.reps, cfg.seed, cfg.stream, cfg.jobs, cfg.level) == (7, 3, 4, 2, 0.1)
+    assert [type(v) for v in (cfg.reps, cfg.seed, cfg.stream, cfg.jobs, cfg.level)] == [
+        int, int, int, int, float]
+    with pytest.raises(ValueError, match="^experiment 'ivx-null': seed must be an integer, "
+                                         "got 1.5$"):
+        resolve(parse_config("experiment = ivx-null\nseed = 1.5\n"))
+    with pytest.raises(ValueError, match="^experiment 'ivx-null': reps must be an integer, "
+                                         "got 'abc'$"):
+        resolve(parse_config("experiment = ivx-null\nreps = abc\n"))
 
 
 def test_parse_config_errors():
@@ -73,9 +82,13 @@ def test_parse_config_errors():
         parse_config("= 3\n")
     with pytest.raises(ValueError, match="must set 'experiment'"):
         parse_config("reps = 10\n")
-    with pytest.raises(ValueError):
-        parse_config("experiment = x\nreps = 0\n")
-    # a key set twice: a parameter, a reserved key, a grid axis, even at one value
+    # a value outside its domain is left to resolve
+    cfg = parse_config("experiment = fixed-wald\nreps = 0\n")
+    assert cfg.reps == "0"
+    with pytest.raises(ValueError, match="^experiment 'fixed-wald': reps must be at least 1, "
+                                         "got 0$"):
+        resolve(cfg)
+    # a key set twice: a parameter, a harness key, a grid axis, even at one value
     for text, message in [
             ("experiment = ivx-null\nn = 100\nc = -5\nn = 200\n",
              "line 4: 'n' is already set on line 2"),
@@ -96,7 +109,8 @@ def test_parse_config_file(tmp_path):
     p.write_text("experiment = fixed-wald\nreps = 4\nn = 100\n")
     cfg = parse_config_file(p)
     assert cfg.experiment == "fixed-wald"
-    assert cfg.reps == 4
+    assert cfg.reps == "4"
+    assert resolve(cfg).reps == 4
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -369,7 +383,7 @@ def test_reps_build_no_generator_of_their_own():
 
 
 # the names a rep hook would draw its own normals or generators by
-_STREAM_SOURCES = {"_rep_streams", "_rep_normals", "RngSpec"}
+_STREAM_SOURCES = {"_rep_streams", "_rekey", "RngSpec"}
 
 
 def _stream_users(source: str):
@@ -401,7 +415,8 @@ def _stream_users(source: str):
 
 
 def test_stream_guard_flags_a_hook_that_draws_for_itself():
-    src = ("def _normals(cfg, rs):\n    return _rep_normals(cfg, rs, (3,))\n"
+    src = ("def _normals(cfg, rs):\n"
+           "    return [g.standard_normal(3) for g in _rep_streams(cfg, rs)]\n"
            "def _hook(cfg, ctx, rs):\n    return _normals(cfg, rs)\n"
            "def _gen_hook(cfg, ctx, gen):\n    return RngSpec(0).generator()\n"
            "def _fine(cfg, ctx, z):\n    return z * 2.0\n"
@@ -503,6 +518,38 @@ def test_size_power_grid_matches_cellwise_runs(tmp_path):
         size_power_grid(ExperimentConfig(experiment="fixed-wald", reps=2))
 
 
+def test_size_power_grid_streams_wrap_mod_2_64():
+    # cell i starts at stream + i * (reps + 64), mod 2**64 as a rep's stream does
+    cfg = parse_config(f"experiment = phillips-size\nreps = 3\nseed = 2\nstream = {2**64 - 6}\n"
+                       "n = 60\ncv_reps = 100\ngrid.theta = 0.3, 0.5\n")
+    results = size_power_grid(cfg)[2]
+    for i, (theta, res) in enumerate(zip((0.3, 0.5), results)):
+        stream = (2**64 - 6 + i * (3 + 64)) % 2**64
+        assert res.config.stream == stream
+        cell = run_experiment(ExperimentConfig(
+            experiment="phillips-size", reps=3, seed=2, stream=stream,
+            params={"n": 60, "cv_reps": 100, "theta": theta}))
+        np.testing.assert_array_equal(res.draws, cell.draws)
+        assert res.summary == cell.summary
+    assert results[1].config.stream == 61
+
+
+def test_nethac_bandwidth_past_the_cycle_builds_shells_to_n_minus_1(monkeypatch):
+    # no two of 30 nodes lie farther apart than 29, so a wider bandwidth reads no more
+    radii = []
+
+    def shells(g, radius):
+        radii.append(radius)
+        return graph_shells(g, radius)
+
+    graph_shells = mc.graph_shells
+    monkeypatch.setattr(mc, "graph_shells", shells)
+    res = run_experiment(ExperimentConfig(experiment="nethac-coverage", reps=2,
+                                          params={"n_nodes": 30, "bandwidth": 1e9}))
+    assert radii == [29]
+    assert np.isfinite(res.draws).all()
+
+
 def test_experiment_registry_complete():
     expected = {"ar1-clt", "hac-lrv", "phillips-size", "fmols-size",
                 "ivx-null", "supwald-nbb", "fixed-wald", "nethac-coverage",
@@ -519,7 +566,7 @@ def test_programmatic_counts_are_checked(tmp_path, counts):
     cfg = replace(ExperimentConfig(experiment="fixed-wald", reps=4, params={"n": 120}),
                   **counts)
     (key, value), = counts.items()
-    message = f"{key} must be an integer >= 1, got {value}"
+    message = f"^experiment 'fixed-wald': {key} must be at least 1, got {value}$"
     with pytest.raises(ValueError, match=message):
         run_experiment(cfg, out=tmp_path)
     with pytest.raises(ValueError, match=message):
@@ -599,12 +646,18 @@ _OUTSIDE = {
     ("phillips-size", "family"): ("Bartlett",),
     # network HAC reads a kernel only as far as its weights reach: one bandwidth
     ("nethac-coverage", "family"): ("quadratic-spectral", "foo"),
+    # the harness keys, whose domains are the same for every experiment
+    ("fixed-wald", "reps"): (0,),
+    ("fixed-wald", "jobs"): (0,),
+    ("fixed-wald", "seed"): (-1, 2**64),
+    ("fixed-wald", "stream"): (2**64,),
+    ("fixed-wald", "level"): (0, 1, float("nan")),
 }
 
 
 def test_each_domain_has_an_outside_row_and_holds_its_default():
     assert set(_OUTSIDE) == {(name, key) for name, exp in EXPERIMENTS.items()
-                             for key in exp.params}
+                             for key in exp.params} | {("fixed-wald", key) for key in mc._HARNESS}
     for name in EXPERIMENTS:
         resolve(ExperimentConfig(experiment=name))
 
@@ -619,15 +672,17 @@ def test_each_domain_has_an_outside_row_and_holds_its_default():
     ("fmols-size", "family", "parzen"),  # fmols-size has no kernel to set
 ] + [(name, key, value) for (name, key), values in _OUTSIDE.items() for value in values])
 def test_resolve_rejects_bad_parameters(experiment, key, value):
-    cfg = ExperimentConfig(experiment=experiment, reps=2, params={key: value})
-    with pytest.raises(ValueError, match=repr(key)) as exc:
+    cfg = ExperimentConfig(experiment=experiment, reps=2)
+    harness = key in mc._HARNESS
+    cfg = replace(cfg, **{key: value}) if harness else replace(cfg, params={key: value})
+    name = key if harness else f"parameter {key!r}"
+    with pytest.raises(ValueError, match=re.escape(name)) as exc:
         resolve(cfg)
     # `in` finds the nan row by identity
     if value in _OUTSIDE.get((experiment, key), ()):
-        default, (text, _) = EXPERIMENTS[experiment].params[key]
-        typed = mc._typed(experiment, key, default, value)
-        assert str(exc.value) == (f"experiment {experiment!r}: parameter {key!r} must be "
-                                  f"{text}, got {typed!r}")
+        default, (text, _) = (mc._HARNESS if harness else EXPERIMENTS[experiment].params)[key]
+        typed = mc._typed(default, value, name)
+        assert str(exc.value) == f"experiment {experiment!r}: {name} must be {text}, got {typed!r}"
 
 
 def _setup_raises(source: str) -> dict:

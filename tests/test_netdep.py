@@ -3,6 +3,8 @@
 import ast
 import time
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +124,9 @@ def test_denseness_empty_graph():
     assert res.delta_shell == 0.0
     assert res.delta_overlap == 0.0
     assert res.c_n == 0.0
-    with pytest.raises(ValueError, match="k must"):
-        T.denseness_stats(T.cycle_graph(4), s=1, m=1, k=0.0)
+    for k in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"^k must be finite and > 0, got {k!r}$"):
+            T.denseness_stats(T.cycle_graph(4), s=1, m=1, k=k)
     with pytest.raises(ValueError, match=">= 0"):
         T.denseness_stats(T.cycle_graph(4), s=-1, m=1)
     with pytest.raises(ValueError, match="s must be an integer"):
@@ -448,6 +451,33 @@ def test_denseness_equals_dense_loop(name):
                     T.netdep._log_power_mean(over, k)))
                 if not over.any():
                     assert res.c_n == 0.0
+
+
+def test_denseness_moment_past_the_floats_raises_naming_k():
+    g = T.cycle_graph(20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the moments of order k = 1e\+308 overflow"):
+            T.denseness_stats(g, s=1, m=1, k=1e308)
+        res = T.denseness_stats(g, s=1, m=1, k=50.0)
+    assert np.isfinite([res.delta_shell, res.delta_overlap, res.c_n]).all()
+
+
+def test_reach_past_the_largest_distance_reads_no_further_shell():
+    # no two of n nodes lie farther apart than n - 1
+    g = T.cycle_graph(30)
+    d = T.graph_distance(g)
+    y = np.random.default_rng((67, 11)).standard_normal(30)
+    spec = T.KernelSpec("bartlett", 1000.0)
+    assert T.network_hac_radius(spec, 30) == 29
+    assert T.network_hac_radius(T.KernelSpec("truncated", 1e308), 30) == 29
+    yc = y - y.mean()
+    np.testing.assert_allclose(T.network_hac(g, y, spec), _dense_hac(d, y, spec), rtol=0,
+                               atol=1e-13 * (yc @ yc / 30))
+    # denseness reads no distance past n, where every shell is empty
+    for s, m in ((1, 10**9), (40, 2), (10**9, 10**9)):
+        want = T.denseness_stats(g, s=min(s, 30), m=min(m, 29))
+        assert T.denseness_stats(g, s=s, m=m) == replace(want, s=s, m=m)
 
 
 def test_network_dependence_on_large_cycle():
