@@ -54,13 +54,15 @@ RUNS = (
 # ar1-clt crosses `mc._BATCH`, a 2 MB block and its 6-rep sub-panels;
 # hac-lrv has one-rep sub-panels; phillips-size's limit table and
 # supwald-nbb's bridge table fill several batches; unitroot-boot's
-# bootstrap fills several chunks
+# bootstrap fills several chunks; nethac-coverage's bandwidth runs past the
+# 30-cycle's farthest distance, 15
 BOUNDARY_RUNS = (
     ("ar1-clt", 101, 70, {"n": 5000}),
     ("hac-lrv", 102, 8, {"n": 40000}),
     ("phillips-size", 103, 5, {"n": 120, "cv_reps": 1200}),
     ("supwald-nbb", 106, 5, {"n": 150, "nbb_reps": 1500, "nbb_grid": 100}),
     ("unitroot-boot", 109, 2, {"n": 150, "B": 2000, "cv_reps": 500}),
+    ("nethac-coverage", 108, 3, {"n_nodes": 30, "bandwidth": 100}),
 )
 # (_PANEL_BYTES, _BLOCK_BYTES, _BATCH) of `mc`, the first also the default
 # budget of `_panel.chunks`: one row at a time, and an odd geometry whose
