@@ -619,8 +619,9 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 
     Cell i starts at stream `stream + i * (reps + 64)` (mod 2**64), past
     cell i - 1's reps and a reserve of 64 auxiliary streams, so cells are
-    independent and reproducible in isolation.  Every cell is resolved
-    before the first one is set up, and the reps of all cells share one
+    independent and reproducible in isolation.  Every cell is resolved,
+    and an axis taking a value that is not a number raises ValueError,
+    before the first cell is set up; the reps of all cells share one
     process pool.  Returns (columns, rows, results, files) and optionally
     writes one summary CSV, whose `#config=` line holds the resolved
     harness keys and the parameters as given.
@@ -633,6 +634,12 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
              for combo in combos]
     cells = [replace(cell, stream=(cell.stream + i * (cell.reps + 64)) % 2**64)
              for i, cell in enumerate(cells)]
+    # each axis is a column of the grid CSV, and `read_csv` reads numbers only
+    for a, cell in itertools.product(axes, cells):
+        if not isinstance(cell.params[a], (int, float)):
+            raise ValueError(f"experiment {cfg.experiment!r}: grid axis {a!r} takes "
+                             f"{cell.params[a]!r}, not a number; a grid CSV column holds "
+                             f"numbers only")
     results = [_result(cell, ctx, draws)
                for cell, (ctx, draws) in zip(cells, _run(cells, cells[0].jobs))]
     # the file shows cell 0's harness keys and the parameters as given, read but not cast

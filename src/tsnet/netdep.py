@@ -7,16 +7,15 @@ are unweighted shortest-path lengths, infinite across components.
 Every consumer takes a `Graph` or its `Shells` as its first argument and
 reads distances only up to the radius it needs: floor(bandwidth) for
 `network_hac`, len(weights) - 1 for `simulate_graph_ma`, max(s, m) for
-`denseness_stats`.  No two of n nodes lie farther apart than n - 1, so
-`network_hac` reads no distance past n - 1 and `denseness_stats` none
-past n, however far a bandwidth or reach goes.  `graph_shells` builds
-the 0/1 sparse matrix S_s of the node pairs at each distance s up to
-that radius by sparse products of the adjacency, and consumers read S_s
-only as a sparse matrix, never as per-pair index arrays, so memory grows
-with the neighborhoods, not with n^2.  Shells built once by
-`graph_shells(g, radius)` can be passed in place of the graph and are
-reused across calls, as the Monte Carlo harness does.  Anything else, a
-dense distance matrix included, is a TypeError.
+`denseness_stats`, and none past the graph's last shell, however far a
+bandwidth or reach goes.  `graph_shells` builds the 0/1 sparse matrix
+S_s of the node pairs at each distance s up to that radius by sparse
+products of the adjacency, stopping at the first empty shell, and
+consumers read S_s only as a sparse matrix, never as per-pair index
+arrays, so memory grows with the neighborhoods, not with n^2.  Shells
+built once by `graph_shells(g, radius)` can be passed in place of the
+graph and are reused across calls, as the Monte Carlo harness does.
+Anything else, a dense distance matrix included, is a TypeError.
 
 The denseness functionals quantify how fast s-step neighborhoods grow:
 delta^shell(s; k) is the k-th moment of shell sizes, Delta(s, m; k) the
@@ -176,29 +175,31 @@ class Shells:
     """
 
     matrices: tuple[sparse.csr_matrix, ...]
+    radius: int
 
     @property
     def n(self) -> int:
         return self.matrices[0].shape[0]
 
     @property
-    def radius(self) -> int:
-        return len(self.matrices) - 1
+    def complete(self) -> bool:
+        """Whether the search stopped at an empty shell: every farther one is empty."""
+        return len(self.matrices) <= self.radius
 
     def matrix(self, s: int) -> sparse.csr_matrix:
         """S_s, the pairs at distance exactly s (read-only by convention)."""
-        if not 0 <= s <= self.radius:
+        if s < 0 or (s > self.radius and not self.complete):
             raise ValueError(f"distance {s} outside the shells' range 0..{self.radius}")
-        return self.matrices[s]
+        return self.matrices[s] if s < len(self.matrices) else sparse.csr_matrix((self.n, self.n))
 
     def sizes(self, s: int) -> np.ndarray:
         """Shell size |{j: d(i, j) = s}| for every node i."""
-        indptr = self.matrix(s).indptr
-        return indptr[1:] - indptr[:-1]
+        return np.diff(self.matrix(s).indptr)
 
     def ball(self, r: int) -> sparse.csr_matrix:
         """Sparse 0/1 matrix of the pairs within distance r."""
-        return sum((self.matrix(t) for t in range(1, r + 1)), self.matrix(0))
+        self.matrix(r)  # raises past the radius
+        return sum(self.matrices[1:r + 1], self.matrices[0])
 
 
 def graph_shells(g: Graph, radius: int) -> Shells:
@@ -206,7 +207,8 @@ def graph_shells(g: Graph, radius: int) -> Shells:
 
     Shell s is the pattern of S_{s-1} A minus S_{s-1} and S_{s-2}: in an
     undirected graph a neighbor of a node at distance s-1 lies at
-    distance s-2, s-1 or s.  Boolean sparse products keep the cost at
+    distance s-2, s-1 or s, so every shell past an empty one is empty and
+    the search stops there.  Boolean sparse products keep the cost at
     O(n * ball size * degree), with no n x n array.  Before shell s is
     built, the pairs of S_{s-1} A are bounded by S_{s-1} times the
     degrees, summed; past `_SHELL_PAIRS` it raises a ValueError.
@@ -225,9 +227,11 @@ def graph_shells(g: Graph, radius: int) -> Shells:
                              f"up to {pairs:.0f} node pairs, over the {_SHELL_PAIRS} a "
                              f"shell may hold")
         prev, cur = cur, (cur @ adj) > (cur + prev)
+        if cur.nnz == 0:
+            break
         cur.sort_indices()
         matrices.append(cur.astype(float))
-    return Shells(matrices=tuple(matrices))
+    return Shells(matrices=tuple(matrices), radius=radius)
 
 
 def _shells_of(graph, radius: int) -> Shells:
@@ -236,7 +240,7 @@ def _shells_of(graph, radius: int) -> Shells:
         return graph_shells(graph, radius)
     if not isinstance(graph, Shells):
         raise TypeError(f"graph must be a Graph or its Shells, got {type(graph).__name__}")
-    if graph.radius < radius:
+    if graph.radius < radius and not graph.complete:
         raise ValueError(f"shells reach distance {graph.radius}, "
                          f"but distance {radius} is needed")
     return graph
@@ -287,16 +291,11 @@ def denseness_stats(graph: Graph | Shells, s: int, m: int, k: float = 1.0) -> Ne
     m = check_positive_int(m, "m", minimum=0)
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"k must be finite and > 0, got {k!r}")
-    # shells past distance n are empty, as shell n is; a non-graph has no n and
-    # fails in `_shells_of`
-    top = getattr(graph, "n", 0)
-    sh = _shells_of(graph, min(max(s, m), top))
-    s_top, m_top = min(s, top), min(m, top)
-    shell_sizes = sh.sizes(s_top).astype(float)
+    sh = _shells_of(graph, max(s, m))
+    shell_sizes = sh.sizes(s).astype(float)
     # |N(i; m)|; shell(i, 0) = {i} and N(i; -1) is empty
-    ball_sizes = sum(sh.sizes(t) for t in range(m_top + 1)).astype(float)
-    overlap_sizes = (ball_sizes if s == 0
-                     else _worst_uncovered(sh, s_top, m_top, ball_sizes))
+    ball_sizes = sum(np.diff(shell.indptr) for shell in sh.matrices[:m + 1]).astype(float)
+    overlap_sizes = ball_sizes if s == 0 else _worst_uncovered(sh, s, m, ball_sizes)
 
     with np.errstate(over="ignore", invalid="ignore"):
         delta_shell = float(np.exp(_log_power_mean(shell_sizes, k)))
@@ -327,15 +326,15 @@ def _worst_uncovered(sh: Shells, s: int, m: int, ball_sizes: np.ndarray) -> np.n
     least one row), so neither B_m nor the whole product is formed.
     """
     ball_prev = sh.ball(s - 1)
-    prev_sizes = sum(sh.sizes(t) for t in range(s)).astype(float)
-    cost = np.cumsum(sh.sizes(s) + sum(sh.matrix(t) @ prev_sizes for t in range(m + 1)))
+    prev_sizes = np.diff(ball_prev.indptr).astype(float)
+    cost = np.cumsum(sh.sizes(s) + sum(shell @ prev_sizes for shell in sh.matrices[:m + 1]))
     out = np.empty(sh.n)
     lo = 0
     while lo < sh.n:
         spent = cost[lo - 1] if lo else 0.0
         hi = max(lo + 1, int(np.searchsorted(cost, spent + _PAIR_BUDGET, side="right")))
         shell_s = sh.matrix(s)[lo:hi]
-        ball_m = sum(sh.matrix(t)[lo:hi] for t in range(m + 1))
+        ball_m = sum(shell[lo:hi] for shell in sh.matrices[:m + 1])
         uncovered = (shell_s.multiply(ball_sizes[lo:hi, None])
                      - shell_s.multiply(ball_m @ ball_prev))
         out[lo:hi] = uncovered.max(axis=1).toarray().ravel()
@@ -370,10 +369,11 @@ def _graph_ma_panel(shells: Shells, weights, eps: np.ndarray) -> np.ndarray:
     Returns the (R, n) panel of moving averages, C-ordered.  Each shell is
     one sparse product on the (n, R) transpose, which sums every column as
     the product with one field would, so each row is bit-identical to a
-    single-field run.
+    single-field run.  Weights past the graph's last shell add nothing.
     """
+    sh = _shells_of(shells, len(weights) - 1)
     eps_t = np.ascontiguousarray(eps.T)
-    y = sum(weights[s] * (shells.matrix(s) @ eps_t) for s in range(len(weights)))
+    y = sum(w * (shell @ eps_t) for w, shell in zip(weights, sh.matrices))
     return np.ascontiguousarray(y.T)
 
 
@@ -388,7 +388,7 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     matrix.  The kernel must vanish beyond 1 (truncated, bartlett, or
     parzen); bandwidth=None applies the default rule in shell units.  Y
     may be (n,) or (n, v).  Shells passed in place of the graph must
-    reach `network_hac_radius(kernel, n)`.
+    reach `network_hac_radius(kernel, n)` or be `complete`.
     """
     spec = kernel if kernel is not None else KernelSpec()
     ym = as_matrix(y, "y", min_len=2)
@@ -409,27 +409,27 @@ def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.
     stacked `matmul` over contiguous per-rep blocks.
     """
     R, n, v = y.shape
-    top = network_hac_radius(kernel, n)
-    sh = _shells_of(shells, top)
+    reach = network_hac_radius(kernel, n)
+    sh = _shells_of(shells, reach)
     b = kernel.resolve_bandwidth(n)
     yc = y - y.mean(axis=1, keepdims=True)
     yc_t = np.ascontiguousarray(yc.transpose(1, 0, 2)).reshape(n, R * v)
     out = np.zeros((R, v, v))
-    for s_val in range(top + 1):
+    for s_val, shell in enumerate(sh.matrices[:reach + 1]):
         w = kernel_weight(kernel.family, s_val / b)
         if w != 0.0:
-            sy = (sh.matrix(s_val) @ yc_t).reshape(n, R, v).transpose(1, 0, 2)
+            sy = (shell @ yc_t).reshape(n, R, v).transpose(1, 0, 2)
             out += w * (yc.transpose(0, 2, 1) @ np.ascontiguousarray(sy)) / n
     return (out + out.transpose(0, 2, 1)) / 2.0
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
-    """Largest graph distance `network_hac` reads with this kernel on n nodes:
-    its reach, up to n - 1, past which no two nodes lie."""
+    """Largest graph distance `network_hac` reads with this kernel on n nodes,
+    its reach, unless the graph's last shell comes first."""
     spec = kernel if kernel is not None else KernelSpec()
     if spec.family not in _COMPACT_FAMILIES:
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    return min(spec.reach(n), n - 1)
+    return spec.reach(n)
 
 
 def write_edgelist(g: Graph, path) -> None:

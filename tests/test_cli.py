@@ -425,6 +425,16 @@ _TRIM = ("two fractions 0 < lo < hi < 1 holding a break date of n - 1 pairs and 
      "experiment 'phillips-size': parameter 'n' must be at least 10, got 8"),
     ("grid", "unitroot-boot", "n = 1000\ngrid.block = 10, 2000",
      "experiment 'unitroot-boot': parameter 'block' must be in [1, n - 1], got 2000"),
+    # a grid CSV column holds numbers only
+    ("grid", "hac-lrv", "n = 50\ngrid.family = bartlett, parzen",
+     "experiment 'hac-lrv': grid axis 'family' takes 'bartlett', not a number; a grid CSV "
+     "column holds numbers only"),
+    ("grid", "phillips-size", "grid.deterministic = const, none",
+     "experiment 'phillips-size': grid axis 'deterministic' takes 'const', not a number; a "
+     "grid CSV column holds numbers only"),
+    ("grid", "hac-lrv", "n = 50\ngrid.bandwidth = 3, none",
+     "experiment 'hac-lrv': grid axis 'bandwidth' takes None, not a number; a grid CSV "
+     "column holds numbers only"),
     # each below used to fail in the library, in setup or the first rep, naming no parameter
     ("run", "supwald-nbb", "n = 8\nnbb_reps = 100\nnbb_grid = 100\ntrim = 0.49, 0.5",
      f"experiment 'supwald-nbb': parameter 'trim' must be {_TRIM}, got (0.49, 0.5)"),
@@ -443,6 +453,7 @@ _TRIM = ("two fractions 0 < lo < hi < 1 holding a break date of n - 1 pairs and 
         "supwald-beta", "phillips-theta", "urboot-B", "fmols-n", "ivx-n", "supwald-n",
         "fixed-wald-n", "nested-n", "garch-n", "nethac-n-nodes", "ar1-clt-n", "nethac-w1", "mp-edges-n",
         "ivx-gamma", "garch-burn", "nested-k0", "grid-phillips-n", "grid-urboot-block",
+        "grid-hac-lrv-family", "grid-phillips-deterministic", "grid-hac-lrv-bandwidth-none",
         "supwald-trim-no-break-date", "supwald-trim-no-grid-point", "nethac-family",
         "hac-lrv-family"])
 def test_mc_bad_input_fails_before_the_limit_table(tmp_path, capsys, monkeypatch,
@@ -793,7 +804,7 @@ def test_mc_override_flags_match_the_reserved_keys(tmp_path, capsys):
 
 
 def test_netdep_reach_past_the_graph_is_the_largest_distance(tmp_path, capsys):
-    # no two of 20 nodes lie farther apart than 19: a longer reach reads nothing more
+    # the 20-cycle's farthest distance is 10: a longer reach reads nothing more
     graph = tmp_path / "c20.edges"
     run_cli("netdep", "make", "--family", "cycle", "--n", "20", "--out", str(graph))
     capsys.readouterr()
@@ -803,6 +814,12 @@ def test_netdep_reach_past_the_graph_is_the_largest_distance(tmp_path, capsys):
         outs.append(capsys.readouterr().out.splitlines())
     assert "m = 1000000000" in outs[0]
     assert outs[0] == [line if line != "m = 19" else "m = 1000000000" for line in outs[1]]
+    nodes = tmp_path / "nodes.csv"
+    run_cli("simulate", "graph-ma", "--graph", str(graph), "--weights", "1,0.3", "--seed", "8",
+            "--out", str(nodes))
+    run_cli("netdep", "hac", "--graph", str(graph), "--data", str(nodes),
+            "--bandwidth", "100000")
+    assert np.isfinite(float(kv_from(capsys)["v"]))
 
 
 @pytest.mark.parametrize("k,message", [

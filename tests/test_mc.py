@@ -534,20 +534,23 @@ def test_size_power_grid_streams_wrap_mod_2_64():
     assert results[1].config.stream == 61
 
 
-def test_nethac_bandwidth_past_the_cycle_builds_shells_to_n_minus_1(monkeypatch):
-    # no two of 30 nodes lie farther apart than 29, so a wider bandwidth reads no more
-    radii = []
+def test_nethac_bandwidth_past_the_cycle_builds_no_shell_past_the_last(monkeypatch):
+    # the 30-cycle's farthest distance is 15, so a wider bandwidth builds no more shells
+    built = []
 
     def shells(g, radius):
-        radii.append(radius)
-        return graph_shells(g, radius)
+        built.append(graph_shells(g, radius))
+        return built[-1]
 
     graph_shells = mc.graph_shells
     monkeypatch.setattr(mc, "graph_shells", shells)
-    res = run_experiment(ExperimentConfig(experiment="nethac-coverage", reps=2,
+    res = run_experiment(ExperimentConfig(experiment="nethac-coverage", reps=2, seed=108,
                                           params={"n_nodes": 30, "bandwidth": 1e9}))
-    assert radii == [29]
+    assert [len(sh.matrices) for sh in built] == [16]
     assert np.isfinite(res.draws).all()
+    g = T.cycle_graph(30)
+    y = T.simulate_graph_ma(g, (1.0, 0.1), T.RngSpec(108, 1))
+    assert res.draws[1, 1] == T.network_hac(g, y, T.KernelSpec("bartlett", 1e9))[0, 0]
 
 
 def test_experiment_registry_complete():

@@ -354,12 +354,17 @@ def test_graph_shells_validation():
     sh = T.graph_shells(g, 1)
     with pytest.raises(ValueError, match="range 0..1"):
         sh.matrix(2)
+    with pytest.raises(ValueError, match="range 0..1"):
+        sh.ball(2)
+    assert not sh.complete
     # consumers refuse shells that stop short of the radius they read
     y = np.random.default_rng((67, 6)).standard_normal(6)
-    with pytest.raises(ValueError, match="distance 3 is needed"):
+    with pytest.raises(ValueError, match="^shells reach distance 1, but distance 3 is needed$"):
         T.network_hac(sh, y, T.KernelSpec("bartlett", 3.5))
     with pytest.raises(ValueError, match="distance 2 is needed"):
         T.simulate_graph_ma(sh, (1.0, 0.5, 0.2), T.RngSpec(0))
+    with pytest.raises(ValueError, match="distance 2 is needed"):
+        _graph_ma_panel(sh, (1.0, 0.5, 0.2), y[None])
     with pytest.raises(ValueError, match="distance 2 is needed"):
         T.denseness_stats(sh, s=2, m=1)
     with pytest.raises(ValueError, match="rows"):
@@ -463,21 +468,55 @@ def test_denseness_moment_past_the_floats_raises_naming_k():
     assert np.isfinite([res.delta_shell, res.delta_overlap, res.c_n]).all()
 
 
-def test_reach_past_the_largest_distance_reads_no_further_shell():
-    # no two of n nodes lie farther apart than n - 1
+def test_reach_past_the_largest_distance_reads_no_further_shell(monkeypatch):
+    # the 30-cycle's farthest distance is 15: no shell past it is built, however far
+    # a bandwidth or reach goes
     g = T.cycle_graph(30)
     d = T.graph_distance(g)
+    built = []
+
+    def shells(graph, radius):
+        built.append(graph_shells(graph, radius))
+        return built[-1]
+
+    graph_shells = T.netdep.graph_shells
+    monkeypatch.setattr(T.netdep, "graph_shells", shells)
     y = np.random.default_rng((67, 11)).standard_normal(30)
     spec = T.KernelSpec("bartlett", 1000.0)
-    assert T.network_hac_radius(spec, 30) == 29
-    assert T.network_hac_radius(T.KernelSpec("truncated", 1e308), 30) == 29
+    assert T.network_hac_radius(spec, 30) == 1000
     yc = y - y.mean()
     np.testing.assert_allclose(T.network_hac(g, y, spec), _dense_hac(d, y, spec), rtol=0,
                                atol=1e-13 * (yc @ yc / 30))
-    # denseness reads no distance past n, where every shell is empty
+    # a truncated kernel past every distance weighs each pair once
+    assert np.array_equal(T.network_hac(g, y, T.KernelSpec("truncated", 1e308)),
+                          T.network_hac(g, y, T.KernelSpec("truncated", 20.0)))
+    # denseness past distance 15 reads only empty shells
     for s, m in ((1, 10**9), (40, 2), (10**9, 10**9)):
-        want = T.denseness_stats(g, s=min(s, 30), m=min(m, 29))
+        want = T.denseness_stats(g, s=min(s, 16), m=min(m, 15))
         assert T.denseness_stats(g, s=s, m=m) == replace(want, s=s, m=m)
+    assert {len(sh.matrices) for sh in built} == {16}
+
+
+def test_graph_shells_stop_at_the_last_shell():
+    g = T.cycle_graph(30)
+    d = T.graph_distance(g)
+    start = time.perf_counter()
+    sh = T.graph_shells(g, 10_000)
+    assert time.perf_counter() - start < 0.5
+    assert len(sh.matrices) == 16 and sh.radius == 10_000 and sh.complete
+    for s in (0, 15, 16, 10_000):
+        np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
+    np.testing.assert_array_equal(sh.ball(10_000).toarray(), np.ones((30, 30)))
+
+
+def test_weights_past_the_last_shell_add_nothing():
+    # the 20-cycle's farthest distance is 10, so weights 11..3000 meet no pair
+    g = T.cycle_graph(20)
+    weights = np.random.default_rng((67, 13)).uniform(-1.0, 1.0, 3001)
+    start = time.perf_counter()
+    y = T.simulate_graph_ma(g, weights, T.RngSpec(70, 1))
+    assert time.perf_counter() - start < 0.5
+    assert y.tobytes() == T.simulate_graph_ma(g, weights[:11], T.RngSpec(70, 1)).tobytes()
 
 
 def test_network_dependence_on_large_cycle():

@@ -177,3 +177,41 @@ def test_df_limit_draws_are_sorted():
     tables = T.df_limit_mc(200, reps=2000, rng=T.RngSpec(39, 0))
     for draws in (tables.coef, tables.t):
         assert draws.shape == (2000,) and np.all(np.diff(draws) >= 0)
+
+
+# Published 5% points of the Dickey-Fuller laws under a Gaussian random walk, by
+# deterministic term: (t-ratio, T(alpha - 1)).
+# - t-ratio (alpha_hat - 1) / se(alpha_hat): MacKinnon (2010), "Critical values
+#   for cointegration tests", Queen's Economics Department WP 1227, Table 1,
+#   N = 1 rows tau_nc, tau_c and tau_ct at 5%, the asymptotic term beta_inf,
+#   quoted to 2 decimals (rounding 0.005).  The response surface's beta_1 / T
+#   terms put the T = 1000 point within 0.005 of the limit; bias bound 0.01.
+# - coefficient n(rho_hat - 1), here (T - 1)(alpha_hat - 1) with n = T - 1
+#   regression observations: Fuller (1976), Introduction to Statistical Time
+#   Series, Table 10.A.1, rho_hat, rho_hat_mu and rho_hat_tau at 5%, n = inf,
+#   quoted to 1 decimal (rounding 0.05).  The table's own n = 500 column lies
+#   0.1, 0.1 and 0.3 from n = inf and the gap shrinks as 1/n, so those are
+#   bias bounds at T = 1000.
+_DF_5PCT = {
+    "none": ((-1.94, 0.005, 0.01), (-8.1, 0.05, 0.1)),
+    "const": ((-2.86, 0.005, 0.01), (-14.1, 0.05, 0.1)),
+    "trend": ((-3.41, 0.005, 0.01), (-21.8, 0.05, 0.3)),
+}
+
+
+def _quantile_se(draws: np.ndarray, p: float, h: float = 0.01) -> float:
+    """sqrt(p(1 - p) / R) / f_hat(q_p), the density by the quantile spacing
+    f_hat = 2h / (q_{p+h} - q_{p-h})."""
+    lo, hi = np.quantile(draws, [p - h, p + h])
+    return np.sqrt(p * (1.0 - p) / draws.size) * (hi - lo) / (2.0 * h)
+
+
+@pytest.mark.parametrize("deterministic", sorted(_DF_5PCT))
+def test_df_limit_agrees_with_the_published_5pct_points(deterministic):
+    # within 4 SE plus the table's rounding plus the finite-T bias bound
+    tables = T.df_limit_mc(1000, deterministic=deterministic, reps=20000, rng=T.RngSpec(40, 0))
+    for draws, (value, rounding, bias) in zip((tables.t, tables.coef),
+                                              _DF_5PCT[deterministic]):
+        q = np.quantile(draws, 0.05)
+        assert abs(q - value) <= 4.0 * _quantile_se(draws, 0.05) + rounding + bias, \
+            (deterministic, q, value)
