@@ -41,8 +41,10 @@ def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.n
 
 
 def as_yx(y, x, min_len: int = _MIN_OBS) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a regression's (R, n) y and (R, n[, d]) x panels, of equal n."""
+    """Coerce a regression's (R, n) y and (R, n[, d]) x panels, of equal R and n."""
     y = as_panel(y, "y", min_len)
+    if np.shape(x)[:1] != y.shape[:1]:
+        raise ValueError(f"y holds {y.shape[0]} reps, so x must too, got shape {np.shape(x)}")
     x = as_panel(x, "x", min_len, matrix=True)
     if x.shape[1] != y.shape[1]:
         raise ValueError("y and x must have equal length")

@@ -51,6 +51,10 @@ __all__ = [
     "bootstrap_pvalue",
 ]
 
+# the choices of `wild_bootstrap`'s multiplier and `bootstrap_pvalue`'s tail
+_MULTIPLIERS = ("normal", "rademacher")
+_TAILS = ("two", "left", "right")
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -229,7 +233,7 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     e = as_series(residuals, "residuals")
     B = check_positive_int(B, "B")
     gen = _resolve_rng(rng)
-    check_in(multiplier, ("normal", "rademacher"), "multiplier")
+    check_in(multiplier, _MULTIPLIERS, "multiplier")
     observed = _observed(stat, e)
     stats = []
     for _, eta in chunks(B, e.shape):
@@ -293,7 +297,7 @@ def bootstrap_pvalue(observed: float, draws, tail: str = "two") -> float:
     Infinite values count as the most extreme of their sign.
     """
     d = np.asarray(draws, dtype=float)
-    check_in(tail, ("left", "right", "two"), "tail")
+    check_in(tail, _TAILS, "tail")
     if np.any(np.isnan(observed)):
         raise ValueError("the observed statistic is nan; a p-value needs a number")
     if bad := np.count_nonzero(np.isnan(d)):

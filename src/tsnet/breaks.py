@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_matrix, as_series, as_yx, check_positive_int
-from ._panel import (_MIN_REPS, _walk_batches, check_fit, collinear, exact_fit, first_rep, ols,
-                     rowdot)
-from .series import RngSpec, _resolve_rng
+from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_fit, collinear, exact_fit,
+                     first_rep, ols, rowdot)
+from .series import _resolve_rng
 
 __all__ = [
     "WaldBreakResult",
@@ -76,17 +76,12 @@ def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBrea
     holds the first k pairs), or at k = floor(pi0 * m).  Under the null
     with an interior break fraction the statistic is asymptotically
     chi-square with d degrees of freedom.
+
+    A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
+    stat, beta1 and beta2 gain a leading rep axis; the split (k, pi) and
+    nobs are shared.
     """
-    return first_rep(_split_wald_panel(np.asarray(y, dtype=float)[None],
-                                       np.asarray(x, dtype=float)[None], k, pi0))
-
-
-def _split_wald_panel(y, x, k: int | None = None,
-                      pi0: float | None = None) -> WaldBreakResult:
-    """`split_wald` of every rep of (R, n) y and (R, n[, d]) x panels.
-
-    stat, beta1 and beta2 gain a leading rep axis; the split is shared.
-    """
+    y, x, one = as_reps(y, x)
     ys, xl = _predictive_pairs(y, x)
     m, d = xl.shape[1:]
     if (k is None) == (pi0 is None):
@@ -115,8 +110,9 @@ def _split_wald_panel(y, x, k: int | None = None,
              - G_inv[:, :d, d:] - G_inv[:, d:, :d])
     stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
                                         diff[:, :, None])[:, :, 0])
-    return WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
-                           beta2=theta[:, d:], nobs=m)
+    res = WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
+                          beta2=theta[:, d:], nobs=m)
+    return first_rep(res) if one else res
 
 
 @dataclass(frozen=True)
@@ -191,18 +187,12 @@ def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     The whole path, for any number d of regressors, is one pass of
     cumulative moments: W_k = q_k (m - 2d - 1) / (SSR_0 - q_k), with
     SSR_0 from the no-break fit and q_k its drop from a slope break.
-    """
-    return first_rep(_sup_wald_panel(np.asarray(y, dtype=float)[None],
-                                     np.asarray(x, dtype=float)[None], trim),
-                     shared=("k_grid",))
 
-
-def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
-    """`sup_wald` of every rep of (R, n) y and (R, n[, d]) x panels.
-
+    A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     stat, k_star, pi_star and path gain a leading rep axis; k_grid and
     nobs are shared.
     """
+    y, x, one = as_reps(y, x)
     ys, xl = _predictive_pairs(y, x)
     R, m, d = xl.shape
     k_grid = _break_grid(trim, m, d + 1)
@@ -215,9 +205,9 @@ def _sup_wald_panel(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldRe
     path = np.multiply(q, m - 2 * d - 1, out=q)
     path /= ssr_break
     best = np.argmax(path, axis=1)
-    return SupWaldResult(stat=path[np.arange(R), best], k_star=k_grid[best],
-                         pi_star=k_grid[best] / m, path=path,
-                         k_grid=k_grid, nobs=m)
+    res = SupWaldResult(stat=path[np.arange(R), best], k_star=k_grid[best],
+                        pi_star=k_grid[best] / m, path=path, k_grid=k_grid, nobs=m)
+    return first_rep(res, shared=("k_grid",)) if one else res
 
 
 def _grid_points(trim, grid: int) -> np.ndarray:
@@ -228,8 +218,7 @@ def _grid_points(trim, grid: int) -> np.ndarray:
 
 
 def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
-               reps: int = 50000, rng: RngSpec | None = None,
-               grid: int = 1000) -> np.ndarray:
+               reps: int = 50000, *, rng, grid: int = 1000) -> np.ndarray:
     """Simulate sup_pi ||BB(pi)||^2 / (pi(1-pi)) over the trimmed range:
     the `reps` draws, sorted ascending.
 
@@ -246,7 +235,7 @@ def nbb_sup_mc(p: int = 1, trim: tuple[float, float] = (0.15, 0.85),
     reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)
     trim = _check_trim(trim)
     grid = check_positive_int(grid, "grid")
-    gen = _resolve_rng(rng if rng is not None else RngSpec(0))
+    gen = _resolve_rng(rng)
     kept = _grid_points(trim, grid)
     if kept.size == 0:
         raise ValueError(f"trim {trim} holds no point of the grid i / {grid}, "

@@ -23,6 +23,8 @@ import sys
 import numpy as np
 
 from .bootstrap import (
+    _MULTIPLIERS,
+    _TAILS,
     BlockSpec,
     block_bootstrap,
     bootstrap_pvalue,
@@ -33,7 +35,7 @@ from .bootstrap import (
 )
 from .breaks import lm_nyblom, me_monitor, split_wald, sup_wald
 from .coint import fk_break_test, fmols, shin_vn
-from .garch import GarchSpec, garch_qmle, simulate_garch
+from .garch import _MEANS, GarchSpec, garch_qmle, simulate_garch
 from .lrv import KERNEL_FAMILIES, KernelSpec, hac_lrv
 from .mc import (
     parse_config_file,
@@ -58,6 +60,7 @@ from .netdep import (
 from .predreg import IvxSpec, ivx_estimate
 from .randmat import mp_support, sample_cov_spectrum
 from .series import (
+    _OU_INITS,
     LinearProcessSpec,
     LurSpec,
     RngSpec,
@@ -67,7 +70,7 @@ from .series import (
     simulate_ou_exact,
     simulate_predictive_system,
 )
-from .unitroot import adf_test, df_limit_mc, phillips_z
+from .unitroot import _DETERMINISTICS, _PHILLIPS_DETERMINISTICS, adf_test, df_limit_mc, phillips_z
 
 STAT_FUNCS = {"mean": np.mean, "variance": np.var, "median": np.median,
               "sum": np.sum}
@@ -198,7 +201,7 @@ _BLOCKS = (_flag("--block-length", type=int, required=True),
            _flag("--no-circular", action="store_true"))
 # every resampling scheme: the series, the draws, the replicates, the report
 _RESAMPLE = _SERIES + _RNG + (_flag("-B", "--B", type=int, default=999),)
-_REPORT = (_flag("--tail", default="two", choices=("two", "left", "right")),) + _OUT
+_REPORT = (_flag("--tail", default="two", choices=_TAILS),) + _OUT
 _STAT_RESAMPLE = (_RESAMPLE + (_flag("--stat", default="mean", choices=sorted(STAT_FUNCS)),)
                   + _REPORT)
 _MC = ((_flag("config", help="experiment config file"),) + _OUT
@@ -245,7 +248,7 @@ def _simulate_lur(args):
 
 @_command("simulate ou", _flag("--c", type=float, required=True),
           _flag("--sigma", type=float, default=1.0), _flag("--horizon", type=float, default=1.0),
-          _flag("--init", default="zero", choices=("zero", "stationary")), *_DRAW)
+          _flag("--init", default="zero", choices=_OU_INITS), *_DRAW)
 def _simulate_ou(args):
     _emit_series(args, simulate_ou_exact(args.c, args.sigma, args.n, _rng(args),
                                          horizon=args.horizon, init=args.init))
@@ -337,7 +340,7 @@ def _estimate_ivx(args):
 
 
 @_command("estimate garch", *_SERIES,
-          _flag("--mean", default="constant", choices=("constant", "ar1")))
+          _flag("--mean", default="constant", choices=_MEANS))
 def _estimate_garch(args):
     fit = garch_qmle(_load_series(args), mean=args.mean)
     _print_fields(fit.spec, "omega", "alpha", "beta", "mu")
@@ -351,14 +354,14 @@ def _estimate_garch(args):
 
 
 @_command("test adf", *_SERIES, _flag("--lags", type=int, default=0),
-          _flag("--det", default="none", choices=("none", "const", "trend")))
+          _flag("--det", default="none", choices=_DETERMINISTICS))
 def _test_adf(args):
     res = adf_test(_load_series(args), p=args.lags, deterministic=args.det)
     _print_fields(res, "stat_coef", "stat_t", "alpha_hat", "nobs")
 
 
 @_command("test phillips", *_SERIES, *_KERNEL,
-          _flag("--det", default="none", choices=("none", "const")),
+          _flag("--det", default="none", choices=_PHILLIPS_DETERMINISTICS),
           _flag("--crit", action="store_true", help="also simulate finite-sample critical values"),
           _flag("--reps", type=int, default=20000), *_RNG)
 def _test_phillips(args):
@@ -448,7 +451,7 @@ def _bootstrap_sieve(args):
 
 
 @_command("bootstrap wild", _flag("--multiplier", default="normal",
-                                  choices=("normal", "rademacher")), *_STAT_RESAMPLE)
+                                  choices=_MULTIPLIERS), *_STAT_RESAMPLE)
 def _bootstrap_wild(args):
     _report_bootstrap(args, wild_bootstrap(_load_series(args), STAT_FUNCS[args.stat], B=args.B,
                                            rng=_rng(args), multiplier=args.multiplier))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_series, as_yx
-from ._panel import check_fit, first_rep, ols, rowdot
+from ._panel import as_reps, check_fit, first_rep, ols, rowdot
 from .breaks import _break_grid, _break_scan
-from .lrv import KernelSpec, _hac_lrv_panel, hac_lrv
+from .lrv import KernelSpec, hac_lrv
 
 __all__ = ["FmolsResult", "fmols", "ShinResult", "shin_vn", "FkResult", "fk_break_test"]
 
@@ -69,17 +69,12 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     m the number of usable observations.  Standard errors use the
     conditional long-run variance: cov = Omega_{eps.eta} (Z'Z)^{-1}.
     An exact OLS-stage fit raises.
+
+    A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
+    every field but nobs gains a leading rep axis (omega_cond becomes an
+    (R,) array).
     """
-    return first_rep(_fmols_panel(np.asarray(y, dtype=float)[None],
-                                  np.asarray(x, dtype=float)[None], kernel))
-
-
-def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
-    """`fmols` of every rep of (R, n) y and (R, n) or (R, n, d) x panels.
-
-    Every per-rep field of the result gains a leading rep axis
-    (omega_cond becomes an (R,) array); nobs is shared.
-    """
+    y, x, one = as_reps(y, x)
     y, x = as_yx(y, x)
     R, n, d = x.shape
 
@@ -94,7 +89,7 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     check_fit(fit.ssr, ys, "cointegrating")
 
     u = np.concatenate([fit.resid[:, :, None], eta], axis=2)
-    est = _hac_lrv_panel(u, kernel=kernel, demean=False)
+    est = hac_lrv(u, kernel=kernel, demean=False)
     omega = est.omega
     delta = est.gamma0 + est.lam  # one-sided including lag zero
 
@@ -115,10 +110,11 @@ def _fmols_panel(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     se = np.sqrt(omega_cond[:, None] * np.diagonal(fit.gram_inv, axis1=1, axis2=2))
     resid_plus = y_plus - (Z @ beta_plus)[:, :, 0]
     beta_plus = beta_plus[:, :, 0]
-    return FmolsResult(beta_plus=beta_plus, beta_ols=fit.coef, se=se,
-                       t_plus=beta_plus / se, zz_inv=fit.gram_inv,
-                       omega_cond=omega_cond, delta_plus=delta_plus,
-                       residuals_plus=resid_plus, residuals_ols=fit.resid, nobs=m)
+    res = FmolsResult(beta_plus=beta_plus, beta_ols=fit.coef, se=se,
+                      t_plus=beta_plus / se, zz_inv=fit.gram_inv,
+                      omega_cond=omega_cond, delta_plus=delta_plus,
+                      residuals_plus=resid_plus, residuals_ols=fit.resid, nobs=m)
+    return first_rep(res) if one else res
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     asymptotically chi2_d.
     """
     y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
-    fm = first_rep(_fmols_panel(y, x, kernel))
+    fm = fmols(y[0], x[0], kernel)
     m = fm.nobs
     # the tested slopes first, then the intercept
     Z = np.column_stack([x[0, 1:], np.ones(m)])

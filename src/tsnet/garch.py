@@ -47,8 +47,9 @@ from .series import _resolve_rng
 __all__ = ["GarchSpec", "GarchFit", "GarchConvergenceWarning", "garch_filter",
            "garch_qmle", "simulate_garch"]
 
-# the shortest series `garch_qmle` fits
+# the shortest series `garch_qmle` fits, and its means
 _MIN_QMLE_N = 50
+_MEANS = ("constant", "ar1")
 _PERSISTENCE_CAP = 1.0 - 1e-6
 _BOX = 40.0
 # a run ends when a step lowers the objective by at most this share of it
@@ -315,7 +316,7 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     `GarchConvergenceWarning` and reports converged=False.
     """
     obs = as_series(y, "y", min_len=_MIN_QMLE_N)
-    check_in(mean, ("constant", "ar1"), "mean")
+    check_in(mean, _MEANS, "mean")
     ar_coeff = None
     if mean == "constant":
         mu = float(obs.mean())

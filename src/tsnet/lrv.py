@@ -18,7 +18,7 @@ from math import ceil
 import numpy as np
 
 from ._checks import as_matrix, as_panel, check_in
-from ._panel import first_rep
+from ._panel import as_reps, first_rep
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -145,9 +145,12 @@ class LrvEstimate:
 def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEstimate:
     """Kernel estimate of the long-run variance matrix.
 
+    A 3-d ms is an (R, n, d) panel of R reps: omega, lam and gamma0
+    become (R, d, d), and the reps share n, hence the bandwidth.
+
     Parameters
     ----------
-    ms : array_like, (n,) or (n, d)
+    ms : array_like, (n,) or (n, d), or an (R, n, d) panel
     kernel : KernelSpec, optional
         Defaults to bartlett with the default bandwidth rule.
     demean : bool
@@ -159,16 +162,8 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
     LrvEstimate
         omega (two-sided), lam (one-sided, lags >= 1), gamma0.
     """
-    return first_rep(_hac_lrv_panel(np.asarray(ms, dtype=float)[None], kernel, demean))
-
-
-def _hac_lrv_panel(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEstimate:
-    """`hac_lrv` of every rep of an (R, n) or (R, n, d) panel.
-
-    The blocks of the result are (R, d, d); all reps share n, hence the
-    bandwidth.
-    """
-    x = as_panel(ms, "ms", min_len=2, matrix=True)
+    x, one = as_reps(ms, rank=2)
+    x = as_panel(x, "ms", min_len=2, matrix=True)
     n = x.shape[1]
     spec = kernel if kernel is not None else KernelSpec()
     b = spec.resolve_bandwidth(n)
@@ -191,5 +186,5 @@ def _hac_lrv_panel(ms, kernel: KernelSpec | None = None, demean: bool = True) ->
         lam += w * (xt[:, :, j:] @ x[:, : n - j] / n)
     # group the one-sided parts first so omega is exactly symmetric
     omega = gamma0 + (lam + lam.transpose(0, 2, 1))
-    return LrvEstimate(omega=omega, lam=lam, gamma0=gamma0,
-                       family=spec.family, bandwidth=b)
+    res = LrvEstimate(omega=omega, lam=lam, gamma0=gamma0, family=spec.family, bandwidth=b)
+    return first_rep(res) if one else res

@@ -18,10 +18,11 @@ touch the rep streams.  `_per_rep` hands each rep its generator, for
 unitroot-boot, garch-recovery, mp-edges and nested-forecast, whose reps
 cost far more than the per-call overhead.  `_panel` serves the other
 eight, whose hooks get an (R, ...) array of standard normals, row i from
-one rep's stream, and use the library's panel kernels, which work on the
-leading rep axis with bit-identical per-rep results.  It draws a batch
-in `_panel.chunks` of `_BLOCK_BYTES` and hands the hook sub-panels of
-`_panel._PANEL_BYTES`.
+one rep's stream.  They pass the whole sub-panel to the library's
+statistics, which take one rep or a panel of reps (`_panel.as_reps`), and
+to the simulators' panel kernels; both work on the leading rep axis with
+bit-identical per-rep results.  `_panel` draws a batch in `_panel.chunks`
+of `_BLOCK_BYTES` and hands the hook sub-panels of `_panel._PANEL_BYTES`.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -85,20 +86,20 @@ from scipy import special
 from ._checks import _MIN_OBS
 from ._panel import _MIN_REPS, _PANEL_BYTES, chunks, ols_coef, rowdot
 from .bootstrap import BlockSpec, residual_unitroot_bootstrap
-from .breaks import (_break_dates, _grid_points, _split_wald_panel, _sup_wald_panel, nbb_sup_mc,
-                     nested_forecast_test)
-from .coint import _fmols_panel
+from .breaks import (_break_dates, _grid_points, nbb_sup_mc, nested_forecast_test, split_wald,
+                     sup_wald)
+from .coint import fmols
 from .garch import _MIN_QMLE_N, GarchSpec, garch_qmle, simulate_garch
-from .lrv import _COMPACT_FAMILIES, KERNEL_FAMILIES, KernelSpec, _hac_lrv_panel
+from .lrv import _COMPACT_FAMILIES, KERNEL_FAMILIES, KernelSpec, hac_lrv
 from .netdep import (
     _MIN_CYCLE,
     _graph_ma_panel,
-    _network_hac_panel,
     cycle_graph,
     graph_shells,
+    network_hac,
     network_hac_radius,
 )
-from .predreg import IvxSpec, _ivx_panel
+from .predreg import IvxSpec, ivx_estimate
 from .randmat import mp_support, sample_cov_spectrum
 from .series import (
     LinearProcessSpec,
@@ -111,7 +112,7 @@ from .series import (
     _stationary_ar1,
     simulate_predictive_system,
 )
-from .unitroot import _MIN_T, _PHILLIPS_DETERMINISTICS, _ar_fit, _phillips_z_panel, df_limit_mc
+from .unitroot import _MIN_T, _PHILLIPS_DETERMINISTICS, _ar_fit, df_limit_mc, phillips_z
 
 __all__ = [
     "ExperimentConfig",
@@ -705,7 +706,7 @@ _register("ar1-clt", ("rho_hat", "z"), _panel(lambda p: (p["n"] + 1,), _ar1_clt_
 
 
 def _hac_lrv_rep(cfg, ctx, z):
-    est = _hac_lrv_panel(_stationary_ar1(z, cfg.params["phi"]), kernel=_kernel_from(cfg))
+    est = hac_lrv(_stationary_ar1(z, cfg.params["phi"])[:, :, None], kernel=_kernel_from(cfg))
     return np.column_stack([est.omega[:, 0, 0], np.full(len(z), est.bandwidth)])
 
 
@@ -739,7 +740,7 @@ def _phillips_rep(cfg, ctx, z):
     p = cfg.params
     u = _linear_process_panel(LinearProcessSpec((1.0, p["theta"])), z)
     y = np.cumsum(u, axis=1)
-    res = _phillips_z_panel(y, kernel=ctx["kernel"], deterministic=p["deterministic"])
+    res = phillips_z(y, kernel=ctx["kernel"], deterministic=p["deterministic"])
     raw = res.nobs * (res.alpha_hat - 1.0)
     return np.column_stack([res.stat_coef, res.stat_t, raw])
 
@@ -771,7 +772,7 @@ def _fmols_rep(cfg, ctx, z):
     shocks = z @ chol.T
     x = np.cumsum(shocks[:, :, 1], axis=1)
     y = p["intercept"] + beta * x + shocks[:, :, 0]
-    res = _fmols_panel(y, x)
+    res = fmols(y, x)
     t_plus = (res.beta_plus[:, 1] - beta) / res.se[:, 1]
     # textbook iid-error OLS t for contrast
     s2 = rowdot(res.residuals_ols, res.residuals_ols) / (res.nobs - 2)
@@ -808,7 +809,7 @@ def _system_spec(cfg) -> SystemSpec:
 
 def _ivx_rep(cfg, ctx, z):
     y, x = _predictive_system_panel(_system_spec(cfg), z)
-    res = _ivx_panel(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
+    res = ivx_estimate(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
     return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
 
@@ -835,7 +836,7 @@ def _supwald_setup(cfg):
 
 def _supwald_rep(cfg, ctx, z):
     y, x = _predictive_system_panel(_system_spec(cfg), z)
-    res = _sup_wald_panel(y, x, trim=cfg.params["trim"])
+    res = sup_wald(y, x, trim=cfg.params["trim"])
     return np.column_stack([res.stat, res.pi_star])
 
 
@@ -871,7 +872,7 @@ def _fixed_wald_rep(cfg, ctx, z):
     x = _stationary_ar1(z[:, :n + 1], phi)
     y = np.zeros((len(z), n))
     y[:, 1:] = 1.0 + p["beta"] * x[:, :-1] + z[:, n + 1:]
-    res = _split_wald_panel(y, x, pi0=p["pi0"])
+    res = split_wald(y, x, pi0=p["pi0"])
     return res.stat[:, None]
 
 
@@ -918,7 +919,7 @@ def _nethac_rep(cfg, ctx, z):
     n = shells.n
     y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), z)
     ybar = y.mean(axis=1)
-    v_full, v_low = (_network_hac_panel(shells, y[:, :, None], k)[:, 0, 0]
+    v_full, v_low = (network_hac(shells, y[:, :, None], k)[:, 0, 0]
                      for k in ctx["kernels"])
     bound = ctx["crit"] * np.sqrt(np.maximum(np.stack([v_full, v_low]), 0.0) / n)
     cover_full, cover_low = np.abs(ybar) <= bound

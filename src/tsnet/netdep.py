@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ._checks import as_matrix, check_finite_path, check_positive_int
+from ._checks import as_panel, check_finite_path, check_positive_int
+from ._panel import as_reps
 from .lrv import _COMPACT_FAMILIES, KernelSpec, kernel_weight
 from .series import _resolve_rng
 
@@ -389,38 +390,33 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     parzen); bandwidth=None applies the default rule in shell units.  Y
     may be (n,) or (n, v).  Shells passed in place of the graph must
     reach `network_hac_radius(kernel, n)` or be `complete`.
+
+    A 3-d y is an (R, n, v) panel of R reps, and the result is the
+    (R, v, v) stack of their estimates.  Each shell is one sparse product
+    on the (n, R v) stack of the centered reps, which sums every column
+    as the product with one rep would, and the quadratic forms are one
+    stacked `matmul` over contiguous per-rep blocks, so each rep's
+    estimate is bit-identical to that rep's alone.
     """
     spec = kernel if kernel is not None else KernelSpec()
-    ym = as_matrix(y, "y", min_len=2)
-    n = ym.shape[0]
-    sh = _shells_of(graph, network_hac_radius(spec, n))
+    y, one = as_reps(y, rank=2)
+    y = as_panel(y, "y", min_len=2, matrix=True)
+    R, n, v = y.shape
+    reach = network_hac_radius(spec, n)
+    sh = _shells_of(graph, reach)
     if sh.n != n:
         raise ValueError(f"y has {n} rows but the graph has {sh.n} nodes")
-    return _network_hac_panel(sh, ym[None], spec)[0]
-
-
-def _network_hac_panel(shells: Shells, y: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """`network_hac` of every rep of an (R, n, v) panel of node values.
-
-    Returns the (R, v, v) symmetrized estimates, each bit-identical to
-    `network_hac` of that rep alone: each shell is one sparse product on
-    the (n, R v) stack of the centered reps, which sums every column as
-    the product with one rep would, and the quadratic forms are one
-    stacked `matmul` over contiguous per-rep blocks.
-    """
-    R, n, v = y.shape
-    reach = network_hac_radius(kernel, n)
-    sh = _shells_of(shells, reach)
-    b = kernel.resolve_bandwidth(n)
+    b = spec.resolve_bandwidth(n)
     yc = y - y.mean(axis=1, keepdims=True)
     yc_t = np.ascontiguousarray(yc.transpose(1, 0, 2)).reshape(n, R * v)
     out = np.zeros((R, v, v))
     for s_val, shell in enumerate(sh.matrices[:reach + 1]):
-        w = kernel_weight(kernel.family, s_val / b)
+        w = kernel_weight(spec.family, s_val / b)
         if w != 0.0:
             sy = (shell @ yc_t).reshape(n, R, v).transpose(1, 0, 2)
             out += w * (yc.transpose(0, 2, 1) @ np.ascontiguousarray(sy)) / n
-    return (out + out.transpose(0, 2, 1)) / 2.0
+    out = (out + out.transpose(0, 2, 1)) / 2.0
+    return out[0] if one else out
 
 
 def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:

@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 
 from ._checks import as_panel, as_yx
 from ._filter import ar
-from ._panel import check_fit, first_rep, rowdot
+from ._panel import as_reps, check_fit, first_rep, rowdot
 
 __all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate"]
 
@@ -54,17 +54,15 @@ def ivx_instrument(x, spec: IvxSpec = IvxSpec()) -> np.ndarray:
     For x of length n the output has length n - 1: row t is
     z_{t+1} = sum_{j=2}^{t+1} rho^{t+1-j} dx_j, i.e. the recursion
     z = rho z_prev + dx run over the observed differences from a zero
-    start.  rho uses the full series length n.  The benchmark tracer's
-    table (perfbench/tracer.py) names it.
+    start.  rho uses the full series length n.
+
+    A 3-d x is an (R, n, d) panel of R reps, and the output is the
+    (R, n - 1, d) panel of their instruments.
     """
-    return _ivx_instrument_panel(np.asarray(x, dtype=float)[None], spec)[0]
-
-
-def _ivx_instrument_panel(x, spec: IvxSpec) -> np.ndarray:
-    """`ivx_instrument` of every rep of an (R, n) or (R, n, d) panel."""
+    x, one = as_reps(x, rank=2)
     x = as_panel(x, "x", min_len=2, matrix=True)
-    rho = spec.rho(x.shape[1])
-    return ar(np.diff(x, axis=1), [rho])
+    z = ar(np.diff(x, axis=1), [spec.rho(x.shape[1])])
+    return z[0] if one else z
 
 
 @dataclass(frozen=True)
@@ -93,24 +91,18 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     recursion).  The intercept is concentrated out: y and the lagged
     regressor are centered, the instrument is not.  s2_u uses divisor
     (#pairs - d).  An exact fit raises.
+
+    A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
+    every field but rho_nz and nobs gains a leading rep axis.
     """
-    return first_rep(_ivx_panel(np.asarray(y, dtype=float)[None],
-                                np.asarray(x, dtype=float)[None], spec))
-
-
-def _ivx_panel(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
-    """`ivx_estimate` of every rep of (R, n) y and (R, n) or (R, n, d) x panels.
-
-    Every per-rep field of the result gains a leading rep axis; rho_nz
-    and nobs are shared.
-    """
+    y, x, one = as_reps(y, x)
     y, x = as_yx(y, x)
     R, n, d = x.shape
 
     ys = y[:, 1:]
     xlag = x[:, :-1]
     m = ys.shape[1]
-    zfull = _ivx_instrument_panel(x, spec)
+    zfull = ivx_instrument(x, spec)
     zins = np.concatenate([np.zeros((R, 1, d)), zfull[:, :m - 1]], axis=1)
 
     ys = ys - ys.mean(axis=1, keepdims=True)
@@ -130,5 +122,6 @@ def _ivx_panel(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     beta = beta[:, :, 0]
     wald = rowdot(beta, np.linalg.solve(cov, beta[:, :, None])[:, :, 0])
-    return IvxResult(beta=beta, se=se, cov=cov, rho_nz=spec.rho(n), wald=wald,
-                     pvalue=chdtrc(d, wald), nobs=m)
+    res = IvxResult(beta=beta, se=se, cov=cov, rho_nz=spec.rho(n), wald=wald,
+                    pvalue=chdtrc(d, wald), nobs=m)
+    return first_rep(res) if one else res

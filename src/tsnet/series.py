@@ -5,8 +5,10 @@ Every stochastic routine in the package draws through an `RngSpec`: a
 the pair fully determines the output and replication r of an experiment
 can use stream `base + r` without any cross-stream correlation concerns.
 Each simulator takes that rng (an `RngSpec` or a numpy Generator) as a
-required argument and draws its own Gaussian innovations; the `_*_panel`
-twins that the Monte Carlo harness calls take a panel of draws instead.
+required argument and draws its own Gaussian innovations.  The simulators
+alone keep `_*_panel` twins, which the Monte Carlo harness calls with a
+panel of its own draws; the statistics take one rep or a panel of reps
+(`_panel.as_reps`).
 
 Series are returned as plain 1-d float ndarrays; multivariate series as
 (n, d) arrays with time in rows.
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 _UINT64_MAX = 2**64 - 1
+# the starts of `simulate_ou_exact`
+_OU_INITS = ("zero", "stationary")
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,
     n = check_positive_int(n, "n")
     if not (np.isfinite(c) and np.isfinite(sigma) and sigma >= 0 and horizon > 0):
         raise ValueError("need finite c, sigma >= 0, horizon > 0")
-    check_in(init, ("zero", "stationary"), "init")
+    check_in(init, _OU_INITS, "init")
     if init == "stationary" and c >= 0:
         raise ValueError("stationary initialization requires c < 0")
     gen = _resolve_rng(rng)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_panel, as_series, check_in, check_positive_int
-from ._panel import _MIN_REPS, _walk_batches, check_design, check_fit, exact_fit, first_rep, ols
-from .lrv import KernelSpec, _hac_lrv_panel
-from .series import RngSpec, _resolve_rng
+from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_design, check_fit, exact_fit,
+                     first_rep, ols)
+from .lrv import KernelSpec, hac_lrv
+from .series import _resolve_rng
 
 __all__ = [
     "AROls",
@@ -172,19 +173,13 @@ def phillips_z(ts, kernel: KernelSpec | None = None,
 
     A nonpositive LRV estimate (possible with the truncated kernel) is
     flagged with a warning; Z_alpha is still reported and Z_t is nan.
+
+    A 2-d ts is an (R, n) panel of R reps, and every field but nobs and
+    bandwidth becomes an (R,) array.  Any rep with numerically zero
+    residuals raises; each rep with a nonpositive LRV warns once.
     """
-    return first_rep(_phillips_z_panel(np.asarray(ts, dtype=float)[None], kernel, deterministic))
-
-
-def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
-                      deterministic: str = "none") -> UnitRootResult:
-    """`phillips_z` of every rep of an (R, n) panel.
-
-    The per-rep fields of the result are (R,) arrays.  Any rep with
-    numerically zero residuals raises; each rep with a nonpositive LRV
-    warns once.
-    """
-    x = as_panel(ts, "ts", min_len=10)
+    x, one = as_reps(ts)
+    x = as_panel(x, "ts", min_len=10)
     check_in(deterministic, _PHILLIPS_DETERMINISTICS, "deterministic")
     ylag = x[:, :-1]
     T = ylag.shape[1]
@@ -194,7 +189,7 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
     # exact fits (perfect lines, constants) leave only roundoff
     check_fit(ssr, x[:, 1:], "Dickey-Fuller")
     s2_u = ssr / dof
-    est = _hac_lrv_panel(fit.resid, kernel=kernel, demean=False)
+    est = hac_lrv(fit.resid[:, :, None], kernel=kernel, demean=False)
     s2_lr = est.omega[:, 0, 0]
     if deterministic == "const":
         s_xx = np.sum((ylag - ylag.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -209,8 +204,9 @@ def _phillips_z_panel(ts, kernel: KernelSpec | None = None,
     s_lr = np.sqrt(np.where(bad, np.nan, s2_lr))
     z_t = (np.sqrt(s_xx) * (alpha - 1.0) / s_lr
            - half_diff * T / (s_lr * np.sqrt(s_xx)))
-    return UnitRootResult(stat_coef=z_alpha, stat_t=z_t, alpha_hat=alpha,
-                          s2_u=s2_u, nobs=T, bandwidth=est.bandwidth)
+    res = UnitRootResult(stat_coef=z_alpha, stat_t=z_t, alpha_hat=alpha,
+                         s2_u=s2_u, nobs=T, bandwidth=est.bandwidth)
+    return first_rep(res) if one else res
 
 
 @dataclass(frozen=True)
@@ -223,8 +219,8 @@ class DfLimitTables:
     t: np.ndarray
 
 
-def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
-                rng: RngSpec | None = None) -> DfLimitTables:
+def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000, *,
+                rng) -> DfLimitTables:
     """Simulate the laws of T(alpha-1) and the Dickey-Fuller t-ratio.
 
     Gaussian random walks of length T are generated and the first-order
@@ -239,7 +235,7 @@ def df_limit_mc(T: int, deterministic: str = "none", reps: int = 20000,
     T = check_positive_int(T, "T", minimum=_MIN_T)
     reps = check_positive_int(reps, "reps", minimum=_MIN_REPS)
     check_in(deterministic, _DETERMINISTICS, "deterministic")
-    gen = _resolve_rng(rng if rng is not None else RngSpec(0))
+    gen = _resolve_rng(rng)
     coef_draws = np.empty(reps)
     t_draws = np.empty(reps)
     k = _LEVEL_COL[deterministic]

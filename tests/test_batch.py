@@ -15,6 +15,8 @@ workspace-sized batches; their whole-batch bodies are kept below too,
 and the draws must equal theirs bit for bit.
 """
 
+import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -26,12 +28,8 @@ import tsnet as T
 from tsnet import mc
 from tsnet._filter import ar, ma
 from tsnet._panel import _PANEL_BYTES
-from tsnet.breaks import _split_wald_panel, _sup_wald_panel
-from tsnet.coint import _fmols_panel
-from tsnet.lrv import _hac_lrv_panel
-from tsnet.predreg import _ivx_panel
 from tsnet.series import _stationary_ar1
-from tsnet.unitroot import _LEVEL_COL, _ar_fit, _phillips_z_panel
+from tsnet.unitroot import _LEVEL_COL, _ar_fit
 
 # ---------------------------------------------------------------------------
 # scalar oracles: the estimators and simulators as they were before batching
@@ -426,7 +424,7 @@ def test_panel_cuts_a_batch_into_subpanels_by_bytes(shape, sizes):
 
 
 # ---------------------------------------------------------------------------
-# the panel kernels and their single-rep public forms, beyond the
+# the statistics on a panel of reps and on one rep, beyond the
 # experiments' settings
 
 
@@ -441,8 +439,8 @@ def _system_panel(R, n, d, seed):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_wald_kernels_match_scalar_oracles(d):
     Y, X = _system_panel(9, 160, d, seed=40 + d)
-    split = _split_wald_panel(Y, X, pi0=0.4)
-    sup = _sup_wald_panel(Y, X, trim=(0.2, 0.8))
+    split = T.split_wald(Y, X, pi0=0.4)
+    sup = T.sup_wald(Y, X, trim=(0.2, 0.8))
     for r in range(9):
         want = ref_split_wald(Y[r], X[r], 0.4)
         assert split.stat[r] == want
@@ -460,7 +458,7 @@ def test_wald_kernels_match_scalar_oracles(d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_ivx_kernel_matches_scalar_oracle(d):
     Y, X = _system_panel(9, 160, d, seed=50 + d)
-    res = _ivx_panel(Y, X)
+    res = T.ivx_estimate(Y, X)
     for r in range(9):
         wald, pvalue, beta, cov = ref_ivx(Y[r], X[r])
         assert (res.wald[r], res.pvalue[r]) == (wald, pvalue)
@@ -476,7 +474,7 @@ def test_ivx_kernel_matches_scalar_oracle(d):
 def test_fmols_kernel_matches_scalar_oracle(d, kernel):
     Y, X = _system_panel(9, 160, d, seed=60 + d)
     X = np.cumsum(X, axis=1)  # integrated regressors
-    res = _fmols_panel(Y, X, kernel)
+    res = T.fmols(Y, X, kernel)
     for r in range(9):
         want = ref_fmols(Y[r], X[r], kernel)
         got = (res.beta_plus[r], res.se[r], res.beta_ols[r], res.residuals_ols[r])
@@ -491,7 +489,7 @@ def test_phillips_kernel_matches_scalar_oracle(det):
     Y, _ = _system_panel(9, 160, 1, seed=70)
     Y = np.cumsum(Y, axis=1)
     kernel = T.KernelSpec("bartlett", 6.0)
-    res = _phillips_z_panel(Y, kernel, det)
+    res = T.phillips_z(Y, kernel, det)
     for r in range(9):
         z_alpha, z_t, alpha, _ = ref_phillips(Y[r], kernel, det)
         assert (res.stat_coef[r], res.stat_t[r], res.alpha_hat[r]) == (z_alpha, z_t, alpha)
@@ -503,7 +501,7 @@ def test_phillips_kernel_matches_scalar_oracle(det):
 def test_hac_kernel_matches_scalar_oracle(family):
     X = np.random.default_rng(3).standard_normal((7, 300, 2)).cumsum(axis=1) * 0.1
     kernel = T.KernelSpec(family, 5.5)
-    res = _hac_lrv_panel(X, kernel)
+    res = T.hac_lrv(X, kernel)
     for r in range(7):
         omega, lam, gamma0 = ref_hac(X[r], kernel)
         assert np.array_equal(res.omega[r], omega)
@@ -513,28 +511,81 @@ def test_hac_kernel_matches_scalar_oracle(family):
 
 def test_panel_checks_apply_to_every_rep():
     Y, X = _system_panel(4, 60, 1, seed=80)
+    # x holds y's reps, neither one for all of them nor one series
+    for x in (X[:1], X[0, :, 0]):
+        for fn in (T.split_wald, T.sup_wald, T.fmols, T.ivx_estimate):
+            with pytest.raises(ValueError, match="y holds 4 reps, so x must too"):
+                fn(Y, x)
     Y[2, 7] = np.nan
     with pytest.raises(ValueError, match="y contains non-finite values"):
-        _split_wald_panel(Y, X, pi0=0.5)
+        T.split_wald(Y, X, pi0=0.5)
     with pytest.raises(ValueError, match="regime too small"):
-        _split_wald_panel(X[:, :, 0], X, k=1)
+        T.split_wald(X[:, :, 0], X, k=1)
     with pytest.raises(ValueError, match="trim"):
-        _sup_wald_panel(X[:, :, 0], X, trim=(0.5, 0.4))
+        T.sup_wald(X[:, :, 0], X, trim=(0.5, 0.4))
     with pytest.raises(ValueError, match="needs at least 8"):
-        _fmols_panel(Y[:, :5], X[:, :5])
+        T.fmols(Y[:, :5], X[:, :5])
     # one degenerate rep stops the whole panel, as it stopped the run
     walks = np.cumsum(np.random.default_rng(5).standard_normal((3, 40)), axis=1)
     walks[1] = 1.0
     with pytest.raises(ValueError, match="numerically zero"):
-        _phillips_z_panel(walks)
+        T.phillips_z(walks)
     # an exact fit in one rep stops the FM-OLS and IVX panels too
     Y, X = _system_panel(4, 60, 1, seed=81)
     Y[2] = 1.0 + 0.5 * X[2, :, 0]
     with pytest.raises(ValueError, match="cointegrating fit are numerically zero"):
-        _fmols_panel(Y, X)
+        T.fmols(Y, X)
     Y[2, 1:] = 1.0 + 0.5 * X[2, :-1, 0]
     with pytest.raises(ValueError, match="IVX fit are numerically zero"):
-        _ivx_panel(Y, X)
+        T.ivx_estimate(Y, X)
+
+
+def _rank_cases():
+    """name -> (call, panel inputs, the argument a too-deep input is named by),
+    on 3-rep panels."""
+    gen = np.random.default_rng(95)
+    y = gen.standard_normal((3, 80))
+    x = gen.standard_normal((3, 80, 2))
+    walks = np.cumsum(y, axis=1)
+    graph = T.cycle_graph(80)
+    return {
+        "split_wald": (lambda y, x: T.split_wald(y, x, pi0=0.4), (y, x), "y"),
+        "sup_wald": (lambda y, x: T.sup_wald(y, x, trim=(0.2, 0.8)), (y, x), "y"),
+        "fmols": (T.fmols, (y, np.cumsum(x, axis=1)), "y"),
+        "ivx_estimate": (T.ivx_estimate, (y, x), "y"),
+        "phillips_z": (lambda ts: T.phillips_z(ts, deterministic="const"), (walks,), "ts"),
+        "hac_lrv": (T.hac_lrv, (x,), "ms"),
+        "ivx_instrument": (T.ivx_instrument, (np.cumsum(x, axis=1),), "x"),
+        "network_hac": (lambda y: T.network_hac(graph, y, T.KernelSpec("bartlett", 3.0)), (x,),
+                        "y"),
+    }
+
+
+_SHARED = {"k", "pi", "k_grid", "nobs", "rho_nz", "bandwidth", "family"}
+
+
+@pytest.mark.parametrize("name", sorted(_rank_cases()))
+def test_one_rank_rule_one_rep_or_a_panel(name):
+    call, panel, arg = _rank_cases()[name]
+    res = call(*panel)
+    for r in range(3):
+        one = call(*(a[r] for a in panel))
+        if isinstance(one, np.ndarray):
+            assert res[r].tobytes() == one.tobytes()
+            continue
+        for f in dataclasses.fields(one):
+            got, want = getattr(res, f.name), getattr(one, f.name)
+            if f.name in _SHARED:
+                assert np.array_equal(got, want)
+            else:
+                assert np.asarray(got[r]).tobytes() == np.asarray(want).tobytes(), f.name
+    # one axis deeper than a panel is no input
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        call(*(a[None] for a in panel))
+    # no panel twin is left: a `_<core>_panel` with <core> part of the name
+    module = sys.modules[getattr(T, name).__module__]
+    assert [a for a in vars(module)
+            if a.startswith("_") and a.endswith("_panel") and a[1:-6] in name] == []
 
 
 def test_phillips_panel_warns_once_per_nonpositive_lrv_rep():
@@ -544,7 +595,7 @@ def test_phillips_panel_warns_once_per_nonpositive_lrv_rep():
     kernel = T.KernelSpec("truncated", 2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = _phillips_z_panel(np.array([bad, good, bad]), kernel)
+        res = T.phillips_z(np.array([bad, good, bad]), kernel)
     assert len(caught) == 2
     assert all("nonpositive long-run variance" in str(w.message) for w in caught)
     assert np.isnan(res.stat_t[[0, 2]]).all() and np.isfinite(res.stat_t[1])

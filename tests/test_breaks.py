@@ -166,9 +166,9 @@ def test_nbb_sup_reproducible_and_validated():
     b = T.nbb_sup_mc(p=1, reps=500, grid=100, rng=T.RngSpec(7))
     assert np.quantile(a, 0.95) == np.quantile(b, 0.95)
     with pytest.raises(ValueError, match="trim"):
-        T.nbb_sup_mc(trim=(0.0, 0.9), reps=500)
+        T.nbb_sup_mc(trim=(0.0, 0.9), reps=500, rng=T.RngSpec(7))
     with pytest.raises(ValueError):
-        T.nbb_sup_mc(reps=10)
+        T.nbb_sup_mc(reps=10, rng=T.RngSpec(7))
 
 
 @pytest.mark.parametrize("grid,trim,match", [
@@ -180,7 +180,7 @@ def test_nbb_sup_reproducible_and_validated():
 ])
 def test_nbb_sup_rejects_grids_without_a_trimmed_point(grid, trim, match):
     with pytest.raises(ValueError, match=match):
-        T.nbb_sup_mc(trim=trim, reps=100, grid=grid)
+        T.nbb_sup_mc(trim=trim, reps=100, rng=T.RngSpec(7), grid=grid)
 
 
 def test_nbb_sup_single_trimmed_point_is_one_chi2_draw():
@@ -197,7 +197,7 @@ def test_trim_must_be_two_fractions(trim):
     with pytest.raises(ValueError, match="two fractions"):
         T.sup_wald(y, x, trim=trim)
     with pytest.raises(ValueError, match="two fractions"):
-        T.nbb_sup_mc(trim=trim, reps=500)
+        T.nbb_sup_mc(trim=trim, reps=500, rng=T.RngSpec(7))
 
 
 def test_lm_nyblom_matches_hand_formulas():

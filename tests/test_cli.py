@@ -892,6 +892,20 @@ def test_every_command_has_help(capsys, path):
     assert capsys.readouterr().out.startswith(f"usage: tsnet {path} ")
 
 
+@pytest.mark.parametrize("flag,choices", [
+    ("--tail", T.bootstrap._TAILS), ("--multiplier", T.bootstrap._MULTIPLIERS),
+    ("--mean", T.garch._MEANS), ("--init", T.series._OU_INITS),
+    ("--det", T.unitroot._DETERMINISTICS), ("--det", T.unitroot._PHILLIPS_DETERMINISTICS),
+])
+def test_each_choice_flag_reads_the_library_tuple(flag, choices):
+    # the set `check_in` takes, declared once: the flag offers that very tuple
+    offered = [kwargs["choices"] for _, flags in COMMANDS.values()
+               for names, kwargs in flags if flag in names]
+    assert any(c is choices for c in offered)
+    if flag != "--det":
+        assert all(c is choices for c in offered)
+
+
 @pytest.mark.parametrize("argv,flag", [
     *[(argv, ["--column", "x1"]) for argv in (
         ["estimate", "fmols"], ["estimate", "ivx"], ["test", "shin"], ["test", "fk"],

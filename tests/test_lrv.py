@@ -134,6 +134,7 @@ def test_hac_rejects_too_short_series():
         T.hac_lrv(np.array([1.0]))
 
 
-def test_hac_rejects_a_3d_array():
+def test_hac_rejects_a_4d_array():
+    # a 3-d array is an (R, n, d) panel; one axis more is neither
     with pytest.raises(ValueError, match=r"ms must be at most two-dimensional, got shape"):
-        T.hac_lrv(np.zeros((20, 2, 2)))
+        T.hac_lrv(np.zeros((3, 20, 2, 2)))

@@ -561,7 +561,7 @@ def _random_graph(n, edges, seed):
     return T.Graph(n=n, edges=ends[ends[:, 0] != ends[:, 1]])
 
 
-def test_network_hac_panel_equals_each_rep():
+def test_network_hac_of_a_panel_equals_each_rep():
     # the one shell loop: each rep's (v, v) block of an (R, n, v) panel is
     # that rep's `network_hac`, bit for bit
     g = _random_graph(120, 200, seed=72)
@@ -569,7 +569,7 @@ def test_network_hac_panel_equals_each_rep():
     for spec in (T.KernelSpec("bartlett", 3.0), T.KernelSpec("parzen", 2.5),
                  T.KernelSpec("truncated", 1.5)):
         sh = T.graph_shells(g, T.network_hac_radius(spec, g.n))
-        panel = T.netdep._network_hac_panel(sh, y, spec)
+        panel = T.network_hac(sh, y, spec)
         assert panel.shape == (5, 3, 3)
         for r in range(5):
             assert panel[r].tobytes() == T.network_hac(sh, y[r], spec).tobytes()

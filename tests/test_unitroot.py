@@ -215,3 +215,53 @@ def test_df_limit_agrees_with_the_published_5pct_points(deterministic):
         q = np.quantile(draws, 0.05)
         assert abs(q - value) <= 4.0 * _quantile_se(draws, 0.05) + rounding + bias, \
             (deterministic, q, value)
+
+
+# The 5% points of `adf_test`'s T(alpha - 1) at n = 500 regression
+# observations: Fuller (1976), Table 10.A.1, rho_hat and rho_hat_mu, the
+# n = 500 column, quoted to 1 decimal (rounding 0.05); no finite-T bias.
+_FULLER_N500 = {"none": -8.0, "const": -14.0}
+# The 95% point of chi-square(1), 3.8415 (rounding 0.0005).  The split Wald
+# statistic's s2 divides by m - 3, so under Gaussian errors it is close to
+# F(1, m - 3), whose 95% point lies 0.019 above at m = 499 pairs: bias 0.02.
+_CHI2_1_95 = (3.841, 0.0005, 0.02)
+# The 95% point of the integral of a squared Brownian bridge, 0.4614:
+# Anderson & Darling (1952), Ann. Math. Statist. 23, Table 1, quoted to 3
+# decimals (rounding 0.0005); `lm_nyblom`'s lm1 with a stationary regressor
+# has this limit.  Its three fitted coefficients bias it by O(3 / m), under
+# 0.005 at m = 299 pairs.
+_BRIDGE_95 = (0.461, 0.0005, 0.005)
+
+
+def test_statistics_under_their_nulls_agree_with_published_points():
+    # each statistic on its own null: within 4 SE plus rounding plus bias, as
+    # for the limit tables above.  The innovations have sd 3, so that a
+    # standard error missing its square root does not cancel at sd 1.  Z_t
+    # and Z_alpha share the Dickey-Fuller limits, and their finite-T bias
+    # bounds are the Dickey-Fuller statistics' (MacKinnon's beta_1 / T is
+    # under 0.006 at T = 500).
+    R = 4000
+    walks = np.cumsum(3.0 * T.RngSpec(41, 0).generator().standard_normal((R, 501)), axis=1)
+    checks = []
+    for det, ((t_value, t_round, t_bias), (c_value, c_round, c_bias)) in _DF_5PCT.items():
+        if det == "trend":  # the Phillips corrections take none and const
+            continue
+        adf = [T.adf_test(w, deterministic=det) for w in walks]
+        z = T.phillips_z(walks, deterministic=det)
+        checks += [
+            (f"adf t {det}", np.array([a.stat_t for a in adf]), 0.05, t_value, t_round, t_bias),
+            (f"adf coef {det}", np.array([a.stat_coef for a in adf]), 0.05,
+             _FULLER_N500[det], 0.05, 0.0),
+            (f"Z_t {det}", z.stat_t, 0.05, t_value, t_round, t_bias),
+            (f"Z_alpha {det}", z.stat_coef, 0.05, c_value, c_round, c_bias),
+        ]
+    gen = T.RngSpec(42, 0).generator()
+    x = gen.standard_normal((R, 500))
+    y = 1.0 + 3.0 * gen.standard_normal((R, 500))
+    checks.append(("split_wald", T.split_wald(y, x, pi0=0.5).stat, 0.95, *_CHI2_1_95))
+    lm1 = np.array([T.lm_nyblom(y[r, :300], x[r, :300]).lm1 for r in range(R // 2)])
+    checks.append(("lm_nyblom lm1", lm1, 0.95, *_BRIDGE_95))
+    far = [(name, float(np.quantile(draws, p)), value) for name, draws, p, value, rounding, bias
+           in checks
+           if abs(np.quantile(draws, p) - value) > 4.0 * _quantile_se(draws, p) + rounding + bias]
+    assert far == []
