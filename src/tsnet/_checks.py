@@ -13,10 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["as_series", "as_matrix", "as_panel", "as_yx", "check_positive_int", "check_in",
-           "check_finite_path"]
+           "check_finite_path", "check_finite_result", "FINITE_RESULT"]
 
 # the fewest observations `as_yx` takes for a regression, unless told otherwise
 _MIN_OBS = 8
+
+# the errstate of a statistic that reports a non-finite result by `check_finite_result`
+FINITE_RESULT = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.ndarray:
@@ -30,7 +33,7 @@ def as_panel(x, name: str = "x", min_len: int = 1, matrix: bool = False) -> np.n
     if matrix and arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != (3 if matrix else 2):
-        kind = "at most two-dimensional" if matrix else "one-dimensional"
+        kind = "one- or two-dimensional" if matrix else "one-dimensional"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape[1:]}")
     if arr.shape[1] < min_len:
         unit = "rows" if matrix else "observations"
@@ -87,3 +90,15 @@ def check_finite_path(path, where: str):
     if not all(np.all(np.isfinite(part)) for part in parts):
         raise ValueError(f"the path leaves the finite floats at {where}")
     return path
+
+
+def check_finite_result(fn: str, *values) -> None:
+    """Raise a ValueError naming the statistic `fn` unless each of `values`,
+    fields of its result on finite data, is finite.
+
+    The statistic computes under `FINITE_RESULT`, so that this error is the
+    one report of a result that has left the finite floats.
+    """
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{fn}: the result is not finite: a sum of squares of the data "
+                         f"overflows, or a divisor is 0")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_matrix, as_series, as_yx, check_positive_int
+from ._checks import (FINITE_RESULT, as_matrix, as_series, as_yx, check_finite_result,
+                      check_positive_int)
 from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_fit, collinear, exact_fit,
                      first_rep, ols, rowdot)
 from .series import _resolve_rng
@@ -181,12 +182,14 @@ def _break_scan(Z, e, k_grid, s: int, shift=None) -> np.ndarray:
     return q
 
 
+@FINITE_RESULT
 def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     """Supremum Wald statistic over break fractions in the trim range.
 
     The whole path, for any number d of regressors, is one pass of
     cumulative moments: W_k = q_k (m - 2d - 1) / (SSR_0 - q_k), with
-    SSR_0 from the no-break fit and q_k its drop from a slope break.
+    SSR_0 from the no-break fit and q_k its drop from a slope break.  A
+    path that is not finite raises.
 
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     stat, k_star, pi_star and path gain a leading rep axis; k_grid and
@@ -204,6 +207,7 @@ def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     ssr_break = fit.ssr[:, None] - q
     path = np.multiply(q, m - 2 * d - 1, out=q)
     path /= ssr_break
+    check_finite_result("sup_wald", path)
     best = np.argmax(path, axis=1)
     res = SupWaldResult(stat=path[np.arange(R), best], k_star=k_grid[best],
                         pi_star=k_grid[best] / m, path=path, k_grid=k_grid, nobs=m)

@@ -19,10 +19,12 @@ unitroot-boot, garch-recovery, mp-edges and nested-forecast, whose reps
 cost far more than the per-call overhead.  `_panel` serves the other
 eight, whose hooks get an (R, ...) array of standard normals, row i from
 one rep's stream.  They pass the whole sub-panel to the library's
-statistics, which take one rep or a panel of reps (`_panel.as_reps`), and
-to the simulators' panel kernels; both work on the leading rep axis with
-bit-identical per-rep results.  `_panel` draws a batch in `_panel.chunks`
-of `_BLOCK_BYTES` and hands the hook sub-panels of `_panel._PANEL_BYTES`.
+simulators, which take a panel of draws in place of an rng
+(`series._simulate`), and the simulated panel to its statistics, which
+take one rep or a panel of reps (`_panel.as_reps`); both work on the
+leading rep axis with bit-identical per-rep results.  `_panel` draws a
+batch in `_panel.chunks` of `_BLOCK_BYTES` and hands the hook sub-panels
+of `_panel._PANEL_BYTES`.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -91,27 +93,12 @@ from .breaks import (_break_dates, _grid_points, nbb_sup_mc, nested_forecast_tes
 from .coint import fmols
 from .garch import _MIN_QMLE_N, GarchSpec, garch_qmle, simulate_garch
 from .lrv import _COMPACT_FAMILIES, KERNEL_FAMILIES, KernelSpec, hac_lrv
-from .netdep import (
-    _MIN_CYCLE,
-    _graph_ma_panel,
-    cycle_graph,
-    graph_shells,
-    network_hac,
-    network_hac_radius,
-)
+from .netdep import (_MIN_CYCLE, cycle_graph, graph_shells, network_hac, network_hac_radius,
+                     simulate_graph_ma)
 from .predreg import IvxSpec, ivx_estimate
 from .randmat import mp_support, sample_cov_spectrum
-from .series import (
-    LinearProcessSpec,
-    LurSpec,
-    RngSpec,
-    SystemSpec,
-    _linear_process_panel,
-    _predictive_system_panel,
-    _rekey,
-    _stationary_ar1,
-    simulate_predictive_system,
-)
+from .series import (LinearProcessSpec, LurSpec, RngSpec, SystemSpec, _rekey,
+                     simulate_linear_process, simulate_lur_ar, simulate_predictive_system)
 from .unitroot import _MIN_T, _PHILLIPS_DETERMINISTICS, _ar_fit, df_limit_mc, phillips_z
 
 __all__ = [
@@ -672,6 +659,17 @@ def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.params["family"], bandwidth=cfg.params["bandwidth"])
 
 
+def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
+    """(R, n) paths x_t = phi x_{t-1} + v_t started in the stationary law.
+
+    Each row of the (R, n + 1) normals z is one rep's draws: first the
+    start, x_0 = z_0 / sqrt(1 - phi^2), then the n innovations.
+    """
+    n = z.shape[1] - 1
+    return simulate_lur_ar(LurSpec(c=(phi - 1.0) * n, gamma=1.0), n, z[:, 1:],
+                           x0=z[:, 0] / np.sqrt(1.0 - phi**2))
+
+
 def _ar1_clt_rep(cfg, ctx, z):
     n, rho = cfg.params["n"], cfg.params["rho"]
     x = _stationary_ar1(z, rho)
@@ -738,7 +736,7 @@ def _phillips_setup(cfg):
 
 def _phillips_rep(cfg, ctx, z):
     p = cfg.params
-    u = _linear_process_panel(LinearProcessSpec((1.0, p["theta"])), z)
+    u = simulate_linear_process(LinearProcessSpec((1.0, p["theta"])), p["n"], z)
     y = np.cumsum(u, axis=1)
     res = phillips_z(y, kernel=ctx["kernel"], deterministic=p["deterministic"])
     raw = res.nobs * (res.alpha_hat - 1.0)
@@ -808,7 +806,7 @@ def _system_spec(cfg) -> SystemSpec:
 
 
 def _ivx_rep(cfg, ctx, z):
-    y, x = _predictive_system_panel(_system_spec(cfg), z)
+    y, x = simulate_predictive_system(_system_spec(cfg), cfg.params["n"], z)
     res = ivx_estimate(y, x, spec=IvxSpec(c_z=cfg.params["c_z"], beta_z=cfg.params["beta_z"]))
     return np.column_stack([res.wald, res.pvalue, res.beta[:, 0]])
 
@@ -835,7 +833,7 @@ def _supwald_setup(cfg):
 
 
 def _supwald_rep(cfg, ctx, z):
-    y, x = _predictive_system_panel(_system_spec(cfg), z)
+    y, x = simulate_predictive_system(_system_spec(cfg), cfg.params["n"], z)
     res = sup_wald(y, x, trim=cfg.params["trim"])
     return np.column_stack([res.stat, res.pi_star])
 
@@ -917,7 +915,7 @@ def _nethac_setup(cfg):
 def _nethac_rep(cfg, ctx, z):
     shells = ctx["shells"]
     n = shells.n
-    y = _graph_ma_panel(shells, (1.0, cfg.params["w1"]), z)
+    y = simulate_graph_ma(shells, (1.0, cfg.params["w1"]), z)
     ybar = y.mean(axis=1)
     v_full, v_low = (network_hac(shells, y[:, :, None], k)[:, 0, 0]
                      for k in ctx["kernels"])
@@ -937,10 +935,11 @@ def _nethac_summarize(cfg, ctx, draws):
 
 _register("nethac-coverage", ("ybar", "v_hac", "v_hac_low", "cover", "cover_low"),
           _panel(lambda p: (p["n_nodes"],), _nethac_rep), _nethac_summarize, setup=_nethac_setup,
-          # at w1 = -1/2 the mean has long-run variance 0: no interval to cover
+          # the mean's long-run variance (1 + 2 w1)^2 is 0 at w1 = -1/2, leaving no
+          # interval to cover, and past the largest float beyond |w1| = 6.7e153
           params={"n_nodes": (200, _minimum(_MIN_CYCLE)),
-                  "w1": (0.1, ("finite with 1 + 2 * w1 != 0",
-                               lambda v, p: np.isfinite(v) and 1.0 + 2.0 * v != 0.0)),
+                  "w1": (0.1, ("such that (1 + 2 * w1)^2 is finite and > 0",
+                               lambda v, p: 0.0 < (1.0 + 2.0 * v) * (1.0 + 2.0 * v) < math.inf)),
                   "bandwidth": (3.0, _POSITIVE), "low_bandwidth": (0.5, _POSITIVE),
                   "family": ("bartlett", _one_of(_COMPACT_FAMILIES))},
           echo=("n_nodes", "w1", "bandwidth", "low_bandwidth", "level"))

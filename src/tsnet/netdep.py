@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ._checks import as_panel, check_finite_path, check_positive_int
+from ._checks import FINITE_RESULT, as_panel, check_finite_result, check_positive_int
 from ._panel import as_reps
 from .lrv import _COMPACT_FAMILIES, KernelSpec, kernel_weight
-from .series import _resolve_rng
+from .series import _simulate
 
 __all__ = [
     "Graph",
@@ -172,20 +172,18 @@ class Shells:
     """Node pairs grouped by graph distance, for distances 0..radius.
 
     matrices[s] is the sparse 0/1 matrix S_s with (S_s)_ij = 1 iff
-    d(i, j) = s: CSR with float data 1.0 and sorted column indices.
+    d(i, j) = s: CSR with float data 1.0 and sorted column indices, for s
+    up to the radius or the last nonempty shell, whichever comes first.
+    `complete` tells whether every shell past the radius is empty.
     """
 
     matrices: tuple[sparse.csr_matrix, ...]
     radius: int
+    complete: bool
 
     @property
     def n(self) -> int:
         return self.matrices[0].shape[0]
-
-    @property
-    def complete(self) -> bool:
-        """Whether the search stopped at an empty shell: every farther one is empty."""
-        return len(self.matrices) <= self.radius
 
     def matrix(self, s: int) -> sparse.csr_matrix:
         """S_s, the pairs at distance exactly s (read-only by convention)."""
@@ -212,7 +210,10 @@ def graph_shells(g: Graph, radius: int) -> Shells:
     the search stops there.  Boolean sparse products keep the cost at
     O(n * ball size * degree), with no n x n array.  Before shell s is
     built, the pairs of S_{s-1} A are bounded by S_{s-1} times the
-    degrees, summed; past `_SHELL_PAIRS` it raises a ValueError.
+    degrees, summed; past `_SHELL_PAIRS` it raises a ValueError.  Shells
+    that reach the radius are `complete` when each ball is its node's
+    whole component (`_whole_components`), so shell radius + 1 is never
+    built.
     """
     radius = check_positive_int(radius, "radius", minimum=0)
     n = g.n
@@ -232,7 +233,28 @@ def graph_shells(g: Graph, radius: int) -> Shells:
             break
         cur.sort_indices()
         matrices.append(cur.astype(float))
-    return Shells(matrices=tuple(matrices), radius=radius)
+    complete = len(matrices) <= radius or _whole_components(matrices, adj)
+    return Shells(matrices=tuple(matrices), radius=radius, complete=complete)
+
+
+def _whole_components(matrices, adj: sparse.csr_matrix) -> bool:
+    """Whether the ball of shells S_0..S_r about each node is its whole component.
+
+    Label each node i by m(i), the least node of its ball.  If every edge
+    joins two nodes of one label, m is constant on each component, and as
+    m(i) lies in i's component, no two components share a label; then a
+    ball that holds as many nodes as carry its label is the component.
+    Conversely, whole components pass both tests.
+    """
+    n = adj.shape[0]
+    least = np.arange(n)
+    for shell in matrices[1:]:
+        rows = np.flatnonzero(np.diff(shell.indptr))
+        least[rows] = np.minimum(least[rows], shell.indices[shell.indptr[rows]])
+    ends = np.repeat(least, np.diff(adj.indptr))
+    ball_sizes = sum(np.diff(shell.indptr) for shell in matrices)
+    return bool(np.all(ends == least[adj.indices])
+                and np.all(ball_sizes == np.bincount(least, minlength=n)[least]))
 
 
 def _shells_of(graph, radius: int) -> Shells:
@@ -348,8 +370,13 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng) -> np.ndarray:
 
     weights = (w_0, ..., w_m) taper the iid standard normal field eps by
     graph distance; dependence has exact radius m.  Returns the (n,)
-    vector of node values.  A field that leaves the finite floats raises
-    ValueError.
+    vector of node values.  rng may be the field itself
+    (`series._simulate`): (n,), or an (R, n) panel of fields for the
+    (R, n) panel of moving averages.  Each shell is one sparse product on
+    the (n, R) transpose, which sums every column as the product with one
+    field would, so each row is bit-identical to a single-field run.
+    Weights past the graph's last shell add nothing.  A field that leaves
+    the finite floats raises ValueError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -357,27 +384,16 @@ def simulate_graph_ma(graph: Graph | Shells, weights, rng) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     sh = _shells_of(graph, w.size - 1)
-    eps = _resolve_rng(rng).standard_normal(sh.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _graph_ma_panel(sh, w, eps[None])
-    check_finite_path(y, f"weights={tuple(w.tolist())!r} on {sh.n} nodes")
-    return y[0]
+
+    def path(eps):
+        eps_t = np.ascontiguousarray(eps.T)
+        y = sum(wi * (shell @ eps_t) for wi, shell in zip(w, sh.matrices))
+        return np.ascontiguousarray(y.T)
+
+    return _simulate(path, rng, (sh.n,), f"weights={tuple(w.tolist())!r} on {sh.n} nodes")
 
 
-def _graph_ma_panel(shells: Shells, weights, eps: np.ndarray) -> np.ndarray:
-    """`simulate_graph_ma` for every rep of an (R, n) panel of iid fields.
-
-    Returns the (R, n) panel of moving averages, C-ordered.  Each shell is
-    one sparse product on the (n, R) transpose, which sums every column as
-    the product with one field would, so each row is bit-identical to a
-    single-field run.  Weights past the graph's last shell add nothing.
-    """
-    sh = _shells_of(shells, len(weights) - 1)
-    eps_t = np.ascontiguousarray(eps.T)
-    y = sum(w * (shell @ eps_t) for w, shell in zip(weights, sh.matrices))
-    return np.ascontiguousarray(y.T)
-
-
+@FINITE_RESULT
 def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> np.ndarray:
     """Kernel HAC estimate of the network long-run variance.
 
@@ -389,7 +405,8 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     matrix.  The kernel must vanish beyond 1 (truncated, bartlett, or
     parzen); bandwidth=None applies the default rule in shell units.  Y
     may be (n,) or (n, v).  Shells passed in place of the graph must
-    reach `network_hac_radius(kernel, n)` or be `complete`.
+    reach `network_hac_radius(kernel, n)` or be `complete`.  A V that is
+    not finite raises.
 
     A 3-d y is an (R, n, v) panel of R reps, and the result is the
     (R, v, v) stack of their estimates.  Each shell is one sparse product
@@ -416,6 +433,7 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
             sy = (shell @ yc_t).reshape(n, R, v).transpose(1, 0, 2)
             out += w * (yc.transpose(0, 2, 1) @ np.ascontiguousarray(sy)) / n
     out = (out + out.transpose(0, 2, 1)) / 2.0
+    check_finite_result("network_hac", out)
     return out[0] if one else out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from ._checks import as_panel, as_yx
+from ._checks import FINITE_RESULT, as_panel, as_yx, check_finite_result
 from ._filter import ar
 from ._panel import as_reps, check_fit, first_rep, rowdot
 
@@ -83,6 +83,7 @@ class IvxResult:
     nobs: int
 
 
+@FINITE_RESULT
 def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     """Instrumented estimation of the predictive slope.
 
@@ -90,7 +91,7 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     self-generated z_{t-1} (zero for t = 2, then the difference
     recursion).  The intercept is concentrated out: y and the lagged
     regressor are centered, the instrument is not.  s2_u uses divisor
-    (#pairs - d).  An exact fit raises.
+    (#pairs - d).  An exact fit, or a result that is not finite, raises.
 
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     every field but rho_nz and nobs gains a leading rep axis.
@@ -122,6 +123,7 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     beta = beta[:, :, 0]
     wald = rowdot(beta, np.linalg.solve(cov, beta[:, :, None])[:, :, 0])
+    check_finite_result("ivx_estimate", beta, cov, se, wald)
     res = IvxResult(beta=beta, se=se, cov=cov, rho_nz=spec.rho(n), wald=wald,
                     pvalue=chdtrc(d, wald), nobs=m)
     return first_rep(res) if one else res

@@ -5,10 +5,13 @@ Every stochastic routine in the package draws through an `RngSpec`: a
 the pair fully determines the output and replication r of an experiment
 can use stream `base + r` without any cross-stream correlation concerns.
 Each simulator takes that rng (an `RngSpec` or a numpy Generator) as a
-required argument and draws its own Gaussian innovations.  The simulators
-alone keep `_*_panel` twins, which the Monte Carlo harness calls with a
-panel of its own draws; the statistics take one rep or a panel of reps
-(`_panel.as_reps`).
+required argument and draws its own Gaussian innovations.
+`simulate_lur_ar`, `simulate_linear_process`, `simulate_predictive_system`
+and `netdep.simulate_graph_ma` also take the standard normals themselves
+as rng: one rep's draws, or a panel of them with one more, leading, rep
+axis, which gives the panel of paths, each rep bit-identical to its own
+call (`_simulate`).  The Monte Carlo harness passes them its panels of
+draws, as it passes the statistics panels of reps (`_panel.as_reps`).
 
 Series are returned as plain 1-d float ndarrays; multivariate series as
 (n, d) arrays with time in rows.
@@ -22,6 +25,7 @@ import numpy as np
 
 from ._checks import check_finite_path, check_in, check_positive_int
 from ._filter import ar, ma
+from ._panel import as_reps
 
 __all__ = [
     "RngSpec",
@@ -93,6 +97,33 @@ def _resolve_rng(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngSpec or numpy Generator")
 
 
+def _simulate(path, rng, shape: tuple[int, ...], where: str):
+    """`path` of a simulator's standard normals, for one rep or a panel of reps.
+
+    An `RngSpec` or Generator rng draws one rep's normals, of `shape`; an
+    ndarray rng is the normals, of `shape` or with one more, leading, rep
+    axis.  `path` maps the (R, *shape) panel to an array, or a tuple of
+    arrays, with a leading rep axis, under np.errstate, so that
+    `check_finite_path`, naming `where`, is the one report of a path that
+    leaves the finite floats.  One rep's result loses the rep axis.
+    """
+    if isinstance(rng, np.ndarray):
+        z, one = as_reps(rng, rank=len(shape))
+        if z.shape[1:] != shape:
+            dims = ", ".join(map(str, shape))
+            raise ValueError(f"rng must be normals of shape {shape} or (R, {dims}), "
+                             f"got shape {rng.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("rng contains non-finite values")
+    else:
+        z, one = _resolve_rng(rng).standard_normal((1, *shape)), True
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = check_finite_path(path(z), where)
+    if one:
+        out = tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+    return out
+
+
 @dataclass(frozen=True)
 class LinearProcessSpec:
     """Finite-order linear process X_t = sum_j coeffs[j] * eps_{t-j}.
@@ -117,25 +148,15 @@ def simulate_linear_process(spec: LinearProcessSpec, n: int, rng) -> np.ndarray:
     """Draw n observations of the moving average defined by `spec`.
 
     The presample innovations eps_{1-q}, ..., eps_0 are drawn too, so the
-    output is exactly stationary from the first observation.  A path that
+    output is exactly stationary from the first observation.  rng may be
+    the standard normals themselves (`_simulate`), presample first: (n + q,)
+    for one path, or (R, n + q) for the (R, n) panel of paths.  A path that
     leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n")
-    eps = _resolve_rng(rng).standard_normal(n + len(spec.coeffs) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _linear_process_panel(spec, eps[None])[0]
-    return check_finite_path(x, f"coeffs={spec.coeffs!r}, sigma={spec.sigma!r}, n={n}")
-
-
-def _linear_process_panel(spec: LinearProcessSpec, eps: np.ndarray) -> np.ndarray:
-    """`simulate_linear_process` for every rep of a panel of draws.
-
-    eps is (R, n + q): the standard normals each rep draws, presample
-    first.  Returns (R, n).
-    """
-    q = len(spec.coeffs) - 1
-    check_positive_int(eps.shape[1] - q, "n")
-    return ma(eps * spec.sigma, spec.coeffs)
+    return _simulate(lambda eps: ma(eps * spec.sigma, spec.coeffs), rng,
+                     (n + len(spec.coeffs) - 1,),
+                     f"coeffs={spec.coeffs!r}, sigma={spec.sigma!r}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -160,44 +181,29 @@ class LurSpec:
         return 1.0 + self.c / float(n) ** self.gamma
 
 
-def simulate_lur_ar(spec: LurSpec, n: int, rng, x0: float = 0.0) -> np.ndarray:
+def simulate_lur_ar(spec: LurSpec, n: int, rng, x0=0.0) -> np.ndarray:
     """Simulate x_t = rho_n x_{t-1} + v_t, t = 1..n, from x_0 = x0.
 
     The innovations v_t are iid standard normal, drawn from rng; rho_n
-    is `spec` evaluated at this n.  A non-finite x0, or a path that
-    leaves the finite floats (a root far on the explosive side), raises
-    ValueError.
+    is `spec` evaluated at this n.  rng may be the innovations themselves
+    (`_simulate`): (n,) for one path, or (R, n) for the (R, n) panel of
+    paths, whose x0 is one start for all or one per rep.  A non-finite
+    x0, or a path that leaves the finite floats (a root far on the
+    explosive side), raises ValueError.
     """
     n = check_positive_int(n, "n")
-    x0 = float(x0)
-    if not np.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
-    v = _resolve_rng(rng).standard_normal(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _lur_ar_panel(spec, v[None], np.array([[x0]]))[0]
-    return check_finite_path(x, f"c={spec.c!r}, gamma={spec.gamma!r}, n={n} "
-                                f"(rho_n = {spec.rho(n)!r})")
-
-
-def _lur_ar_panel(spec: LurSpec, v: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """`simulate_lur_ar` for every rep of an (R, n) innovation panel.
-
-    x0 is the (R, 1) column of start values.
-    """
-    n = check_positive_int(v.shape[1], "n")
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()!r}")
     rho = spec.rho(n)
-    return ar(v, [rho], rho * x0)
 
+    def path(v):
+        if x0.ndim and x0.shape != v.shape[:1]:
+            raise ValueError(f"x0 must be one start or one per rep, got shape {x0.shape}")
+        return ar(v, [rho], rho * x0)
 
-def _stationary_ar1(z: np.ndarray, phi: float) -> np.ndarray:
-    """(R, n) paths x_t = phi x_{t-1} + v_t started in the stationary law.
-
-    Each row of the (R, n + 1) normals z is one rep's draws: first the
-    start, x_0 = z_0 / sqrt(1 - phi^2), then the n innovations.
-    """
-    n = z.shape[1] - 1
-    x0 = z[:, :1] / np.sqrt(1.0 - phi**2)
-    return _lur_ar_panel(LurSpec(c=(phi - 1.0) * n, gamma=1.0), z[:, 1:], x0)
+    return _simulate(path, rng, (n,),
+                     f"c={spec.c!r}, gamma={spec.gamma!r}, n={n} (rho_n = {rho!r})")
 
 
 @dataclass(frozen=True)
@@ -267,52 +273,38 @@ def simulate_predictive_system(spec: SystemSpec, n: int, rng):
         x[t] is x_{t+1} in model time; regressions of y_t on x_{t-1}
         should pair y[1:] with x[:-1].
 
-    A path that leaves the finite floats raises ValueError.
+    rng may be the standard normals themselves (`_simulate`): (n, d + 1)
+    for one system, or (R, n, d + 1) for a panel, whose y is (R, n) and x
+    (R, n, d).  A path that leaves the finite floats raises ValueError.
     """
     n = check_positive_int(n, "n", minimum=2)
-    z = _resolve_rng(rng).standard_normal((n, spec.dim + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, x = _predictive_system_panel(spec, z[None])
-    where = (f"beta={spec.beta!r}, c={tuple(l.c for l in spec.lur)!r}, "
-             f"gamma={tuple(l.gamma for l in spec.lur)!r}, n={n}")
-    return check_finite_path((y[0], x[0]), where)
-
-
-def _predictive_system_panel(spec: SystemSpec, z: np.ndarray):
-    """`simulate_predictive_system` for every rep of a panel of draws.
-
-    z is (R, n, d + 1): the standard normals each rep draws.  Returns
-    y of shape (R, n) and x of shape (R, n, d).
-    """
-    R, n = z.shape[:2]
-    check_positive_int(n, "n", minimum=2)
     d = spec.dim
-    if spec.sigma_ue is None:
-        sig = np.eye(d + 1)
-    else:
-        sig = np.asarray(spec.sigma_ue)
+    sig = np.eye(d + 1) if spec.sigma_ue is None else np.asarray(spec.sigma_ue)
     chol = np.linalg.cholesky(sig)
-    shocks = z @ chol.T
-    u = shocks[:, :, 0]
-    e = shocks[:, :, 1:]
 
-    if spec.v_ar is not None:
-        v = np.empty_like(e)
-        for i, a in enumerate(spec.v_ar):
-            v[:, :, i] = ar(e[:, :, i], [a])
-    else:
-        v = e
+    def path(z):
+        shocks = z @ chol.T
+        u = shocks[:, :, 0]
+        e = shocks[:, :, 1:]
+        if spec.v_ar is not None:
+            v = np.empty_like(e)
+            for i, a in enumerate(spec.v_ar):
+                v[:, :, i] = ar(e[:, :, i], [a])
+        else:
+            v = e
+        x = np.empty((len(z), n, d))
+        for i, lur in enumerate(spec.lur):
+            x[:, :, i] = ar(v[:, :, i], [lur.rho(n)])
+        xlag = np.concatenate([np.zeros((len(z), 1, d)), x[:, :-1]], axis=1)
+        # intercept + xlag beta + u, summed in that order into one buffer
+        y = xlag @ np.asarray(spec.beta)
+        y += spec.intercept
+        y += u
+        return y, x
 
-    x = np.empty((R, n, d))
-    for i, lur in enumerate(spec.lur):
-        x[:, :, i] = ar(v[:, :, i], [lur.rho(n)])
-
-    xlag = np.concatenate([np.zeros((R, 1, d)), x[:, :-1]], axis=1)
-    # intercept + xlag beta + u, summed in that order into one buffer
-    y = xlag @ np.asarray(spec.beta)
-    y += spec.intercept
-    y += u
-    return y, x
+    return _simulate(path, rng, (n, d + 1),
+                     f"beta={spec.beta!r}, c={tuple(l.c for l in spec.lur)!r}, "
+                     f"gamma={tuple(l.gamma for l in spec.lur)!r}, n={n}")
 
 
 def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,

@@ -16,7 +16,9 @@ and the draws must equal theirs bit for bit.
 """
 
 import dataclasses
-import sys
+import importlib
+import pkgutil
+import re
 import tracemalloc
 import warnings
 
@@ -28,7 +30,6 @@ import tsnet as T
 from tsnet import mc
 from tsnet._filter import ar, ma
 from tsnet._panel import _PANEL_BYTES
-from tsnet.series import _stationary_ar1
 from tsnet.unitroot import _LEVEL_COL, _ar_fit
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def rep_ar1_clt(cfg, r):
 
 def rep_hac_lrv(cfg, r):
     n = cfg.params["n"]
-    x = _stationary_ar1(_gen(cfg, r).standard_normal((1, n + 1)), cfg.params["phi"])[0]
+    x = mc._stationary_ar1(_gen(cfg, r).standard_normal((1, n + 1)), cfg.params["phi"])[0]
     est = T.hac_lrv(x, kernel=_kernel(cfg))
     return (est.scalar, est.bandwidth)
 
@@ -582,10 +583,79 @@ def test_one_rank_rule_one_rep_or_a_panel(name):
     # one axis deeper than a panel is no input
     with pytest.raises(ValueError, match=f"^{arg} must be"):
         call(*(a[None] for a in panel))
-    # no panel twin is left: a `_<core>_panel` with <core> part of the name
-    module = sys.modules[getattr(T, name).__module__]
-    assert [a for a in vars(module)
-            if a.startswith("_") and a.endswith("_panel") and a[1:-6] in name] == []
+
+
+@pytest.mark.parametrize("name", ["ivx_estimate", "sup_wald", "network_hac"])
+def test_finite_data_never_give_a_non_finite_result(name):
+    call, panel, _ = _rank_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{name}: the result is not finite"):
+            call(*(1e160 * a for a in panel))
+
+
+def _simulator_cases():
+    """name -> (simulator of rng, the shape of one rep's normals)."""
+    graph = T.cycle_graph(12)
+    system = T.SystemSpec(beta=(0.3, -0.2), lur=(T.LurSpec(-5.0), T.LurSpec(2.0, 0.7)),
+                          intercept=0.5, v_ar=(0.3, -0.2),
+                          sigma_ue=((1.0, 0.4, 0.2), (0.4, 1.0, 0.1), (0.2, 0.1, 1.0)))
+    return {
+        "simulate_lur_ar": (lambda rng: T.simulate_lur_ar(T.LurSpec(-3.0, 0.8), 40, rng, x0=1.5),
+                            (40,)),
+        "simulate_linear_process": (lambda rng: T.simulate_linear_process(
+            T.LinearProcessSpec((1.0, 0.5, -0.3), 2.0), 40, rng), (42,)),
+        "simulate_predictive_system": (lambda rng: T.simulate_predictive_system(system, 40, rng),
+                                       (40, 3)),
+        "simulate_graph_ma": (lambda rng: T.simulate_graph_ma(graph, (1.0, 0.4, 0.1), rng), (12,)),
+    }
+
+
+def _parts(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", sorted(_simulator_cases()))
+def test_each_simulator_takes_one_rep_or_a_panel_of_draws(name):
+    call, shape = _simulator_cases()[name]
+    z = T.RngSpec(96, 1).generator().standard_normal((3, *shape))
+    panel = _parts(call(z))
+    for r in range(3):
+        one = _parts(call(z[r]))
+        assert [p[r].tobytes() for p in panel] == [p.tobytes() for p in one]
+    # the normals an RngSpec draws give what it gives
+    drawn = _parts(call(T.RngSpec(96, 2)))
+    given = _parts(call(T.RngSpec(96, 2).generator().standard_normal(shape)))
+    assert [p.tobytes() for p in drawn] == [p.tobytes() for p in given]
+    # one axis deeper than a panel, or one rep of another shape, is no input
+    for bad in (z[None], z[:, 1:], np.zeros(shape[:-1] + (shape[-1] + 1,))):
+        with pytest.raises(ValueError, match=r"^rng must be normals of shape"):
+            call(bad)
+    z[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^rng contains non-finite values$"):
+        call(z)
+
+
+def test_lur_ar_takes_one_start_per_rep():
+    spec, v = T.LurSpec(-3.0, 0.8), T.RngSpec(96, 3).generator().standard_normal((3, 40))
+    x0 = np.array([0.5, -2.0, 7.0])
+    paths = T.simulate_lur_ar(spec, 40, v, x0=x0)
+    for r in range(3):
+        assert paths[r].tobytes() == T.simulate_lur_ar(spec, 40, v[r], x0=x0[r]).tobytes()
+    with pytest.raises(ValueError, match=r"^x0 must be one start or one per rep, got shape "
+                                         r"\(2,\)$"):
+        T.simulate_lur_ar(spec, 40, v, x0=x0[:2])
+    with pytest.raises(ValueError, match=r"^x0 must be finite, got \[0.5, nan, 7.0\]$"):
+        T.simulate_lur_ar(spec, 40, v, x0=np.array([0.5, np.nan, 7.0]))
+
+
+def test_no_module_keeps_a_panel_twin():
+    # a vectorized path replaces the scalar one: no `_<core>_panel` beside a
+    # public function, in any module (`mc._panel`, the batch adapter, has no core)
+    twins = [f"{info.name}.{attr}" for info in pkgutil.iter_modules(T.__path__)
+             for attr in vars(importlib.import_module(f"tsnet.{info.name}"))
+             if re.fullmatch(r"_\w+_panel", attr)]
+    assert twins == []
 
 
 def test_phillips_panel_warns_once_per_nonpositive_lrv_rep():

@@ -408,8 +408,8 @@ _TRIM = ("two fractions 0 < lo < hi < 1 holding a break date of n - 1 pairs and 
     ("run", "ar1-clt", "n = 2", "experiment 'ar1-clt': parameter 'n' must be at least 3, got 2"),
     # a zero long-run variance, and a bad n blamed on gamma, round(gamma * n)
     ("run", "nethac-coverage", "n_nodes = 30\nw1 = -0.5",
-     "experiment 'nethac-coverage': parameter 'w1' must be finite with 1 + 2 * w1 != 0, "
-     "got -0.5"),
+     "experiment 'nethac-coverage': parameter 'w1' must be such that (1 + 2 * w1)^2 is finite "
+     "and > 0, got -0.5"),
     ("run", "mp-edges", "n = -4\ngamma = 0.5",
      "experiment 'mp-edges': parameter 'n' must be at least 1, got -4"),
     # parameters once checked only by the library, in the first rep
@@ -517,6 +517,31 @@ def test_mc_nonstationary_root_is_one_line(tmp_path, capsys, monkeypatch,
     assert captured.err.splitlines() == [
         f"tsnet: error: experiment {experiment!r}: parameter {key!r} must be a "
         f"stationary root in (-1, 1), got {float(value)!r}"]
+    assert list(out.iterdir()) == []
+
+
+_NOT_FINITE = "the result is not finite: a sum of squares of the data overflows, or a divisor is 0"
+
+
+@pytest.mark.parametrize("experiment,lines,message", [
+    # finite paths whose statistics overflow, once written as nan or inf rows
+    ("ivx-null", "n = 1000\nc = 700", f"ivx_estimate: {_NOT_FINITE}"),
+    ("supwald-nbb", "n = 200\nc = 2000\ngamma = 1\nnbb_reps = 200\nnbb_grid = 100",
+     f"sup_wald: {_NOT_FINITE}"),
+    ("nethac-coverage", "n_nodes = 30\nw1 = 6e153", f"network_hac: {_NOT_FINITE}"),
+    # a path past the largest float, once found later as `y contains non-finite values`
+    ("ivx-null", "n = 1000\nc = 2000",
+     "the path leaves the finite floats at beta=(0.0,), c=(2000.0,), gamma=(1.0,), n=1000"),
+], ids=["ivx", "supwald", "nethac", "ivx-path"])
+def test_mc_non_finite_result_is_one_line(tmp_path, capsys, experiment, lines, message):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"experiment = {experiment}\nreps = 3\nseed = 1\n{lines}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["mc", "run", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: {message}"
     assert list(out.iterdir()) == []
 
 

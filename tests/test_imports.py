@@ -266,9 +266,8 @@ def _unset_options(trees: dict, public: dict) -> set:
     """(function, parameter) for each defaulted parameter of the functions named in
     `public` (module -> names) that no call in `trees` (module -> tree) sets.
 
-    A call counts if it names the function, or its twin: a `_<core>_panel`
-    function of the same module that the function's body calls, with <core>
-    part of the function's name.  Calls inside the function's own body do not.
+    A call counts if it names the function, except inside the function's own
+    body.
     """
     defs = {(mod, fn.name): fn for mod, tree in trees.items() for fn in tree.body
             if isinstance(fn, ast.FunctionDef)}
@@ -278,15 +277,10 @@ def _unset_options(trees: dict, public: dict) -> set:
     for mod, names in public.items():
         for key in names:
             fn = defs[(mod, key)]
-            twins = {name for node in ast.walk(fn) if isinstance(node, ast.Call)
-                     for name in [_callee(node)]
-                     if (mod, name) in defs and name.startswith("_") and name.endswith("_panel")
-                     and name[1:-len("_panel")] in key}
             passed = set()
             for owner, call in calls:
-                name = _callee(call)
-                if owner != (mod, key) and (name == key or name in twins):
-                    passed |= _passed(call, _params(defs[(mod, name)])[0])
+                if owner != (mod, key) and _callee(call) == key:
+                    passed |= _passed(call, _params(fn)[0])
             unset |= {(key, p) for p in _params(fn)[1] if p not in passed}
     return unset
 
@@ -305,13 +299,9 @@ def test_every_public_option_is_set_or_an_oracle():
 
 
 def test_option_guard_flags_an_unset_option():
-    fit = ("def fit(y, x=None, kernel=None, *, trim=0.1):\n"
-           "    return _fit_panel(y, x, kernel)\n"
-           "def _fit_panel(y, x=None, kernel=None, scale=1.0):\n"
-           "    return y\n")
+    fit = "def fit(y, x=None, kernel=None, *, trim=0.1):\n    return y\n"
     helper = "def helper(y, x=None):\n    return fit(y, x, trim=0.2)\n"
     cli = ast.parse("def run(args):\n    return fit(*load(args), kernel=args.kernel)\n")
-    twin = ast.parse("def rep(z):\n    return _fit_panel(z, None)\n")
 
     def unset(lib, *others):
         return _unset_options({"lib": ast.parse(lib), **dict(enumerate(others))},
@@ -321,8 +311,6 @@ def test_option_guard_flags_an_unset_option():
     assert unset(fit + helper, cli) == set()
     # the starred argument stands only for the required y
     assert unset(fit, cli) == {("fit", "x"), ("fit", "trim")}
-    # a call of the twin sets its parameter of the same name
-    assert unset(fit, cli, twin) == {("fit", "trim")}
     # a call inside the function's own body sets nothing
     assert unset("def fit(y, x=None):\n    return fit(y, x)\n") == {("fit", "x")}
 

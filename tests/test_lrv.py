@@ -136,5 +136,12 @@ def test_hac_rejects_too_short_series():
 
 def test_hac_rejects_a_4d_array():
     # a 3-d array is an (R, n, d) panel; one axis more is neither
-    with pytest.raises(ValueError, match=r"ms must be at most two-dimensional, got shape"):
+    rank = "must be one- or two-dimensional, got shape"
+    with pytest.raises(ValueError, match=rf"^ms {rank} \(20, 2, 2\)$"):
         T.hac_lrv(np.zeros((3, 20, 2, 2)))
+    # nor is a scalar, one axis fewer than a series
+    y = np.random.default_rng(3).standard_normal(40)
+    for call, name in ((lambda: T.hac_lrv(5.0), "ms"), (lambda: T.ivx_instrument(5.0), "x"),
+                       (lambda: T.split_wald(y, 5.0, pi0=0.5), "x")):
+        with pytest.raises(ValueError, match=rf"^{name} {rank} \(\)$"):
+            call()

@@ -656,6 +656,11 @@ _OUTSIDE = {
     ("fixed-wald", "stream"): (2**64,),
     ("fixed-wald", "level"): (0, 1, float("nan")),
 }
+# rows added since, whose cases come last so that no earlier case's id moves
+_OUTSIDE_LATE = {
+    # (1 + 2 w1)^2 past the largest float
+    ("nethac-coverage", "w1"): (7e153, -1e200),
+}
 
 
 def test_each_domain_has_an_outside_row_and_holds_its_default():
@@ -673,7 +678,8 @@ def test_each_domain_has_an_outside_row_and_holds_its_default():
     ("nested-forecast", "c", (-2.0, "x")),
     ("phillips-size", "deterministic", 1),
     ("fmols-size", "family", "parzen"),  # fmols-size has no kernel to set
-] + [(name, key, value) for (name, key), values in _OUTSIDE.items() for value in values])
+] + [(name, key, value) for table in (_OUTSIDE, _OUTSIDE_LATE)
+      for (name, key), values in table.items() for value in values])
 def test_resolve_rejects_bad_parameters(experiment, key, value):
     cfg = ExperimentConfig(experiment=experiment, reps=2)
     harness = key in mc._HARNESS
@@ -682,7 +688,7 @@ def test_resolve_rejects_bad_parameters(experiment, key, value):
     with pytest.raises(ValueError, match=re.escape(name)) as exc:
         resolve(cfg)
     # `in` finds the nan row by identity
-    if value in _OUTSIDE.get((experiment, key), ()):
+    if value in _OUTSIDE.get((experiment, key), ()) + _OUTSIDE_LATE.get((experiment, key), ()):
         default, (text, _) = (mc._HARNESS if harness else EXPERIMENTS[experiment].params)[key]
         typed = mc._typed(default, value, name)
         assert str(exc.value) == f"experiment {experiment!r}: {name} must be {text}, got {typed!r}"

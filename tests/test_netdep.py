@@ -14,7 +14,6 @@ from scipy import stats as st
 
 import tsnet as T
 from tsnet._checks import check_positive_int
-from tsnet.netdep import _graph_ma_panel
 
 
 def test_graph_canonical_edges():
@@ -153,7 +152,7 @@ def test_graph_ma_cycle_covariances():
     g = T.cycle_graph(n)
     # 4000 fields at once, one per row
     eps = T.RngSpec(67, 0).generator().standard_normal((4000, n))
-    y = _graph_ma_panel(T.graph_shells(g, 1), (1.0, w1), eps)
+    y = T.simulate_graph_ma(T.graph_shells(g, 1), (1.0, w1), eps)
     assert y.shape == (4000, n)
     assert np.mean(y[:, 0] * y[:, 1]) == pytest.approx(2.0 * w1 * 1.0, abs=0.12)
     assert np.mean(y[:, 0] ** 2) == pytest.approx(1.0 + 2.0 * w1**2, abs=0.12)
@@ -364,7 +363,7 @@ def test_graph_shells_validation():
     with pytest.raises(ValueError, match="distance 2 is needed"):
         T.simulate_graph_ma(sh, (1.0, 0.5, 0.2), T.RngSpec(0))
     with pytest.raises(ValueError, match="distance 2 is needed"):
-        _graph_ma_panel(sh, (1.0, 0.5, 0.2), y[None])
+        T.simulate_graph_ma(sh, (1.0, 0.5, 0.2), y[None])
     with pytest.raises(ValueError, match="distance 2 is needed"):
         T.denseness_stats(sh, s=2, m=1)
     with pytest.raises(ValueError, match="rows"):
@@ -431,7 +430,7 @@ def test_graph_ma_matches_dense_taper(name, v):
         # v fields at once, one per row of the panel
         eps = gen.standard_normal((v, g.n))
         ref = eps @ coef.T
-        ys = [_graph_ma_panel(T.graph_shells(g, 3), weights, eps)]
+        ys = [T.simulate_graph_ma(T.graph_shells(g, 3), weights, eps)]
     for y in ys:
         assert y.shape == ref.shape
         np.testing.assert_allclose(y, ref, rtol=1e-12,
@@ -507,6 +506,27 @@ def test_graph_shells_stop_at_the_last_shell():
     for s in (0, 15, 16, 10_000):
         np.testing.assert_array_equal(sh.matrix(s).toarray(), d == s)
     np.testing.assert_array_equal(sh.ball(10_000).toarray(), np.ones((30, 30)))
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS) + ["cycle30"])
+def test_shells_out_to_the_farthest_distance_are_complete(name):
+    # decided from the balls and the components, without building the empty
+    # shell past the radius
+    g = _GRAPHS.get(name, T.cycle_graph(30))
+    d = T.graph_distance(g)
+    far = int(d[np.isfinite(d)].max())
+    y = np.random.default_rng((67, 14)).standard_normal(g.n)
+    spec = T.KernelSpec("bartlett", 100.0)
+    ref = _dense_hac(d, y, spec)
+    atol = 1e-13 * np.abs((y - y.mean()) @ (y - y.mean()) / g.n)
+    for radius in range(far + 2):
+        sh = T.graph_shells(g, radius)
+        assert sh.complete == (radius >= far), radius
+        if sh.complete:
+            np.testing.assert_allclose(T.network_hac(sh, y, spec), ref, rtol=0, atol=atol)
+        else:
+            with pytest.raises(ValueError, match=f"^shells reach distance {radius}, but"):
+                T.network_hac(sh, y, spec)
 
 
 def test_weights_past_the_last_shell_add_nothing():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import tsnet as T
-from tsnet.series import _lur_ar_panel
 
 
 def test_white_noise_has_vanishing_lag1_autocovariance():
@@ -48,7 +47,7 @@ def test_sample_autocovariance_matches_population_ma1():
 
 def test_lur_unit_root_is_cumulative_sum():
     innov = np.arange(1.0, 9.0)
-    x = _lur_ar_panel(T.LurSpec(c=0.0, gamma=1.0), innov[None], np.array([[3.0]]))[0]
+    x = T.simulate_lur_ar(T.LurSpec(c=0.0, gamma=1.0), 8, innov, x0=3.0)
     np.testing.assert_allclose(x, 3.0 + np.cumsum(innov))
     # the public simulator runs the same recursion on its standard normal draws
     x = T.simulate_lur_ar(T.LurSpec(c=0.0, gamma=1.0), 8, T.RngSpec(4), x0=3.0)
@@ -57,7 +56,7 @@ def test_lur_unit_root_is_cumulative_sum():
 
 def test_lur_deterministic_halving_recursion():
     # rho = 1 + c/n = 0.5 at c = -1.5, n = 3; no innovations
-    x = _lur_ar_panel(T.LurSpec(c=-1.5, gamma=1.0), np.zeros((1, 3)), np.array([[8.0]]))[0]
+    x = T.simulate_lur_ar(T.LurSpec(c=-1.5, gamma=1.0), 3, np.zeros(3), x0=8.0)
     np.testing.assert_allclose(x, [4.0, 2.0, 1.0])
 
 
