@@ -70,13 +70,15 @@ class WaldBreakResult:
     nobs: int
 
 
+@FINITE_RESULT
 def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBreakResult:
     """Wald test of slope equality across a single known break point.
 
     The split is at pair index k (y_t is paired with x_{t-1}; regime 1
     holds the first k pairs), or at k = floor(pi0 * m).  Under the null
     with an interior break fraction the statistic is asymptotically
-    chi-square with d degrees of freedom.
+    chi-square with d degrees of freedom.  A result that is not finite
+    raises.
 
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     stat, beta1 and beta2 gain a leading rep axis; the split (k, pi) and
@@ -111,6 +113,7 @@ def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBrea
              - G_inv[:, :d, d:] - G_inv[:, d:, :d])
     stat = rowdot(diff, np.linalg.solve(sigma2[:, None, None] * R_cov,
                                         diff[:, :, None])[:, :, 0])
+    check_finite_result("split_wald", stat, theta)
     res = WaldBreakResult(stat=stat, k=k, pi=k / m, beta1=theta[:, :d],
                           beta2=theta[:, d:], nobs=m)
     return first_rep(res) if one else res

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_finite_path, check_in, check_positive_int
+from ._checks import as_series, check_in, check_positive_int
 from ._filter import ar
 from ._panel import ols
-from .series import _resolve_rng
+from .series import _simulate
 
 __all__ = ["GarchSpec", "GarchFit", "GarchConvergenceWarning", "garch_filter",
            "garch_qmle", "simulate_garch"]
@@ -119,25 +119,28 @@ def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):
 
     Returns (y, sigma2), both of length n, after discarding `burn`
     start-up observations; the recursion starts at the unconditional
-    variance.  A path that leaves the finite floats raises ValueError.
+    variance.  rng may be eta itself (`series._simulate`): (n + burn,), or
+    (R, n + burn) for (R, n) panels.  A path that leaves the finite floats
+    raises ValueError.
     """
     n = check_positive_int(n, "n")
     burn = check_positive_int(burn, "burn", minimum=0)
-    gen = _resolve_rng(rng)
-    total = n + burn
-    eta = gen.standard_normal(total)
-    # with eps_{t-1}^2 = sigma2_{t-1} eta_{t-1}^2 the variance recursion
-    # is sigma2_t = omega + a_t sigma2_{t-1}; the presample eps^2 equals
-    # the presample variance, so a_0 = alpha + beta
-    a = np.empty((1, total))
-    a[0, 0] = spec.alpha + spec.beta
-    a[0, 1:] = spec.alpha * eta[:-1] ** 2 + spec.beta
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma2 = ar(np.full(total, spec.omega), a, a[0, 0] * spec.unconditional_variance)
+
+    def path(eta):
+        # with eps_{t-1}^2 = sigma2_{t-1} eta_{t-1}^2 the variance recursion
+        # is sigma2_t = omega + a_t sigma2_{t-1}; the presample eps^2 equals
+        # the presample variance, so a_0 = alpha + beta.  `ar` shares its
+        # coefficients across a panel, so it runs once per rep
+        a = np.empty_like(eta)
+        a[:, 0] = spec.alpha + spec.beta
+        a[:, 1:] = spec.alpha * eta[:, :-1] ** 2 + spec.beta
+        sigma2 = np.array([ar(np.full(n + burn, spec.omega), a_r[None],
+                              a_r[0] * spec.unconditional_variance) for a_r in a])
         eps = np.sqrt(sigma2) * eta
-        path = spec.mu + eps[burn:], sigma2[burn:]
-    return check_finite_path(path, f"omega={spec.omega!r}, alpha={spec.alpha!r}, "
-                                   f"beta={spec.beta!r}, n={n}, burn={burn}")
+        return spec.mu + eps[:, burn:], sigma2[:, burn:]
+
+    return _simulate(path, rng, (n + burn,), f"omega={spec.omega!r}, alpha={spec.alpha!r}, "
+                                             f"beta={spec.beta!r}, n={n}, burn={burn}")
 
 
 @dataclass(frozen=True)

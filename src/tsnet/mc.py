@@ -15,16 +15,15 @@ rep r, whose draws equal those of `RngSpec(seed, stream + r).generator()`.
 
 Two adapters turn a rep hook into the batch protocol, and they alone
 touch the rep streams.  `_per_rep` hands each rep its generator, for
-unitroot-boot, garch-recovery, mp-edges and nested-forecast, whose reps
-cost far more than the per-call overhead.  `_panel` serves the other
-eight, whose hooks get an (R, ...) array of standard normals, row i from
-one rep's stream.  They pass the whole sub-panel to the library's
-simulators, which take a panel of draws in place of an rng
+unitroot-boot, which also draws its bootstrap indices from it.  `_panel`
+serves the other eleven, whose hooks get an (R, ...) array of standard
+normals, row i from one rep's stream.  They pass the whole sub-panel to
+the library's simulators, which take a panel of draws in place of an rng
 (`series._simulate`), and the simulated panel to its statistics, which
-take one rep or a panel of reps (`_panel.as_reps`); both work on the
-leading rep axis with bit-identical per-rep results.  `_panel` draws a
-batch in `_panel.chunks` of `_BLOCK_BYTES` and hands the hook sub-panels
-of `_panel._PANEL_BYTES`.
+take one rep or a panel of reps (`_panel.as_reps`), or else loop over
+the reps; both work on the leading rep axis with bit-identical per-rep
+results.  `_panel` draws a batch in `_panel.chunks` of `_BLOCK_BYTES`
+and hands the hook sub-panels of `_panel._PANEL_BYTES`.
 
 `run_experiment` (one cell) and `size_power_grid` (one cell per grid
 point) both go through `_run`.  It runs every cell's setup in the
@@ -982,15 +981,13 @@ def _garch_spec(cfg) -> GarchSpec:
     return GarchSpec(omega=p["omega"], alpha=p["alpha"], beta=p["beta"])
 
 
-def _garch_rep(cfg, ctx, gen):
+def _garch_rep(cfg, ctx, z):
     spec = _garch_spec(cfg)
-    y, _ = simulate_garch(spec, cfg.params["n"], gen, burn=cfg.params["burn"])
-    fit = garch_qmle(y)
-    err = np.array([fit.spec.omega - spec.omega, fit.spec.alpha - spec.alpha,
-                    fit.spec.beta - spec.beta])
-    return (fit.spec.omega, fit.spec.alpha, fit.spec.beta,
-            float(np.max(np.abs(err))), float(fit.sigma2.mean()),
-            int(fit.converged))
+    y, _ = simulate_garch(spec, cfg.params["n"], z, burn=cfg.params["burn"])
+    fits = [garch_qmle(y_r) for y_r in y]
+    est = np.array([(f.spec.omega, f.spec.alpha, f.spec.beta) for f in fits])
+    err = np.max(np.abs(est - (spec.omega, spec.alpha, spec.beta)), axis=1)
+    return np.column_stack([est, err, [f.sigma2.mean() for f in fits], [f.converged for f in fits]])
 
 
 def _garch_summarize(cfg, ctx, draws):
@@ -1008,7 +1005,8 @@ def _garch_summarize(cfg, ctx, draws):
 _register("garch-recovery",
           ("omega_hat", "alpha_hat", "beta_hat", "max_abs_err",
            "filter_mean", "converged"),
-          _per_rep(_garch_rep), _garch_summarize, echo=("n", "omega", "alpha", "beta"),
+          _panel(lambda p: (p["n"] + p["burn"],), _garch_rep), _garch_summarize,
+          echo=("n", "omega", "alpha", "beta"),
           params={"n": (20000, _minimum(_MIN_QMLE_N)), "omega": (0.1, _POSITIVE),
                   "alpha": (0.1, ("finite and >= 0", lambda v, p: np.isfinite(v) and v >= 0.0)),
                   "beta": (0.8, ("finite and >= 0 with alpha + beta < 1",
@@ -1017,17 +1015,19 @@ _register("garch-recovery",
                   "burn": (500, _minimum(0))})
 
 
-def _mp_setup(cfg):
-    return {"p": round(cfg.params["gamma"] * cfg.params["n"])}
+def _mp_dims(params):
+    """(p, n): each rep draws a p x n matrix, p = round(gamma n)."""
+    return round(params["gamma"] * params["n"]), params["n"]
 
 
-def _mp_rep(cfg, ctx, gen):
-    res = sample_cov_spectrum(cfg.params["n"], ctx["p"], gen)
-    return (res.lambda_min, res.lambda_max, abs(res.trace - res.trace_gram))
+def _mp_rep(cfg, ctx, z):
+    res = sample_cov_spectrum(z.shape[2], z.shape[1], z)
+    return np.column_stack([res.lambda_min, res.lambda_max, np.abs(res.trace - res.trace_gram)])
 
 
 def _mp_summarize(cfg, ctx, draws):
-    lo, hi = mp_support(ctx["p"] / cfg.params["n"])
+    p, n = _mp_dims(cfg.params)
+    lo, hi = mp_support(p / n)
     med_min = float(np.median(draws[:, 0]))
     med_max = float(np.median(draws[:, 1]))
     return {
@@ -1042,21 +1042,21 @@ def _mp_summarize(cfg, ctx, draws):
 
 
 _register("mp-edges", ("lambda_min", "lambda_max", "trace_gap"),
-          _per_rep(_mp_rep), _mp_summarize, setup=_mp_setup, echo=("n", "gamma"),
+          _panel(_mp_dims, _mp_rep), _mp_summarize, echo=("n", "gamma"),
           params={"n": (4000, _minimum(1)),
                   "gamma": (0.25, ("in (0, 1] with round(gamma * n) >= 1",
                                    lambda v, p: 0.0 < v <= 1.0 and round(v * p["n"]) >= 1))})
 
 
-def _nested_rep(cfg, ctx, gen):
+def _nested_rep(cfg, ctx, z):
     p = cfg.params
     n, q = p["n"], p["n_small"]
     spec = SystemSpec(beta=p["beta"], lur=tuple(LurSpec(c=c, gamma=1.0) for c in p["c"]),
                       intercept=p["intercept"], v_ar=p["v_ar"])
-    y, x = simulate_predictive_system(spec, n, gen)
     k0 = n // 4 if p["k0"] is None else p["k0"]
-    res = nested_forecast_test(y, x[:, :q], x[:, q:], k0=k0)
-    return (res.stat, int(res.stat > 0))
+    stat = np.array([nested_forecast_test(y, x[:, :q], x[:, q:], k0=k0).stat
+                     for y, x in zip(*simulate_predictive_system(spec, n, z))])
+    return np.column_stack([stat, stat > 0])
 
 
 def _nested_summarize(cfg, ctx, draws):
@@ -1069,7 +1069,8 @@ def _nested_summarize(cfg, ctx, draws):
 
 # k0 (the first forecast origin, in pairs) defaults to n // 4; the small
 # model keeps the first n_small regressors, and the large one adds the rest
-_register("nested-forecast", ("t_n", "positive"), _per_rep(_nested_rep),
+_register("nested-forecast", ("t_n", "positive"),
+          _panel(lambda p: (p["n"], len(p["beta"]) + 1), _nested_rep),
           _nested_summarize, echo=("n", "n_small"),
           params={"n": (1000, _minimum(_MIN_OBS)), "beta": ((0.1, 0.1, -0.05), _FINITE),
                   "n_small": (1, ("in [0, len(beta) - 1]",

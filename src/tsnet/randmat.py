@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from ._checks import check_positive_int
-from .series import _resolve_rng
+from .series import _simulate
 
 __all__ = ["SpectrumResult", "sample_cov_spectrum", "mp_support", "mp_density", "mp_cdf"]
 
@@ -25,7 +26,8 @@ class SpectrumResult:
 
     trace_gram is tr(S) accumulated from the diagonal before the
     eigendecomposition, so comparing it to eigenvalues.sum() checks the
-    solver rather than restating it.
+    solver rather than restating it.  For a panel, eigenvalues is (R, p)
+    and trace_gram (R,), and each property has one value per rep.
     """
 
     eigenvalues: np.ndarray
@@ -35,16 +37,16 @@ class SpectrumResult:
     trace_gram: float
 
     @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
+    def lambda_min(self):
+        return self.eigenvalues[..., 0]
 
     @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+    def lambda_max(self):
+        return self.eigenvalues[..., -1]
 
     @property
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues))
+    def trace(self):
+        return np.sum(self.eigenvalues, axis=-1)
 
 
 def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
@@ -53,20 +55,27 @@ def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
     Requires p <= n (tall data matrix), so S is almost surely full
     rank.  The returned trace equals tr(S) exactly up to
     symmetric-eigensolver roundoff, which the tests pin at relative 1e-8.
-    The working set is X and S, 8(pn + p^2) bytes: X is released once S
-    is formed, before the eigensolver copies S.
+    rng may be X itself (`series._simulate`): (p, n) for one spectrum, or
+    (R, p, n) for a panel, solved rep by rep.  The working set is X and
+    S, 8(pn + p^2) bytes: the eigensolver overwrites S in place.
     """
     n = check_positive_int(n, "n")
     p = check_positive_int(p, "p")
     if p > n:
         raise ValueError(f"need p <= n, got p={p} > n={n}")
-    gen = _resolve_rng(rng)
-    x = gen.standard_normal((p, n))
-    s = x @ x.T
-    del x
-    s /= n
-    tr = float(np.trace(s))
-    eig = np.linalg.eigvalsh(s)
+
+    def path(xs):
+        eig, tr = np.empty((len(xs), p)), np.empty(len(xs))
+        for r, x in enumerate(xs):
+            s = x @ x.T
+            s /= n
+            tr[r] = np.trace(s)
+            # S is exactly symmetric, so its Fortran-ordered transpose is S
+            # itself, which LAPACK takes without a copy
+            eig[r] = linalg.eigh(s.T, eigvals_only=True, driver="evd", overwrite_a=True)
+        return eig, tr
+
+    eig, tr = _simulate(path, rng, (p, n), f"n={n}, p={p}")
     return SpectrumResult(eigenvalues=eig, gamma=p / n, n=n, p=p, trace_gram=tr)
 
 
@@ -103,8 +112,8 @@ def mp_cdf(x, gamma: float):
 
     Uses a trapezoid rule on a uniform grid of 20001 points over the
     support and linear interpolation; accurate to well below 1e-6.
-    The README's Marchenko-Pastur distribution function, against which
-    tests/test_randmat.py measures the empirical spectral distribution.
+    tests/test_randmat.py::test_esd_matches_mp_law measures the empirical
+    spectral distribution against it.
     """
     g = _check_gamma(gamma)
     lo, hi = mp_support(g)

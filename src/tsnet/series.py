@@ -6,8 +6,9 @@ the pair fully determines the output and replication r of an experiment
 can use stream `base + r` without any cross-stream correlation concerns.
 Each simulator takes that rng (an `RngSpec` or a numpy Generator) as a
 required argument and draws its own Gaussian innovations.
-`simulate_lur_ar`, `simulate_linear_process`, `simulate_predictive_system`
-and `netdep.simulate_graph_ma` also take the standard normals themselves
+`simulate_lur_ar`, `simulate_linear_process`, `simulate_predictive_system`,
+`garch.simulate_garch`, `netdep.simulate_graph_ma` and
+`randmat.sample_cov_spectrum` also take the standard normals themselves
 as rng: one rep's draws, or a panel of them with one more, leading, rep
 axis, which gives the panel of paths, each rep bit-identical to its own
 call (`_simulate`).  The Monte Carlo harness passes them its panels of

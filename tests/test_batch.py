@@ -2,10 +2,12 @@
 
 ar1-clt, hac-lrv, fixed-wald, fmols-size, phillips-size, ivx-null,
 supwald-nbb and nethac-coverage compute each sub-panel of a batch of reps
-as one panel (`mc._panel`).  Every rep's row must be bit-identical to
-what the scalar rep body gave before batching, whatever the batch size;
-only supwald-nbb's sup-Wald statistic, whose one-pass break scan sums in
-another order than the closed form kept here, is compared at roundoff.
+as one panel (`mc._panel`); garch-recovery, mp-edges and nested-forecast
+simulate it as one panel, then fit or solve its reps one at a time.
+Every rep's row must be bit-identical to what the scalar rep body gave
+before batching, whatever the batch size; only supwald-nbb's sup-Wald
+statistic, whose one-pass break scan sums in another order than the
+closed form kept here, is compared at roundoff.
 The scalar rep bodies, and the scalar estimators and simulators they
 called, are kept below as oracles.  Their AR and MA recursions call
 `tsnet._filter`, which `tests/test_filter.py` pins against lfilter.
@@ -24,6 +26,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 import tsnet as T
@@ -331,6 +335,39 @@ def rep_nethac(cfg, r):
     return (ybar, v_full, v_low, int(cover_full), int(cover_low))
 
 
+def rep_garch(cfg, r):
+    p = cfg.params
+    spec = T.GarchSpec(omega=p["omega"], alpha=p["alpha"], beta=p["beta"])
+    y, _ = T.simulate_garch(spec, p["n"], _gen(cfg, r), burn=p["burn"])
+    fit = T.garch_qmle(y)
+    err = np.array([fit.spec.omega - spec.omega, fit.spec.alpha - spec.alpha,
+                    fit.spec.beta - spec.beta])
+    return (fit.spec.omega, fit.spec.alpha, fit.spec.beta,
+            float(np.max(np.abs(err))), float(fit.sigma2.mean()),
+            int(fit.converged))
+
+
+def rep_mp(cfg, r):
+    # the spectrum as numpy's eigvalsh gave it, from a copy of S
+    n = cfg.params["n"]
+    x = _gen(cfg, r).standard_normal((round(cfg.params["gamma"] * n), n))
+    s = x @ x.T
+    s /= n
+    eig = np.linalg.eigvalsh(s)
+    return (float(eig[0]), float(eig[-1]), abs(float(np.sum(eig)) - float(np.trace(s))))
+
+
+def rep_nested(cfg, r):
+    p = cfg.params
+    n, q = p["n"], p["n_small"]
+    spec = T.SystemSpec(beta=p["beta"], lur=tuple(T.LurSpec(c=c, gamma=1.0) for c in p["c"]),
+                        intercept=p["intercept"], v_ar=p["v_ar"])
+    y, x = T.simulate_predictive_system(spec, n, _gen(cfg, r))
+    k0 = n // 4 if p["k0"] is None else p["k0"]
+    res = T.nested_forecast_test(y, x[:, :q], x[:, q:], k0=k0)
+    return (res.stat, int(res.stat > 0))
+
+
 SCALAR_REPS = {
     "ar1-clt": rep_ar1_clt,
     "hac-lrv": rep_hac_lrv,
@@ -340,6 +377,9 @@ SCALAR_REPS = {
     "ivx-null": rep_ivx,
     "supwald-nbb": rep_supwald,
     "nethac-coverage": rep_nethac,
+    "garch-recovery": rep_garch,
+    "mp-edges": rep_mp,
+    "nested-forecast": rep_nested,
 }
 
 # criterion 12 sizes and seeds, then one non-default setting each (the
@@ -365,6 +405,13 @@ CASES = [
     # n = 40 000: one-rep sub-panels, drawn in blocks of six reps
     ("hac-lrv", 102, {"n": 2000}),
     ("hac-lrv", 102, {"n": 40000, "phi": -0.4, "family": "parzen", "bandwidth": 7.5}),
+    ("garch-recovery", 110, {"n": 300}),
+    ("garch-recovery", 110, {"n": 200, "alpha": 0.3, "beta": 0.4, "burn": 0}),
+    # n = 333: one-rep sub-panels of 200 x 333 normals, drawn in blocks of three reps
+    ("mp-edges", 111, {"n": 200}),
+    ("mp-edges", 111, {"n": 333, "gamma": 0.6}),
+    ("nested-forecast", 112, {"n": 150}),
+    ("nested-forecast", 112, {"n": 90, "n_small": 0, "k0": 20}),
 ]
 
 
@@ -585,7 +632,7 @@ def test_one_rank_rule_one_rep_or_a_panel(name):
         call(*(a[None] for a in panel))
 
 
-@pytest.mark.parametrize("name", ["ivx_estimate", "sup_wald", "network_hac"])
+@pytest.mark.parametrize("name", ["ivx_estimate", "split_wald", "sup_wald", "network_hac"])
 def test_finite_data_never_give_a_non_finite_result(name):
     call, panel, _ = _rank_cases()[name]
     with warnings.catch_warnings():
@@ -608,10 +655,15 @@ def _simulator_cases():
         "simulate_predictive_system": (lambda rng: T.simulate_predictive_system(system, 40, rng),
                                        (40, 3)),
         "simulate_graph_ma": (lambda rng: T.simulate_graph_ma(graph, (1.0, 0.4, 0.1), rng), (12,)),
+        "simulate_garch": (lambda rng: T.simulate_garch(T.GarchSpec(0.1, 0.2, 0.7, mu=0.5), 40,
+                                                        rng, burn=10), (50,)),
+        "sample_cov_spectrum": (lambda rng: T.sample_cov_spectrum(30, 12, rng), (12, 30)),
     }
 
 
 def _parts(out):
+    if isinstance(out, T.SpectrumResult):
+        return out.eigenvalues, out.trace_gram
     return out if isinstance(out, tuple) else (out,)
 
 
@@ -634,6 +686,17 @@ def test_each_simulator_takes_one_rep_or_a_panel_of_draws(name):
     z[1, 0] = np.nan
     with pytest.raises(ValueError, match="^rng contains non-finite values$"):
         call(z)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(_simulator_cases())), reps=st.integers(1, 9),
+       seed=st.integers(0, 2**64 - 1))
+def test_each_panel_row_equals_its_one_rep_call(name, reps, seed):
+    call, shape = _simulator_cases()[name]
+    z = T.RngSpec(seed).generator().standard_normal((reps, *shape))
+    panel = _parts(call(z))
+    for r in range(reps):
+        assert [p[r].tobytes() for p in panel] == [p.tobytes() for p in _parts(call(z[r]))]
 
 
 def test_lur_ar_takes_one_start_per_rep():
@@ -778,3 +841,18 @@ def test_hac_lrv_batch_peak_memory():
     # two-rep blocks of n = 100 000 normals take 1.6 MB, and one rep's
     # path and HAC about 2.4 MB; the batch's normals at once take 51 MB
     assert peak <= 5e6, peak / 1e6
+
+
+def test_mp_edges_batch_holds_x_and_s_alone():
+    n, p = 2000, 500
+    cfg = mc.resolve(mc.ExperimentConfig(experiment="mp-edges", reps=3, seed=111,
+                                         params={"n": n, "gamma": 0.25}))
+    rep = mc.EXPERIMENTS["mp-edges"].rep
+    rep(cfg, {}, range(1))  # warm up
+    peak = _peak_bytes(lambda: rep(cfg, {}, range(3)))
+    # a rep's normals X (8 MB) stay in the harness's buffer through the
+    # eigensolve, and S (2 MB) joins them: a scipy solve that copied S would
+    # add 2 MB.  numpy's eigvalsh copies S in memory tracemalloc does not
+    # see; tests/test_randmat.py::test_spectrum_working_set_is_x_and_s
+    # holds the solve to scipy's in place
+    assert peak <= 1.05 * 8 * (p * n + p * p), peak / 1e6

@@ -545,6 +545,20 @@ def test_mc_non_finite_result_is_one_line(tmp_path, capsys, experiment, lines, m
     assert list(out.iterdir()) == []
 
 
+def test_split_wald_on_rescaled_data_is_one_line(tmp_path, capsys):
+    # y and x1 times 1e200 are finite, but their sums of squares overflow:
+    # once `stat = nan` with exit 0
+    path = _simulate_system(tmp_path)
+    capsys.readouterr()
+    schema, columns, data = read_csv(path)
+    data[:, 1:] *= 1e200
+    big = mc.write_csv(tmp_path / "big.csv", schema, columns, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["test", "split", "--data", str(big)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: split_wald: {_NOT_FINITE}"
+
+
 @pytest.mark.parametrize("line,flags", [("level = 0.1", []), ("", ["--level", "0.1"])])
 def test_mc_level_an_experiment_does_not_read_is_one_line(tmp_path, capsys, monkeypatch,
                                                          line, flags):

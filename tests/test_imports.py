@@ -190,7 +190,7 @@ def test_tsnet_exports_each_modules_all_once():
 ORACLES = {
     "autocovariance": "the lag-by-lag oracle of hac_lrv in tests/test_kernels.py",
     "garch_filter": "tests/test_ols.py compares garch_qmle's filter with it bit for bit",
-    "mp_cdf": "the README's Marchenko-Pastur distribution function",
+    "mp_cdf": "tests/test_randmat.py::test_esd_matches_mp_law measures the spectrum against it",
     "wild_conditional_variance": "read by criterion 09 of tests/test_acceptance.py",
 }
 

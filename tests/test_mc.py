@@ -433,11 +433,11 @@ def test_only_the_two_adapters_touch_rep_streams():
     adapters, found = _stream_users(Path(mc.__file__).read_text())
     assert found == []
     assert set(adapters) == set(EXPERIMENTS)
-    assert sorted(k for k, a in adapters.items() if a == "_per_rep") == [
-        "garch-recovery", "mp-edges", "nested-forecast", "unitroot-boot"]
+    # unitroot-boot also draws its bootstrap indices from its rep's generator
+    assert [k for k, a in adapters.items() if a == "_per_rep"] == ["unitroot-boot"]
     assert sorted(k for k, a in adapters.items() if a == "_panel") == [
-        "ar1-clt", "fixed-wald", "fmols-size", "hac-lrv", "ivx-null", "nethac-coverage",
-        "phillips-size", "supwald-nbb"]
+        "ar1-clt", "fixed-wald", "fmols-size", "garch-recovery", "hac-lrv", "ivx-null",
+        "mp-edges", "nested-forecast", "nethac-coverage", "phillips-size", "supwald-nbb"]
 
 
 @pytest.mark.parametrize("params,radius", [
@@ -727,8 +727,8 @@ def test_guard_flags_a_setup_hook_that_raises():
 def test_setup_hooks_leave_parameter_checks_to_resolve():
     # a parameter's domain is declared with it and checked by `resolve`, before any setup
     found = _setup_raises(Path(mc.__file__).read_text())
-    assert sorted(found) == ["_mp_setup", "_nethac_setup", "_phillips_setup",
-                             "_supwald_setup", "_urboot_setup"]
+    assert sorted(found) == ["_nethac_setup", "_phillips_setup", "_supwald_setup",
+                             "_urboot_setup"]
     assert not any(found.values()), found
 
 
