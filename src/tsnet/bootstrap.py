@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._checks import as_series, check_in, check_positive_int
 from ._filter import ar
 from ._panel import check_fit, chunks, ols_coef
-from .series import RngSpec, _resolve_rng
+from .series import _resolve_rng
 from .unitroot import _ar_fit, ols_ar
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "stationary_bootstrap",
     "sieve_bootstrap",
     "wild_bootstrap",
-    "wild_conditional_variance",
     "residual_unitroot_bootstrap",
     "bootstrap_pvalue",
 ]
@@ -246,16 +245,6 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
         stats.append(_stat_stack(stat, eta))
     return BootstrapResult(stats=np.concatenate(stats), observed=observed,
                            B=B, scheme="wild")
-
-
-def wild_conditional_variance(residuals) -> float:
-    """Conditional variance of n^{-1/2} sum_t y*_t given the data.
-
-    For any mean-0 variance-1 multiplier this equals n^{-1} sum e_t^2
-    exactly.  Criterion 09 of tests/test_acceptance.py reads it.
-    """
-    e = as_series(residuals, "residuals")
-    return float(np.mean(e**2))
 
 
 def residual_unitroot_bootstrap(ts, B: int, rng,

@@ -279,6 +279,7 @@ class LmResult:
     nobs: int
 
 
+@FINITE_RESULT
 def lm_nyblom(y, x) -> LmResult:
     """Score-based stability statistics for a scalar predictive slope.
 
@@ -290,7 +291,8 @@ def lm_nyblom(y, x) -> LmResult:
         LM1 = (m^2 s2)^{-1} sum_j (sum_{t<=j} e_t)^2
         LM2 = (m s2 sum_t x_{t-1}^2)^{-1} sum_j (sum_{t<=j} x_{t-1} e_t)^2
 
-    with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2 (an exact fit raises).
+    with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2.  An exact fit,
+    or a result that is not finite, raises.
     """
     y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
     if x_arr.shape[2] != 1:
@@ -309,6 +311,7 @@ def lm_nyblom(y, x) -> LmResult:
     lm = float(np.sum((P @ XtX_inv) * P) / (m * sigma2))
     lm1 = float(np.sum(P[:, 0] ** 2) / (m**2 * sigma2))
     lm2 = float(np.sum(P[:, 1] ** 2) / (m * sigma2 * np.sum(xlag**2)))
+    check_finite_result("lm_nyblom", lm, lm1, lm2)
     return LmResult(lm=lm, lm1=lm1, lm2=lm2, sigma2=sigma2, nobs=m)
 
 

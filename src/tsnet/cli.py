@@ -413,8 +413,7 @@ def _test_lm(args):
           _flag("--h", type=float, default=0.1))
 def _test_me(args):
     res = me_monitor(*_load_yx(args), n_hist=args.n_hist, h=args.h)
-    _print_fields(res, "stat", "window", path_max_at=int(res.k_grid[int(np.argmax(res.path))])
-                  if len(res.path) else -1)
+    _print_fields(res, "stat", "window", path_max_at=int(res.k_grid[int(np.argmax(res.path))]))
 
 
 # ---------------------------------------------------------------------------

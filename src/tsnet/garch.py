@@ -1,4 +1,4 @@
-"""GARCH(1,1) filtering, simulation, and Gaussian QMLE.
+"""GARCH(1,1) simulation and Gaussian QMLE.
 
 The conditional variance recursion is
 
@@ -44,8 +44,7 @@ from ._filter import ar
 from ._panel import ols
 from .series import _simulate
 
-__all__ = ["GarchSpec", "GarchFit", "GarchConvergenceWarning", "garch_filter",
-           "garch_qmle", "simulate_garch"]
+__all__ = ["GarchSpec", "GarchFit", "GarchConvergenceWarning", "garch_qmle", "simulate_garch"]
 
 # the shortest series `garch_qmle` fits, and its means
 _MIN_QMLE_N = 50
@@ -90,28 +89,6 @@ class GarchSpec:
     @property
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - self.alpha - self.beta)
-
-
-def garch_filter(eps, spec: GarchSpec, sigma2_0: float | None = None,
-                 eps2_0: float | None = None) -> np.ndarray:
-    """Run the variance recursion over innovations eps_1..eps_n.
-
-    Presample values default to the sample second moment of eps (both
-    sigma2_0 and eps2_0), so the first output is
-    omega + (alpha + beta) * sigma2_0.  Returns sigma2_1..sigma2_n.
-    Kept as the oracle of `garch_qmle`'s filter, which tests/test_ols.py
-    compares with it bit for bit.
-    """
-    e = as_series(eps, "eps")
-    if sigma2_0 is None:
-        sigma2_0 = float(np.mean(e**2))
-    if eps2_0 is None:
-        eps2_0 = sigma2_0
-    if sigma2_0 <= 0 or eps2_0 < 0:
-        raise ValueError("presample values must be positive")
-    e2 = e**2
-    drive = spec.omega + spec.alpha * np.concatenate([[eps2_0], e2[:-1]])
-    return ar(drive, [spec.beta], spec.beta * sigma2_0)
 
 
 def simulate_garch(spec: GarchSpec, n: int, rng, burn: int = 500):

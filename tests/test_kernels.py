@@ -14,6 +14,8 @@ import pytest
 import tsnet as T
 from tsnet.lrv import KERNEL_FAMILIES, kernel_weight
 
+from oracles import autocovariance
+
 
 def ref_ivx_instrument(x, spec):
     x_arr = np.asarray(x, dtype=float)
@@ -98,13 +100,13 @@ def ref_hac_lrv(ms, spec, demean=True):
         max_lag = min(n - 1, int(np.ceil(40.0 * b)))
     else:
         max_lag = min(n - 1, int(np.floor(b + 1e-12)))
-    gamma0 = T.autocovariance(x, 0, demean=False)
+    gamma0 = autocovariance(x, 0, demean=False)
     lam = np.zeros((d, d))
     for j in range(1, max_lag + 1):
         w = kernel_weight(spec.family, j / b)
         if w == 0.0:
             continue
-        lam += w * T.autocovariance(x, j, demean=False)
+        lam += w * autocovariance(x, j, demean=False)
     return gamma0 + (lam + lam.T), lam, gamma0
 
 

@@ -23,7 +23,8 @@ import tsnet as T
 from tsnet._filter import ar
 from tsnet._panel import ols, ols_coef
 from tsnet.unitroot import _ar_fit
-from tsnet.garch import garch_filter
+
+from oracles import garch_filter
 
 
 # ---------------------------------------------------------------------------

