@@ -4,24 +4,30 @@ Block and stationary bootstraps resample the observed path directly;
 the sieve bootstrap rebuilds it from an autoregressive fit; the wild
 bootstrap reweights residuals in place; the residual-based unit root
 bootstrap recolors a random walk from resampled first-difference
-residuals.  Every scheme takes a statistic callback and returns the
-replicate statistics plus the observed value, so p-values follow one
-shared convention: (1 + #{replicates at least as extreme}) / (B + 1).
-The observed value is taken first, and a nan raises before any
-replicate is drawn.
+residuals.  Every scheme takes a statistic callback (the unit root
+bootstrap's statistic is its own) and returns the replicate statistics
+plus the observed value, so p-values follow one shared convention:
+(1 + #{replicates at least as extreme}) / (B + 1).  The observed value
+is taken first, and a nan raises before any replicate is drawn.
 
-No scheme forms a (B, n) array.  The block, wild and residual unit
-root bootstraps build their replicates in the `_panel.chunks` of B, and
-a chunk's statistics are taken before the next chunk overwrites it.
-`_block_resample` fills them for both block schemes: each drawn block is
-a whole window of the series' `sliding_window_view` (the circular layout
-appends length - 1 wrapped values first), so no index matrix is formed
-either.  The unit root bootstrap's chunk is a panel of replicate walks:
-the resampled residuals are gathered after a zero column x*_0, cumulated
-in place and fitted by the normal equations alone (`_panel.ols_coef`),
-since only rho* is kept; the panel kernels give each replicate the same
-bits whatever chunk it lands in.  The sieve and stationary bootstraps
-build one length-n replicate at a time.
+No scheme forms a (B, n) array.  One loop, `_bootstrap`, makes the
+replicates of every scheme in the `_panel.chunks` of B: the scheme fills
+a chunk from the generator, and the loop reduces the chunk before the
+next fill overwrites it, by the callback row by row or, for the unit
+root bootstrap, by one panel fit.  The fills:
+- block (`_block_fill`): each drawn block is a whole window of the
+  series' `sliding_window_view` (the circular layout appends length - 1
+  wrapped values first), so no index matrix is formed either;
+- stationary: row by row, the one sequential draw, since each
+  replicate's restart flags and starts interleave in the generator;
+- sieve: one draw of the chunk's residual indices, burn-in included, and
+  one pass of the fitted recursion (`_filter.ar`) over them in place;
+- wild: the chunk's multipliers, times the residuals in place;
+- unit root: a zero column x*_0, the residuals block-resampled after it
+  and cumulated in place into replicate walks, fitted by the normal
+  equations alone (`_panel.ols_coef`), since only rho* is kept.
+The generator's stream and the panel kernels give each replicate the
+same bits whatever chunk it lands in.
 """
 
 from __future__ import annotations
@@ -84,11 +90,29 @@ class BootstrapResult:
     scheme: str
 
 
-def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
-                    gen: np.random.Generator, lead: int = 0):
-    """Yield (lo, reps): the B block-bootstrap replicates of a length-n
-    series x, in the `_panel.chunks` of B rows of lead + n, reps[i, lead:]
-    holding replicate lo + i and the first `lead` columns left to the caller.
+def _bootstrap(scheme: str, B: int, rng, width: int, fill: Callable, stat: Callable,
+               observed, panel: bool = False) -> BootstrapResult:
+    """The replicate loop of every scheme: B replicates, made in the
+    `chunks` of B rows of `width` floats.
+
+    fill(rows, gen) writes a chunk from the generator and returns the
+    replicates in it (all of rows, or a view of them).  They are reduced
+    before the next fill overwrites them: by stat(rep) for each replicate,
+    stacked into one array per chunk, so a statistic that returns its
+    input keeps a copy, or, with `panel`, by stat(reps) on them all.
+    """
+    B = check_positive_int(B, "B")
+    gen = _resolve_rng(rng)
+    stats = []
+    for _, rows in chunks(B, (width,)):
+        reps = fill(rows, gen)
+        stats.append(stat(reps) if panel else np.asarray([stat(rep) for rep in reps]))
+    return BootstrapResult(stats=np.concatenate(stats), observed=observed, B=B, scheme=scheme)
+
+
+def _block_fill(x: np.ndarray, spec: BlockSpec) -> Callable:
+    """The fill of rows (a chunk of length-n rows) with block-bootstrap
+    replicates of the length-n series x.
 
     Each replicate concatenates ceil(n/length) blocks, whole windows of
     x gathered from its `sliding_window_view`, and is truncated to n.
@@ -104,14 +128,13 @@ def _block_resample(x: np.ndarray, spec: BlockSpec, B: int,
     if spec.overlap and spec.circular:
         x = np.concatenate([x, x[:l - 1]])
     windows = sliding_window_view(x, l)[::1 if spec.overlap else l]
-    for lo, reps in chunks(B, (lead + n,)):
-        starts = gen.integers(0, len(windows), size=(len(reps), k))
-        reps[:, lead:] = windows[starts].reshape(len(reps), k * l)[:, :n]
-        yield lo, reps
 
+    def fill(rows, gen):
+        starts = gen.integers(0, len(windows), size=(len(rows), k))
+        rows[:] = windows[starts].reshape(len(rows), k * l)[:, :n]
+        return rows
 
-def _stat_stack(stat: Callable, rows: np.ndarray) -> np.ndarray:
-    return np.asarray([stat(row) for row in rows])
+    return fill
 
 
 def _observed(stat: Callable, x: np.ndarray):
@@ -139,13 +162,9 @@ def block_bootstrap(ts, stat: Callable, B: int, rng,
         blocks.
     """
     x = as_series(ts, "ts")
-    B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
-    gen = _resolve_rng(rng)
     observed = _observed(stat, x)
-    stats = [_stat_stack(stat, reps) for _, reps in _block_resample(x, spec, B, gen)]
-    return BootstrapResult(stats=np.concatenate(stats), observed=observed,
-                           B=B, scheme="block")
+    return _bootstrap("block", B, rng, x.shape[0], _block_fill(x, spec), stat, observed)
 
 
 def stationary_bootstrap(ts, stat: Callable, B: int, rng,
@@ -157,25 +176,25 @@ def stationary_bootstrap(ts, stat: Callable, B: int, rng,
     uniform position with probability 1/mean_block.
     """
     x = as_series(ts, "ts")
-    B = check_positive_int(B, "B")
     if not mean_block >= 1:
         raise ValueError("mean_block must be >= 1")
-    gen = _resolve_rng(rng)
     n = x.shape[0]
     p = 1.0 / mean_block
     pos = np.arange(n)
     observed = _observed(stat, x)
-    stats = []
-    for _ in range(B):
-        flags = gen.random(n) < p
-        flags[0] = True
-        starts = gen.integers(0, n, size=int(flags.sum()))
-        seg = np.cumsum(flags) - 1
-        last = np.maximum.accumulate(np.where(flags, pos, -1))
-        idx = (starts[seg] + (pos - last)) % n
-        stats.append(stat(x[idx]))
-    return BootstrapResult(stats=np.asarray(stats), observed=observed,
-                           B=B, scheme="stationary")
+
+    def fill(rows, gen):
+        # a replicate's restart flags, then its starts: the draws interleave
+        for row in rows:
+            flags = gen.random(n) < p
+            flags[0] = True
+            starts = gen.integers(0, n, size=int(flags.sum()))
+            seg = np.cumsum(flags) - 1
+            last = np.maximum.accumulate(np.where(flags, pos, -1))
+            np.take(x, (starts[seg] + (pos - last)) % n, out=row)
+        return rows
+
+    return _bootstrap("stationary", B, rng, n, fill, stat, observed)
 
 
 def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int) -> BootstrapResult:
@@ -188,39 +207,37 @@ def sieve_bootstrap(ts, stat: Callable, B: int, rng, p: int) -> BootstrapResult:
     fit raises.
     """
     x = as_series(ts, "ts", min_len=p + 2)
-    B = check_positive_int(B, "B")
     p = check_positive_int(p, "p", minimum=0)
     if p >= x.shape[0] / 2:
         raise ValueError(f"sieve order p={p} too large for n={x.shape[0]}")
-    gen = _resolve_rng(rng)
     observed = _observed(stat, x)
-    n = x.shape[0]
     m = x.mean()
     xc = x - m
     if p == 0:
         # iid residual bootstrap around the mean
-        a = np.empty(0)
-        resid = xc.copy()
+        a, resid = np.empty(0), xc
     else:
         fit = ols_ar(xc, p)
         a, resid = fit.ar_coeffs, fit.residuals
         companion = np.zeros((p, p))
         companion[0] = a
-        if p > 1:
-            companion[1:, :-1] = np.eye(p - 1)
+        companion[1:, :-1] = np.eye(p - 1)
         radius = np.max(np.abs(np.linalg.eigvals(companion)))
         if radius >= 1.0:
             raise ValueError(f"fitted sieve is nonstationary "
                              f"(companion radius {radius:.4f})")
     resid = resid - resid.mean()
     burn = 100 + p
-    stats = []
-    for _ in range(B):
-        u = resid[gen.integers(0, resid.shape[0], size=n + burn)]
-        path = ar(u, a)
-        stats.append(stat(m + path[burn:]))
-    return BootstrapResult(stats=np.asarray(stats), observed=observed,
-                           B=B, scheme="sieve")
+
+    def fill(paths, gen):
+        # the burn-in, then the replicate: resampled residuals, filtered in place
+        np.take(resid, gen.integers(0, resid.shape[0], size=paths.shape), out=paths)
+        ar(paths, a, out=paths)
+        reps = paths[:, burn:]
+        reps += m
+        return reps
+
+    return _bootstrap("sieve", B, rng, x.shape[0] + burn, fill, stat, observed)
 
 
 def wild_bootstrap(residuals, stat: Callable, B: int, rng,
@@ -230,21 +247,19 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     multiplier is "normal" or "rademacher".
     """
     e = as_series(residuals, "residuals")
-    B = check_positive_int(B, "B")
-    gen = _resolve_rng(rng)
     check_in(multiplier, _MULTIPLIERS, "multiplier")
     observed = _observed(stat, e)
-    stats = []
-    for _, eta in chunks(B, e.shape):
+
+    def fill(eta, gen):
         if multiplier == "normal":
             gen.standard_normal(out=eta)
         else:
             np.multiply(gen.integers(0, 2, size=eta.shape), 2.0, out=eta)
             eta -= 1.0
         eta *= e
-        stats.append(_stat_stack(stat, eta))
-    return BootstrapResult(stats=np.concatenate(stats), observed=observed,
-                           B=B, scheme="wild")
+        return eta
+
+    return _bootstrap("wild", B, rng, e.shape[0], fill, stat, observed)
 
 
 def residual_unitroot_bootstrap(ts, B: int, rng,
@@ -258,25 +273,26 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     of the Dickey-Fuller limit tables.
     """
     x = as_series(ts, "ts", min_len=8)
-    B = check_positive_int(B, "B")
     spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
-    gen = _resolve_rng(rng)
     fit, _ = _ar_fit(x[None], "none")
     m = x.shape[0] - 1
-    rho_hat = float(fit.coef[0, 0])
     resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
     check_fit(resid @ resid, x[None, 1:], "Dickey-Fuller")
-    rho_star = np.empty(B)
-    for lo, walks in _block_resample(resid, spec, B, gen, lead=1):
+    gather = _block_fill(resid, spec)
+
+    def fill(walks, gen):
         # after x*_0 = 0 the resampled residuals are cumulated in place
         walks[:, 0] = 0.0
+        gather(walks[:, 1:], gen)
         np.cumsum(walks[:, 1:], axis=1, out=walks[:, 1:])
-        rho_star[lo:lo + len(walks)] = _ar_fit(walks, "none", fit=ols_coef)[0].coef[:, 0]
-    stats = m * (rho_star - 1.0)
-    observed = m * (rho_hat - 1.0)
-    return BootstrapResult(stats=stats, observed=observed, B=B,
-                           scheme="residual-unitroot")
+        return walks
+
+    def bias(walks):
+        return m * (_ar_fit(walks, "none", fit=ols_coef)[0].coef[:, 0] - 1.0)
+
+    return _bootstrap("residual-unitroot", B, rng, x.shape[0], fill, bias,
+                      m * (float(fit.coef[0, 0]) - 1.0), panel=True)
 
 
 def bootstrap_pvalue(observed: float, draws, tail: str = "two") -> float:

@@ -326,6 +326,7 @@ class MeResult:
     beta_hist: np.ndarray
 
 
+@FINITE_RESULT
 def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     """Monitor y_t = x_t'b + u_t for drift after a historical sample.
 
@@ -341,7 +342,7 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     and the path runs over k = n_hist .. n - win.  An exact historical
     fit (`_panel.exact_fit`) has no noise scale to standardize by, so
     the path is zero by convention rather than a ratio of rounding
-    errors.
+    errors.  A fit or path that is not finite raises.
     """
     y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
     y_arr, x_arr = y_arr[0], x_arr[0]
@@ -360,6 +361,8 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     Q = fit.gram[0] / n_hist
     beta_hist = fit.coef[0]
     sigma2 = float(fit.ssr[0] / (n_hist - d))
+    # before the exact-fit rule, which an overflowed SSR and y'y would pass
+    check_finite_result("me_monitor", fit.gram, fit.ssr)
     if exact_fit(fit.ssr, yh)[0]:
         k_grid = np.arange(n_hist, n - win + 1)
         return MeResult(stat=0.0, path=np.zeros(k_grid.size), k_grid=k_grid,
@@ -382,6 +385,7 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     dev = (Q_half @ (beta_win - beta_hist[:, None]))[:, :, 0]
     scale = win / (sigma * np.sqrt(n_hist))
     path = scale * np.sqrt(rowdot(dev, dev))
+    check_finite_result("me_monitor", path)
     best = int(np.argmax(path))
     return MeResult(stat=float(path[best]), path=path, k_grid=k_grid,
                     window=win, beta_hist=beta_hist)

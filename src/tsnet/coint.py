@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, as_yx
+from ._checks import FINITE_RESULT, as_series, as_yx, check_finite_result
 from ._panel import as_reps, check_fit, first_rep, ols, rowdot
 from .breaks import _break_grid, _break_scan
 from .lrv import KernelSpec, hac_lrv
@@ -54,6 +54,7 @@ class FmolsResult:
     nobs: int
 
 
+@FINITE_RESULT
 def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     """Fully modified least squares for a cointegrating regression.
 
@@ -68,7 +69,8 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
 
     m the number of usable observations.  Standard errors use the
     conditional long-run variance: cov = Omega_{eps.eta} (Z'Z)^{-1}.
-    An exact OLS-stage fit raises.
+    An exact OLS-stage fit raises, as does a fit, beta+ or
+    Omega_{eps.eta} that is not finite.
 
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     every field but nobs gains a leading rep axis (omega_cond becomes an
@@ -86,6 +88,8 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
 
     Z = np.concatenate([np.ones((R, m, 1)), xs], axis=2)
     fit = ols(Z, ys)
+    # before hac_lrv, which a finite SSR hands finite residuals
+    check_finite_result("fmols", fit.coef, fit.ssr)
     check_fit(fit.ssr, ys, "cointegrating")
 
     u = np.concatenate([fit.resid[:, :, None], eta], axis=2)
@@ -107,7 +111,11 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
         fit.gram, (Z.transpose(0, 2, 1) @ y_plus[:, :, None]) - m * correction[:, :, None])
 
     omega_cond = omega_ee - (endo @ omega[:, 1:, :1])[:, 0, 0]
-    se = np.sqrt(omega_cond[:, None] * np.diagonal(fit.gram_inv, axis1=1, axis2=2))
+    check_finite_result("fmols", beta_plus, omega_cond)
+    # a truncated or quadratic-spectral Omega can leave Omega_{eps.eta} < 0:
+    # its se is nan, with numpy's warning
+    with np.errstate(invalid="warn"):
+        se = np.sqrt(omega_cond[:, None] * np.diagonal(fit.gram_inv, axis1=1, axis2=2))
     resid_plus = y_plus - (Z @ beta_plus)[:, :, 0]
     beta_plus = beta_plus[:, :, 0]
     res = FmolsResult(beta_plus=beta_plus, beta_ols=fit.coef, se=se,
@@ -127,6 +135,7 @@ class ShinResult:
     nobs: int
 
 
+@FINITE_RESULT
 def shin_vn(y, x=None, kernel: KernelSpec | None = None,
             short_run: bool = False) -> ShinResult:
     """Cumulated-residual statistic V_n = n^{-2} sum_t S_t^2 / sigma2.
@@ -135,8 +144,8 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
     the full sample; with x=None, y itself is treated as a residual
     series (used for direct checks).  sigma2 is the kernel long-run
     variance of the residuals by default, or the short-run average
-    squared residual when short_run=True.  An exact fit on x, or an
-    all-zero residual series, raises.
+    squared residual when short_run=True.  An exact fit on x, an
+    all-zero residual series, or a fit or V_n that is not finite raises.
     """
     if x is None:
         y_arr = resid = as_series(y, "y", min_len=4)[None]
@@ -144,7 +153,10 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
         y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None],
                              np.asarray(x, dtype=float)[None], min_len=4)
         resid = ols(np.concatenate([np.ones(y_arr.shape + (1,)), x_arr], axis=2), y_arr).resid
-    check_fit(rowdot(resid, resid), y_arr, "cointegrating")
+    ssr = rowdot(resid, resid)
+    # before hac_lrv, which a finite SSR hands finite residuals
+    check_finite_result("shin_vn", ssr)
+    check_fit(ssr, y_arr, "cointegrating")
     resid = resid[0]
     n = resid.shape[0]
     if short_run:
@@ -153,6 +165,7 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
         sigma2 = hac_lrv(resid, kernel=kernel, demean=False).scalar
     s = np.cumsum(resid)
     v_n = float(np.sum(s**2) / (n**2 * sigma2))
+    check_finite_result("shin_vn", v_n)
     return ShinResult(v_n=v_n, sigma2=sigma2, nobs=n)
 
 
@@ -172,6 +185,7 @@ class FkResult:
     dof: int
 
 
+@FINITE_RESULT
 def fk_break_test(y, x, kernel: KernelSpec | None = None,
                   trim: tuple[float, float] = (0.15, 0.85)) -> FkResult:
     """Structural stability of the cointegrating slopes.
@@ -188,7 +202,8 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     whole path from one pass of cumulative moments (the kernel of
     `sup_wald`).  Every k keeps p = d + 1 <= k <= m - p, so that both
     regimes identify the fit.  At a fixed interior k, F_k is
-    asymptotically chi2_d.
+    asymptotically chi2_d.  A path that is not finite raises; so does
+    the FM fit (`fmols`).
     """
     y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
     fm = fmols(y[0], x[0], kernel)
@@ -199,6 +214,7 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     dof = x.shape[2]
     shift = np.append(fm.delta_plus, 0.0)[None]
     path = _break_scan(Z[None], fm.residuals_plus[None], k_grid, dof, shift)[0] / fm.omega_cond
+    check_finite_result("fk_break_test", path)
     best = int(np.argmax(path))
     return FkResult(stat=float(path[best]), k_star=int(k_grid[best]),
                     path=path, k_grid=k_grid, dof=dof)

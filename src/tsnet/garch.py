@@ -29,6 +29,13 @@ or after 1000 iterations.  Where alpha or the persistence alpha + beta
 is zero, or the persistence is at its cap, beta is not identified and
 the quasi-likelihood is flat or multimodal, so a run that ends there
 is repeated from further starts and the lowest objective is kept.
+
+The box bounds log omega too, so innovations far from unit scale are
+fitted times an exact power of two: 2^-k brings max |eps_t| into [1/2, 1)
+when it lies outside [2^-16, 2^16), and k = 0 inside.  The fit's alpha
+and beta are those of the data; omega and sigma2_t scale back by 2^2k,
+and the objective shifts by 2kn log 2.  Fitted variances outside the
+normal floats raise.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_series, check_in, check_positive_int
+from ._checks import FINITE_RESULT, as_series, check_finite_result, check_in, check_positive_int
 from ._filter import ar
 from ._panel import ols
 from .series import _simulate
@@ -285,6 +292,7 @@ def _score_run(q: _QuasiLikelihood, theta: np.ndarray) -> _Run:
     return _Run(theta, f, sigma2, path, _MAX_ITER, False)
 
 
+@FINITE_RESULT
 def garch_qmle(y, mean: str = "constant") -> GarchFit:
     """Gaussian QMLE of a GARCH(1,1) with a constant or AR(1) mean.
 
@@ -293,7 +301,8 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
     estimation).  The variance recursion is initialized at the sample
     variance of the filtered innovations, which must not be zero.  A
     fit that stops at the iteration cap warns with
-    `GarchConvergenceWarning` and reports converged=False.
+    `GarchConvergenceWarning` and reports converged=False.  Innovations
+    or fitted variances that are not finite raise.
     """
     obs = as_series(y, "y", min_len=_MIN_QMLE_N)
     check_in(mean, _MEANS, "mean")
@@ -307,10 +316,15 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
         fit = ols(X[None], yy[None])
         mu, ar_coeff = float(fit.coef[0, 0]), float(fit.coef[0, 1])
         eps = fit.resid[0]
+    check_finite_result("garch_qmle", eps)
 
-    q = _QuasiLikelihood(eps)
+    # 2^-k puts max |eps| in [1/2, 1); inside [2^-16, 2^16) eps is fitted as it is
+    k = int(np.frexp(np.abs(eps).max())[1])
+    if -15 <= k <= 16:
+        k = 0
+    q = _QuasiLikelihood(np.ldexp(eps, -k))
     # innovations at roundoff of y carry no variance to model
-    if not q.s2_init > (np.finfo(float).eps * np.abs(obs).max()) ** 2:
+    if not q.s2_init > (np.finfo(float).eps * np.ldexp(np.abs(obs).max(), -k)) ** 2:
         raise ValueError("the innovations have zero variance: y is constant "
                          "or its mean model fits it exactly")
     best, n_iter = None, 0
@@ -326,7 +340,14 @@ def garch_qmle(y, mean: str = "constant") -> GarchFit:
         warnings.warn(f"GARCH QMLE stopped after {_MAX_ITER} iterations before "
                       f"the objective settled", GarchConvergenceWarning, stacklevel=2)
     omega, alpha, beta = _unpack(best.theta)
+    omega, sigma2 = np.ldexp(omega, 2 * k), np.ldexp(best.sigma2, 2 * k)
+    # sigma2_t >= omega: a finite path has a finite omega
+    if not (omega >= np.finfo(float).tiny and np.all(np.isfinite(sigma2))):
+        scale = (best.theta[0] + 2 * k * math.log(2.0)) / math.log(10.0)
+        raise ValueError(f"garch_qmle: the fitted variances (omega = 10^{scale:.1f}) leave "
+                         f"the normal range of floats; rescale y")
+    shift = 2 * k * eps.shape[0] * math.log(2.0)
     spec = GarchSpec(omega=omega, alpha=alpha, beta=beta, mu=mu)
-    return GarchFit(spec=spec, objective=best.value, converged=best.converged,
-                    n_iter=n_iter, objective_path=tuple(best.path),
-                    sigma2=best.sigma2, nobs=eps.shape[0], ar_coeff=ar_coeff)
+    return GarchFit(spec=spec, objective=best.value + shift, converged=best.converged,
+                    n_iter=n_iter, objective_path=tuple(f + shift for f in best.path),
+                    sigma2=sigma2, nobs=eps.shape[0], ar_coeff=ar_coeff)

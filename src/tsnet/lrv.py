@@ -17,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from ._checks import as_panel, check_in
+from ._checks import FINITE_RESULT, as_panel, check_finite_result, check_in
 from ._panel import as_reps, first_rep
 
 __all__ = [
@@ -119,9 +119,11 @@ class LrvEstimate:
         return float(self.omega[0, 0])
 
 
+@FINITE_RESULT
 def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEstimate:
     """Kernel estimate of the long-run variance matrix.
 
+    An estimate that is not finite (the data's squares overflow) raises.
     A 3-d ms is an (R, n, d) panel of R reps: omega, lam and gamma0
     become (R, d, d), and the reps share n, hence the bandwidth.
 
@@ -163,5 +165,7 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
         lam += w * (xt[:, :, j:] @ x[:, : n - j] / n)
     # group the one-sided parts first so omega is exactly symmetric
     omega = gamma0 + (lam + lam.transpose(0, 2, 1))
+    # omega sums gamma0 and lam + lam', so it is finite only where they are
+    check_finite_result("hac_lrv", omega)
     res = LrvEstimate(omega=omega, lam=lam, gamma0=gamma0, family=spec.family, bandwidth=b)
     return first_rep(res) if one else res

@@ -1,18 +1,24 @@
 """Tests for block, stationary, sieve, wild, and unit-root bootstraps."""
 
+import ast
 import tracemalloc
 import warnings
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as st
 from scipy.signal import lfilter
 
 import tsnet as T
+from tsnet import _panel, bootstrap
+from tsnet._filter import ar
 from tsnet._panel import _PANEL_BYTES, ols_coef
-from tsnet.unitroot import _ar_fit
+from tsnet.unitroot import _ar_fit, ols_ar
 
 
 def _ar1(phi, n, spec, burn=200):
@@ -284,6 +290,41 @@ def _whole_wild(e, B, gen, multiplier):
     return e[None, :] * eta
 
 
+def _whole_stationary(x, B, gen, mean_block):
+    # one replicate at a time, each drawing its restart flags, then its starts
+    n = x.shape[0]
+    p = 1.0 / mean_block
+    pos = np.arange(n)
+    out = np.empty((B, n))
+    for b in range(B):
+        flags = gen.random(n) < p
+        flags[0] = True
+        starts = gen.integers(0, n, size=int(flags.sum()))
+        seg = np.cumsum(flags) - 1
+        last = np.maximum.accumulate(np.where(flags, pos, -1))
+        out[b] = x[(starts[seg] + (pos - last)) % n]
+    return out
+
+
+def _whole_sieve(x, B, gen, p):
+    # one replicate at a time, each a burn-in plus n draws of the residuals
+    n = x.shape[0]
+    m = x.mean()
+    xc = x - m
+    if p == 0:
+        a, resid = np.empty(0), xc
+    else:
+        fit = ols_ar(xc, p)
+        a, resid = fit.ar_coeffs, fit.residuals
+    resid = resid - resid.mean()
+    burn = 100 + p
+    out = np.empty((B, n))
+    for b in range(B):
+        u = resid[gen.integers(0, resid.shape[0], size=n + burn)]
+        out[b] = m + ar(u, a)[burn:]
+    return out
+
+
 def _chunk_sizes(width):
     # B below one chunk of replicates `width` floats wide, one chunk
     # exactly, and not a multiple of a chunk
@@ -326,6 +367,74 @@ def test_wild_bootstrap_chunks_match_the_whole_array(multiplier):
         reps = _whole_wild(e, B, T.RngSpec(7, B).generator(), multiplier)
         assert np.array_equal(res.stats, reps), B
         assert np.array_equal(res.observed, e)
+
+
+@pytest.mark.parametrize("mean_block", [1.0, 9.5])
+def test_stationary_bootstrap_chunks_match_the_whole_array(mean_block):
+    n = 1000
+    x = np.random.default_rng(34).standard_normal(n)
+    for B in _chunk_sizes(n):
+        res = T.stationary_bootstrap(x, lambda z: z, B, T.RngSpec(8, B), mean_block)
+        reps = _whole_stationary(x, B, T.RngSpec(8, B).generator(), mean_block)
+        assert np.array_equal(res.stats, reps), B
+        assert np.array_equal(res.observed, x)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_sieve_bootstrap_chunks_match_the_whole_array(p):
+    # a chunk row holds the burn-in too: one index draw and one filter pass
+    # per chunk give the replicates of one draw and one pass per replicate
+    n = 1000
+    x = np.random.default_rng(35).standard_normal(n) + 0.5
+    for B in _chunk_sizes(n + 100 + p):
+        res = T.sieve_bootstrap(x, lambda z: z, B, T.RngSpec(9, B), p)
+        reps = _whole_sieve(x, B, T.RngSpec(9, B).generator(), p)
+        assert np.array_equal(res.stats, reps), B
+        assert np.array_equal(res.observed, x)
+
+
+def test_bootstrap_iterates_chunks_in_one_place():
+    # every scheme fills and reduces its chunks in the one loop, `_bootstrap`
+    tree = ast.parse(Path(bootstrap.__file__).read_text())
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "chunks"]
+    loops = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+             and getattr(node.iter.func, "id", None) == "chunks"]
+    assert len(uses) == 1 and loops == ["_bootstrap"], (len(uses), loops)
+
+
+def _schemes(B):
+    """name -> the stats of each scheme on fixed data, B replicates."""
+    gen = np.random.default_rng(36)
+    x = gen.standard_normal(40)
+    walk = np.cumsum(gen.standard_normal(40))
+    def ident(z):
+        return z
+
+    return {
+        "block": T.block_bootstrap(x, ident, B, T.RngSpec(1), T.BlockSpec(6, circular=False)),
+        "stationary": T.stationary_bootstrap(x, ident, B, T.RngSpec(2), 4.0),
+        "sieve": T.sieve_bootstrap(x, ident, B, T.RngSpec(3), 1),
+        "wild": T.wild_bootstrap(x, ident, B, T.RngSpec(4), "rademacher"),
+        "unitroot": T.residual_unitroot_bootstrap(walk, B, T.RngSpec(5), 5),
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(budget=hs.integers(1, 60 * 8 * 141), B=hs.integers(1, 60))
+def test_chunk_budget_moves_no_replicate(budget, B):
+    # the budget bounds a workspace and never a result: from one row a chunk
+    # to all of B (a sieve row is 141 floats, burn-in included), every
+    # scheme's replicates keep their bytes
+    want = {name: res.stats.tobytes() for name, res in _schemes(B).items()}
+    try:
+        # the default budget is bound when `chunks` is defined
+        _panel.chunks.__defaults__ = (budget,)
+        got = {name: res.stats.tobytes() for name, res in _schemes(B).items()}
+    finally:
+        _panel.chunks.__defaults__ = (_PANEL_BYTES,)
+    assert got == want
 
 
 def test_unitroot_bootstrap_peak_grows_by_the_statistics_alone():

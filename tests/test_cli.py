@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through main()."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -547,24 +548,65 @@ def test_mc_non_finite_result_is_one_line(tmp_path, capsys, experiment, lines, m
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command,scale,fn", [
+def _rescaled_system(tmp_path, scale):
+    """The simulated system with y and x1 times `scale`."""
+    schema, columns, data = read_csv(_simulate_system(tmp_path))
+    data[:, 1:] *= scale
+    return mc.write_csv(tmp_path / "scaled.csv", schema, columns, data)
+
+
+@pytest.mark.parametrize("argv,scale,fn", [
     # y and x1 times 1e200 are finite, but their sums of squares overflow:
     # once `stat = nan` with exit 0
-    ("split", 1e200, "split_wald"),
+    (["test", "split"], 1e200, "split_wald"),
     # at 1e150 the fit is finite, but a cumulated score's square overflows:
     # once `lm2 = nan` with exit 0
-    ("lm", 1e150, "lm_nyblom"),
-], ids=["split", "lm"])
-def test_statistic_on_rescaled_data_is_one_line(tmp_path, capsys, command, scale, fn):
-    path = _simulate_system(tmp_path)
+    (["test", "lm"], 1e150, "lm_nyblom"),
+    # once `omega = nan` and `gamma0 = inf`, or `stat = nan`, with exit 0
+    *((["estimate", "hac", "--column", "y"], scale, "hac_lrv") for scale in (1e160, 1e200)),
+    *((["test", "me", "--n-hist", "100"], scale, "me_monitor") for scale in (1e160, 1e200)),
+    # once `ms contains non-finite values`, which named hac_lrv's argument;
+    # fk reports its fmols stage
+    *((["estimate", "fmols"], scale, "fmols") for scale in (1e160, 1e200)),
+    *((["test", "shin"], scale, "shin_vn") for scale in (1e160, 1e200)),
+    *((["test", "fk"], scale, "fmols") for scale in (1e160, 1e200)),
+], ids=["split", "lm", *(f"{name}-{scale}" for name in ("hac", "me", "fmols", "shin", "fk")
+                         for scale in ("1e160", "1e200"))])
+def test_statistic_on_rescaled_data_is_one_line(tmp_path, capsys, argv, scale, fn):
+    big = _rescaled_system(tmp_path, scale)
     capsys.readouterr()
-    schema, columns, data = read_csv(path)
-    data[:, 1:] *= scale
-    big = mc.write_csv(tmp_path / "big.csv", schema, columns, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["test", command, "--data", str(big)]) == 2
+        assert main([*argv, "--data", str(big)]) == 2
     assert _one_error_line(capsys) == f"tsnet: error: {fn}: {_NOT_FINITE}"
+
+
+def test_garch_fit_does_not_move_with_the_data_scale(tmp_path, capsys):
+    # at 1e10 log omega lies past the box |theta| <= 40 of the fit, which
+    # once returned its first start, alpha = 0.05 and beta = 0.85, as converged
+    fits = []
+    for scale in (1.0, 1e10):
+        path = _rescaled_system(tmp_path, scale)
+        capsys.readouterr()
+        run_cli("estimate", "garch", "--data", str(path), "--column", "y")
+        fits.append(kv_from(capsys))
+    for key in ("alpha", "beta"):
+        assert float(fits[1][key]) == pytest.approx(float(fits[0][key]), rel=1e-9, abs=0.0)
+    assert fits[1]["n_iter"] == fits[0]["n_iter"] != "1"
+    assert float(fits[1]["omega"]) == pytest.approx(1e20 * float(fits[0]["omega"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160])
+def test_garch_variances_outside_the_floats_are_one_line(tmp_path, capsys, scale):
+    # once `omega must be positive`, `the innovations have zero variance`, or a
+    # subnormal omega with exit 0
+    path = _rescaled_system(tmp_path, scale)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["estimate", "garch", "--data", str(path), "--column", "y"]) == 2
+    assert re.fullmatch(r"tsnet: error: garch_qmle: the fitted variances \(omega = 10\^-?\d+\.\d\) "
+                        r"leave the normal range of floats; rescale y", _one_error_line(capsys))
 
 
 @pytest.mark.parametrize("line,flags", [("level = 0.1", []), ("", ["--level", "0.1"])])

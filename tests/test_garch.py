@@ -134,6 +134,34 @@ def test_qmle_rejects_zero_variance_innovations():
             assert "zero variance" in str(exc.value)
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e-9, 1e-10, 1e150, 3.0 * 2.0**40])
+def test_qmle_does_not_move_with_the_scale_of_the_data(scale):
+    # log omega past the box |theta| <= 40 once returned the first start,
+    # alpha = 0.05 and beta = 0.85, as a converged fit after one iteration
+    y, _ = T.simulate_garch(T.GarchSpec(0.1, 0.1, 0.8), 2000, T.RngSpec(5))
+    base = T.garch_qmle(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = T.garch_qmle(y * scale)
+    assert fit.n_iter == base.n_iter > 1 and fit.converged
+    assert fit.spec.alpha == pytest.approx(base.spec.alpha, rel=1e-12)
+    assert fit.spec.beta == pytest.approx(base.spec.beta, rel=1e-12)
+    assert fit.spec.omega == pytest.approx(scale**2 * base.spec.omega, rel=1e-12)
+    np.testing.assert_allclose(fit.sigma2, scale**2 * base.sigma2, rtol=1e-12)
+    shift = 2 * fit.nobs * np.log(scale)
+    assert fit.objective == pytest.approx(base.objective + shift, rel=1e-12)
+    np.testing.assert_allclose(fit.objective_path, np.add(base.objective_path, shift), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-300])
+def test_qmle_variances_outside_the_normal_floats_raise(scale):
+    y, _ = T.simulate_garch(T.GarchSpec(0.1, 0.1, 0.8), 2000, T.RngSpec(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^garch_qmle: the fitted variances \(omega = 10\^"):
+            T.garch_qmle(y * scale)
+
+
 def test_qmle_warns_when_it_stops_at_the_cap(monkeypatch):
     y, _ = T.simulate_garch(T.GarchSpec(0.1, 0.1, 0.8), 2000, T.RngSpec(56, 0))
     monkeypatch.setattr(G, "_MAX_ITER", 1)
