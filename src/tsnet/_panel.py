@@ -38,11 +38,6 @@ variance raises on an exact fit, through `check_fit`, with two
 conventions: `adf_test` gives a noiseless autoregression the t-ratio
 +-inf (a constant series raises), and `me_monitor` gives a zero path.
 
-`as_reps` and `first_rep` hold the one rank rule of the statistics that
-take one rep or a panel of reps: a panel has one more axis than one rep,
-and that axis leads.  Such a statistic gives one rep a rep axis of length
-1 (`as_reps`), runs its panel body and takes the axis off (`first_rep`).
-
 `chunks` is the one rule for how many rows a batched computation holds
 at once, `_PANEL_BYTES` of them (at least one row): the random walks of
 the limit-law simulators (`_walk_batches`), the bootstraps' replicates
@@ -52,14 +47,15 @@ result.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_squares
+
 __all__ = ["OlsCoef", "OlsFit", "ols_coef", "ols", "collinear", "check_design", "exact_fit",
-           "check_fit", "rowdot", "as_reps", "first_rep", "chunks"]
+           "check_fit", "rowdot", "chunks"]
 
 _SINGULAR = "singular least-squares design: the regressors are collinear or constant"
 
@@ -122,10 +118,12 @@ def ols_coef(X: np.ndarray, y: np.ndarray) -> OlsCoef:
 
     coef comes from a solve.  A singular X'X raises
     `np.linalg.LinAlgError` (a ValueError) that names collinear or
-    constant regressors.
+    constant regressors, and one whose squares underflow a ValueError
+    (`_checks.check_squares`).
     """
     Xt = X.transpose(0, 2, 1)
     gram = Xt @ X
+    check_squares(gram)
     try:
         coef = np.linalg.solve(gram, Xt @ y[:, :, None])[:, :, 0]
         gram_inv = np.linalg.inv(gram)
@@ -173,31 +171,3 @@ def check_fit(ssr: np.ndarray, y: np.ndarray, fit: str) -> None:
     """Raise if the `fit` fit is exact (`exact_fit`) in any rep."""
     if np.any(exact_fit(ssr, y)):
         raise ValueError(f"residuals of the {fit} fit are numerically zero")
-
-
-def as_reps(first, *more, rank: int = 1):
-    """`first`, *more as float arrays with a leading rep axis, then whether
-    `first` is one rep, of at most `rank` axes, in which case each array
-    gains a rep axis of length 1.  The inverse of `first_rep`.
-    """
-    arrays = [np.asarray(a, dtype=float) for a in (first, *more)]
-    one = arrays[0].ndim <= rank
-    return (*(a[None] if one else a for a in arrays), one)
-
-
-def first_rep(res, shared=()):
-    """The single rep of a panel result computed with R = 1.
-
-    Every ndarray field carries the rep axis and loses it (a per-rep
-    scalar becomes a Python number).  Fields named in `shared` hold one
-    value for all reps and are kept whole, as are non-array fields.
-    """
-    out = {}
-    for f in dataclasses.fields(res):
-        v = getattr(res, f.name)
-        if f.name in shared:
-            pass
-        elif isinstance(v, np.ndarray):
-            v = v[0].item() if v.ndim == 1 else v[0]
-        out[f.name] = v
-    return dataclasses.replace(res, **out)

@@ -121,6 +121,8 @@ def _block_fill(x: np.ndarray, spec: BlockSpec) -> Callable:
     non-overlapping blocks the windows are every length-th one.  A
     chunk's block starts are drawn as it is gathered.
     """
+    if not isinstance(spec, BlockSpec):
+        raise TypeError(f"block must be a BlockSpec, got {spec!r}")
     n, l = x.shape[0], spec.length
     if l > n:
         raise ValueError("block length exceeds series length")
@@ -149,22 +151,18 @@ def _observed(stat: Callable, x: np.ndarray):
     return value
 
 
-def block_bootstrap(ts, stat: Callable, B: int, rng,
-                    block: BlockSpec | int) -> BootstrapResult:
+def block_bootstrap(ts, stat: Callable, B: int, rng, block: BlockSpec) -> BootstrapResult:
     """Moving-block bootstrap of a statistic.
 
     Parameters
     ----------
     stat : callable
         Maps a length-n ndarray to a float (or fixed-shape array).
-    block : BlockSpec or int
-        An int means BlockSpec(length=int) with overlapping circular
-        blocks.
+    block : BlockSpec
     """
     x = as_series(ts, "ts")
-    spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
     observed = _observed(stat, x)
-    return _bootstrap("block", B, rng, x.shape[0], _block_fill(x, spec), stat, observed)
+    return _bootstrap("block", B, rng, x.shape[0], _block_fill(x, block), stat, observed)
 
 
 def stationary_bootstrap(ts, stat: Callable, B: int, rng,
@@ -262,8 +260,7 @@ def wild_bootstrap(residuals, stat: Callable, B: int, rng,
     return _bootstrap("wild", B, rng, e.shape[0], fill, stat, observed)
 
 
-def residual_unitroot_bootstrap(ts, B: int, rng,
-                                block: BlockSpec | int) -> BootstrapResult:
+def residual_unitroot_bootstrap(ts, B: int, rng, block: BlockSpec) -> BootstrapResult:
     """Unit root bootstrap from recolored difference residuals.
 
     Fits x_t = rho x_{t-1} + u_t without deterministics, recenters the
@@ -273,13 +270,12 @@ def residual_unitroot_bootstrap(ts, B: int, rng,
     of the Dickey-Fuller limit tables.
     """
     x = as_series(ts, "ts", min_len=8)
-    spec = block if isinstance(block, BlockSpec) else BlockSpec(int(block))
     fit, _ = _ar_fit(x[None], "none")
     m = x.shape[0] - 1
     resid = fit.resid[0] - fit.resid[0].mean()
     # an exact AR(1) path leaves nothing to resample
     check_fit(resid @ resid, x[None, 1:], "Dickey-Fuller")
-    gather = _block_fill(resid, spec)
+    gather = _block_fill(resid, block)
 
     def fill(walks, gen):
         # after x*_0 = 0 the resampled residuals are cumulated in place

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (FINITE_RESULT, as_matrix, as_series, as_yx, check_finite_result,
-                      check_positive_int)
-from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_fit, collinear, exact_fit,
-                     first_rep, ols, rowdot)
+                      check_positive_int, first_rep)
+from ._panel import _MIN_REPS, _walk_batches, check_fit, collinear, exact_fit, ols, rowdot
 from .series import _resolve_rng
 
 __all__ = [
@@ -40,12 +39,6 @@ __all__ = [
     "NestedForecastResult",
     "nested_forecast_test",
 ]
-
-
-def _predictive_pairs(y, x):
-    """Panels of (y_t, x_{t-1}) pairs from (R, n) y and (R, n[, d]) x panels."""
-    y, x = as_yx(y, x)
-    return y[:, 1:], x[:, :-1]
 
 
 def _check_trim(trim) -> tuple[float, float]:
@@ -71,29 +64,25 @@ class WaldBreakResult:
 
 
 @FINITE_RESULT
-def split_wald(y, x, k: int | None = None, pi0: float | None = None) -> WaldBreakResult:
+def split_wald(y, x, pi0: float) -> WaldBreakResult:
     """Wald test of slope equality across a single known break point.
 
-    The split is at pair index k (y_t is paired with x_{t-1}; regime 1
-    holds the first k pairs), or at k = floor(pi0 * m).  Under the null
-    with an interior break fraction the statistic is asymptotically
-    chi-square with d degrees of freedom.  A result that is not finite
-    raises.
+    The split is at pair index k = floor(pi0 * m) of the m pairs (y_t is
+    paired with x_{t-1}; regime 1 holds the first k pairs), so pi0 =
+    (k + 0.5) / m splits at k.  Under the null with an interior break
+    fraction the statistic is asymptotically chi-square with d degrees
+    of freedom.  A result that is not finite raises.
 
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     stat, beta1 and beta2 gain a leading rep axis; the split (k, pi) and
     nobs are shared.
     """
-    y, x, one = as_reps(y, x)
-    ys, xl = _predictive_pairs(y, x)
+    y, x, one = as_yx(y, x)
+    ys, xl = y[:, 1:], x[:, :-1]
     m, d = xl.shape[1:]
-    if (k is None) == (pi0 is None):
-        raise ValueError("give exactly one of k and pi0")
-    if pi0 is not None:
-        if not 0 < pi0 < 1:
-            raise ValueError("pi0 must lie in (0, 1)")
-        k = int(np.floor(pi0 * m))
-    k = int(k)
+    if not 0 < pi0 < 1:
+        raise ValueError("pi0 must lie in (0, 1)")
+    k = int(np.floor(pi0 * m))
     if not d + 1 <= k <= m - d - 1:
         raise ValueError(f"break index {k} leaves a regime too small to fit")
     y_c = ys - ys.mean(axis=1, keepdims=True)
@@ -198,8 +187,8 @@ def sup_wald(y, x, trim: tuple[float, float] = (0.15, 0.85)) -> SupWaldResult:
     stat, k_star, pi_star and path gain a leading rep axis; k_grid and
     nobs are shared.
     """
-    y, x, one = as_reps(y, x)
-    ys, xl = _predictive_pairs(y, x)
+    y, x, one = as_yx(y, x)
+    ys, xl = y[:, 1:], x[:, :-1]
     R, m, d = xl.shape
     k_grid = _break_grid(trim, m, d + 1)
     Z = np.concatenate([xl, np.ones((R, m, 1))], axis=2)
@@ -294,7 +283,7 @@ def lm_nyblom(y, x) -> LmResult:
     with P_j = sum_{t<=j} X_t e_t and s2 = m^{-1} sum e_t^2.  An exact fit,
     or a result that is not finite, raises.
     """
-    y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    y_arr, x_arr, _ = as_yx(as_series(y, "y")[None], np.asarray(x, dtype=float)[None])
     if x_arr.shape[2] != 1:
         raise ValueError("lm_nyblom is defined for a single regressor")
     ys, xlag, dx = y_arr[:, 1:], x_arr[0, :-1, 0], np.diff(x_arr[0, :, 0])
@@ -344,7 +333,7 @@ def me_monitor(y, x, n_hist: int, h: float = 0.1) -> MeResult:
     the path is zero by convention rather than a ratio of rounding
     errors.  A fit or path that is not finite raises.
     """
-    y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    y_arr, x_arr, _ = as_yx(as_series(y, "y")[None], np.asarray(x, dtype=float)[None])
     y_arr, x_arr = y_arr[0], x_arr[0]
     n, d = x_arr.shape
     n_hist = check_positive_int(n_hist, "n_hist", minimum=d + 2)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import FINITE_RESULT, as_series, as_yx, check_finite_result
-from ._panel import as_reps, check_fit, first_rep, ols, rowdot
+from ._checks import FINITE_RESULT, as_series, as_yx, check_finite_result, first_rep
+from ._panel import check_fit, ols, rowdot
 from .breaks import _break_grid, _break_scan
 from .lrv import KernelSpec, hac_lrv
 
@@ -76,8 +76,7 @@ def fmols(y, x, kernel: KernelSpec | None = None) -> FmolsResult:
     every field but nobs gains a leading rep axis (omega_cond becomes an
     (R,) array).
     """
-    y, x, one = as_reps(y, x)
-    y, x = as_yx(y, x)
+    y, x, one = as_yx(y, x)
     R, n, d = x.shape
 
     dx = np.diff(x, axis=1)
@@ -150,8 +149,8 @@ def shin_vn(y, x=None, kernel: KernelSpec | None = None,
     if x is None:
         y_arr = resid = as_series(y, "y", min_len=4)[None]
     else:
-        y_arr, x_arr = as_yx(np.asarray(y, dtype=float)[None],
-                             np.asarray(x, dtype=float)[None], min_len=4)
+        y_arr, x_arr, _ = as_yx(as_series(y, "y")[None], np.asarray(x, dtype=float)[None],
+                                min_len=4)
         resid = ols(np.concatenate([np.ones(y_arr.shape + (1,)), x_arr], axis=2), y_arr).resid
     ssr = rowdot(resid, resid)
     # before hac_lrv, which a finite SSR hands finite residuals
@@ -205,7 +204,7 @@ def fk_break_test(y, x, kernel: KernelSpec | None = None,
     asymptotically chi2_d.  A path that is not finite raises; so does
     the FM fit (`fmols`).
     """
-    y, x = as_yx(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None])
+    y, x, _ = as_yx(as_series(y, "y")[None], np.asarray(x, dtype=float)[None])
     fm = fmols(y[0], x[0], kernel)
     m = fm.nobs
     # the tested slopes first, then the intercept

@@ -17,8 +17,8 @@ from math import ceil
 
 import numpy as np
 
-from ._checks import FINITE_RESULT, as_panel, check_finite_result, check_in
-from ._panel import as_reps, first_rep
+from ._checks import (FINITE_RESULT, as_panel, check_finite_result, check_in, check_squares,
+                      first_rep)
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -123,7 +123,8 @@ class LrvEstimate:
 def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEstimate:
     """Kernel estimate of the long-run variance matrix.
 
-    An estimate that is not finite (the data's squares overflow) raises.
+    An estimate that is not finite (the data's squares overflow) raises,
+    as does a gamma0 whose squares underflow (`_checks.check_squares`).
     A 3-d ms is an (R, n, d) panel of R reps: omega, lam and gamma0
     become (R, d, d), and the reps share n, hence the bandwidth.
 
@@ -141,8 +142,7 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
     LrvEstimate
         omega (two-sided), lam (one-sided, lags >= 1), gamma0.
     """
-    x, one = as_reps(ms, rank=2)
-    x = as_panel(x, "ms", min_len=2, matrix=True)
+    x, one = as_panel(ms, "ms", min_len=2, matrix=True)
     n = x.shape[1]
     spec = kernel if kernel is not None else KernelSpec()
     b = spec.resolve_bandwidth(n)
@@ -157,6 +157,7 @@ def hac_lrv(ms, kernel: KernelSpec | None = None, demean: bool = True) -> LrvEst
     xt = x.transpose(0, 2, 1)
     g = xt @ x / n
     gamma0 = (g + g.transpose(0, 2, 1)) / 2.0
+    check_squares(gamma0)
     lam = np.zeros_like(gamma0)
     for j in range(1, max_lag + 1):
         w = kernel_weight(spec.family, j / b)

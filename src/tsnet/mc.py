@@ -20,7 +20,7 @@ serves the other eleven, whose hooks get an (R, ...) array of standard
 normals, row i from one rep's stream.  They pass the whole sub-panel to
 the library's simulators, which take a panel of draws in place of an rng
 (`series._simulate`), and the simulated panel to its statistics, which
-take one rep or a panel of reps (`_panel.as_reps`), or else loop over
+take one rep or a panel of reps (`_checks.as_panel`), or else loop over
 the reps; both work on the leading rep axis with bit-identical per-rep
 results.  `_panel` draws a batch in `_panel.chunks` of `_BLOCK_BYTES`
 and hands the hook sub-panels of `_panel._PANEL_BYTES`.
@@ -61,7 +61,8 @@ each in its default's type (so `deterministic = none` is the string
 setup runs.  Setup hooks only build shared context, raising nothing.
 `grid.<name>` lines declare sweep axes for `size_power_grid`, which
 runs the cartesian product and moves each cell onto its own stream
-range, mod 2**64.
+range, mod 2**64.  An axis may not repeat a parameter the config sets,
+and `run_experiment` refuses a config with axes.
 
 CSV output starts with a `#schema=` line and a `#config=` line, then a
 header row.  The `#config=` line of a run holds the effective values of
@@ -148,8 +149,8 @@ class ExperimentConfig:
     `params` holds what the experiment itself interprets, and reps, seed,
     stream, jobs and level control the harness: text tokens from
     `parse_config`, each in its declared type after `resolve`.  `grid`
-    maps parameter names to value tuples for sweeps and is ignored by
-    `run_experiment`.
+    maps parameter names to value tuples for the sweeps of
+    `size_power_grid`; `run_experiment` refuses it.
     """
 
     experiment: str
@@ -594,9 +595,13 @@ def run_experiment(cfg: ExperimentConfig, out=None) -> McResult:
     out, when given, is the per-replication CSV path (or a directory,
     in which case <experiment>.csv inside it); the summary goes next to
     it with a -summary suffix.  The config is resolved first, so a bad
-    parameter fails before any work or output.
+    parameter fails before any work or output, and a config with
+    `grid.<name>` axes, which one run would not sweep, raises.
     """
     cfg = resolve(cfg)
+    if cfg.grid:
+        raise ValueError(f"experiment {cfg.experiment!r}: a run sweeps no grid axis, got "
+                         f"grid.{min(cfg.grid)}; use `mc grid` (size_power_grid)")
     (ctx, draws), = _run([cfg], cfg.jobs)
     return _result(cfg, ctx, draws, out)
 
@@ -606,16 +611,21 @@ def size_power_grid(cfg: ExperimentConfig, out=None):
 
     Cell i starts at stream `stream + i * (reps + 64)` (mod 2**64), past
     cell i - 1's reps and a reserve of 64 auxiliary streams, so cells are
-    independent and reproducible in isolation.  Every cell is resolved,
-    and an axis taking a value that is not a number raises ValueError,
-    before the first cell is set up; the reps of all cells share one
-    process pool.  Returns (columns, rows, results, files) and optionally
-    writes one summary CSV, whose `#config=` line holds the resolved
-    harness keys and the parameters as given.
+    independent and reproducible in isolation.  An axis that repeats a
+    parameter raises ValueError, as does an axis taking a value that is
+    not a number once every cell is resolved, before the first cell is
+    set up; the reps of all cells share one process pool.  Returns
+    (columns, rows, results, files) and optionally writes one summary
+    CSV, whose `#config=` line holds the resolved harness keys and the
+    parameters as given.
     """
     if not cfg.grid:
         raise ValueError("size_power_grid needs at least one grid.<name> axis")
     axes = sorted(cfg.grid)
+    for a in axes:
+        if a in cfg.params:
+            raise ValueError(f"experiment {cfg.experiment!r}: grid.{a} repeats the parameter "
+                             f"{a}; set one of them")
     combos = list(itertools.product(*(cfg.grid[a] for a in axes)))
     cells = [resolve(replace(cfg, grid={}, params={**cfg.params, **dict(zip(axes, combo))}))
              for combo in combos]

@@ -32,7 +32,6 @@ import numpy as np
 from scipy import sparse
 
 from ._checks import FINITE_RESULT, as_panel, check_finite_result, check_positive_int
-from ._panel import as_reps
 from .lrv import _COMPACT_FAMILIES, KernelSpec, kernel_weight
 from .series import _simulate
 
@@ -416,8 +415,7 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     estimate is bit-identical to that rep's alone.
     """
     spec = kernel if kernel is not None else KernelSpec()
-    y, one = as_reps(y, rank=2)
-    y = as_panel(y, "y", min_len=2, matrix=True)
+    y, one = as_panel(y, "y", min_len=2, matrix=True)
     R, n, v = y.shape
     reach = network_hac_radius(spec, n)
     sh = _shells_of(graph, reach)
@@ -437,13 +435,12 @@ def network_hac(graph: Graph | Shells, y, kernel: KernelSpec | None = None) -> n
     return out[0] if one else out
 
 
-def network_hac_radius(kernel: KernelSpec | None, n: int) -> int:
+def network_hac_radius(kernel: KernelSpec, n: int) -> int:
     """Largest graph distance `network_hac` reads with this kernel on n nodes,
     its reach, unless the graph's last shell comes first."""
-    spec = kernel if kernel is not None else KernelSpec()
-    if spec.family not in _COMPACT_FAMILIES:
+    if kernel.family not in _COMPACT_FAMILIES:
         raise ValueError("network HAC requires a kernel vanishing beyond 1")
-    return spec.reach(n)
+    return kernel.reach(n)
 
 
 def write_edgelist(g: Graph, path) -> None:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from ._checks import FINITE_RESULT, as_panel, as_yx, check_finite_result
+from ._checks import FINITE_RESULT, as_panel, as_yx, check_finite_result, first_rep
 from ._filter import ar
-from ._panel import as_reps, check_fit, first_rep, rowdot
+from ._panel import check_fit, rowdot
 
 __all__ = ["IvxSpec", "IvxResult", "ivx_instrument", "ivx_estimate"]
 
@@ -59,8 +59,7 @@ def ivx_instrument(x, spec: IvxSpec = IvxSpec()) -> np.ndarray:
     A 3-d x is an (R, n, d) panel of R reps, and the output is the
     (R, n - 1, d) panel of their instruments.
     """
-    x, one = as_reps(x, rank=2)
-    x = as_panel(x, "x", min_len=2, matrix=True)
+    x, one = as_panel(x, "x", min_len=2, matrix=True)
     z = ar(np.diff(x, axis=1), [spec.rho(x.shape[1])])
     return z[0] if one else z
 
@@ -96,8 +95,7 @@ def ivx_estimate(y, x, spec: IvxSpec = IvxSpec()) -> IvxResult:
     A 2-d y is a panel: the (R, n) y and (R, n[, d]) x hold R reps, and
     every field but rho_nz and nobs gains a leading rep axis.
     """
-    y, x, one = as_reps(y, x)
-    y, x = as_yx(y, x)
+    y, x, one = as_yx(y, x)
     R, n, d = x.shape
 
     ys = y[:, 1:]

@@ -12,7 +12,7 @@ required argument and draws its own Gaussian innovations.
 as rng: one rep's draws, or a panel of them with one more, leading, rep
 axis, which gives the panel of paths, each rep bit-identical to its own
 call (`_simulate`).  The Monte Carlo harness passes them its panels of
-draws, as it passes the statistics panels of reps (`_panel.as_reps`).
+draws, as it passes the statistics panels of reps (`_checks.as_panel`).
 
 Series are returned as plain 1-d float ndarrays; multivariate series as
 (n, d) arrays with time in rows.
@@ -26,7 +26,6 @@ import numpy as np
 
 from ._checks import check_finite_path, check_in, check_positive_int
 from ._filter import ar, ma
-from ._panel import as_reps
 
 __all__ = [
     "RngSpec",
@@ -109,7 +108,9 @@ def _simulate(path, rng, shape: tuple[int, ...], where: str):
     leaves the finite floats.  One rep's result loses the rep axis.
     """
     if isinstance(rng, np.ndarray):
-        z, one = as_reps(rng, rank=len(shape))
+        z = np.asarray(rng, dtype=float)
+        one = z.ndim <= len(shape)
+        z = z[None] if one else z
         if z.shape[1:] != shape:
             dims = ", ".join(map(str, shape))
             raise ValueError(f"rng must be normals of shape {shape} or (R, {dims}), "

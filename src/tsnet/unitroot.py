@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (FINITE_RESULT, as_panel, as_series, check_finite_result, check_in,
-                      check_positive_int)
-from ._panel import (_MIN_REPS, _walk_batches, as_reps, check_design, check_fit, exact_fit,
-                     first_rep, ols)
+                      check_positive_int, first_rep)
+from ._panel import _MIN_REPS, _walk_batches, check_design, check_fit, exact_fit, ols
 from .lrv import KernelSpec, hac_lrv
 from .series import _resolve_rng
 
@@ -185,8 +184,7 @@ def phillips_z(ts, kernel: KernelSpec | None = None,
     bandwidth becomes an (R,) array.  Any rep with numerically zero
     residuals raises; each rep with a nonpositive LRV warns once.
     """
-    x, one = as_reps(ts)
-    x = as_panel(x, "ts", min_len=10)
+    x, one = as_panel(ts, "ts", min_len=10)
     check_in(deterministic, _PHILLIPS_DETERMINISTICS, "deterministic")
     ylag = x[:, :-1]
     T = ylag.shape[1]

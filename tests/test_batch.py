@@ -561,14 +561,14 @@ def test_panel_checks_apply_to_every_rep():
     Y, X = _system_panel(4, 60, 1, seed=80)
     # x holds y's reps, neither one for all of them nor one series
     for x in (X[:1], X[0, :, 0]):
-        for fn in (T.split_wald, T.sup_wald, T.fmols, T.ivx_estimate):
+        for fn in (lambda y, x: T.split_wald(y, x, 0.5), T.sup_wald, T.fmols, T.ivx_estimate):
             with pytest.raises(ValueError, match="y holds 4 reps, so x must too"):
                 fn(Y, x)
     Y[2, 7] = np.nan
     with pytest.raises(ValueError, match="y contains non-finite values"):
         T.split_wald(Y, X, pi0=0.5)
     with pytest.raises(ValueError, match="regime too small"):
-        T.split_wald(X[:, :, 0], X, k=1)
+        T.split_wald(X[:, :, 0], X, pi0=1.5 / 59)
     with pytest.raises(ValueError, match="trim"):
         T.sup_wald(X[:, :, 0], X, trim=(0.5, 0.4))
     with pytest.raises(ValueError, match="needs at least 8"):
@@ -649,16 +649,24 @@ def _one_rep_cases():
     """name -> (call, inputs) of statistics that take one rep only."""
     gen = np.random.default_rng(97)
     y, x = gen.standard_normal(80), gen.standard_normal(80)
-    return {"adf_test": (T.adf_test, (np.cumsum(y),)), "lm_nyblom": (T.lm_nyblom, (y, x))}
+    # y cointegrated with the walk of x
+    walk = np.cumsum(x)
+    return {"adf_test": (T.adf_test, (np.cumsum(y),)), "lm_nyblom": (T.lm_nyblom, (y, x)),
+            "me_monitor": (lambda y, x: T.me_monitor(y, x, n_hist=40), (y, x)),
+            "shin_vn": (T.shin_vn, (walk + y, walk)),
+            "fk_break_test": (T.fk_break_test, (walk + y, walk))}
 
 
 @pytest.mark.parametrize("name", ["ivx_estimate", "split_wald", "sup_wald", "network_hac",
-                                  "phillips_z", "adf_test", "lm_nyblom"])
+                                  "phillips_z", "adf_test", "lm_nyblom", "hac_lrv", "fmols",
+                                  "me_monitor", "shin_vn", "fk_break_test"])
 def test_finite_data_never_give_a_non_finite_result(name):
     call, inputs = {**_rank_cases(), **_one_rep_cases()}[name][:2]
+    # fk_break_test reports its FM-OLS stage
+    stage = {"fk_break_test": "fmols"}.get(name, name)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=f"^{name}: the result is not finite"):
+        with pytest.raises(ValueError, match=f"^{stage}: the result is not finite"):
             call(*(1e160 * a for a in inputs))
 
 

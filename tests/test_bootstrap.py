@@ -42,7 +42,9 @@ def test_block_full_length_nonoverlap_is_identity():
 def test_block_validation():
     x = np.random.default_rng((70, 101)).standard_normal(30)
     with pytest.raises(ValueError):
-        T.block_bootstrap(x, np.mean, 0, T.RngSpec(1), 5)
+        T.block_bootstrap(x, np.mean, 0, T.RngSpec(1), T.BlockSpec(5))
+    with pytest.raises(TypeError, match="block must be a BlockSpec, got 5"):
+        T.block_bootstrap(x, np.mean, 10, T.RngSpec(1), 5)
     for spec in (T.BlockSpec(31, overlap=False),
                  T.BlockSpec(31, overlap=True, circular=False),
                  T.BlockSpec(31, overlap=True, circular=True)):
@@ -61,17 +63,17 @@ def test_block_variance_tracks_lrv():
     for i in range(10):
         x = _ar1(0.5, n, T.RngSpec(70, i))
         res = T.block_bootstrap(x, lambda z: float(np.sqrt(n) * z.mean()),
-                                400, T.RngSpec(71, i), l)
+                                400, T.RngSpec(71, i), T.BlockSpec(l))
         vs.append(res.stats.var())
     assert np.mean(vs) == pytest.approx(4.0, rel=0.15)
 
 
 def test_block_determinism():
     x = np.random.default_rng((70, 102)).standard_normal(100)
-    a = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 3), 7)
-    b = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 3), 7)
+    a = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 3), T.BlockSpec(7))
+    b = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 3), T.BlockSpec(7))
     np.testing.assert_array_equal(a.stats, b.stats)
-    c = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 4), 7)
+    c = T.block_bootstrap(x, np.mean, 30, T.RngSpec(9, 4), T.BlockSpec(7))
     assert not np.array_equal(a.stats, c.stats)
 
 
@@ -93,7 +95,7 @@ def test_stationary_variance_ordering():
     sn = lambda z: float(np.sqrt(n) * z.mean())
     v_iid = T.stationary_bootstrap(x, sn, 400, T.RngSpec(72, 1), mean_block=1.0).stats.var()
     v_sta = T.stationary_bootstrap(x, sn, 400, T.RngSpec(72, 2), mean_block=float(l)).stats.var()
-    v_blk = T.block_bootstrap(x, sn, 400, T.RngSpec(72, 3), l).stats.var()
+    v_blk = T.block_bootstrap(x, sn, 400, T.RngSpec(72, 3), T.BlockSpec(l)).stats.var()
     g0 = np.mean((x - x.mean()) ** 2)
     assert v_iid == pytest.approx(g0, rel=0.25)
     assert v_iid < v_sta
@@ -164,18 +166,18 @@ def test_wild_rademacher_identities():
 def test_unitroot_bootstrap_degenerate_input():
     x = np.full(50, 3.0)
     with pytest.raises(ValueError, match="residuals of the Dickey-Fuller fit are numerically zero"):
-        T.residual_unitroot_bootstrap(x, 10, T.RngSpec(7), block=5)
+        T.residual_unitroot_bootstrap(x, 10, T.RngSpec(7), block=T.BlockSpec(5))
     # exact AR(1) path without noise degenerates the same way
     x2 = 3.0 * 0.9 ** np.arange(60)
     with pytest.raises(ValueError, match="residuals of the Dickey-Fuller fit are numerically zero"):
-        T.residual_unitroot_bootstrap(x2, 10, T.RngSpec(7), block=5)
+        T.residual_unitroot_bootstrap(x2, 10, T.RngSpec(7), block=T.BlockSpec(5))
 
 
 def test_unitroot_bootstrap_rejects_stationary_alternative():
     rej = 0
     for i in range(50):
         x = _ar1(0.8, 500, T.RngSpec(75, i), burn=100)
-        res = T.residual_unitroot_bootstrap(x, 199, T.RngSpec(76, i), block=10)
+        res = T.residual_unitroot_bootstrap(x, 199, T.RngSpec(76, i), block=T.BlockSpec(10))
         p = T.bootstrap_pvalue(res.observed, res.stats, tail="left")
         rej += p <= 0.05
     assert rej >= 40
@@ -184,7 +186,7 @@ def test_unitroot_bootstrap_rejects_stationary_alternative():
 def test_unitroot_bootstrap_statistic_convention():
     gen = T.RngSpec(75, 100).generator()
     x = np.cumsum(gen.standard_normal(300))
-    res = T.residual_unitroot_bootstrap(x, 50, T.RngSpec(75, 101), block=8)
+    res = T.residual_unitroot_bootstrap(x, 50, T.RngSpec(75, 101), block=T.BlockSpec(8))
     y, ylag = x[1:], x[:-1]
     rho = float(ylag @ y / (ylag @ ylag))
     assert res.observed == pytest.approx((len(x) - 1) * (rho - 1.0), rel=1e-12)
@@ -243,7 +245,7 @@ def test_unitroot_bootstrap_gathers_into_the_walk_buffer():
     for block in (10, 1):
         tracemalloc.start()
         try:
-            T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(3), block=block)
+            T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(3), block=T.BlockSpec(block))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +419,7 @@ def _schemes(B):
         "stationary": T.stationary_bootstrap(x, ident, B, T.RngSpec(2), 4.0),
         "sieve": T.sieve_bootstrap(x, ident, B, T.RngSpec(3), 1),
         "wild": T.wild_bootstrap(x, ident, B, T.RngSpec(4), "rademacher"),
-        "unitroot": T.residual_unitroot_bootstrap(walk, B, T.RngSpec(5), 5),
+        "unitroot": T.residual_unitroot_bootstrap(walk, B, T.RngSpec(5), T.BlockSpec(5)),
     }
 
 
@@ -447,7 +449,7 @@ def test_unitroot_bootstrap_peak_grows_by_the_statistics_alone():
         for B in (200, 2000):
             tracemalloc.start()
             try:
-                T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(4), block=block)
+                T.residual_unitroot_bootstrap(y, B=B, rng=T.RngSpec(4), block=T.BlockSpec(block))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -455,7 +457,7 @@ def test_unitroot_bootstrap_peak_grows_by_the_statistics_alone():
 
 
 @pytest.mark.parametrize("run", [
-    lambda x, stat: T.block_bootstrap(x, stat, B=9, rng=T.RngSpec(1), block=2),
+    lambda x, stat: T.block_bootstrap(x, stat, B=9, rng=T.RngSpec(1), block=T.BlockSpec(2)),
     lambda x, stat: T.stationary_bootstrap(x, stat, B=9, rng=T.RngSpec(1), mean_block=2.0),
     lambda x, stat: T.sieve_bootstrap(x, stat, B=9, rng=T.RngSpec(1), p=0),
     lambda x, stat: T.wild_bootstrap(x, stat, B=9, rng=T.RngSpec(1)),

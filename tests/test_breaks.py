@@ -10,13 +10,18 @@ import tsnet as T
 
 
 def _pairs_to_inputs(ys, xl):
-    # build (y, x) so that _predictive_pairs recovers exactly (ys, xl)
+    # build (y, x) whose (y_t, x_{t-1}) pairs are exactly (ys, xl)
     y = np.r_[0.0, ys]
     xl = np.atleast_2d(np.asarray(xl, dtype=float))
     if xl.shape[0] == 1:
         xl = xl.T
     x = np.vstack([xl, np.zeros((1, xl.shape[1]))])
     return y, x
+
+
+def _at(k, m):
+    """The pi0 at which `split_wald` splits m pairs at pair index k."""
+    return (k + 0.5) / m
 
 
 def test_split_wald_identical_halves_is_zero():
@@ -28,7 +33,8 @@ def test_split_wald_identical_halves_is_zero():
     ys = np.r_[base_y, base_y]
     xl = np.r_[base_x, base_x]
     y, x = _pairs_to_inputs(ys, xl)
-    res = T.split_wald(y, x, k=20)
+    res = T.split_wald(y, x, _at(20, 40))
+    assert res.k == 20
     assert res.stat < 1e-12
     np.testing.assert_allclose(res.beta1, res.beta2, atol=1e-8)
     assert res.pi == pytest.approx(0.5)
@@ -43,7 +49,8 @@ def test_split_wald_recovers_regime_slopes():
     k0 = 400
     y[1:k0 + 1] = 1.0 * x[:k0] + 0.2 * gen.standard_normal(k0)
     y[k0 + 1:] = -1.0 * x[k0:-1] + 0.2 * gen.standard_normal(n - 1 - k0)
-    res = T.split_wald(y, x, k=k0)
+    res = T.split_wald(y, x, _at(k0, n - 1))
+    assert res.k == k0
     assert res.beta1[0] == pytest.approx(1.0, abs=0.05)
     assert res.beta2[0] == pytest.approx(-1.0, abs=0.05)
     assert res.stat > 100.0
@@ -68,16 +75,12 @@ def test_split_wald_argument_validation():
     gen = np.random.default_rng((60, 2))
     y = gen.standard_normal(50)
     x = gen.standard_normal(50)
-    with pytest.raises(ValueError, match="exactly one"):
-        T.split_wald(y, x)
-    with pytest.raises(ValueError, match="exactly one"):
-        T.split_wald(y, x, k=20, pi0=0.5)
     with pytest.raises(ValueError, match="pi0"):
         T.split_wald(y, x, pi0=1.5)
     with pytest.raises(ValueError, match="regime too small"):
-        T.split_wald(y, x, k=1)
+        T.split_wald(y, x, _at(1, 49))
     with pytest.raises(ValueError, match="equal length"):
-        T.split_wald(y, x[:-1])
+        T.split_wald(y, x[:-1], pi0=0.5)
 
 
 def test_sup_wald_path_matches_split_wald():
@@ -89,14 +92,14 @@ def test_sup_wald_path_matches_split_wald():
         x = np.cumsum(gen.standard_normal((n, d)), axis=0) * 0.3
         y = np.r_[0.0, x[:-1] @ np.full(d, 0.4) + gen.standard_normal(n - 1)]
         res = T.sup_wald(y, x)
-        direct = np.array([T.split_wald(y, x, k=int(k)).stat for k in res.k_grid])
+        direct = np.array([T.split_wald(y, x, _at(k, n - 1)).stat for k in res.k_grid])
         np.testing.assert_allclose(res.path, direct, rtol=1e-8, atol=1e-10)
         assert res.stat == res.path.max()
         assert res.k_star == res.k_grid[np.argmax(res.path)]
         # the widest trim reaches the smallest regimes that identify d slopes
         wide = T.sup_wald(y, x, trim=(0.001, 0.999))
         assert (wide.k_grid[0], wide.k_grid[-1]) == (d + 1, n - 1 - d - 1)
-        direct = [T.split_wald(y, x, k=int(k)).stat for k in wide.k_grid[[0, -1]]]
+        direct = [T.split_wald(y, x, _at(k, n - 1)).stat for k in wide.k_grid[[0, -1]]]
         np.testing.assert_allclose(wide.path[[0, -1]], direct, rtol=1e-8)
 
 
@@ -142,9 +145,9 @@ def test_split_wald_exact_fit_raises():
     x = np.cumsum(gen.standard_normal((200, 2)), axis=0)
     for xs, y in ((x[:, 0], np.r_[0.0, 1.0 + 0.5 * x[:-1, 0]]),
                   (x, np.r_[0.0, 1.0 + x[:-1] @ np.array([0.5, -0.3])])):
-        for kw in ({"pi0": 0.5}, {"k": 60}):
+        for pi0 in (0.5, _at(60, 199)):
             with pytest.raises(ValueError, match="split fit are numerically zero"):
-                T.split_wald(y, xs, **kw)
+                T.split_wald(y, xs, pi0)
 
 
 def test_nbb_sup_quantiles():

@@ -555,30 +555,45 @@ def _rescaled_system(tmp_path, scale):
     return mc.write_csv(tmp_path / "scaled.csv", schema, columns, data)
 
 
-@pytest.mark.parametrize("argv,scale,fn", [
+_UNDERFLOW = ("a sum of squares of the data underflows below the normal floats (2.23e-308); "
+              "rescale the data")
+
+
+@pytest.mark.parametrize("argv,scale,error", [
     # y and x1 times 1e200 are finite, but their sums of squares overflow:
     # once `stat = nan` with exit 0
-    (["test", "split"], 1e200, "split_wald"),
+    (["test", "split"], 1e200, f"split_wald: {_NOT_FINITE}"),
     # at 1e150 the fit is finite, but a cumulated score's square overflows:
     # once `lm2 = nan` with exit 0
-    (["test", "lm"], 1e150, "lm_nyblom"),
+    (["test", "lm"], 1e150, f"lm_nyblom: {_NOT_FINITE}"),
     # once `omega = nan` and `gamma0 = inf`, or `stat = nan`, with exit 0
-    *((["estimate", "hac", "--column", "y"], scale, "hac_lrv") for scale in (1e160, 1e200)),
-    *((["test", "me", "--n-hist", "100"], scale, "me_monitor") for scale in (1e160, 1e200)),
+    *((["estimate", "hac", "--column", "y"], scale, f"hac_lrv: {_NOT_FINITE}")
+      for scale in (1e160, 1e200)),
+    *((["test", "me", "--n-hist", "100"], scale, f"me_monitor: {_NOT_FINITE}")
+      for scale in (1e160, 1e200)),
     # once `ms contains non-finite values`, which named hac_lrv's argument;
     # fk reports its fmols stage
-    *((["estimate", "fmols"], scale, "fmols") for scale in (1e160, 1e200)),
-    *((["test", "shin"], scale, "shin_vn") for scale in (1e160, 1e200)),
-    *((["test", "fk"], scale, "fmols") for scale in (1e160, 1e200)),
+    *((["estimate", "fmols"], scale, f"fmols: {_NOT_FINITE}") for scale in (1e160, 1e200)),
+    *((["test", "shin"], scale, f"shin_vn: {_NOT_FINITE}") for scale in (1e160, 1e200)),
+    *((["test", "fk"], scale, f"fmols: {_NOT_FINITE}") for scale in (1e160, 1e200)),
+    # times 1e-156 or 1e-160 their squares underflow: once `stat_t = -0.0`
+    # against -8 at scale 1 (adf), `stat = 0.0` (split), or numbers that
+    # drift from their scale-1 values or are subnormal, with exit 0
+    *((argv, scale, _UNDERFLOW) for argv in (
+        ["test", "adf", "--column", "y"], ["test", "split"], ["estimate", "hac", "--column", "y"],
+        ["test", "shin"], ["test", "me", "--n-hist", "100"], ["test", "supwald"],
+        ["test", "phillips", "--column", "y"]) for scale in (1e-156, 1e-160)),
 ], ids=["split", "lm", *(f"{name}-{scale}" for name in ("hac", "me", "fmols", "shin", "fk")
-                         for scale in ("1e160", "1e200"))])
-def test_statistic_on_rescaled_data_is_one_line(tmp_path, capsys, argv, scale, fn):
-    big = _rescaled_system(tmp_path, scale)
+                         for scale in ("1e160", "1e200")),
+        *(f"{name}-{scale}" for name in ("adf", "split", "hac", "shin", "me", "supwald",
+                                         "phillips") for scale in ("1e-156", "1e-160"))])
+def test_statistic_on_rescaled_data_is_one_line(tmp_path, capsys, argv, scale, error):
+    rescaled = _rescaled_system(tmp_path, scale)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main([*argv, "--data", str(big)]) == 2
-    assert _one_error_line(capsys) == f"tsnet: error: {fn}: {_NOT_FINITE}"
+        assert main([*argv, "--data", str(rescaled)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: {error}"
 
 
 def test_garch_fit_does_not_move_with_the_data_scale(tmp_path, capsys):
@@ -653,6 +668,28 @@ def test_mc_bad_count_flag_is_one_line(tmp_path, capsys, kind, flag, value):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"tsnet: error: experiment 'fixed-wald': {flag[2:]} must be at least 1, got {value}"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind,lines,message", [
+    # once ran c = -5, the default, and exited 0
+    ("run", "grid.c = -10, -20", "a run sweeps no grid axis, got grid.c; use `mc grid` "
+                                 "(size_power_grid)"),
+    # once ran -5 and -20 with a `#config=` line that recorded c = -10
+    ("grid", "c = -10\ngrid.c = -5, -20", "grid.c repeats the parameter c; set one of them"),
+], ids=["run", "grid"])
+def test_mc_config_axes_the_command_would_misread_are_one_line(tmp_path, capsys, monkeypatch,
+                                                               kind, lines, message):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the table was simulated")
+
+    monkeypatch.setattr(mc, "nbb_sup_mc", no_setup)
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(f"experiment = supwald-nbb\nreps = 2\nn = 150\nnbb_reps = 200\n{lines}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mc", kind, str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"tsnet: error: experiment 'supwald-nbb': {message}"
     assert list(out.iterdir()) == []
 
 

@@ -271,7 +271,6 @@ def test_reach_guard_flags_what_only_tests_or_unreached_code_call():
 # defaulted parameters of public functions that no library call sets, each
 # kept for what it serves outside the library
 ORACLE_OPTIONS = {
-    "split_wald": (("k",), "the per-break oracle of sup_wald's scan in tests/test_breaks.py"),
     "shin_vn": (("x",), "`tsnet test shin` sets it through _load_yx(..., x_optional=True)"),
 }
 

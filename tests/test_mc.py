@@ -764,12 +764,12 @@ def test_resolve_fills_defaults_in_declared_types():
 
 def test_grid_file_shows_the_config_as_given(tmp_path):
     # numeric tokens are read as numbers, not cast to the declared type
-    cfg = parse_config("experiment = hac-lrv\nreps = 2\nn = 200\nbandwidth = none\n"
+    cfg = parse_config("experiment = hac-lrv\nreps = 2\nbandwidth = none\n"
                        "family = parzen\ngrid.phi = 0.30, 1e-1\ngrid.n = 150, 200\n")
     columns, rows, results, files = size_power_grid(cfg, out=tmp_path)
     lines = files[0].read_text().splitlines()
     assert lines[1] == ("#config=experiment=hac-lrv;reps=2;seed=0;stream=0;level=0.05;"
-                        "bandwidth=None;family=parzen;n=200")
+                        "bandwidth=None;family=parzen")
     assert lines[2].startswith("grid_n,grid_phi,")
     assert [line.split(",")[:2] for line in lines[3:]] == [
         ["150", "0.3"], ["150", "0.1"], ["200", "0.3"], ["200", "0.1"]]
@@ -780,9 +780,10 @@ def test_grid_checks_every_cell_before_the_first_runs(monkeypatch):
     ran = []
     monkeypatch.setitem(EXPERIMENTS, "ivx-null",
                         replace(EXPERIMENTS["ivx-null"], setup=ran.append))
-    for axis in ("grid.corrr = 0.5, 0.99\n", "grid.n = 120, 120.7\n"):
-        cfg = parse_config("experiment = ivx-null\nreps = 2\nn = 150\n" + axis)
-        with pytest.raises(ValueError, match="'corrr'|'n'"):
+    for lines, message in (("grid.corrr = 0.5, 0.99", "'corrr'"), ("grid.n = 120, 120.7", "'n'"),
+                           ("n = 150\ngrid.n = 120, 150", "grid.n repeats the parameter n")):
+        cfg = parse_config(f"experiment = ivx-null\nreps = 2\n{lines}\n")
+        with pytest.raises(ValueError, match=message):
             size_power_grid(cfg)
     assert ran == []
 

@@ -385,7 +385,7 @@ def test_network_hac_from_shells_equals_from_graph(name):
     g = _GRAPHS[name]
     y = np.random.default_rng((67, 9)).standard_normal((g.n, 2))
     for spec in (None, T.KernelSpec("parzen", 2.5)):
-        r = T.network_hac_radius(spec, g.n)
+        r = T.network_hac_radius(spec or T.KernelSpec(), g.n)
         for radius in (r, r + 2):
             assert np.array_equal(T.network_hac(T.graph_shells(g, radius), y, spec),
                                   T.network_hac(g, y, spec))

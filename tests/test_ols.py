@@ -13,10 +13,13 @@ import io
 import re
 import tokenize
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import tsnet as T
@@ -336,10 +339,10 @@ def test_block_gather_equals_the_index_matrix(layout, B):
 
 def test_unitroot_bootstrap_peak_memory():
     x = np.random.default_rng(76).standard_normal(1000).cumsum()
-    T.residual_unitroot_bootstrap(x, 20, T.RngSpec(77), block=10)  # warm up
+    T.residual_unitroot_bootstrap(x, 20, T.RngSpec(77), block=T.BlockSpec(10))  # warm up
     tracemalloc.start()
     try:
-        T.residual_unitroot_bootstrap(x, 2000, T.RngSpec(77), block=10)
+        T.residual_unitroot_bootstrap(x, 2000, T.RngSpec(77), block=T.BlockSpec(10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -624,7 +627,7 @@ _SCALED = {
     "adf_test": lambda s: (lambda r: [r.stat_coef, r.stat_t])(
         T.adf_test(_W * s, p=2, deterministic="trend")),
     "residual_unitroot_bootstrap": lambda s: T.residual_unitroot_bootstrap(
-        _W * s, 99, T.RngSpec(8), block=10).stats,
+        _W * s, 99, T.RngSpec(8), block=T.BlockSpec(10)).stats,
 }
 
 
@@ -634,3 +637,42 @@ def test_noisy_data_answer_the_same_at_any_scale(name, k):
     # y * 2^-40 is still noisy data: no statistic may call its fit exact
     stat = _SCALED[name]
     np.testing.assert_allclose(stat(2.0**k), stat(1.0), rtol=1e-12, atol=0)
+
+
+# the system of `tsnet simulate system --beta 0.2 --c -5 --n 300 --seed 1`
+_SYS_Y, _SYS_X = T.simulate_predictive_system(
+    T.SystemSpec(beta=(0.2,), lur=(T.LurSpec(-5.0),)), 300, T.RngSpec(1))
+
+
+def _small(k):
+    """The scale-invariant fields of seven statistics on the system with y
+    and x times 2^k (omega of `hac_lrv` times 2^-2k, exactly), by name."""
+    y, x = np.ldexp(_SYS_Y, k), np.ldexp(_SYS_X, k)
+    return {
+        "adf_test": lambda: (lambda r: [r.stat_coef, r.stat_t])(T.adf_test(y)),
+        "split_wald": lambda: T.split_wald(y, x, pi0=0.5).stat,
+        "hac_lrv": lambda: np.ldexp(T.hac_lrv(y).omega, -2 * k),
+        "shin_vn": lambda: T.shin_vn(y, x).v_n,
+        "me_monitor": lambda: T.me_monitor(y, x, n_hist=100).stat,
+        "sup_wald": lambda: T.sup_wald(y, x).stat,
+        "phillips_z": lambda: (lambda r: [r.stat_coef, r.stat_t])(T.phillips_z(y)),
+    }
+
+
+_AT_UNIT_SCALE = {name: stat() for name, stat in _small(0).items()}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(k=st.integers(-520, -505))
+def test_small_data_answer_as_at_unit_scale_or_raise(k):
+    # from 2^-520 (3e-157) to 2^-505 (1e-152) the squares of the data reach
+    # the subnormals: a statistic keeps its unit-scale value or says so
+    for name, stat in _small(k).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = stat()
+            except ValueError as exc:
+                assert str(exc).startswith("a sum of squares of the data underflows"), name
+                continue
+        np.testing.assert_allclose(got, _AT_UNIT_SCALE[name], rtol=1e-10, atol=0, err_msg=name)

@@ -49,9 +49,10 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_readme_monte_carlo_example_runs(tmp_path):
     section = _section("Monte Carlo experiments")
-    assert "save this one as `ivx.cfg`" in section
-    config = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    (tmp_path / "ivx.cfg").write_text(config)
+    assert "save this one as `ivx.cfg`" in section and "as `ivx-grid.cfg`:" in section
+    for name, config in zip(("ivx.cfg", "ivx-grid.cfg"),
+                            re.findall(r"```\n(.*?)```", section, re.S)):
+        (tmp_path / name).write_text(config)
     lines = _shell_lines(section)
     assert [argv[1:3] for argv in lines if argv[0] == "tsnet"] == [
         ["mc", "run"], ["mc", "grid"]]
