@@ -21,8 +21,7 @@ import dataclasses
 import numpy as np
 
 __all__ = ["as_series", "as_matrix", "as_panel", "as_yx", "first_rep", "check_positive_int",
-           "check_in", "check_finite_path", "check_finite_result", "check_squares",
-           "FINITE_RESULT"]
+           "check_in", "check_finite_result", "check_squares", "FINITE_RESULT"]
 
 # the fewest observations `as_yx` takes for a regression, unless told otherwise
 _MIN_OBS = 8
@@ -120,21 +119,6 @@ def check_in(value, choices, name: str):
     if value not in choices:
         raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
     return value
-
-
-def check_finite_path(path, where: str):
-    """Return `path`, a simulator's output (an array or a tuple of arrays),
-    if every value is finite, else raise a ValueError naming `where`, the
-    simulator's parameters as "name=value, ...".
-
-    A simulator computes its path under np.errstate(over="ignore",
-    invalid="ignore"), so that this error is the one report of a path
-    that has left the finite floats.
-    """
-    parts = path if isinstance(path, tuple) else (path,)
-    if not all(np.all(np.isfinite(part)) for part in parts):
-        raise ValueError(f"the path leaves the finite floats at {where}")
-    return path
 
 
 def check_finite_result(fn: str, *values) -> None:

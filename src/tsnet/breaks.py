@@ -400,6 +400,7 @@ class NestedForecastResult:
     start: int
 
 
+@FINITE_RESULT
 def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     """Compare recursive forecasts of y from two nested predictive models.
 
@@ -434,6 +435,7 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     # grams[t - 1] and moments[t - 1] sum over the first t pairs
     grams = np.cumsum(z[:, :, None] * z[:, None, :], axis=0)
     moments = np.cumsum(z * ys[:, None], axis=0)
+    check_finite_result("nested_forecast_test", grams[-1], moments[-1])
     for start in range(k0, m):
         # postpone until the nesting-model design is invertible
         gram = grams[start - 1]
@@ -449,6 +451,7 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     # is nonsingular once an early one is; an exact fit leaves only
     # roundoff, which is no scale for the losses
     ssr = ols(z[None], ys[None]).ssr
+    check_finite_result("nested_forecast_test", ssr)
     check_fit(ssr, ys[None], "nesting-model")
     sigma2 = float(ssr[0] / (m - p_big))
 
@@ -462,5 +465,6 @@ def nested_forecast_test(y, x_small, x_extra, k0: int) -> NestedForecastResult:
     e_small = ys[start:] - np.einsum("tp,tp->t", zf[:, :p_small], b_small)
     diffs = (e_small**2 - e_big**2) / sigma2
     path = np.cumsum(diffs)
+    check_finite_result("nested_forecast_test", path)
     return NestedForecastResult(stat=float(path[-1]), path=path,
                                 errors_small=e_small, errors_big=e_big, start=start)

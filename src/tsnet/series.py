@@ -4,15 +4,17 @@ Every stochastic routine in the package draws through an `RngSpec`: a
 (seed, stream) pair mapped onto a counter-based Philox generator, so that
 the pair fully determines the output and replication r of an experiment
 can use stream `base + r` without any cross-stream correlation concerns.
-Each simulator takes that rng (an `RngSpec` or a numpy Generator) as a
-required argument and draws its own Gaussian innovations.
-`simulate_lur_ar`, `simulate_linear_process`, `simulate_predictive_system`,
-`garch.simulate_garch`, `netdep.simulate_graph_ma` and
-`randmat.sample_cov_spectrum` also take the standard normals themselves
-as rng: one rep's draws, or a panel of them with one more, leading, rep
-axis, which gives the panel of paths, each rep bit-identical to its own
-call (`_simulate`).  The Monte Carlo harness passes them its panels of
-draws, as it passes the statistics panels of reps (`_checks.as_panel`).
+All seven simulators -- `simulate_lur_ar`, `simulate_linear_process`,
+`simulate_predictive_system`, `simulate_ou_exact`, `garch.simulate_garch`,
+`netdep.simulate_graph_ma` and `randmat.sample_cov_spectrum` -- take a
+required rng argument and draw through `_simulate`: an `RngSpec` or a
+numpy Generator, from which they draw their own standard normals, or
+the normals themselves.  Those are one rep's draws, or a panel of them
+with one more, leading, rep axis, which gives the panel of paths, each
+rep bit-identical to its own call.  `simulate_ou_exact` takes n normals,
+or n + 1 under init="stationary", J(0)'s draw first.  The Monte Carlo
+harness passes the simulators its panels of draws, as it passes the
+statistics panels of reps (`_checks.as_panel`).
 
 Series are returned as plain 1-d float ndarrays; multivariate series as
 (n, d) arrays with time in rows.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_finite_path, check_in, check_positive_int
+from ._checks import check_in, check_positive_int
 from ._filter import ar, ma
 
 __all__ = [
@@ -103,9 +105,11 @@ def _simulate(path, rng, shape: tuple[int, ...], where: str):
     An `RngSpec` or Generator rng draws one rep's normals, of `shape`; an
     ndarray rng is the normals, of `shape` or with one more, leading, rep
     axis.  `path` maps the (R, *shape) panel to an array, or a tuple of
-    arrays, with a leading rep axis, under np.errstate, so that
-    `check_finite_path`, naming `where`, is the one report of a path that
-    leaves the finite floats.  One rep's result loses the rep axis.
+    arrays, with a leading rep axis, under np.errstate(over="ignore",
+    invalid="ignore"), so that a ValueError naming `where`, the
+    simulator's parameters as "name=value, ...", is the one report of a
+    path that leaves the finite floats.  One rep's result loses the rep
+    axis.
     """
     if isinstance(rng, np.ndarray):
         z = np.asarray(rng, dtype=float)
@@ -120,9 +124,12 @@ def _simulate(path, rng, shape: tuple[int, ...], where: str):
     else:
         z, one = _resolve_rng(rng).standard_normal((1, *shape)), True
     with np.errstate(over="ignore", invalid="ignore"):
-        out = check_finite_path(path(z), where)
+        out = path(z)
+    parts = out if isinstance(out, tuple) else (out,)
+    if not all(np.all(np.isfinite(part)) for part in parts):
+        raise ValueError(f"the path leaves the finite floats at {where}")
     if one:
-        out = tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+        out = tuple(part[0] for part in parts) if isinstance(out, tuple) else out[0]
     return out
 
 
@@ -324,25 +331,31 @@ def simulate_ou_exact(c: float, sigma: float, n: int, rng, horizon: float = 1.0,
         int_0^r e^{(r-s)c} dW).  "stationary" draws J(0) from the
         stationary law N(0, sigma^2 / (-2c)); requires c < 0.
 
-    A path that leaves the finite floats raises ValueError.
+    rng may be the standard normals themselves (`_simulate`): (n,) for
+    one path, (n + 1,) under "stationary" with J(0)'s draw first, or
+    either with a leading rep axis for the (R, n) panel of paths.  A
+    non-finite horizon, or a path that leaves the finite floats, raises
+    ValueError.
     """
     n = check_positive_int(n, "n")
-    if not (np.isfinite(c) and np.isfinite(sigma) and sigma >= 0 and horizon > 0):
+    if not (np.all(np.isfinite((c, sigma, horizon))) and sigma >= 0 and horizon > 0):
         raise ValueError("need finite c, sigma >= 0, horizon > 0")
     check_in(init, _OU_INITS, "init")
-    if init == "stationary" and c >= 0:
+    # a stationary start's normals lead with J(0)'s draw
+    lead = int(init == "stationary")
+    if lead and c >= 0:
         raise ValueError("stationary initialization requires c < 0")
-    gen = _resolve_rng(rng)
-    dt = horizon / n
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def path(z):
+        dt = horizon / n
         if c == 0.0:
             step_sd = sigma * np.sqrt(dt)
             phi = 1.0
         else:
             phi = np.exp(c * dt)
-            step_sd = sigma * np.sqrt((np.expm1(2 * c * dt)) / (2 * c))
-        j0 = 0.0 if init == "zero" else gen.standard_normal() * sigma / np.sqrt(-2 * c)
-        shocks = gen.standard_normal(n) * step_sd
-        path = ar(shocks, [phi], phi * j0)
-    return check_finite_path(path, f"c={c!r}, sigma={sigma!r}, horizon={horizon!r}, n={n}")
+            step_sd = sigma * np.sqrt(np.expm1(2 * c * dt) / (2 * c))
+        j0 = z[:, :1] * sigma / np.sqrt(-2 * c) if lead else 0.0
+        return ar(z[:, lead:] * step_sd, [phi], phi * j0)
 
+    return _simulate(path, rng, (n + lead,),
+                     f"c={c!r}, sigma={sigma!r}, horizon={horizon!r}, n={n}")

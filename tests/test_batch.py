@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -637,7 +637,6 @@ def test_one_rank_rule_one_rep_or_a_panel(name):
         call(*(a[None] for a in panel))
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(sorted(_rank_cases())), reps=st.integers(1, 9),
        seed=st.integers(0, 2**64 - 1))
 def test_each_statistic_rep_equals_its_one_rep_call(name, reps, seed):
@@ -687,6 +686,11 @@ def _simulator_cases():
         "simulate_garch": (lambda rng: T.simulate_garch(T.GarchSpec(0.1, 0.2, 0.7, mu=0.5), 40,
                                                         rng, burn=10), (50,)),
         "sample_cov_spectrum": (lambda rng: T.sample_cov_spectrum(30, 12, rng), (12, 30)),
+        "simulate_ou_exact": (lambda rng: T.simulate_ou_exact(-3.0, 1.5, 40, rng, horizon=2.0),
+                              (40,)),
+        # J(0)'s draw leads
+        "simulate_ou_exact stationary": (lambda rng: T.simulate_ou_exact(
+            -3.0, 1.5, 40, rng, horizon=2.0, init="stationary"), (41,)),
     }
 
 
@@ -717,7 +721,6 @@ def test_each_simulator_takes_one_rep_or_a_panel_of_draws(name):
         call(z)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(sorted(_simulator_cases())), reps=st.integers(1, 9),
        seed=st.integers(0, 2**64 - 1))
 def test_each_panel_row_equals_its_one_rep_call(name, reps, seed):

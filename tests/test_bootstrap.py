@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as hs
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as st
@@ -423,7 +423,6 @@ def _schemes(B):
     }
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(budget=hs.integers(1, 60 * 8 * 141), B=hs.integers(1, 60))
 def test_chunk_budget_moves_no_replicate(budget, B):
     # the budget bounds a workspace and never a result: from one row a chunk

@@ -856,6 +856,9 @@ def test_simulate_lur_off_the_finite_floats_is_one_line(tmp_path, capsys, flags,
     (["linear", "--coeffs", "1", "--n", "5", "--seed", "-1"],
      "seed must be an unsigned 64-bit integer, got -1"),
     (["ou", "--c", "nan", "--n", "5"], "need finite c, sigma >= 0, horizon > 0"),
+    (["ou", "--c", "-1", "--horizon", "inf", "--n", "3"],
+     "need finite c, sigma >= 0, horizon > 0"),
+    (["ou", "--c", "0", "--horizon", "inf", "--n", "3"], "need finite c, sigma >= 0, horizon > 0"),
 ])
 def test_simulate_off_the_finite_floats_is_one_line(tmp_path, capsys, argv, message):
     if argv[0] == "graph-ma":

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -856,3 +857,18 @@ def test_nested_forecast_degenerate_and_invalid():
     # no extra regressor: the two models coincide and every loss difference is 0
     with pytest.raises(ValueError, match="x_extra has no columns"):
         T.nested_forecast_test(y2, x, x[:, 2:], k0=30)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_nested_forecast_names_itself_when_the_data_overflow(scale):
+    spec = T.SystemSpec(beta=(0.1, 0.1), lur=(T.LurSpec(-2.0), T.LurSpec(-5.0)))
+    y, x = T.simulate_predictive_system(spec, 300, T.RngSpec(1))
+    assert T.nested_forecast_test(y, x[:, :1], x[:, 1:], k0=75).stat == pytest.approx(
+        -2.769114, abs=5e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the Grams overflow; with y alone scaled, the residual sum of squares
+        for sy, sx in ((scale, scale), (scale, 1.0)):
+            with pytest.raises(ValueError,
+                               match="^nested_forecast_test: the result is not finite"):
+                T.nested_forecast_test(sy * y, sx * x[:, :1], sx * x[:, 1:], k0=75)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -662,7 +662,6 @@ def _small(k):
 _AT_UNIT_SCALE = {name: stat() for name, stat in _small(0).items()}
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(k=st.integers(-520, -505))
 def test_small_data_answer_as_at_unit_scale_or_raise(k):
     # from 2^-520 (3e-157) to 2^-505 (1e-152) the squares of the data reach

@@ -108,3 +108,39 @@ def test_spectrum_working_set_is_x_and_s(monkeypatch):
         tracemalloc.stop()
     assert peak <= 1.05 * 8 * (p * n + p * p)
     assert calls == [(True, True)]
+
+
+# The largest eigenvalue of a white Wishart matrix (Johnstone 2001, Ann.
+# Statist. 29): n lambda_max(S), centered by mu = (sqrt(n - 1) + sqrt(p))^2 and
+# scaled by sigma = (sqrt(n - 1) + sqrt(p)) (1/sqrt(n - 1) + 1/sqrt(p))^(1/3),
+# tends to Tracy-Widom beta = 1, of mean -1.2065 and sd 1.2680 (Tracy & Widom
+# 1996; rounding 0.00005).  The stated finite-n bias: these constants leave
+# the mean about 0.06 below the limit at (n, p) = (200, 50), and the same
+# constants at n - 1/2 and p - 1/2 (Ma 2012, Bernoulli 18) leave a second-order
+# error.  So the law is carried onto this normalization by Ma's constants.  Ten
+# streams of 4000 reps (seeds 44-53) then read mean -1.2006 and sd 1.2346 (SE
+# 0.006 and 0.005): bias bounds 0.015 on the mean and 0.04 on the sd.
+_TW1 = ((-1.2065, 0.015), (1.2680, 0.04))
+
+
+def _wishart_edge(n: float, p: float) -> tuple[float, float]:
+    """Centering and scale (mu, sigma) of n lambda_max(S) at (n, p)."""
+    root = np.sqrt(n) + np.sqrt(p)
+    return root**2, root * (1.0 / np.sqrt(n) + 1.0 / np.sqrt(p)) ** (1.0 / 3.0)
+
+
+def test_largest_eigenvalue_has_the_tracy_widom_limit():
+    n, p = 200, 50
+    gen = T.RngSpec(44, 0).generator()
+    # 4000 reps, 500 (40 MB of draws) at a time
+    lam = np.concatenate([T.sample_cov_spectrum(n, p, gen.standard_normal((500, p, n))).lambda_max
+                          for _ in range(8)])
+    mu, sigma = _wishart_edge(n - 1, p)
+    w = (n * lam - mu) / sigma
+    mu_ma, sigma_ma = _wishart_edge(n - 0.5, p - 0.5)
+    (mean, mean_bias), (sd, sd_bias) = _TW1
+    m, s = w.mean(), w.std(ddof=1)
+    se_m = s / np.sqrt(w.size)
+    se_s = np.std((w - m) ** 2, ddof=1) / (2.0 * s * np.sqrt(w.size))
+    assert abs(m - (sigma_ma * mean + mu_ma - mu) / sigma) <= 4.0 * se_m + 0.00005 + mean_bias, m
+    assert abs(s - sigma_ma / sigma * sd) <= 4.0 * se_s + 0.00005 + sd_bias, s

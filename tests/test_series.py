@@ -130,6 +130,26 @@ def test_ou_stationary_init_needs_mean_reversion():
         T.simulate_ou_exact(0.0, 1.0, 10, T.RngSpec(0, 0), init="stationary")
 
 
+@pytest.mark.parametrize("c", [-1.0, 0.0])
+def test_ou_rejects_a_non_finite_horizon(c):
+    # at c = -1, exp(c * inf) = 0 would give iid stationary draws
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^need finite c, sigma >= 0, horizon > 0$"):
+            T.simulate_ou_exact(c, 1.0, 3, T.RngSpec(0, 0), horizon=horizon)
+
+
+def test_ou_stationary_start_draws_first():
+    # J(0) = z_0 sigma / sqrt(-2c) decays by phi per step on top of the
+    # zero-start path of the remaining n normals
+    c, sigma, n, horizon = -2.0, 1.5, 30, 3.0
+    z = T.RngSpec(5, 3).generator().standard_normal(n + 1)
+    path = T.simulate_ou_exact(c, sigma, n, z, horizon=horizon, init="stationary")
+    zero = T.simulate_ou_exact(c, sigma, n, z[1:], horizon=horizon)
+    phi = np.exp(c * horizon / n)
+    decay = phi ** np.arange(1, n + 1) * z[0] * sigma / np.sqrt(-2.0 * c)
+    np.testing.assert_allclose(path, zero + decay, rtol=1e-12, atol=1e-15)
+
+
 def test_rng_spec_reproducible_and_stream_separated():
     a = T.simulate_linear_process(T.LinearProcessSpec((1.0,), 1.0), 64,
                                   T.RngSpec(9, 4))

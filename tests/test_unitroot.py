@@ -265,3 +265,33 @@ def test_statistics_under_their_nulls_agree_with_published_points():
            in checks
            if abs(np.quantile(draws, p) - value) > 4.0 * _quantile_se(draws, p) + rounding + bias]
     assert far == []
+
+
+# The paper's moderate deviations from a unit root, mildly explosive side
+# (c > 0, 0 < gamma < 1, rho_n = 1 + c / n^gamma, x_0 = 0): the statistic
+# (n^gamma rho_n^n / (2c)) (rho_hat - rho_n) tends to the standard Cauchy
+# law (Phillips & Magdalinos 2007, J. Econometrics 136), whose quartiles are
+# -1 and 1 and whose 5% and 95% points are -tan(0.45 pi) and tan(0.45 pi),
+# quoted to 4 decimals (rounding 0.00005).  At R = 4000, Kolmogorov-Smirnov
+# does not reject the law at either point below (p > 0.05), so no finite-n
+# bias is stated.
+_CAUCHY = {0.05: -6.3138, 0.25: -1.0, 0.75: 1.0, 0.95: 6.3138}
+
+
+@pytest.mark.parametrize("c,gamma,n", [(1.0, 0.5, 2000), (2.0, 0.5, 1000)])
+def test_mildly_explosive_root_has_the_cauchy_limit(c, gamma, n):
+    # rho_hat - rho_n is sum x_{t-1} v_t / sum x_{t-1}^2, formed from the known
+    # innovations v: rho_n^n is about e^44.7 at (1, 0.5, 2000), so rho_hat
+    # itself lies within the spacing of the floats of rho_n
+    rho = 1.0 + c / n**gamma
+    gen = T.RngSpec(43, 0).generator()
+    stat = []
+    for _ in range(4):  # R = 4000 paths, 1000 at a time
+        v = gen.standard_normal((1000, n))
+        xlag = T.simulate_lur_ar(T.LurSpec(c, gamma), n, v)[:, :-1]
+        stat.append(n**gamma * rho**n / (2.0 * c) * np.einsum("rt,rt->r", xlag, v[:, 1:])
+                    / np.einsum("rt,rt->r", xlag, xlag))
+    stat = np.concatenate(stat)
+    far = [(p, float(np.quantile(stat, p)), value) for p, value in _CAUCHY.items()
+           if abs(np.quantile(stat, p) - value) > 4.0 * _quantile_se(stat, p) + 0.00005]
+    assert far == []
